@@ -26,7 +26,6 @@ from dkf_admm.graphs import (
     build_graph,
     is_connected,
     load_edge_list,
-    neighbor_disagreement,
     spectral_summary,
 )
 from dkf_admm.linalg import (
@@ -60,15 +59,10 @@ from dkf_admm.centralized import (
 from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
-    NodeState,
-    assemble_posterior,
+    NetworkState,
     auto_params,
-    compute_gain,
-    covariance_consensus_step,
     dkf_time_step,
-    init_nodes,
-    predict,
-    state_correction_round,
+    init_state,
 )
 from dkf_admm.harness import (
     RunMetrics,

@@ -1,32 +1,28 @@
-"""The per-node distributed Kalman filter engine.
+"""The distributed Kalman filter engine, on stacked network arrays.
 
-One filter time step is: predict with (F, Q); L synchronous Jacobi
-sub-iterations of the ADMM state correction (neighbors exchange only the
-primal iterate xi, the transformed dual stays local); one step of the
-sub-iteration-free covariance consensus on half-vectorized information
-matrices (only theta crosses edges); then the posterior covariance
-assembly. All exchanges flow through a CommLedger that counts messages
-and scalar payloads and rejects any attempt to put a dual variable on
-the wire.
+The whole network's state is one `NetworkState` of arrays whose leading
+axis is the node index, so every update below is the paper's
+network-level form: the lifted Laplacian (L kron I) acting on the stacked
+iterates. One filter time step is: predict with (F, Q); L synchronous
+Jacobi sub-iterations of the ADMM state correction (neighbors exchange
+only the primal iterate xi, the transformed dual stays local); one step
+of the sub-iteration-free covariance consensus on half-vectorized
+information matrices (only theta crosses edges); then the posterior
+covariance assembly. All exchanges flow through a CommLedger that counts
+messages and scalar payloads and rejects any attempt to put a dual
+variable on the wire.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite, WireSchemaViolation
 from dkf_admm.graphs import SensorGraph
-from dkf_admm.linalg import (
-    covariance_stability,
-    spd_inverse,
-    spd_solve,
-    state_stability,
-    sym,
-    unvech,
-    vech,
-)
+from dkf_admm.linalg import covariance_stability, state_stability, sym, unvech
 from dkf_admm.models import StateSpaceModel, node_info_vectors, sensor_specs_at
 
 _PRIMAL_PAYLOADS = {"xi", "theta"}
@@ -93,18 +89,23 @@ def auto_params(spectrum, l_sub=20) -> DkfParams:
 
 
 @dataclass
-class NodeState:
-    """One estimator's mutable state across filter time steps."""
+class NetworkState:
+    """The filter state of all N nodes as stacked arrays, node index first.
 
-    node_id: int
+    x_prior, x_post: (N, n) state estimates; p_prior, p_post: (N, n, n)
+    covariances; theta: (N, n(n+1)/2) half-vectorized estimates of the
+    network information rate; nu_tilde: the matching consensus duals.
+    The state-correction iterates xi and lambda_tilde live only inside one
+    time step: the dual restarts at zero every step and x_post is the
+    final xi.
+    """
+
     x_prior: np.ndarray
     p_prior: np.ndarray
-    xi: np.ndarray
-    lambda_tilde: np.ndarray
-    theta: np.ndarray
-    nu_tilde: np.ndarray
     x_post: np.ndarray
     p_post: np.ndarray
+    theta: np.ndarray
+    nu_tilde: np.ndarray
 
 
 @dataclass
@@ -152,51 +153,55 @@ class CommLedger:
         return self.state_scalars + self.cov_scalars
 
 
-def init_nodes(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> list:
-    """Per-node filter state at t = 0.
+def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkState:
+    """Network filter state at t = 0.
 
-    theta starts at N * vech(H_i' R_i^-1 H_i) with a zero consensus dual,
-    which makes the network-wide sum of theta + nu exactly conserved from
-    the first covariance step onward.
+    `x0_estimates` holds one initial estimate per node, shape (N, n), and
+    `p0_nodes` one covariance per node (default: the model's P0); a single
+    estimate or covariance is shared by all nodes. theta starts at
+    N * vech(H_i' R_i^-1 H_i) with a zero consensus dual, which makes the
+    network-wide sum of theta + nu exactly conserved from the first
+    covariance step onward.
     """
-    n_nodes = model.n_nodes
-    omega = node_info_vectors(sensor_specs_at(model, 0))
-    nodes = []
-    for i in range(n_nodes):
-        p0 = sym(model.p0 if p0_nodes is None else p0_nodes[i])
-        x0 = np.array(x0_estimates[i], dtype=float)
-        nodes.append(
-            NodeState(
-                node_id=i,
-                x_prior=x0.copy(),
-                p_prior=p0.copy(),
-                xi=x0.copy(),
-                lambda_tilde=np.zeros(model.n),
-                theta=n_nodes * omega[i],
-                nu_tilde=np.zeros(omega.shape[1]),
-                x_post=x0.copy(),
-                p_post=p0.copy(),
-            )
-        )
-    return nodes
+    n_nodes, n = model.n_nodes, model.n
+    x0 = np.array(np.broadcast_to(x0_estimates, (n_nodes, n)), dtype=float)
+    p0 = sym(np.broadcast_to(model.p0 if p0_nodes is None else p0_nodes, (n_nodes, n, n)))
+    theta = n_nodes * node_info_vectors(sensor_specs_at(model, 0))
+    return NetworkState(
+        x_prior=x0.copy(),
+        p_prior=p0.copy(),
+        x_post=x0,
+        p_post=p0,
+        theta=theta,
+        nu_tilde=np.zeros_like(theta),
+    )
 
 
-def predict(node: NodeState, model: StateSpaceModel) -> NodeState:
-    """Local prediction: x = F x, P = F P F' + Q (identical to the
-    centralized filter)."""
-    node.x_prior = model.f @ node.x_post
-    node.p_prior = sym(model.f @ node.p_post @ model.f.T + model.q)
-    return node
+def _predict(x_post, p_post, model: StateSpaceModel):
+    """Local prediction at every node: x = F x, P = F P F' + Q (identical
+    to the centralized filter)."""
+    return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
 
 
-def compute_gain(node: NodeState, sensor, n_nodes: int):
-    """Local gain pair: K^-1 = H' R^-1 H + P_prior^-1 / N and K."""
-    p_inv = spd_inverse(node.p_prior)
-    k_inv = sym(sensor.info_matrix + p_inv / n_nodes)
-    return k_inv, spd_inverse(k_inv)
+def _gains(p_prior, x_prior, sensors, measurements):
+    """Per-step gains and local information vectors of every node.
+
+    Returns P_prior^-1, K^-1 = H' R^-1 H + P_prior^-1 / N, K, and
+    b = H' R^-1 y + P_prior^-1 x_prior / N, each stacked over nodes.
+    """
+    n_nodes = len(sensors)
+    try:
+        p_prior_inv = sym(np.linalg.inv(p_prior))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("a prior covariance became singular") from exc
+    k_inv = np.array([s.info_matrix for s in sensors]) + p_prior_inv / n_nodes
+    k = sym(np.linalg.inv(k_inv))
+    b = np.array([s.rinv_h.T @ np.atleast_1d(y) for s, y in zip(sensors, measurements)])
+    b += np.einsum("ijk,ik->ij", p_prior_inv, x_prior) / n_nodes
+    return p_prior_inv, k_inv, k, b
 
 
-def _correction_round(xi, lam, graph, k, k_inv, b, params):
+def _correction_round(xi, lam, graph: SensorGraph, k, k_inv, b, params):
     """One synchronous Jacobi sub-iteration on stacked (N, n) arrays.
 
     d_i = sum_j (xi_i - xi_j) over neighbors; the dual integrates
@@ -206,116 +211,62 @@ def _correction_round(xi, lam, graph, k, k_inv, b, params):
     nodes agree on mean_i K_i b_i rather than on the MAP point of
     `centralized.consensus_fixed_point` (acceptance criterion 3).
     """
-    d = graph.degree[:, None] * xi - graph.adjacency @ xi
+    d = graph.disagreement(xi)
     lam_new = lam + params.alpha_lambda * np.einsum("ijk,ik->ij", k_inv, d)
     xi_new = np.einsum("ijk,ik->ij", k, b - lam_new) - params.mu * d
     return xi_new, lam_new
 
 
-def _covariance_step(theta, nu, graph, omega_scaled, alpha_nu):
+def _covariance_step(theta, nu, graph: SensorGraph, omega_scaled, alpha_nu):
     """One step of the sub-iteration-free covariance consensus.
 
     Disagreement is evaluated on the previous step's theta; the new theta
     is N omega - nu_new - alpha_nu * disagreement.
     """
-    e = graph.degree[:, None] * theta - graph.adjacency @ theta
+    e = graph.disagreement(theta)
     nu_new = nu + alpha_nu * e
     theta_new = omega_scaled - nu_new - alpha_nu * e
     return theta_new, nu_new
 
 
-def _node_arrays(nodes, attr):
-    return np.array([getattr(nd, attr) for nd in nodes])
+def _posterior_cov(p_prior_inv, theta, t=None):
+    """(P_prior^-1 + Theta)^-1 at every node.
 
-
-def _prepare_correction(nodes, sensors, measurements, n_nodes):
-    """Per-step gain stacks and local information vectors."""
-    k_inv = np.empty((n_nodes, nodes[0].x_prior.size, nodes[0].x_prior.size))
-    k = np.empty_like(k_inv)
-    b = np.empty((n_nodes, nodes[0].x_prior.size))
-    for i, (nd, spec) in enumerate(zip(nodes, sensors)):
-        p_inv = spd_inverse(nd.p_prior)
-        k_inv[i] = sym(spec.info_matrix + p_inv / n_nodes)
-        k[i] = spd_inverse(k_inv[i])
-        y = np.atleast_1d(np.asarray(measurements[i], dtype=float))
-        b[i] = spec.rinv_h.T @ y + p_inv @ nd.x_prior / n_nodes
-    return k_inv, k, b
-
-
-def state_correction_round(
-    nodes, graph: SensorGraph, measurements, params: DkfParams, ledger=None, sensors=None
-):
-    """One synchronous state-correction sub-iteration across all nodes.
-
-    Public entry point used directly in tests; `dkf_time_step` runs the
-    same core with the per-step gains hoisted out of the loop.
+    At a node where that sum is not positive definite (a transiently
+    indefinite Theta), Theta is floored at zero eigenvalues, with a
+    RuntimeWarning naming the node and t. NotPositiveDefinite is raised if
+    theta is non-finite or flooring cannot fix it.
     """
-    if sensors is None:
-        raise ValueError("sensor specs are required")
-    n_nodes = len(nodes)
-    k_inv, k, b = _prepare_correction(nodes, sensors, measurements, n_nodes)
-    xi = _node_arrays(nodes, "xi")
-    lam = _node_arrays(nodes, "lambda_tilde")
-    xi_new, lam_new = _correction_round(xi, lam, graph, k, k_inv, b, params)
-    if ledger is not None:
-        ledger.record("state", "xi", graph.degree, xi.shape[1])
-    for i, nd in enumerate(nodes):
-        nd.xi = xi_new[i]
-        nd.lambda_tilde = lam_new[i]
-    return nodes
-
-
-def covariance_consensus_step(
-    nodes, graph: SensorGraph, params: DkfParams, ledger=None, sensors=None
-):
-    """One covariance-consensus step across all nodes (no sub-iterations)."""
-    if sensors is None:
-        raise ValueError("sensor specs are required")
-    n_nodes = len(nodes)
-    omega_scaled = n_nodes * node_info_vectors(sensors)
-    theta = _node_arrays(nodes, "theta")
-    nu = _node_arrays(nodes, "nu_tilde")
-    theta_new, nu_new = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
-    if ledger is not None:
-        ledger.record("covariance", "theta", graph.degree, theta.shape[1])
-    for i, nd in enumerate(nodes):
-        nd.theta = theta_new[i]
-        nd.nu_tilde = nu_new[i]
-    return nodes
-
-
-def _posterior_cov(p_prior_inv, theta_vec):
-    """(P_prior^-1 + Theta)^-1 with eigenvalue flooring on a transiently
-    indefinite Theta; raises NotPositiveDefinite if flooring cannot fix it."""
-    if not np.isfinite(theta_vec).all():
-        raise NotPositiveDefinite(
-            "theta is non-finite; the covariance consensus has diverged"
-        )
-    m = sym(p_prior_inv + unvech(theta_vec))
+    at = "" if t is None else f", t={t}"
+    if not np.isfinite(theta).all():
+        bad = int(np.argmax(~np.isfinite(theta).all(axis=1)))
+        raise NotPositiveDefinite(f"theta diverged to non-finite values (node {bad}{at})")
+    theta_mats = unvech(theta)
+    m = sym(p_prior_inv + theta_mats)
     try:
-        return spd_inverse(m)
-    except NotPositiveDefinite:
-        pass
-    w, v = np.linalg.eigh(unvech(theta_vec))
-    floored = sym(v @ np.diag(np.clip(w, 0.0, None)) @ v.T)
-    try:
-        return spd_inverse(sym(p_prior_inv + floored))
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            "posterior information matrix not PD even after flooring; "
-            "the covariance consensus has diverged"
-        ) from exc
-
-
-def assemble_posterior(node: NodeState) -> NodeState:
-    """Close the time step: x_post = final xi, P_post from prior + Theta."""
-    node.x_post = node.xi.copy()
-    node.p_post = _posterior_cov(spd_inverse(node.p_prior), node.theta)
-    return node
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
+            warnings.warn(
+                f"posterior information of node {i}{at} is indefinite; "
+                "theta floored at zero eigenvalues",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            w, v = np.linalg.eigh(theta_mats[i])
+            m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                f"posterior information matrix not PD even after flooring{at}; "
+                "the covariance consensus has diverged"
+            ) from exc
+    return sym(np.linalg.inv(m))
 
 
 def dkf_time_step(
-    nodes,
+    state: NetworkState,
     graph: SensorGraph,
     model: StateSpaceModel,
     measurements_t,
@@ -325,7 +276,8 @@ def dkf_time_step(
     consensus_log=None,
     sub_iterated_covariance: bool = False,
 ):
-    """Run one full filter time step for every node, batched over nodes.
+    """Run one full filter time step for every node; updates and returns
+    `state`.
 
     `measurements_t` holds one y_i per node for this step. When
     `consensus_log` is a list, the per-sub-iteration mean consensus error
@@ -333,81 +285,33 @@ def dkf_time_step(
     `sub_iterated_covariance` reruns the covariance consensus l_sub times
     per step instead of once (both converge under the same bound).
     """
-    n_nodes = len(nodes)
-    n = model.n
-    f, q = model.f, model.q
+    n_nodes, n = state.x_post.shape
     sensors = sensor_specs_at(model, 0 if t is None else t)
-
-    # Predict (batched): identical per-node formula to `predict`.
-    x_prior = _node_arrays(nodes, "x_post") @ f.T
-    p_prior = f @ _node_arrays(nodes, "p_post") @ f.T + q
-    p_prior = 0.5 * (p_prior + p_prior.transpose(0, 2, 1))
-    try:
-        p_prior_inv = np.linalg.inv(p_prior)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("a prior covariance became singular") from exc
-    p_prior_inv = 0.5 * (p_prior_inv + p_prior_inv.transpose(0, 2, 1))
-
-    # Per-step gains and local information vectors.
-    info_mats = np.array([s.info_matrix for s in sensors])
-    k_inv = info_mats + p_prior_inv / n_nodes
-    k = np.linalg.inv(k_inv)
-    k = 0.5 * (k + k.transpose(0, 2, 1))
-    b = np.empty((n_nodes, n))
-    for i, spec in enumerate(sensors):
-        y = np.atleast_1d(np.asarray(measurements_t[i], dtype=float))
-        b[i] = spec.rinv_h.T @ y
-    b += np.einsum("ijk,ik->ij", p_prior_inv, x_prior) / n_nodes
+    x_prior, p_prior = _predict(state.x_post, state.p_post, model)
+    p_prior_inv, k_inv, k, b = _gains(p_prior, x_prior, sensors, measurements_t)
 
     # L primal-only ADMM sub-iterations (Jacobi, duals reset each step).
-    xi = x_prior.copy()
+    xi = x_prior
     lam = np.zeros_like(xi)
-    log_rows = [] if consensus_log is not None else None
+    log_rows = []
     for _ in range(params.l_sub):
         xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
         if ledger is not None:
             ledger.record("state", "xi", graph.degree, n)
-        if log_rows is not None:
+        if consensus_log is not None:
             log_rows.append(float(np.mean(np.linalg.norm(xi - xi.mean(axis=0), axis=1))))
     if consensus_log is not None:
         consensus_log.append(np.array(log_rows))
 
     # Sub-iteration-free covariance consensus on the previous step's theta.
-    theta = _node_arrays(nodes, "theta")
-    nu = _node_arrays(nodes, "nu_tilde")
+    theta, nu = state.theta, state.nu_tilde
     omega_scaled = n_nodes * node_info_vectors(sensors)
-    cov_rounds = params.l_sub if sub_iterated_covariance else 1
-    for _ in range(cov_rounds):
+    for _ in range(params.l_sub if sub_iterated_covariance else 1):
         theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
         if ledger is not None:
             ledger.record("covariance", "theta", graph.degree, theta.shape[1])
 
-    # Posterior assembly.
-    if not np.isfinite(theta).all():
-        bad = int(np.argmax(~np.isfinite(theta).all(axis=1)))
-        raise NotPositiveDefinite(
-            f"theta diverged to non-finite values (node {bad}"
-            + ("" if t is None else f", t={t}") + ")"
-        )
-    theta_mats = np.array([unvech(v) for v in theta])
-    m = p_prior_inv + theta_mats
-    m = 0.5 * (m + m.transpose(0, 2, 1))
-    try:
-        np.linalg.cholesky(m)
-        p_post = np.linalg.inv(m)
-        p_post = 0.5 * (p_post + p_post.transpose(0, 2, 1))
-    except np.linalg.LinAlgError:
-        p_post = np.array(
-            [_posterior_cov(p_prior_inv[i], theta[i]) for i in range(n_nodes)]
-        )
-
-    for i, nd in enumerate(nodes):
-        nd.x_prior = x_prior[i]
-        nd.p_prior = p_prior[i]
-        nd.xi = xi[i]
-        nd.lambda_tilde = lam[i]
-        nd.theta = theta[i]
-        nd.nu_tilde = nu[i]
-        nd.x_post = xi[i].copy()
-        nd.p_post = p_post[i]
-    return nodes
+    p_post = _posterior_cov(p_prior_inv, theta, t)
+    state.x_prior, state.p_prior, state.x_post, state.p_post = x_prior, p_prior, xi, p_post
+    state.theta, state.nu_tilde = theta, nu
+    return state

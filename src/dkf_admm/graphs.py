@@ -2,9 +2,10 @@
 
 The graph Laplacian L = D - A drives everything here: its nullspace is the
 consensus subspace, and its largest eigenvalue bounds every step size the
-filter accepts. Graphs are unweighted (a_ij in {0, 1}), static, and stored
-both as a dense Laplacian (the test oracle) and as per-node adjacency lists
-(the simulated wire).
+filter accepts. Graphs are unweighted (a_ij in {0, 1}) and static. The
+filter uses only the node degrees and `SensorGraph.disagreement`, so how
+the edges are stored is decided here alone; the dense Laplacian is the
+test oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dkf_admm.exceptions import (
 )
 
 _GEOMETRIC_RETRIES = 50
+TOPOLOGIES = ("ring", "complete", "path", "random_geometric", "explicit")
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class SensorGraph:
     adjacency: np.ndarray
     degree: np.ndarray = field(init=False)
     laplacian: np.ndarray = field(init=False)
-    neighbors: tuple = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=float)
@@ -52,13 +53,22 @@ class SensorGraph:
             raise ValueError("edges must be unweighted (0/1)")
         deg = a.sum(axis=1)
         lap = np.diag(deg) - a
-        nbrs = tuple(np.flatnonzero(a[i]) for i in range(self.n_nodes))
         for arr in (a, deg, lap):
             arr.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
         object.__setattr__(self, "degree", deg)
         object.__setattr__(self, "laplacian", lap)
-        object.__setattr__(self, "neighbors", nbrs)
+
+    def disagreement(self, values) -> np.ndarray:
+        """Row i is the sum of (values_i - values_j) over the neighbors j of
+        node i: the lifted Laplacian (L kron I_d) applied to the stacked
+        per-node rows of `values`, shape (N, d)."""
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 2 or v.shape[0] != self.n_nodes:
+            raise DimensionError(
+                f"need one row per node, shape ({self.n_nodes}, d), got {v.shape}"
+            )
+        return self.degree[:, None] * v - self.adjacency @ v
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,7 @@ def is_connected(g: SensorGraph) -> bool:
     queue = deque([0])
     while queue:
         i = queue.popleft()
-        for j in g.neighbors[i]:
+        for j in np.flatnonzero(g.adjacency[i]):
             if not seen[j]:
                 seen[j] = True
                 queue.append(j)
@@ -175,22 +185,3 @@ def spectral_summary(g: SensorGraph, tol: float = 1e-10) -> SpectralSummary:
     return SpectralSummary(
         eigenvalues=vals, lambda_2=float(vals[1]), lambda_max=float(vals[-1])
     )
-
-
-def neighbor_disagreement(values, g: SensorGraph, i: int) -> np.ndarray:
-    """Sum of (values_i - values_j) over the neighbors j of node i.
-
-    Stacking this over all nodes equals (L kron I_d) applied to the
-    stacked vector. Uses the adjacency list, not the dense Laplacian.
-    """
-    values = [np.asarray(v, dtype=float) for v in values]
-    if len(values) != g.n_nodes:
-        raise DimensionError("need one value vector per node")
-    dim = values[0].shape
-    if any(v.shape != dim for v in values):
-        raise DimensionError("per-node vectors must share one dimension")
-    nbrs = g.neighbors[i]
-    out = len(nbrs) * values[i].astype(float)
-    for j in nbrs:
-        out -= values[j]
-    return out

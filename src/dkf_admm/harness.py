@@ -16,10 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite
-from dkf_admm.filtering import CommLedger, DkfParams, auto_params, dkf_time_step, init_nodes
-from dkf_admm.graphs import build_graph, load_edge_list, spectral_summary
+from dkf_admm.filtering import CommLedger, DkfParams, auto_params, dkf_time_step, init_state
+from dkf_admm.graphs import TOPOLOGIES, build_graph, load_edge_list, spectral_summary
 from dkf_admm.linalg import dare_solve
-from dkf_admm.models import build_constant_velocity_model, simulate_trajectory
+from dkf_admm.models import (
+    SENSOR_ASSIGNMENTS,
+    build_constant_velocity_model,
+    simulate_trajectory,
+)
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,23 @@ class ScenarioConfig:
     override_stability_guard: bool = False
 
     def __post_init__(self):
-        if self.horizon_steps < 1:
-            raise ConfigRejected("horizon_steps must be >= 1")
-        if self.n_mc_runs < 1:
-            raise ConfigRejected("n_mc_runs must be >= 1")
-        if self.l_sub < 1:
-            raise ConfigRejected("l_sub must be >= 1")
+        for name, ok, rule in (
+            ("dt", self.dt > 0, "> 0"),
+            ("q_intensity", self.q_intensity >= 0, ">= 0"),
+            ("r_var", self.r_var > 0, "> 0"),
+            ("n_nodes", self.n_nodes >= 2, ">= 2"),
+            ("radius", self.radius > 0, "> 0"),
+            ("topology", self.topology in TOPOLOGIES, f"one of {TOPOLOGIES}"),
+            ("sensor_assignment", self.sensor_assignment in SENSOR_ASSIGNMENTS,
+             f"one of {SENSOR_ASSIGNMENTS}"),
+            ("horizon_steps", self.horizon_steps >= 1, ">= 1"),
+            ("n_mc_runs", self.n_mc_runs >= 1, ">= 1"),
+            ("l_sub", self.l_sub >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ConfigRejected(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.topology == "explicit" and not self.edge_list_path:
+            raise ConfigRejected("topology = explicit requires edge_list_path")
 
 
 _SECTIONS = {
@@ -90,11 +105,15 @@ _BOOLS = {"noise_free", "sub_iterated_covariance", "override_stability_guard"}
 def load_config(path) -> ScenarioConfig:
     """Parse a `key = value` config with [model]/[graph]/[params]/[run]
     sections. Missing keys take their defaults; `auto` (or omission) on a
-    step-size key selects automatic parameters."""
+    step-size key selects automatic parameters. Unknown sections and keys,
+    and booleans other than 1/0, true/false, yes/no, on/off, are rejected."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigRejected(f"cannot read config file {path}")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigRejected(f"unknown section [{section}]")
     kwargs = {}
     for section, keys in _SECTIONS.items():
         if not parser.has_section(section):
@@ -111,7 +130,7 @@ def load_config(path) -> ScenarioConfig:
                 elif key in _INTS:
                     kwargs[key] = int(raw)
                 elif key in _BOOLS:
-                    kwargs[key] = raw.lower() in ("1", "true", "yes", "on")
+                    kwargs[key] = parser.getboolean(section, key)
                 else:
                     kwargs[key] = raw
             except ValueError as exc:
@@ -136,7 +155,7 @@ class RunMetrics:
 
 def build_scenario(config: ScenarioConfig):
     """Graph, model, spectrum, and validated params for a config."""
-    if config.topology == "explicit" and config.edge_list_path:
+    if config.topology == "explicit":
         graph = load_edge_list(config.edge_list_path, config.n_nodes)
     else:
         graph = build_graph(
@@ -186,7 +205,7 @@ def _single_run(config, graph, model, params, p_star, run_idx):
             config.init_box_halfwidth,
             size=(model.n_nodes, model.n),
         )
-    nodes = init_nodes(model, x0_est)
+    state = init_state(model, x0_est)
     ledger = CommLedger(model.n_nodes)
     steps = range(1, config.horizon_steps + 1)
     sq_pos = np.empty((len(steps), model.n_nodes))
@@ -198,7 +217,7 @@ def _single_run(config, graph, model, params, p_star, run_idx):
         meas_t = [traj.measurements[i][t] for i in range(model.n_nodes)]
         try:
             dkf_time_step(
-                nodes,
+                state,
                 graph,
                 model,
                 meas_t,
@@ -210,12 +229,10 @@ def _single_run(config, graph, model, params, p_star, run_idx):
             )
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"run {run_idx}, t={t}: {exc}") from exc
-        truth = traj.states[t]
-        for i, nd in enumerate(nodes):
-            err = truth - nd.x_post
-            sq_pos[row, i] = err[0] ** 2 + err[1] ** 2
-            sq_vel[row, i] = err[2] ** 2 + err[3] ** 2
-            cov_err[row, i] = np.linalg.norm(nd.p_prior - p_star) / p_star_norm
+        err = traj.states[t] - state.x_post
+        sq_pos[row] = err[:, 0] ** 2 + err[:, 1] ** 2
+        sq_vel[row] = err[:, 2] ** 2 + err[:, 3] ** 2
+        cov_err[row] = np.linalg.norm(state.p_prior - p_star, axis=(1, 2)) / p_star_norm
     return sq_pos, sq_vel, np.array(consensus_log), cov_err, ledger
 
 
@@ -229,9 +246,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     graph, model, spectrum, params = build_scenario(config)
     params.validate_for(spectrum, override=config.override_stability_guard)
     h_stack = np.vstack([s.h for s in model.sensors])
-    r_bar = np.zeros((len(model.sensors), len(model.sensors)))
-    for i, s in enumerate(model.sensors):
-        r_bar[i, i] = s.r[0, 0]
+    r_bar = np.diag([float(s.r[0, 0]) for s in model.sensors])
     p_star = dare_solve(model.f, h_stack, model.q, r_bar)
 
     run_ids = list(range(config.n_mc_runs))

@@ -23,24 +23,25 @@ from dkf_admm.exceptions import (
 
 
 def sym(m) -> np.ndarray:
-    """Symmetrize: (m + m^T) / 2. Absorbs floating-point drift."""
+    """Symmetrize: (m + m^T) / 2 over the last two axes. Absorbs
+    floating-point drift."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def vech(m) -> np.ndarray:
-    """Half-vectorize a symmetric matrix.
+    """Half-vectorize a symmetric matrix, or a stack of them over leading
+    axes (shape (..., n, n) to (..., n(n+1)/2)).
 
     Lower-triangular entries in column-major order:
     (1,1),(2,1),...,(n,1),(2,2),... For a symmetric matrix this equals
     the row-major upper triangle, which is how it is extracted.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    r, c = _triu_idx(n)
-    return m[r, c].copy()
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {m.shape}")
+    r, c = _triu_idx(m.shape[-1])
+    return m[..., r, c]
 
 
 @lru_cache(maxsize=None)
@@ -57,13 +58,14 @@ def triangular_dim(length: int) -> int:
 
 
 def unvech(v) -> np.ndarray:
-    """Exact inverse of vech."""
-    v = np.asarray(v, dtype=float).ravel()
-    n = triangular_dim(v.size)
-    out = np.zeros((n, n))
+    """Exact inverse of vech, over leading axes: the last axis holds the
+    half-vectorization."""
+    v = np.asarray(v, dtype=float)
+    n = triangular_dim(v.shape[-1])
+    out = np.zeros(v.shape[:-1] + (n, n))
     r, c = _triu_idx(n)
-    out[r, c] = v
-    out[c, r] = v
+    out[..., r, c] = v
+    out[..., c, r] = v
     return out
 
 

@@ -16,6 +16,7 @@ from dkf_admm.exceptions import ObservabilityError
 from dkf_admm.linalg import is_observable, sym, spd_solve, vech
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
+SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
 
 
 @dataclass(frozen=True)
@@ -239,4 +240,4 @@ def information_rate_target(model: StateSpaceModel, t: int | None = None) -> np.
 
 def node_info_vectors(sensors) -> np.ndarray:
     """Stacked vech(H_i' R_i^-1 H_i) per node, shape (N, n_cov)."""
-    return np.array([vech(s.info_matrix) for s in sensors])
+    return vech(np.array([s.info_matrix for s in sensors]))

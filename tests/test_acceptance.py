@@ -5,7 +5,7 @@ whole gate can be read off a `pytest -v -s` run. Shared scenarios are
 computed once in module-scoped fixtures.
 
 Network-wide sum conservation (criterion 9) is tracked inside every run
-where per-node state is accessible (criteria 1/2/3/5/6); the harness-driven
+where the network state is accessible (criteria 1/2/3/5/6); the harness-driven
 run of criterion 7 exercises the identical engine code path.
 """
 
@@ -22,7 +22,7 @@ from dkf_admm.filtering import (
     DkfParams,
     auto_params,
     dkf_time_step,
-    init_nodes,
+    init_state,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.harness import ScenarioConfig, run_scenario, validate_params
@@ -66,15 +66,15 @@ def long_run():
     horizon = 2000
     traj = simulate_trajectory(model, horizon + 1, seed=11)
     rng = np.random.default_rng(12)
-    nodes = init_nodes(model, model.x0_mean + rng.normal(size=(10, 4)))
+    state = init_state(model, model.x0_mean + rng.normal(size=(10, 4)))
     ledger = CommLedger(10)
     conserved_target = 10 * node_info_vectors(model.sensors).sum(axis=0)
     conservation_dev = 0.0
     t0 = time.time()
     for t in range(1, horizon + 1):
         meas = [traj.measurements[i][t] for i in range(10)]
-        dkf_time_step(nodes, graph, model, meas, params, ledger=ledger, t=t)
-        total = sum(nd.theta + nd.nu_tilde for nd in nodes)
+        dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=t)
+        total = (state.theta + state.nu_tilde).sum(axis=0)
         conservation_dev = max(
             conservation_dev, float(np.abs(total - conserved_target).max())
         )
@@ -83,7 +83,7 @@ def long_run():
         "graph": graph,
         "model": model,
         "params": params,
-        "nodes": nodes,
+        "state": state,
         "ledger": ledger,
         "elapsed": elapsed,
         "horizon": horizon,
@@ -92,12 +92,10 @@ def long_run():
 
 
 def test_criterion_1_information_rate_consensus(long_run):
-    model, nodes = long_run["model"], long_run["nodes"]
+    model, state = long_run["model"], long_run["state"]
     target = information_rate_target(model)
     norm = np.linalg.norm(target)
-    err = max(
-        np.linalg.norm(unvech(nd.theta) - target) / norm for nd in nodes
-    )
+    err = max(np.linalg.norm(th - target) / norm for th in unvech(state.theta))
     ok = err < 1e-6 and long_run["elapsed"] < 5.0
     _report(
         1, "information-rate consensus", ok,
@@ -109,12 +107,12 @@ def test_criterion_1_information_rate_consensus(long_run):
 
 
 def test_criterion_2_riccati_convergence(long_run):
-    model, nodes = long_run["model"], long_run["nodes"]
+    model, state = long_run["model"], long_run["state"]
     h = np.vstack([s.h for s in model.sensors])
     r = np.diag([float(s.r[0, 0]) for s in model.sensors])
     p_star = dare_solve(model.f, h, model.q, r, tol=1e-13)
     norm = np.linalg.norm(p_star)
-    err = max(np.linalg.norm(nd.p_prior - p_star) / norm for nd in nodes)
+    err = max(np.linalg.norm(p - p_star) / norm for p in state.p_prior)
     ok = err < 1e-6 and long_run["elapsed"] < 10.0
     _report(
         2, "prior covariance reaches the Riccati limit", ok,
@@ -146,21 +144,16 @@ def test_criterion_3_per_step_consensus_fixed_point():
     model = build_constant_velocity_model(dt=0.1, n_nodes=5, r_var=0.5)
     traj = simulate_trajectory(model, 11, seed=77)
     rng = np.random.default_rng(5)
-    nodes = init_nodes(model, model.x0_mean + rng.normal(size=(5, 4)))
+    state = init_state(model, model.x0_mean + rng.normal(size=(5, 4)))
     t0 = time.time()
     worst = 0.0
     spreads = []
     for t in range(1, 11):
         meas = [traj.measurements[i][t] for i in range(5)]
-        dkf_time_step(nodes, graph, model, meas, params, t=t)
-        star = consensus_fixed_point(
-            [nd.x_prior for nd in nodes],
-            [nd.p_prior for nd in nodes],
-            meas,
-            model.sensors,
-        )
-        worst = max(worst, max(np.linalg.norm(nd.xi - star) for nd in nodes))
-        xi = np.array([nd.xi for nd in nodes])
+        dkf_time_step(state, graph, model, meas, params, t=t)
+        star = consensus_fixed_point(state.x_prior, state.p_prior, meas, model.sensors)
+        xi = state.x_post  # the final sub-iterate
+        worst = max(worst, max(np.linalg.norm(x - star) for x in xi))
         spreads.append(np.abs(xi - xi.mean(axis=0)).max())
     elapsed = time.time() - t0
     ok = worst < 1e-8 and elapsed < 1.0
@@ -213,14 +206,14 @@ def test_criterion_4_stability_bound_sweeps():
     assert elapsed < 1.0
 
 
-def _monolithic_time_step(nodes_snapshot, graph, model, meas, params):
+def _monolithic_time_step(snapshot, graph, model, meas, params):
     """Independent dense reference: one full time step written against the
     Kronecker-lifted Laplacian and plain numpy inverses."""
     n_nodes = graph.n_nodes
     n = model.n
     big_l = np.kron(graph.laplacian, np.eye(n))
     x_prior, p_prior, k_blocks, kinv_blocks, b = [], [], [], [], []
-    for (x_post, p_post), spec, y in zip(nodes_snapshot, model.sensors, meas):
+    for (x_post, p_post), spec, y in zip(snapshot, model.sensors, meas):
         xp = model.f @ x_post
         pp = model.f @ p_post @ model.f.T + model.q
         pp = 0.5 * (pp + pp.T)
@@ -258,13 +251,13 @@ def test_criterion_5_dense_equivalence(n_nodes, topology):
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
     traj = simulate_trajectory(model, 3, seed=31)
     rng = np.random.default_rng(6)
-    nodes = init_nodes(model, model.x0_mean + rng.normal(size=(n_nodes, 4)))
-    snapshot = [(nd.x_post.copy(), nd.p_post.copy()) for nd in nodes]
-    theta0 = np.array([nd.theta for nd in nodes])
-    nu0 = np.array([nd.nu_tilde for nd in nodes])
+    state = init_state(model, model.x0_mean + rng.normal(size=(n_nodes, 4)))
+    snapshot = list(zip(state.x_post.copy(), state.p_post.copy()))
+    theta0 = state.theta.copy()
+    nu0 = state.nu_tilde.copy()
     meas = [traj.measurements[i][1] for i in range(n_nodes)]
 
-    dkf_time_step(nodes, graph, model, meas, params, t=1)
+    dkf_time_step(state, graph, model, meas, params, t=1)
 
     xi_ref, p_prior_ref = _monolithic_time_step(snapshot, graph, model, meas, params)
     # dense covariance consensus on the Kronecker-lifted Laplacian
@@ -276,14 +269,14 @@ def test_criterion_5_dense_equivalence(n_nodes, topology):
         n_nodes * node_info_vectors(model.sensors) - nu_ref - params.alpha_nu * e
     )
     err = 0.0
-    for i, nd in enumerate(nodes):
-        err = max(err, np.abs(nd.xi - xi_ref[i]).max())
-        err = max(err, np.abs(nd.theta - theta_ref[i]).max())
-        err = max(err, np.abs(nd.nu_tilde - nu_ref[i]).max())
+    for i in range(n_nodes):
+        err = max(err, np.abs(state.x_post[i] - xi_ref[i]).max())
+        err = max(err, np.abs(state.theta[i] - theta_ref[i]).max())
+        err = max(err, np.abs(state.nu_tilde[i] - nu_ref[i]).max())
         post_ref = np.linalg.inv(
             np.linalg.inv(p_prior_ref[i]) + unvech(theta_ref[i])
         )
-        err = max(err, np.abs(nd.p_post - post_ref).max())
+        err = max(err, np.abs(state.p_post[i] - post_ref).max())
     ok = err < 1e-10
     _report(
         5, f"dense Kronecker equivalence (N={n_nodes})", ok,
@@ -310,16 +303,15 @@ def unbiasedness_run():
         rng = np.random.default_rng(init_seed)
         # symmetric (zero-mean) initialization error, so priors are unbiased
         x0_est = model.x0_mean + rng.normal(scale=1.0, size=(6, 4))
-        nodes = init_nodes(model, x0_est)
+        state = init_state(model, x0_est)
         for t in range(1, horizon + 1):
             meas = [traj.measurements[i][t] for i in range(6)]
-            dkf_time_step(nodes, graph, model, meas, params, t=t)
-        total = sum(nd.theta + nd.nu_tilde for nd in nodes)
+            dkf_time_step(state, graph, model, meas, params, t=t)
+        total = (state.theta + state.nu_tilde).sum(axis=0)
         conservation_dev = max(
             conservation_dev, float(np.abs(total - conserved_target).max())
         )
-        for i, nd in enumerate(nodes):
-            errs[run, i] = traj.states[horizon] - nd.x_post
+        errs[run] = traj.states[horizon] - state.x_post
     return {
         "errs": errs,
         "elapsed": time.time() - t0,

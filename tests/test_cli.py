@@ -65,9 +65,25 @@ def test_dare_subcommand(tmp_path, capsys):
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "[run]\nhorizon = 5\n")
-    assert main(["run", cfg]) == EXIT_CONFIG
-    assert "config rejected" in capsys.readouterr().err
+    # an unknown key, then out-of-range values and unknown names that would
+    # otherwise escape later as a numpy or ValueError traceback
+    cases = (
+        "[run]\nhorizon = 5\n",
+        "[model]\ndt = 0\n",
+        "[model]\nr_var = -1\n",
+        "[model]\nq_intensity = -1\n",
+        "[model]\nsensor_assignment = rand\n",
+        "[graph]\nn_nodes = 1\n",
+        "[graph]\nradius = 0\n",
+        "[graph]\ntopology = rign\n",
+        "[graph]\ntopology = explicit\n",
+    )
+    for k, text in enumerate(cases):
+        cfg = _write(tmp_path, text, name=f"bad{k}.ini")
+        for command in ("run", "validate"):
+            code = main([command, cfg, "--quiet", "--output", str(tmp_path / "o")])
+            assert code == EXIT_CONFIG, (command, text)
+            assert "config rejected" in capsys.readouterr().err, (command, text)
 
 
 def test_unstable_params_exit_2(tmp_path):

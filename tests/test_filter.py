@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from dkf_admm.centralized import consensus_fixed_point
 from dkf_admm.exceptions import ConfigRejected, WireSchemaViolation
 from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
-    assemble_posterior,
+    _correction_round,
+    _covariance_step,
+    _gains,
+    _posterior_cov,
+    _predict,
     auto_params,
-    compute_gain,
-    covariance_consensus_step,
     dkf_time_step,
-    init_nodes,
-    predict,
-    state_correction_round,
+    init_state,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
-from dkf_admm.linalg import spd_inverse, spd_solve, unvech, vech
+from dkf_admm.linalg import spd_inverse, spd_solve, sym, unvech, vech
 from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
@@ -31,8 +30,8 @@ def _setup(n_nodes=4, topology="ring", l_sub=20, traj_seed=3, **graph_kwargs):
     params = auto_params(spectrum, l_sub=l_sub)
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
     traj = simulate_trajectory(model, 3, seed=traj_seed)
-    nodes = init_nodes(model, np.tile(model.x0_mean, (n_nodes, 1)))
-    return graph, spectrum, params, model, traj, nodes
+    state = init_state(model, np.tile(model.x0_mean, (n_nodes, 1)))
+    return graph, spectrum, params, model, traj, state
 
 
 def test_params_validation():
@@ -60,32 +59,32 @@ def test_auto_params_inside_bounds():
 
 
 def test_predict_matches_formula():
-    graph, _, _, model, _, nodes = _setup()
-    nd = nodes[0]
-    nd.x_post = np.array([1.0, -1.0, 0.5, 0.2])
-    nd.p_post = np.diag([1.0, 2.0, 3.0, 4.0])
-    predict(nd, model)
-    assert np.allclose(nd.x_prior, model.f @ nd.x_post)
-    assert np.allclose(
-        nd.p_prior, model.f @ nd.p_post @ model.f.T + model.q, atol=1e-14
-    )
+    _, _, _, model, _, state = _setup()
+    state.x_post[0] = [1.0, -1.0, 0.5, 0.2]
+    state.p_post[0] = np.diag([1.0, 2.0, 3.0, 4.0])
+    x_prior, p_prior = _predict(state.x_post, state.p_post, model)
+    for x, p, xp, pp in zip(state.x_post, state.p_post, x_prior, p_prior):
+        assert np.allclose(xp, model.f @ x)
+        assert np.allclose(pp, model.f @ p @ model.f.T + model.q, atol=1e-14)
 
 
-def test_compute_gain_inverse_pair():
-    _, _, _, model, _, nodes = _setup()
-    k_inv, k = compute_gain(nodes[0], model.sensors[0], model.n_nodes)
-    assert np.allclose(k_inv @ k, np.eye(4), atol=1e-12)
-    expected = model.sensors[0].info_matrix + spd_inverse(nodes[0].p_prior) / 4
-    assert np.allclose(k_inv, expected, atol=1e-14)
+def test_gain_inverse_pair():
+    _, _, _, model, traj, state = _setup()
+    meas = [traj.measurements[i][1] for i in range(4)]
+    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, model.sensors, meas)
+    for i, spec in enumerate(model.sensors):
+        assert np.allclose(k_inv[i] @ k[i], np.eye(4), atol=1e-12)
+        p_inv = spd_inverse(state.p_prior[i])
+        assert np.allclose(k_inv[i], spec.info_matrix + p_inv / 4, atol=1e-14)
+        b_ref = spd_solve(spec.r, spec.h).T @ meas[i] + p_inv @ state.x_prior[i] / 4
+        assert np.allclose(b[i], b_ref, atol=1e-12)
 
 
 def test_init_theta_scaled_info():
-    _, _, _, model, _, nodes = _setup(n_nodes=6)
+    _, _, _, model, _, state = _setup(n_nodes=6)
     omega = node_info_vectors(model.sensors)
-    for i, nd in enumerate(nodes):
-        assert np.allclose(nd.theta, 6 * omega[i])
-        assert np.allclose(nd.nu_tilde, 0.0)
-        assert np.allclose(nd.lambda_tilde, 0.0)
+    assert np.allclose(state.theta, 6 * omega)
+    assert np.allclose(state.nu_tilde, 0.0)
 
 
 def _dense_round(xi, lam, laplacian, k, k_inv, b, alpha, mu):
@@ -105,66 +104,66 @@ def _dense_round(xi, lam, laplacian, k, k_inv, b, alpha, mu):
     return xi_new.reshape(n_nodes, n), lam_new.reshape(n_nodes, n)
 
 
+def _reference_gains(x_prior, p_prior, sensors, meas):
+    """K^-1, K and b of every node from the textbook formulas."""
+    n_nodes = len(sensors)
+    k_inv = np.array(
+        [s.info_matrix + spd_inverse(p) / n_nodes for s, p in zip(sensors, p_prior)]
+    )
+    b = np.array([
+        spd_solve(s.r, s.h).T @ y + spd_inverse(p) @ x / n_nodes
+        for s, y, x, p in zip(sensors, meas, x_prior, p_prior)
+    ])
+    return k_inv, np.linalg.inv(k_inv), b
+
+
 @pytest.mark.parametrize("topology,n_nodes", [("ring", 3), ("path", 5)])
 def test_correction_round_matches_dense_oracle(topology, n_nodes):
-    graph, _, params, model, traj, nodes = _setup(n_nodes=n_nodes, topology=topology)
+    graph, _, params, model, traj, state = _setup(n_nodes=n_nodes, topology=topology)
     meas = [traj.measurements[i][1] for i in range(n_nodes)]
-    # seed nodes with distinct iterates so the disagreement term is active
-    rng = np.random.default_rng(0)
-    for nd in nodes:
-        nd.xi = rng.normal(size=4)
-        nd.lambda_tilde = rng.normal(size=4)
-    xi0 = np.array([nd.xi for nd in nodes])
-    lam0 = np.array([nd.lambda_tilde for nd in nodes])
-    k_inv = np.array(
-        [compute_gain(nd, s, n_nodes)[0] for nd, s in zip(nodes, model.sensors)]
-    )
-    k = np.linalg.inv(k_inv)
-    b = np.empty((n_nodes, 4))
-    for i, (nd, spec) in enumerate(zip(nodes, model.sensors)):
-        b[i] = spd_solve(spec.r, spec.h).T @ meas[i]
-        b[i] += spd_inverse(nd.p_prior) @ nd.x_prior / n_nodes
+    # distinct iterates and duals so the disagreement term is active
+    draws = np.random.default_rng(0).normal(size=(n_nodes, 2, 4))
+    xi0, lam0 = draws[:, 0], draws[:, 1]
+    k_inv, k, b = _reference_gains(state.x_prior, state.p_prior, model.sensors, meas)
 
-    state_correction_round(nodes, graph, meas, params, sensors=model.sensors)
+    xi, lam = _correction_round(xi0, lam0, graph, k, k_inv, b, params)
     xi_ref, lam_ref = _dense_round(
         xi0, lam0, graph.laplacian, k, k_inv, b, params.alpha_lambda, params.mu
     )
-    for i, nd in enumerate(nodes):
-        assert np.allclose(nd.xi, xi_ref[i], atol=1e-12)
-        assert np.allclose(nd.lambda_tilde, lam_ref[i], atol=1e-12)
+    assert np.allclose(xi, xi_ref, atol=1e-12)
+    assert np.allclose(lam, lam_ref, atol=1e-12)
 
 
 def test_correction_reaches_consensus():
     # many sub-iterations drive all nodes to a common value; with equal
     # priors the common value is the average of the local one-shot updates
-    graph, _, params, model, traj, nodes = _setup(
+    graph, _, params, model, traj, state = _setup(
         n_nodes=6, topology="ring", l_sub=4000
     )
     meas = [traj.measurements[i][1] for i in range(6)]
-    local = []
-    for nd, spec in zip(nodes, model.sensors):
-        k_inv, k = compute_gain(nd, spec, 6)
-        b = spd_solve(spec.r, spec.h).T @ meas[nd.node_id]
-        b = b + spd_inverse(nd.p_prior) @ nd.x_prior / 6
-        local.append(k @ b)
+    k_inv_ref, k_ref, b_ref = _reference_gains(
+        state.x_prior, state.p_prior, model.sensors, meas
+    )
+    local = np.einsum("ijk,ik->ij", k_ref, b_ref)
+    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, model.sensors, meas)
+    xi, lam = state.x_prior, np.zeros((6, 4))
     for _ in range(params.l_sub):
-        state_correction_round(nodes, graph, meas, params, sensors=model.sensors)
-    xi = np.array([nd.xi for nd in nodes])
+        xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
     spread = np.abs(xi - xi.mean(axis=0)).max()
     assert spread < 1e-10
     assert np.allclose(xi[0], np.mean(local, axis=0), atol=1e-8)
 
 
 def test_correction_consensus_error_decays_geometrically():
-    graph, spectrum, params, model, traj, nodes = _setup(n_nodes=8, topology="ring")
+    graph, spectrum, params, model, traj, state = _setup(n_nodes=8, topology="ring")
     meas = [traj.measurements[i][1] for i in range(8)]
     rng = np.random.default_rng(4)
-    for nd in nodes:
-        nd.xi = nd.x_prior + rng.normal(size=4)
+    xi = state.x_prior + rng.normal(size=(8, 4))
+    lam = np.zeros_like(xi)
+    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, model.sensors, meas)
     errs = []
     for _ in range(100):
-        state_correction_round(nodes, graph, meas, params, sensors=model.sensors)
-        xi = np.array([nd.xi for nd in nodes])
+        xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
         errs.append(np.linalg.norm(xi - xi.mean(axis=0)))
     errs = np.array(errs)
     # average per-round contraction over a window clear of both the initial
@@ -181,40 +180,30 @@ def test_covariance_step_two_nodes_closed_form():
     # nu_new = alpha e, theta_new = 2 omega - nu_new - alpha e
     graph = build_graph("complete", 2)
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
-    nodes = init_nodes(model, np.tile(model.x0_mean, (2, 1)))
+    state = init_state(model, np.tile(model.x0_mean, (2, 1)))
     omega = node_info_vectors(model.sensors)
     alpha = 0.25
-    params = DkfParams(0.4, 0.01, alpha, 5)
-    t0 = np.array([nd.theta for nd in nodes])
+    t0 = state.theta
     e = np.array([t0[0] - t0[1], t0[1] - t0[0]])
-    covariance_consensus_step(nodes, graph, params, sensors=model.sensors)
-    for i, nd in enumerate(nodes):
-        assert np.allclose(nd.nu_tilde, alpha * e[i], atol=1e-14)
-        assert np.allclose(
-            nd.theta, 2 * omega[i] - 2 * alpha * e[i], atol=1e-14
-        )
+    theta, nu = _covariance_step(t0, state.nu_tilde, graph, 2 * omega, alpha)
+    assert np.allclose(nu, alpha * e, atol=1e-14)
+    assert np.allclose(theta, 2 * omega - 2 * alpha * e, atol=1e-14)
 
 
 def test_covariance_step_matches_dense_oracle():
     graph = build_graph("random_geometric", 7, radius=0.6, seed=2)
     model = build_constant_velocity_model(dt=0.1, n_nodes=7)
-    nodes = init_nodes(model, np.tile(model.x0_mean, (7, 1)))
-    rng = np.random.default_rng(8)
-    for nd in nodes:
-        nd.theta = rng.normal(size=nd.theta.size)
-        nd.nu_tilde = rng.normal(size=nd.nu_tilde.size)
-    theta0 = np.array([nd.theta for nd in nodes])
-    nu0 = np.array([nd.nu_tilde for nd in nodes])
+    draws = np.random.default_rng(8).normal(size=(7, 2, 10))
+    theta0, nu0 = draws[:, 0], draws[:, 1]
     alpha = 0.05
-    params = DkfParams(0.1, 0.01, alpha, 5)
-    covariance_consensus_step(nodes, graph, params, sensors=model.sensors)
+    omega_scaled = 7 * node_info_vectors(model.sensors)
+    theta, nu = _covariance_step(theta0, nu0, graph, omega_scaled, alpha)
     big_l = np.kron(graph.laplacian, np.eye(theta0.shape[1]))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + alpha * e
-    theta_ref = 7 * node_info_vectors(model.sensors) - nu_ref - alpha * e
-    for i, nd in enumerate(nodes):
-        assert np.allclose(nd.nu_tilde, nu_ref[i], atol=1e-13)
-        assert np.allclose(nd.theta, theta_ref[i], atol=1e-13)
+    theta_ref = omega_scaled - nu_ref - alpha * e
+    assert np.allclose(nu, nu_ref, atol=1e-13)
+    assert np.allclose(theta, theta_ref, atol=1e-13)
 
 
 def test_covariance_consensus_converges_to_network_sum():
@@ -222,12 +211,14 @@ def test_covariance_consensus_converges_to_network_sum():
     spectrum = spectral_summary(graph)
     model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
     params = auto_params(spectrum)
-    nodes = init_nodes(model, np.tile(model.x0_mean, (10, 1)))
+    state = init_state(model, np.tile(model.x0_mean, (10, 1)))
     target = vech(information_rate_target(model))
+    omega_scaled = 10 * node_info_vectors(model.sensors)
+    theta, nu = state.theta, state.nu_tilde
     for _ in range(3000):
-        covariance_consensus_step(nodes, graph, params, sensors=model.sensors)
-    for nd in nodes:
-        assert np.linalg.norm(nd.theta - target) < 1e-12 * np.linalg.norm(target)
+        theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
+    for th in theta:
+        assert np.linalg.norm(th - target) < 1e-12 * np.linalg.norm(target)
 
 
 def test_theta_plus_nu_sum_is_conserved():
@@ -235,36 +226,40 @@ def test_theta_plus_nu_sum_is_conserved():
     spectrum = spectral_summary(graph)
     model = build_constant_velocity_model(dt=0.1, n_nodes=9)
     params = auto_params(spectrum)
-    nodes = init_nodes(model, np.tile(model.x0_mean, (9, 1)))
-    target = 9 * node_info_vectors(model.sensors).sum(axis=0)
+    state = init_state(model, np.tile(model.x0_mean, (9, 1)))
+    omega_scaled = 9 * node_info_vectors(model.sensors)
+    target = omega_scaled.sum(axis=0)
+    theta, nu = state.theta, state.nu_tilde
     for _ in range(200):
-        covariance_consensus_step(nodes, graph, params, sensors=model.sensors)
-        total = sum(nd.theta + nd.nu_tilde for nd in nodes)
+        theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
+        total = (theta + nu).sum(axis=0)
         assert np.allclose(total, target, atol=1e-10 * np.abs(target).max())
 
 
-def test_assemble_posterior_nominal():
-    _, _, _, model, _, nodes = _setup()
-    nd = nodes[0]
-    nd.xi = np.array([1.0, 2.0, 3.0, 4.0])
-    nd.theta = vech(np.eye(4) * 2.0)
-    assemble_posterior(nd)
-    assert np.array_equal(nd.x_post, nd.xi)
-    expected = spd_inverse(spd_inverse(nd.p_prior) + 2.0 * np.eye(4))
-    assert np.allclose(nd.p_post, expected, atol=1e-12)
+def test_posterior_nominal():
+    _, _, _, model, _, state = _setup()
+    theta = np.tile(vech(np.eye(4) * 2.0), (4, 1))
+    p_post = _posterior_cov(sym(np.linalg.inv(state.p_prior)), theta)
+    for p_prior, p in zip(state.p_prior, p_post):
+        expected = spd_inverse(spd_inverse(p_prior) + 2.0 * np.eye(4))
+        assert np.allclose(p, expected, atol=1e-12)
 
 
-def test_assemble_posterior_floors_indefinite_theta():
-    _, _, _, model, _, nodes = _setup()
-    nd = nodes[0]
-    nd.p_prior = 100.0 * np.eye(4)  # weak prior so a bad theta matters
-    # indefinite transient: one strongly negative eigenvalue
-    nd.theta = vech(np.diag([1.0, -5.0, 1.0, 1.0]))
-    assemble_posterior(nd)
+def test_posterior_floors_indefinite_theta():
+    _, _, _, model, _, state = _setup()
+    p_prior = state.p_prior.copy()
+    p_prior[0] = 100.0 * np.eye(4)  # weak prior so a bad theta matters
+    theta = np.tile(vech(np.eye(4)), (4, 1))
+    # indefinite transient at node 0: one strongly negative eigenvalue
+    theta[0] = vech(np.diag([1.0, -5.0, 1.0, 1.0]))
+    with pytest.warns(RuntimeWarning, match=r"node 0, t=7") as record:
+        p_post = _posterior_cov(sym(np.linalg.inv(p_prior)), theta, t=7)
+    assert len(record) == 1  # the other nodes are not floored
     floored = np.diag([1.0, 0.0, 1.0, 1.0])
-    expected = spd_inverse(spd_inverse(nd.p_prior) + floored)
-    assert np.allclose(nd.p_post, expected, atol=1e-12)
-    np.linalg.cholesky(nd.p_post)
+    expected = spd_inverse(spd_inverse(p_prior[0]) + floored)
+    assert np.allclose(p_post[0], expected, atol=1e-12)
+    np.linalg.cholesky(p_post[0])
+    assert np.allclose(p_post[1:], 0.5 * np.eye(4), atol=1e-12)
 
 
 def test_ledger_counts_and_wire_schema():
@@ -286,10 +281,10 @@ def test_ledger_counts_and_wire_schema():
 
 
 def test_time_step_traffic_formula():
-    graph, _, params, model, traj, nodes = _setup(n_nodes=5, topology="path", l_sub=7)
+    graph, _, params, model, traj, state = _setup(n_nodes=5, topology="path", l_sub=7)
     ledger = CommLedger(5)
     meas = [traj.measurements[i][1] for i in range(5)]
-    dkf_time_step(nodes, graph, model, meas, params, ledger=ledger, t=1)
+    dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1)
     n, n_cov = 4, 10
     assert np.array_equal(ledger.state_messages, 7 * graph.degree)
     assert np.array_equal(ledger.state_scalars, 7 * graph.degree * n)
@@ -298,39 +293,45 @@ def test_time_step_traffic_formula():
 
 
 def test_time_step_matches_per_node_operations():
-    # the batched step and the per-node operation sequence are the same math
-    graph, _, params, model, traj, nodes_a = _setup(
+    # one full step from random, non-identity posteriors against a dense
+    # reference: the predict and gain formulas node by node, the
+    # Kronecker-lifted sub-iterations and covariance step, and the
+    # posterior (P_prior^-1 + Theta)^-1
+    graph, _, params, model, traj, state = _setup(
         n_nodes=5, topology="random_geometric", l_sub=6, radius=0.7, seed=1
     )
-    nodes_b = init_nodes(model, np.tile(model.x0_mean, (5, 1)))
     rng = np.random.default_rng(12)
-    for na, nb in zip(nodes_a, nodes_b):
-        x = rng.normal(size=4)
+    for i in range(5):
+        state.x_post[i] = rng.normal(size=4)
         g = rng.normal(size=(4, 4))
-        p = g @ g.T + np.eye(4)
-        na.x_post = x.copy()
-        nb.x_post = x.copy()
-        na.p_post = p.copy()
-        nb.p_post = p.copy()
+        state.p_post[i] = g @ g.T + np.eye(4)
+    x_post0, p_post0 = state.x_post.copy(), state.p_post.copy()
+    theta0, nu0 = state.theta.copy(), state.nu_tilde.copy()
     meas = [traj.measurements[i][1] for i in range(5)]
 
-    dkf_time_step(nodes_a, graph, model, meas, params, t=1)
+    dkf_time_step(state, graph, model, meas, params, t=1)
 
-    for nd in nodes_b:
-        predict(nd, model)
-        nd.xi = nd.x_prior.copy()
-        nd.lambda_tilde = np.zeros(4)
+    x_prior = np.array([model.f @ x for x in x_post0])
+    p_prior = np.array([model.f @ p @ model.f.T + model.q for p in p_post0])
+    k_inv, k, b = _reference_gains(x_prior, p_prior, model.sensors, meas)
+    xi, lam = x_prior, np.zeros_like(x_prior)
     for _ in range(params.l_sub):
-        state_correction_round(nodes_b, graph, meas, params, sensors=model.sensors)
-    covariance_consensus_step(nodes_b, graph, params, sensors=model.sensors)
-    for nd in nodes_b:
-        assemble_posterior(nd)
-
-    for na, nb in zip(nodes_a, nodes_b):
-        assert np.allclose(na.x_post, nb.x_post, atol=1e-10)
-        assert np.allclose(na.p_post, nb.p_post, atol=1e-10)
-        assert np.allclose(na.lambda_tilde, nb.lambda_tilde, atol=1e-10)
-        assert np.allclose(na.theta, nb.theta, atol=1e-10)
+        xi, lam = _dense_round(
+            xi, lam, graph.laplacian, k, k_inv, b, params.alpha_lambda, params.mu
+        )
+    big_l = np.kron(graph.laplacian, np.eye(theta0.shape[1]))
+    e = (big_l @ theta0.ravel()).reshape(theta0.shape)
+    nu_ref = nu0 + params.alpha_nu * e
+    theta_ref = 5 * node_info_vectors(model.sensors) - nu_ref - params.alpha_nu * e
+    p_post_ref = np.array(
+        [spd_inverse(spd_inverse(p) + unvech(th)) for p, th in zip(p_prior, theta_ref)]
+    )
+    assert np.allclose(state.x_prior, x_prior, atol=1e-10)
+    assert np.allclose(state.p_prior, p_prior, atol=1e-10)
+    assert np.allclose(state.x_post, xi, atol=1e-10)
+    assert np.allclose(state.p_post, p_post_ref, atol=1e-10)
+    assert np.allclose(state.theta, theta_ref, atol=1e-10)
+    assert np.allclose(state.nu_tilde, nu_ref, atol=1e-10)
 
 
 def test_symmetric_nodes_stay_symmetric():
@@ -348,13 +349,13 @@ def test_symmetric_nodes_stay_symmetric():
     )
     graph2 = build_graph("complete", 2)
     params2 = auto_params(spectral_summary(graph2), l_sub=8)
-    nodes2 = init_nodes(model2, np.tile(model2.x0_mean, (2, 1)))
+    state2 = init_state(model2, np.tile(model2.x0_mean, (2, 1)))
     traj2 = simulate_trajectory(model2, 8, seed=10)
     for t in range(1, 8):
         y = traj2.measurements[0][t]
-        dkf_time_step(nodes2, graph2, model2, [y, y], params2, t=t)
-        assert np.allclose(nodes2[0].x_post, nodes2[1].x_post, atol=1e-12)
-        assert np.allclose(nodes2[0].p_post, nodes2[1].p_post, atol=1e-12)
+        dkf_time_step(state2, graph2, model2, [y, y], params2, t=t)
+        assert np.allclose(state2.x_post[0], state2.x_post[1], atol=1e-12)
+        assert np.allclose(state2.p_post[0], state2.p_post[1], atol=1e-12)
 
 
 def test_sub_iterated_covariance_converges_faster():
@@ -366,15 +367,13 @@ def test_sub_iterated_covariance_converges_faster():
     target = information_rate_target(model)
 
     def run(sub_iterated):
-        nodes = init_nodes(model, np.tile(model.x0_mean, (8, 1)))
+        state = init_state(model, np.tile(model.x0_mean, (8, 1)))
         for t in range(1, 4):
             meas = [traj.measurements[i][t] for i in range(8)]
             dkf_time_step(
-                nodes, graph, model, meas, params, t=t,
+                state, graph, model, meas, params, t=t,
                 sub_iterated_covariance=sub_iterated,
             )
-        return max(
-            np.linalg.norm(unvech(nd.theta) - target) for nd in nodes
-        )
+        return np.linalg.norm(unvech(state.theta) - target, axis=(1, 2)).max()
 
     assert run(True) < run(False)

@@ -7,7 +7,6 @@ from dkf_admm.graphs import (
     build_graph,
     is_connected,
     load_edge_list,
-    neighbor_disagreement,
     spectral_summary,
 )
 
@@ -86,21 +85,21 @@ def test_eigenpair_residuals_n100():
     assert np.abs(res).max() < 1e-10
 
 
-def test_neighbor_disagreement_examples():
+def test_disagreement_examples():
     k2 = build_graph("complete", 2)
     v = np.array([1.0, 2.0])
-    assert np.allclose(neighbor_disagreement([v, v], k2, 0), 0)
-    assert np.allclose(neighbor_disagreement([v, v], k2, 1), 0)
-    assert np.allclose(neighbor_disagreement([[1.0], [0.0]], k2, 0), [1.0])
-    assert np.allclose(neighbor_disagreement([[1.0], [0.0]], k2, 1), [-1.0])
+    assert np.allclose(k2.disagreement([v, v]), 0)
+    assert np.allclose(k2.disagreement([[1.0], [0.0]]), [[1.0], [-1.0]])
     p3 = build_graph("path", 3)
-    assert np.allclose(neighbor_disagreement([[1.0], [2.0], [4.0]], p3, 1), [-1.0])
+    assert np.allclose(p3.disagreement([[1.0], [2.0], [4.0]])[1], [-1.0])
 
 
-def test_neighbor_disagreement_dimension_mismatch():
+def test_disagreement_dimension_mismatch():
     g = build_graph("path", 3)
     with pytest.raises(DimensionError):
-        neighbor_disagreement([[1.0], [1.0, 2.0], [3.0]], g, 0)
+        g.disagreement([[1.0], [2.0]])  # two rows for three nodes
+    with pytest.raises(DimensionError):
+        g.disagreement([1.0, 2.0, 3.0])  # not one row per node
 
 
 @pytest.mark.parametrize("topology,kwargs", [
@@ -114,9 +113,7 @@ def test_disagreement_matches_dense_kronecker(topology, kwargs):
     g = build_graph(topology, n, **kwargs)
     rng = np.random.default_rng(0)
     values = rng.normal(size=(n, d))
-    stacked = np.concatenate(
-        [neighbor_disagreement(values, g, i) for i in range(n)]
-    )
+    stacked = g.disagreement(values).ravel()
     dense = np.kron(g.laplacian, np.eye(d)) @ values.ravel()
     assert np.abs(stacked - dense).max() < 1e-12
 
@@ -124,14 +121,10 @@ def test_disagreement_matches_dense_kronecker(topology, kwargs):
 def test_disagreement_zero_iff_consensus():
     g = build_graph("ring", 6)
     v = np.full((6, 2), 3.14)
-    assert all(
-        np.allclose(neighbor_disagreement(v, g, i), 0) for i in range(6)
-    )
+    assert np.allclose(g.disagreement(v), 0)
     v2 = v.copy()
     v2[3] += 1.0
-    assert any(
-        np.abs(neighbor_disagreement(v2, g, i)).max() > 0 for i in range(6)
-    )
+    assert np.abs(g.disagreement(v2)).max() > 0
 
 
 def test_lambda2_positive_iff_connected():

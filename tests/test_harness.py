@@ -49,6 +49,14 @@ def test_config_rejections(tmp_path):
     bad_val.write_text("[model]\ndt = fast\n")
     with pytest.raises(ConfigRejected):
         load_config(bad_val)
+    bad_section = tmp_path / "bad_section.ini"  # would run with N = 10
+    bad_section.write_text("[grpah]\nn_nodes = 400\n")
+    with pytest.raises(ConfigRejected):
+        load_config(bad_section)
+    bad_bool = tmp_path / "bad_bool.ini"  # would run with noise_free = False
+    bad_bool.write_text("[run]\nnoise_free = ture\n")
+    with pytest.raises(ConfigRejected):
+        load_config(bad_bool)
     with pytest.raises(ConfigRejected):
         ScenarioConfig(horizon_steps=0)
     with pytest.raises(ConfigRejected):

@@ -53,6 +53,11 @@ def test_vech_roundtrip(n, seed):
     assert np.array_equal(unvech(vech(m)), m)
     v = np.random.default_rng(seed + 1).normal(size=n * (n + 1) // 2)
     assert np.array_equal(vech(unvech(v)), v)
+    # stacks over leading axes, matrix by matrix
+    stack = sym(np.random.default_rng(seed + 2).normal(size=(3, 2, n, n)))
+    v_stack = vech(stack)
+    assert np.array_equal(v_stack[2, 1], vech(stack[2, 1]))
+    assert np.array_equal(unvech(v_stack), stack)
 
 
 def test_spd_solve_examples():
