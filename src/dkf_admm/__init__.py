@@ -70,6 +70,7 @@ from dkf_admm.harness import (
     export_csv,
     load_config,
     run_scenario,
+    steady_state_prior,
     validate_params,
 )
 

@@ -15,8 +15,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from dkf_admm.exceptions import (
     ConfigRejected,
     GraphGenerationFailed,
@@ -32,9 +30,9 @@ from dkf_admm.harness import (
     export_csv,
     load_config,
     run_scenario,
+    steady_state_prior,
     validate_params,
 )
-from dkf_admm.linalg import dare_solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,9 +98,7 @@ def main(argv=None) -> int:
             print(f"lambda_max = {spectrum.lambda_max:.10g}")
         elif args.command == "dare":
             _, model, _, _ = build_scenario(config)
-            h_stack = np.vstack([s.h for s in model.sensors])
-            r_bar = np.diag([float(s.r[0, 0]) for s in model.sensors])
-            p_star = dare_solve(model.f, h_stack, model.q, r_bar)
+            p_star = steady_state_prior(model)
             print("P* =")
             for row in p_star:
                 print("  " + " ".join(f"{v: .12g}" for v in row))

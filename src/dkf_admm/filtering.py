@@ -10,7 +10,9 @@ of the sub-iteration-free covariance consensus on half-vectorized
 information matrices (only theta crosses edges); then the posterior
 covariance assembly. All exchanges flow through a CommLedger that counts
 messages and scalar payloads and rejects any attempt to put a dual
-variable on the wire.
+variable on the wire. Independent Monte-Carlo runs can share one step:
+the estimates then carry a leading run axis and the measurement-free
+covariance half is computed once for all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite, WireSchemaViolation
+from dkf_admm.exceptions import (
+    ConfigRejected, DimensionError, NotPositiveDefinite, WireSchemaViolation,
+)
 from dkf_admm.graphs import SensorGraph
 from dkf_admm.linalg import covariance_stability, state_stability, sym, unvech
 from dkf_admm.models import StateSpaceModel, node_info_vectors, sensor_specs_at
@@ -92,12 +96,13 @@ def auto_params(spectrum, l_sub=20) -> DkfParams:
 class NetworkState:
     """The filter state of all N nodes as stacked arrays, node index first.
 
-    x_prior, x_post: (N, n) state estimates; p_prior, p_post: (N, n, n)
-    covariances; theta: (N, n(n+1)/2) half-vectorized estimates of the
-    network information rate; nu_tilde: the matching consensus duals.
-    The state-correction iterates xi and lambda_tilde live only inside one
-    time step: the dual restarts at zero every step and x_post is the
-    final xi.
+    x_prior, x_post: (N, n) state estimates, or (R, N, n) for R runs
+    filtered together; p_prior, p_post: (N, n, n) covariances; theta:
+    (N, n(n+1)/2) half-vectorized estimates of the network information
+    rate; nu_tilde: the matching consensus duals. The covariance half does
+    not depend on the measurements, so all runs share it. The iterates xi
+    and lambda_tilde live only inside one time step: the dual restarts at
+    zero every step and x_post is the final xi.
     """
 
     x_prior: np.ndarray
@@ -156,15 +161,16 @@ class CommLedger:
 def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkState:
     """Network filter state at t = 0.
 
-    `x0_estimates` holds one initial estimate per node, shape (N, n), and
-    `p0_nodes` one covariance per node (default: the model's P0); a single
-    estimate or covariance is shared by all nodes. theta starts at
-    N * vech(H_i' R_i^-1 H_i) with a zero consensus dual, which makes the
-    network-wide sum of theta + nu exactly conserved from the first
-    covariance step onward.
+    `x0_estimates` holds one initial estimate per node, shape (N, n), or
+    per run and node, (R, N, n), and `p0_nodes` one covariance per node
+    (default: the model's P0); a single estimate or covariance is shared
+    by all nodes. theta starts at N * vech(H_i' R_i^-1 H_i) with a zero
+    consensus dual, which makes the network-wide sum of theta + nu exactly
+    conserved from the first covariance step onward.
     """
     n_nodes, n = model.n_nodes, model.n
-    x0 = np.array(np.broadcast_to(x0_estimates, (n_nodes, n)), dtype=float)
+    x0 = np.asarray(x0_estimates, dtype=float)
+    x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
     p0 = sym(np.broadcast_to(model.p0 if p0_nodes is None else p0_nodes, (n_nodes, n, n)))
     theta = n_nodes * node_info_vectors(sensor_specs_at(model, 0))
     return NetworkState(
@@ -177,9 +183,16 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     )
 
 
+def _node_apply(m, v):
+    """v_i' m_i at every node i, for m of shape (N, a, b) and rows v of
+    shape (N, a) or node-major (N, R, a): each node's rows times m_i make
+    one small GEMM. For symmetric m this is m_i v_i."""
+    return (v.reshape(len(m), -1, m.shape[1]) @ m).reshape(v.shape[:-1] + m.shape[2:])
+
+
 def _predict(x_post, p_post, model: StateSpaceModel):
     """Local prediction at every node: x = F x, P = F P F' + Q (identical
-    to the centralized filter)."""
+    to the centralized filter). x_post may carry extra leading axes."""
     return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
 
 
@@ -188,6 +201,10 @@ def _gains(p_prior, x_prior, sensors, measurements):
 
     Returns P_prior^-1, K^-1 = H' R^-1 H + P_prior^-1 / N, K, and
     b = H' R^-1 y + P_prior^-1 x_prior / N, each stacked over nodes.
+    x_prior is (N, n) or node-major (N, R, n); the measurements are one
+    y_i per node (and run) as `dkf_time_step` takes them, (N, m) or
+    (R, N, m), so every node must measure the same dimension m
+    (DimensionError otherwise); b takes x_prior's shape.
     """
     n_nodes = len(sensors)
     try:
@@ -196,13 +213,19 @@ def _gains(p_prior, x_prior, sensors, measurements):
         raise NotPositiveDefinite("a prior covariance became singular") from exc
     k_inv = np.array([s.info_matrix for s in sensors]) + p_prior_inv / n_nodes
     k = sym(np.linalg.inv(k_inv))
-    b = np.array([s.rinv_h.T @ np.atleast_1d(y) for s, y in zip(sensors, measurements)])
-    b += np.einsum("ijk,ik->ij", p_prior_inv, x_prior) / n_nodes
+    dims = sorted({s.h.shape[0] for s in sensors})
+    if len(dims) > 1:
+        raise DimensionError(f"nodes need one measurement dimension m, got m_i in {dims}")
+    rinv_h = np.array([s.rinv_h for s in sensors])
+    y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, rinv_h.shape[1])
+    y = y.swapaxes(0, 1).reshape(x_prior.shape[:-1] + (-1,))
+    b = _node_apply(rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
     return p_prior_inv, k_inv, k, b
 
 
 def _correction_round(xi, lam, graph: SensorGraph, k, k_inv, b, params):
-    """One synchronous Jacobi sub-iteration on stacked (N, n) arrays.
+    """One synchronous Jacobi sub-iteration on stacked (N, n) arrays, or
+    node-major (N, R, n) ones for R runs at once.
 
     d_i = sum_j (xi_i - xi_j) over neighbors; the dual integrates
     alpha_lambda K^-1 d; the new primal is K (b - lam_new) - mu d, where
@@ -212,8 +235,8 @@ def _correction_round(xi, lam, graph: SensorGraph, k, k_inv, b, params):
     `centralized.consensus_fixed_point` (acceptance criterion 3).
     """
     d = graph.disagreement(xi)
-    lam_new = lam + params.alpha_lambda * np.einsum("ijk,ik->ij", k_inv, d)
-    xi_new = np.einsum("ijk,ik->ij", k, b - lam_new) - params.mu * d
+    lam_new = lam + params.alpha_lambda * _node_apply(k_inv, d)
+    xi_new = _node_apply(k, b - lam_new) - params.mu * d
     return xi_new, lam_new
 
 
@@ -279,15 +302,24 @@ def dkf_time_step(
     """Run one full filter time step for every node; updates and returns
     `state`.
 
-    `measurements_t` holds one y_i per node for this step. When
-    `consensus_log` is a list, the per-sub-iteration mean consensus error
-    (mean over nodes of ||xi_i - mean(xi)||) is appended as one array.
+    `measurements_t` holds one y_i per node for this step, shape (N, m),
+    or (R, N, m) when the state carries a run axis; then all R runs advance
+    in this one call, with the covariance half computed once. Every node
+    must have the same measurement dimension m, else DimensionError. The
+    ledger counts each run's traffic (R times the degree per exchange).
+    When `consensus_log` is a list, the per-sub-iteration mean consensus
+    error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
+    (L,) array, or (R, L) for R runs.
     `sub_iterated_covariance` reruns the covariance consensus l_sub times
     per step instead of once (both converge under the same bound).
     """
-    n_nodes, n = state.x_post.shape
+    n_nodes, n = state.p_post.shape[:2]
+    shape = state.x_post.shape
+    # an (N, n) state is one run; runs go node-major, (N, R, n)
+    x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
+    runs = x_post.shape[1]
     sensors = sensor_specs_at(model, 0 if t is None else t)
-    x_prior, p_prior = _predict(state.x_post, state.p_post, model)
+    x_prior, p_prior = _predict(x_post, state.p_post, model)
     p_prior_inv, k_inv, k, b = _gains(p_prior, x_prior, sensors, measurements_t)
 
     # L primal-only ADMM sub-iterations (Jacobi, duals reset each step).
@@ -297,11 +329,11 @@ def dkf_time_step(
     for _ in range(params.l_sub):
         xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
         if ledger is not None:
-            ledger.record("state", "xi", graph.degree, n)
+            ledger.record("state", "xi", runs * graph.degree, n)
         if consensus_log is not None:
-            log_rows.append(float(np.mean(np.linalg.norm(xi - xi.mean(axis=0), axis=1))))
+            log_rows.append(np.linalg.norm(xi - xi.mean(axis=0), axis=-1).mean(axis=0))
     if consensus_log is not None:
-        consensus_log.append(np.array(log_rows))
+        consensus_log.append(np.array(log_rows).T.reshape(shape[:-2] + (-1,)))
 
     # Sub-iteration-free covariance consensus on the previous step's theta.
     theta, nu = state.theta, state.nu_tilde
@@ -309,9 +341,10 @@ def dkf_time_step(
     for _ in range(params.l_sub if sub_iterated_covariance else 1):
         theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
         if ledger is not None:
-            ledger.record("covariance", "theta", graph.degree, theta.shape[1])
+            ledger.record("covariance", "theta", runs * graph.degree, theta.shape[1])
 
     p_post = _posterior_cov(p_prior_inv, theta, t)
-    state.x_prior, state.p_prior, state.x_post, state.p_post = x_prior, p_prior, xi, p_post
-    state.theta, state.nu_tilde = theta, nu
+    state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)
+    state.x_post = xi.swapaxes(0, 1).reshape(shape)
+    state.p_prior, state.p_post, state.theta, state.nu_tilde = p_prior, p_post, theta, nu
     return state

@@ -62,13 +62,15 @@ class SensorGraph:
     def disagreement(self, values) -> np.ndarray:
         """Row i is the sum of (values_i - values_j) over the neighbors j of
         node i: the lifted Laplacian (L kron I_d) applied to the stacked
-        per-node rows of `values`, shape (N, d)."""
+        per-node rows of `values`, shape (N, d) or (N, ...). Trailing axes
+        are flattened, so R runs of (N, R, d) rows make one (N, R*d) GEMM."""
         v = np.asarray(values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.n_nodes:
+        if v.ndim < 2 or v.shape[0] != self.n_nodes:
             raise DimensionError(
                 f"need one row per node, shape ({self.n_nodes}, d), got {v.shape}"
             )
-        return self.degree[:, None] * v - self.adjacency @ v
+        flat = v.reshape(self.n_nodes, -1)
+        return (self.degree[:, None] * flat - self.adjacency @ flat).reshape(v.shape)
 
 
 @dataclass(frozen=True)

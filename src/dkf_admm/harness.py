@@ -1,9 +1,10 @@
 """Scenario configuration, Monte-Carlo execution, metrics, and CSV export.
 
 A scenario is one INI-style config file (every key has a default). Running
-it simulates `n_mc_runs` independent trajectories, filters each with the
-distributed network, and aggregates per-node RMSE, consensus error,
-covariance convergence error, and communication totals.
+it simulates `n_mc_runs` independent trajectories, filters them with the
+distributed network as one batch (one step call per time step for all
+runs), and aggregates per-node RMSE, consensus error, covariance
+convergence error, and communication totals.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import configparser
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from dkf_admm.linalg import dare_solve
 from dkf_admm.models import (
     SENSOR_ASSIGNMENTS,
     build_constant_velocity_model,
+    information_rate_target,
     simulate_trajectory,
 )
 
@@ -72,6 +75,7 @@ class ScenarioConfig:
             ("horizon_steps", self.horizon_steps >= 1, ">= 1"),
             ("n_mc_runs", self.n_mc_runs >= 1, ">= 1"),
             ("l_sub", self.l_sub >= 1, ">= 1"),
+            ("workers", self.workers >= 1, ">= 1"),
         ):
             if not ok:
                 raise ConfigRejected(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -189,96 +193,88 @@ def _run_seed(master_seed, run_idx):
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(run_idx,))
 
 
-def _single_run(config, graph, model, params, p_star, run_idx):
-    """One Monte-Carlo run; returns per-step raw errors and the ledger."""
-    seq = _run_seed(config.master_seed, run_idx)
-    traj_seed, init_seed = seq.spawn(2)
-    traj = simulate_trajectory(
-        model, config.horizon_steps + 1, traj_seed, noise_free=config.noise_free
-    )
-    init_rng = np.random.default_rng(init_seed)
-    if config.noise_free:
-        x0_est = np.tile(model.x0_mean, (model.n_nodes, 1))
-    else:
-        x0_est = model.x0_mean + init_rng.uniform(
-            -config.init_box_halfwidth,
-            config.init_box_halfwidth,
-            size=(model.n_nodes, model.n),
-        )
-    state = init_state(model, x0_est)
+def steady_state_prior(model) -> np.ndarray:
+    """The centralized steady-state prior covariance P* from `dare_solve`.
+
+    The Riccati recursion depends on the sensors only through
+    sum_i H_i' R_i^-1 H_i, so the solver gets an n-row factor H~ with
+    H~' H~ equal to that sum and R = I, instead of the stacked N-row H and
+    its N x N noise covariance.
+    """
+    w, v = np.linalg.eigh(information_rate_target(model))
+    h_tilde = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
+    return dare_solve(model.f, h_tilde, model.q, np.eye(model.n))
+
+
+def _run_batch(config, graph, model, params, p_star, run_ids):
+    """The Monte-Carlo runs `run_ids` as one batched filter pass; returns
+    per-run squared errors (R, T, N), consensus errors (R, T, L), the
+    shared covariance error (T, N) and the ledger of all the runs."""
+    trajs, x0_est = [], []
+    for run_idx in run_ids:
+        traj_seed, init_seed = _run_seed(config.master_seed, run_idx).spawn(2)
+        trajs.append(simulate_trajectory(
+            model, config.horizon_steps + 1, traj_seed, noise_free=config.noise_free
+        ))
+        box = 0.0 if config.noise_free else config.init_box_halfwidth
+        x0_est.append(model.x0_mean + np.random.default_rng(init_seed).uniform(
+            -box, box, size=(model.n_nodes, model.n)
+        ))
+    states = np.array([tr.states for tr in trajs])  # (R, T + 1, n)
+    meas = np.array([np.stack(tr.measurements, axis=1) for tr in trajs])  # (R, T+1, N, m)
+    state = init_state(model, np.array(x0_est))
     ledger = CommLedger(model.n_nodes)
     steps = range(1, config.horizon_steps + 1)
-    sq_pos = np.empty((len(steps), model.n_nodes))
+    sq_pos = np.empty((len(run_ids), len(steps), model.n_nodes))
     sq_vel = np.empty_like(sq_pos)
-    cov_err = np.empty_like(sq_pos)
+    cov_err = np.empty(sq_pos.shape[1:])
     consensus_log = []
     p_star_norm = np.linalg.norm(p_star)
     for row, t in enumerate(steps):
-        meas_t = [traj.measurements[i][t] for i in range(model.n_nodes)]
         try:
             dkf_time_step(
-                state,
-                graph,
-                model,
-                meas_t,
-                params,
-                ledger=ledger,
-                t=t,
+                state, graph, model, meas[:, t], params, ledger=ledger, t=t,
                 consensus_log=consensus_log,
                 sub_iterated_covariance=config.sub_iterated_covariance,
             )
         except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"run {run_idx}, t={t}: {exc}") from exc
-        err = traj.states[t] - state.x_post
-        sq_pos[row] = err[:, 0] ** 2 + err[:, 1] ** 2
-        sq_vel[row] = err[:, 2] ** 2 + err[:, 3] ** 2
+            raise NotPositiveDefinite(f"t={t}: {exc}") from exc
+        err = states[:, t, None] - state.x_post
+        sq_pos[:, row] = err[..., 0] ** 2 + err[..., 1] ** 2
+        sq_vel[:, row] = err[..., 2] ** 2 + err[..., 3] ** 2
         cov_err[row] = np.linalg.norm(state.p_prior - p_star, axis=(1, 2)) / p_star_norm
-    return sq_pos, sq_vel, np.array(consensus_log), cov_err, ledger
+    return sq_pos, sq_vel, np.array(consensus_log).swapaxes(0, 1), cov_err, ledger
 
 
 def run_scenario(config: ScenarioConfig) -> RunMetrics:
     """Execute all Monte-Carlo runs and aggregate metrics.
 
-    Deterministic given the config: run seeds derive from master_seed and
-    the run index, and aggregation is ordered by run index regardless of
-    the worker pool size.
+    The runs are filtered as one batch; with `workers` > 1 a process pool
+    filters contiguous chunks of runs, one batch each. Deterministic given
+    the config: run seeds derive from master_seed and the run index, and
+    aggregation is ordered by run index.
     """
     graph, model, spectrum, params = build_scenario(config)
     params.validate_for(spectrum, override=config.override_stability_guard)
-    h_stack = np.vstack([s.h for s in model.sensors])
-    r_bar = np.diag([float(s.r[0, 0]) for s in model.sensors])
-    p_star = dare_solve(model.f, h_stack, model.q, r_bar)
+    p_star = steady_state_prior(model)
 
-    run_ids = list(range(config.n_mc_runs))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(
-                pool.map(
-                    _single_run,
-                    [config] * len(run_ids),
-                    [graph] * len(run_ids),
-                    [model] * len(run_ids),
-                    [params] * len(run_ids),
-                    [p_star] * len(run_ids),
-                    run_ids,
-                )
-            )
+    chunks = np.array_split(np.arange(config.n_mc_runs), config.workers)
+    chunks = [c for c in chunks if c.size]
+    run_chunk = partial(_run_batch, config, graph, model, params, p_star)
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(run_chunk, chunks))
     else:
-        results = [
-            _single_run(config, graph, model, params, p_star, r) for r in run_ids
-        ]
+        results = [run_chunk(chunks[0])]
 
-    sq_pos_runs = np.array([r[0] for r in results])
+    sq_pos_runs = np.concatenate([r[0] for r in results])
     sq_pos = sq_pos_runs.mean(axis=0)
-    sq_vel = np.mean([r[1] for r in results], axis=0)
-    consensus = np.mean([r[2] for r in results], axis=0)
+    sq_vel = np.concatenate([r[1] for r in results]).mean(axis=0)
+    consensus = np.concatenate([r[2] for r in results]).mean(axis=0)
     cov_err = results[0][3]  # covariance recursion is measurement-independent
     total = CommLedger(model.n_nodes)
-    for r in results:
-        total.state_messages += r[4].state_messages
-        total.state_scalars += r[4].state_scalars
-        total.cov_messages += r[4].cov_messages
-        total.cov_scalars += r[4].cov_scalars
+    for name in ("state_messages", "state_scalars", "cov_messages", "cov_scalars"):
+        setattr(total, name, sum(getattr(r[4], name) for r in results))
     times = np.arange(1, config.horizon_steps + 1)
     return RunMetrics(
         times=times,
@@ -365,16 +361,14 @@ def export_csv(metrics: RunMetrics, output_dir) -> list:
     # Per-step traffic is constant by construction, so the cumulative
     # ledger divides exactly over steps and runs.
     divisor = len(metrics.times) * metrics.n_mc_runs
-    comm_rows = []
-    for t in metrics.times:
-        for i in range(n_nodes):
-            comm_rows.append(
-                [str(t), str(i), str(int(metrics.comm.state_messages[i]) // divisor),
-                 str(int(metrics.comm.state_scalars[i]) // divisor), "state"]
-            )
-            comm_rows.append(
-                [str(t), str(i), str(int(metrics.comm.cov_messages[i]) // divisor),
-                 str(int(metrics.comm.cov_scalars[i]) // divisor), "covariance"]
-            )
-    write("communication.csv", "t,node,messages,scalars,phase", comm_rows)
+
+    def comm_rows():  # streamed: 2 T N rows would otherwise be held at once
+        for t in metrics.times:
+            for i in range(n_nodes):
+                yield [str(t), str(i), str(int(metrics.comm.state_messages[i]) // divisor),
+                       str(int(metrics.comm.state_scalars[i]) // divisor), "state"]
+                yield [str(t), str(i), str(int(metrics.comm.cov_messages[i]) // divisor),
+                       str(int(metrics.comm.cov_scalars[i]) // divisor), "covariance"]
+
+    write("communication.csv", "t,node,messages,scalars,phase", comm_rows())
     return paths

@@ -216,10 +216,11 @@ def simulate_trajectory(
                 ys = ys + rng.multivariate_normal(np.zeros(m_i), spec.r, size=n_steps)
             measurements.append(ys)
     else:
+        specs = [sensor_specs_at(model, t) for t in range(n_steps)]
         for i in range(model.n_nodes):
             ys = np.empty((n_steps, model.sensors[i].h.shape[0]))
             for t in range(n_steps):
-                spec = sensor_specs_at(model, t)[i]
+                spec = specs[t][i]
                 y = spec.h @ states[t]
                 if not noise_free:
                     y = y + rng.multivariate_normal(np.zeros(spec.r.shape[0]), spec.r)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dkf_admm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -101,7 +102,9 @@ def test_divergent_override_exits_3(tmp_path, capsys):
         "override_stability_guard = true\n"
     )
     cfg = _write(tmp_path, text)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(
+        RuntimeWarning, match="theta floored"
+    ):
         code = main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err

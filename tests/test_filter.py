@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dkf_admm.exceptions import ConfigRejected, WireSchemaViolation
+from dkf_admm.exceptions import ConfigRejected, DimensionError, WireSchemaViolation
 from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
@@ -17,6 +19,8 @@ from dkf_admm.filtering import (
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import spd_inverse, spd_solve, sym, unvech, vech
 from dkf_admm.models import (
+    SensorSpec,
+    StateSpaceModel,
     build_constant_velocity_model,
     information_rate_target,
     node_info_vectors,
@@ -377,3 +381,66 @@ def test_sub_iterated_covariance_converges_faster():
         return np.linalg.norm(unvech(state.theta) - target, axis=(1, 2)).max()
 
     assert run(True) < run(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_nodes=st.integers(2, 7),
+    runs=st.integers(1, 4),
+    l_sub=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
+    # a random connected graph: a random spanning tree plus random extra edges
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n_nodes)
+    edges = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n_nodes)]
+    edges += [
+        (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)
+        if rng.random() < 0.3
+    ]
+    graph = build_graph("explicit", n_nodes, edges=edges)
+    params = auto_params(spectral_summary(graph), l_sub=l_sub)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
+    x0 = model.x0_mean + rng.normal(size=(runs, n_nodes, 4))
+    g = rng.normal(size=(n_nodes, 4, 4))
+    p0 = g @ g.transpose(0, 2, 1) + np.eye(4)
+    meas = rng.normal(size=(2, runs, n_nodes, 1))
+
+    batch = init_state(model, x0, p0)
+    singles = [init_state(model, x0[r], p0) for r in range(runs)]
+    batch_ledger, single_ledger = CommLedger(n_nodes), CommLedger(n_nodes)
+    batch_log, single_logs = [], [[] for _ in range(runs)]
+    for t in (1, 2):
+        dkf_time_step(batch, graph, model, meas[t - 1], params, ledger=batch_ledger,
+                      t=t, consensus_log=batch_log)
+        for r, single in enumerate(singles):
+            dkf_time_step(single, graph, model, meas[t - 1, r], params,
+                          ledger=single_ledger if r == 0 else None, t=t,
+                          consensus_log=single_logs[r])
+
+    assert batch.x_post.shape == (runs, n_nodes, 4)
+    assert batch_log[0].shape == (runs, l_sub)
+    for r, single in enumerate(singles):
+        assert np.allclose(batch.x_post[r], single.x_post, rtol=1e-12, atol=1e-12)
+        assert np.allclose(batch.x_prior[r], single.x_prior, rtol=1e-12, atol=1e-12)
+        for name in ("p_prior", "p_post", "theta", "nu_tilde"):
+            assert np.array_equal(getattr(batch, name), getattr(single, name))
+        for row, single_row in zip(batch_log, single_logs[r]):
+            assert np.allclose(row[r], single_row, rtol=1e-12, atol=1e-12)
+    for name in ("state_messages", "state_scalars", "cov_messages", "cov_scalars"):
+        assert np.array_equal(
+            getattr(batch_ledger, name), runs * getattr(single_ledger, name)
+        )
+
+
+def test_mixed_measurement_dimensions_rejected():
+    # node 0 measures x1 only (m = 1), node 1 both positions (m = 2)
+    graph, _, params, model, _, state = _setup(n_nodes=2, topology="complete")
+    h2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    mixed = StateSpaceModel(
+        f=model.f, q=model.q, x0_mean=model.x0_mean, p0=model.p0,
+        sensors=(SensorSpec(0, h2[:1], [[0.5]]), SensorSpec(1, h2, 0.5 * np.eye(2))),
+    )
+    with pytest.raises(DimensionError, match="one measurement dimension"):
+        dkf_time_step(state, graph, mixed, [np.zeros(1), np.zeros(2)], params, t=1)

@@ -168,3 +168,34 @@ def test_per_step_random_assignment():
         for i in range(6)
     )
     assert differs
+
+
+def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch):
+    import dkf_admm.models as models
+
+    model = build_constant_velocity_model(
+        dt=0.1, n_nodes=6, sensor_assignment="per_step_random", assignment_seed=9
+    )
+    n_steps, calls = 12, []
+
+    def counting(m, t):
+        calls.append(t)
+        return sensor_specs_at(m, t)
+
+    monkeypatch.setattr(models, "sensor_specs_at", counting)
+    traj = simulate_trajectory(model, n_steps, seed=21)
+    assert sorted(calls) == list(range(n_steps))
+
+    # inline reference: the specs looked up per (node, step), same draw order
+    rng = np.random.default_rng(21)
+    states = np.empty((n_steps, 4))
+    states[0] = rng.multivariate_normal(model.x0_mean, model.p0)
+    w = rng.multivariate_normal(np.zeros(4), model.q, size=n_steps - 1)
+    for t in range(n_steps - 1):
+        states[t + 1] = model.f @ states[t] + w[t]
+    assert np.array_equal(traj.states, states)
+    for i in range(6):
+        for t in range(n_steps):
+            spec = sensor_specs_at(model, t)[i]
+            y = spec.h @ states[t] + rng.multivariate_normal(np.zeros(1), spec.r)
+            assert np.array_equal(traj.measurements[i][t], y)
