@@ -48,8 +48,7 @@ state = init_state(model, model.x0_mean + rng.normal(size=(N, 4)))
 
 print(f"{'t':>5}  {'max rel theta error':>20}  {'max rel P error':>16}")
 for t in range(1, horizon + 1):
-    meas = [traj.measurements[i][t] for i in range(N)]
-    dkf_time_step(state, graph, model, meas, params, t=t)
+    dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
     if t in (1, 2, 5, 10, 20, 50, 100, 200, 400, 600):
         theta_err = np.linalg.norm(
             unvech(state.theta) - target, axis=(1, 2)

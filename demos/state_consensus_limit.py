@@ -25,6 +25,7 @@ from dkf_admm import (
     consensus_fixed_point,
     dkf_time_step,
     init_state,
+    sensor_specs_at,
     simulate_trajectory,
     spd_inverse,
     spd_solve,
@@ -39,7 +40,7 @@ model = build_constant_velocity_model(dt=0.1, n_nodes=N, r_var=0.5)
 traj = simulate_trajectory(model, 2, seed=77)
 rng = np.random.default_rng(5)
 state0 = init_state(model, model.x0_mean + rng.normal(size=(N, 4)))
-meas = [traj.measurements[i][1] for i in range(N)]
+meas = traj.measurements[1]
 
 
 def first_step(l_sub):
@@ -52,11 +53,14 @@ def first_step(l_sub):
 
 # the prediction does not depend on l_sub, so any run gives the priors
 priors = first_step(1)
+sensors = sensor_specs_at(model, 1)
 local = []
-for x, p, spec, y in zip(priors.x_prior, priors.p_prior, model.sensors, meas):
+for x, p, rinv_h, info, y in zip(
+    priors.x_prior, priors.p_prior, sensors.rinv_h, sensors.info, meas
+):
     p_inv = spd_inverse(p)
-    b = spec.rinv_h.T @ y + p_inv @ x / N
-    local.append(spd_solve(spec.info_matrix + p_inv / N, b))  # K_i b_i
+    b = rinv_h.T @ y + p_inv @ x / N
+    local.append(spd_solve(info + p_inv / N, b))  # K_i b_i
 mean_local = np.mean(local, axis=0)
 joint = consensus_fixed_point(priors.x_prior, priors.p_prior, meas, model.sensors)
 

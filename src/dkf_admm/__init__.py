@@ -43,6 +43,7 @@ from dkf_admm.linalg import (
     vech,
 )
 from dkf_admm.models import (
+    SensorArrays,
     SensorSpec,
     StateSpaceModel,
     Trajectory,

@@ -43,19 +43,19 @@ def centralized_kf_step(
 
     Predict with (F, Q); correct by adding sum_i H_i' R_i^-1 H_i to the
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
-    vector. `measurements` holds one y_i per node (may be empty).
+    vector. `measurements` holds the y_i of the first k nodes, shape (k, m)
+    (may be empty); the sensors are `sensor_specs_at(model, t)`, or the
+    model's own without t.
     """
     f, q = model.f, model.q
     x_prior = f @ state.x_hat
     p_prior = sym(f @ state.p @ f.T + q)
     omega_prior = spd_inverse(p_prior)
-    sensors = model.sensors if t is None else sensor_specs_at(model, t)
-    omega = omega_prior.copy()
-    info_vec = omega_prior @ x_prior
-    for spec, y in zip(sensors, measurements):
-        omega += spec.info_matrix
-        info_vec += spec.rinv_h.T @ np.atleast_1d(np.asarray(y, dtype=float))
-    omega = sym(omega)
+    sensors = model.sensor_arrays if t is None else sensor_specs_at(model, t)
+    k = len(measurements)
+    y = np.asarray(measurements, dtype=float).reshape(k, sensors.h.shape[1])
+    omega = sym(omega_prior + sensors.info[:k].sum(axis=0))
+    info_vec = omega_prior @ x_prior + np.einsum("imn,im->n", sensors.rinv_h[:k], y)
     try:
         p = spd_inverse(omega)
     except NotPositiveDefinite:

@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dkf_admm.exceptions import (
-    ConfigRejected, DimensionError, NotPositiveDefinite, WireSchemaViolation,
-)
+from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite, WireSchemaViolation
 from dkf_admm.graphs import SensorGraph
-from dkf_admm.linalg import covariance_stability, state_stability, sym, unvech
-from dkf_admm.models import StateSpaceModel, node_info_vectors, sensor_specs_at
+from dkf_admm.linalg import covariance_stability, state_stability, step_bounds, sym, unvech, vech
+from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
 _PRIMAL_PAYLOADS = {"xi", "theta"}
 
@@ -67,27 +65,27 @@ class DkfParams:
         """
         if override:
             return
-        lam = spectrum.lambda_max
-        if not self.alpha_nu < 2.0 / (3.0 * lam):
+        nu_bound, lambda_bound = step_bounds(spectrum.lambda_max)
+        if not self.alpha_nu < nu_bound:
             raise ConfigRejected(
                 f"alpha_nu={self.alpha_nu} violates the bound 2/(3*lambda_max)="
-                f"{2.0 / (3.0 * lam):.6g}"
+                f"{nu_bound:.6g}"
             )
-        if not self.alpha_lambda + 2.0 * self.mu < 2.0 / lam:
+        if not self.alpha_lambda + 2.0 * self.mu < lambda_bound:
             raise ConfigRejected(
                 f"alpha_lambda + 2*mu = {self.alpha_lambda + 2.0 * self.mu} violates "
-                f"the bound 2/lambda_max = {2.0 / lam:.6g}"
+                f"the bound 2/lambda_max = {lambda_bound:.6g}"
             )
 
 
 def auto_params(spectrum, l_sub=20) -> DkfParams:
     """Default step sizes: 10% safety margin inside both sufficient regions."""
-    lam = spectrum.lambda_max
-    mu = 0.01 * (2.0 / lam)
+    nu_bound, lambda_bound = step_bounds(spectrum.lambda_max)
+    mu = 0.01 * lambda_bound
     return DkfParams(
-        alpha_lambda=0.9 * (2.0 / lam) - 2.0 * mu,
+        alpha_lambda=0.9 * lambda_bound - 2.0 * mu,
         mu=mu,
-        alpha_nu=0.9 * (2.0 / (3.0 * lam)),
+        alpha_nu=0.9 * nu_bound,
         l_sub=l_sub,
     )
 
@@ -172,7 +170,7 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     x0 = np.asarray(x0_estimates, dtype=float)
     x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
     p0 = sym(np.broadcast_to(model.p0 if p0_nodes is None else p0_nodes, (n_nodes, n, n)))
-    theta = n_nodes * node_info_vectors(sensor_specs_at(model, 0))
+    theta = n_nodes * vech(sensor_specs_at(model, 0).info)
     return NetworkState(
         x_prior=x0.copy(),
         p_prior=p0.copy(),
@@ -196,30 +194,26 @@ def _predict(x_post, p_post, model: StateSpaceModel):
     return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
 
 
-def _gains(p_prior, x_prior, sensors, measurements):
+def _gains(p_prior, x_prior, sensors: SensorArrays, measurements):
     """Per-step gains and local information vectors of every node.
 
     Returns P_prior^-1, K^-1 = H' R^-1 H + P_prior^-1 / N, K, and
-    b = H' R^-1 y + P_prior^-1 x_prior / N, each stacked over nodes.
+    b = H' R^-1 y + P_prior^-1 x_prior / N, each stacked over nodes; the
+    sensor terms are the stacked `sensors.info` and `sensors.rinv_h`.
     x_prior is (N, n) or node-major (N, R, n); the measurements are one
     y_i per node (and run) as `dkf_time_step` takes them, (N, m) or
-    (R, N, m), so every node must measure the same dimension m
-    (DimensionError otherwise); b takes x_prior's shape.
+    (R, N, m); b takes x_prior's shape.
     """
-    n_nodes = len(sensors)
+    n_nodes = len(sensors.info)
     try:
         p_prior_inv = sym(np.linalg.inv(p_prior))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("a prior covariance became singular") from exc
-    k_inv = np.array([s.info_matrix for s in sensors]) + p_prior_inv / n_nodes
+    k_inv = sensors.info + p_prior_inv / n_nodes
     k = sym(np.linalg.inv(k_inv))
-    dims = sorted({s.h.shape[0] for s in sensors})
-    if len(dims) > 1:
-        raise DimensionError(f"nodes need one measurement dimension m, got m_i in {dims}")
-    rinv_h = np.array([s.rinv_h for s in sensors])
-    y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, rinv_h.shape[1])
+    y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, sensors.rinv_h.shape[1])
     y = y.swapaxes(0, 1).reshape(x_prior.shape[:-1] + (-1,))
-    b = _node_apply(rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
+    b = _node_apply(sensors.rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
     return p_prior_inv, k_inv, k, b
 
 
@@ -302,10 +296,10 @@ def dkf_time_step(
     """Run one full filter time step for every node; updates and returns
     `state`.
 
-    `measurements_t` holds one y_i per node for this step, shape (N, m),
-    or (R, N, m) when the state carries a run axis; then all R runs advance
-    in this one call, with the covariance half computed once. Every node
-    must have the same measurement dimension m, else DimensionError. The
+    `measurements_t` holds one y_i per node for this step, shape (N, m)
+    (a row of `Trajectory.measurements`), or (R, N, m) when the state
+    carries a run axis; then all R runs advance in this one call, with the
+    covariance half computed once from `sensor_specs_at(model, t)`. The
     ledger counts each run's traffic (R times the degree per exchange).
     When `consensus_log` is a list, the per-sub-iteration mean consensus
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
@@ -337,7 +331,7 @@ def dkf_time_step(
 
     # Sub-iteration-free covariance consensus on the previous step's theta.
     theta, nu = state.theta, state.nu_tilde
-    omega_scaled = n_nodes * node_info_vectors(sensors)
+    omega_scaled = n_nodes * vech(sensors.info)
     for _ in range(params.l_sub if sub_iterated_covariance else 1):
         theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
         if ledger is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 from concurrent.futures import ProcessPoolExecutor
+import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite
-from dkf_admm.filtering import CommLedger, DkfParams, auto_params, dkf_time_step, init_state
+from dkf_admm.filtering import CommLedger, auto_params, dkf_time_step, init_state
 from dkf_admm.graphs import TOPOLOGIES, build_graph, load_edge_list, spectral_summary
-from dkf_admm.linalg import dare_solve
+from dkf_admm.linalg import dare_solve, step_bounds
 from dkf_admm.models import (
     SENSOR_ASSIGNMENTS,
     build_constant_velocity_model,
@@ -87,32 +88,28 @@ _SECTIONS = {
     "model": ("dt", "q_intensity", "r_var", "sensor_assignment", "assignment_seed"),
     "graph": ("topology", "n_nodes", "radius", "graph_seed", "edge_list_path"),
     "params": ("alpha_lambda", "mu", "alpha_nu", "l_sub"),
-    "run": (
-        "horizon_steps",
-        "n_mc_runs",
-        "master_seed",
-        "output_dir",
-        "workers",
-        "init_box_halfwidth",
-        "noise_free",
-        "sub_iterated_covariance",
-        "override_stability_guard",
-    ),
+    "run": ("horizon_steps", "n_mc_runs", "master_seed", "output_dir", "workers",
+            "init_box_halfwidth", "noise_free", "sub_iterated_covariance",
+            "override_stability_guard"),
 }
-_FLOATS = {"dt", "q_intensity", "r_var", "radius", "alpha_lambda", "mu", "alpha_nu",
-           "init_box_halfwidth"}
-_INTS = {"assignment_seed", "n_nodes", "graph_seed", "l_sub", "horizon_steps",
-         "n_mc_runs", "master_seed", "workers"}
-_BOOLS = {"noise_free", "sub_iterated_covariance", "override_stability_guard"}
+# each key's type as ScenarioConfig declares it ("float", "str | None", ...)
+_TYPES = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(ScenarioConfig)}
+_OPTIONAL = {f.name for f in dataclasses.fields(ScenarioConfig) if f.default is None}
+_PARSE = {"float": float, "int": int, "str": str}
 
 
 def load_config(path) -> ScenarioConfig:
     """Parse a `key = value` config with [model]/[graph]/[params]/[run]
-    sections. Missing keys take their defaults; `auto` (or omission) on a
-    step-size key selects automatic parameters. Unknown sections and keys,
-    and booleans other than 1/0, true/false, yes/no, on/off, are rejected."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    sections. Missing keys take their defaults; `auto`, `none` or an empty
+    value is accepted only on the keys whose default is None (automatic
+    step sizes, no edge list). Unreadable or malformed files, unknown
+    sections and keys, and booleans other than 1/0, true/false, yes/no,
+    on/off, are rejected. Values are taken literally (no % interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # no section header, a duplicated key
+        raise ConfigRejected(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigRejected(f"cannot read config file {path}")
     for section in parser.sections():
@@ -127,16 +124,14 @@ def load_config(path) -> ScenarioConfig:
                 raise ConfigRejected(f"unknown key {key!r} in [{section}]")
             raw = raw.strip()
             if raw.lower() in ("auto", "none", ""):
+                if key not in _OPTIONAL:
+                    raise ConfigRejected(f"{key} has no automatic value, got {raw!r}")
                 continue
             try:
-                if key in _FLOATS:
-                    kwargs[key] = float(raw)
-                elif key in _INTS:
-                    kwargs[key] = int(raw)
-                elif key in _BOOLS:
+                if _TYPES[key] == "bool":
                     kwargs[key] = parser.getboolean(section, key)
                 else:
-                    kwargs[key] = raw
+                    kwargs[key] = _PARSE[_TYPES[key]](raw)
             except ValueError as exc:
                 raise ConfigRejected(f"bad value for {key}: {raw!r}") from exc
     return ScenarioConfig(**kwargs)
@@ -169,15 +164,10 @@ def build_scenario(config: ScenarioConfig):
             seed=config.graph_seed,
         )
     spectrum = spectral_summary(graph)
-    defaults = auto_params(spectrum, config.l_sub)
-    params = DkfParams(
-        alpha_lambda=defaults.alpha_lambda
-        if config.alpha_lambda is None
-        else config.alpha_lambda,
-        mu=defaults.mu if config.mu is None else config.mu,
-        alpha_nu=defaults.alpha_nu if config.alpha_nu is None else config.alpha_nu,
-        l_sub=config.l_sub,
-    )
+    params = dataclasses.replace(auto_params(spectrum, config.l_sub), **{
+        key: getattr(config, key) for key in ("alpha_lambda", "mu", "alpha_nu")
+        if getattr(config, key) is not None
+    })
     model = build_constant_velocity_model(
         dt=config.dt,
         q_intensity=config.q_intensity,
@@ -221,7 +211,7 @@ def _run_batch(config, graph, model, params, p_star, run_ids):
             -box, box, size=(model.n_nodes, model.n)
         ))
     states = np.array([tr.states for tr in trajs])  # (R, T + 1, n)
-    meas = np.array([np.stack(tr.measurements, axis=1) for tr in trajs])  # (R, T+1, N, m)
+    meas = np.array([tr.measurements for tr in trajs])  # (R, T + 1, N, m)
     state = init_state(model, np.array(x0_est))
     ledger = CommLedger(model.n_nodes)
     steps = range(1, config.horizon_steps + 1)
@@ -292,8 +282,7 @@ def validate_params(config: ScenarioConfig) -> str:
     """Human-readable stability report for a config; used by the CLI."""
     graph, model, spectrum, params = build_scenario(config)
     cov_rep, state_rep = params.check(spectrum)
-    nu_bound = 2.0 / (3.0 * spectrum.lambda_max)
-    lam_bound = 2.0 / spectrum.lambda_max
+    nu_bound, lam_bound = step_bounds(spectrum.lambda_max)
     lines = [
         f"graph: {config.topology}, N={config.n_nodes}",
         f"lambda_2      = {spectrum.lambda_2:.6g}",

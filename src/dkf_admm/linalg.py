@@ -70,7 +70,7 @@ def unvech(v) -> np.ndarray:
 
 
 def spd_solve(a, b):
-    """Solve a x = b for symmetric positive definite a via Cholesky."""
+    """Solve a x = b for symmetric positive definite a (or a stack) via Cholesky."""
     a = sym(a)
     try:
         chol = np.linalg.cholesky(a)
@@ -78,7 +78,7 @@ def spd_solve(a, b):
         raise NotPositiveDefinite("matrix is not positive definite") from exc
     b = np.asarray(b, dtype=float)
     y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, y)
+    return np.linalg.solve(np.swapaxes(chol, -1, -2), y)
 
 
 def spd_inverse(a) -> np.ndarray:
@@ -189,9 +189,15 @@ def _mode_report(mode_matrix, eigenvalues, sufficient_ok) -> StabilityReport:
     )
 
 
+def step_bounds(lambda_max: float) -> tuple:
+    """The sufficient bounds (2/(3 lambda_max), 2/lambda_max) on alpha_nu
+    and on alpha_lambda + 2 mu."""
+    return 2.0 / (3.0 * lambda_max), 2.0 / lambda_max
+
+
 def covariance_stability(alpha_nu: float, spectrum) -> StabilityReport:
     """Stability of the covariance consensus: bound alpha_nu < 2/(3 lambda_max)."""
-    ok = 0.0 < alpha_nu < 2.0 / (3.0 * spectrum.lambda_max)
+    ok = 0.0 < alpha_nu < step_bounds(spectrum.lambda_max)[0]
     return _mode_report(
         lambda lam: covariance_mode_matrix(alpha_nu, lam), spectrum.eigenvalues, ok
     )
@@ -202,7 +208,7 @@ def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport
     ok = (
         alpha_lambda > 0.0
         and mu > 0.0
-        and alpha_lambda + 2.0 * mu < 2.0 / spectrum.lambda_max
+        and alpha_lambda + 2.0 * mu < step_bounds(spectrum.lambda_max)[1]
     )
     return _mode_report(
         lambda lam: state_mode_matrix(alpha_lambda, mu, lam), spectrum.eigenvalues, ok

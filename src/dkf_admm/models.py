@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dkf_admm.exceptions import ObservabilityError
-from dkf_admm.linalg import is_observable, sym, spd_solve, vech
+from dkf_admm.exceptions import DimensionError, ObservabilityError
+from dkf_admm.linalg import is_observable, sym, spd_solve
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
@@ -21,9 +21,10 @@ SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """One node's measurement model: y_i = H_i x + v_i, v_i ~ N(0, R_i)."""
+    """One node's measurement model y_i = H_i x + v_i, v_i ~ N(0, R_i): a
+    read-only (H_i, R_i) pair of matching measurement dimension m_i. The
+    model checks that R_i is positive definite when it stacks its sensors."""
 
-    node_id: int
     h: np.ndarray
     r: np.ndarray
 
@@ -32,25 +33,40 @@ class SensorSpec:
         r = sym(np.atleast_2d(np.asarray(self.r, dtype=float)))
         if r.shape[0] != h.shape[0]:
             raise ValueError("R_i must match the measurement dimension of H_i")
-        np.linalg.cholesky(r)  # R_i must be positive definite
-        rinv_h = spd_solve(r, h)
-        info = sym(h.T @ rinv_h)
-        for arr in (h, r, rinv_h, info):
+        for name, arr in (("h", h), ("r", r)):
             arr.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_rinv_h", rinv_h)
-        object.__setattr__(self, "_info", info)
+            object.__setattr__(self, name, arr)
 
-    @property
-    def rinv_h(self) -> np.ndarray:
-        """R_i^-1 H_i, precomputed (used for every information vector)."""
-        return self._rinv_h
 
-    @property
-    def info_matrix(self) -> np.ndarray:
-        """H_i' R_i^-1 H_i, the node's contribution to the information rate."""
-        return self._info
+@dataclass(frozen=True)
+class SensorArrays:
+    """The sensors of all N nodes at one time step, stacked node first and
+    read-only: h (N, m, n), r (N, m, m), rinv_h = R_i^-1 H_i (N, m, n),
+    through which y_i enters the information vector, and info =
+    H_i' R_i^-1 H_i (N, n, n), whose network sum is the covariance-consensus
+    target. All nodes share one measurement dimension m."""
+
+    h: np.ndarray
+    r: np.ndarray
+    rinv_h: np.ndarray
+    info: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.h, self.r, self.rinv_h, self.info):
+            arr.setflags(write=False)
+
+    @classmethod
+    def stack(cls, sensors) -> SensorArrays:
+        """Stack `SensorSpec`s; R^-1 H and H' R^-1 H come from one batched
+        Cholesky solve (NotPositiveDefinite unless every R_i is positive
+        definite). Mixed measurement dimensions raise DimensionError."""
+        dims = sorted({s.h.shape[0] for s in sensors})
+        if len(dims) > 1:
+            raise DimensionError(f"nodes need one measurement dimension m, got m_i in {dims}")
+        h = np.array([s.h for s in sensors])
+        r = np.array([s.r for s in sensors])
+        rinv_h = spd_solve(r, h)
+        return cls(h, r, rinv_h, sym(np.swapaxes(h, -1, -2) @ rinv_h))
 
 
 @dataclass(frozen=True)
@@ -59,7 +75,10 @@ class StateSpaceModel:
 
     `assignment_mode` is ``static`` (sensors fixed at construction) or
     ``per_step_random`` (each node re-draws which position coordinate it
-    observes at every time step, seeded by `assignment_seed`).
+    observes at every time step, seeded by `assignment_seed`, with the
+    noise variance of `sensors[0]`). The sensors are stacked once, here:
+    `sensor_arrays` holds `sensors`, and a per-step-random model keeps the
+    two-row `coordinate_table` (observe x1, observe x2) as well.
     """
 
     f: np.ndarray
@@ -70,6 +89,8 @@ class StateSpaceModel:
     assignment_mode: str = "static"
     assignment_seed: int = 0
     n: int = field(init=False)
+    sensor_arrays: SensorArrays = field(init=False, repr=False)
+    coordinate_table: SensorArrays | None = field(init=False, repr=False)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -83,17 +104,18 @@ class StateSpaceModel:
         # Q may be singular only in the deliberate noise-free limit
         if not np.allclose(q, 0.0):
             np.linalg.cholesky(q)
-        h_stack = np.vstack([s.h for s in self.sensors])
-        if not is_observable(f, h_stack):
+        sensors = tuple(self.sensors)
+        arrays = SensorArrays.stack(sensors)
+        if not is_observable(f, arrays.h.reshape(-1, n)):
             raise ObservabilityError("stacked (F, H) is not observable")
+        table = None
+        if self.assignment_mode == "per_step_random":
+            table = SensorArrays.stack([_position_sensor(c, n, sensors[0].r) for c in (0, 1)])
         for arr in (f, q, x0, p0):
             arr.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "x0_mean", x0)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "sensors", tuple(self.sensors))
-        object.__setattr__(self, "n", n)
+        for name, value in dict(f=f, q=q, x0_mean=x0, p0=p0, sensors=sensors, n=n,
+                                sensor_arrays=arrays, coordinate_table=table).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
@@ -102,20 +124,18 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A seeded draw of true states and per-node measurements.
-
-    states[t] is x_t for t = 0..n_steps-1; measurements[i][t] is y_{i,t}.
-    """
+    """A seeded draw, read-only: states (n_steps, n) with states[t] = x_t,
+    and measurements (n_steps, N, m), whose row t holds every node's y_{i,t}
+    in the layout `dkf_time_step` takes."""
 
     states: np.ndarray
-    measurements: tuple
-    seed: int
+    measurements: np.ndarray
 
 
-def _position_sensor(node_id, coordinate, n, r_var) -> SensorSpec:
+def _position_sensor(coordinate, n, r) -> SensorSpec:
     h = np.zeros((1, n))
     h[0, coordinate] = 1.0
-    return SensorSpec(node_id=node_id, h=h, r=np.array([[r_var]]))
+    return SensorSpec(h=h, r=r)
 
 
 def build_constant_velocity_model(
@@ -154,7 +174,7 @@ def build_constant_velocity_model(
         mode = "per_step_random"
     else:
         raise ValueError(f"unknown sensor assignment {sensor_assignment!r}")
-    sensors = tuple(_position_sensor(i, c, 4, r_var) for i, c in enumerate(coords))
+    sensors = tuple(_position_sensor(c, 4, [[r_var]]) for c in coords)
     return StateSpaceModel(
         f=f,
         q=q,
@@ -166,31 +186,28 @@ def build_constant_velocity_model(
     )
 
 
-def sensor_specs_at(model: StateSpaceModel, t: int) -> tuple:
-    """Sensor specs in effect at time step t.
-
-    Static models always return `model.sensors`; per-step-random models
-    re-draw each node's observed coordinate deterministically from
-    (assignment_seed, t).
-    """
-    if model.assignment_mode == "static":
-        return model.sensors
+def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
+    """The stacked sensors in effect at time step t: `model.sensor_arrays`
+    for static models; per-step-random ones gather one `coordinate_table`
+    row per node by the coordinate drawn from (assignment_seed, t)."""
+    table = model.coordinate_table
+    if table is None:
+        return model.sensor_arrays
     rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
-    coords = rng.integers(0, 2, size=model.n_nodes)
-    r_var = float(model.sensors[0].r[0, 0])
-    return tuple(
-        _position_sensor(i, int(c), model.n, r_var) for i, c in enumerate(coords)
-    )
+    rows = rng.integers(0, 2, size=model.n_nodes)
+    return SensorArrays(table.h[rows], table.r[rows], table.rinv_h[rows], table.info[rows])
 
 
 def simulate_trajectory(
     model: StateSpaceModel, n_steps: int, seed: int, noise_free: bool = False
 ) -> Trajectory:
-    """Draw one trajectory and its per-node measurements, seeded.
+    """Draw one trajectory and the measurements of every node, seeded.
 
-    x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t + w_t, y_{i,t} = H_i x_t + v_{i,t}.
-    With `noise_free` the draw collapses to x_t = F^t x0_mean and exact
-    measurements.
+    x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t + w_t, y_t = H_t x_t + v_t with
+    H_t from `sensor_specs_at(model, t)`. Draw order: x_0, the process
+    noise, then one (n_steps, m) noise block per node (R_i does not change
+    with t). With `noise_free` the draw collapses to x_t = F^t x0_mean and
+    exact measurements.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -207,38 +224,18 @@ def simulate_trajectory(
         w = rng.multivariate_normal(np.zeros(n), model.q, size=n_steps - 1)
     for t in range(n_steps - 1):
         states[t + 1] = model.f @ states[t] + w[t]
-    measurements = []
-    if model.assignment_mode == "static":
-        for spec in model.sensors:
-            ys = states @ spec.h.T
-            if not noise_free:
-                m_i = spec.r.shape[0]
-                ys = ys + rng.multivariate_normal(np.zeros(m_i), spec.r, size=n_steps)
-            measurements.append(ys)
-    else:
-        specs = [sensor_specs_at(model, t) for t in range(n_steps)]
-        for i in range(model.n_nodes):
-            ys = np.empty((n_steps, model.sensors[i].h.shape[0]))
-            for t in range(n_steps):
-                spec = specs[t][i]
-                y = spec.h @ states[t]
-                if not noise_free:
-                    y = y + rng.multivariate_normal(np.zeros(spec.r.shape[0]), spec.r)
-                ys[t] = y
-            measurements.append(ys)
+    specs = [sensor_specs_at(model, t) for t in range(n_steps)]
+    h = np.array([s.h for s in specs])  # (T, N, m, n)
+    measurements = (h @ states[:, None, :, None])[..., 0]
+    if not noise_free:
+        measurements += np.stack([
+            rng.multivariate_normal(np.zeros(len(r)), r, size=n_steps) for r in specs[0].r
+        ], axis=1)
     states.setflags(write=False)
-    return Trajectory(states=states, measurements=tuple(measurements), seed=seed)
+    measurements.setflags(write=False)
+    return Trajectory(states=states, measurements=measurements)
 
 
-def information_rate_target(model: StateSpaceModel, t: int | None = None) -> np.ndarray:
+def information_rate_target(model: StateSpaceModel) -> np.ndarray:
     """Sum over nodes of H_i' R_i^-1 H_i, the covariance-consensus target."""
-    sensors = model.sensors if t is None else sensor_specs_at(model, t)
-    total = np.zeros((model.n, model.n))
-    for s in sensors:
-        total += s.info_matrix
-    return sym(total)
-
-
-def node_info_vectors(sensors) -> np.ndarray:
-    """Stacked vech(H_i' R_i^-1 H_i) per node, shape (N, n_cov)."""
-    return vech(np.array([s.info_matrix for s in sensors]))
+    return sym(model.sensor_arrays.info.sum(axis=0))

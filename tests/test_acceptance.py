@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import info_vectors_oracle
 
 from dkf_admm.centralized import consensus_fixed_point
 from dkf_admm.exceptions import WireSchemaViolation
@@ -31,12 +32,10 @@ from dkf_admm.linalg import (
     dare_solve,
     state_mode_matrix,
     unvech,
-    vech,
 )
 from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
-    node_info_vectors,
     simulate_trajectory,
 )
 
@@ -68,11 +67,11 @@ def long_run():
     rng = np.random.default_rng(12)
     state = init_state(model, model.x0_mean + rng.normal(size=(10, 4)))
     ledger = CommLedger(10)
-    conserved_target = 10 * node_info_vectors(model.sensors).sum(axis=0)
+    conserved_target = 10 * info_vectors_oracle(model).sum(axis=0)
     conservation_dev = 0.0
     t0 = time.time()
     for t in range(1, horizon + 1):
-        meas = [traj.measurements[i][t] for i in range(10)]
+        meas = traj.measurements[t]
         dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=t)
         total = (state.theta + state.nu_tilde).sum(axis=0)
         conservation_dev = max(
@@ -149,7 +148,7 @@ def test_criterion_3_per_step_consensus_fixed_point():
     worst = 0.0
     spreads = []
     for t in range(1, 11):
-        meas = [traj.measurements[i][t] for i in range(5)]
+        meas = traj.measurements[t]
         dkf_time_step(state, graph, model, meas, params, t=t)
         star = consensus_fixed_point(state.x_prior, state.p_prior, meas, model.sensors)
         xi = state.x_post  # the final sub-iterate
@@ -255,7 +254,7 @@ def test_criterion_5_dense_equivalence(n_nodes, topology):
     snapshot = list(zip(state.x_post.copy(), state.p_post.copy()))
     theta0 = state.theta.copy()
     nu0 = state.nu_tilde.copy()
-    meas = [traj.measurements[i][1] for i in range(n_nodes)]
+    meas = traj.measurements[1]
 
     dkf_time_step(state, graph, model, meas, params, t=1)
 
@@ -266,7 +265,7 @@ def test_criterion_5_dense_equivalence(n_nodes, topology):
     e = (big_l_cov @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + params.alpha_nu * e
     theta_ref = (
-        n_nodes * node_info_vectors(model.sensors) - nu_ref - params.alpha_nu * e
+        n_nodes * info_vectors_oracle(model) - nu_ref - params.alpha_nu * e
     )
     err = 0.0
     for i in range(n_nodes):
@@ -295,7 +294,7 @@ def unbiasedness_run():
     params = auto_params(spectrum, l_sub=10)
     model = build_constant_velocity_model(dt=0.1, n_nodes=6, r_var=0.5)
     n_runs, horizon = 200, 300
-    conserved_target = 6 * node_info_vectors(model.sensors).sum(axis=0)
+    conserved_target = 6 * info_vectors_oracle(model).sum(axis=0)
     t0 = time.time()
     trajs, x0_est = [], []
     for run in range(n_runs):
@@ -305,7 +304,7 @@ def unbiasedness_run():
         rng = np.random.default_rng(init_seed)
         # symmetric (zero-mean) initialization error, so priors are unbiased
         x0_est.append(model.x0_mean + rng.normal(scale=1.0, size=(6, 4)))
-    meas = np.array([np.stack(tr.measurements, axis=1) for tr in trajs])
+    meas = np.array([tr.measurements for tr in trajs])
     state = init_state(model, np.array(x0_est))
     for t in range(1, horizon + 1):
         dkf_time_step(state, graph, model, meas[:, t], params, t=t)

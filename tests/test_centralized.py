@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import sensor_oracle
 
 from dkf_admm.centralized import (
     centralized_kf_step,
@@ -26,7 +27,7 @@ def _gain_form_kf(model, traj):
     for t in range(1, traj.states.shape[0]):
         x = model.f @ x
         p = model.f @ p @ model.f.T + model.q
-        y = np.array([traj.measurements[i][t][0] for i in range(model.n_nodes)])
+        y = traj.measurements[t, :, 0]
         s = h @ p @ h.T + r
         gain = p @ h.T @ np.linalg.inv(s)
         x = x + gain @ (y - h @ x)
@@ -40,8 +41,8 @@ def test_scalar_textbook_update():
     # prior N(0, 1), two unit sensors with variance 1 each, both observe 1.5:
     # posterior mean 1.0 (information weights 1:1:1), variance 1/3
     sensors = (
-        SensorSpec(0, np.array([[1.0]]), np.array([[1.0]])),
-        SensorSpec(1, np.array([[1.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[1.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[1.0]]), np.array([[1.0]])),
     )
     model = StateSpaceModel(
         f=np.eye(1), q=np.zeros((1, 1)), sensors=sensors,
@@ -67,7 +68,7 @@ def test_information_form_matches_gain_form():
     xs, ps = _gain_form_kf(model, traj)
     state = initial_centralized_state(model)
     for t in range(1, 40):
-        meas = [traj.measurements[i][t] for i in range(model.n_nodes)]
+        meas = traj.measurements[t]
         state = centralized_kf_step(state, model, meas)
         assert np.allclose(state.x_hat, xs[t], atol=1e-10)
         assert np.allclose(state.p, ps[t], atol=1e-10)
@@ -90,12 +91,12 @@ def test_fixed_point_identical_nodes():
     # single-node posterior
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     spec = model.sensors[0]
-    sensors = (spec, SensorSpec(1, spec.h, spec.r))
+    sensors = (spec, SensorSpec(spec.h, spec.r))
     x0 = np.array([0.3, -0.2, 1.0, 0.9])
     p0 = np.eye(4)
     y = np.array([0.5])
     xi = consensus_fixed_point([x0, x0], [p0, p0], [y, y], sensors)
-    k_inv = 2 * spec.info_matrix + np.linalg.inv(p0)
+    k_inv = 2 * sensor_oracle(spec.h, spec.r)[3] + np.linalg.inv(p0)
     b = 2 * spec.h.T @ np.linalg.solve(spec.r, y) + np.linalg.solve(p0, x0)
     assert np.allclose(xi, np.linalg.solve(k_inv, b), atol=1e-12)
 
@@ -139,7 +140,7 @@ def test_fixed_point_matches_centralized_posterior():
     traj = simulate_trajectory(model, 5, seed=2)
     state = initial_centralized_state(model)
     for t in range(1, 5):
-        meas = [traj.measurements[i][t] for i in range(model.n_nodes)]
+        meas = traj.measurements[t]
         prior_x = model.f @ state.x_hat
         prior_p = model.f @ state.p @ model.f.T + model.q
         state = centralized_kf_step(state, model, meas)

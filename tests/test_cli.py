@@ -67,7 +67,9 @@ def test_dare_subcommand(tmp_path, capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     # an unknown key, then out-of-range values and unknown names that would
-    # otherwise escape later as a numpy or ValueError traceback
+    # otherwise escape later as a numpy or ValueError traceback, then `none`
+    # on a key without an automatic value (it used to run with the default)
+    # and INI files with no section header or a duplicated key
     cases = (
         "[run]\nhorizon = 5\n",
         "[model]\ndt = 0\n",
@@ -78,6 +80,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "[graph]\nradius = 0\n",
         "[graph]\ntopology = rign\n",
         "[graph]\ntopology = explicit\n",
+        "[graph]\nn_nodes = none\n",
+        "n_nodes = 5\n",
+        "[graph]\nn_nodes = 5\nn_nodes = 6\n",
     )
     for k, text in enumerate(cases):
         cfg = _write(tmp_path, text, name=f"bad{k}.ini")
@@ -120,3 +125,18 @@ def test_disconnected_edge_list_exits_2(tmp_path):
     )
     cfg = _write(tmp_path, text)
     assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+
+
+def test_bad_edge_list_exits_2(tmp_path, capsys):
+    # a missing file, a line that is not two integers, a self-loop and an
+    # out-of-range index: each names the file and exits 2, not 1
+    cases = {"missing.txt": None, "three.txt": "0 1\n0 1 2\n",
+             "loop.txt": "0 1\n2 2\n", "range.txt": "0 1\n1 4\n"}
+    for name, text in cases.items():
+        edges = tmp_path / name
+        if text is not None:
+            edges.write_text(text)
+        cfg = _write(tmp_path, "[graph]\ntopology = explicit\nn_nodes = 4\n"
+                     f"edge_list_path = {edges}\n[run]\nhorizon_steps = 2\n")
+        assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert name in capsys.readouterr().err, name

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import info_vectors_oracle, sensor_oracle
 
 from dkf_admm.exceptions import ConfigRejected, DimensionError, WireSchemaViolation
 from dkf_admm.filtering import (
@@ -17,13 +18,13 @@ from dkf_admm.filtering import (
     init_state,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
-from dkf_admm.linalg import spd_inverse, spd_solve, sym, unvech, vech
+from dkf_admm.linalg import spd_inverse, sym, unvech, vech
 from dkf_admm.models import (
     SensorSpec,
     StateSpaceModel,
     build_constant_velocity_model,
     information_rate_target,
-    node_info_vectors,
+    sensor_specs_at,
     simulate_trajectory,
 )
 
@@ -74,20 +75,20 @@ def test_predict_matches_formula():
 
 def test_gain_inverse_pair():
     _, _, _, model, traj, state = _setup()
-    meas = [traj.measurements[i][1] for i in range(4)]
-    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, model.sensors, meas)
+    meas = traj.measurements[1]
+    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
     for i, spec in enumerate(model.sensors):
+        _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
         assert np.allclose(k_inv[i] @ k[i], np.eye(4), atol=1e-12)
         p_inv = spd_inverse(state.p_prior[i])
-        assert np.allclose(k_inv[i], spec.info_matrix + p_inv / 4, atol=1e-14)
-        b_ref = spd_solve(spec.r, spec.h).T @ meas[i] + p_inv @ state.x_prior[i] / 4
+        assert np.allclose(k_inv[i], info + p_inv / 4, atol=1e-14)
+        b_ref = rinv_h.T @ meas[i] + p_inv @ state.x_prior[i] / 4
         assert np.allclose(b[i], b_ref, atol=1e-12)
 
 
 def test_init_theta_scaled_info():
     _, _, _, model, _, state = _setup(n_nodes=6)
-    omega = node_info_vectors(model.sensors)
-    assert np.allclose(state.theta, 6 * omega)
+    assert np.allclose(state.theta, 6 * info_vectors_oracle(model))
     assert np.allclose(state.nu_tilde, 0.0)
 
 
@@ -111,12 +112,13 @@ def _dense_round(xi, lam, laplacian, k, k_inv, b, alpha, mu):
 def _reference_gains(x_prior, p_prior, sensors, meas):
     """K^-1, K and b of every node from the textbook formulas."""
     n_nodes = len(sensors)
+    terms = [sensor_oracle(s.h, s.r) for s in sensors]
     k_inv = np.array(
-        [s.info_matrix + spd_inverse(p) / n_nodes for s, p in zip(sensors, p_prior)]
+        [info + spd_inverse(p) / n_nodes for (*_, info), p in zip(terms, p_prior)]
     )
     b = np.array([
-        spd_solve(s.r, s.h).T @ y + spd_inverse(p) @ x / n_nodes
-        for s, y, x, p in zip(sensors, meas, x_prior, p_prior)
+        rinv_h.T @ y + spd_inverse(p) @ x / n_nodes
+        for (_, _, rinv_h, _), y, x, p in zip(terms, meas, x_prior, p_prior)
     ])
     return k_inv, np.linalg.inv(k_inv), b
 
@@ -124,7 +126,7 @@ def _reference_gains(x_prior, p_prior, sensors, meas):
 @pytest.mark.parametrize("topology,n_nodes", [("ring", 3), ("path", 5)])
 def test_correction_round_matches_dense_oracle(topology, n_nodes):
     graph, _, params, model, traj, state = _setup(n_nodes=n_nodes, topology=topology)
-    meas = [traj.measurements[i][1] for i in range(n_nodes)]
+    meas = traj.measurements[1]
     # distinct iterates and duals so the disagreement term is active
     draws = np.random.default_rng(0).normal(size=(n_nodes, 2, 4))
     xi0, lam0 = draws[:, 0], draws[:, 1]
@@ -144,12 +146,12 @@ def test_correction_reaches_consensus():
     graph, _, params, model, traj, state = _setup(
         n_nodes=6, topology="ring", l_sub=4000
     )
-    meas = [traj.measurements[i][1] for i in range(6)]
+    meas = traj.measurements[1]
     k_inv_ref, k_ref, b_ref = _reference_gains(
         state.x_prior, state.p_prior, model.sensors, meas
     )
     local = np.einsum("ijk,ik->ij", k_ref, b_ref)
-    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, model.sensors, meas)
+    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
     xi, lam = state.x_prior, np.zeros((6, 4))
     for _ in range(params.l_sub):
         xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
@@ -160,11 +162,11 @@ def test_correction_reaches_consensus():
 
 def test_correction_consensus_error_decays_geometrically():
     graph, spectrum, params, model, traj, state = _setup(n_nodes=8, topology="ring")
-    meas = [traj.measurements[i][1] for i in range(8)]
+    meas = traj.measurements[1]
     rng = np.random.default_rng(4)
     xi = state.x_prior + rng.normal(size=(8, 4))
     lam = np.zeros_like(xi)
-    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, model.sensors, meas)
+    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
     errs = []
     for _ in range(100):
         xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
@@ -185,7 +187,7 @@ def test_covariance_step_two_nodes_closed_form():
     graph = build_graph("complete", 2)
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     state = init_state(model, np.tile(model.x0_mean, (2, 1)))
-    omega = node_info_vectors(model.sensors)
+    omega = info_vectors_oracle(model)
     alpha = 0.25
     t0 = state.theta
     e = np.array([t0[0] - t0[1], t0[1] - t0[0]])
@@ -200,7 +202,7 @@ def test_covariance_step_matches_dense_oracle():
     draws = np.random.default_rng(8).normal(size=(7, 2, 10))
     theta0, nu0 = draws[:, 0], draws[:, 1]
     alpha = 0.05
-    omega_scaled = 7 * node_info_vectors(model.sensors)
+    omega_scaled = 7 * info_vectors_oracle(model)
     theta, nu = _covariance_step(theta0, nu0, graph, omega_scaled, alpha)
     big_l = np.kron(graph.laplacian, np.eye(theta0.shape[1]))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
@@ -217,7 +219,7 @@ def test_covariance_consensus_converges_to_network_sum():
     params = auto_params(spectrum)
     state = init_state(model, np.tile(model.x0_mean, (10, 1)))
     target = vech(information_rate_target(model))
-    omega_scaled = 10 * node_info_vectors(model.sensors)
+    omega_scaled = 10 * info_vectors_oracle(model)
     theta, nu = state.theta, state.nu_tilde
     for _ in range(3000):
         theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
@@ -231,7 +233,7 @@ def test_theta_plus_nu_sum_is_conserved():
     model = build_constant_velocity_model(dt=0.1, n_nodes=9)
     params = auto_params(spectrum)
     state = init_state(model, np.tile(model.x0_mean, (9, 1)))
-    omega_scaled = 9 * node_info_vectors(model.sensors)
+    omega_scaled = 9 * info_vectors_oracle(model)
     target = omega_scaled.sum(axis=0)
     theta, nu = state.theta, state.nu_tilde
     for _ in range(200):
@@ -287,7 +289,7 @@ def test_ledger_counts_and_wire_schema():
 def test_time_step_traffic_formula():
     graph, _, params, model, traj, state = _setup(n_nodes=5, topology="path", l_sub=7)
     ledger = CommLedger(5)
-    meas = [traj.measurements[i][1] for i in range(5)]
+    meas = traj.measurements[1]
     dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1)
     n, n_cov = 4, 10
     assert np.array_equal(ledger.state_messages, 7 * graph.degree)
@@ -311,7 +313,7 @@ def test_time_step_matches_per_node_operations():
         state.p_post[i] = g @ g.T + np.eye(4)
     x_post0, p_post0 = state.x_post.copy(), state.p_post.copy()
     theta0, nu0 = state.theta.copy(), state.nu_tilde.copy()
-    meas = [traj.measurements[i][1] for i in range(5)]
+    meas = traj.measurements[1]
 
     dkf_time_step(state, graph, model, meas, params, t=1)
 
@@ -326,7 +328,7 @@ def test_time_step_matches_per_node_operations():
     big_l = np.kron(graph.laplacian, np.eye(theta0.shape[1]))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + params.alpha_nu * e
-    theta_ref = 5 * node_info_vectors(model.sensors) - nu_ref - params.alpha_nu * e
+    theta_ref = 5 * info_vectors_oracle(model) - nu_ref - params.alpha_nu * e
     p_post_ref = np.array(
         [spd_inverse(spd_inverse(p) + unvech(th)) for p, th in zip(p_prior, theta_ref)]
     )
@@ -348,7 +350,7 @@ def test_symmetric_nodes_stay_symmetric():
     r_pos = 0.5 * np.eye(2)
     model2 = StateSpaceModel(
         f=base.f, q=base.q,
-        sensors=(SensorSpec(0, h_pos, r_pos), SensorSpec(1, h_pos, r_pos)),
+        sensors=(SensorSpec(h_pos, r_pos), SensorSpec(h_pos, r_pos)),
         x0_mean=base.x0_mean, p0=base.p0,
     )
     graph2 = build_graph("complete", 2)
@@ -356,7 +358,7 @@ def test_symmetric_nodes_stay_symmetric():
     state2 = init_state(model2, np.tile(model2.x0_mean, (2, 1)))
     traj2 = simulate_trajectory(model2, 8, seed=10)
     for t in range(1, 8):
-        y = traj2.measurements[0][t]
+        y = traj2.measurements[t, 0]
         dkf_time_step(state2, graph2, model2, [y, y], params2, t=t)
         assert np.allclose(state2.x_post[0], state2.x_post[1], atol=1e-12)
         assert np.allclose(state2.p_post[0], state2.p_post[1], atol=1e-12)
@@ -373,7 +375,7 @@ def test_sub_iterated_covariance_converges_faster():
     def run(sub_iterated):
         state = init_state(model, np.tile(model.x0_mean, (8, 1)))
         for t in range(1, 4):
-            meas = [traj.measurements[i][t] for i in range(8)]
+            meas = traj.measurements[t]
             dkf_time_step(
                 state, graph, model, meas, params, t=t,
                 sub_iterated_covariance=sub_iterated,
@@ -435,12 +437,12 @@ def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
 
 
 def test_mixed_measurement_dimensions_rejected():
-    # node 0 measures x1 only (m = 1), node 1 both positions (m = 2)
-    graph, _, params, model, _, state = _setup(n_nodes=2, topology="complete")
+    # node 0 measures x1 only (m = 1), node 1 both positions (m = 2): the
+    # model refuses to build, so no step can meet mixed dimensions
+    model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     h2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    mixed = StateSpaceModel(
-        f=model.f, q=model.q, x0_mean=model.x0_mean, p0=model.p0,
-        sensors=(SensorSpec(0, h2[:1], [[0.5]]), SensorSpec(1, h2, 0.5 * np.eye(2))),
-    )
     with pytest.raises(DimensionError, match="one measurement dimension"):
-        dkf_time_step(state, graph, mixed, [np.zeros(1), np.zeros(2)], params, t=1)
+        StateSpaceModel(
+            f=model.f, q=model.q, x0_mean=model.x0_mean, p0=model.p0,
+            sensors=(SensorSpec(h2[:1], [[0.5]]), SensorSpec(h2, 0.5 * np.eye(2))),
+        )

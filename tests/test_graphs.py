@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dkf_admm.exceptions import DimensionError, GraphNotConnected
+from dkf_admm.exceptions import ConfigRejected, DimensionError, GraphNotConnected
 from dkf_admm.graphs import (
     SensorGraph,
     build_graph,
@@ -151,6 +151,27 @@ def test_edge_list_file(tmp_path):
     p.write_text("# a triangle\n0 1\n1 2\n2 0\n")
     g = load_edge_list(p, 3)
     assert np.array_equal(g.adjacency, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def test_edge_list_missing_file_rejected(tmp_path):
+    with pytest.raises(ConfigRejected, match="nope.txt"):
+        load_edge_list(tmp_path / "nope.txt", 3)
+
+
+def test_edge_list_malformed_line_rejected(tmp_path):
+    p = tmp_path / "graph.txt"
+    for text in ("0 1\n0 1 2\n", "0 1\n2\n", "0 1\n1 x\n"):
+        p.write_text(text)
+        with pytest.raises(ConfigRejected, match=r"graph.txt, line 2: .* is not an edge"):
+            load_edge_list(p, 3)
+
+
+def test_edge_list_invalid_edge_rejected(tmp_path):
+    p = tmp_path / "graph.txt"
+    for text in ("0 1\n# loop\n2 2\n", "0 1\n# out of range\n1 3\n", "0 1\n\n-1 2\n"):
+        p.write_text(text)
+        with pytest.raises(ConfigRejected, match=r"graph.txt, line 3: .* is not an edge"):
+            load_edge_list(p, 3)
 
 
 def test_graph_validation():

@@ -60,6 +60,23 @@ def test_config_rejections(tmp_path):
     bad_bool.write_text("[run]\nnoise_free = ture\n")
     with pytest.raises(ConfigRejected):
         load_config(bad_bool)
+    # `none`, `auto` or an empty value only where the default is None
+    for k, text in enumerate((
+        "[graph]\nn_nodes = none\n",  # would run with N = 10
+        "[graph]\ntopology = auto\n",
+        "[run]\nhorizon_steps =\n",
+        "n_nodes = 5\n",  # no section header
+        "[graph]\nn_nodes = 5\nn_nodes = 6\n",  # a duplicated key
+        "[graph]\n[graph]\n",  # a duplicated section
+    )):
+        bad = tmp_path / f"bad{k}.ini"
+        bad.write_text(text)
+        with pytest.raises(ConfigRejected):
+            load_config(bad)
+    ok = tmp_path / "auto.ini"
+    ok.write_text("[params]\nmu = none\nalpha_lambda =\n[graph]\nedge_list_path = none\n")
+    cfg = load_config(ok)
+    assert cfg.mu is None and cfg.alpha_lambda is None and cfg.edge_list_path is None
     with pytest.raises(ConfigRejected):
         ScenarioConfig(horizon_steps=0)
     with pytest.raises(ConfigRejected):
@@ -218,8 +235,8 @@ def test_steady_state_prior_matches_stacked_dare():
     base = build_constant_velocity_model(dt=0.1, n_nodes=2)
     rng = np.random.default_rng(3)
     sensors = tuple(
-        SensorSpec(i, rng.normal(size=(1, 4)), [[rng.uniform(0.2, 2.0)]])
-        for i in range(50)
+        SensorSpec(rng.normal(size=(1, 4)), [[rng.uniform(0.2, 2.0)]])
+        for _ in range(50)
     )
     model = StateSpaceModel(
         f=base.f, q=base.q, sensors=sensors, x0_mean=base.x0_mean, p0=base.p0

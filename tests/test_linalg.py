@@ -66,6 +66,17 @@ def test_spd_solve_examples():
     assert np.allclose(spd_solve(np.eye(2), b), b)
 
 
+def test_spd_solve_stack_matches_per_matrix():
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(3, 4, 4))
+    a = g @ g.transpose(0, 2, 1) + np.eye(4)
+    b = rng.normal(size=(3, 4, 2))
+    x = spd_solve(a, b)
+    for k in range(3):
+        assert np.array_equal(x[k], spd_solve(a[k], b[k]))
+        assert np.allclose(a[k] @ x[k], b[k], atol=1e-10)
+
+
 def test_spd_solve_vs_dense_inverse():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(5, 5))

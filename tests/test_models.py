@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import sensor_oracle
 
-from dkf_admm.exceptions import ObservabilityError
+from dkf_admm.exceptions import NotPositiveDefinite, ObservabilityError
 from dkf_admm.linalg import unvech, vech
 from dkf_admm.models import (
+    SENSOR_ASSIGNMENTS,
     SensorSpec,
     StateSpaceModel,
     build_constant_velocity_model,
@@ -17,8 +21,8 @@ def scalar_model(f=0.95, q=1.0, r=0.5):
     return StateSpaceModel(
         f=np.array([[f]]),
         q=np.array([[q]]),
-        sensors=(SensorSpec(0, np.array([[1.0]]), np.array([[r]])),
-                 SensorSpec(1, np.array([[1.0]]), np.array([[r]]))),
+        sensors=(SensorSpec(np.array([[1.0]]), np.array([[r]])),
+                 SensorSpec(np.array([[1.0]]), np.array([[r]]))),
         x0_mean=np.zeros(1),
         p0=np.eye(1),
     )
@@ -66,10 +70,23 @@ def test_static_split_assignment_and_observability():
 
 def test_unobservable_model_rejected():
     sensors = (
-        SensorSpec(0, np.array([[1.0, 0.0]]), np.array([[1.0]])),
-        SensorSpec(1, np.array([[1.0, 0.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[1.0, 0.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[1.0, 0.0]]), np.array([[1.0]])),
     )
     with pytest.raises(ObservabilityError):
+        StateSpaceModel(
+            f=np.eye(2), q=np.eye(2), sensors=sensors,
+            x0_mean=np.zeros(2), p0=np.eye(2),
+        )
+
+
+def test_indefinite_sensor_noise_rejected():
+    # the model's batched Cholesky solve checks every R_i
+    sensors = (
+        SensorSpec(np.array([[1.0, 0.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[0.0, 1.0]]), np.array([[-1.0]])),
+    )
+    with pytest.raises(NotPositiveDefinite):
         StateSpaceModel(
             f=np.eye(2), q=np.eye(2), sensors=sensors,
             x0_mean=np.zeros(2), p0=np.eye(2),
@@ -81,8 +98,8 @@ def test_trajectory_determinism():
     t1 = simulate_trajectory(model, 50, seed=123)
     t2 = simulate_trajectory(model, 50, seed=123)
     assert np.array_equal(t1.states, t2.states)
-    for a, b in zip(t1.measurements, t2.measurements):
-        assert np.array_equal(a, b)
+    assert t1.measurements.shape == (50, 6, 1)
+    assert np.array_equal(t1.measurements, t2.measurements)
 
 
 def test_noise_free_trajectory_is_deterministic_power():
@@ -94,7 +111,7 @@ def test_noise_free_trajectory_is_deterministic_power():
         x = model.f @ x
     for i, spec in enumerate(model.sensors):
         assert np.allclose(
-            traj.measurements[i], traj.states @ spec.h.T, atol=1e-12
+            traj.measurements[:, i], traj.states @ spec.h.T, atol=1e-12
         )
 
 
@@ -119,8 +136,8 @@ def test_process_noise_whiteness():
 
 def test_information_rate_orthogonal_unit_sensors():
     sensors = (
-        SensorSpec(0, np.array([[1.0, 0.0]]), np.array([[1.0]])),
-        SensorSpec(1, np.array([[0.0, 1.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[1.0, 0.0]]), np.array([[1.0]])),
+        SensorSpec(np.array([[0.0, 1.0]]), np.array([[1.0]])),
     )
     model = StateSpaceModel(
         f=0.5 * np.eye(2), q=np.eye(2), sensors=sensors,
@@ -132,11 +149,12 @@ def test_information_rate_orthogonal_unit_sensors():
 def test_information_rate_linearity():
     n_nodes = 7
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=2.0)
-    single = model.sensors[0].info_matrix
-    # first half of static_split shares one sensor
+    # static_split: the first half shares one sensor, the rest another
     half = n_nodes // 2
-    partial = sum(s.info_matrix for s in model.sensors[:half])
-    assert np.allclose(partial, half * single)
+    first, last = model.sensors[0], model.sensors[-1]
+    expected = (half * sensor_oracle(first.h, first.r)[3]
+                + (n_nodes - half) * sensor_oracle(last.h, last.r)[3])
+    assert np.allclose(information_rate_target(model), expected)
 
 
 def test_information_rate_hundred_nodes():
@@ -149,7 +167,7 @@ def test_information_rate_hundred_nodes():
 
 def test_information_rate_vech_consistency():
     model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.7)
-    summed = sum(vech(s.info_matrix) for s in model.sensors)
+    summed = sum(vech(sensor_oracle(s.h, s.r)[3]) for s in model.sensors)
     assert np.array_equal(information_rate_target(model), unvech(summed))
 
 
@@ -158,16 +176,59 @@ def test_per_step_random_assignment():
         dt=0.1, n_nodes=6, sensor_assignment="per_step_random", assignment_seed=9
     )
     s0 = sensor_specs_at(model, 0)
-    s0_again = sensor_specs_at(model, 0)
-    for a, b in zip(s0, s0_again):
-        assert np.array_equal(a.h, b.h)
+    assert np.array_equal(s0.h, sensor_specs_at(model, 0).h)
     # some step differs from step 0 for at least one node
     differs = any(
-        not np.array_equal(sensor_specs_at(model, t)[i].h, s0[i].h)
-        for t in range(1, 8)
-        for i in range(6)
+        not np.array_equal(sensor_specs_at(model, t).h, s0.h) for t in range(1, 8)
     )
     assert differs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(2, 12),
+    assignment=st.sampled_from(SENSOR_ASSIGNMENTS),
+    assignment_seed=st.integers(0, 2**16),
+    t=st.integers(0, 1000),
+    r_var=st.floats(0.05, 5.0),
+)
+def test_sensor_rows_match_per_node_oracle(n_nodes, assignment, assignment_seed, t, r_var):
+    try:
+        model = build_constant_velocity_model(
+            dt=0.1, n_nodes=n_nodes, sensor_assignment=assignment, r_var=r_var,
+            assignment_seed=assignment_seed,
+        )
+    except ObservabilityError:  # the initial draw gave all nodes one coordinate
+        assume(False)
+    if assignment == "static_split":
+        coords = [0 if i < n_nodes // 2 else 1 for i in range(n_nodes)]
+    else:  # the documented draw of every node's coordinate at step t
+        seq = np.random.SeedSequence((assignment_seed, t))
+        coords = np.random.default_rng(seq).integers(0, 2, size=n_nodes)
+    arrays = sensor_specs_at(model, t)
+    for i, c in enumerate(coords):
+        h = np.zeros((1, 4))
+        h[0, c] = 1.0
+        for got, want in zip(
+            (arrays.h[i], arrays.r[i], arrays.rinv_h[i], arrays.info[i]),
+            sensor_oracle(h, [[r_var]]),
+        ):
+            assert np.array_equal(got, want)
+    # the information rate sums the model's own sensors, node by node
+    total = np.zeros((4, 4))
+    for s in model.sensors:
+        total += sensor_oracle(s.h, s.r)[3]
+    assert np.array_equal(information_rate_target(model), total)
+
+
+def _reference_states(model, n_steps, rng):
+    """x_0 and the process noise drawn first, as `simulate_trajectory` does."""
+    states = np.empty((n_steps, 4))
+    states[0] = rng.multivariate_normal(model.x0_mean, model.p0)
+    w = rng.multivariate_normal(np.zeros(4), model.q, size=n_steps - 1)
+    for t in range(n_steps - 1):
+        states[t + 1] = model.f @ states[t] + w[t]
+    return states
 
 
 def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch):
@@ -186,16 +247,29 @@ def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch):
     traj = simulate_trajectory(model, n_steps, seed=21)
     assert sorted(calls) == list(range(n_steps))
 
-    # inline reference: the specs looked up per (node, step), same draw order
+    # inline reference: one draw per (node, step), node by node, with the
+    # drawn sensor of that step
     rng = np.random.default_rng(21)
-    states = np.empty((n_steps, 4))
-    states[0] = rng.multivariate_normal(model.x0_mean, model.p0)
-    w = rng.multivariate_normal(np.zeros(4), model.q, size=n_steps - 1)
-    for t in range(n_steps - 1):
-        states[t + 1] = model.f @ states[t] + w[t]
+    states = _reference_states(model, n_steps, rng)
     assert np.array_equal(traj.states, states)
+    assert traj.measurements.shape == (n_steps, 6, 1)
     for i in range(6):
         for t in range(n_steps):
-            spec = sensor_specs_at(model, t)[i]
-            y = spec.h @ states[t] + rng.multivariate_normal(np.zeros(1), spec.r)
-            assert np.array_equal(traj.measurements[i][t], y)
+            arrays = sensor_specs_at(model, t)
+            y = arrays.h[i] @ states[t] + rng.multivariate_normal(np.zeros(1), arrays.r[i])
+            assert np.array_equal(traj.measurements[t, i], y)
+
+
+def test_static_trajectory_matches_per_node_reference():
+    model = build_constant_velocity_model(dt=0.1, n_nodes=5, r_var=0.3)
+    n_steps = 15
+    traj = simulate_trajectory(model, n_steps, seed=4)
+    # inline reference: one (n_steps, m) noise block per node, node by node
+    rng = np.random.default_rng(4)
+    states = _reference_states(model, n_steps, rng)
+    assert np.array_equal(traj.states, states)
+    assert traj.measurements.shape == (n_steps, 5, 1)
+    for i, spec in enumerate(model.sensors):
+        ys = states @ spec.h.T + rng.multivariate_normal(np.zeros(1), spec.r, size=n_steps)
+        assert np.array_equal(traj.measurements[:, i], ys)
+    assert not traj.measurements.flags.writeable
