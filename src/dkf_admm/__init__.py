@@ -30,14 +30,12 @@ from dkf_admm.graphs import (
 )
 from dkf_admm.linalg import (
     StabilityReport,
-    covariance_mode_matrix,
     covariance_stability,
     dare_residual,
     dare_solve,
     spd_inverse,
     spd_solve,
     sym,
-    state_mode_matrix,
     state_stability,
     unvech,
     vech,

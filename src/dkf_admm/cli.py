@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>       execute a scenario and export CSVs
-  validate <config>  print the stability report (bounds + per-mode radii)
+  validate <config>  print the stability report (bounds + worst radii)
   spectrum <config>  print graph diagnostics (Laplacian eigenvalues)
   dare <config>      print the steady-state prior covariance P*
 

@@ -36,8 +36,8 @@ class DkfParams:
 
     alpha_lambda: dual step of the state correction; mu: quadratic penalty
     weight; alpha_nu: covariance consensus step; l_sub: sub-iterations per
-    time step. Stability requires alpha_nu < 2/(3 lambda_max) and
-    alpha_lambda + 2 mu < 2/lambda_max on the active graph.
+    time step. Both consensus loops are stable exactly when the
+    `step_bounds` of the active graph's lambda_max hold (see `check`).
     """
 
     alpha_lambda: float
@@ -47,31 +47,32 @@ class DkfParams:
 
     def __post_init__(self):
         if self.alpha_lambda <= 0 or self.mu <= 0 or self.alpha_nu <= 0:
-            raise ValueError("step sizes must be positive")
+            raise ConfigRejected("step sizes must be positive")
         if self.l_sub < 1:
-            raise ValueError("l_sub must be >= 1")
+            raise ConfigRejected("l_sub must be >= 1")
 
     def check(self, spectrum):
-        """Exact per-mode stability reports for both consensus loops."""
+        """Stability reports of the covariance and the state consensus loop."""
         return (
             covariance_stability(self.alpha_nu, spectrum),
             state_stability(self.alpha_lambda, self.mu, spectrum),
         )
 
     def validate_for(self, spectrum, override=False):
-        """Raise ConfigRejected unless both sufficient bounds hold.
+        """Raise ConfigRejected unless both consensus loops are Schur stable.
 
         `override` skips the guard for deliberate boundary experiments.
         """
         if override:
             return
+        cov_rep, state_rep = self.check(spectrum)
         nu_bound, lambda_bound = step_bounds(spectrum.lambda_max)
-        if not self.alpha_nu < nu_bound:
+        if not cov_rep.is_schur:
             raise ConfigRejected(
                 f"alpha_nu={self.alpha_nu} violates the bound 2/(3*lambda_max)="
                 f"{nu_bound:.6g}"
             )
-        if not self.alpha_lambda + 2.0 * self.mu < lambda_bound:
+        if not state_rep.is_schur:
             raise ConfigRejected(
                 f"alpha_lambda + 2*mu = {self.alpha_lambda + 2.0 * self.mu} violates "
                 f"the bound 2/lambda_max = {lambda_bound:.6g}"
@@ -79,7 +80,7 @@ class DkfParams:
 
 
 def auto_params(spectrum, l_sub=20) -> DkfParams:
-    """Default step sizes: 10% safety margin inside both sufficient regions."""
+    """Default step sizes: 10% safety margin inside both stability bounds."""
     nu_bound, lambda_bound = step_bounds(spectrum.lambda_max)
     mu = 0.01 * lambda_bound
     return DkfParams(

@@ -2,8 +2,9 @@
 
 Half-vectorization (the consensus payload for covariance information),
 Cholesky-backed SPD solves, a fixed-point solver for the discrete
-algebraic Riccati equation, and Schur-stability checks for the 2x2
-per-mode iteration matrices that govern both consensus loops.
+algebraic Riccati equation, and the exact closed-form Schur-stability
+certificate of both consensus loops, whose 2x2 per-mode recursions are
+decided by the Laplacian's lambda_2 and lambda_max alone.
 """
 
 from __future__ import annotations
@@ -141,75 +142,46 @@ def dare_solve(f, h, q, r_bar, tol=1e-12, max_iter=100_000) -> np.ndarray:
     raise RiccatiDivergence(f"no convergence within {max_iter} iterations")
 
 
-def covariance_mode_matrix(alpha_nu: float, laplacian_eigenvalue: float) -> np.ndarray:
-    """Per-mode iteration matrix of the covariance consensus loop.
-
-    [[1 - 2 a l, a l], [1, 0]] for step size a and Laplacian eigenvalue l.
-    """
-    al = alpha_nu * laplacian_eigenvalue
-    return np.array([[1.0 - 2.0 * al, al], [1.0, 0.0]])
-
-
-def state_mode_matrix(alpha_lambda: float, mu: float, laplacian_eigenvalue: float) -> np.ndarray:
-    """Per-mode iteration matrix of the state consensus sub-iterations.
-
-    [[1 - (a + mu) l, mu l], [1, 0]] for dual step a, penalty mu,
-    Laplacian eigenvalue l.
-    """
-    lam = laplacian_eigenvalue
-    return np.array([[1.0 - (alpha_lambda + mu) * lam, mu * lam], [1.0, 0.0]])
-
-
 @dataclass(frozen=True)
 class StabilityReport:
-    """Exact per-mode spectral radii plus the simpler sufficient bound.
-
-    `is_schur` reflects the exact radii over lambda_2..lambda_max;
-    `sufficient_bound_ok` reflects the closed-form inequality, which is
-    sufficient but not necessary.
-    """
+    """Worst per-mode spectral radius of one consensus loop over the nonzero
+    Laplacian eigenvalues, and whether the loop is Schur stable. For
+    positive step sizes `is_schur`, the strict `step_bounds` inequality, is
+    exact: the Jury conditions of every mode reduce to it."""
 
     spectral_radius: float
     is_schur: bool
-    per_mode_radii: tuple
-    sufficient_bound_ok: bool
-
-
-def _mode_report(mode_matrix, eigenvalues, sufficient_ok) -> StabilityReport:
-    radii = []
-    for lam in eigenvalues[1:]:  # skip the nullspace mode lambda_1 = 0
-        rho = float(np.max(np.abs(np.linalg.eigvals(mode_matrix(lam)))))
-        radii.append((float(lam), rho))
-    worst = max(r for _, r in radii)
-    return StabilityReport(
-        spectral_radius=worst,
-        is_schur=worst < 1.0,
-        per_mode_radii=tuple(radii),
-        sufficient_bound_ok=sufficient_ok,
-    )
 
 
 def step_bounds(lambda_max: float) -> tuple:
-    """The sufficient bounds (2/(3 lambda_max), 2/lambda_max) on alpha_nu
-    and on alpha_lambda + 2 mu."""
+    """The exact stability bounds (2/(3 lambda_max), 2/lambda_max) on
+    alpha_nu and on alpha_lambda + 2 mu, for positive step sizes."""
     return 2.0 / (3.0 * lambda_max), 2.0 / lambda_max
 
 
+def _worst_radius(c: float, m: float, spectrum) -> float:
+    """Largest root modulus of the per-mode recursion z^2 - (1 - c l) z - m l
+    over l in [lambda_2, lambda_max]. For 0 < m < c the roots are real, the
+    larger falls and the smaller rises with l, so an endpoint is worst."""
+    lam = np.array([spectrum.lambda_2, spectrum.lambda_max])
+    b = 1.0 - c * lam
+    return float(np.max(np.abs(b) + np.sqrt(b * b + 4.0 * m * lam))) / 2.0
+
+
 def covariance_stability(alpha_nu: float, spectrum) -> StabilityReport:
-    """Stability of the covariance consensus: bound alpha_nu < 2/(3 lambda_max)."""
-    ok = 0.0 < alpha_nu < step_bounds(spectrum.lambda_max)[0]
-    return _mode_report(
-        lambda lam: covariance_mode_matrix(alpha_nu, lam), spectrum.eigenvalues, ok
+    """Covariance consensus, modes [[1 - 2 a l, a l], [1, 0]] for a = alpha_nu."""
+    return StabilityReport(
+        spectral_radius=_worst_radius(2.0 * alpha_nu, alpha_nu, spectrum),
+        is_schur=0.0 < alpha_nu < step_bounds(spectrum.lambda_max)[0],
     )
 
 
 def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport:
-    """Stability of the state sub-iterations: bound alpha + 2 mu < 2/lambda_max."""
-    ok = (
-        alpha_lambda > 0.0
-        and mu > 0.0
-        and alpha_lambda + 2.0 * mu < step_bounds(spectrum.lambda_max)[1]
-    )
-    return _mode_report(
-        lambda lam: state_mode_matrix(alpha_lambda, mu, lam), spectrum.eigenvalues, ok
+    """State sub-iterations, modes [[1 - (a + mu) l, mu l], [1, 0]] for
+    a = alpha_lambda. A non-positive mu, which the filter rejects, is
+    reported not Schur."""
+    bound = step_bounds(spectrum.lambda_max)[1]
+    return StabilityReport(
+        spectral_radius=_worst_radius(alpha_lambda + mu, mu, spectrum),
+        is_schur=alpha_lambda > 0.0 and mu > 0.0 and alpha_lambda + 2.0 * mu < bound,
     )

@@ -228,9 +228,11 @@ def simulate_trajectory(
     h = np.array([s.h for s in specs])  # (T, N, m, n)
     measurements = (h @ states[:, None, :, None])[..., 0]
     if not noise_free:
-        measurements += np.stack([
-            rng.multivariate_normal(np.zeros(len(r)), r, size=n_steps) for r in specs[0].r
-        ], axis=1)
+        # `multivariate_normal`'s factor U sqrt(S) of R_i = U S V', per node
+        u, s, _ = np.linalg.svd(specs[0].r)
+        z = rng.standard_normal((model.n_nodes, n_steps, u.shape[-1]))
+        noise = z @ np.swapaxes(u * np.sqrt(s)[:, None], -1, -2)
+        measurements += np.swapaxes(noise, 0, 1)
     states.setflags(write=False)
     measurements.setflags(write=False)
     return Trajectory(states=states, measurements=measurements)

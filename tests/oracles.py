@@ -1,4 +1,6 @@
-"""Per-node reference computations for the stacked sensor arrays.
+"""Reference computations the tests compare the library against: per-node
+sensor arrays and the dense per-mode iteration matrices of both consensus
+loops.
 
 Imported by the test modules, which pytest runs with this directory on
 the import path.
@@ -27,3 +29,19 @@ def info_vectors_oracle(model):
         info = sensor_oracle(s.h, s.r)[3]
         rows.append(info[np.triu_indices(len(info))])
     return np.array(rows)
+
+
+def covariance_mode_matrix(alpha_nu, laplacian_eigenvalue):
+    """Per-mode iteration matrix of the covariance consensus loop,
+    [[1 - 2 a l, a l], [1, 0]] for step size a and Laplacian eigenvalue l:
+    the dense reference for the closed-form stability certificate."""
+    al = alpha_nu * laplacian_eigenvalue
+    return np.array([[1.0 - 2.0 * al, al], [1.0, 0.0]])
+
+
+def state_mode_matrix(alpha_lambda, mu, laplacian_eigenvalue):
+    """Per-mode iteration matrix of the state consensus sub-iterations,
+    [[1 - (a + mu) l, mu l], [1, 0]] for dual step a, penalty mu and
+    Laplacian eigenvalue l."""
+    lam = laplacian_eigenvalue
+    return np.array([[1.0 - (alpha_lambda + mu) * lam, mu * lam], [1.0, 0.0]])

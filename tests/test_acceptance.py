@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import info_vectors_oracle
+from oracles import covariance_mode_matrix, info_vectors_oracle, state_mode_matrix
 
 from dkf_admm.centralized import consensus_fixed_point
 from dkf_admm.exceptions import WireSchemaViolation
@@ -27,12 +27,7 @@ from dkf_admm.filtering import (
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.harness import ScenarioConfig, run_scenario, validate_params
-from dkf_admm.linalg import (
-    covariance_mode_matrix,
-    dare_solve,
-    state_mode_matrix,
-    unvech,
-)
+from dkf_admm.linalg import dare_solve, unvech
 from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
@@ -183,9 +178,9 @@ def test_criterion_4_stability_bound_sweeps():
         mu = rng.uniform(1e-9, 0.999 / lam)
         alpha = rng.uniform(1e-9, 2.0 / lam - 2.0 * mu)
         state_ok &= _radius(state_mode_matrix(alpha, mu, lam)) < 1.0
-    # hand-picked points outside each sufficient region where the exact
-    # radius check confirms instability (the bounds are sufficient, not
-    # necessary, so the outside points were chosen to be genuinely unstable)
+    # hand-picked points outside each bound, where the dense radius check
+    # confirms instability (for positive step sizes the bounds are exact,
+    # so no stable point lies outside them)
     cov_outside = [(1.5, 2.0), (0.9, 4.0), (0.7, 3.0)]
     state_outside = [(2.5, 0.3, 2.0), (1.2, 0.5, 2.0), (3.0, 0.01, 1.0)]
     outside_ok = all(

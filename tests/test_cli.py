@@ -43,6 +43,13 @@ def test_validate_prints_report(tmp_path, capsys):
     assert main(["validate", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "lambda_max" in out and "PASS" in out
+    # the worst radius of each loop (ring of 6: at lambda_max = 4 for both),
+    # and no per-eigenvalue table after them
+    assert out.splitlines()[-2:] == [
+        "covariance-mode worst radius = 0.881025 (Schur: True)",
+        "state-mode worst radius      = 0.804849 (Schur: True)",
+    ]
+    assert "per-mode" not in out and len(out.splitlines()) == 7
 
 
 def test_spectrum_subcommand(tmp_path, capsys):
@@ -95,6 +102,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
 def test_unstable_params_exit_2(tmp_path):
     cfg = _write(tmp_path, SMOKE_INI + "alpha_nu = 5.0\n")
     assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def test_non_positive_step_sizes_exit_2(tmp_path, capsys):
+    for k, line in enumerate(("mu = -0.01", "alpha_nu = 0", "alpha_lambda = -1")):
+        cfg = _write(tmp_path, SMOKE_INI.replace("[params]\n", f"[params]\n{line}\n"),
+                     name=f"steps{k}.ini")
+        for command in ("run", "validate"):
+            code = main([command, cfg, "--quiet", "--output", str(tmp_path / "o")])
+            assert code == EXIT_CONFIG, (command, line)
+            assert "step sizes must be positive" in capsys.readouterr().err, (command, line)
 
 
 def test_divergent_override_exits_3(tmp_path, capsys):

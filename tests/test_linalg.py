@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import covariance_mode_matrix, state_mode_matrix
 
 from dkf_admm.exceptions import (
     DimensionError,
@@ -10,14 +11,13 @@ from dkf_admm.exceptions import (
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import (
-    covariance_mode_matrix,
     covariance_stability,
     dare_residual,
     dare_solve,
     spd_inverse,
     spd_solve,
-    state_mode_matrix,
     state_stability,
+    step_bounds,
     sym,
     unvech,
     vech,
@@ -186,10 +186,9 @@ def test_state_mode_matrix_examples():
 def test_check_stability_examples():
     k2 = spectral_summary(build_graph("complete", 2))
     rep = covariance_stability(0.3, k2)
-    assert rep.sufficient_bound_ok and rep.is_schur
+    assert rep.is_schur
 
     rep_bad = covariance_stability(1.5, k2)
-    assert not rep_bad.sufficient_bound_ok
     assert rep_bad.spectral_radius > 1 and not rep_bad.is_schur
     # M at alpha=1.5, lambda=2 is [[-5, 3], [1, 0]]
     assert np.allclose(covariance_mode_matrix(1.5, 2.0), [[-5, 3], [1, 0]])
@@ -198,7 +197,38 @@ def test_check_stability_examples():
     mu = 0.1
     alpha = 2.0 / k2.lambda_max - 2 * mu
     rep_edge = state_stability(alpha, mu, k2)
-    assert not rep_edge.sufficient_bound_ok
+    assert not rep_edge.is_schur
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["ring", "path", "complete", "random_geometric"]),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=0, max_value=2**31),
+    st.floats(min_value=0.01, max_value=2.0),
+    st.floats(min_value=0.01, max_value=2.0),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+def test_closed_form_certificate_matches_dense_modes(topology, n, seed, r_nu, r_state, share):
+    # step sizes at r times their bound, on both sides of it; the state
+    # pair splits alpha_lambda + 2 mu = r * bound by `share`
+    kwargs = dict(radius=0.6, seed=seed) if topology == "random_geometric" else {}
+    spectrum = spectral_summary(build_graph(topology, n, **kwargs))
+    nu_bound, lam_bound = step_bounds(spectrum.lambda_max)
+    alpha_nu = r_nu * nu_bound
+    mu = 0.5 * share * r_state * lam_bound
+    alpha = (1.0 - share) * r_state * lam_bound
+    nonzero = spectrum.eigenvalues[1:]
+    for rep, mode, r in (
+        (covariance_stability(alpha_nu, spectrum),
+         lambda lam: covariance_mode_matrix(alpha_nu, lam), r_nu),
+        (state_stability(alpha, mu, spectrum),
+         lambda lam: state_mode_matrix(alpha, mu, lam), r_state),
+    ):
+        dense = [max(abs(np.linalg.eigvals(mode(lam)))) for lam in nonzero]
+        assert abs(rep.spectral_radius - max(dense)) <= 1e-12
+        if abs(r - 1.0) >= 1e-9:
+            assert rep.is_schur == all(rho < 1.0 for rho in dense)
 
 
 def test_sufficiency_sweep_covariance():
