@@ -92,7 +92,7 @@ def main(argv=None) -> int:
         elif args.command == "spectrum":
             graph, _, spectrum, _ = build_scenario(config)
             say(f"graph: {config.topology}, N={config.n_nodes}, "
-                f"edges={int(graph.adjacency.sum()) // 2}")
+                f"edges={graph.indices.size // 2}")
             print("eigenvalues:", " ".join(f"{v:.10g}" for v in spectrum.eigenvalues))
             print(f"lambda_2 = {spectrum.lambda_2:.10g}")
             print(f"lambda_max = {spectrum.lambda_max:.10g}")

@@ -2,15 +2,17 @@
 
 The graph Laplacian L = D - A drives everything here: its nullspace is the
 consensus subspace, and its largest eigenvalue bounds every step size the
-filter accepts. Graphs are unweighted (a_ij in {0, 1}) and static. The
-filter uses only the node degrees and `SensorGraph.disagreement`, so how
-the edges are stored is decided here alone; the dense Laplacian is the
-test oracle.
+filter accepts. Graphs are unweighted (a_ij in {0, 1}) and static, and are
+stored as edge arrays in CSR (compressed sparse row) form: the sorted
+neighbor list of every node, one after another, plus the offset of each
+node's list. One Laplacian product then costs O(E), as one consensus round
+does in the network. The filter uses only the node degrees and
+`SensorGraph.disagreement`; a dense Laplacian exists only inside the
+product on small graphs and, transiently, inside `spectral_summary`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,53 +27,95 @@ from dkf_admm.exceptions import (
 
 _GEOMETRIC_RETRIES = 50
 TOPOLOGIES = ("ring", "complete", "path", "random_geometric", "explicit")
+# Graphs with fewer nodes take one dense L @ v GEMM in `disagreement`: it
+# beats the edge gather while the N x N Laplacian stays in cache (measured
+# crossover at N = 300-400 for 4 to 10 columns).
+DENSE_PRODUCT_NODES = 400
 
 
-@dataclass(frozen=True)
+def _laplacian(n_nodes, indptr, indices):
+    """The dense N x N Laplacian of CSR edge arrays."""
+    lap = np.zeros((n_nodes, n_nodes))
+    lap[np.repeat(np.arange(n_nodes), np.diff(indptr)), indices] = -1.0
+    lap[np.diag_indices(n_nodes)] = np.diff(indptr)
+    return lap
+
+
+@dataclass(frozen=True, eq=False)
 class SensorGraph:
-    """An undirected communication graph on N sensor nodes.
-
-    Immutable after construction; the arrays are marked read-only so the
-    graph can be shared across simulation workers.
+    """An undirected communication graph on N sensor nodes, as CSR edge
+    arrays: the neighbors of node i are indices[indptr[i]:indptr[i + 1]],
+    sorted ascending, and every edge appears once from each end (2E
+    entries). Immutable after construction (the arrays are read-only).
+    Nodes of degree 0 are allowed; `is_connected` tells them apart.
     """
 
     n_nodes: int
-    adjacency: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     degree: np.ndarray = field(init=False)
-    laplacian: np.ndarray = field(init=False)
+    _dense: np.ndarray | None = field(init=False, repr=False)
+    _segments: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
-        if a.shape != (self.n_nodes, self.n_nodes):
-            raise DimensionError(
-                f"adjacency must be {self.n_nodes}x{self.n_nodes}, got {a.shape}"
-            )
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0.0):
-            raise ValueError("adjacency must have a zero diagonal")
-        if not np.all((a == 0.0) | (a == 1.0)):
-            raise ValueError("edges must be unweighted (0/1)")
-        deg = a.sum(axis=1)
-        lap = np.diag(deg) - a
-        for arr in (a, deg, lap):
-            arr.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
+        n = self.n_nodes
+        indptr = np.asarray(self.indptr, dtype=np.intp)
+        indices = np.asarray(self.indices, dtype=np.intp)
+        if indptr.shape != (n + 1,) or indices.shape != (indptr[-1],) or indptr[0] != 0:
+            raise DimensionError(f"need indptr of shape ({n + 1},) rising from 0 to len(indices)")
+        counts = np.diff(indptr)
+        rows = np.repeat(np.arange(n), counts)  # ValueError if indptr falls
+        keys = rows * n + indices
+        if (np.any((indices < 0) | (indices >= n) | (indices == rows))
+                or np.any(np.diff(keys) <= 0)
+                or not np.array_equal(np.sort(indices * n + rows), keys)):
+            raise ValueError("neighbor lists must be sorted, free of repeats and self-loops, "
+                             "and undirected (every (i, j) with its (j, i))")
+        deg = counts.astype(float)
+        dense = _laplacian(n, indptr, indices) if n < DENSE_PRODUCT_NODES else None
+        # np.add.reduceat gives an empty segment the next row (and fails on a
+        # trailing one), so the gather sums only the nodes with neighbors
+        nonempty = slice(None) if counts.all() else np.flatnonzero(counts)
+        for arr in (indptr, indices, deg, dense):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "laplacian", lap)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_segments", (nonempty, indptr[:-1][nonempty]))
+
+    @classmethod
+    def from_edges(cls, n_nodes, edges):
+        """The graph of an iterable of undirected (i, j) pairs, i != j, each
+        edge listed once or from both ends (repeats collapse)."""
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        if np.any((pairs < 0) | (pairs >= n_nodes)):  # would alias another (i, j) key
+            raise ValueError(f"edges must join nodes in 0..{n_nodes - 1}")
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        keys = np.unique(rows * n_nodes + cols)
+        indptr = np.searchsorted(keys // n_nodes, np.arange(n_nodes + 1))
+        return cls(n_nodes, indptr, keys % n_nodes)
 
     def disagreement(self, values) -> np.ndarray:
         """Row i is the sum of (values_i - values_j) over the neighbors j of
         node i: the lifted Laplacian (L kron I_d) applied to the stacked
         per-node rows of `values`, shape (N, d) or (N, ...). Trailing axes
-        are flattened, so R runs of (N, R, d) rows make one (N, R*d) GEMM."""
+        are flattened, so R runs of (N, R, d) rows make one product. Small
+        graphs take one dense L @ v GEMM, larger ones gather the neighbor
+        rows along the edge arrays and sum each node's segment."""
         v = np.asarray(values, dtype=float)
         if v.ndim < 2 or v.shape[0] != self.n_nodes:
             raise DimensionError(
                 f"need one row per node, shape ({self.n_nodes}, d), got {v.shape}"
             )
         flat = v.reshape(self.n_nodes, -1)
-        return (self.degree[:, None] * flat - self.adjacency @ flat).reshape(v.shape)
+        if self._dense is not None:
+            return (self._dense @ flat).reshape(v.shape)
+        out = self.degree[:, None] * flat
+        nonempty, starts = self._segments
+        out[nonempty] -= np.add.reduceat(np.take(flat, self.indices, axis=0), starts, axis=0)
+        return out.reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -100,24 +144,17 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
     if n_nodes < 2:
         raise ValueError("a sensor network needs at least 2 nodes")
     if topology == "complete":
-        a = np.ones((n_nodes, n_nodes)) - np.eye(n_nodes)
-        return SensorGraph(n_nodes, a)
+        return SensorGraph.from_edges(n_nodes, np.argwhere(np.tri(n_nodes, k=-1)))
     if topology in ("ring", "path"):
-        a = np.zeros((n_nodes, n_nodes))
-        for i in range(n_nodes - 1):
-            a[i, i + 1] = a[i + 1, i] = 1.0
+        i = np.arange(n_nodes - 1)
+        pairs = np.column_stack([i, i + 1])
         if topology == "ring" and n_nodes > 2:
-            a[0, -1] = a[-1, 0] = 1.0
-        return SensorGraph(n_nodes, a)
+            pairs = np.vstack([pairs, [0, n_nodes - 1]])
+        return SensorGraph.from_edges(n_nodes, pairs)
     if topology == "explicit":
         if edges is None:
             raise ValueError("explicit topology requires an edge list")
-        a = np.zeros((n_nodes, n_nodes))
-        for i, j in edges:
-            if not (0 <= i < n_nodes and 0 <= j < n_nodes) or i == j:
-                raise ValueError(f"invalid edge ({i}, {j})")
-            a[i, j] = a[j, i] = 1.0
-        g = SensorGraph(n_nodes, a)
+        g = SensorGraph.from_edges(n_nodes, list(edges))
         if not is_connected(g):
             raise GraphNotConnected("explicit edge list is not connected")
         return g
@@ -126,11 +163,9 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
             raise ValueError("random_geometric requires radius and seed")
         rng = np.random.default_rng(seed)
         for _ in range(_GEOMETRIC_RETRIES):
-            pts = rng.uniform(size=(n_nodes, 2))
-            d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            a = (d2 <= radius * radius).astype(float)
-            np.fill_diagonal(a, 0.0)
-            g = SensorGraph(n_nodes, a)
+            g = SensorGraph.from_edges(
+                n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius)
+            )
             if is_connected(g):
                 return g
         raise GraphGenerationFailed(
@@ -138,6 +173,28 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
             f"(N={n_nodes}, radius={radius})"
         )
     raise ValueError(f"unknown topology {topology!r}")
+
+
+def _geometric_edges(pts, radius):
+    """The pairs of points at most `radius` apart, as (E, 2) indices.
+
+    Sweeps the points in x order: offset k pairs each point with the k-th
+    next one, for the points whose x window still reaches that far. The
+    window is padded by a relative 1e-9, so only the squared-distance test
+    (the same floating-point operations as a full N x N distance matrix)
+    decides, in O(N) memory per offset.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    p = pts[order]
+    reach = np.searchsorted(p[:, 0], p[:, 0] + radius * (1.0 + 1e-9), side="right")
+    reach -= np.arange(len(p)) + 1  # how many later points each window holds
+    pairs = []
+    for k in range(1, int(reach.max(initial=0)) + 1):
+        i = np.flatnonzero(reach >= k)
+        d2 = ((p[i] - p[i + k]) ** 2).sum(axis=1)
+        i = i[d2 <= radius * radius]
+        pairs.append(np.column_stack([order[i], order[i + k]]))
+    return np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
 
 
 def load_edge_list(path, n_nodes):
@@ -169,27 +226,32 @@ def load_edge_list(path, n_nodes):
 
 
 def is_connected(g: SensorGraph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
+    """Breadth-first reachability of every node from node 0, one frontier
+    of nodes at a time over the edge arrays."""
     seen = np.zeros(g.n_nodes, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in np.flatnonzero(g.adjacency[i]):
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
+    frontier = np.array([0])
+    while frontier.size:
+        starts = g.indptr[frontier]
+        counts = g.indptr[frontier + 1] - starts
+        # positions of all the frontier's neighbor lists in `indices`
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        reached = g.indices[offsets + np.arange(counts.sum())]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
     return bool(seen.all())
 
 
 def spectral_summary(g: SensorGraph, tol: float = 1e-10) -> SpectralSummary:
-    """Eigenvalues of the (symmetric) Laplacian, sorted ascending.
+    """Eigenvalues of the (symmetric) Laplacian, sorted ascending: exact
+    dense `eigvalsh` of a Laplacian built from the edge arrays for this
+    call only.
 
     Tiny negative values from round-off are clamped to zero; anything
     below -tol is treated as solver failure.
     """
     try:
-        vals = np.linalg.eigvalsh(g.laplacian)
+        vals = np.linalg.eigvalsh(_laplacian(g.n_nodes, g.indptr, g.indices))
     except np.linalg.LinAlgError as exc:
         raise SpectralFailure(str(exc)) from exc
     if vals[0] < -tol:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite
 from dkf_admm.filtering import CommLedger, auto_params, dkf_time_step, init_state
 from dkf_admm.graphs import TOPOLOGIES, build_graph, load_edge_list, spectral_summary
@@ -146,7 +147,7 @@ class RunMetrics:
     rmse_pos: np.ndarray  # (T, N) per-node position RMSE over MC runs
     rmse_vel: np.ndarray  # (T, N)
     consensus_error: np.ndarray  # (T, L) mean over nodes and runs
-    cov_error: np.ndarray  # (T, N) ||P_prior - P*||_F / ||P*||_F
+    cov_error: np.ndarray  # (T, N) ||P_prior - P_ref||_F / ||P_ref||_F
     comm: CommLedger = field(default=None)
     n_mc_runs: int = 1
     sq_pos_runs: np.ndarray = field(default=None)  # (R, T, N) squared pos. error
@@ -196,10 +197,31 @@ def steady_state_prior(model) -> np.ndarray:
     return dare_solve(model.f, h_tilde, model.q, np.eye(model.n))
 
 
-def _run_batch(config, graph, model, params, p_star, run_ids):
+def reference_priors(model, n_steps) -> np.ndarray:
+    """The centralized prior covariance each step's covariance error is
+    measured against, shape (n_steps, n, n) for t = 1..n_steps.
+
+    Static sensors: the steady-state P* of `steady_state_prior` at every
+    step. Per-step-random sensors have no steady state, so the reference is
+    the time-varying centralized recursion from P0: `centralized_kf_step`
+    with zero measurements, which its covariance does not depend on.
+    """
+    if model.assignment_mode == "static":
+        return np.broadcast_to(steady_state_prior(model), (n_steps, model.n, model.n))
+    state = initial_centralized_state(model)
+    zeros = np.zeros(model.sensor_arrays.h.shape[:2])
+    priors = []
+    for t in range(1, n_steps + 1):
+        state = centralized_kf_step(state, model, zeros, t)
+        priors.append(state.p_prior)
+    return np.array(priors)
+
+
+def _run_batch(config, graph, model, params, p_refs, run_ids):
     """The Monte-Carlo runs `run_ids` as one batched filter pass; returns
     per-run squared errors (R, T, N), consensus errors (R, T, L), the
-    shared covariance error (T, N) and the ledger of all the runs."""
+    shared covariance error (T, N) against the priors `p_refs` and the
+    ledger of all the runs."""
     trajs, x0_est = [], []
     for run_idx in run_ids:
         traj_seed, init_seed = _run_seed(config.master_seed, run_idx).spawn(2)
@@ -219,7 +241,6 @@ def _run_batch(config, graph, model, params, p_star, run_ids):
     sq_vel = np.empty_like(sq_pos)
     cov_err = np.empty(sq_pos.shape[1:])
     consensus_log = []
-    p_star_norm = np.linalg.norm(p_star)
     for row, t in enumerate(steps):
         try:
             dkf_time_step(
@@ -232,7 +253,8 @@ def _run_batch(config, graph, model, params, p_star, run_ids):
         err = states[:, t, None] - state.x_post
         sq_pos[:, row] = err[..., 0] ** 2 + err[..., 1] ** 2
         sq_vel[:, row] = err[..., 2] ** 2 + err[..., 3] ** 2
-        cov_err[row] = np.linalg.norm(state.p_prior - p_star, axis=(1, 2)) / p_star_norm
+        p_ref = p_refs[row]
+        cov_err[row] = np.linalg.norm(state.p_prior - p_ref, axis=(1, 2)) / np.linalg.norm(p_ref)
     return sq_pos, sq_vel, np.array(consensus_log).swapaxes(0, 1), cov_err, ledger
 
 
@@ -246,11 +268,11 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     """
     graph, model, spectrum, params = build_scenario(config)
     params.validate_for(spectrum, override=config.override_stability_guard)
-    p_star = steady_state_prior(model)
+    p_refs = reference_priors(model, config.horizon_steps)
 
     chunks = np.array_split(np.arange(config.n_mc_runs), config.workers)
     chunks = [c for c in chunks if c.size]
-    run_chunk = partial(_run_batch, config, graph, model, params, p_star)
+    run_chunk = partial(_run_batch, config, graph, model, params, p_refs)
     if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(run_chunk, chunks))

@@ -1,6 +1,7 @@
 """Reference computations the tests compare the library against: per-node
-sensor arrays and the dense per-mode iteration matrices of both consensus
-loops.
+sensor arrays, the dense per-mode iteration matrices of both consensus
+loops, dense graph matrices read off the edge arrays, and the brute-force
+N x N random geometric graph.
 
 Imported by the test modules, which pytest runs with this directory on
 the import path.
@@ -45,3 +46,41 @@ def state_mode_matrix(alpha_lambda, mu, laplacian_eigenvalue):
     Laplacian eigenvalue l."""
     lam = laplacian_eigenvalue
     return np.array([[1.0 - (alpha_lambda + mu) * lam, mu * lam], [1.0, 0.0]])
+
+
+def dense_adjacency(graph):
+    """The N x N 0/1 adjacency matrix of a SensorGraph, one neighbor at a
+    time from its edge arrays."""
+    a = np.zeros((graph.n_nodes, graph.n_nodes))
+    for i in range(graph.n_nodes):
+        for j in graph.indices[graph.indptr[i]:graph.indptr[i + 1]]:
+            a[i, j] = 1.0
+    return a
+
+
+def dense_laplacian(graph):
+    """L = D - A of a SensorGraph, from `dense_adjacency`."""
+    a = dense_adjacency(graph)
+    return np.diag(a.sum(axis=1)) - a
+
+
+def geometric_adjacency_bruteforce(n_nodes, radius, seed, retries=50):
+    """The random geometric graph `build_graph` draws, built from the full
+    N x N matrix of squared distances: the same uniform draws, redrawn
+    until the graph is connected (checked by a plain breadth-first search
+    over the dense rows). Returns the 0/1 adjacency matrix."""
+    rng = np.random.default_rng(seed)
+    for _ in range(retries):
+        pts = rng.uniform(size=(n_nodes, 2))
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        a = (d2 <= radius * radius).astype(float)
+        np.fill_diagonal(a, 0.0)
+        seen, queue = {0}, [0]
+        while queue:
+            for j in np.flatnonzero(a[queue.pop()]):
+                if j not in seen:
+                    seen.add(int(j))
+                    queue.append(int(j))
+        if len(seen) == n_nodes:
+            return a
+    raise RuntimeError("no connected draw")

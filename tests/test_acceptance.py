@@ -14,7 +14,12 @@ import time
 
 import numpy as np
 import pytest
-from oracles import covariance_mode_matrix, info_vectors_oracle, state_mode_matrix
+from oracles import (
+    covariance_mode_matrix,
+    dense_laplacian,
+    info_vectors_oracle,
+    state_mode_matrix,
+)
 
 from dkf_admm.centralized import consensus_fixed_point
 from dkf_admm.exceptions import WireSchemaViolation
@@ -205,7 +210,7 @@ def _monolithic_time_step(snapshot, graph, model, meas, params):
     Kronecker-lifted Laplacian and plain numpy inverses."""
     n_nodes = graph.n_nodes
     n = model.n
-    big_l = np.kron(graph.laplacian, np.eye(n))
+    big_l = np.kron(dense_laplacian(graph), np.eye(n))
     x_prior, p_prior, k_blocks, kinv_blocks, b = [], [], [], [], []
     for (x_post, p_post), spec, y in zip(snapshot, model.sensors, meas):
         xp = model.f @ x_post
@@ -256,7 +261,7 @@ def test_criterion_5_dense_equivalence(n_nodes, topology):
     xi_ref, p_prior_ref = _monolithic_time_step(snapshot, graph, model, meas, params)
     # dense covariance consensus on the Kronecker-lifted Laplacian
     n_cov = theta0.shape[1]
-    big_l_cov = np.kron(graph.laplacian, np.eye(n_cov))
+    big_l_cov = np.kron(dense_laplacian(graph), np.eye(n_cov))
     e = (big_l_cov @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + params.alpha_nu * e
     theta_ref = (

@@ -57,7 +57,8 @@ def test_spectrum_subcommand(tmp_path, capsys):
     assert main(["spectrum", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "eigenvalues:" in out
-    # ring of 6: lambda_max = 4
+    # ring of 6: six edges, lambda_max = 4
+    assert "edges=6" in out
     assert "lambda_max = 4" in out
 
 

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_adjacency, dense_laplacian, geometric_adjacency_bruteforce
 
 from dkf_admm.exceptions import ConfigRejected, DimensionError, GraphNotConnected
 from dkf_admm.graphs import (
+    DENSE_PRODUCT_NODES,
     SensorGraph,
     build_graph,
     is_connected,
@@ -11,15 +17,21 @@ from dkf_admm.graphs import (
 )
 
 
+def _from_adjacency(a):
+    """A SensorGraph with the edges of a symmetric 0/1 matrix."""
+    a = np.asarray(a)
+    return SensorGraph.from_edges(len(a), np.argwhere(a))
+
+
 def test_complete_k2():
     g = build_graph("complete", 2)
-    assert np.array_equal(g.adjacency, [[0, 1], [1, 0]])
-    assert np.array_equal(g.laplacian, [[1, -1], [-1, 1]])
+    assert np.array_equal(dense_adjacency(g), [[0, 1], [1, 0]])
+    assert np.array_equal(dense_laplacian(g), [[1, -1], [-1, 1]])
 
 
 def test_path_p3_laplacian():
     g = build_graph("path", 3)
-    assert np.array_equal(g.laplacian, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    assert np.array_equal(dense_laplacian(g), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
 
 def test_ring_degrees():
@@ -37,7 +49,7 @@ def test_connectivity():
     assert is_connected(build_graph("complete", 2))
     assert is_connected(build_graph("path", 3))
     # two disjoint edges on 4 nodes
-    g = SensorGraph(4, np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+    g = _from_adjacency([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert not is_connected(g)
 
 
@@ -50,7 +62,7 @@ def test_random_geometric_connected_and_reproducible():
     g1 = build_graph("random_geometric", 100, radius=0.3, seed=7)
     g2 = build_graph("random_geometric", 100, radius=0.3, seed=7)
     assert is_connected(g1)
-    assert np.array_equal(g1.adjacency, g2.adjacency)
+    assert np.array_equal(dense_adjacency(g1), dense_adjacency(g2))
 
 
 def test_spectral_k2():
@@ -78,10 +90,10 @@ def test_gershgorin_bound():
 
 def test_eigenpair_residuals_n100():
     g = build_graph("random_geometric", 100, radius=0.3, seed=7)
-    vals, vecs = np.linalg.eigh(g.laplacian)
+    vals, vecs = np.linalg.eigh(dense_laplacian(g))
     s = spectral_summary(g)
     assert np.allclose(s.eigenvalues, np.clip(vals, 0, None), atol=1e-10)
-    res = g.laplacian @ vecs - vecs * vals
+    res = dense_laplacian(g) @ vecs - vecs * vals
     assert np.abs(res).max() < 1e-10
 
 
@@ -114,7 +126,7 @@ def test_disagreement_matches_dense_kronecker(topology, kwargs):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(n, d))
     stacked = g.disagreement(values).ravel()
-    dense = np.kron(g.laplacian, np.eye(d)) @ values.ravel()
+    dense = np.kron(dense_laplacian(g), np.eye(d)) @ values.ravel()
     assert np.abs(stacked - dense).max() < 1e-12
 
 
@@ -134,23 +146,23 @@ def test_lambda2_positive_iff_connected():
         a = (rng.uniform(size=(n, n)) < 0.5).astype(float)
         a = np.triu(a, 1)
         a = a + a.T
-        g = SensorGraph(n, a)
-        vals = np.linalg.eigvalsh(g.laplacian)
+        g = _from_adjacency(a)
+        vals = np.linalg.eigvalsh(dense_laplacian(g))
         assert is_connected(g) == (vals[1] > 1e-9)
     # deliberately split graph
     a = np.zeros((6, 6))
     for i, j in [(0, 1), (1, 2), (3, 4), (4, 5)]:
         a[i, j] = a[j, i] = 1
-    g = SensorGraph(6, a)
+    g = _from_adjacency(a)
     assert not is_connected(g)
-    assert np.linalg.eigvalsh(g.laplacian)[1] < 1e-9
+    assert np.linalg.eigvalsh(dense_laplacian(g))[1] < 1e-9
 
 
 def test_edge_list_file(tmp_path):
     p = tmp_path / "graph.txt"
     p.write_text("# a triangle\n0 1\n1 2\n2 0\n")
     g = load_edge_list(p, 3)
-    assert np.array_equal(g.adjacency, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert np.array_equal(dense_adjacency(g), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_edge_list_missing_file_rejected(tmp_path):
@@ -176,6 +188,80 @@ def test_edge_list_invalid_edge_rejected(tmp_path):
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        SensorGraph(2, np.array([[0, 1], [0, 0]]))  # asymmetric
+        SensorGraph(2, [0, 1, 1], [1])  # asymmetric: 0 -> 1 without 1 -> 0
     with pytest.raises(ValueError):
-        SensorGraph(2, np.array([[1, 1], [1, 0]]))  # diagonal
+        SensorGraph(2, [0, 2, 3], [0, 1, 0])  # diagonal: node 0 lists itself
+    with pytest.raises(ValueError):
+        SensorGraph.from_edges(2, [(1, 1)])  # diagonal, as an edge pair
+
+
+@st.composite
+def _graphs_with_isolated_nodes(draw):
+    """Random graphs on both sides of the dense/gather switch in
+    `disagreement`, some with nodes of degree 0 (first, last or inside)."""
+    n = draw(st.one_of(
+        st.integers(2, 40),
+        st.integers(DENSE_PRODUCT_NODES, DENSE_PRODUCT_NODES + 40),
+    ))
+    mean_degree = draw(st.floats(0.0, 8.0))
+    isolated = draw(st.lists(st.sampled_from(["first", "last", "inside"]), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.triu(rng.uniform(size=(n, n)) < mean_degree / (n - 1), 1)
+    a = a | a.T
+    for where in isolated:
+        node = {"first": 0, "last": n - 1, "inside": n // 2}[where]
+        a[node, :] = a[:, node] = False
+    return _from_adjacency(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_graphs_with_isolated_nodes(), runs=st.integers(0, 2), d=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_disagreement_property_matches_dense_kronecker(g, runs, d, seed):
+    # (N, d) rows when runs == 0, node-major (N, R, d) rows otherwise
+    shape = (g.n_nodes, d) if runs == 0 else (g.n_nodes, runs, d)
+    values = np.random.default_rng(seed).normal(size=shape)
+    big_l = np.kron(dense_laplacian(g), np.eye(d))
+    got = g.disagreement(values)
+    assert got.shape == shape
+    per_run = [values] if runs == 0 else [values[:, r] for r in range(runs)]
+    want = [(big_l @ v.ravel()).reshape(g.n_nodes, d) for v in per_run]
+    want = want[0] if runs == 0 else np.stack(want, axis=1)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_disagreement_isolated_nodes_on_the_gather_path():
+    # a path over the middle nodes; the first two and the last two have no
+    # neighbors, so their rows must be exactly zero
+    n = DENSE_PRODUCT_NODES + 4
+    i = np.arange(2, n - 3)
+    g = SensorGraph.from_edges(n, np.column_stack([i, i + 1]))
+    assert np.array_equal(np.flatnonzero(g.degree == 0), [0, 1, n - 2, n - 1])
+    values = np.random.default_rng(3).normal(size=(n, 2))
+    got = g.disagreement(values)
+    assert np.array_equal(got[[0, 1, n - 2, n - 1]], np.zeros((4, 2)))
+    want = dense_laplacian(g) @ values
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,radius", [
+    (12, 0.35), (12, 1.0), (60, 0.3), (200, 0.15), (500, 0.1), (1000, 0.08),
+])
+@pytest.mark.parametrize("seed", [1, 7, 71])
+def test_geometric_graph_matches_bruteforce(n, radius, seed):
+    g = build_graph("random_geometric", n, radius=radius, seed=seed)
+    want = geometric_adjacency_bruteforce(n, radius, seed)
+    assert np.array_equal(dense_adjacency(g), want)
+
+
+def test_geometric_build_never_holds_an_n_by_n_matrix():
+    n = 5000
+    tracemalloc.start()
+    try:
+        g = build_graph("random_geometric", n, radius=0.03, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_connected(g)
+    # one N x N float matrix would be 8 N^2 = 200 MB
+    assert peak < 8 * n * n / 8

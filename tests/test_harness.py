@@ -1,10 +1,17 @@
 import dataclasses
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import sensor_oracle
 
+import dkf_admm
 from dkf_admm.exceptions import ConfigRejected
+from dkf_admm.filtering import dkf_time_step, init_state
 from dkf_admm.harness import (
     ScenarioConfig,
     build_scenario,
@@ -15,7 +22,12 @@ from dkf_admm.harness import (
     validate_params,
 )
 from dkf_admm.linalg import dare_solve
-from dkf_admm.models import SensorSpec, StateSpaceModel, build_constant_velocity_model
+from dkf_admm.models import (
+    SensorSpec,
+    StateSpaceModel,
+    build_constant_velocity_model,
+    sensor_specs_at,
+)
 
 SMOKE = ScenarioConfig(
     topology="ring", n_nodes=6, horizon_steps=8, n_mc_runs=2, l_sub=5,
@@ -246,3 +258,47 @@ def test_steady_state_prior_matches_stacked_dare():
     p_ref = dare_solve(model.f, h_stack, model.q, r_bar)
     p_star = steady_state_prior(model)
     assert np.linalg.norm(p_star - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
+def test_per_step_random_cov_error_tracks_the_time_varying_reference():
+    # Redrawn sensors have no steady state: the reference is the centralized
+    # covariance recursion from P0 with each step's sensors, recomputed here
+    # from the per-node H_i' R_i^-1 H_i and plain inverses.
+    # (sub-iterated covariance consensus, so no node's theta gets floored)
+    cfg = dataclasses.replace(SMOKE, sensor_assignment="per_step_random",
+                              sub_iterated_covariance=True, horizon_steps=20, n_mc_runs=1)
+    m = run_scenario(cfg)
+    graph, model, _, params = build_scenario(cfg)
+    # the distributed prior covariances do not depend on the measurements
+    state = init_state(model, model.x0_mean)
+    zeros = np.zeros((model.n_nodes, model.sensors[0].h.shape[0]))
+    p_post = model.p0
+    for t in range(1, cfg.horizon_steps + 1):
+        p_prior = model.f @ p_post @ model.f.T + model.q
+        dkf_time_step(state, graph, model, zeros, params, t=t, sub_iterated_covariance=True)
+        want = np.linalg.norm(state.p_prior - p_prior, axis=(1, 2)) / np.linalg.norm(p_prior)
+        assert np.allclose(m.cov_error[t - 1], want, rtol=1e-9, atol=1e-12)
+        specs = sensor_specs_at(model, t)
+        info = sum(sensor_oracle(h, r)[3] for h, r in zip(specs.h, specs.r))
+        p_post = np.linalg.inv(np.linalg.inv(p_prior) + info)
+    # at t = 1 every node's prior is the centralized one, which the static
+    # DARE reference P* misses by more than half its norm
+    assert np.abs(m.cov_error[0]).max() < 1e-12
+    p_star = steady_state_prior(model)
+    p_prior_1 = model.f @ model.p0 @ model.f.T + model.q
+    assert np.linalg.norm(p_prior_1 - p_star) / np.linalg.norm(p_star) > 0.5
+
+
+def test_library_runs_on_numpy_alone():
+    # a fresh interpreter: importing the package and running a scenario
+    # must not pull in scipy (its import alone costs about 20 MB of RSS)
+    src = str(Path(dkf_admm.__file__).resolve().parents[1])
+    code = (
+        "import sys, dkf_admm\n"
+        "dkf_admm.run_scenario(dkf_admm.ScenarioConfig(horizon_steps=3, n_mc_runs=2))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
