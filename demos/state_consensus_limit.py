@@ -5,10 +5,13 @@ estimates xi to agreement, and the disagreement decays geometrically at
 the rate predicted by the mode-matrix analysis. This script also shows
 *what* value they agree on: the node average of the local one-shot
 estimates K_i b_i. That is not the joint MAP minimizer
-(sum_i K_i^-1)^-1 sum_i b_i in general; the node-mean of xi is invariant
-from the first sub-iteration onward, so the recursion cannot move it to
-the joint optimum. The agreed value is still an unbiased fusion of every
-node's data, which is why the filter's Monte-Carlo error is zero-mean.
+(sum_i K_i^-1)^-1 sum_i b_i in general. Every sub-iteration keeps
+sum_i K_i lambda_tilde_i at its start value 0 and
+sum_i (xi_i + K_i lambda_tilde_i) at sum_i K_i b_i, so the node-mean of
+xi is mean_i K_i b_i from the first sub-iteration onward and the
+recursion cannot move it to the joint optimum. The agreed value is still
+an unbiased fusion of every node's data, which is why the filter's
+Monte-Carlo error is zero-mean.
 
 Run:  python3 demos/state_consensus_limit.py
 """

@@ -13,7 +13,7 @@ import numpy as np
 
 from dkf_admm.exceptions import NotPositiveDefinite
 from dkf_admm.linalg import spd_inverse, spd_solve, sym
-from dkf_admm.models import StateSpaceModel, information_rate_target, sensor_specs_at
+from dkf_admm.models import StateSpaceModel, sensor_specs_at
 
 
 @dataclass(frozen=True)
@@ -63,27 +63,17 @@ def centralized_kf_step(
     return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior, omega=omega)
 
 
-def centralized_prior_covariance(model: StateSpaceModel, n_steps: int) -> np.ndarray:
-    """Prior covariance after n_steps centralized cycles from P0.
-
-    P_{t+1|t} = F (P_{t|t-1}^-1 + H' Rbar^-1 H)^-1 F' + Q; this is the
-    recursion whose limit is the Riccati solution.
-    """
-    gamma = information_rate_target(model)
-    p = sym(model.p0)
-    for _ in range(n_steps):
-        p = sym(model.f @ spd_inverse(spd_inverse(p) + gamma) @ model.f.T + model.q)
-    return p
-
-
 def consensus_fixed_point(x_priors, p_priors, measurements, sensors) -> np.ndarray:
     """Unique minimizer of the network MAP problem at one time step.
 
     Returns (sum_i K_i^-1)^-1 sum_i (H_i' R_i^-1 y_i + P_i^-1 x_i / N)
     with K_i^-1 = H_i' R_i^-1 H_i + P_i^-1 / N. This is the MAP point that
-    acceptance criterion 3 targets. The default correction recursion does
-    not reach it: its sub-iterations agree on mean_i K_i b_i instead, with
-    b_i the node's local information vector.
+    acceptance criterion 3 targets. The default state correction does not
+    reach it: its rounds (`filtering._consensus_round`) keep
+    sum_i K_i lambda_tilde_i at its start value 0 and
+    sum_i (xi_i + K_i lambda_tilde_i) at sum_i K_i b_i, so the node mean of
+    xi is mean_i K_i b_i after every round and the nodes agree on that
+    instead, with b_i the node's local information vector.
     """
     n_nodes = len(sensors)
     n = np.asarray(x_priors[0]).size

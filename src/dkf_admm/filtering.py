@@ -99,9 +99,10 @@ class NetworkState:
     filtered together; p_prior, p_post: (N, n, n) covariances; theta:
     (N, n(n+1)/2) half-vectorized estimates of the network information
     rate; nu_tilde: the matching consensus duals. The covariance half does
-    not depend on the measurements, so all runs share it. The iterates xi
-    and lambda_tilde live only inside one time step: the dual restarts at
-    zero every step and x_post is the final xi.
+    not depend on the measurements, so all runs share it. The state iterate
+    xi and its local accumulator K lambda_tilde live only inside one time
+    step: the accumulator restarts at zero every step and x_post is the
+    final xi.
     """
 
     x_prior: np.ndarray
@@ -195,56 +196,45 @@ def _predict(x_post, p_post, model: StateSpaceModel):
     return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
 
 
-def _gains(p_prior, x_prior, sensors: SensorArrays, measurements):
-    """Per-step gains and local information vectors of every node.
+def _gains(p_prior, x_prior, sensors: SensorArrays, measurements, t=None):
+    """P_prior^-1 and the state-correction target K b of every node.
 
-    Returns P_prior^-1, K^-1 = H' R^-1 H + P_prior^-1 / N, K, and
-    b = H' R^-1 y + P_prior^-1 x_prior / N, each stacked over nodes; the
-    sensor terms are the stacked `sensors.info` and `sensors.rinv_h`.
-    x_prior is (N, n) or node-major (N, R, n); the measurements are one
-    y_i per node (and run) as `dkf_time_step` takes them, (N, m) or
-    (R, N, m); b takes x_prior's shape.
+    K = (H' R^-1 H + P_prior^-1 / N)^-1 and b = H' R^-1 y + P_prior^-1
+    x_prior / N, each stacked over nodes; the sensor terms are the stacked
+    `sensors.info` and `sensors.rinv_h`. x_prior is (N, n) or node-major
+    (N, R, n); the measurements are one y_i per node (and run) as
+    `dkf_time_step` takes them, (N, m) or (R, N, m); K b takes x_prior's
+    shape. A singular prior raises NotPositiveDefinite naming step t.
     """
     n_nodes = len(sensors.info)
     try:
         p_prior_inv = sym(np.linalg.inv(p_prior))
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("a prior covariance became singular") from exc
-    k_inv = sensors.info + p_prior_inv / n_nodes
-    k = sym(np.linalg.inv(k_inv))
+        at = "" if t is None else f" at t={t}"
+        raise NotPositiveDefinite(f"a prior covariance became singular{at}") from exc
+    k = sym(np.linalg.inv(sensors.info + p_prior_inv / n_nodes))
     y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, sensors.rinv_h.shape[1])
     y = y.swapaxes(0, 1).reshape(x_prior.shape[:-1] + (-1,))
     b = _node_apply(sensors.rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
-    return p_prior_inv, k_inv, k, b
+    return p_prior_inv, _node_apply(k, b)
 
 
-def _correction_round(xi, lam, graph: SensorGraph, k, k_inv, b, params):
-    """One synchronous Jacobi sub-iteration on stacked (N, n) arrays, or
-    node-major (N, R, n) ones for R runs at once.
+def _consensus_round(z, acc, target, graph: SensorGraph, step, penalty):
+    """One synchronous Jacobi round of either consensus loop, on stacked
+    (N, d) rows or node-major (N, R, d) ones for R runs at once.
 
-    d_i = sum_j (xi_i - xi_j) over neighbors; the dual integrates
-    alpha_lambda K^-1 d; the new primal is K (b - lam_new) - mu d, where
-    b is the node's local information vector. All nodes read the previous
-    round's xi only. Under this dual update sum_i K_i lam_i stays 0, so the
-    nodes agree on mean_i K_i b_i rather than on the MAP point of
-    `centralized.consensus_fixed_point` (acceptance criterion 3).
+    d = (L kron I) z from the previous round's z; the local accumulator
+    integrates step * d and the new iterate is target - acc - penalty * d.
+    As sum_i d_i = 0, every round keeps sum_i acc_i, and sum_i (z_i + acc_i)
+    equals sum_i target_i. Covariance loop: z = theta, acc = nu_tilde,
+    target = N vech(H' R^-1 H), step = penalty = alpha_nu. State loop:
+    z = xi, acc = K lambda_tilde (zero at each step's start), target = K b,
+    step = alpha_lambda, penalty = mu; the dual update lambda_tilde +=
+    alpha_lambda K^-1 d, carried through K, needs neither K nor K^-1.
     """
-    d = graph.disagreement(xi)
-    lam_new = lam + params.alpha_lambda * _node_apply(k_inv, d)
-    xi_new = _node_apply(k, b - lam_new) - params.mu * d
-    return xi_new, lam_new
-
-
-def _covariance_step(theta, nu, graph: SensorGraph, omega_scaled, alpha_nu):
-    """One step of the sub-iteration-free covariance consensus.
-
-    Disagreement is evaluated on the previous step's theta; the new theta
-    is N omega - nu_new - alpha_nu * disagreement.
-    """
-    e = graph.disagreement(theta)
-    nu_new = nu + alpha_nu * e
-    theta_new = omega_scaled - nu_new - alpha_nu * e
-    return theta_new, nu_new
+    d = graph.disagreement(z)
+    acc = acc + step * d
+    return target - acc - penalty * d, acc
 
 
 def _posterior_cov(p_prior_inv, theta, t=None):
@@ -315,14 +305,14 @@ def dkf_time_step(
     runs = x_post.shape[1]
     sensors = sensor_specs_at(model, 0 if t is None else t)
     x_prior, p_prior = _predict(x_post, state.p_post, model)
-    p_prior_inv, k_inv, k, b = _gains(p_prior, x_prior, sensors, measurements_t)
+    p_prior_inv, kb = _gains(p_prior, x_prior, sensors, measurements_t, t)
 
-    # L primal-only ADMM sub-iterations (Jacobi, duals reset each step).
-    xi = x_prior
-    lam = np.zeros_like(xi)
+    # L primal-only ADMM sub-iterations (Jacobi); the accumulator
+    # K lambda_tilde stays local and restarts at zero each step.
+    xi, k_lam = x_prior, np.zeros_like(x_prior)
     log_rows = []
     for _ in range(params.l_sub):
-        xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
+        xi, k_lam = _consensus_round(xi, k_lam, kb, graph, params.alpha_lambda, params.mu)
         if ledger is not None:
             ledger.record("state", "xi", runs * graph.degree, n)
         if consensus_log is not None:
@@ -334,7 +324,9 @@ def dkf_time_step(
     theta, nu = state.theta, state.nu_tilde
     omega_scaled = n_nodes * vech(sensors.info)
     for _ in range(params.l_sub if sub_iterated_covariance else 1):
-        theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
+        theta, nu = _consensus_round(
+            theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu
+        )
         if ledger is not None:
             ledger.record("covariance", "theta", runs * graph.degree, theta.shape[1])
 

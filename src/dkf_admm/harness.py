@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
-from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite
+from dkf_admm.exceptions import ConfigRejected
 from dkf_admm.filtering import CommLedger, auto_params, dkf_time_step, init_state
 from dkf_admm.graphs import TOPOLOGIES, build_graph, load_edge_list, spectral_summary
 from dkf_admm.linalg import dare_solve, step_bounds
@@ -78,6 +78,10 @@ class ScenarioConfig:
             ("n_mc_runs", self.n_mc_runs >= 1, ">= 1"),
             ("l_sub", self.l_sub >= 1, ">= 1"),
             ("workers", self.workers >= 1, ">= 1"),
+            ("master_seed", self.master_seed >= 0, ">= 0"),
+            ("graph_seed", self.graph_seed >= 0, ">= 0"),
+            ("assignment_seed", self.assignment_seed >= 0, ">= 0"),
+            ("init_box_halfwidth", self.init_box_halfwidth >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigRejected(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -242,14 +246,11 @@ def _run_batch(config, graph, model, params, p_refs, run_ids):
     cov_err = np.empty(sq_pos.shape[1:])
     consensus_log = []
     for row, t in enumerate(steps):
-        try:
-            dkf_time_step(
-                state, graph, model, meas[:, t], params, ledger=ledger, t=t,
-                consensus_log=consensus_log,
-                sub_iterated_covariance=config.sub_iterated_covariance,
-            )
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"t={t}: {exc}") from exc
+        dkf_time_step(
+            state, graph, model, meas[:, t], params, ledger=ledger, t=t,
+            consensus_log=consensus_log,
+            sub_iterated_covariance=config.sub_iterated_covariance,
+        )
         err = states[:, t, None] - state.x_post
         sq_pos[:, row] = err[..., 0] ** 2 + err[..., 1] ** 2
         sq_vel[:, row] = err[..., 2] ** 2 + err[..., 3] ** 2

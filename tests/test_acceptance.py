@@ -128,14 +128,15 @@ def test_criterion_3_per_step_consensus_fixed_point():
     This is run faithfully at L=500 on the 5-node path graph. The iteration
     converges to consensus, but the consensus value is the node average of
     the local one-shot estimates K_i b_i, not the joint minimizer
-    (sum K_i^-1)^-1 sum b_i. The cause is the dual update of
-    `filtering._correction_round`, lam_i += alpha_lambda K_i^-1 d_i: under
-    it sum_i K_i lam_i stays 0, so the node-mean of xi is pinned at
-    mean_i K_i b_i from the first sub-iteration onward and no number of
-    sub-iterations moves it. demos/state_consensus_limit.py demonstrates the
-    gap step by step. This is an open fault of the default recursion; the
-    criterion is left failing, with its target unchanged, until the
-    algorithm is fixed.
+    (sum K_i^-1)^-1 sum b_i. The cause is the conservation law of
+    `filtering._consensus_round`: with the accumulator K_i lambda_tilde_i
+    starting at 0, every round keeps sum_i K_i lambda_tilde_i = 0 and
+    sum_i (xi_i + K_i lambda_tilde_i) = sum_i K_i b_i, so the node-mean of
+    xi is pinned at mean_i K_i b_i from the first sub-iteration onward and
+    no number of sub-iterations moves it. demos/state_consensus_limit.py
+    demonstrates the gap step by step. This is an open fault of the default
+    recursion; the criterion is left failing, with its target unchanged,
+    until the algorithm is fixed.
     """
     graph = build_graph("path", 5)
     spectrum = spectral_summary(graph)

@@ -4,7 +4,6 @@ from oracles import sensor_oracle
 
 from dkf_admm.centralized import (
     centralized_kf_step,
-    centralized_prior_covariance,
     consensus_fixed_point,
     initial_centralized_state,
 )
@@ -155,5 +154,10 @@ def test_prior_covariance_reaches_riccati_limit():
     h = np.vstack([s.h for s in model.sensors])
     r = np.diag([float(s.r[0, 0]) for s in model.sensors])
     p_star = dare_solve(model.f, h, model.q, r, tol=1e-13)
-    p_t = centralized_prior_covariance(model, 2000)
-    assert np.linalg.norm(p_t - p_star) < 1e-8
+    # the prior covariance does not depend on the measurements: 2000 cycles
+    # with zero measurements give P_{2000|1999}
+    state = initial_centralized_state(model)
+    zeros = np.zeros(model.sensor_arrays.h.shape[:2])
+    for _ in range(2000):
+        state = centralized_kf_step(state, model, zeros)
+    assert np.linalg.norm(state.p_prior - p_star) < 1e-8

@@ -75,9 +75,10 @@ def test_dare_subcommand(tmp_path, capsys):
 
 def test_bad_config_exits_2(tmp_path, capsys):
     # an unknown key, then out-of-range values and unknown names that would
-    # otherwise escape later as a numpy or ValueError traceback, then `none`
-    # on a key without an automatic value (it used to run with the default)
-    # and INI files with no section header or a duplicated key
+    # otherwise escape later as a numpy or ValueError traceback (negative
+    # seeds and a negative init box among them), then `none` on a key
+    # without an automatic value (it used to run with the default) and INI
+    # files with no section header or a duplicated key
     cases = (
         "[run]\nhorizon = 5\n",
         "[model]\ndt = 0\n",
@@ -88,6 +89,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "[graph]\nradius = 0\n",
         "[graph]\ntopology = rign\n",
         "[graph]\ntopology = explicit\n",
+        "[run]\nmaster_seed = -1\n",
+        "[graph]\ngraph_seed = -3\n",
+        "[model]\nsensor_assignment = per_step_random\nassignment_seed = -3\n",
+        "[run]\ninit_box_halfwidth = -2\n",
         "[graph]\nn_nodes = none\n",
         "n_nodes = 5\n",
         "[graph]\nn_nodes = 5\nn_nodes = 6\n",
@@ -98,6 +103,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
             code = main([command, cfg, "--quiet", "--output", str(tmp_path / "o")])
             assert code == EXIT_CONFIG, (command, text)
             assert "config rejected" in capsys.readouterr().err, (command, text)
+    # a negative seed on the command line
+    cfg = _write(tmp_path, SMOKE_INI)
+    for command in ("run", "validate"):
+        code = main([command, cfg, "--seed", "-1", "--quiet", "--output", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG, command
+        assert "master_seed must be >= 0" in capsys.readouterr().err, command
 
 
 def test_unstable_params_exit_2(tmp_path):
@@ -130,7 +141,10 @@ def test_divergent_override_exits_3(tmp_path, capsys):
     ):
         code = main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")])
     assert code == EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # the step that failed is named once, not once per layer it passed
+    assert err.count("t=") == 1, err
 
 
 def test_disconnected_edge_list_exits_2(tmp_path):

@@ -4,12 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_laplacian, info_vectors_oracle, sensor_oracle
 
-from dkf_admm.exceptions import ConfigRejected, DimensionError, WireSchemaViolation
+from dkf_admm.exceptions import (
+    ConfigRejected,
+    DimensionError,
+    NotPositiveDefinite,
+    WireSchemaViolation,
+)
 from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
-    _correction_round,
-    _covariance_step,
+    _consensus_round,
     _gains,
     _posterior_cov,
     _predict,
@@ -76,14 +80,15 @@ def test_predict_matches_formula():
 def test_gain_inverse_pair():
     _, _, _, model, traj, state = _setup()
     meas = traj.measurements[1]
-    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+    p_inv, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
     for i, spec in enumerate(model.sensors):
         _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
-        assert np.allclose(k_inv[i] @ k[i], np.eye(4), atol=1e-12)
-        p_inv = spd_inverse(state.p_prior[i])
-        assert np.allclose(k_inv[i], info + p_inv / 4, atol=1e-14)
-        b_ref = rinv_h.T @ meas[i] + p_inv @ state.x_prior[i] / 4
-        assert np.allclose(b[i], b_ref, atol=1e-12)
+        p_inv_ref = spd_inverse(state.p_prior[i])
+        assert np.allclose(p_inv[i] @ state.p_prior[i], np.eye(4), atol=1e-12)
+        assert np.allclose(p_inv[i], p_inv_ref, atol=1e-14)
+        b_ref = rinv_h.T @ meas[i] + p_inv_ref @ state.x_prior[i] / 4
+        k_ref = np.linalg.inv(info + p_inv_ref / 4)
+        assert np.allclose(kb[i], k_ref @ b_ref, atol=1e-12)
 
 
 def test_init_theta_scaled_info():
@@ -123,6 +128,11 @@ def _reference_gains(x_prior, p_prior, sensors, meas):
     return k_inv, np.linalg.inv(k_inv), b
 
 
+def _kb(k, b):
+    """K_i b_i of every node, one matrix-vector product at a time."""
+    return np.einsum("ijk,ik->ij", k, b)
+
+
 @pytest.mark.parametrize("topology,n_nodes", [("ring", 3), ("path", 5)])
 def test_correction_round_matches_dense_oracle(topology, n_nodes):
     graph, _, params, model, traj, state = _setup(n_nodes=n_nodes, topology=topology)
@@ -132,12 +142,15 @@ def test_correction_round_matches_dense_oracle(topology, n_nodes):
     xi0, lam0 = draws[:, 0], draws[:, 1]
     k_inv, k, b = _reference_gains(state.x_prior, state.p_prior, model.sensors, meas)
 
-    xi, lam = _correction_round(xi0, lam0, graph, k, k_inv, b, params)
+    # the kernel carries the dual as the accumulator K lambda_tilde
+    xi, acc = _consensus_round(
+        xi0, _kb(k, lam0), _kb(k, b), graph, params.alpha_lambda, params.mu
+    )
     xi_ref, lam_ref = _dense_round(
         xi0, lam0, dense_laplacian(graph), k, k_inv, b, params.alpha_lambda, params.mu
     )
     assert np.allclose(xi, xi_ref, atol=1e-12)
-    assert np.allclose(lam, lam_ref, atol=1e-12)
+    assert np.allclose(_kb(k_inv, acc), lam_ref, atol=1e-12)
 
 
 def test_correction_reaches_consensus():
@@ -150,11 +163,11 @@ def test_correction_reaches_consensus():
     k_inv_ref, k_ref, b_ref = _reference_gains(
         state.x_prior, state.p_prior, model.sensors, meas
     )
-    local = np.einsum("ijk,ik->ij", k_ref, b_ref)
-    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
-    xi, lam = state.x_prior, np.zeros((6, 4))
+    local = _kb(k_ref, b_ref)
+    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+    xi, acc = state.x_prior, np.zeros((6, 4))
     for _ in range(params.l_sub):
-        xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
+        xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
     spread = np.abs(xi - xi.mean(axis=0)).max()
     assert spread < 1e-10
     assert np.allclose(xi[0], np.mean(local, axis=0), atol=1e-8)
@@ -165,11 +178,11 @@ def test_correction_consensus_error_decays_geometrically():
     meas = traj.measurements[1]
     rng = np.random.default_rng(4)
     xi = state.x_prior + rng.normal(size=(8, 4))
-    lam = np.zeros_like(xi)
-    _, k_inv, k, b = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+    acc = np.zeros_like(xi)
+    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
     errs = []
     for _ in range(100):
-        xi, lam = _correction_round(xi, lam, graph, k, k_inv, b, params)
+        xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
         errs.append(np.linalg.norm(xi - xi.mean(axis=0)))
     errs = np.array(errs)
     # average per-round contraction over a window clear of both the initial
@@ -191,7 +204,7 @@ def test_covariance_step_two_nodes_closed_form():
     alpha = 0.25
     t0 = state.theta
     e = np.array([t0[0] - t0[1], t0[1] - t0[0]])
-    theta, nu = _covariance_step(t0, state.nu_tilde, graph, 2 * omega, alpha)
+    theta, nu = _consensus_round(t0, state.nu_tilde, 2 * omega, graph, alpha, alpha)
     assert np.allclose(nu, alpha * e, atol=1e-14)
     assert np.allclose(theta, 2 * omega - 2 * alpha * e, atol=1e-14)
 
@@ -203,7 +216,7 @@ def test_covariance_step_matches_dense_oracle():
     theta0, nu0 = draws[:, 0], draws[:, 1]
     alpha = 0.05
     omega_scaled = 7 * info_vectors_oracle(model)
-    theta, nu = _covariance_step(theta0, nu0, graph, omega_scaled, alpha)
+    theta, nu = _consensus_round(theta0, nu0, omega_scaled, graph, alpha, alpha)
     big_l = np.kron(dense_laplacian(graph), np.eye(theta0.shape[1]))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + alpha * e
@@ -222,24 +235,54 @@ def test_covariance_consensus_converges_to_network_sum():
     omega_scaled = 10 * info_vectors_oracle(model)
     theta, nu = state.theta, state.nu_tilde
     for _ in range(3000):
-        theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
+        theta, nu = _consensus_round(
+            theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu
+        )
     for th in theta:
         assert np.linalg.norm(th - target) < 1e-12 * np.linalg.norm(target)
 
 
-def test_theta_plus_nu_sum_is_conserved():
-    graph = build_graph("ring", 9)
-    spectrum = spectral_summary(graph)
-    model = build_constant_velocity_model(dt=0.1, n_nodes=9)
-    params = auto_params(spectrum)
-    state = init_state(model, np.tile(model.x0_mean, (9, 1)))
-    omega_scaled = 9 * info_vectors_oracle(model)
-    target = omega_scaled.sum(axis=0)
-    theta, nu = state.theta, state.nu_tilde
-    for _ in range(200):
-        theta, nu = _covariance_step(theta, nu, graph, omega_scaled, params.alpha_nu)
-        total = (theta + nu).sum(axis=0)
-        assert np.allclose(total, target, atol=1e-10 * np.abs(target).max())
+def _random_connected_graph(n_nodes, rng, p_extra=0.3):
+    """A random spanning tree plus each other node pair with probability
+    p_extra."""
+    order = rng.permutation(n_nodes)
+    edges = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n_nodes)]
+    edges += [
+        (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)
+        if rng.random() < p_extra
+    ]
+    return build_graph("explicit", n_nodes, edges=edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_nodes=st.one_of(st.integers(2, 12), st.integers(400, 420)),
+    runs=st.sampled_from([None, 1, 3]),
+    loop=st.sampled_from(["covariance", "state"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_theta_plus_nu_sum_is_conserved(n_nodes, runs, loop, seed):
+    # both loops on one kernel: after every round sum_i (z_i + acc_i) equals
+    # sum_i target_i, for (N, d) rows and node-major (N, R, d) ones, on
+    # graphs below and above the dense-product size
+    rng = np.random.default_rng(seed)
+    graph = _random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
+    params = auto_params(spectral_summary(graph))
+    lead = (n_nodes,) if runs is None else (n_nodes, runs)
+    if loop == "covariance":
+        model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes)
+        omega_scaled = n_nodes * info_vectors_oracle(model)
+        target = omega_scaled if runs is None else np.repeat(omega_scaled[:, None], runs, 1)
+        z, step, penalty = target.copy(), params.alpha_nu, params.alpha_nu
+    else:
+        target = rng.normal(size=lead + (4,))
+        z, step, penalty = rng.normal(size=lead + (4,)), params.alpha_lambda, params.mu
+    acc = np.zeros_like(z)
+    total_target = target.sum(axis=0)
+    for _ in range(50):
+        z, acc = _consensus_round(z, acc, target, graph, step, penalty)
+        total = (z + acc).sum(axis=0)
+        assert np.allclose(total, total_target, rtol=0.0, atol=1e-10 * np.abs(target).max())
 
 
 def test_posterior_nominal():
@@ -266,6 +309,16 @@ def test_posterior_floors_indefinite_theta():
     assert np.allclose(p_post[0], expected, atol=1e-12)
     np.linalg.cholesky(p_post[0])
     assert np.allclose(p_post[1:], 0.5 * np.eye(4), atol=1e-12)
+
+
+def test_singular_prior_names_the_step():
+    # no process noise and a zero posterior make every prior F 0 F' = 0
+    graph = build_graph("ring", 4)
+    params = auto_params(spectral_summary(graph), l_sub=2)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=4, q_intensity=0.0)
+    state = init_state(model, np.tile(model.x0_mean, (4, 1)), np.zeros((4, 4)))
+    with pytest.raises(NotPositiveDefinite, match=r"singular at t=4$"):
+        dkf_time_step(state, graph, model, np.zeros((4, 1)), params, t=4)
 
 
 def test_ledger_counts_and_wire_schema():
@@ -393,15 +446,8 @@ def test_sub_iterated_covariance_converges_faster():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
-    # a random connected graph: a random spanning tree plus random extra edges
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n_nodes)
-    edges = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n_nodes)]
-    edges += [
-        (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)
-        if rng.random() < 0.3
-    ]
-    graph = build_graph("explicit", n_nodes, edges=edges)
+    graph = _random_connected_graph(n_nodes, rng)
     params = auto_params(spectral_summary(graph), l_sub=l_sub)
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
     x0 = model.x0_mean + rng.normal(size=(runs, n_nodes, 4))

@@ -95,6 +95,9 @@ def test_config_rejections(tmp_path):
         ScenarioConfig(n_mc_runs=0)
     with pytest.raises(ConfigRejected):
         ScenarioConfig(workers=0)
+    for key in ("master_seed", "graph_seed", "assignment_seed", "init_box_halfwidth"):
+        with pytest.raises(ConfigRejected, match=f"{key} must be >= 0"):
+            ScenarioConfig(**{key: -1})
 
 
 def test_build_scenario_auto_params_pass_guard():
