@@ -17,6 +17,7 @@ covariance half is computed once for all of them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,8 +47,9 @@ class DkfParams:
     l_sub: int
 
     def __post_init__(self):
-        if self.alpha_lambda <= 0 or self.mu <= 0 or self.alpha_nu <= 0:
-            raise ConfigRejected("step sizes must be positive")
+        steps = (self.alpha_lambda, self.mu, self.alpha_nu)
+        if not all(math.isfinite(s) and s > 0 for s in steps):
+            raise ConfigRejected("step sizes must be positive and finite")
         if self.l_sub < 1:
             raise ConfigRejected("l_sub must be >= 1")
 
@@ -135,6 +137,11 @@ class CommLedger:
         self.cov_scalars = np.zeros(self.n_nodes, dtype=np.int64)
 
     def record(self, phase, payload_kind, degrees, payload_len):
+        """Add `degrees[i]` messages of `payload_len` scalars each at node i.
+
+        `degrees` is a per-node message count; it may cover several rounds
+        (and runs) at once, e.g. rounds * runs * graph.degree.
+        """
         if payload_kind not in _PRIMAL_PAYLOADS:
             raise WireSchemaViolation(
                 f"dual payload {payload_kind!r} must not be exchanged"
@@ -291,10 +298,12 @@ def dkf_time_step(
     (a row of `Trajectory.measurements`), or (R, N, m) when the state
     carries a run axis; then all R runs advance in this one call, with the
     covariance half computed once from `sensor_specs_at(model, t)`. The
-    ledger counts each run's traffic (R times the degree per exchange).
+    ledger counts each run's traffic (R times the degree per exchange) and
+    records each consensus loop once per step, with all its rounds.
     When `consensus_log` is a list, the per-sub-iteration mean consensus
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
-    (L,) array, or (R, L) for R runs.
+    (L,) array, or (R, L) for R runs; the rounds' iterates are buffered
+    and the whole array is computed once after the loop.
     `sub_iterated_covariance` reruns the covariance consensus l_sub times
     per step instead of once (both converge under the same bound).
     """
@@ -308,27 +317,31 @@ def dkf_time_step(
     p_prior_inv, kb = _gains(p_prior, x_prior, sensors, measurements_t, t)
 
     # L primal-only ADMM sub-iterations (Jacobi); the accumulator
-    # K lambda_tilde stays local and restarts at zero each step.
+    # K lambda_tilde stays local and restarts at zero each step. A round
+    # does only the exchange; the log and the ledger follow the loop.
     xi, k_lam = x_prior, np.zeros_like(x_prior)
-    log_rows = []
-    for _ in range(params.l_sub):
+    iterates = None if consensus_log is None else np.empty((params.l_sub,) + xi.shape)
+    for k in range(params.l_sub):
         xi, k_lam = _consensus_round(xi, k_lam, kb, graph, params.alpha_lambda, params.mu)
-        if ledger is not None:
-            ledger.record("state", "xi", runs * graph.degree, n)
-        if consensus_log is not None:
-            log_rows.append(np.linalg.norm(xi - xi.mean(axis=0), axis=-1).mean(axis=0))
-    if consensus_log is not None:
-        consensus_log.append(np.array(log_rows).T.reshape(shape[:-2] + (-1,)))
+        if iterates is not None:
+            iterates[k] = xi
+    if ledger is not None:
+        ledger.record("state", "xi", params.l_sub * runs * graph.degree, n)
+    if iterates is not None:
+        dev = iterates - iterates.mean(axis=1, keepdims=True)
+        spread = np.sqrt(np.einsum("lnrk,lnrk->lnr", dev, dev)).mean(axis=1)
+        consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
 
     # Sub-iteration-free covariance consensus on the previous step's theta.
     theta, nu = state.theta, state.nu_tilde
     omega_scaled = n_nodes * vech(sensors.info)
-    for _ in range(params.l_sub if sub_iterated_covariance else 1):
+    cov_rounds = params.l_sub if sub_iterated_covariance else 1
+    for _ in range(cov_rounds):
         theta, nu = _consensus_round(
             theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu
         )
-        if ledger is not None:
-            ledger.record("covariance", "theta", runs * graph.degree, theta.shape[1])
+    if ledger is not None:
+        ledger.record("covariance", "theta", cov_rounds * runs * graph.degree, theta.shape[1])
 
     p_post = _posterior_cov(p_prior_inv, theta, t)
     state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 from concurrent.futures import ProcessPoolExecutor
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -65,6 +66,9 @@ class ScenarioConfig:
     override_stability_guard: bool = False
 
     def __post_init__(self):
+        for name in ("dt", "q_intensity", "r_var", "radius", "init_box_halfwidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigRejected(f"{name} must be finite, got {getattr(self, name)!r}")
         for name, ok, rule in (
             ("dt", self.dt > 0, "> 0"),
             ("q_intensity", self.q_intensity >= 0, ">= 0"),

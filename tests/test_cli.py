@@ -76,9 +76,9 @@ def test_dare_subcommand(tmp_path, capsys):
 def test_bad_config_exits_2(tmp_path, capsys):
     # an unknown key, then out-of-range values and unknown names that would
     # otherwise escape later as a numpy or ValueError traceback (negative
-    # seeds and a negative init box among them), then `none` on a key
-    # without an automatic value (it used to run with the default) and INI
-    # files with no section header or a duplicated key
+    # seeds, a negative init box and non-finite floats among them), then
+    # `none` on a key without an automatic value (it used to run with the
+    # default) and INI files with no section header or a duplicated key
     cases = (
         "[run]\nhorizon = 5\n",
         "[model]\ndt = 0\n",
@@ -93,6 +93,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "[graph]\ngraph_seed = -3\n",
         "[model]\nsensor_assignment = per_step_random\nassignment_seed = -3\n",
         "[run]\ninit_box_halfwidth = -2\n",
+        "[model]\ndt = inf\n",
+        "[model]\nq_intensity = inf\n",
+        "[model]\nr_var = inf\n",
+        "[graph]\nradius = inf\n",
+        "[run]\ninit_box_halfwidth = inf\n",
         "[graph]\nn_nodes = none\n",
         "n_nodes = 5\n",
         "[graph]\nn_nodes = 5\nn_nodes = 6\n",
@@ -117,13 +122,20 @@ def test_unstable_params_exit_2(tmp_path):
 
 
 def test_non_positive_step_sizes_exit_2(tmp_path, capsys):
-    for k, line in enumerate(("mu = -0.01", "alpha_nu = 0", "alpha_lambda = -1")):
-        cfg = _write(tmp_path, SMOKE_INI.replace("[params]\n", f"[params]\n{line}\n"),
-                     name=f"steps{k}.ini")
+    # NaN and inf also with the stability guard overridden, which used to
+    # run and write all-NaN CSVs
+    override = "override_stability_guard = true\n"
+    for k, (line, run) in enumerate((
+        ("mu = -0.01", ""), ("alpha_nu = 0", ""), ("alpha_lambda = -1", ""),
+        ("alpha_lambda = nan", override), ("mu = inf", override),
+    )):
+        text = SMOKE_INI.replace("[params]\n", f"[params]\n{line}\n") + run
+        cfg = _write(tmp_path, text, name=f"steps{k}.ini")
         for command in ("run", "validate"):
             code = main([command, cfg, "--quiet", "--output", str(tmp_path / "o")])
             assert code == EXIT_CONFIG, (command, line)
-            assert "step sizes must be positive" in capsys.readouterr().err, (command, line)
+            err = capsys.readouterr().err
+            assert "step sizes must be positive and finite" in err, (command, line)
 
 
 def test_divergent_override_exits_3(tmp_path, capsys):

@@ -340,15 +340,56 @@ def test_ledger_counts_and_wire_schema():
 
 
 def test_time_step_traffic_formula():
-    graph, _, params, model, traj, state = _setup(n_nodes=5, topology="path", l_sub=7)
-    ledger = CommLedger(5)
-    meas = traj.measurements[1]
-    dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1)
+    # each loop is recorded once per step: its rounds times runs times degree
+    graph, _, params, model, traj, _ = _setup(n_nodes=5, topology="path", l_sub=7)
     n, n_cov = 4, 10
-    assert np.array_equal(ledger.state_messages, 7 * graph.degree)
-    assert np.array_equal(ledger.state_scalars, 7 * graph.degree * n)
-    assert np.array_equal(ledger.cov_messages, graph.degree)
-    assert np.array_equal(ledger.cov_scalars, graph.degree * n_cov)
+    for lead in ((), (3,)):  # an (N, n) state, then R = 3 runs
+        runs = lead[0] if lead else 1
+        for sub_iterated in (False, True):
+            state = init_state(model, np.broadcast_to(model.x0_mean, lead + (5, 4)))
+            ledger = CommLedger(5)
+            meas = np.broadcast_to(traj.measurements[1], lead + (5, 1))
+            dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1,
+                          sub_iterated_covariance=sub_iterated)
+            cov_rounds = 7 if sub_iterated else 1
+            assert np.array_equal(ledger.state_messages, runs * 7 * graph.degree)
+            assert np.array_equal(ledger.state_scalars, runs * 7 * graph.degree * n)
+            assert np.array_equal(ledger.cov_messages, runs * cov_rounds * graph.degree)
+            assert np.array_equal(
+                ledger.cov_scalars, runs * cov_rounds * graph.degree * n_cov
+            )
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_consensus_log_matches_per_round_formula(runs):
+    # the rounds run by hand, with the mean consensus error of each round
+    # computed as it is produced; the step computes the log from its buffer
+    graph, _, params, model, traj, _ = _setup(
+        n_nodes=6, topology="random_geometric", l_sub=9, radius=0.6, seed=2
+    )
+    rng = np.random.default_rng(4)
+    lead = () if runs is None else (runs,)
+    state = init_state(model, model.x0_mean + rng.normal(size=lead + (6, 4)))
+    meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
+
+    x_post = state.x_post if runs is None else state.x_post.swapaxes(0, 1)
+    x_prior, p_prior = _predict(x_post, state.p_post, model)
+    _, kb = _gains(p_prior, x_prior, sensor_specs_at(model, 1), meas, 1)
+    xi, acc, rows = x_prior, np.zeros_like(x_prior), []
+    for _ in range(params.l_sub):
+        xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
+        rows.append(np.linalg.norm(xi - xi.mean(axis=0), axis=-1).mean(axis=0))
+    want = np.array(rows).T
+
+    logged = init_state(model, state.x_post, state.p_post)
+    log = []
+    dkf_time_step(logged, graph, model, meas, params, t=1, consensus_log=log)
+    assert len(log) == 1 and log[0].shape == lead + (params.l_sub,)
+    assert np.allclose(log[0], want, rtol=1e-12, atol=1e-12)
+    # the log observes the step and does not change it
+    dkf_time_step(state, graph, model, meas, params, t=1)
+    for name in ("x_post", "p_post", "theta"):
+        assert np.array_equal(getattr(logged, name), getattr(state, name))
 
 
 def test_time_step_matches_per_node_operations():

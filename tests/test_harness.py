@@ -98,6 +98,10 @@ def test_config_rejections(tmp_path):
     for key in ("master_seed", "graph_seed", "assignment_seed", "init_box_halfwidth"):
         with pytest.raises(ConfigRejected, match=f"{key} must be >= 0"):
             ScenarioConfig(**{key: -1})
+    for key in ("dt", "q_intensity", "r_var", "radius", "init_box_halfwidth"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ConfigRejected, match=f"{key} must be finite"):
+                ScenarioConfig(**{key: value})
 
 
 def test_build_scenario_auto_params_pass_guard():
