@@ -23,7 +23,6 @@ class CentralizedState:
     x_hat: np.ndarray
     p: np.ndarray
     p_prior: np.ndarray
-    omega: np.ndarray  # information matrix, p^-1
 
 
 def initial_centralized_state(model: StateSpaceModel) -> CentralizedState:
@@ -32,7 +31,6 @@ def initial_centralized_state(model: StateSpaceModel) -> CentralizedState:
         x_hat=np.array(model.x0_mean, dtype=float),
         p=p0,
         p_prior=p0,
-        omega=spd_inverse(p0),
     )
 
 
@@ -60,7 +58,7 @@ def centralized_kf_step(
         p = spd_inverse(omega)
     except NotPositiveDefinite:
         raise NotPositiveDefinite("posterior information matrix not PD")
-    return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior, omega=omega)
+    return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 
 def consensus_fixed_point(x_priors, p_priors, measurements, sensors) -> np.ndarray:

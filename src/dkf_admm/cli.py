@@ -4,7 +4,7 @@ Subcommands:
   run <config>       execute a scenario and export CSVs
   validate <config>  print the stability report (bounds + worst radii)
   spectrum <config>  print graph diagnostics (Laplacian eigenvalues)
-  dare <config>      print the steady-state prior covariance P*
+  dare <config>      print the steady-state prior covariance P* (static sensors)
 
 Exit codes: 0 success, 2 config rejected, 3 numerical failure.
 """
@@ -54,8 +54,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "validate", "spectrum", "dare"):
         p = sub.add_parser(name)
-        p.add_argument("config_positional", nargs="?", metavar="config")
-        p.add_argument("--config", dest="config_flag")
+        p.add_argument("config", nargs="?")
         p.add_argument("--output", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="overrides master_seed")
         p.add_argument("--runs", type=int, help="overrides n_mc_runs")
@@ -64,8 +63,7 @@ def _build_parser():
 
 
 def _load(args) -> ScenarioConfig:
-    path = args.config_flag or args.config_positional
-    config = load_config(path) if path else ScenarioConfig()
+    config = load_config(args.config) if args.config else ScenarioConfig()
     overrides = {}
     if args.output is not None:
         overrides["output_dir"] = args.output

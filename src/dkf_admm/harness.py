@@ -10,11 +10,9 @@ convergence error, and communication totals.
 from __future__ import annotations
 
 import configparser
-from concurrent.futures import ProcessPoolExecutor
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +79,7 @@ class ScenarioConfig:
             ("horizon_steps", self.horizon_steps >= 1, ">= 1"),
             ("n_mc_runs", self.n_mc_runs >= 1, ">= 1"),
             ("l_sub", self.l_sub >= 1, ">= 1"),
-            ("workers", self.workers >= 1, ">= 1"),
+            ("workers", self.workers == 1, "1 (Monte-Carlo runs are batched in one process)"),
             ("master_seed", self.master_seed >= 0, ">= 0"),
             ("graph_seed", self.graph_seed >= 0, ">= 0"),
             ("assignment_seed", self.assignment_seed >= 0, ">= 0"),
@@ -198,8 +196,13 @@ def steady_state_prior(model) -> np.ndarray:
     The Riccati recursion depends on the sensors only through
     sum_i H_i' R_i^-1 H_i, so the solver gets an n-row factor H~ with
     H~' H~ equal to that sum and R = I, instead of the stacked N-row H and
-    its N x N noise covariance.
+    its N x N noise covariance. Only static models have a steady state:
+    any other raises ConfigRejected.
     """
+    if model.assignment_mode != "static":
+        raise ConfigRejected(
+            f"{model.assignment_mode} sensors have no steady-state prior covariance"
+        )
     w, v = np.linalg.eigh(information_rate_target(model))
     h_tilde = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
     return dare_solve(model.f, h_tilde, model.q, np.eye(model.n))
@@ -225,13 +228,19 @@ def reference_priors(model, n_steps) -> np.ndarray:
     return np.array(priors)
 
 
-def _run_batch(config, graph, model, params, p_refs, run_ids):
-    """The Monte-Carlo runs `run_ids` as one batched filter pass; returns
-    per-run squared errors (R, T, N), consensus errors (R, T, L), the
-    shared covariance error (T, N) against the priors `p_refs` and the
-    ledger of all the runs."""
+def run_scenario(config: ScenarioConfig) -> RunMetrics:
+    """Execute all Monte-Carlo runs and aggregate metrics.
+
+    The runs are filtered as one batch, one `dkf_time_step` call per time
+    step for all of them. Deterministic given the config: run seeds derive
+    from master_seed and the run index, and runs are ordered by run index.
+    """
+    graph, model, spectrum, params = build_scenario(config)
+    params.validate_for(spectrum, override=config.override_stability_guard)
+    p_refs = reference_priors(model, config.horizon_steps)
+
     trajs, x0_est = [], []
-    for run_idx in run_ids:
+    for run_idx in range(config.n_mc_runs):
         traj_seed, init_seed = _run_seed(config.master_seed, run_idx).spawn(2)
         trajs.append(simulate_trajectory(
             model, config.horizon_steps + 1, traj_seed, noise_free=config.noise_free
@@ -245,9 +254,9 @@ def _run_batch(config, graph, model, params, p_refs, run_ids):
     state = init_state(model, np.array(x0_est))
     ledger = CommLedger(model.n_nodes)
     steps = range(1, config.horizon_steps + 1)
-    sq_pos = np.empty((len(run_ids), len(steps), model.n_nodes))
+    sq_pos = np.empty((config.n_mc_runs, len(steps), model.n_nodes))
     sq_vel = np.empty_like(sq_pos)
-    cov_err = np.empty(sq_pos.shape[1:])
+    cov_err = np.empty(sq_pos.shape[1:])  # the covariance recursion is shared by all runs
     consensus_log = []
     for row, t in enumerate(steps):
         dkf_time_step(
@@ -260,48 +269,15 @@ def _run_batch(config, graph, model, params, p_refs, run_ids):
         sq_vel[:, row] = err[..., 2] ** 2 + err[..., 3] ** 2
         p_ref = p_refs[row]
         cov_err[row] = np.linalg.norm(state.p_prior - p_ref, axis=(1, 2)) / np.linalg.norm(p_ref)
-    return sq_pos, sq_vel, np.array(consensus_log).swapaxes(0, 1), cov_err, ledger
-
-
-def run_scenario(config: ScenarioConfig) -> RunMetrics:
-    """Execute all Monte-Carlo runs and aggregate metrics.
-
-    The runs are filtered as one batch; with `workers` > 1 a process pool
-    filters contiguous chunks of runs, one batch each. Deterministic given
-    the config: run seeds derive from master_seed and the run index, and
-    aggregation is ordered by run index.
-    """
-    graph, model, spectrum, params = build_scenario(config)
-    params.validate_for(spectrum, override=config.override_stability_guard)
-    p_refs = reference_priors(model, config.horizon_steps)
-
-    chunks = np.array_split(np.arange(config.n_mc_runs), config.workers)
-    chunks = [c for c in chunks if c.size]
-    run_chunk = partial(_run_batch, config, graph, model, params, p_refs)
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(chunks[0])]
-
-    sq_pos_runs = np.concatenate([r[0] for r in results])
-    sq_pos = sq_pos_runs.mean(axis=0)
-    sq_vel = np.concatenate([r[1] for r in results]).mean(axis=0)
-    consensus = np.concatenate([r[2] for r in results]).mean(axis=0)
-    cov_err = results[0][3]  # covariance recursion is measurement-independent
-    total = CommLedger(model.n_nodes)
-    for name in ("state_messages", "state_scalars", "cov_messages", "cov_scalars"):
-        setattr(total, name, sum(getattr(r[4], name) for r in results))
-    times = np.arange(1, config.horizon_steps + 1)
     return RunMetrics(
-        times=times,
-        rmse_pos=np.sqrt(sq_pos),
-        rmse_vel=np.sqrt(sq_vel),
-        consensus_error=consensus,
+        times=np.array(steps),
+        rmse_pos=np.sqrt(sq_pos.mean(axis=0)),
+        rmse_vel=np.sqrt(sq_vel.mean(axis=0)),
+        consensus_error=np.array(consensus_log).mean(axis=1),  # (T, R, L) -> (T, L)
         cov_error=cov_err,
-        comm=total,
+        comm=ledger,
         n_mc_runs=config.n_mc_runs,
-        sq_pos_runs=sq_pos_runs,
+        sq_pos_runs=sq_pos,
     )
 
 

@@ -106,11 +106,13 @@ class StateSpaceModel:
             np.linalg.cholesky(q)
         sensors = tuple(self.sensors)
         arrays = SensorArrays.stack(sensors)
-        if not is_observable(f, arrays.h.reshape(-1, n)):
-            raise ObservabilityError("stacked (F, H) is not observable")
         table = None
         if self.assignment_mode == "per_step_random":
             table = SensorArrays.stack([_position_sensor(c, n, sensors[0].r) for c in (0, 1)])
+        # a per-step-random model may draw any table row at any step, and no
+        # step needs the construction-time draw to be observable on its own
+        if not is_observable(f, (arrays if table is None else table).h.reshape(-1, n)):
+            raise ObservabilityError("stacked (F, H) is not observable")
         for arr in (f, q, x0, p0):
             arr.setflags(write=False)
         for name, value in dict(f=f, q=q, x0_mean=x0, p0=p0, sensors=sensors, n=n,

@@ -73,6 +73,38 @@ def test_dare_subcommand(tmp_path, capsys):
     np.linalg.cholesky(p)  # positive definite
 
 
+def _random_sensors_ini(assignment_seed):
+    return SMOKE_INI + (
+        f"[model]\nsensor_assignment = per_step_random\nassignment_seed = {assignment_seed}\n"
+    )
+
+
+def test_per_step_random_runs_without_an_observable_first_draw(tmp_path):
+    # assignment seed 4 draws x2 at every node at construction, which no
+    # filter step uses; the steps draw from both coordinates
+    cfg = _write(tmp_path, _random_sensors_ini(4))
+    assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_dare_rejects_per_step_random(tmp_path, capsys):
+    # redrawn sensors have no steady state, whichever draw comes first
+    for seed in (0, 4):
+        cfg = _write(tmp_path, _random_sensors_ini(seed), name=f"s{seed}.ini")
+        assert main(["dare", cfg]) == EXIT_CONFIG, seed
+        captured = capsys.readouterr()
+        assert "no steady-state" in captured.err and captured.out == "", seed
+
+
+def test_config_flag_is_gone(tmp_path, capsys):
+    # the config file is positional only; a second way to name it used to
+    # drop the positional file silently
+    cfg = _write(tmp_path, SMOKE_INI)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", cfg, "--config", cfg])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     # an unknown key, then out-of-range values and unknown names that would
     # otherwise escape later as a numpy or ValueError traceback (negative
@@ -101,6 +133,7 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "[graph]\nn_nodes = none\n",
         "n_nodes = 5\n",
         "[graph]\nn_nodes = 5\nn_nodes = 6\n",
+        "[run]\nworkers = 2\n",
     )
     for k, text in enumerate(cases):
         cfg = _write(tmp_path, text, name=f"bad{k}.ini")
