@@ -3,10 +3,10 @@
 A network of local estimators tracks a linear-Gaussian system. Each node
 runs a local Kalman filter whose correction step is solved by primal-only
 ADMM sub-iterations (only state iterates cross edges, never duals), while
-the global information-rate matrix is agreed on by a sub-iteration-free
-consensus loop on half-vectorized matrices. Centralized references (an
-information-form Kalman filter and a fixed-point Riccati solver) are
-included for validation.
+the global information-rate matrix is agreed on by a consensus loop on
+half-vectorized matrices (one round per step, l_sub on redrawn sensors).
+Centralized references (an information-form Kalman filter and a
+fixed-point Riccati solver) are included for validation.
 """
 
 from dkf_admm.exceptions import (

@@ -35,21 +35,20 @@ def initial_centralized_state(model: StateSpaceModel) -> CentralizedState:
 
 
 def centralized_kf_step(
-    state: CentralizedState, model: StateSpaceModel, measurements, t: int | None = None
+    state: CentralizedState, model: StateSpaceModel, measurements, t: int
 ) -> CentralizedState:
     """One predict + information-form correction with all N measurements.
 
     Predict with (F, Q); correct by adding sum_i H_i' R_i^-1 H_i to the
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
     vector. `measurements` holds the y_i of the first k nodes, shape (k, m)
-    (may be empty); the sensors are `sensor_specs_at(model, t)`, or the
-    model's own without t.
+    (may be empty); the sensors are `sensor_specs_at(model, t)`.
     """
     f, q = model.f, model.q
     x_prior = f @ state.x_hat
     p_prior = sym(f @ state.p @ f.T + q)
     omega_prior = spd_inverse(p_prior)
-    sensors = model.sensor_arrays if t is None else sensor_specs_at(model, t)
+    sensors = sensor_specs_at(model, t)
     k = len(measurements)
     y = np.asarray(measurements, dtype=float).reshape(k, sensors.h.shape[1])
     omega = sym(omega_prior + sensors.info[:k].sum(axis=0))

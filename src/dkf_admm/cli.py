@@ -51,27 +51,24 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dkf-admm", description="Distributed Kalman filter simulation harness"
     )
+    parser.set_defaults(quiet=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "validate", "spectrum", "dare"):
-        p = sub.add_parser(name)
+    subs = {name: sub.add_parser(name) for name in ("run", "validate", "spectrum", "dare")}
+    for p in subs.values():
         p.add_argument("config", nargs="?")
-        p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="overrides master_seed")
-        p.add_argument("--runs", type=int, help="overrides n_mc_runs")
-        p.add_argument("--quiet", action="store_true")
+    # only run takes the overrides; validate and dare print nothing but their report
+    subs["run"].add_argument("--output", dest="output_dir", help="overrides output_dir")
+    subs["run"].add_argument("--seed", dest="master_seed", type=int, help="overrides master_seed")
+    subs["run"].add_argument("--runs", dest="n_mc_runs", type=int, help="overrides n_mc_runs")
+    for name in ("run", "spectrum"):
+        subs[name].add_argument("--quiet", action="store_true")
     return parser
 
 
 def _load(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if args.output is not None:
-        overrides["output_dir"] = args.output
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.runs is not None:
-        overrides["n_mc_runs"] = args.runs
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {k: getattr(args, k, None) for k in ("output_dir", "master_seed", "n_mc_runs")}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -5,9 +5,9 @@ axis is the node index, so every update below is the paper's
 network-level form: the lifted Laplacian (L kron I) acting on the stacked
 iterates. One filter time step is: predict with (F, Q); L synchronous
 Jacobi sub-iterations of the ADMM state correction (neighbors exchange
-only the primal iterate xi, the transformed dual stays local); one step
-of the sub-iteration-free covariance consensus on half-vectorized
-information matrices (only theta crosses edges); then the posterior
+only the primal iterate xi, the transformed dual stays local); one round
+of the covariance consensus (l_sub on per-step-random sensors) on half-
+vectorized information matrices (only theta crosses edges); the posterior
 covariance assembly. All exchanges flow through a CommLedger that counts
 messages and scalar payloads and rejects any attempt to put a dual
 variable on the wire. Independent Monte-Carlo runs can share one step:
@@ -36,9 +36,9 @@ class DkfParams:
     """Step sizes and sub-iteration count of the distributed filter.
 
     alpha_lambda: dual step of the state correction; mu: quadratic penalty
-    weight; alpha_nu: covariance consensus step; l_sub: sub-iterations per
-    time step. Both consensus loops are stable exactly when the
-    `step_bounds` of the active graph's lambda_max hold (see `check`).
+    weight; alpha_nu: covariance consensus step; l_sub: rounds per step of
+    the state loop, and of the covariance loop on per-step-random sensors.
+    Both loops are stable iff the `step_bounds` of lambda_max hold (`check`).
     """
 
     alpha_lambda: float
@@ -286,10 +286,10 @@ def dkf_time_step(
     model: StateSpaceModel,
     measurements_t,
     params: DkfParams,
+    *,
+    t: int,
     ledger: CommLedger | None = None,
-    t: int | None = None,
     consensus_log=None,
-    sub_iterated_covariance: bool = False,
 ):
     """Run one full filter time step for every node; updates and returns
     `state`.
@@ -304,15 +304,15 @@ def dkf_time_step(
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
     (L,) array, or (R, L) for R runs; the rounds' iterates are buffered
     and the whole array is computed once after the loop.
-    `sub_iterated_covariance` reruns the covariance consensus l_sub times
-    per step instead of once (both converge under the same bound).
+    Theta crosses edges once per step on static sensors and l_sub times
+    on per-step-random ones, whose consensus target moves every step.
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
     # an (N, n) state is one run; runs go node-major, (N, R, n)
     x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
     runs = x_post.shape[1]
-    sensors = sensor_specs_at(model, 0 if t is None else t)
+    sensors = sensor_specs_at(model, t)
     x_prior, p_prior = _predict(x_post, state.p_post, model)
     p_prior_inv, kb = _gains(p_prior, x_prior, sensors, measurements_t, t)
 
@@ -332,10 +332,10 @@ def dkf_time_step(
         spread = np.sqrt(np.einsum("lnrk,lnrk->lnr", dev, dev)).mean(axis=1)
         consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
 
-    # Sub-iteration-free covariance consensus on the previous step's theta.
+    # Covariance consensus on the previous step's theta, l_sub rounds if redrawn.
     theta, nu = state.theta, state.nu_tilde
     omega_scaled = n_nodes * vech(sensors.info)
-    cov_rounds = params.l_sub if sub_iterated_covariance else 1
+    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
     for _ in range(cov_rounds):
         theta, nu = _consensus_round(
             theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu

@@ -60,10 +60,11 @@ class ScenarioConfig:
     init_box_halfwidth: float = 1.0
     # scenario flags
     noise_free: bool = False
-    sub_iterated_covariance: bool = False
+    sub_iterated_covariance: bool | None = None  # set by sensor_assignment
     override_stability_guard: bool = False
 
     def __post_init__(self):
+        redrawn = self.sensor_assignment == "per_step_random"
         for name in ("dt", "q_intensity", "r_var", "radius", "init_box_halfwidth"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigRejected(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -76,6 +77,8 @@ class ScenarioConfig:
             ("topology", self.topology in TOPOLOGIES, f"one of {TOPOLOGIES}"),
             ("sensor_assignment", self.sensor_assignment in SENSOR_ASSIGNMENTS,
              f"one of {SENSOR_ASSIGNMENTS}"),
+            ("sub_iterated_covariance", self.sub_iterated_covariance in (None, redrawn),
+             f"auto or {redrawn}, as sensor_assignment sets the covariance rounds"),
             ("horizon_steps", self.horizon_steps >= 1, ">= 1"),
             ("n_mc_runs", self.n_mc_runs >= 1, ">= 1"),
             ("l_sub", self.l_sub >= 1, ">= 1"),
@@ -196,13 +199,15 @@ def steady_state_prior(model) -> np.ndarray:
     The Riccati recursion depends on the sensors only through
     sum_i H_i' R_i^-1 H_i, so the solver gets an n-row factor H~ with
     H~' H~ equal to that sum and R = I, instead of the stacked N-row H and
-    its N x N noise covariance. Only static models have a steady state:
-    any other raises ConfigRejected.
+    its N x N noise covariance. Only static models with a nonzero Q have a
+    steady state (Q = 0 gives P* = 0): any other raises ConfigRejected.
     """
     if model.assignment_mode != "static":
         raise ConfigRejected(
             f"{model.assignment_mode} sensors have no steady-state prior covariance"
         )
+    if not model.q.any():
+        raise ConfigRejected("q_intensity = 0 has no steady-state prior covariance (P* = 0)")
     w, v = np.linalg.eigh(information_rate_target(model))
     h_tilde = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
     return dare_solve(model.f, h_tilde, model.q, np.eye(model.n))
@@ -262,7 +267,6 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         dkf_time_step(
             state, graph, model, meas[:, t], params, ledger=ledger, t=t,
             consensus_log=consensus_log,
-            sub_iterated_covariance=config.sub_iterated_covariance,
         )
         err = states[:, t, None] - state.x_post
         sq_pos[:, row] = err[..., 0] ** 2 + err[..., 1] ** 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dkf_admm.exceptions import DimensionError, ObservabilityError
+from dkf_admm.exceptions import DimensionError, NotPositiveDefinite, ObservabilityError
 from dkf_admm.linalg import is_observable, sym, spd_solve
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
@@ -59,13 +59,16 @@ class SensorArrays:
     def stack(cls, sensors) -> SensorArrays:
         """Stack `SensorSpec`s; R^-1 H and H' R^-1 H come from one batched
         Cholesky solve (NotPositiveDefinite unless every R_i is positive
-        definite). Mixed measurement dimensions raise DimensionError."""
+        definite and R^-1 H finite). Mixed m_i raise DimensionError."""
         dims = sorted({s.h.shape[0] for s in sensors})
         if len(dims) > 1:
             raise DimensionError(f"nodes need one measurement dimension m, got m_i in {dims}")
         h = np.array([s.h for s in sensors])
         r = np.array([s.r for s in sensors])
         rinv_h = spd_solve(r, h)
+        finite = np.isfinite(rinv_h).reshape(len(h), -1).all(axis=1)
+        if not finite.all():
+            raise NotPositiveDefinite(f"R^-1 H of node {np.argmin(finite)} is not finite")
         return cls(h, r, rinv_h, sym(np.swapaxes(h, -1, -2) @ rinv_h))
 
 
@@ -100,10 +103,15 @@ class StateSpaceModel:
         n = f.shape[0]
         if f.shape != (n, n) or q.shape != (n, n) or p0.shape != (n, n) or x0.size != n:
             raise ValueError("inconsistent model dimensions")
-        np.linalg.cholesky(p0)
+        if self.assignment_mode not in ("static", "per_step_random"):
+            raise ValueError(f"unknown assignment mode {self.assignment_mode!r}")
         # Q may be singular only in the deliberate noise-free limit
-        if not np.allclose(q, 0.0):
-            np.linalg.cholesky(q)
+        must_be_pd = {"P0": p0} if np.allclose(q, 0.0) else {"P0": p0, "Q": q}
+        for name, m in must_be_pd.items():
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(f"{name} must be positive definite") from exc
         sensors = tuple(self.sensors)
         arrays = SensorArrays.stack(sensors)
         table = None

@@ -48,7 +48,7 @@ def test_scalar_textbook_update():
         x0_mean=np.zeros(1), p0=np.eye(1),
     )
     state = initial_centralized_state(model)
-    new = centralized_kf_step(state, model, [np.array([1.5]), np.array([1.5])])
+    new = centralized_kf_step(state, model, [np.array([1.5]), np.array([1.5])], 1)
     assert new.x_hat[0] == pytest.approx(1.0, abs=1e-12)
     assert new.p[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -56,7 +56,7 @@ def test_scalar_textbook_update():
 def test_empty_correction_is_pure_prediction():
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     state = initial_centralized_state(model)
-    new = centralized_kf_step(state, model, [])
+    new = centralized_kf_step(state, model, [], 1)
     assert np.allclose(new.x_hat, model.f @ state.x_hat)
     assert np.allclose(new.p, model.f @ state.p @ model.f.T + model.q, atol=1e-12)
 
@@ -68,7 +68,7 @@ def test_information_form_matches_gain_form():
     state = initial_centralized_state(model)
     for t in range(1, 40):
         meas = traj.measurements[t]
-        state = centralized_kf_step(state, model, meas)
+        state = centralized_kf_step(state, model, meas, t)
         assert np.allclose(state.x_hat, xs[t], atol=1e-10)
         assert np.allclose(state.p, ps[t], atol=1e-10)
 
@@ -142,7 +142,7 @@ def test_fixed_point_matches_centralized_posterior():
         meas = traj.measurements[t]
         prior_x = model.f @ state.x_hat
         prior_p = model.f @ state.p @ model.f.T + model.q
-        state = centralized_kf_step(state, model, meas)
+        state = centralized_kf_step(state, model, meas, t)
         xi = consensus_fixed_point(
             [prior_x] * 6, [prior_p] * 6, meas, model.sensors
         )
@@ -158,6 +158,6 @@ def test_prior_covariance_reaches_riccati_limit():
     # with zero measurements give P_{2000|1999}
     state = initial_centralized_state(model)
     zeros = np.zeros(model.sensor_arrays.h.shape[:2])
-    for _ in range(2000):
-        state = centralized_kf_step(state, model, zeros)
+    for t in range(1, 2001):
+        state = centralized_kf_step(state, model, zeros, t)
     assert np.linalg.norm(state.p_prior - p_star) < 1e-8

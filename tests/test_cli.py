@@ -95,6 +95,41 @@ def test_dare_rejects_per_step_random(tmp_path, capsys):
         assert "no steady-state" in captured.err and captured.out == "", seed
 
 
+def test_flags_that_act_on_nothing_are_rejected(tmp_path, capsys):
+    # only run reads --output, --seed and --runs; validate and dare print
+    # nothing but their report, so --quiet is not theirs either
+    cfg = _write(tmp_path, SMOKE_INI)
+    for args in (["validate", cfg, "--runs", "3"], ["dare", cfg, "--seed", "3"],
+                 ["dare", cfg, "--quiet"], ["spectrum", cfg, "--output", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_CONFIG, args
+        assert "unrecognized arguments" in capsys.readouterr().err, args
+    assert main(["spectrum", cfg, "--quiet"]) == EXIT_OK
+    assert "edges=" not in capsys.readouterr().out
+
+
+def test_static_zero_process_noise_exits_2(tmp_path, capsys):
+    # Q = 0 gives P* = 0, against which no covariance error is defined;
+    # redrawn sensors measure against the time-varying recursion and run
+    text = SMOKE_INI + "[model]\nq_intensity = 0\n"
+    cfg = _write(tmp_path, text)
+    for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["dare", cfg]):
+        assert main(args) == EXIT_CONFIG, args[0]
+        assert "q_intensity = 0" in capsys.readouterr().err, args[0]
+    cfg = _write(tmp_path, text + "sensor_assignment = per_step_random\n", name="random.ini")
+    assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_overflowing_sensor_information_exits_3(tmp_path, capsys):
+    # r_var = 5e-324 is positive and finite, but R^-1 H overflows; this used
+    # to end in a LinAlgError traceback (exit 1)
+    cfg = _write(tmp_path, SMOKE_INI + "[model]\nr_var = 5e-324\n")
+    for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["dare", cfg]):
+        assert main(args) == EXIT_NUMERICAL, args[0]
+        assert "node 0 is not finite" in capsys.readouterr().err, args[0]
+
+
 def test_config_flag_is_gone(tmp_path, capsys):
     # the config file is positional only; a second way to name it used to
     # drop the positional file silently
@@ -134,19 +169,22 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "n_nodes = 5\n",
         "[graph]\nn_nodes = 5\nn_nodes = 6\n",
         "[run]\nworkers = 2\n",
+        "[run]\nsub_iterated_covariance = true\n",
+        "[model]\nsensor_assignment = per_step_random\n[run]\nsub_iterated_covariance = false\n",
     )
     for k, text in enumerate(cases):
         cfg = _write(tmp_path, text, name=f"bad{k}.ini")
-        for command in ("run", "validate"):
-            code = main([command, cfg, "--quiet", "--output", str(tmp_path / "o")])
-            assert code == EXIT_CONFIG, (command, text)
-            assert "config rejected" in capsys.readouterr().err, (command, text)
+        for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["validate", cfg]):
+            assert main(args) == EXIT_CONFIG, (args[0], text)
+            assert "config rejected" in capsys.readouterr().err, (args[0], text)
     # a negative seed on the command line
     cfg = _write(tmp_path, SMOKE_INI)
-    for command in ("run", "validate"):
-        code = main([command, cfg, "--seed", "-1", "--quiet", "--output", str(tmp_path / "o")])
-        assert code == EXIT_CONFIG, command
-        assert "master_seed must be >= 0" in capsys.readouterr().err, command
+    code = main(["run", cfg, "--seed", "-1", "--quiet", "--output", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+    # `auto` leaves the covariance rounds to the sensor assignment
+    cfg = _write(tmp_path, SMOKE_INI + "sub_iterated_covariance = auto\n", name="auto.ini")
+    assert main(["validate", cfg]) == EXIT_OK
 
 
 def test_unstable_params_exit_2(tmp_path):
@@ -164,11 +202,10 @@ def test_non_positive_step_sizes_exit_2(tmp_path, capsys):
     )):
         text = SMOKE_INI.replace("[params]\n", f"[params]\n{line}\n") + run
         cfg = _write(tmp_path, text, name=f"steps{k}.ini")
-        for command in ("run", "validate"):
-            code = main([command, cfg, "--quiet", "--output", str(tmp_path / "o")])
-            assert code == EXIT_CONFIG, (command, line)
+        for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["validate", cfg]):
+            assert main(args) == EXIT_CONFIG, (args[0], line)
             err = capsys.readouterr().err
-            assert "step sizes must be positive and finite" in err, (command, line)
+            assert "step sizes must be positive and finite" in err, (args[0], line)
 
 
 def test_divergent_override_exits_3(tmp_path, capsys):

@@ -340,18 +340,18 @@ def test_ledger_counts_and_wire_schema():
 
 
 def test_time_step_traffic_formula():
-    # each loop is recorded once per step: its rounds times runs times degree
-    graph, _, params, model, traj, _ = _setup(n_nodes=5, topology="path", l_sub=7)
+    # each loop is recorded once per step: its rounds times runs times degree;
+    # the covariance loop runs once on static sensors, l_sub times on redrawn
+    graph, _, params, static, traj, _ = _setup(n_nodes=5, topology="path", l_sub=7)
+    redrawn = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment="per_step_random")
     n, n_cov = 4, 10
     for lead in ((), (3,)):  # an (N, n) state, then R = 3 runs
         runs = lead[0] if lead else 1
-        for sub_iterated in (False, True):
+        for model, cov_rounds in ((static, 1), (redrawn, 7)):
             state = init_state(model, np.broadcast_to(model.x0_mean, lead + (5, 4)))
             ledger = CommLedger(5)
             meas = np.broadcast_to(traj.measurements[1], lead + (5, 1))
-            dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1,
-                          sub_iterated_covariance=sub_iterated)
-            cov_rounds = 7 if sub_iterated else 1
+            dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1)
             assert np.array_equal(ledger.state_messages, runs * 7 * graph.degree)
             assert np.array_equal(ledger.state_scalars, runs * 7 * graph.degree * n)
             assert np.array_equal(ledger.cov_messages, runs * cov_rounds * graph.degree)
@@ -456,27 +456,6 @@ def test_symmetric_nodes_stay_symmetric():
         dkf_time_step(state2, graph2, model2, [y, y], params2, t=t)
         assert np.allclose(state2.x_post[0], state2.x_post[1], atol=1e-12)
         assert np.allclose(state2.p_post[0], state2.p_post[1], atol=1e-12)
-
-
-def test_sub_iterated_covariance_converges_faster():
-    graph = build_graph("ring", 8)
-    spectrum = spectral_summary(graph)
-    model = build_constant_velocity_model(dt=0.1, n_nodes=8, r_var=0.5)
-    params = auto_params(spectrum, l_sub=20)
-    traj = simulate_trajectory(model, 4, seed=6)
-    target = information_rate_target(model)
-
-    def run(sub_iterated):
-        state = init_state(model, np.tile(model.x0_mean, (8, 1)))
-        for t in range(1, 4):
-            meas = traj.measurements[t]
-            dkf_time_step(
-                state, graph, model, meas, params, t=t,
-                sub_iterated_covariance=sub_iterated,
-            )
-        return np.linalg.norm(unvech(state.theta) - target, axis=(1, 2)).max()
-
-    assert run(True) < run(False)
 
 
 @settings(max_examples=30, deadline=None)

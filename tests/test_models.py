@@ -93,6 +93,29 @@ def test_indefinite_sensor_noise_rejected():
         )
 
 
+def test_overflowing_sensor_information_rejected():
+    # R_2 = 5e-324 is positive, but R_2^-1 H_2 overflows to inf; the check
+    # runs before the H' R^-1 H product, so no RuntimeWarning fires first
+    base = build_constant_velocity_model(dt=0.1, n_nodes=2)
+    sensors = base.sensors + (SensorSpec(base.sensors[0].h, [[5e-324]]),)
+    with pytest.raises(NotPositiveDefinite, match="node 2 is not finite"):
+        StateSpaceModel(f=base.f, q=base.q, sensors=sensors, x0_mean=base.x0_mean, p0=base.p0)
+
+
+def test_model_inputs_raise_library_errors():
+    # a P0 or a nonzero Q that is not positive definite used to escape as a
+    # raw LinAlgError; an unknown assignment mode such as "Static" was static
+    # to sensor_specs_at but redrawn to harness.reference_priors
+    base = build_constant_velocity_model(dt=0.1, n_nodes=2)
+    args = dict(f=base.f, q=base.q, sensors=base.sensors, x0_mean=base.x0_mean, p0=base.p0)
+    for name, bad in (("P0", dict(p0=-np.eye(4))), ("Q", dict(q=-base.q))):
+        with pytest.raises(NotPositiveDefinite, match=f"{name} must be positive definite"):
+            StateSpaceModel(**{**args, **bad})
+    with pytest.raises(ValueError, match="unknown assignment mode 'Static'"):
+        StateSpaceModel(**args, assignment_mode="Static")
+    StateSpaceModel(**{**args, "q": np.zeros((4, 4))})  # the noise-free limit stays
+
+
 def test_trajectory_determinism():
     model = build_constant_velocity_model(dt=0.1, n_nodes=6)
     t1 = simulate_trajectory(model, 50, seed=123)
