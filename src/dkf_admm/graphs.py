@@ -242,19 +242,19 @@ def is_connected(g: SensorGraph) -> bool:
     return bool(seen.all())
 
 
-def spectral_summary(g: SensorGraph, tol: float = 1e-10) -> SpectralSummary:
+def spectral_summary(g: SensorGraph) -> SpectralSummary:
     """Eigenvalues of the (symmetric) Laplacian, sorted ascending: exact
     dense `eigvalsh` of a Laplacian built from the edge arrays for this
     call only.
 
     Tiny negative values from round-off are clamped to zero; anything
-    below -tol is treated as solver failure.
+    below -1e-10 is treated as solver failure.
     """
     try:
         vals = np.linalg.eigvalsh(_laplacian(g.n_nodes, g.indptr, g.indices))
     except np.linalg.LinAlgError as exc:
         raise SpectralFailure(str(exc)) from exc
-    if vals[0] < -tol:
+    if vals[0] < -1e-10:
         raise SpectralFailure(f"negative Laplacian eigenvalue {vals[0]}")
     vals = np.clip(vals, 0.0, None)
     vals.setflags(write=False)

@@ -23,7 +23,9 @@ from dkf_admm.filtering import CommLedger, auto_params, dkf_time_step, init_stat
 from dkf_admm.graphs import TOPOLOGIES, build_graph, load_edge_list, spectral_summary
 from dkf_admm.linalg import dare_solve, step_bounds
 from dkf_admm.models import (
+    POSITION,
     SENSOR_ASSIGNMENTS,
+    VELOCITY,
     build_constant_velocity_model,
     information_rate_target,
     simulate_trajectory,
@@ -269,8 +271,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
             consensus_log=consensus_log,
         )
         err = states[:, t, None] - state.x_post
-        sq_pos[:, row] = err[..., 0] ** 2 + err[..., 1] ** 2
-        sq_vel[:, row] = err[..., 2] ** 2 + err[..., 3] ** 2
+        sq_pos[:, row] = (err[..., POSITION] ** 2).sum(axis=-1)
+        sq_vel[:, row] = (err[..., VELOCITY] ** 2).sum(axis=-1)
         p_ref = p_refs[row]
         cov_err[row] = np.linalg.norm(state.p_prior - p_ref, axis=(1, 2)) / np.linalg.norm(p_ref)
     return RunMetrics(
@@ -309,59 +311,39 @@ def validate_params(config: ScenarioConfig) -> str:
     return "\n".join(lines)
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 def export_csv(metrics: RunMetrics, output_dir) -> list:
-    """Write the five result CSVs; returns the written paths."""
+    """Write the five result CSVs from the metric arrays, each value as
+    %.12g; returns the written paths."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    times = metrics.times
     n_nodes = metrics.rmse_pos.shape[1]
-    node_cols = ",".join(f"node_{i}" for i in range(n_nodes))
-    paths = []
-
-    def write(name, header, rows):
-        p = out / name
-        with open(p, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        paths.append(p)
-
-    for name, data in (
-        ("rmse_position.csv", metrics.rmse_pos),
-        ("rmse_velocity.csv", metrics.rmse_vel),
-        ("covariance_error.csv", metrics.cov_error),
-    ):
-        write(
-            name,
-            "t," + node_cols,
-            (
-                [str(t)] + [_fmt(v) for v in data[k]]
-                for k, t in enumerate(metrics.times)
-            ),
-        )
-    write(
-        "consensus_error.csv",
-        "t,l,error",
-        (
-            [str(t), str(l), _fmt(metrics.consensus_error[k, l])]
-            for k, t in enumerate(metrics.times)
-            for l in range(metrics.consensus_error.shape[1])
-        ),
-    )
-    # Per-step traffic is constant by construction, so the cumulative
-    # ledger divides exactly over steps and runs.
-    divisor = len(metrics.times) * metrics.n_mc_runs
-
-    def comm_rows():  # streamed: 2 T N rows would otherwise be held at once
-        for t in metrics.times:
-            for i in range(n_nodes):
-                yield [str(t), str(i), str(int(metrics.comm.state_messages[i]) // divisor),
-                       str(int(metrics.comm.state_scalars[i]) // divisor), "state"]
-                yield [str(t), str(i), str(int(metrics.comm.cov_messages[i]) // divisor),
-                       str(int(metrics.comm.cov_scalars[i]) // divisor), "covariance"]
-
-    write("communication.csv", "t,node,messages,scalars,phase", comm_rows())
-    return paths
+    n_rounds = metrics.consensus_error.shape[1]
+    node_header = "t," + ",".join(f"node_{i}" for i in range(n_nodes))
+    node_fmt = ["%d"] + ["%.12g"] * n_nodes
+    tables = {
+        "rmse_position.csv": (node_header, node_fmt, [times, metrics.rmse_pos]),
+        "rmse_velocity.csv": (node_header, node_fmt, [times, metrics.rmse_vel]),
+        "covariance_error.csv": (node_header, node_fmt, [times, metrics.cov_error]),
+        "consensus_error.csv": ("t,l,error", ["%d", "%d", "%.12g"], [
+            np.repeat(times, n_rounds), np.tile(np.arange(n_rounds), len(times)),
+            metrics.consensus_error.ravel(),
+        ]),
+    }
+    for name, (header, fmt, columns) in tables.items():
+        with open(out / name, "w") as fh:  # a path costs np.savetxt a DataSource lookup
+            np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",", header=header,
+                       comments="")
+    # Per-step traffic is constant by construction, so the cumulative ledger
+    # divides exactly over steps and runs: one step's 2N rows are formatted
+    # once and written per step, never all 2TN rows at once.
+    comm = metrics.comm
+    per_step = np.column_stack([comm.state_messages, comm.state_scalars, comm.cov_messages,
+                                comm.cov_scalars]) // (len(times) * metrics.n_mc_runs)
+    step_rows = "".join(f"{{0}},{i},{sm},{ss},state\n{{0}},{i},{cm},{cs},covariance\n"
+                        for i, (sm, ss, cm, cs) in enumerate(per_step.tolist()))
+    with open(out / "communication.csv", "w") as fh:
+        fh.write("t,node,messages,scalars,phase\n")
+        for t in times:
+            fh.write(step_rows.format(t))
+    return [out / name for name in (*tables, "communication.csv")]

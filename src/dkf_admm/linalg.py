@@ -109,13 +109,13 @@ def dare_residual(p, f, h, q, r_bar) -> float:
     return float(np.linalg.norm(p - sym(nxt)))
 
 
-def dare_solve(f, h, q, r_bar, tol=1e-12, max_iter=100_000) -> np.ndarray:
+def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
     """Fixed-point iteration for the discrete algebraic Riccati equation.
 
-    Iterates P <- F P F' - F P H'(H P H' + R)^-1 H P F' + Q from P_0 = Q.
-    This is exactly the prior-covariance recursion of the centralized
-    filter, so the solver doubles as the steady-state oracle. Requires
-    (F, H) observable and Q, R symmetric positive definite.
+    Iterates P <- F P F' - F P H'(H P H' + R)^-1 H P F' + Q from P_0 = Q,
+    up to 100,000 times. This is exactly the prior-covariance recursion of
+    the centralized filter, so the solver doubles as the steady-state
+    oracle. Requires (F, H) observable and Q, R symmetric positive definite.
     """
     f = np.asarray(f, dtype=float)
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -129,7 +129,7 @@ def dare_solve(f, h, q, r_bar, tol=1e-12, max_iter=100_000) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(f"{name} must be positive definite") from exc
     p = q.copy()
-    for _ in range(max_iter):
+    for _ in range(100_000):
         s = h @ p @ h.T + r_bar
         p_next = sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
         if np.linalg.norm(p_next - p) <= 0.1 * tol * max(np.linalg.norm(p_next), 1e-300):
@@ -139,7 +139,7 @@ def dare_solve(f, h, q, r_bar, tol=1e-12, max_iter=100_000) -> np.ndarray:
         p = p_next
     if dare_residual(p, f, h, q, r_bar) <= tol * np.linalg.norm(p):
         return p
-    raise RiccatiDivergence(f"no convergence within {max_iter} iterations")
+    raise RiccatiDivergence("no convergence within 100000 iterations")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from dkf_admm.exceptions import DimensionError, NotPositiveDefinite, Observabili
 from dkf_admm.linalg import is_observable, sym, spd_solve
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
+# the constant-velocity state layout x = (x1, x2, dx1/dt, dx2/dt)
+POSITION, VELOCITY = slice(0, 2), slice(2, 4)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
 
 
@@ -81,7 +83,7 @@ class StateSpaceModel:
     observes at every time step, seeded by `assignment_seed`, with the
     noise variance of `sensors[0]`). The sensors are stacked once, here:
     `sensor_arrays` holds `sensors`, and a per-step-random model keeps the
-    two-row `coordinate_table` (observe x1, observe x2) as well.
+    two-row `coordinate_table` (observe x1, observe x2 of `POSITION`) too.
     """
 
     f: np.ndarray
@@ -106,7 +108,7 @@ class StateSpaceModel:
         if self.assignment_mode not in ("static", "per_step_random"):
             raise ValueError(f"unknown assignment mode {self.assignment_mode!r}")
         # Q may be singular only in the deliberate noise-free limit
-        must_be_pd = {"P0": p0} if np.allclose(q, 0.0) else {"P0": p0, "Q": q}
+        must_be_pd = {"P0": p0, "Q": q} if q.any() else {"P0": p0}
         for name, m in must_be_pd.items():
             try:
                 np.linalg.cholesky(m)
@@ -116,7 +118,10 @@ class StateSpaceModel:
         arrays = SensorArrays.stack(sensors)
         table = None
         if self.assignment_mode == "per_step_random":
-            table = SensorArrays.stack([_position_sensor(c, n, sensors[0].r) for c in (0, 1)])
+            coords = range(n)[POSITION]
+            if len(coords) < 2:
+                raise ValueError(f"per_step_random sensors draw x1 or x2, but n = {n}")
+            table = SensorArrays.stack([_position_sensor(c, n, sensors[0].r) for c in coords])
         # a per-step-random model may draw any table row at any step, and no
         # step needs the construction-time draw to be observable on its own
         if not is_observable(f, (arrays if table is None else table).h.reshape(-1, n)):
@@ -148,23 +153,15 @@ def _position_sensor(coordinate, n, r) -> SensorSpec:
     return SensorSpec(h=h, r=r)
 
 
-def build_constant_velocity_model(
-    dt,
-    q_intensity=1.0,
-    n_nodes=2,
-    sensor_assignment="static_split",
-    r_var=0.5,
-    x0_mean=DEFAULT_X0_MEAN,
-    p0=None,
-    assignment_seed=0,
-) -> StateSpaceModel:
+def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignment="static_split",
+                                  r_var=0.5, assignment_seed=0) -> StateSpaceModel:
     """Planar constant-velocity model with single-coordinate position sensors.
 
     F = [[I2, dt I2], [0, I2]]; Q is the white-noise-acceleration
     covariance q * [[dt^3/3 I2, dt^2/2 I2], [dt^2/2 I2, dt I2]]. Under
     ``static_split`` the first half of the nodes observes x1 and the rest
     observes x2; ``per_step_random`` re-draws each node's coordinate every
-    step.
+    step. The initial state is x0 ~ N(DEFAULT_X0_MEAN, I).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -185,15 +182,8 @@ def build_constant_velocity_model(
     else:
         raise ValueError(f"unknown sensor assignment {sensor_assignment!r}")
     sensors = tuple(_position_sensor(c, 4, [[r_var]]) for c in coords)
-    return StateSpaceModel(
-        f=f,
-        q=q,
-        sensors=sensors,
-        x0_mean=x0_mean,
-        p0=np.eye(4) if p0 is None else p0,
-        assignment_mode=mode,
-        assignment_seed=assignment_seed,
-    )
+    return StateSpaceModel(f=f, q=q, sensors=sensors, x0_mean=DEFAULT_X0_MEAN, p0=np.eye(4),
+                           assignment_mode=mode, assignment_seed=assignment_seed)
 
 
 def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
@@ -228,7 +218,7 @@ def simulate_trajectory(
         states[0] = model.x0_mean
     else:
         states[0] = rng.multivariate_normal(model.x0_mean, model.p0)
-    if noise_free or np.allclose(model.q, 0.0):
+    if noise_free or not model.q.any():
         w = np.zeros((n_steps - 1, n))
     else:
         w = rng.multivariate_normal(np.zeros(n), model.q, size=n_steps - 1)

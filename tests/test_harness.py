@@ -10,9 +10,11 @@ import pytest
 from oracles import sensor_oracle
 
 import dkf_admm
+from dkf_admm import harness, models
 from dkf_admm.exceptions import ConfigRejected
-from dkf_admm.filtering import dkf_time_step, init_state
+from dkf_admm.filtering import CommLedger, dkf_time_step, init_state
 from dkf_admm.harness import (
+    RunMetrics,
     ScenarioConfig,
     build_scenario,
     export_csv,
@@ -219,6 +221,54 @@ def test_communication_csv_per_step_values(tmp_path):
         else:
             assert int(msgs) == deg
             assert int(scalars) == deg * n_cov
+
+
+def test_csv_bytes_from_hand_built_metrics(tmp_path):
+    # the exact text of all five files: %.12g cells, row orders (t then l;
+    # t, node, then state before covariance) and the per-step ledger split
+    third, big = 1 / 3, 123456789.123456789
+    ledger = CommLedger(2)
+    runs, times = 3, np.array([1, 2])
+    ledger.record("state", "xi", runs * len(times) * np.array([2, 3]), 4)
+    ledger.record("covariance", "theta", runs * len(times) * np.array([1, 2]), 10)
+    metrics = RunMetrics(
+        times=times,
+        rmse_pos=np.array([[third, 1e-20], [0.0, big]]),
+        rmse_vel=np.array([[2.0, -third], [1e300, 5e-324]]),
+        consensus_error=np.array([[third, 2.0, 0.0], [1e-20, big, 7.5]]),
+        cov_error=np.array([[0.1, 0.2], [12.0, 1 / 7]]),
+        comm=ledger,
+        n_mc_runs=runs,
+    )
+    paths = export_csv(metrics, tmp_path)
+    expected = {
+        "rmse_position.csv": "t,node_0,node_1\n1,0.333333333333,1e-20\n2,0,123456789.123\n",
+        "rmse_velocity.csv": "t,node_0,node_1\n1,2,-0.333333333333\n2,1e+300,4.94065645841e-324\n",
+        "covariance_error.csv": "t,node_0,node_1\n1,0.1,0.2\n2,12,0.142857142857\n",
+        "consensus_error.csv": (
+            "t,l,error\n1,0,0.333333333333\n1,1,2\n1,2,0\n"
+            "2,0,1e-20\n2,1,123456789.123\n2,2,7.5\n"
+        ),
+        "communication.csv": (
+            "t,node,messages,scalars,phase\n"
+            "1,0,2,8,state\n1,0,1,10,covariance\n1,1,3,12,state\n1,1,2,20,covariance\n"
+            "2,0,2,8,state\n2,0,1,10,covariance\n2,1,3,12,state\n2,1,2,20,covariance\n"
+        ),
+    }
+    assert [p.name for p in paths] == list(expected)
+    for path in paths:
+        assert path.read_bytes() == expected[path.name].encode(), path.name
+
+
+def test_run_scenario_reads_the_state_layout(monkeypatch):
+    # position and velocity errors come from models.POSITION / VELOCITY,
+    # not from indices fixed in the harness: swapping them swaps the RMSEs
+    m = run_scenario(SMOKE)
+    monkeypatch.setattr(harness, "POSITION", models.VELOCITY)
+    monkeypatch.setattr(harness, "VELOCITY", models.POSITION)
+    swapped = run_scenario(SMOKE)
+    assert np.array_equal(swapped.rmse_pos, m.rmse_vel)
+    assert np.array_equal(swapped.rmse_vel, m.rmse_pos)
 
 
 def test_runs_depend_only_on_their_index():

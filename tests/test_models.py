@@ -7,7 +7,9 @@ from oracles import sensor_oracle
 from dkf_admm.exceptions import NotPositiveDefinite, ObservabilityError
 from dkf_admm.linalg import unvech, vech
 from dkf_admm.models import (
+    POSITION,
     SENSOR_ASSIGNMENTS,
+    VELOCITY,
     SensorSpec,
     StateSpaceModel,
     build_constant_velocity_model,
@@ -35,6 +37,8 @@ def test_cv_transition_matrix():
     assert f[1, 3] == pytest.approx(0.1)
     assert np.allclose(np.diag(f), 1.0)
     assert np.allclose(f - np.diag(np.diag(f)) - 0.1 * np.eye(4, k=2), 0.0)
+    # the layout constants name the blocks: positions advance by dt * velocity
+    assert np.array_equal(f[POSITION, VELOCITY], 0.1 * np.eye(2))
 
 
 def test_cv_process_noise_structure():
@@ -108,7 +112,10 @@ def test_model_inputs_raise_library_errors():
     # to sensor_specs_at but redrawn to harness.reference_priors
     base = build_constant_velocity_model(dt=0.1, n_nodes=2)
     args = dict(f=base.f, q=base.q, sensors=base.sensors, x0_mean=base.x0_mean, p0=base.p0)
-    for name, bad in (("P0", dict(p0=-np.eye(4))), ("Q", dict(q=-base.q))):
+    # a tiny Q is not the noise-free limit: only an exactly zero Q skips the check
+    tiny_indefinite = 1e-10 * np.diag([1.0, -1.0, 1.0, 1.0])
+    for name, bad in (("P0", dict(p0=-np.eye(4))), ("Q", dict(q=-base.q)),
+                      ("Q", dict(q=tiny_indefinite))):
         with pytest.raises(NotPositiveDefinite, match=f"{name} must be positive definite"):
             StateSpaceModel(**{**args, **bad})
     with pytest.raises(ValueError, match="unknown assignment mode 'Static'"):
@@ -155,6 +162,26 @@ def test_process_noise_whiteness():
     for lag in (1, 2, 5):
         rho = np.dot(resid[lag:], resid[:-lag]) / denom
         assert abs(rho) < 5.0 / np.sqrt(n)
+
+
+def test_tiny_process_noise_is_drawn():
+    # Q = 0 means exactly zero: a Q whose entries are all below 1e-8 used to
+    # count as zero, so no process noise was drawn while the filter
+    # predicted with Q
+    model = build_constant_velocity_model(dt=0.1, q_intensity=1e-8, n_nodes=2)
+    traj = simulate_trajectory(model, 50, seed=0)
+    x = traj.states[0]
+    powers = [x := model.f @ x for _ in range(49)]
+    assert not np.array_equal(traj.states[1:], np.array(powers))
+
+
+def test_per_step_random_needs_two_position_coordinates():
+    # the coordinate table observes x1 and x2; a one-coordinate state used
+    # to fail with a raw IndexError while the table was built
+    one_d = SensorSpec(np.array([[1.0]]), np.array([[0.5]]))
+    with pytest.raises(ValueError, match="per_step_random sensors draw x1 or x2, but n = 1"):
+        StateSpaceModel(f=np.eye(1), q=np.eye(1), sensors=(one_d, one_d), x0_mean=[0.0],
+                        p0=np.eye(1), assignment_mode="per_step_random")
 
 
 def test_information_rate_orthogonal_unit_sensors():
@@ -205,6 +232,9 @@ def test_per_step_random_assignment():
         not np.array_equal(sensor_specs_at(model, t).h, s0.h) for t in range(1, 8)
     )
     assert differs
+    # the table's two rows observe the two POSITION coordinates
+    assert np.array_equal(model.coordinate_table.h[:, 0, POSITION], np.eye(2))
+    assert not model.coordinate_table.h[:, 0, VELOCITY].any()
 
 
 @settings(max_examples=60, deadline=None)
