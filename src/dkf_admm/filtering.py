@@ -23,9 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dkf_admm.exceptions import ConfigRejected, NotPositiveDefinite, WireSchemaViolation
+from dkf_admm.exceptions import (
+    ConfigRejected, DimensionError, NotPositiveDefinite, WireSchemaViolation,
+)
 from dkf_admm.graphs import SensorGraph
-from dkf_admm.linalg import covariance_stability, state_stability, step_bounds, sym, unvech, vech
+from dkf_admm.linalg import (
+    covariance_stability, spd_inverse, state_stability, step_bounds, sym, sym_inverse, unvech, vech,
+)
 from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
 _PRIMAL_PAYLOADS = {"xi", "theta"}
@@ -211,15 +215,16 @@ def _gains(p_prior, x_prior, sensors: SensorArrays, measurements, t=None):
     `sensors.info` and `sensors.rinv_h`. x_prior is (N, n) or node-major
     (N, R, n); the measurements are one y_i per node (and run) as
     `dkf_time_step` takes them, (N, m) or (R, N, m); K b takes x_prior's
-    shape. A singular prior raises NotPositiveDefinite naming step t.
+    shape. Both inverses are one `sym_inverse` of the (N, n, n) stack. A
+    singular prior raises NotPositiveDefinite naming step t.
     """
     n_nodes = len(sensors.info)
     try:
-        p_prior_inv = sym(np.linalg.inv(p_prior))
-    except np.linalg.LinAlgError as exc:
+        p_prior_inv = sym_inverse(p_prior)
+    except NotPositiveDefinite as exc:
         at = "" if t is None else f" at t={t}"
         raise NotPositiveDefinite(f"a prior covariance became singular{at}") from exc
-    k = sym(np.linalg.inv(sensors.info + p_prior_inv / n_nodes))
+    k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
     y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, sensors.rinv_h.shape[1])
     y = y.swapaxes(0, 1).reshape(x_prior.shape[:-1] + (-1,))
     b = _node_apply(sensors.rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
@@ -245,7 +250,7 @@ def _consensus_round(z, acc, target, graph: SensorGraph, step, penalty):
 
 
 def _posterior_cov(p_prior_inv, theta, t=None):
-    """(P_prior^-1 + Theta)^-1 at every node.
+    """(P_prior^-1 + Theta)^-1 at every node, one `spd_inverse` of the stack.
 
     At a node where that sum is not positive definite (a transiently
     indefinite Theta), Theta is floored at zero eigenvalues, with a
@@ -257,10 +262,10 @@ def _posterior_cov(p_prior_inv, theta, t=None):
         bad = int(np.argmax(~np.isfinite(theta).all(axis=1)))
         raise NotPositiveDefinite(f"theta diverged to non-finite values (node {bad}{at})")
     theta_mats = unvech(theta)
-    m = sym(p_prior_inv + theta_mats)
+    m = p_prior_inv + theta_mats
     try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
+        return spd_inverse(m)
+    except NotPositiveDefinite:
         for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
             warnings.warn(
                 f"posterior information of node {i}{at} is indefinite; "
@@ -271,13 +276,12 @@ def _posterior_cov(p_prior_inv, theta, t=None):
             w, v = np.linalg.eigh(theta_mats[i])
             m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
         try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
+            return spd_inverse(m)
+        except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 f"posterior information matrix not PD even after flooring{at}; "
                 "the covariance consensus has diverged"
             ) from exc
-    return sym(np.linalg.inv(m))
 
 
 def dkf_time_step(
@@ -297,9 +301,10 @@ def dkf_time_step(
     `measurements_t` holds one y_i per node for this step, shape (N, m)
     (a row of `Trajectory.measurements`), or (R, N, m) when the state
     carries a run axis; then all R runs advance in this one call, with the
-    covariance half computed once from `sensor_specs_at(model, t)`. The
-    ledger counts each run's traffic (R times the degree per exchange) and
-    records each consensus loop once per step, with all its rounds.
+    covariance half computed once from `sensor_specs_at(model, t)`. Any
+    shape other than `state.x_post.shape[:-1] + (m,)` raises DimensionError.
+    The ledger counts each run's traffic (R times the degree per exchange)
+    and records each consensus loop once per step, with all its rounds.
     When `consensus_log` is a list, the per-sub-iteration mean consensus
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
     (L,) array, or (R, L) for R runs; the rounds' iterates are buffered
@@ -313,6 +318,9 @@ def dkf_time_step(
     x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
     runs = x_post.shape[1]
     sensors = sensor_specs_at(model, t)
+    expected = shape[:-1] + (sensors.rinv_h.shape[1],)
+    if np.shape(measurements_t) != expected:
+        raise DimensionError(f"measurements_t has shape {np.shape(measurements_t)}, not {expected}")
     x_prior, p_prior = _predict(x_post, state.p_post, model)
     p_prior_inv, kb = _gains(p_prior, x_prior, sensors, measurements_t, t)
 

@@ -22,7 +22,7 @@ from dkf_admm.filtering import (
     init_state,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
-from dkf_admm.linalg import spd_inverse, sym, unvech, vech
+from dkf_admm.linalg import SWEEP_MIN_STACK, spd_inverse, sym, unvech, vech
 from dkf_admm.models import (
     SensorSpec,
     StateSpaceModel,
@@ -78,17 +78,22 @@ def test_predict_matches_formula():
 
 
 def test_gain_inverse_pair():
-    _, _, _, model, traj, state = _setup()
-    meas = traj.measurements[1]
-    p_inv, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
-    for i, spec in enumerate(model.sensors):
-        _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
-        p_inv_ref = spd_inverse(state.p_prior[i])
-        assert np.allclose(p_inv[i] @ state.p_prior[i], np.eye(4), atol=1e-12)
-        assert np.allclose(p_inv[i], p_inv_ref, atol=1e-14)
-        b_ref = rinv_h.T @ meas[i] + p_inv_ref @ state.x_prior[i] / 4
-        k_ref = np.linalg.inv(info + p_inv_ref / 4)
-        assert np.allclose(kb[i], k_ref @ b_ref, atol=1e-12)
+    # below the stack-inverse switch (LAPACK) and at it (the sweep), with a
+    # distinct, non-diagonal prior at every node
+    for n_nodes in (4, SWEEP_MIN_STACK):
+        _, _, _, model, traj, state = _setup(n_nodes=n_nodes)
+        scale = 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
+        _, p_prior = _predict(state.x_post, scale * state.p_post, model)
+        meas = traj.measurements[1]
+        p_inv, kb = _gains(p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+        for i, spec in enumerate(model.sensors):
+            _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
+            p_inv_ref = spd_inverse(p_prior[i])
+            assert np.allclose(p_inv[i] @ p_prior[i], np.eye(4), atol=1e-12)
+            assert np.allclose(p_inv[i], p_inv_ref, atol=1e-14)
+            b_ref = rinv_h.T @ meas[i] + p_inv_ref @ state.x_prior[i] / n_nodes
+            k_ref = np.linalg.inv(info + p_inv_ref / n_nodes)
+            assert np.allclose(kb[i], k_ref @ b_ref, atol=1e-12)
 
 
 def test_init_theta_scaled_info():
@@ -295,30 +300,48 @@ def test_posterior_nominal():
 
 
 def test_posterior_floors_indefinite_theta():
-    _, _, _, model, _, state = _setup()
-    p_prior = state.p_prior.copy()
-    p_prior[0] = 100.0 * np.eye(4)  # weak prior so a bad theta matters
-    theta = np.tile(vech(np.eye(4)), (4, 1))
-    # indefinite transient at node 0: one strongly negative eigenvalue
-    theta[0] = vech(np.diag([1.0, -5.0, 1.0, 1.0]))
-    with pytest.warns(RuntimeWarning, match=r"node 0, t=7") as record:
-        p_post = _posterior_cov(sym(np.linalg.inv(p_prior)), theta, t=7)
-    assert len(record) == 1  # the other nodes are not floored
-    floored = np.diag([1.0, 0.0, 1.0, 1.0])
-    expected = spd_inverse(spd_inverse(p_prior[0]) + floored)
-    assert np.allclose(p_post[0], expected, atol=1e-12)
-    np.linalg.cholesky(p_post[0])
-    assert np.allclose(p_post[1:], 0.5 * np.eye(4), atol=1e-12)
+    for n_nodes in (4, SWEEP_MIN_STACK):  # LAPACK, then sweep inverses
+        _, _, _, model, _, state = _setup(n_nodes=n_nodes)
+        p_prior = state.p_prior.copy()
+        p_prior[0] = 100.0 * np.eye(4)  # weak prior so a bad theta matters
+        theta = np.tile(vech(np.eye(4)), (n_nodes, 1))
+        # indefinite transient at node 0: one strongly negative eigenvalue
+        theta[0] = vech(np.diag([1.0, -5.0, 1.0, 1.0]))
+        with pytest.warns(RuntimeWarning, match=r"node 0, t=7") as record:
+            p_post = _posterior_cov(sym(np.linalg.inv(p_prior)), theta, t=7)
+        assert len(record) == 1  # the other nodes are not floored
+        floored = np.diag([1.0, 0.0, 1.0, 1.0])
+        expected = spd_inverse(spd_inverse(p_prior[0]) + floored)
+        assert np.allclose(p_post[0], expected, atol=1e-12)
+        np.linalg.cholesky(p_post[0])
+        assert np.allclose(p_post[1:], 0.5 * np.eye(4), atol=1e-12)
 
 
 def test_singular_prior_names_the_step():
     # no process noise and a zero posterior make every prior F 0 F' = 0
-    graph = build_graph("ring", 4)
-    params = auto_params(spectral_summary(graph), l_sub=2)
-    model = build_constant_velocity_model(dt=0.1, n_nodes=4, q_intensity=0.0)
-    state = init_state(model, np.tile(model.x0_mean, (4, 1)), np.zeros((4, 4)))
-    with pytest.raises(NotPositiveDefinite, match=r"singular at t=4$"):
-        dkf_time_step(state, graph, model, np.zeros((4, 1)), params, t=4)
+    for n_nodes in (4, SWEEP_MIN_STACK):  # LAPACK, then sweep inverses
+        graph = build_graph("ring", n_nodes)
+        params = auto_params(spectral_summary(graph), l_sub=2)
+        model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, q_intensity=0.0)
+        state = init_state(model, np.tile(model.x0_mean, (n_nodes, 1)), np.zeros((4, 4)))
+        with pytest.raises(NotPositiveDefinite, match=r"singular at t=4$"):
+            dkf_time_step(state, graph, model, np.zeros((n_nodes, 1)), params, t=4)
+
+
+def test_time_step_rejects_misshaped_measurements():
+    # one y_i per node (and run), of the model's m = 1: a (2, 3, 1) array
+    # must not pass as six nodes' measurements of a one-run, six-node state
+    graph, _, params, model, _, _ = _setup(n_nodes=6)
+    for lead, meas_shape in (
+        ((), (2, 3, 1)),
+        ((), (6, 2)),
+        ((), (1, 6, 1)),
+        ((3,), (6, 1)),
+        ((3,), (2, 6, 1)),
+    ):
+        state = init_state(model, np.broadcast_to(model.x0_mean, lead + (6, 4)))
+        with pytest.raises(DimensionError, match=r"measurements_t has shape"):
+            dkf_time_step(state, graph, model, np.zeros(meas_shape), params, t=1)
 
 
 def test_ledger_counts_and_wire_schema():

@@ -11,6 +11,7 @@ from dkf_admm.exceptions import (
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import (
+    SWEEP_MIN_STACK,
     covariance_stability,
     dare_residual,
     dare_solve,
@@ -19,6 +20,7 @@ from dkf_admm.linalg import (
     state_stability,
     step_bounds,
     sym,
+    sym_inverse,
     unvech,
     vech,
 )
@@ -254,8 +256,66 @@ def test_sufficiency_sweep_state():
 
 def test_spd_inverse_symmetric():
     rng = np.random.default_rng(2)
-    g = rng.normal(size=(4, 4))
-    a = g @ g.T + np.eye(4)
-    inv = spd_inverse(a)
-    assert np.allclose(inv, inv.T)
-    assert np.allclose(a @ inv, np.eye(4), atol=1e-10)
+    for lead in ((), (5,)):  # one matrix, then a (5, 4, 4) stack
+        g = rng.normal(size=lead + (4, 4))
+        a = g @ np.swapaxes(g, -1, -2) + np.eye(4)
+        inv = spd_inverse(a)
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+        assert np.allclose(a @ inv, np.eye(4), atol=1e-10)
+
+
+def _spd_stack(shape, n, seed, max_log_cond=6.0):
+    """Exactly symmetric SPD matrices of `shape` + (n, n), with condition
+    numbers up to 10**max_log_cond, and those condition numbers."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=shape + (n, n)))
+    w = 10.0 ** rng.uniform(-max_log_cond / 2, max_log_cond / 2, size=shape + (n,))
+    return sym((q * w[..., None, :]) @ np.swapaxes(q, -1, -2)), w.max(-1) / w.min(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([
+        (SWEEP_MIN_STACK - 1,),
+        (SWEEP_MIN_STACK,),
+        (1000,),
+        (2, (SWEEP_MIN_STACK - 1) // 2),
+        (2, 500),
+    ]),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_sym_inverse_matches_per_matrix_inverse(n, shape, seed):
+    # both paths: LAPACK below SWEEP_MIN_STACK matrices, the sweep from it on
+    a, cond = _spd_stack(shape, n, seed)
+    inv = sym_inverse(a)
+    ref = np.linalg.inv(a)
+    rel = np.linalg.norm(inv - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    assert inv.shape == a.shape
+    assert np.all(rel <= 1e-14 * cond)
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+
+
+def test_sym_inverse_switches_at_sweep_min_stack():
+    a, _ = _spd_stack((SWEEP_MIN_STACK,), 4, seed=5, max_log_cond=3.0)
+    assert np.array_equal(sym_inverse(a[1:]), sym(np.linalg.inv(a[1:])))
+    # the sweep inverts each matrix on its own, so a member's inverse does
+    # not depend on the stack around it, and differs from LAPACK's in bits
+    sweep = sym_inverse(a)
+    assert np.array_equal(sweep, sym_inverse(np.concatenate([a, a]))[:SWEEP_MIN_STACK])
+    assert not np.array_equal(sweep, sym(np.linalg.inv(a)))
+
+
+@pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK])
+def test_stack_inverses_reject_singular_and_indefinite(size):
+    a, _ = _spd_stack((size,), 4, seed=9, max_log_cond=3.0)
+    zero = a.copy()
+    zero[3] = 0.0
+    for inverse in (sym_inverse, spd_inverse):
+        with pytest.raises(NotPositiveDefinite):
+            inverse(zero)
+    indefinite = a.copy()
+    indefinite[5] = np.diag([1.0, -1.0, 2.0, 0.5])
+    with pytest.raises(NotPositiveDefinite):
+        spd_inverse(indefinite)
+
