@@ -207,7 +207,7 @@ def _predict(x_post, p_post, model: StateSpaceModel):
     return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
 
 
-def _gains(p_prior, x_prior, sensors: SensorArrays, measurements, t=None):
+def _gains(p_prior, x_prior, sensors: SensorArrays, measurements, t):
     """P_prior^-1 and the state-correction target K b of every node.
 
     K = (H' R^-1 H + P_prior^-1 / N)^-1 and b = H' R^-1 y + P_prior^-1
@@ -215,16 +215,15 @@ def _gains(p_prior, x_prior, sensors: SensorArrays, measurements, t=None):
     `sensors.info` and `sensors.rinv_h`. x_prior is (N, n) or node-major
     (N, R, n); the measurements are one y_i per node (and run) as
     `dkf_time_step` takes them, (N, m) or (R, N, m); K b takes x_prior's
-    shape. Both inverses are one `sym_inverse` of the (N, n, n) stack. A
-    singular prior raises NotPositiveDefinite naming step t.
-    """
+    shape. Both inverses are one `sym_inverse` of the (N, n, n) stack; if
+    either fails (a singular prior, or one so large that K overflows),
+    NotPositiveDefinite names step t."""
     n_nodes = len(sensors.info)
     try:
         p_prior_inv = sym_inverse(p_prior)
+        k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
     except NotPositiveDefinite as exc:
-        at = "" if t is None else f" at t={t}"
-        raise NotPositiveDefinite(f"a prior covariance became singular{at}") from exc
-    k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
+        raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
     y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, sensors.rinv_h.shape[1])
     y = y.swapaxes(0, 1).reshape(x_prior.shape[:-1] + (-1,))
     b = _node_apply(sensors.rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
@@ -249,7 +248,7 @@ def _consensus_round(z, acc, target, graph: SensorGraph, step, penalty):
     return target - acc - penalty * d, acc
 
 
-def _posterior_cov(p_prior_inv, theta, t=None):
+def _posterior_cov(p_prior_inv, theta, t):
     """(P_prior^-1 + Theta)^-1 at every node, one `spd_inverse` of the stack.
 
     At a node where that sum is not positive definite (a transiently
@@ -257,10 +256,9 @@ def _posterior_cov(p_prior_inv, theta, t=None):
     RuntimeWarning naming the node and t. NotPositiveDefinite is raised if
     theta is non-finite or flooring cannot fix it.
     """
-    at = "" if t is None else f", t={t}"
     if not np.isfinite(theta).all():
         bad = int(np.argmax(~np.isfinite(theta).all(axis=1)))
-        raise NotPositiveDefinite(f"theta diverged to non-finite values (node {bad}{at})")
+        raise NotPositiveDefinite(f"theta diverged to non-finite values (node {bad}, t={t})")
     theta_mats = unvech(theta)
     m = p_prior_inv + theta_mats
     try:
@@ -268,7 +266,7 @@ def _posterior_cov(p_prior_inv, theta, t=None):
     except NotPositiveDefinite:
         for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
             warnings.warn(
-                f"posterior information of node {i}{at} is indefinite; "
+                f"posterior information of node {i}, t={t} is indefinite; "
                 "theta floored at zero eigenvalues",
                 RuntimeWarning,
                 stacklevel=3,
@@ -279,7 +277,7 @@ def _posterior_cov(p_prior_inv, theta, t=None):
             return spd_inverse(m)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
-                f"posterior information matrix not PD even after flooring{at}; "
+                f"posterior information matrix not PD even after flooring, t={t}; "
                 "the covariance consensus has diverged"
             ) from exc
 

@@ -1,11 +1,11 @@
 """Symmetric-matrix utilities behind the filter.
 
 Half-vectorization (the consensus payload for covariance information),
-Cholesky-backed SPD solves, stack inverses by a batched sweep, a
-fixed-point solver for the discrete algebraic Riccati equation, and the
-exact closed-form Schur-stability certificate of both consensus loops,
-whose 2x2 per-mode recursions are decided by the Laplacian's lambda_2
-and lambda_max alone.
+one Cholesky definiteness test behind the SPD solves and inverses, stack
+inverses by a batched sweep, a fixed-point solver for the discrete
+algebraic Riccati equation, and the exact closed-form Schur-stability
+certificate of both consensus loops, whose 2x2 per-mode recursions are
+decided by the Laplacian's lambda_2 and lambda_max alone.
 """
 
 from __future__ import annotations
@@ -71,15 +71,22 @@ def unvech(v) -> np.ndarray:
     return out
 
 
+def spd_cholesky(a, what="matrix") -> np.ndarray:
+    """Lower Cholesky factor of an SPD matrix or stack, the library's one
+    definiteness test; NotPositiveDefinite("<what> must be positive definite")
+    unless a is finite (numpy's Cholesky passes NaN through) and factors."""
+    if np.isfinite(a).all():
+        try:
+            return np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
+    raise NotPositiveDefinite(f"{what} must be positive definite")
+
+
 def spd_solve(a, b):
-    """Solve a x = b for symmetric positive definite a (or a stack) via Cholesky."""
-    a = sym(a)
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
-    b = np.asarray(b, dtype=float)
-    y = np.linalg.solve(chol, b)
+    """Solve a x = b for SPD a (or a stack) on its `spd_cholesky` factor."""
+    chol = spd_cholesky(sym(a))
+    y = np.linalg.solve(chol, np.asarray(b, dtype=float))
     return np.linalg.solve(np.swapaxes(chol, -1, -2), y)
 
 
@@ -96,35 +103,35 @@ def sym_inverse(a) -> np.ndarray:
     run the symmetric sweep operator (Goodnight, The American Statistician
     1979) on a batch-last (n, n, K) copy: n rank-1 updates of length-K rows
     whose products c_i c_j keep the result exactly symmetric, leaving -A^-1.
-    A singular matrix raises NotPositiveDefinite on both paths."""
+    After either path, a zero pivot, a non-finite member or an overflow
+    raises NotPositiveDefinite("matrix is singular")."""
     a = np.asarray(a, dtype=float)
     if math.prod(a.shape[:-2]) < SWEEP_MIN_STACK:
         try:
-            return sym(np.linalg.inv(a))
+            inv = sym(np.linalg.inv(a))
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite("matrix is singular") from exc
-    m = np.moveaxis(a, (-2, -1), (0, 1)).copy()
-    outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(len(m)):
-            c = m[k].copy()
-            d = 1.0 / c[k]
-            np.multiply(c[:, None], c[None, :], out=outer)
-            m -= np.multiply(outer, d, out=outer)
-            m[k] = m[:, k] = c * d
-            m[k, k] = -d
-    if not np.isfinite(m).all():  # what a zero or non-finite pivot leaves
+    else:
+        m = np.moveaxis(a, (-2, -1), (0, 1)).copy()
+        outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(len(m)):
+                c = m[k].copy()
+                d = 1.0 / c[k]
+                np.multiply(c[:, None], c[None, :], out=outer)
+                m -= np.multiply(outer, d, out=outer)
+                m[k] = m[:, k] = c * d
+                m[k, k] = -d
+        inv = -np.moveaxis(m, (0, 1), (-2, -1))
+    if not np.isfinite(inv).all():
         raise NotPositiveDefinite("matrix is singular")
-    return -np.moveaxis(m, (0, 1), (-2, -1))
+    return inv
 
 
 def spd_inverse(a) -> np.ndarray:
-    """Inverse of one SPD matrix or of each of a stack (..., n, n): a Cholesky
-    test, then `sym_inverse`. NotPositiveDefinite unless every matrix is PD."""
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
+    """Inverse of one SPD matrix or of each of a stack (..., n, n): the
+    `spd_cholesky` test at every stack size, then `sym_inverse`."""
+    spd_cholesky(a)
     return sym_inverse(a)
 
 
@@ -164,11 +171,8 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
     r_bar = sym(np.atleast_2d(np.asarray(r_bar, dtype=float)))
     if not is_observable(f, h):
         raise ObservabilityError("(F, H) is not observable")
-    for m, name in ((q, "Q"), (r_bar, "R")):
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(f"{name} must be positive definite") from exc
+    spd_cholesky(q, "Q")
+    spd_cholesky(r_bar, "R")
     p = q.copy()
     for _ in range(100_000):
         s = h @ p @ h.T + r_bar

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dkf_admm.exceptions import DimensionError, NotPositiveDefinite, ObservabilityError
-from dkf_admm.linalg import is_observable, sym, spd_solve
+from dkf_admm.linalg import is_observable, spd_cholesky, spd_solve, sym
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
 # the constant-velocity state layout x = (x1, x2, dx1/dt, dx2/dt)
@@ -84,7 +84,7 @@ class StateSpaceModel:
     noise variance of `sensors[0]`). The sensors are stacked once, here:
     `sensor_arrays` holds `sensors`, and a per-step-random model keeps the
     two-row `coordinate_table` (observe x1, observe x2 of `POSITION`) too.
-    """
+    P0, and Q unless exactly zero, must pass `spd_cholesky` (finite and PD)."""
 
     f: np.ndarray
     q: np.ndarray
@@ -107,13 +107,9 @@ class StateSpaceModel:
             raise ValueError("inconsistent model dimensions")
         if self.assignment_mode not in ("static", "per_step_random"):
             raise ValueError(f"unknown assignment mode {self.assignment_mode!r}")
-        # Q may be singular only in the deliberate noise-free limit
-        must_be_pd = {"P0": p0, "Q": q} if q.any() else {"P0": p0}
-        for name, m in must_be_pd.items():
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(f"{name} must be positive definite") from exc
+        spd_cholesky(p0, "P0")
+        if q.any():  # Q may be singular only in the deliberate noise-free limit
+            spd_cholesky(q, "Q")
         sensors = tuple(self.sensors)
         arrays = SensorArrays.stack(sensors)
         table = None
@@ -169,9 +165,11 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
         raise ValueError("need at least 2 nodes")
     i2 = np.eye(2)
     f = np.block([[i2, dt * i2], [np.zeros((2, 2)), i2]])
-    q = q_intensity * np.block(
-        [[dt**3 / 3 * i2, dt**2 / 2 * i2], [dt**2 / 2 * i2, dt * i2]]
-    )
+    dt = np.float64(dt)  # a huge dt overflows to inf, which StateSpaceModel rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = q_intensity * np.block(
+            [[dt**3 / 3 * i2, dt**2 / 2 * i2], [dt**2 / 2 * i2, dt * i2]]
+        )
     if sensor_assignment == "static_split":
         coords = [0 if i < n_nodes // 2 else 1 for i in range(n_nodes)]
         mode = "static"

@@ -130,6 +130,29 @@ def test_overflowing_sensor_information_exits_3(tmp_path, capsys):
         assert "node 0 is not finite" in capsys.readouterr().err, args[0]
 
 
+def test_overflowing_dt_exits_3(tmp_path, capsys):
+    # dt**3 in Q used to overflow as a Python OverflowError traceback (exit 1)
+    cfg = _write(tmp_path, SMOKE_INI + "[model]\ndt = 1e300\n")
+    out = tmp_path / "o"
+    for args in (["run", cfg, "--quiet", "--output", str(out)], ["validate", cfg]):
+        assert main(args) == EXIT_NUMERICAL, args[0]
+        assert "Q must be positive definite" in capsys.readouterr().err, args[0]
+    assert not out.exists()
+
+
+def test_overflowing_gain_exits_3_naming_the_step(tmp_path, capsys):
+    # on the default 10-node ring the gain inverse K overflows at t=1; this
+    # used to exit 0 with NaN CSVs
+    text = "[model]\nq_intensity = 1e308\n[run]\nhorizon_steps = 5\nn_mc_runs = 1\n"
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", cfg, "--quiet", "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "a prior covariance became singular at t=1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_flag_is_gone(tmp_path, capsys):
     # the config file is positional only; a second way to name it used to
     # drop the positional file silently

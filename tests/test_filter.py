@@ -85,7 +85,7 @@ def test_gain_inverse_pair():
         scale = 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
         _, p_prior = _predict(state.x_post, scale * state.p_post, model)
         meas = traj.measurements[1]
-        p_inv, kb = _gains(p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+        p_inv, kb = _gains(p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
         for i, spec in enumerate(model.sensors):
             _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
             p_inv_ref = spd_inverse(p_prior[i])
@@ -169,7 +169,7 @@ def test_correction_reaches_consensus():
         state.x_prior, state.p_prior, model.sensors, meas
     )
     local = _kb(k_ref, b_ref)
-    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
     xi, acc = state.x_prior, np.zeros((6, 4))
     for _ in range(params.l_sub):
         xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
@@ -184,7 +184,7 @@ def test_correction_consensus_error_decays_geometrically():
     rng = np.random.default_rng(4)
     xi = state.x_prior + rng.normal(size=(8, 4))
     acc = np.zeros_like(xi)
-    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas)
+    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
     errs = []
     for _ in range(100):
         xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
@@ -293,7 +293,7 @@ def test_theta_plus_nu_sum_is_conserved(n_nodes, runs, loop, seed):
 def test_posterior_nominal():
     _, _, _, model, _, state = _setup()
     theta = np.tile(vech(np.eye(4) * 2.0), (4, 1))
-    p_post = _posterior_cov(sym(np.linalg.inv(state.p_prior)), theta)
+    p_post = _posterior_cov(sym(np.linalg.inv(state.p_prior)), theta, 1)
     for p_prior, p in zip(state.p_prior, p_post):
         expected = spd_inverse(spd_inverse(p_prior) + 2.0 * np.eye(4))
         assert np.allclose(p, expected, atol=1e-12)

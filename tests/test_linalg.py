@@ -1,3 +1,7 @@
+import inspect
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from dkf_admm.linalg import (
     covariance_stability,
     dare_residual,
     dare_solve,
+    spd_cholesky,
     spd_inverse,
     spd_solve,
     state_stability,
@@ -107,6 +112,22 @@ def test_spd_solve_rejects_indefinite():
         spd_solve(np.diag([1.0, -1.0]), np.ones(2))
 
 
+def test_spd_solve_rejects_non_finite():
+    # numpy's Cholesky returns NaN for a NaN input instead of raising
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotPositiveDefinite, match="matrix must be positive definite"):
+            spd_solve(np.diag([1.0, bad]), np.ones(2))
+
+
+def test_one_definiteness_test_in_the_library():
+    # every definiteness check goes through spd_cholesky, so the finiteness
+    # rule cannot be left out of a copy
+    src = Path(inspect.getfile(spd_cholesky)).parent
+    calls = {p.name: p.read_text().count("np.linalg.cholesky(") for p in src.glob("*.py")}
+    assert sum(calls.values()) == 1, calls
+    assert "np.linalg.cholesky(" in inspect.getsource(spd_cholesky)
+
+
 def test_dare_scalar_golden_ratio():
     p = dare_solve(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
     assert p[0, 0] == pytest.approx((1 + np.sqrt(5)) / 2, abs=1e-12)
@@ -116,6 +137,16 @@ def test_dare_f_zero_gives_q():
     q = np.diag([2.0, 3.0])
     p = dare_solve(np.zeros((2, 2)), np.eye(2), q, np.eye(2))
     assert np.allclose(p, q, atol=1e-12)
+
+
+def test_dare_rejects_non_finite_noise_fast():
+    # a NaN Q used to run all 100,000 iterations before RiccatiDivergence
+    f, h = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0]])
+    for q, r, name in ((np.diag([np.nan, 1.0]), np.eye(1), "Q"), (np.eye(2), [[np.nan]], "R")):
+        start = time.perf_counter()
+        with pytest.raises(NotPositiveDefinite, match=f"{name} must be positive definite"):
+            dare_solve(f, h, q, r)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_dare_unobservable_rejected():
@@ -319,3 +350,26 @@ def test_stack_inverses_reject_singular_and_indefinite(size):
     with pytest.raises(NotPositiveDefinite):
         spd_inverse(indefinite)
 
+
+@pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK])
+def test_stack_inverses_reject_non_finite_and_overflowing_members(size):
+    # one finiteness rule after both paths: LAPACK used to return NaN or inf
+    # below SWEEP_MIN_STACK, where the sweep raised
+    a, _ = _spd_stack((size,), 4, seed=9, max_log_cond=3.0)
+    for k, member, spd_message in (
+        (2, np.full((4, 4), np.nan), "must be positive definite"),
+        (4, np.diag([1.0, 1.0, 1.0, 0.0]), "must be positive definite"),
+        (6, 1e-310 * np.eye(4), "is singular"),  # PD, but the inverse overflows
+    ):
+        bad = a.copy()
+        bad[k] = member
+        with pytest.raises(NotPositiveDefinite, match="matrix is singular"):
+            sym_inverse(bad)
+        with pytest.raises(NotPositiveDefinite, match=spd_message):
+            spd_inverse(bad)
+    for member in (np.diag([np.inf, 1.0, 1.0, 1.0]), np.diag([-np.inf, 1.0, 1.0, 1.0]),
+                   np.diag([1.0, -1.0, 2.0, 0.5])):
+        bad = a.copy()
+        bad[1] = member
+        with pytest.raises(NotPositiveDefinite, match="matrix must be positive definite"):
+            spd_inverse(bad)

@@ -123,6 +123,22 @@ def test_model_inputs_raise_library_errors():
     StateSpaceModel(**{**args, "q": np.zeros((4, 4))})  # the noise-free limit stays
 
 
+def test_model_rejects_non_finite_covariances():
+    # numpy's Cholesky passes NaN through, so a NaN P0 or Q used to build a model
+    base = build_constant_velocity_model(dt=0.1, n_nodes=2)
+    args = dict(f=base.f, q=base.q, sensors=base.sensors, x0_mean=base.x0_mean, p0=base.p0)
+    nan = np.eye(4)
+    nan[1, 2] = nan[2, 1] = np.nan
+    for name, key in (("P0", "p0"), ("Q", "q")):
+        with pytest.raises(NotPositiveDefinite, match=f"{name} must be positive definite"):
+            StateSpaceModel(**{**args, key: nan})
+    # dt**3 overflows: an inf Q, not an OverflowError and no RuntimeWarning
+    for q_intensity in (1.0, 0.0):
+        with pytest.raises(NotPositiveDefinite, match="Q must be positive definite"):
+            build_constant_velocity_model(dt=1e300, q_intensity=q_intensity, n_nodes=2,
+                                          sensor_assignment="per_step_random")
+
+
 def test_trajectory_determinism():
     model = build_constant_velocity_model(dt=0.1, n_nodes=6)
     t1 = simulate_trajectory(model, 50, seed=123)
