@@ -65,7 +65,7 @@ for x, p, rinv_h, info, y in zip(
     b = rinv_h.T @ y + p_inv @ x / N
     local.append(spd_solve(info + p_inv / N, b))  # K_i b_i
 mean_local = np.mean(local, axis=0)
-joint = consensus_fixed_point(priors.x_prior, priors.p_prior, meas, model.sensors)
+joint = consensus_fixed_point(priors.x_prior, priors.p_prior, meas, sensors)
 
 _, state_rep = params.check(spectrum)
 print(f"path graph, worst state-mode radius = {state_rep.spectral_radius:.4f}\n")

@@ -13,7 +13,7 @@ import numpy as np
 
 from dkf_admm.exceptions import NotPositiveDefinite
 from dkf_admm.linalg import spd_inverse, spd_solve, sym
-from dkf_admm.models import StateSpaceModel, sensor_specs_at
+from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
 
 @dataclass(frozen=True)
@@ -60,25 +60,23 @@ def centralized_kf_step(
     return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 
-def consensus_fixed_point(x_priors, p_priors, measurements, sensors) -> np.ndarray:
+def consensus_fixed_point(x_priors, p_priors, measurements, sensors: SensorArrays) -> np.ndarray:
     """Unique minimizer of the network MAP problem at one time step.
 
     Returns (sum_i K_i^-1)^-1 sum_i (H_i' R_i^-1 y_i + P_i^-1 x_i / N)
-    with K_i^-1 = H_i' R_i^-1 H_i + P_i^-1 / N. This is the MAP point that
-    acceptance criterion 3 targets. The default state correction does not
-    reach it: its rounds (`filtering._consensus_round`) keep
+    with K_i^-1 = H_i' R_i^-1 H_i + P_i^-1 / N, summed over the step's
+    stacked `sensors` (`model.sensor_arrays` or `sensor_specs_at(model,
+    t)`), the (N, n) x_i, the (N, n, n) P_i and the (N, m) y_i: one
+    `spd_inverse` of the P_i stack, one `spd_solve`. This is the MAP point
+    that acceptance criterion 3 targets. The default state correction does
+    not reach it: its rounds (`filtering._consensus_round`) keep
     sum_i K_i lambda_tilde_i at its start value 0 and
     sum_i (xi_i + K_i lambda_tilde_i) at sum_i K_i b_i, so the node mean of
     xi is mean_i K_i b_i after every round and the nodes agree on that
     instead, with b_i the node's local information vector.
     """
-    n_nodes = len(sensors)
-    n = np.asarray(x_priors[0]).size
-    h_total = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for x, p, y, spec in zip(x_priors, p_priors, measurements, sensors):
-        p_inv = spd_inverse(p)
-        h_total += spec.h.T @ spd_solve(spec.r, spec.h) + p_inv / n_nodes
-        rhs += spd_solve(spec.r, spec.h).T @ np.atleast_1d(np.asarray(y, dtype=float))
-        rhs += p_inv @ np.asarray(x, dtype=float) / n_nodes
-    return spd_solve(sym(h_total), rhs)
+    n_nodes = len(sensors.info)
+    p_inv = spd_inverse(np.asarray(p_priors, dtype=float)) / n_nodes
+    y = np.asarray(measurements, dtype=float).reshape(n_nodes, -1)
+    rhs = np.einsum("imn,im->n", sensors.rinv_h, y) + np.einsum("imn,in->m", p_inv, x_priors)
+    return spd_solve(sym(sensors.info.sum(axis=0) + p_inv.sum(axis=0)), rhs)

@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>       execute a scenario and export CSVs
-  validate <config>  print the stability report (bounds + worst radii)
+  validate <config>  print the stability report (bounds + worst radii), exit 2 on a FAIL
   spectrum <config>  print graph diagnostics (Laplacian eigenvalues)
   dare <config>      print the steady-state prior covariance P* (static sensors)
 
@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+from pathlib import Path
 
 from dkf_admm.exceptions import (
     ConfigRejected,
@@ -77,6 +79,10 @@ def main(argv=None) -> int:
     try:
         config = _load(args)
         if args.command == "run":
+            out = Path(config.output_dir)  # checked before the run; nothing is created
+            base = next(p for p in (out, *out.parents) if p.exists())
+            if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+                raise ConfigRejected(f"output_dir {out}: {base} is not a writable directory")
             metrics = run_scenario(config)
             paths = export_csv(metrics, config.output_dir)
             say(f"wrote {len(paths)} files to {config.output_dir}")
@@ -84,6 +90,8 @@ def main(argv=None) -> int:
                 say(f"  {p}")
         elif args.command == "validate":
             print(validate_params(config))
+            _, _, spectrum, params = build_scenario(config)
+            params.validate_for(spectrum)  # the report's FAIL, as a rejection
         elif args.command == "spectrum":
             graph, _, spectrum, _ = build_scenario(config)
             say(f"graph: {config.topology}, N={config.n_nodes}, "

@@ -32,7 +32,7 @@ from dkf_admm.linalg import (
 )
 from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
-_PRIMAL_PAYLOADS = {"xi", "theta"}
+_PAYLOAD_PHASES = {"xi": "state", "theta": "cov"}
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,10 @@ class DkfParams:
             state_stability(self.alpha_lambda, self.mu, spectrum),
         )
 
-    def validate_for(self, spectrum, override=False):
-        """Raise ConfigRejected unless both consensus loops are Schur stable.
-
-        `override` skips the guard for deliberate boundary experiments.
-        """
-        if override:
-            return
+    def validate_for(self, spectrum):
+        """Raise ConfigRejected, naming the failed bound, unless both
+        consensus loops are Schur stable. `run_scenario` skips this guard
+        when `override_stability_guard` is set."""
         cov_rep, state_rep = self.check(spectrum)
         nu_bound, lambda_bound = step_bounds(spectrum.lambda_max)
         if not cov_rep.is_schur:
@@ -123,9 +120,9 @@ class NetworkState:
 class CommLedger:
     """Counts of simulated network traffic, split by consensus phase.
 
-    Payload sizes are in scalar (real number) units. `record` refuses any
-    payload kind other than the primal variables xi and theta: dual
-    variables never cross an edge.
+    Payload sizes are in scalar (real number) units. `record` books xi as
+    state traffic and theta as covariance traffic, and refuses any other
+    payload kind: dual variables never cross an edge.
     """
 
     n_nodes: int
@@ -140,25 +137,20 @@ class CommLedger:
         self.cov_messages = np.zeros(self.n_nodes, dtype=np.int64)
         self.cov_scalars = np.zeros(self.n_nodes, dtype=np.int64)
 
-    def record(self, phase, payload_kind, degrees, payload_len):
-        """Add `degrees[i]` messages of `payload_len` scalars each at node i.
+    def record(self, payload_kind, degrees, payload_len):
+        """Add `degrees[i]` messages of `payload_len` scalars each at node i,
+        to the phase of `payload_kind` (xi: state, theta: covariance); any
+        other kind raises WireSchemaViolation.
 
         `degrees` is a per-node message count; it may cover several rounds
         (and runs) at once, e.g. rounds * runs * graph.degree.
         """
-        if payload_kind not in _PRIMAL_PAYLOADS:
-            raise WireSchemaViolation(
-                f"dual payload {payload_kind!r} must not be exchanged"
-            )
+        if payload_kind not in _PAYLOAD_PHASES:
+            raise WireSchemaViolation(f"dual payload {payload_kind!r} must not be exchanged")
         counts = np.asarray(degrees, dtype=np.int64)
-        if phase == "state":
-            self.state_messages += counts
-            self.state_scalars += counts * payload_len
-        elif phase == "covariance":
-            self.cov_messages += counts
-            self.cov_scalars += counts * payload_len
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
+        phase = _PAYLOAD_PHASES[payload_kind]
+        getattr(self, f"{phase}_messages")[:] += counts
+        getattr(self, f"{phase}_scalars")[:] += counts * payload_len
 
     @property
     def messages_sent(self):
@@ -194,40 +186,31 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     )
 
 
-def _node_apply(m, v):
-    """v_i' m_i at every node i, for m of shape (N, a, b) and rows v of
-    shape (N, a) or node-major (N, R, a): each node's rows times m_i make
-    one small GEMM. For symmetric m this is m_i v_i."""
-    return (v.reshape(len(m), -1, m.shape[1]) @ m).reshape(v.shape[:-1] + m.shape[2:])
-
-
 def _predict(x_post, p_post, model: StateSpaceModel):
     """Local prediction at every node: x = F x, P = F P F' + Q (identical
     to the centralized filter). x_post may carry extra leading axes."""
     return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
 
 
-def _gains(p_prior, x_prior, sensors: SensorArrays, measurements, t):
+def _gains(p_prior, x_prior, sensors: SensorArrays, y, t):
     """P_prior^-1 and the state-correction target K b of every node.
 
     K = (H' R^-1 H + P_prior^-1 / N)^-1 and b = H' R^-1 y + P_prior^-1
     x_prior / N, each stacked over nodes; the sensor terms are the stacked
-    `sensors.info` and `sensors.rinv_h`. x_prior is (N, n) or node-major
-    (N, R, n); the measurements are one y_i per node (and run) as
-    `dkf_time_step` takes them, (N, m) or (R, N, m); K b takes x_prior's
-    shape. Both inverses are one `sym_inverse` of the (N, n, n) stack; if
-    either fails (a singular prior, or one so large that K overflows),
-    NotPositiveDefinite names step t."""
+    `sensors.info` and `sensors.rinv_h`. x_prior (N, R, n) and y (N, R, m)
+    are node-major rows, so each product is one batched matmul on row
+    vectors, y' R^-1 H, x' P^-1 and b' K (P^-1 and K are exactly
+    symmetric), and K b is (N, R, n). Both inverses are one `sym_inverse`
+    of the (N, n, n) stack; if either fails (a singular prior, or one so
+    large that K overflows), NotPositiveDefinite names step t."""
     n_nodes = len(sensors.info)
     try:
         p_prior_inv = sym_inverse(p_prior)
         k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
-    y = np.asarray(measurements, dtype=float).reshape(-1, n_nodes, sensors.rinv_h.shape[1])
-    y = y.swapaxes(0, 1).reshape(x_prior.shape[:-1] + (-1,))
-    b = _node_apply(sensors.rinv_h, y) + _node_apply(p_prior_inv, x_prior) / n_nodes
-    return p_prior_inv, _node_apply(k, b)
+    b = y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes
+    return p_prior_inv, b @ k
 
 
 def _consensus_round(z, acc, target, graph: SensorGraph, step, penalty):
@@ -312,15 +295,16 @@ def dkf_time_step(
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
-    # an (N, n) state is one run; runs go node-major, (N, R, n)
-    x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
-    runs = x_post.shape[1]
     sensors = sensor_specs_at(model, t)
     expected = shape[:-1] + (sensors.rinv_h.shape[1],)
     if np.shape(measurements_t) != expected:
         raise DimensionError(f"measurements_t has shape {np.shape(measurements_t)}, not {expected}")
+    # the step's one layout change: R runs (one for an (N, n) state) go node-major, (N, R, .)
+    x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
+    runs = x_post.shape[1]
+    y = np.asarray(measurements_t, dtype=float).reshape(runs, n_nodes, -1).swapaxes(0, 1)
     x_prior, p_prior = _predict(x_post, state.p_post, model)
-    p_prior_inv, kb = _gains(p_prior, x_prior, sensors, measurements_t, t)
+    p_prior_inv, kb = _gains(p_prior, x_prior, sensors, y, t)
 
     # L primal-only ADMM sub-iterations (Jacobi); the accumulator
     # K lambda_tilde stays local and restarts at zero each step. A round
@@ -332,7 +316,7 @@ def dkf_time_step(
         if iterates is not None:
             iterates[k] = xi
     if ledger is not None:
-        ledger.record("state", "xi", params.l_sub * runs * graph.degree, n)
+        ledger.record("xi", params.l_sub * runs * graph.degree, n)
     if iterates is not None:
         dev = iterates - iterates.mean(axis=1, keepdims=True)
         spread = np.sqrt(np.einsum("lnrk,lnrk->lnr", dev, dev)).mean(axis=1)
@@ -347,7 +331,7 @@ def dkf_time_step(
             theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu
         )
     if ledger is not None:
-        ledger.record("covariance", "theta", cov_rounds * runs * graph.degree, theta.shape[1])
+        ledger.record("theta", cov_rounds * runs * graph.degree, theta.shape[1])
 
     p_post = _posterior_cov(p_prior_inv, theta, t)
     state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)

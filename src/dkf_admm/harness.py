@@ -89,11 +89,11 @@ class ScenarioConfig:
             ("graph_seed", self.graph_seed >= 0, ">= 0"),
             ("assignment_seed", self.assignment_seed >= 0, ">= 0"),
             ("init_box_halfwidth", self.init_box_halfwidth >= 0, ">= 0"),
+            ("edge_list_path", bool(self.edge_list_path) == (self.topology == "explicit"),
+             "set if and only if topology = explicit"),
         ):
             if not ok:
                 raise ConfigRejected(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if self.topology == "explicit" and not self.edge_list_path:
-            raise ConfigRejected("topology = explicit requires edge_list_path")
 
 
 _SECTIONS = {
@@ -243,7 +243,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     from master_seed and the run index, and runs are ordered by run index.
     """
     graph, model, spectrum, params = build_scenario(config)
-    params.validate_for(spectrum, override=config.override_stability_guard)
+    if not config.override_stability_guard:
+        params.validate_for(spectrum)
     p_refs = reference_priors(model, config.horizon_steps)
 
     trajs, x0_est = [], []

@@ -135,26 +135,24 @@ def spd_inverse(a) -> np.ndarray:
     return sym_inverse(a)
 
 
-def observability_matrix(f, h) -> np.ndarray:
-    """Stacked [H; HF; ...; HF^(n-1)]."""
+def is_observable(f, h) -> bool:
+    """Rank test of the stacked observability matrix [H; HF; ...; HF^(n-1)]."""
     f = np.asarray(f, dtype=float)
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    blocks = [h]
+    blocks = [np.atleast_2d(np.asarray(h, dtype=float))]
     for _ in range(f.shape[0] - 1):
         blocks.append(blocks[-1] @ f)
-    return np.vstack(blocks)
+    return np.linalg.matrix_rank(np.vstack(blocks)) == f.shape[0]
 
 
-def is_observable(f, h) -> bool:
-    f = np.asarray(f, dtype=float)
-    return np.linalg.matrix_rank(observability_matrix(f, h)) == f.shape[0]
+def _riccati_step(p, f, h, q, r_bar) -> np.ndarray:
+    """F P F' - F P H'(H P H' + R)^-1 H P F' + Q, symmetrized."""
+    s = h @ p @ h.T + r_bar
+    return sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
 
 
 def dare_residual(p, f, h, q, r_bar) -> float:
-    """Frobenius norm of P - (F P F' - F P H'(H P H' + R)^-1 H P F' + Q)."""
-    s = h @ p @ h.T + r_bar
-    nxt = f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q
-    return float(np.linalg.norm(p - sym(nxt)))
+    """Frobenius norm of P minus one Riccati step from P."""
+    return float(np.linalg.norm(p - _riccati_step(p, f, h, q, r_bar)))
 
 
 def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
@@ -163,7 +161,10 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
     Iterates P <- F P F' - F P H'(H P H' + R)^-1 H P F' + Q from P_0 = Q,
     up to 100,000 times. This is exactly the prior-covariance recursion of
     the centralized filter, so the solver doubles as the steady-state
-    oracle. Requires (F, H) observable and Q, R symmetric positive definite.
+    oracle. It returns P once the step that reached P is <= 0.1 tol ||P||
+    and the step from P is <= tol ||P||. Requires (F, H) observable and Q,
+    R symmetric positive definite; a non-finite norm (an overflow) or no
+    convergence raises RiccatiDivergence.
     """
     f = np.asarray(f, dtype=float)
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -173,17 +174,17 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
         raise ObservabilityError("(F, H) is not observable")
     spd_cholesky(q, "Q")
     spd_cholesky(r_bar, "R")
-    p = q.copy()
+    p, p_norm, settled = q, np.inf, False  # settled: the step that reached p was <= 0.1 tol ||p||
     for _ in range(100_000):
-        s = h @ p @ h.T + r_bar
-        p_next = sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
-        if np.linalg.norm(p_next - p) <= 0.1 * tol * max(np.linalg.norm(p_next), 1e-300):
-            p = p_next
-            if dare_residual(p, f, h, q, r_bar) <= tol * np.linalg.norm(p):
-                return p
-        p = p_next
-    if dare_residual(p, f, h, q, r_bar) <= tol * np.linalg.norm(p):
-        return p
+        p_next = _riccati_step(p, f, h, q, r_bar)
+        with np.errstate(over="ignore"):
+            step, next_norm = np.linalg.norm(p_next - p), np.linalg.norm(p_next)
+        if not (math.isfinite(step) and math.isfinite(next_norm)):
+            raise RiccatiDivergence("the Riccati iteration overflowed (a non-finite norm)")
+        if settled and step <= tol * p_norm:
+            return p
+        settled = step <= 0.1 * tol * max(next_norm, 1e-300)
+        p, p_norm = p_next, next_norm
     raise RiccatiDivergence("no convergence within 100000 iterations")
 
 

@@ -174,12 +174,12 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
         coords = [0 if i < n_nodes // 2 else 1 for i in range(n_nodes)]
         mode = "static"
     elif sensor_assignment == "per_step_random":
-        rng = np.random.default_rng(assignment_seed)
-        coords = rng.integers(0, 2, size=n_nodes)
+        coords = np.random.default_rng(assignment_seed).integers(0, 2, size=n_nodes)
         mode = "per_step_random"
     else:
         raise ValueError(f"unknown sensor assignment {sensor_assignment!r}")
-    sensors = tuple(_position_sensor(c, 4, [[r_var]]) for c in coords)
+    specs = [_position_sensor(c, 4, [[r_var]]) for c in range(2)]  # shared by the nodes
+    sensors = tuple(specs[c] for c in coords)
     return StateSpaceModel(f=f, q=q, sensors=sensors, x0_mean=DEFAULT_X0_MEAN, p0=np.eye(4),
                            assignment_mode=mode, assignment_seed=assignment_seed)
 

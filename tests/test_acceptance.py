@@ -151,7 +151,7 @@ def test_criterion_3_per_step_consensus_fixed_point():
     for t in range(1, 11):
         meas = traj.measurements[t]
         dkf_time_step(state, graph, model, meas, params, t=t)
-        star = consensus_fixed_point(state.x_prior, state.p_prior, meas, model.sensors)
+        star = consensus_fixed_point(state.x_prior, state.p_prior, meas, model.sensor_arrays)
         xi = state.x_post  # the final sub-iterate
         worst = max(worst, max(np.linalg.norm(x - star) for x in xi))
         spreads.append(np.abs(xi - xi.mean(axis=0)).max())
@@ -482,7 +482,7 @@ def test_criterion_8_communication_efficiency(long_run):
     exact = bool(np.array_equal(ledger.scalars_sent, expected))
     # the wire schema refuses dual payloads outright
     try:
-        ledger.record("state", "lambda_tilde", graph.degree, model.n)
+        ledger.record("lambda_tilde", graph.degree, model.n)
         schema_ok = False
     except WireSchemaViolation:
         schema_ok = True

@@ -9,9 +9,11 @@ from dkf_admm.centralized import (
 )
 from dkf_admm.linalg import dare_solve, spd_inverse, spd_solve
 from dkf_admm.models import (
+    SensorArrays,
     SensorSpec,
     StateSpaceModel,
     build_constant_velocity_model,
+    sensor_specs_at,
     simulate_trajectory,
 )
 
@@ -90,7 +92,7 @@ def test_fixed_point_identical_nodes():
     # single-node posterior
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     spec = model.sensors[0]
-    sensors = (spec, SensorSpec(spec.h, spec.r))
+    sensors = SensorArrays.stack((spec, SensorSpec(spec.h, spec.r)))
     x0 = np.array([0.3, -0.2, 1.0, 0.9])
     p0 = np.eye(4)
     y = np.array([0.5])
@@ -109,11 +111,27 @@ def test_fixed_point_gradient_vanishes():
         g = rng.normal(size=(4, 4))
         p_priors.append(g @ g.T + np.eye(4))
     meas = [rng.normal(size=1) for _ in range(6)]
-    xi = consensus_fixed_point(x_priors, p_priors, meas, model.sensors)
+    xi = consensus_fixed_point(x_priors, p_priors, meas, model.sensor_arrays)
     grad = np.zeros(4)
     for k_inv, b in _local_terms(x_priors, p_priors, meas, model.sensors):
         grad += k_inv @ xi - b
     assert np.linalg.norm(grad) < 1e-9
+
+
+def test_fixed_point_takes_a_per_step_random_step():
+    # the oracle reads the step's stacked sensors, so a redrawn step works too
+    rng = np.random.default_rng(8)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=7, sensor_assignment="per_step_random")
+    x_priors = rng.normal(size=(7, 4))
+    g = rng.normal(size=(7, 4, 4))
+    p_priors = g @ g.swapaxes(1, 2) + np.eye(4)
+    meas = rng.normal(size=(7, 1))
+    for t in (1, 2):
+        sensors = sensor_specs_at(model, t)
+        xi = consensus_fixed_point(x_priors, p_priors, meas, sensors)
+        specs = [SensorSpec(h, r) for h, r in zip(sensors.h, sensors.r)]
+        grad = sum(k_inv @ xi - b for k_inv, b in _local_terms(x_priors, p_priors, meas, specs))
+        assert np.linalg.norm(grad) < 1e-9
 
 
 def test_fixed_point_brute_force_quadratic():
@@ -128,7 +146,7 @@ def test_fixed_point_brute_force_quadratic():
     a = sum(t[0] for t in terms)
     b = sum(t[1] for t in terms)
     oracle = np.linalg.solve(a, b)
-    xi = consensus_fixed_point(x_priors, p_priors, meas, model.sensors)
+    xi = consensus_fixed_point(x_priors, p_priors, meas, model.sensor_arrays)
     assert np.allclose(xi, oracle, atol=1e-11)
 
 
@@ -144,7 +162,7 @@ def test_fixed_point_matches_centralized_posterior():
         prior_p = model.f @ state.p @ model.f.T + model.q
         state = centralized_kf_step(state, model, meas, t)
         xi = consensus_fixed_point(
-            [prior_x] * 6, [prior_p] * 6, meas, model.sensors
+            [prior_x] * 6, [prior_p] * 6, meas, model.sensor_arrays
         )
         assert np.allclose(xi, state.x_hat, atol=1e-10)
 

@@ -140,17 +140,70 @@ def test_overflowing_dt_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_overflowing_gain_exits_3_naming_the_step(tmp_path, capsys):
-    # on the default 10-node ring the gain inverse K overflows at t=1; this
-    # used to exit 0 with NaN CSVs
+def test_overflowing_q_exits_3_in_the_riccati_reference(tmp_path, capsys):
+    # q_intensity = 1e308 on the default 10-node ring: the norms of the
+    # steady-state reference's Riccati iteration overflow before the filter
+    # runs (the filter itself stops at t=1, see test_filter.py); this used to
+    # exit 0 with NaN CSVs. No RuntimeWarning escapes (pytest makes it an error).
     text = "[model]\nq_intensity = 1e308\n[run]\nhorizon_steps = 5\nn_mc_runs = 1\n"
     cfg = _write(tmp_path, text)
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", cfg, "--quiet", "--output", str(out)])
-    assert code == EXIT_NUMERICAL
-    assert "a prior covariance became singular at t=1" in capsys.readouterr().err
+    assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_NUMERICAL
+    assert "the Riccati iteration overflowed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflowing_q_dare_exits_3(tmp_path, capsys):
+    # dare used to print a "P*" one Riccati step from Q and exit 0
+    cfg = _write(tmp_path, "[model]\nq_intensity = 1e308\n")
+    assert main(["dare", cfg]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "the Riccati iteration overflowed" in captured.err and "P*" not in captured.out
+
+
+def test_validate_exits_2_on_a_failed_bound(tmp_path, capsys):
+    # validate printed FAIL and exited 0 where run exited 2; it now prints
+    # its report and then rejects the config, also with the guard
+    # overridden, which lets only run go ahead
+    text = SMOKE_INI.replace("[params]\n", "[params]\nalpha_nu = 5.0\n")
+    for k, extra in enumerate(("", "override_stability_guard = true\n")):
+        cfg = _write(tmp_path, text + extra, name=f"unstable{k}.ini")
+        assert main(["validate", cfg]) == EXIT_CONFIG, extra
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out, extra
+        assert "config rejected: alpha_nu=5.0 violates the bound" in captured.err, extra
+    cfg = _write(tmp_path, text)
+    assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "alpha_nu=5.0 violates the bound" in capsys.readouterr().err
+
+
+def test_stray_edge_list_exits_2(tmp_path, capsys):
+    # a ring with an edge list used to run and ignore the file
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n")
+    text = SMOKE_INI.replace("n_nodes = 6\n", f"n_nodes = 6\nedge_list_path = {edges}\n")
+    cfg = _write(tmp_path, text)
+    for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["validate", cfg]):
+        assert main(args) == EXIT_CONFIG, args[0]
+        err = capsys.readouterr().err
+        assert "edge_list_path must be set if and only if topology = explicit" in err, args[0]
+
+
+def test_unusable_output_location_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # under a regular file the run used to finish and then die in export_csv
+    # with a NotADirectoryError traceback (exit 1)
+    def no_run(config):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr("dkf_admm.cli.run_scenario", no_run)
+    cfg = _write(tmp_path, SMOKE_INI)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for out in (blocker / "sub", blocker):
+        assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_CONFIG, out
+        assert f"{blocker} is not a writable directory" in capsys.readouterr().err, out
+    # nothing was created
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "scenario.ini"]
 
 
 def test_config_flag_is_gone(tmp_path, capsys):

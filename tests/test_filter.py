@@ -22,6 +22,7 @@ from dkf_admm.filtering import (
     init_state,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
+from dkf_admm.harness import ScenarioConfig, build_scenario
 from dkf_admm.linalg import SWEEP_MIN_STACK, spd_inverse, sym, unvech, vech
 from dkf_admm.models import (
     SensorSpec,
@@ -50,8 +51,6 @@ def test_params_validation():
         DkfParams(0.5, 0.05, 0.5, 10).validate_for(k2)  # alpha_nu >= 1/3
     with pytest.raises(ConfigRejected):
         DkfParams(1.0, 0.05, 0.2, 10).validate_for(k2)  # alpha + 2mu >= 1
-    # override skips the guard
-    DkfParams(1.0, 0.05, 0.5, 10).validate_for(k2, override=True)
     with pytest.raises(ValueError):
         DkfParams(-0.1, 0.05, 0.2, 10)
     with pytest.raises(ValueError):
@@ -77,6 +76,13 @@ def test_predict_matches_formula():
         assert np.allclose(pp, model.f @ p @ model.f.T + model.q, atol=1e-14)
 
 
+def _one_run_gains(p_prior, x_prior, sensors, meas, t):
+    """`_gains` on one run: (N, n) estimates and (N, m) measurements, as
+    the node-major (N, 1, .) rows it takes; K b comes back as (N, n)."""
+    p_inv, kb = _gains(p_prior, x_prior[:, None], sensors, meas[:, None], t)
+    return p_inv, kb[:, 0]
+
+
 def test_gain_inverse_pair():
     # below the stack-inverse switch (LAPACK) and at it (the sweep), with a
     # distinct, non-diagonal prior at every node
@@ -85,7 +91,7 @@ def test_gain_inverse_pair():
         scale = 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
         _, p_prior = _predict(state.x_post, scale * state.p_post, model)
         meas = traj.measurements[1]
-        p_inv, kb = _gains(p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
+        p_inv, kb = _one_run_gains(p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
         for i, spec in enumerate(model.sensors):
             _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
             p_inv_ref = spd_inverse(p_prior[i])
@@ -169,7 +175,7 @@ def test_correction_reaches_consensus():
         state.x_prior, state.p_prior, model.sensors, meas
     )
     local = _kb(k_ref, b_ref)
-    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
+    _, kb = _one_run_gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
     xi, acc = state.x_prior, np.zeros((6, 4))
     for _ in range(params.l_sub):
         xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
@@ -184,7 +190,7 @@ def test_correction_consensus_error_decays_geometrically():
     rng = np.random.default_rng(4)
     xi = state.x_prior + rng.normal(size=(8, 4))
     acc = np.zeros_like(xi)
-    _, kb = _gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
+    _, kb = _one_run_gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
     errs = []
     for _ in range(100):
         xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
@@ -328,6 +334,18 @@ def test_singular_prior_names_the_step():
             dkf_time_step(state, graph, model, np.zeros((n_nodes, 1)), params, t=4)
 
 
+def test_overflowing_gain_names_the_step():
+    # q_intensity = 1e308 on the default 10-node ring: the gain inverse K
+    # overflows in the first step (a scenario run stops before it, in the
+    # steady-state Riccati reference)
+    graph, model, _, params = build_scenario(ScenarioConfig(q_intensity=1e308))
+    state = init_state(model, np.tile(model.x0_mean, (model.n_nodes, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NotPositiveDefinite, match=r"a prior covariance became singular at t=1$"
+    ):
+        dkf_time_step(state, graph, model, np.zeros((model.n_nodes, 1)), params, t=1)
+
+
 def test_time_step_rejects_misshaped_measurements():
     # one y_i per node (and run), of the model's m = 1: a (2, 3, 1) array
     # must not pass as six nodes' measurements of a one-run, six-node state
@@ -347,19 +365,18 @@ def test_time_step_rejects_misshaped_measurements():
 def test_ledger_counts_and_wire_schema():
     ledger = CommLedger(3)
     degrees = np.array([2, 1, 1])
-    ledger.record("state", "xi", degrees, 4)
-    ledger.record("state", "xi", degrees, 4)
-    ledger.record("covariance", "theta", degrees, 10)
+    ledger.record("xi", degrees, 4)
+    ledger.record("xi", degrees, 4)
+    ledger.record("theta", degrees, 10)
     assert np.array_equal(ledger.state_messages, 2 * degrees)
     assert np.array_equal(ledger.state_scalars, 8 * degrees)
     assert np.array_equal(ledger.cov_scalars, 10 * degrees)
     assert np.array_equal(ledger.messages_sent, 3 * degrees)
+    assert np.array_equal(ledger.cov_messages, degrees)  # theta is covariance traffic
     with pytest.raises(WireSchemaViolation):
-        ledger.record("state", "lambda_tilde", degrees, 4)
+        ledger.record("lambda_tilde", degrees, 4)
     with pytest.raises(WireSchemaViolation):
-        ledger.record("covariance", "nu_tilde", degrees, 10)
-    with pytest.raises(ValueError):
-        ledger.record("broadcast", "xi", degrees, 4)
+        ledger.record("nu_tilde", degrees, 10)
 
 
 def test_time_step_traffic_formula():
@@ -395,14 +412,16 @@ def test_consensus_log_matches_per_round_formula(runs):
     state = init_state(model, model.x0_mean + rng.normal(size=lead + (6, 4)))
     meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
 
-    x_post = state.x_post if runs is None else state.x_post.swapaxes(0, 1)
+    # node-major (N, R, .) rows, R = 1 for an (N, n) state
+    x_post = state.x_post.reshape(-1, 6, 4).swapaxes(0, 1)
+    y = meas.reshape(-1, 6, 1).swapaxes(0, 1)
     x_prior, p_prior = _predict(x_post, state.p_post, model)
-    _, kb = _gains(p_prior, x_prior, sensor_specs_at(model, 1), meas, 1)
+    _, kb = _gains(p_prior, x_prior, sensor_specs_at(model, 1), y, 1)
     xi, acc, rows = x_prior, np.zeros_like(x_prior), []
     for _ in range(params.l_sub):
         xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
         rows.append(np.linalg.norm(xi - xi.mean(axis=0), axis=-1).mean(axis=0))
-    want = np.array(rows).T
+    want = np.array(rows).T.reshape(lead + (-1,))
 
     logged = init_state(model, state.x_post, state.p_post)
     log = []

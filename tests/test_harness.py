@@ -229,8 +229,8 @@ def test_csv_bytes_from_hand_built_metrics(tmp_path):
     third, big = 1 / 3, 123456789.123456789
     ledger = CommLedger(2)
     runs, times = 3, np.array([1, 2])
-    ledger.record("state", "xi", runs * len(times) * np.array([2, 3]), 4)
-    ledger.record("covariance", "theta", runs * len(times) * np.array([1, 2]), 10)
+    ledger.record("xi", runs * len(times) * np.array([2, 3]), 4)
+    ledger.record("theta", runs * len(times) * np.array([1, 2]), 10)
     metrics = RunMetrics(
         times=times,
         rmse_pos=np.array([[third, 1e-20], [0.0, big]]),
@@ -296,6 +296,13 @@ def test_more_sub_iterations_help():
     # single-sub-iteration filter is clearly worse in RMSE too
     assert all(a > b for a, b in zip(final_errs, final_errs[1:]))
     assert final_rmse[1] < final_rmse[0]
+
+
+def test_edge_list_only_with_explicit_topology(tmp_path):
+    # a ring with an edge list used to run and ignore the file
+    for topology, path in (("ring", str(tmp_path / "edges.txt")), ("explicit", None)):
+        with pytest.raises(ConfigRejected, match="set if and only if topology = explicit"):
+            dataclasses.replace(SMOKE, topology=topology, edge_list_path=path)
 
 
 def test_edge_list_scenario(tmp_path):

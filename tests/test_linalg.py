@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import covariance_mode_matrix, state_mode_matrix
 
+from dkf_admm import linalg
 from dkf_admm.exceptions import (
     DimensionError,
     NotPositiveDefinite,
     ObservabilityError,
+    RiccatiDivergence,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import (
@@ -156,13 +158,30 @@ def test_dare_unobservable_rejected():
         dare_solve(f, h, np.eye(2), np.eye(1))
 
 
+def _plain_step(p, f, h, q, r):
+    s = h @ p @ h.T + r
+    return sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
+
+
 def _riccati_oracle(f, h, q, r, n_iter=10_000):
     # long plain recursion, independent of the solver's stopping logic
     p = q.copy()
     for _ in range(n_iter):
-        s = h @ p @ h.T + r
-        p = sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
+        p = _plain_step(p, f, h, q, r)
     return p
+
+
+def test_dare_stops_by_the_two_step_rule():
+    # the first iterate P whose incoming step is <= 0.1 tol ||P|| and whose
+    # outgoing step is <= tol ||P||, exactly (each step evaluated once)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
+    f, q = model.f, model.q
+    h, r, tol = np.vstack([s.h for s in model.sensors]), 0.5 * np.eye(10), 1e-12
+    prev, p = q, _plain_step(q, f, h, q, r)
+    while not (np.linalg.norm(p - prev) <= 0.1 * tol * np.linalg.norm(p)
+               and np.linalg.norm(_plain_step(p, f, h, q, r) - p) <= tol * np.linalg.norm(p)):
+        prev, p = p, _plain_step(p, f, h, q, r)
+    assert np.array_equal(dare_solve(f, h, q, r, tol), p)
 
 
 def test_dare_constant_velocity_golden():
@@ -192,6 +211,25 @@ def test_dare_random_observable_systems():
             continue
         count += 1
         assert dare_residual(p, f, h, q, r) <= 1e-10 * np.linalg.norm(p)
+
+
+def test_dare_overflow_is_divergence():
+    # q_intensity = 1e308: the norm of the first step overflows to inf, which
+    # used to pass both convergence tests and return one step from Q; no
+    # RuntimeWarning escapes (pytest makes it an error)
+    model = build_constant_velocity_model(dt=0.1, q_intensity=1e308)
+    with pytest.raises(RiccatiDivergence, match="the Riccati iteration overflowed"):
+        dare_solve(model.f, np.eye(2, 4), model.q, 0.1 * np.eye(2))
+
+
+def test_one_riccati_update_in_the_library():
+    # dare_solve and dare_residual share one step function, so the solver's
+    # convergence test and the residual cannot drift apart
+    src = Path(inspect.getfile(dare_solve)).parent
+    update = "np.linalg.solve(s, h @ p @ f.T)"
+    calls = {p.name: p.read_text().count(update) for p in src.glob("*.py")}
+    assert sum(calls.values()) == 1, calls
+    assert update in inspect.getsource(linalg._riccati_step)
 
 
 def test_covariance_mode_matrix_examples():
