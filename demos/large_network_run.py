@@ -50,7 +50,7 @@ config = ScenarioConfig(
     output_dir="out_large_network",
 )
 
-print(validate_params(config))
+print(validate_params(config)[0])
 print("running 10 Monte-Carlo trajectories...")
 metrics = run_scenario(config)
 

@@ -89,8 +89,8 @@ def main(argv=None) -> int:
             for p in paths:
                 say(f"  {p}")
         elif args.command == "validate":
-            print(validate_params(config))
-            _, _, spectrum, params = build_scenario(config)
+            report, spectrum, params = validate_params(config)
+            print(report)
             params.validate_for(spectrum)  # the report's FAIL, as a rejection
         elif args.command == "spectrum":
             graph, _, spectrum, _ = build_scenario(config)

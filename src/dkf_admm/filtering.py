@@ -32,9 +32,6 @@ from dkf_admm.linalg import (
 )
 from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
-_PAYLOAD_PHASES = {"xi": "state", "theta": "cov"}
-
-
 @dataclass(frozen=True)
 class DkfParams:
     """Step sizes and sub-iteration count of the distributed filter.
@@ -145,12 +142,15 @@ class CommLedger:
         `degrees` is a per-node message count; it may cover several rounds
         (and runs) at once, e.g. rounds * runs * graph.degree.
         """
-        if payload_kind not in _PAYLOAD_PHASES:
+        if payload_kind == "xi":
+            messages, scalars = self.state_messages, self.state_scalars
+        elif payload_kind == "theta":
+            messages, scalars = self.cov_messages, self.cov_scalars
+        else:
             raise WireSchemaViolation(f"dual payload {payload_kind!r} must not be exchanged")
         counts = np.asarray(degrees, dtype=np.int64)
-        phase = _PAYLOAD_PHASES[payload_kind]
-        getattr(self, f"{phase}_messages")[:] += counts
-        getattr(self, f"{phase}_scalars")[:] += counts * payload_len
+        messages += counts
+        scalars += counts * payload_len
 
     @property
     def messages_sent(self):
@@ -288,8 +288,9 @@ def dkf_time_step(
     and records each consensus loop once per step, with all its rounds.
     When `consensus_log` is a list, the per-sub-iteration mean consensus
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
-    (L,) array, or (R, L) for R runs; the rounds' iterates are buffered
-    and the whole array is computed once after the loop.
+    (L,) array, or (R, L) for R runs; the rounds' iterates are buffered in
+    one (L, N, R, n) array of the step's own, reduced in place after the
+    loop (node means by GEMV, squared deviations, norms, node means).
     Theta crosses edges once per step on static sensors and l_sub times
     on per-step-random ones, whose consensus target moves every step.
     """
@@ -317,9 +318,11 @@ def dkf_time_step(
             iterates[k] = xi
     if ledger is not None:
         ledger.record("xi", params.l_sub * runs * graph.degree, n)
-    if iterates is not None:
-        dev = iterates - iterates.mean(axis=1, keepdims=True)
-        spread = np.sqrt(np.einsum("lnrk,lnrk->lnr", dev, dev)).mean(axis=1)
+    if iterates is not None:  # the step's own buffer, reduced in place on (L, N, R n) rows
+        rows, node_mean = iterates.reshape(params.l_sub, n_nodes, -1), np.full(n_nodes, 1 / n_nodes)
+        rows -= (node_mean @ rows)[:, None]
+        norms = np.square(iterates, out=iterates).reshape(-1, n) @ np.ones(n)
+        spread = node_mean @ np.sqrt(norms, out=norms).reshape(params.l_sub, n_nodes, runs)
         consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
 
     # Covariance consensus on the previous step's theta, l_sub rounds if redrawn.

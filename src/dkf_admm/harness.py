@@ -266,16 +266,18 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     sq_vel = np.empty_like(sq_pos)
     cov_err = np.empty(sq_pos.shape[1:])  # the covariance recursion is shared by all runs
     consensus_log = []
+    split = np.zeros((model.n, 2))  # sums the squared errors of (position, velocity)
+    split[POSITION, 0] = split[VELOCITY, 1] = 1.0
     for row, t in enumerate(steps):
         dkf_time_step(
             state, graph, model, meas[:, t], params, ledger=ledger, t=t,
             consensus_log=consensus_log,
         )
         err = states[:, t, None] - state.x_post
-        sq_pos[:, row] = (err[..., POSITION] ** 2).sum(axis=-1)
-        sq_vel[:, row] = (err[..., VELOCITY] ** 2).sum(axis=-1)
-        p_ref = p_refs[row]
-        cov_err[row] = np.linalg.norm(state.p_prior - p_ref, axis=(1, 2)) / np.linalg.norm(p_ref)
+        sq = np.square(err, out=err) @ split
+        sq_pos[:, row], sq_vel[:, row] = sq[..., 0], sq[..., 1]
+        dev = state.p_prior - p_refs[row]
+        cov_err[row] = np.sqrt(np.einsum("nij,nij->n", dev, dev)) / np.linalg.norm(p_refs[row])
     return RunMetrics(
         times=np.array(steps),
         rmse_pos=np.sqrt(sq_pos.mean(axis=0)),
@@ -288,9 +290,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     )
 
 
-def validate_params(config: ScenarioConfig) -> str:
-    """Human-readable stability report for a config; used by the CLI."""
-    graph, model, spectrum, params = build_scenario(config)
+def validate_params(config: ScenarioConfig) -> tuple:
+    """Stability report text of a config, with the spectrum and params it checked."""
+    _, _, spectrum, params = build_scenario(config)
     cov_rep, state_rep = params.check(spectrum)
     nu_bound, lam_bound = step_bounds(spectrum.lambda_max)
     lines = [
@@ -309,7 +311,7 @@ def validate_params(config: ScenarioConfig) -> str:
         f"state-mode worst radius      = {state_rep.spectral_radius:.6g} "
         f"(Schur: {state_rep.is_schur})",
     ]
-    return "\n".join(lines)
+    return "\n".join(lines), spectrum, params
 
 
 def export_csv(metrics: RunMetrics, output_dir) -> list:

@@ -147,7 +147,11 @@ def is_observable(f, h) -> bool:
 def _riccati_step(p, f, h, q, r_bar) -> np.ndarray:
     """F P F' - F P H'(H P H' + R)^-1 H P F' + Q, symmetrized."""
     s = h @ p @ h.T + r_bar
-    return sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
+    try:
+        gain = np.linalg.solve(s, h @ p @ f.T)
+    except np.linalg.LinAlgError as exc:
+        raise RiccatiDivergence("the innovation covariance H P H' + R became singular") from exc
+    return sym(f @ p @ f.T - f @ p @ h.T @ gain + q)
 
 
 def dare_residual(p, f, h, q, r_bar) -> float:
@@ -163,8 +167,8 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
     the centralized filter, so the solver doubles as the steady-state
     oracle. It returns P once the step that reached P is <= 0.1 tol ||P||
     and the step from P is <= tol ||P||. Requires (F, H) observable and Q,
-    R symmetric positive definite; a non-finite norm (an overflow) or no
-    convergence raises RiccatiDivergence.
+    R symmetric positive definite; a non-finite norm (an overflow), a
+    singular H P H' + R or no convergence raises RiccatiDivergence.
     """
     f = np.asarray(f, dtype=float)
     h = np.atleast_2d(np.asarray(h, dtype=float))

@@ -96,6 +96,7 @@ class StateSpaceModel:
     n: int = field(init=False)
     sensor_arrays: SensorArrays = field(init=False, repr=False)
     coordinate_table: SensorArrays | None = field(init=False, repr=False)
+    _drawn_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -187,12 +188,16 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
 def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
     """The stacked sensors in effect at time step t: `model.sensor_arrays`
     for static models; per-step-random ones gather one `coordinate_table`
-    row per node by the coordinate drawn from (assignment_seed, t)."""
+    row per node by the coordinate drawn from (assignment_seed, t). Each
+    step's N drawn rows are kept in a per-model memo, so the simulation,
+    the reference and the filter draw them once; the gather is per call."""
     table = model.coordinate_table
     if table is None:
         return model.sensor_arrays
-    rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
-    rows = rng.integers(0, 2, size=model.n_nodes)
+    rows = model._drawn_rows.get(t)
+    if rows is None:
+        rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
+        rows = model._drawn_rows[t] = rng.integers(0, 2, size=model.n_nodes)
     return SensorArrays(table.h[rows], table.r[rows], table.rinv_h[rows], table.info[rows])
 
 

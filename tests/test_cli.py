@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from dkf_admm import cli, harness
 from dkf_admm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dkf_admm.harness import build_scenario
 
 SMOKE_INI = (
     "[graph]\ntopology = ring\nn_nodes = 6\n"
@@ -263,9 +265,28 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["validate", cfg]) == EXIT_OK
 
 
-def test_unstable_params_exit_2(tmp_path):
-    cfg = _write(tmp_path, SMOKE_INI + "alpha_nu = 5.0\n")
+def test_unstable_params_exit_2(tmp_path, capsys):
+    # the key under [params]: an unknown key in [run] would exit 2 before the guard
+    cfg = _write(tmp_path, SMOKE_INI.replace("[params]\n", "[params]\nalpha_nu = 5.0\n"))
     assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "violates the bound 2/(3*lambda_max)" in capsys.readouterr().err
+
+
+def test_validate_builds_the_scenario_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return build_scenario(config)
+
+    monkeypatch.setattr(harness, "build_scenario", counted)
+    monkeypatch.setattr(cli, "build_scenario", counted)
+    for extra, code in (("", EXIT_OK), ("alpha_nu = 5.0\n", EXIT_CONFIG)):
+        cfg = _write(tmp_path, SMOKE_INI.replace("[params]\n", f"[params]\n{extra}"))
+        calls.clear()
+        assert main(["validate", cfg]) == code
+        assert len(calls) == 1, extra
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_non_positive_step_sizes_exit_2(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -432,6 +435,52 @@ def test_consensus_log_matches_per_round_formula(runs):
     dkf_time_step(state, graph, model, meas, params, t=1)
     for name in ("x_post", "p_post", "theta"):
         assert np.array_equal(getattr(logged, name), getattr(state, name))
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_consensus_log_on_the_edge_gather_path(runs):
+    # N >= DENSE_PRODUCT_NODES: the rounds take the CSR edge gather. A step
+    # with l_sub = k ends at the k-th round's xi, so steps with l_sub = 1..3
+    # give each logged round's spread from x_post alone
+    graph, _, params, model, traj, _ = _setup(
+        n_nodes=500, topology="random_geometric", l_sub=3, radius=0.12, seed=3
+    )
+    assert graph._dense is None
+    rng = np.random.default_rng(5)
+    lead = () if runs is None else (runs,)
+    x0 = model.x0_mean + rng.normal(size=lead + (500, 4))
+    meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
+    log = []
+    dkf_time_step(init_state(model, x0), graph, model, meas, params, t=1, consensus_log=log)
+    assert len(log) == 1 and log[0].shape == lead + (3,)
+    for k in range(1, 4):
+        state = init_state(model, x0)
+        dkf_time_step(state, graph, model, meas, dataclasses.replace(params, l_sub=k), t=1)
+        xi = state.x_post
+        want = np.linalg.norm(xi - xi.mean(axis=-2, keepdims=True), axis=-1).mean(axis=-1)
+        assert np.allclose(log[0][..., k - 1], want, rtol=1e-12, atol=1e-12)
+
+
+def test_consensus_log_extra_peak_memory():
+    # a logged step needs its (L, N, R, n) round buffer and little more: the
+    # reduction runs in place, so its extra peak over an unlogged step stays
+    # within 1.3 buffers (N = 1,000, R = 3, L = 20)
+    graph, _, params, model, traj, _ = _setup(n_nodes=1000, topology="ring", l_sub=20)
+    meas = np.broadcast_to(traj.measurements[1], (3, 1000, 1))
+    buffer_bytes = params.l_sub * 1000 * 3 * 4 * 8
+
+    def step_peak(log):
+        state = init_state(model, np.broadcast_to(model.x0_mean, (3, 1000, 4)))
+        tracemalloc.start()
+        try:
+            dkf_time_step(state, graph, model, meas, params, t=1, consensus_log=log)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    step_peak(None)  # warm the lazily built index caches
+    extra = step_peak([]) - step_peak(None)
+    assert extra <= 1.3 * buffer_bytes, extra / buffer_bytes
 
 
 def test_time_step_matches_per_node_operations():

@@ -135,9 +135,11 @@ def test_unstable_params_rejected_unless_overridden():
     cfg = dataclasses.replace(SMOKE, alpha_nu=5.0, horizon_steps=2)
     with pytest.raises(ConfigRejected):
         run_scenario(cfg)
-    report = validate_params(cfg)
+    report, spectrum, params = validate_params(cfg)
     assert "FAIL" in report
-    assert "PASS" in validate_params(SMOKE)
+    with pytest.raises(ConfigRejected):  # the bound the report fails, from its own scenario
+        params.validate_for(spectrum)
+    assert "PASS" in validate_params(SMOKE)[0]
 
 
 def test_run_scenario_shapes_and_finiteness():

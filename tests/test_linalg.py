@@ -213,6 +213,16 @@ def test_dare_random_observable_systems():
         assert dare_residual(p, f, h, q, r) <= 1e-10 * np.linalg.norm(p)
 
 
+def test_dare_singular_innovation_covariance_is_divergence():
+    # ten identical stacked rows (x1, x2 five times each): R = 0.5 I is lost
+    # against entries near 3e304, so H P H' + R is singular; numpy's raw
+    # LinAlgError("Singular matrix") used to escape
+    model = build_constant_velocity_model(dt=0.1, q_intensity=1e308)
+    h = np.tile(np.eye(2, 4), (5, 1))
+    with pytest.raises(RiccatiDivergence, match="H P H' \\+ R became singular"):
+        dare_solve(model.f, h, model.q, 0.5 * np.eye(10))
+
+
 def test_dare_overflow_is_divergence():
     # q_intensity = 1e308: the norm of the first step overflows to inf, which
     # used to pass both convergence tests and return one step from Q; no

@@ -253,6 +253,27 @@ def test_per_step_random_assignment():
     assert not model.coordinate_table.h[:, 0, VELOCITY].any()
 
 
+def test_per_step_random_rows_are_drawn_once_per_model():
+    # each step's rows are memoized on the model: equal to a fresh draw from
+    # (assignment_seed, t), reused by later calls, never shared across seeds
+    models = [build_constant_velocity_model(dt=0.1, n_nodes=40, assignment_seed=seed,
+                                            sensor_assignment="per_step_random")
+              for seed in (3, 4)]
+    for model in models:
+        for t in range(5):
+            specs = sensor_specs_at(model, t)
+            rows = model._drawn_rows[t]
+            fresh = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
+            assert np.array_equal(rows, fresh.integers(0, 2, size=40))
+            assert np.array_equal(specs.h, model.coordinate_table.h[rows])
+            assert sensor_specs_at(model, t).h is not specs.h  # the gather is per call
+            assert model._drawn_rows[t] is rows
+        assert sorted(model._drawn_rows) == list(range(5))
+    assert models[0]._drawn_rows is not models[1]._drawn_rows
+    assert any(not np.array_equal(models[0]._drawn_rows[t], models[1]._drawn_rows[t])
+               for t in range(5))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_nodes=st.integers(2, 12),
