@@ -16,7 +16,7 @@ from dkf_admm.linalg import spd_inverse, spd_solve, sym
 from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralizedState:
     """Centralized filter state after one predict/correct cycle."""
 
@@ -55,8 +55,8 @@ def centralized_kf_step(
     info_vec = omega_prior @ x_prior + np.einsum("imn,im->n", sensors.rinv_h[:k], y)
     try:
         p = spd_inverse(omega)
-    except NotPositiveDefinite:
-        raise NotPositiveDefinite("posterior information matrix not PD")
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"posterior information matrix not PD at t={t}") from exc
     return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 

@@ -118,7 +118,7 @@ class SensorGraph:
         return out.reshape(v.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSummary:
     """Sorted Laplacian eigenvalues with the two that matter pulled out:
     lambda_2 (algebraic connectivity) and lambda_max (bounds all step sizes).

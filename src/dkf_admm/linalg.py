@@ -5,7 +5,7 @@ one Cholesky definiteness test behind the SPD solves and inverses, stack
 inverses by a batched sweep, a fixed-point solver for the discrete
 algebraic Riccati equation, and the exact closed-form Schur-stability
 certificate of both consensus loops, whose 2x2 per-mode recursions are
-decided by the Laplacian's lambda_2 and lambda_max alone.
+decided by the Laplacian's lambda_2 and lambda_max alone (`StabilityReport`).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from dkf_admm.exceptions import (
+    ConfigRejected,
     DimensionError,
     NotPositiveDefinite,
     ObservabilityError,
@@ -194,13 +195,29 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Worst per-mode spectral radius of one consensus loop over the nonzero
-    Laplacian eigenvalues, and whether the loop is Schur stable. For
-    positive step sizes `is_schur`, the strict `step_bounds` inequality, is
-    exact: the Jury conditions of every mode reduce to it."""
+    """One consensus loop's stability certificate: the bounded step-size
+    quantity and its value, the name and value of its `step_bounds` bound,
+    the worst per-mode spectral radius, and `is_schur`, exactly value < bound
+    for positive step sizes. `line` renders it as a report line; `require`
+    raises ConfigRejected, naming the violated bound, unless Schur stable."""
 
+    quantity: str
+    value: float
+    bound_name: str
+    bound: float
     spectral_radius: float
     is_schur: bool
+
+    @property
+    def line(self) -> str:
+        verdict = "PASS" if self.is_schur else "FAIL"
+        return (f"{self.quantity} = {self.value:.6g}  (bound {self.bound_name} = {self.bound:.6g})"
+                f"  worst radius = {self.spectral_radius:.6g}  {verdict}")
+
+    def require(self):
+        if not self.is_schur:
+            raise ConfigRejected(f"{self.quantity}={self.value} violates the bound "
+                                 f"{self.bound_name}={self.bound:.6g}")
 
 
 def step_bounds(lambda_max: float) -> tuple:
@@ -220,18 +237,16 @@ def _worst_radius(c: float, m: float, spectrum) -> float:
 
 def covariance_stability(alpha_nu: float, spectrum) -> StabilityReport:
     """Covariance consensus, modes [[1 - 2 a l, a l], [1, 0]] for a = alpha_nu."""
-    return StabilityReport(
-        spectral_radius=_worst_radius(2.0 * alpha_nu, alpha_nu, spectrum),
-        is_schur=0.0 < alpha_nu < step_bounds(spectrum.lambda_max)[0],
-    )
+    bound = step_bounds(spectrum.lambda_max)[0]
+    return StabilityReport("alpha_nu", alpha_nu, "2/(3*lambda_max)", bound,
+                           _worst_radius(2.0 * alpha_nu, alpha_nu, spectrum),
+                           0.0 < alpha_nu < bound)
 
 
 def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport:
-    """State sub-iterations, modes [[1 - (a + mu) l, mu l], [1, 0]] for
-    a = alpha_lambda. A non-positive mu, which the filter rejects, is
-    reported not Schur."""
-    bound = step_bounds(spectrum.lambda_max)[1]
-    return StabilityReport(
-        spectral_radius=_worst_radius(alpha_lambda + mu, mu, spectrum),
-        is_schur=alpha_lambda > 0.0 and mu > 0.0 and alpha_lambda + 2.0 * mu < bound,
-    )
+    """State sub-iterations, modes [[1 - (a + mu) l, mu l], [1, 0]] for a =
+    alpha_lambda; a non-positive mu (the filter rejects it) is not Schur."""
+    value, bound = alpha_lambda + 2.0 * mu, step_bounds(spectrum.lambda_max)[1]
+    return StabilityReport("alpha_lambda+2*mu", value, "2/lambda_max", bound,
+                           _worst_radius(alpha_lambda + mu, mu, spectrum),
+                           alpha_lambda > 0.0 and mu > 0.0 and value < bound)

@@ -21,7 +21,7 @@ POSITION, VELOCITY = slice(0, 2), slice(2, 4)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorSpec:
     """One node's measurement model y_i = H_i x + v_i, v_i ~ N(0, R_i): a
     read-only (H_i, R_i) pair of matching measurement dimension m_i. The
@@ -40,7 +40,7 @@ class SensorSpec:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorArrays:
     """The sensors of all N nodes at one time step, stacked node first and
     read-only: h (N, m, n), r (N, m, m), rinv_h = R_i^-1 H_i (N, m, n),
@@ -74,7 +74,7 @@ class SensorArrays:
         return cls(h, r, rinv_h, sym(np.swapaxes(h, -1, -2) @ rinv_h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Global dynamics x_{t+1} = F x_t + w_t plus the per-node sensors.
 
@@ -96,7 +96,7 @@ class StateSpaceModel:
     n: int = field(init=False)
     sensor_arrays: SensorArrays = field(init=False, repr=False)
     coordinate_table: SensorArrays | None = field(init=False, repr=False)
-    _drawn_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _drawn_rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -134,7 +134,7 @@ class StateSpaceModel:
         return len(self.sensors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A seeded draw, read-only: states (n_steps, n) with states[t] = x_t,
     and measurements (n_steps, N, m), whose row t holds every node's y_{i,t}

@@ -445,7 +445,7 @@ def test_criterion_7_hundred_node_properties(hundred_node_run):
     metrics = hundred_node_run["metrics"]
     elapsed = hundred_node_run["elapsed"]
 
-    report, _, _ = validate_params(config)
+    report, _ = validate_params(config)
     validator_ok = "FAIL" not in report
 
     final = metrics.rmse_pos[-1]

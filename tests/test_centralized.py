@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from oracles import sensor_oracle
 
+from dkf_admm import centralized
 from dkf_admm.centralized import (
     centralized_kf_step,
     consensus_fixed_point,
     initial_centralized_state,
 )
+from dkf_admm.exceptions import NotPositiveDefinite
 from dkf_admm.linalg import dare_solve, spd_inverse, spd_solve
 from dkf_admm.models import (
     SensorArrays,
@@ -179,3 +181,21 @@ def test_prior_covariance_reaches_riccati_limit():
     for t in range(1, 2001):
         state = centralized_kf_step(state, model, zeros, t)
     assert np.linalg.norm(state.p_prior - p_star) < 1e-8
+
+
+def test_singular_posterior_names_the_step(monkeypatch):
+    # the failed inverse is the cause, not an exception raised while handling it
+    model = build_constant_velocity_model(dt=0.1, n_nodes=2)
+    calls = []
+
+    def second_call_fails(a):
+        calls.append(a)
+        if len(calls) == 2:
+            raise NotPositiveDefinite("matrix must be positive definite")
+        return spd_inverse(a)
+
+    monkeypatch.setattr(centralized, "spd_inverse", second_call_fails)
+    with pytest.raises(NotPositiveDefinite, match="not PD at t=7") as info:
+        centralized_kf_step(initial_centralized_state(model), model, np.zeros((2, 1)), t=7)
+    assert isinstance(info.value.__cause__, NotPositiveDefinite)
+    assert info.value.__suppress_context__

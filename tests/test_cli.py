@@ -3,6 +3,7 @@ import pytest
 
 from dkf_admm import cli, harness
 from dkf_admm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from dkf_admm.filtering import DkfParams
 from dkf_admm.harness import build_scenario
 
 SMOKE_INI = (
@@ -45,13 +46,13 @@ def test_validate_prints_report(tmp_path, capsys):
     assert main(["validate", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "lambda_max" in out and "PASS" in out
-    # the worst radius of each loop (ring of 6: at lambda_max = 4 for both),
-    # and no per-eigenvalue table after them
+    # one line per loop: its bound and worst radius (ring of 6: at
+    # lambda_max = 4 for both), and no per-eigenvalue table after them
     assert out.splitlines()[-2:] == [
-        "covariance-mode worst radius = 0.881025 (Schur: True)",
-        "state-mode worst radius      = 0.804849 (Schur: True)",
+        "alpha_nu = 0.15  (bound 2/(3*lambda_max) = 0.166667)  worst radius = 0.881025  PASS",
+        "alpha_lambda+2*mu = 0.45  (bound 2/lambda_max = 0.5)  worst radius = 0.804849  PASS",
     ]
-    assert "per-mode" not in out and len(out.splitlines()) == 7
+    assert "per-mode" not in out and len(out.splitlines()) == 5
 
 
 def test_spectrum_subcommand(tmp_path, capsys):
@@ -166,17 +167,25 @@ def test_overflowing_q_dare_exits_3(tmp_path, capsys):
 def test_validate_exits_2_on_a_failed_bound(tmp_path, capsys):
     # validate printed FAIL and exited 0 where run exited 2; it now prints
     # its report and then rejects the config, also with the guard
-    # overridden, which lets only run go ahead
-    text = SMOKE_INI.replace("[params]\n", "[params]\nalpha_nu = 5.0\n")
-    for k, extra in enumerate(("", "override_stability_guard = true\n")):
-        cfg = _write(tmp_path, text + extra, name=f"unstable{k}.ini")
-        assert main(["validate", cfg]) == EXIT_CONFIG, extra
-        captured = capsys.readouterr()
-        assert "FAIL" in captured.out, extra
-        assert "config rejected: alpha_nu=5.0 violates the bound" in captured.err, extra
-    cfg = _write(tmp_path, text)
-    assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "alpha_nu=5.0 violates the bound" in capsys.readouterr().err
+    # overridden, which lets only run go ahead. Ring of 6, lambda_max = 4.
+    for params, message in (
+        ("alpha_nu = 5.0\n", "alpha_nu=5.0 violates the bound"),
+        ("alpha_lambda = 0.6\nmu = 0.1\n",
+         "alpha_lambda+2*mu=0.8 violates the bound 2/lambda_max=0.5"),
+        # alpha_lambda + mu = 0.35 would pass: the bound weighs mu twice
+        ("alpha_lambda = 0.1\nmu = 0.25\n",
+         "alpha_lambda+2*mu=0.6 violates the bound 2/lambda_max=0.5"),
+    ):
+        text = SMOKE_INI.replace("[params]\n", f"[params]\n{params}")
+        for k, extra in enumerate(("", "override_stability_guard = true\n")):
+            cfg = _write(tmp_path, text + extra, name=f"unstable{k}.ini")
+            assert main(["validate", cfg]) == EXIT_CONFIG, (params, extra)
+            captured = capsys.readouterr()
+            assert captured.out.count("FAIL") == 1, (params, extra)
+            assert f"config rejected: {message}" in captured.err, (params, extra)
+        cfg = _write(tmp_path, text)
+        assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err, params
 
 
 def test_stray_edge_list_exits_2(tmp_path, capsys):
@@ -273,19 +282,27 @@ def test_unstable_params_exit_2(tmp_path, capsys):
 
 
 def test_validate_builds_the_scenario_once(tmp_path, monkeypatch, capsys):
-    calls = []
+    # ... and certifies it once: the rejection reads the printed reports
+    calls, checks = [], []
+    check = DkfParams.check
 
     def counted(config):
         calls.append(config)
         return build_scenario(config)
 
+    def counted_check(params, spectrum):
+        checks.append(params)
+        return check(params, spectrum)
+
     monkeypatch.setattr(harness, "build_scenario", counted)
     monkeypatch.setattr(cli, "build_scenario", counted)
+    monkeypatch.setattr(DkfParams, "check", counted_check)
     for extra, code in (("", EXIT_OK), ("alpha_nu = 5.0\n", EXIT_CONFIG)):
         cfg = _write(tmp_path, SMOKE_INI.replace("[params]\n", f"[params]\n{extra}"))
         calls.clear()
+        checks.clear()
         assert main(["validate", cfg]) == code
-        assert len(calls) == 1, extra
+        assert len(calls) == 1 and len(checks) == 1, extra
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -50,10 +51,13 @@ def _setup(n_nodes=4, topology="ring", l_sub=20, traj_seed=3, **graph_kwargs):
 def test_params_validation():
     k2 = spectral_summary(build_graph("complete", 2))
     DkfParams(0.5, 0.05, 0.2, 10).validate_for(k2)
-    with pytest.raises(ConfigRejected):
-        DkfParams(0.5, 0.05, 0.5, 10).validate_for(k2)  # alpha_nu >= 1/3
-    with pytest.raises(ConfigRejected):
-        DkfParams(1.0, 0.05, 0.2, 10).validate_for(k2)  # alpha + 2mu >= 1
+    # K2: lambda_max = 2, bounds 1/3 on alpha_nu and 1 on alpha_lambda + 2 mu
+    for params, message in (
+        (DkfParams(0.5, 0.05, 0.5, 10), "alpha_nu=0.5 violates the bound 2/(3*lambda_max)=0.3"),
+        (DkfParams(1.0, 0.05, 0.2, 10), "alpha_lambda+2*mu=1.1 violates the bound 2/lambda_max=1"),
+    ):
+        with pytest.raises(ConfigRejected, match=re.escape(message)):
+            params.validate_for(k2)
     with pytest.raises(ValueError):
         DkfParams(-0.1, 0.05, 0.2, 10)
     with pytest.raises(ValueError):

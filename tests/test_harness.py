@@ -135,10 +135,13 @@ def test_unstable_params_rejected_unless_overridden():
     cfg = dataclasses.replace(SMOKE, alpha_nu=5.0, horizon_steps=2)
     with pytest.raises(ConfigRejected):
         run_scenario(cfg)
-    report, spectrum, params = validate_params(cfg)
+    report, reports = validate_params(cfg)
     assert "FAIL" in report
-    with pytest.raises(ConfigRejected):  # the bound the report fails, from its own scenario
-        params.validate_for(spectrum)
+    cov_rep, state_rep = reports
+    assert report.splitlines()[-2:] == [cov_rep.line, state_rep.line]
+    state_rep.require()
+    with pytest.raises(ConfigRejected, match="alpha_nu=5.0 violates"):  # the report's FAIL
+        cov_rep.require()
     assert "PASS" in validate_params(SMOKE)[0]
 
 
@@ -389,3 +392,30 @@ def test_library_runs_on_numpy_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _records():
+    """A fresh instance of every array-holding record, each built the same way."""
+    model = build_constant_velocity_model(dt=0.1, n_nodes=4)
+    traj = dkf_admm.simulate_trajectory(model, 3, seed=1)
+    return {
+        "StateSpaceModel": model,
+        "SensorSpec": model.sensors[0],
+        "SensorArrays": model.sensor_arrays,
+        "Trajectory": traj,
+        "SpectralSummary": dkf_admm.spectral_summary(dkf_admm.build_graph("ring", 4)),
+        "CentralizedState": dkf_admm.centralized.initial_centralized_state(model),
+        "NetworkState": init_state(model, np.zeros((4, 4))),
+        "CommLedger": CommLedger(4),
+        "RunMetrics": RunMetrics(np.arange(2), *np.ones((4, 2, 4)), comm=CommLedger(4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_array_records_compare_by_identity(name):
+    # `==` between equal but distinct instances used to raise "The truth
+    # value of an array ... is ambiguous", and hash() a TypeError
+    a, b = _records()[name], _records()[name]
+    assert type(a).__name__ == name and a is not b
+    assert (a == b) is False and (a == a) is True
+    assert hash(a) == hash(a) and len({a, b}) == 2
