@@ -189,16 +189,19 @@ def _gains(p_prior, x_prior, sensors: SensorArrays, y, t):
     are node-major rows, so each product is one batched matmul on row
     vectors, y' R^-1 H, x' P^-1 and b' K (P^-1 and K are exactly
     symmetric), and K b is (N, R, n). Both inverses are one `sym_inverse`
-    of the (N, n, n) stack; if either fails (a singular prior, or one so
-    large that K overflows), NotPositiveDefinite names step t."""
+    of the (N, n, n) stack; NotPositiveDefinite names step t if either fails
+    (a singular prior, or one so large that K overflows) or K b overflows."""
     n_nodes = len(sensors.info)
     try:
         p_prior_inv = sym_inverse(p_prior)
         k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
-    b = y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes
-    return p_prior_inv, b @ k
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        kb = (y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
+    if not np.isfinite(kb).all():
+        raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
+    return p_prior_inv, kb
 
 
 def _consensus_round(z, acc, target, graph: SensorGraph, step, penalty):
@@ -225,16 +228,19 @@ def _posterior_cov(p_prior_inv, theta, t):
     At a node where that sum is not positive definite (a transiently
     indefinite Theta), Theta is floored at zero eigenvalues, with a
     RuntimeWarning naming the node and t. NotPositiveDefinite is raised if
-    theta is non-finite or flooring cannot fix it.
+    the sum is not finite (theta diverged, or the sum overflowed), or if
+    flooring cannot fix it.
     """
-    if not np.isfinite(theta).all():
-        bad = int(np.argmax(~np.isfinite(theta).all(axis=1)))
-        raise NotPositiveDefinite(f"theta diverged to non-finite values (node {bad}, t={t})")
     theta_mats = unvech(theta)
-    m = p_prior_inv + theta_mats
+    with np.errstate(over="ignore"):  # a non-finite sum is named below
+        m = p_prior_inv + theta_mats
     try:
         return spd_inverse(m)
-    except NotPositiveDefinite:
+    except NotPositiveDefinite as exc:
+        finite = np.isfinite(m).all(axis=(1, 2))
+        if not finite.all():
+            raise NotPositiveDefinite(f"posterior information P^-1 + Theta is not finite "
+                                      f"(node {np.argmin(finite)}, t={t})") from exc
         for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
             warnings.warn(
                 f"posterior information of node {i}, t={t} is indefinite; "

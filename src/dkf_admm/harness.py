@@ -242,6 +242,9 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     if not config.override_stability_guard:
         params.validate_for(spectrum)
     p_refs = reference_priors(model, config.horizon_steps)
+    # cov_error on P, P_ref times a power of 2 (exact) so P_ref's norm cannot underflow
+    scale = np.ldexp(1.0, -np.frexp(np.abs(p_refs).max(axis=(1, 2), keepdims=True))[1])
+    p_refs = p_refs * scale
 
     trajs, x0_est = [], []
     for run_idx in range(config.n_mc_runs):
@@ -273,7 +276,7 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
         err = states[:, t, None] - state.x_post
         sq = np.square(err, out=err) @ split
         sq_pos[:, row], sq_vel[:, row] = sq[..., 0], sq[..., 1]
-        dev = state.p_prior - p_refs[row]
+        dev = state.p_prior * scale[row] - p_refs[row]
         cov_err[row] = np.sqrt(np.einsum("nij,nij->n", dev, dev)) / np.linalg.norm(p_refs[row])
     return RunMetrics(
         times=np.array(steps),

@@ -52,19 +52,13 @@ def _triu_idx(n):
     return np.triu_indices(n)
 
 
-def triangular_dim(length: int) -> int:
-    """Source dimension n with n(n+1)/2 == length, or DimensionError."""
-    n = int((math.isqrt(8 * length + 1) - 1) // 2)
-    if n * (n + 1) // 2 != length:
-        raise DimensionError(f"{length} is not a triangular number")
-    return n
-
-
 def unvech(v) -> np.ndarray:
     """Exact inverse of vech, over leading axes: the last axis holds the
-    half-vectorization."""
+    half-vectorization, whose length must be n(n+1)/2 (else DimensionError)."""
     v = np.asarray(v, dtype=float)
-    n = triangular_dim(v.shape[-1])
+    n = (math.isqrt(8 * v.shape[-1] + 1) - 1) // 2
+    if n * (n + 1) // 2 != v.shape[-1]:
+        raise DimensionError(f"{v.shape[-1]} is not a triangular number")
     out = np.zeros(v.shape[:-1] + (n, n))
     r, c = _triu_idx(n)
     out[..., r, c] = v
@@ -197,8 +191,8 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
 class StabilityReport:
     """One consensus loop's stability certificate: the bounded step-size
     quantity and its value, the name and value of its `step_bounds` bound,
-    the worst per-mode spectral radius, and `is_schur`, exactly value < bound
-    for positive step sizes. `line` renders it as a report line; `require`
+    the worst per-mode spectral radius, and `is_schur`: positive step sizes
+    and value < (1 - SCHUR_MARGIN) bound. `line` renders it; `require`
     raises ConfigRejected, naming the violated bound, unless Schur stable."""
 
     quantity: str
@@ -218,6 +212,11 @@ class StabilityReport:
         if not self.is_schur:
             raise ConfigRejected(f"{self.quantity}={self.value} violates the bound "
                                  f"{self.bound_name}={self.bound:.6g}")
+
+
+# a value must stay below its bound by this relative margin, above the round-off
+# of eigvalsh's lambda_max (3.999999999999999 for the 4 of a 6-node ring)
+SCHUR_MARGIN = 1e-10
 
 
 def step_bounds(lambda_max: float) -> tuple:
@@ -240,7 +239,7 @@ def covariance_stability(alpha_nu: float, spectrum) -> StabilityReport:
     bound = step_bounds(spectrum.lambda_max)[0]
     return StabilityReport("alpha_nu", alpha_nu, "2/(3*lambda_max)", bound,
                            _worst_radius(2.0 * alpha_nu, alpha_nu, spectrum),
-                           0.0 < alpha_nu < bound)
+                           0.0 < alpha_nu < bound * (1 - SCHUR_MARGIN))
 
 
 def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport:
@@ -249,4 +248,4 @@ def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport
     value, bound = alpha_lambda + 2.0 * mu, step_bounds(spectrum.lambda_max)[1]
     return StabilityReport("alpha_lambda+2*mu", value, "2/lambda_max", bound,
                            _worst_radius(alpha_lambda + mu, mu, spectrum),
-                           alpha_lambda > 0.0 and mu > 0.0 and value < bound)
+                           alpha_lambda > 0.0 and mu > 0.0 and value < bound * (1 - SCHUR_MARGIN))

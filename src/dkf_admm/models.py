@@ -58,40 +58,44 @@ class SensorArrays:
             arr.setflags(write=False)
 
     @classmethod
-    def stack(cls, sensors) -> SensorArrays:
+    def stack(cls, sensors, n_nodes=1) -> SensorArrays:
         """Stack `SensorSpec`s; R^-1 H and H' R^-1 H come from one batched
-        Cholesky solve (NotPositiveDefinite unless every R_i is positive
-        definite and R^-1 H finite). Mixed m_i raise DimensionError."""
+        Cholesky solve. NotPositiveDefinite unless every R_i is positive
+        definite and R^-1 H and N H' R^-1 H, a node's covariance-consensus
+        target for N = `n_nodes`, are finite. Mixed m_i raise DimensionError."""
         dims = sorted({s.h.shape[0] for s in sensors})
         if len(dims) > 1:
             raise DimensionError(f"nodes need one measurement dimension m, got m_i in {dims}")
         h = np.array([s.h for s in sensors])
         r = np.array([s.r for s in sensors])
         rinv_h = spd_solve(r, h)
-        finite = np.isfinite(rinv_h).reshape(len(h), -1).all(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite node is rejected below
+            info = sym(np.swapaxes(h, -1, -2) @ rinv_h)
+            finite = np.isfinite(np.concatenate([rinv_h, n_nodes * info], 1)).all(axis=(1, 2))
         if not finite.all():
-            raise NotPositiveDefinite(f"R^-1 H of node {np.argmin(finite)} is not finite")
-        return cls(h, r, rinv_h, sym(np.swapaxes(h, -1, -2) @ rinv_h))
+            bad = np.argmin(finite)
+            raise NotPositiveDefinite(f"R^-1 H or N H' R^-1 H of node {bad} is not finite")
+        return cls(h, r, rinv_h, info)
 
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Global dynamics x_{t+1} = F x_t + w_t plus the per-node sensors.
 
-    `assignment_mode` is ``static`` (sensors fixed at construction) or
-    ``per_step_random`` (each node re-draws which position coordinate it
-    observes at every time step, seeded by `assignment_seed`, with the
-    noise variance of `sensors[0]`). The sensors are stacked once, here:
-    `sensor_arrays` holds `sensors`, and a per-step-random model keeps the
-    two-row `coordinate_table` (observe x1, observe x2 of `POSITION`) too.
-    P0, and Q unless exactly zero, must pass `spd_cholesky` (finite and PD)."""
+    `sensors` holds one `SensorSpec` per node. If `redraw_from` holds
+    candidate sensors, every node draws one of them at every time step,
+    seeded by `assignment_seed`, and `sensors` sets only N, m and the R_i
+    of each node's simulated noise. `sensor_arrays` stacks `sensors` and
+    `coordinate_table` the candidates (None if fixed), which must match
+    them in m and n; (F, H) must be observable on the fixed sensors or on
+    all candidates. P0, and Q unless exactly zero, must pass `spd_cholesky`."""
 
     f: np.ndarray
     q: np.ndarray
     sensors: tuple
     x0_mean: np.ndarray
     p0: np.ndarray
-    assignment_mode: str = "static"
+    redraw_from: tuple = ()
     assignment_seed: int = 0
     n: int = field(init=False)
     sensor_arrays: SensorArrays = field(init=False, repr=False)
@@ -106,32 +110,31 @@ class StateSpaceModel:
         n = f.shape[0]
         if f.shape != (n, n) or q.shape != (n, n) or p0.shape != (n, n) or x0.size != n:
             raise ValueError("inconsistent model dimensions")
-        if self.assignment_mode not in ("static", "per_step_random"):
-            raise ValueError(f"unknown assignment mode {self.assignment_mode!r}")
         spd_cholesky(p0, "P0")
         if q.any():  # Q may be singular only in the deliberate noise-free limit
             spd_cholesky(q, "Q")
-        sensors = tuple(self.sensors)
-        arrays = SensorArrays.stack(sensors)
-        table = None
-        if self.assignment_mode == "per_step_random":
-            coords = range(n)[POSITION]
-            if len(coords) < 2:
-                raise ValueError(f"per_step_random sensors draw x1 or x2, but n = {n}")
-            table = SensorArrays.stack([_position_sensor(c, n, sensors[0].r) for c in coords])
-        # a per-step-random model may draw any table row at any step, and no
-        # step needs the construction-time draw to be observable on its own
+        sensors, redraw_from = tuple(self.sensors), tuple(self.redraw_from)
+        arrays = SensorArrays.stack(sensors, len(sensors))
+        table = SensorArrays.stack(redraw_from, len(sensors)) if redraw_from else None
+        if table is not None and table.h.shape[1:] != arrays.h.shape[1:]:
+            raise DimensionError("redraw_from candidates must match the sensors in m and n")
+        # any candidate may be drawn at any step: the candidates together must be observable
         if not is_observable(f, (arrays if table is None else table).h.reshape(-1, n)):
             raise ObservabilityError("stacked (F, H) is not observable")
         for arr in (f, q, x0, p0):
             arr.setflags(write=False)
         for name, value in dict(f=f, q=q, x0_mean=x0, p0=p0, sensors=sensors, n=n,
-                                sensor_arrays=arrays, coordinate_table=table).items():
+                                redraw_from=redraw_from, sensor_arrays=arrays,
+                                coordinate_table=table).items():
             object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
         return len(self.sensors)
+
+    @property
+    def assignment_mode(self) -> str:
+        return "static" if self.coordinate_table is None else "per_step_random"
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +145,6 @@ class Trajectory:
 
     states: np.ndarray
     measurements: np.ndarray
-
-
-def _position_sensor(coordinate, n, r) -> SensorSpec:
-    h = np.zeros((1, n))
-    h[0, coordinate] = 1.0
-    return SensorSpec(h=h, r=r)
 
 
 def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignment="static_split",
@@ -168,36 +165,29 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
     f = np.block([[i2, dt * i2], [np.zeros((2, 2)), i2]])
     dt = np.float64(dt)  # a huge dt overflows to inf, which StateSpaceModel rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        q = q_intensity * np.block(
-            [[dt**3 / 3 * i2, dt**2 / 2 * i2], [dt**2 / 2 * i2, dt * i2]]
-        )
-    if sensor_assignment == "static_split":
-        coords = [0 if i < n_nodes // 2 else 1 for i in range(n_nodes)]
-        mode = "static"
-    elif sensor_assignment == "per_step_random":
-        coords = np.random.default_rng(assignment_seed).integers(0, 2, size=n_nodes)
-        mode = "per_step_random"
-    else:
+        q = q_intensity * np.block([[dt**3 / 3 * i2, dt**2 / 2 * i2], [dt**2 / 2 * i2, dt * i2]])
+    if sensor_assignment not in SENSOR_ASSIGNMENTS:
         raise ValueError(f"unknown sensor assignment {sensor_assignment!r}")
-    specs = [_position_sensor(c, 4, [[r_var]]) for c in range(2)]  # shared by the nodes
-    sensors = tuple(specs[c] for c in coords)
+    specs = tuple(SensorSpec(np.eye(1, 4, c), [[r_var]]) for c in range(4)[POSITION])  # x1, x2
+    sensors = tuple(specs[0 if i < n_nodes // 2 else 1] for i in range(n_nodes))
+    redraw = specs if sensor_assignment == "per_step_random" else ()
     return StateSpaceModel(f=f, q=q, sensors=sensors, x0_mean=DEFAULT_X0_MEAN, p0=np.eye(4),
-                           assignment_mode=mode, assignment_seed=assignment_seed)
+                           redraw_from=redraw, assignment_seed=assignment_seed)
 
 
 def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
     """The stacked sensors in effect at time step t: `model.sensor_arrays`
-    for static models; per-step-random ones gather one `coordinate_table`
-    row per node by the coordinate drawn from (assignment_seed, t). Each
-    step's N drawn rows are kept in a per-model memo, so the simulation,
-    the reference and the filter draw them once; the gather is per call."""
+    for static models; redrawn ones gather one `coordinate_table` row per
+    node, drawn uniformly from (assignment_seed, t). Each step's N drawn
+    rows are kept in a per-model memo, so the simulation, the reference
+    and the filter draw them once; the gather is per call."""
     table = model.coordinate_table
     if table is None:
         return model.sensor_arrays
     rows = model._drawn_rows.get(t)
     if rows is None:
         rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
-        rows = model._drawn_rows[t] = rng.integers(0, 2, size=model.n_nodes)
+        rows = model._drawn_rows[t] = rng.integers(0, len(table.h), size=model.n_nodes)
     return SensorArrays(table.h[rows], table.r[rows], table.rinv_h[rows], table.info[rows])
 
 
@@ -208,9 +198,9 @@ def simulate_trajectory(
 
     x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t + w_t, y_t = H_t x_t + v_t with
     H_t from `sensor_specs_at(model, t)`. Draw order: x_0, the process
-    noise, then one (n_steps, m) noise block per node (R_i does not change
-    with t). With `noise_free` the draw collapses to x_t = F^t x0_mean and
-    exact measurements.
+    noise, then one (n_steps, m) noise block per node, drawn with the R_i
+    of `model.sensors` at every step. With `noise_free` the draw collapses
+    to x_t = F^t x0_mean and exact measurements.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -232,7 +222,7 @@ def simulate_trajectory(
     measurements = (h @ states[:, None, :, None])[..., 0]
     if not noise_free:
         # `multivariate_normal`'s factor U sqrt(S) of R_i = U S V', per node
-        u, s, _ = np.linalg.svd(specs[0].r)
+        u, s, _ = np.linalg.svd(model.sensor_arrays.r)
         z = rng.standard_normal((model.n_nodes, n_steps, u.shape[-1]))
         noise = z @ np.swapaxes(u * np.sqrt(s)[:, None], -1, -2)
         measurements += np.swapaxes(noise, 0, 1)

@@ -126,11 +126,37 @@ def test_static_zero_process_noise_exits_2(tmp_path, capsys):
 
 def test_overflowing_sensor_information_exits_3(tmp_path, capsys):
     # r_var = 5e-324 is positive and finite, but R^-1 H overflows; this used
-    # to end in a LinAlgError traceback (exit 1)
-    cfg = _write(tmp_path, SMOKE_INI + "[model]\nr_var = 5e-324\n")
-    for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["dare", cfg]):
-        assert main(args) == EXIT_NUMERICAL, args[0]
-        assert "node 0 is not finite" in capsys.readouterr().err, args[0]
+    # to end in a LinAlgError traceback (exit 1). At 1e-308 R^-1 H is finite,
+    # but the covariance-consensus target N H' R^-1 H of the 6 nodes is not:
+    # the information rate overflowed (a RuntimeWarning) and dare_solve's
+    # observability test raised "SVD did not converge" (exit 1).
+    out = tmp_path / "o"
+    for r_var in ("5e-324", "1e-308"):
+        cfg = _write(tmp_path, SMOKE_INI + f"[model]\nr_var = {r_var}\n")
+        for args in (["run", cfg, "--quiet", "--output", str(out)], ["dare", cfg]):
+            assert main(args) == EXIT_NUMERICAL, (r_var, args[0])
+            assert "node 0 is not finite" in capsys.readouterr().err, (r_var, args[0])
+    assert not out.exists()
+
+
+def test_precise_redrawn_sensors_exit_3_or_write_finite_csvs(tmp_path, capsys):
+    # per-step-random sensors, Q = 0, 30 steps: both rows exited 0 with NaN
+    # CSVs. At r_var = 1e-306 P^-1 x overflows at t=27 and the estimates
+    # went NaN; at 1e-300 the reference covariance's Frobenius norm
+    # underflowed to 0 (entries near 1e-178) and cov_error was 0/0.
+    text = ("[graph]\ntopology = ring\nn_nodes = 6\n[run]\nhorizon_steps = 30\nn_mc_runs = 1\n"
+            "[model]\nsensor_assignment = per_step_random\nq_intensity = 0\n")
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, text + "r_var = 1e-306\n")
+    assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_NUMERICAL
+    assert "K b is not finite at t=27" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = _write(tmp_path, text + "r_var = 1e-300\n")
+    assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_OK
+    for name in ("rmse_position.csv", "rmse_velocity.csv", "covariance_error.csv",
+                 "consensus_error.csv"):
+        values = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert np.isfinite(values).all(), name
 
 
 def test_overflowing_dt_exits_3(tmp_path, capsys):
@@ -175,6 +201,12 @@ def test_validate_exits_2_on_a_failed_bound(tmp_path, capsys):
         # alpha_lambda + mu = 0.35 would pass: the bound weighs mu twice
         ("alpha_lambda = 0.1\nmu = 0.25\n",
          "alpha_lambda+2*mu=0.6 violates the bound 2/lambda_max=0.5"),
+        # exactly on the bounds (radius 1), where eigvalsh's lambda_max is an
+        # ulp below 4: these printed "worst radius = 1  PASS" and exited 0
+        ("alpha_nu = 0.16666666666666666\n",
+         "alpha_nu=0.16666666666666666 violates the bound 2/(3*lambda_max)=0.166667"),
+        ("alpha_lambda = 0.4\nmu = 0.05\n",
+         "alpha_lambda+2*mu=0.5 violates the bound 2/lambda_max=0.5"),
     ):
         text = SMOKE_INI.replace("[params]\n", f"[params]\n{params}")
         for k, extra in enumerate(("", "override_stability_guard = true\n")):

@@ -1,0 +1,55 @@
+"""Every documented rejection of bad input or diverged numbers raises its
+library exception with its message (none of these lines ran elsewhere)."""
+
+import numpy as np
+import pytest
+
+from dkf_admm.exceptions import DimensionError, GraphGenerationFailed, NotPositiveDefinite
+from dkf_admm.filtering import _posterior_cov
+from dkf_admm.graphs import SensorGraph, build_graph
+from dkf_admm.linalg import vech
+from dkf_admm.models import (
+    SensorSpec,
+    StateSpaceModel,
+    build_constant_velocity_model,
+    simulate_trajectory,
+)
+
+
+def _indefinite_posterior():
+    # P^-1 = -I: flooring Theta (here 0) cannot make P^-1 + Theta PD
+    with pytest.warns(RuntimeWarning, match="theta floored at zero eigenvalues"):
+        _posterior_cov(-np.broadcast_to(np.eye(4), (3, 4, 4)), np.zeros((3, 10)), t=4)
+
+
+def _inconsistent_model():
+    cv = build_constant_velocity_model(dt=0.1, n_nodes=2)
+    StateSpaceModel(f=cv.f, q=np.eye(3), sensors=cv.sensors, x0_mean=cv.x0_mean, p0=cv.p0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_indefinite_posterior, NotPositiveDefinite, "not PD even after flooring, t=4"),
+    # P^-1 + Theta overflows to inf: eigvalsh used to raise a raw LinAlgError
+    (lambda: _posterior_cov(np.full((2, 4, 4), 1e308) * np.eye(4),
+                            np.broadcast_to(vech(1e308 * np.eye(4)), (2, 10)), t=2),
+     NotPositiveDefinite, r"P\^-1 \+ Theta is not finite \(node 0, t=2\)"),
+    (lambda: build_graph("ring", 1), ValueError, "at least 2 nodes"),
+    (lambda: build_graph("explicit", 3), ValueError, "requires an edge list"),
+    (lambda: build_graph("random_geometric", 5), ValueError, "requires radius and seed"),
+    (lambda: build_graph("random_geometric", 30, radius=1e-3, seed=0),
+     GraphGenerationFailed, "no connected geometric graph in 50 draws"),
+    (lambda: build_graph("star", 4), ValueError, "unknown topology 'star'"),
+    (lambda: SensorGraph(3, [0, 1], [1]), DimensionError, r"need indptr of shape \(4,\)"),
+    (lambda: SensorGraph.from_edges(3, [(0, 3)]), ValueError, r"join nodes in 0\.\.2"),
+    (lambda: vech(np.ones((2, 3))), DimensionError, "expected square matrices"),
+    (lambda: SensorSpec(np.eye(2, 4), [[1.0]]), ValueError, "R_i must match"),
+    (_inconsistent_model, ValueError, "inconsistent model dimensions"),
+    (lambda: build_constant_velocity_model(dt=0.1, n_nodes=1), ValueError, "at least 2 nodes"),
+    (lambda: build_constant_velocity_model(dt=0.1, sensor_assignment="rand"),
+     ValueError, "unknown sensor assignment 'rand'"),
+    (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 0, seed=0),
+     ValueError, "n_steps must be >= 1"),
+])
+def test_error_path_raises_its_library_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

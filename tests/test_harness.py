@@ -362,7 +362,7 @@ def test_per_step_random_cov_error_tracks_the_time_varying_reference():
     # at t = 1 every node's prior is the centralized one, which the static
     # DARE reference P* misses by more than half its norm
     assert np.abs(m.cov_error[0]).max() < 1e-12
-    p_star = steady_state_prior(dataclasses.replace(model, assignment_mode="static"))
+    p_star = steady_state_prior(dataclasses.replace(model, redraw_from=()))
     p_prior_1 = model.f @ model.p0 @ model.f.T + model.q
     assert np.linalg.norm(p_prior_1 - p_star) / np.linalg.norm(p_star) > 0.5
 

@@ -280,6 +280,13 @@ def test_check_stability_examples():
     rep_edge = state_stability(alpha, mu, k2)
     assert not rep_edge.is_schur
 
+    # eigvalsh gives a 6-node ring lambda_max = 3.999999999999999, an ulp
+    # below 4: step sizes exactly on the bounds used to pass at radius 1
+    ring6 = spectral_summary(build_graph("ring", 6))
+    for rep in (state_stability(0.4, 0.05, ring6), covariance_stability(1 / 6, ring6)):
+        assert rep.spectral_radius == pytest.approx(1.0, abs=1e-15)
+        assert not rep.is_schur and rep.line.endswith("FAIL")
+
 
 @settings(max_examples=200, deadline=None)
 @given(

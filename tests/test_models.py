@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import sensor_oracle
 
-from dkf_admm.exceptions import NotPositiveDefinite, ObservabilityError
+from dkf_admm.exceptions import DimensionError, NotPositiveDefinite, ObservabilityError
 from dkf_admm.linalg import unvech, vech
 from dkf_admm.models import (
     POSITION,
@@ -98,18 +98,21 @@ def test_indefinite_sensor_noise_rejected():
 
 
 def test_overflowing_sensor_information_rejected():
-    # R_2 = 5e-324 is positive, but R_2^-1 H_2 overflows to inf; the check
-    # runs before the H' R^-1 H product, so no RuntimeWarning fires first
+    # R_2 = 5e-324 is positive, but R_2^-1 H_2 overflows to inf; at 1.5e-308
+    # R^-1 H and H' R^-1 H are finite, but the 3-node consensus target
+    # 3 H' R^-1 H is not. No RuntimeWarning fires before the check.
     base = build_constant_velocity_model(dt=0.1, n_nodes=2)
-    sensors = base.sensors + (SensorSpec(base.sensors[0].h, [[5e-324]]),)
-    with pytest.raises(NotPositiveDefinite, match="node 2 is not finite"):
-        StateSpaceModel(f=base.f, q=base.q, sensors=sensors, x0_mean=base.x0_mean, p0=base.p0)
+    for r in (5e-324, 1.5e-308):
+        sensors = base.sensors + (SensorSpec(base.sensors[0].h, [[r]]),)
+        with pytest.raises(NotPositiveDefinite, match="N H' R\\^-1 H of node 2 is not finite"):
+            StateSpaceModel(f=base.f, q=base.q, sensors=sensors, x0_mean=base.x0_mean,
+                            p0=base.p0)
 
 
 def test_model_inputs_raise_library_errors():
     # a P0 or a nonzero Q that is not positive definite used to escape as a
-    # raw LinAlgError; an unknown assignment mode such as "Static" was static
-    # to sensor_specs_at but redrawn to harness.reference_priors
+    # raw LinAlgError; redraw candidates of another H shape than the sensors
+    # are rejected (the mode string they replace once read "Static")
     base = build_constant_velocity_model(dt=0.1, n_nodes=2)
     args = dict(f=base.f, q=base.q, sensors=base.sensors, x0_mean=base.x0_mean, p0=base.p0)
     # a tiny Q is not the noise-free limit: only an exactly zero Q skips the check
@@ -118,8 +121,9 @@ def test_model_inputs_raise_library_errors():
                       ("Q", dict(q=tiny_indefinite))):
         with pytest.raises(NotPositiveDefinite, match=f"{name} must be positive definite"):
             StateSpaceModel(**{**args, **bad})
-    with pytest.raises(ValueError, match="unknown assignment mode 'Static'"):
-        StateSpaceModel(**args, assignment_mode="Static")
+    for h in (np.eye(2, 4), np.eye(1, 3)):  # another m, another n
+        with pytest.raises(DimensionError, match="redraw_from candidates must match the sensors in m and n"):
+            StateSpaceModel(**args, redraw_from=(SensorSpec(h, np.eye(len(h))),))
     StateSpaceModel(**{**args, "q": np.zeros((4, 4))})  # the noise-free limit stays
 
 
@@ -191,13 +195,37 @@ def test_tiny_process_noise_is_drawn():
     assert not np.array_equal(traj.states[1:], np.array(powers))
 
 
-def test_per_step_random_needs_two_position_coordinates():
-    # the coordinate table observes x1 and x2; a one-coordinate state used
-    # to fail with a raw IndexError while the table was built
-    one_d = SensorSpec(np.array([[1.0]]), np.array([[0.5]]))
-    with pytest.raises(ValueError, match="per_step_random sensors draw x1 or x2, but n = 1"):
-        StateSpaceModel(f=np.eye(1), q=np.eye(1), sensors=(one_d, one_d), x0_mean=[0.0],
-                        p0=np.eye(1), assignment_mode="per_step_random")
+def test_redraw_candidates_need_no_position_layout():
+    # the candidates are data: a one-coordinate state used to be refused
+    # ("per_step_random sensors draw x1 or x2, but n = 1"), and a step may
+    # draw any of three candidates, each R_i with its row
+    specs = tuple(SensorSpec(np.array([[1.0]]), np.array([[r]])) for r in (0.5, 1.0, 2.0))
+    model = StateSpaceModel(f=np.eye(1), q=np.eye(1), sensors=specs[:2], x0_mean=[0.0],
+                            p0=np.eye(1), redraw_from=specs, assignment_seed=5)
+    assert model.assignment_mode == "per_step_random"
+    drawn = np.concatenate([sensor_specs_at(model, t).r.ravel() for t in range(20)])
+    assert set(drawn) == {0.5, 1.0, 2.0}
+
+
+def test_state_space_model_takes_no_mode_string(monkeypatch):
+    # the per-step schedule is the redraw_from data: no assignment_mode
+    # input, no constant-velocity layout, and the model builder draws nothing
+    import dataclasses
+    import inspect
+
+    inits = {f.name for f in dataclasses.fields(StateSpaceModel) if f.init}
+    assert "assignment_mode" not in inits and "redraw_from" in inits
+    assert "POSITION" not in inspect.getsource(StateSpaceModel)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the model builder drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for assignment, mode in (("static_split", "static"), ("per_step_random", "per_step_random")):
+        model = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment=assignment)
+        assert model.assignment_mode == mode
+        # every mode keeps the static split as its sensors
+        assert [int(np.argmax(s.h)) for s in model.sensors] == [0, 0, 1, 1, 1]
 
 
 def test_information_rate_orthogonal_unit_sensors():
@@ -283,13 +311,12 @@ def test_per_step_random_rows_are_drawn_once_per_model():
     r_var=st.floats(0.05, 5.0),
 )
 def test_sensor_rows_match_per_node_oracle(n_nodes, assignment, assignment_seed, t, r_var):
-    try:
-        model = build_constant_velocity_model(
-            dt=0.1, n_nodes=n_nodes, sensor_assignment=assignment, r_var=r_var,
-            assignment_seed=assignment_seed,
-        )
-    except ObservabilityError:  # the initial draw gave all nodes one coordinate
-        assume(False)
+    # no construction-time draw: every model builds (it used to be refused
+    # when that draw gave all nodes one coordinate)
+    model = build_constant_velocity_model(
+        dt=0.1, n_nodes=n_nodes, sensor_assignment=assignment, r_var=r_var,
+        assignment_seed=assignment_seed,
+    )
     if assignment == "static_split":
         coords = [0 if i < n_nodes // 2 else 1 for i in range(n_nodes)]
     else:  # the documented draw of every node's coordinate at step t
