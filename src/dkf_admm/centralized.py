@@ -51,12 +51,14 @@ def centralized_kf_step(
     sensors = sensor_specs_at(model, t)
     k = len(measurements)
     y = np.asarray(measurements, dtype=float).reshape(k, sensors.h.shape[1])
-    omega = sym(omega_prior + sensors.info[:k].sum(axis=0))
+    with np.errstate(over="ignore"):  # an overflow is named below
+        omega = sym(omega_prior + sensors.info[:k].sum(axis=0))
     info_vec = omega_prior @ x_prior + np.einsum("imn,im->n", sensors.rinv_h[:k], y)
     try:
         p = spd_inverse(omega)
     except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"posterior information matrix not PD at t={t}") from exc
+        what = "PD" if np.isfinite(omega).all() else "finite"
+        raise NotPositiveDefinite(f"posterior information matrix not {what} at t={t}") from exc
     return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 

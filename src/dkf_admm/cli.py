@@ -6,7 +6,7 @@ Subcommands:
   spectrum <config>  print graph diagnostics (Laplacian eigenvalues)
   dare <config>      print the steady-state prior covariance P* (static sensors)
 
-Exit codes: 0 success, 2 config rejected, 3 numerical failure.
+Exit codes: 0 success, 2 a rejected config (`ConfigError`), 3 a `NumericalError`.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from dkf_admm.exceptions import (
-    ConfigRejected,
-    GraphGenerationFailed,
-    GraphNotConnected,
-    NotPositiveDefinite,
-    ObservabilityError,
-    RiccatiDivergence,
-    SpectralFailure,
-)
+from dkf_admm.exceptions import ConfigError, ConfigRejected, NumericalError
 from dkf_admm.harness import (
     ScenarioConfig,
     build_scenario,
@@ -39,14 +31,6 @@ from dkf_admm.harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_CONFIG_ERRORS = (ConfigRejected, GraphNotConnected, GraphGenerationFailed)
-_NUMERICAL_ERRORS = (
-    NotPositiveDefinite,
-    RiccatiDivergence,
-    ObservabilityError,
-    SpectralFailure,
-)
 
 
 def _build_parser():
@@ -106,10 +90,10 @@ def main(argv=None) -> int:
             print("P* =")
             for row in p_star:
                 print("  " + " ".join(f"{v: .12g}" for v in row))
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

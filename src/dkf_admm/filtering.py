@@ -323,10 +323,10 @@ def dkf_time_step(
     theta, nu = state.theta, state.nu_tilde
     omega_scaled = n_nodes * vech(sensors.info)
     cov_rounds = 1 if model.coordinate_table is None else params.l_sub
-    for _ in range(cov_rounds):
-        theta, nu = _consensus_round(
-            theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
+        for _ in range(cov_rounds):
+            theta, nu = _consensus_round(theta, nu, omega_scaled, graph,
+                                         params.alpha_nu, params.alpha_nu)
     if ledger is not None:
         ledger.record("theta", cov_rounds * runs * graph.degree, theta.shape[1])
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dkf_admm.exceptions import DimensionError, NotPositiveDefinite, ObservabilityError
+from dkf_admm.exceptions import (ConfigRejected, DimensionError, NotPositiveDefinite,
+                                 ObservabilityError)
 from dkf_admm.linalg import is_observable, spd_cholesky, spd_solve, sym
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
@@ -84,8 +85,8 @@ class StateSpaceModel:
 
     `sensors` holds one `SensorSpec` per node. If `redraw_from` holds
     candidate sensors, every node draws one of them at every time step,
-    seeded by `assignment_seed`, and `sensors` sets only N, m and the R_i
-    of each node's simulated noise. `sensor_arrays` stacks `sensors` and
+    seeded by `assignment_seed`, and `sensors` sets only N and m (filter
+    and noise use the drawn R_i). `sensor_arrays` stacks `sensors` and
     `coordinate_table` the candidates (None if fixed), which must match
     them in m and n; (F, H) must be observable on the fixed sensors or on
     all candidates. P0, and Q unless exactly zero, must pass `spd_cholesky`."""
@@ -197,9 +198,9 @@ def simulate_trajectory(
     """Draw one trajectory and the measurements of every node, seeded.
 
     x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t + w_t, y_t = H_t x_t + v_t with
-    H_t from `sensor_specs_at(model, t)`. Draw order: x_0, the process
-    noise, then one (n_steps, m) noise block per node, drawn with the R_i
-    of `model.sensors` at every step. With `noise_free` the draw collapses
+    H_t, R_t from `sensor_specs_at(model, t)`. Draw order: x_0, the process
+    noise, then one (n_steps, m) standard-normal block per node, row t times
+    the Cholesky factor of R_{i,t}. With `noise_free` the draw collapses
     to x_t = F^t x0_mean and exact measurements.
     """
     if n_steps < 1:
@@ -220,17 +221,16 @@ def simulate_trajectory(
     specs = [sensor_specs_at(model, t) for t in range(n_steps)]
     h = np.array([s.h for s in specs])  # (T, N, m, n)
     measurements = (h @ states[:, None, :, None])[..., 0]
-    if not noise_free:
-        # `multivariate_normal`'s factor U sqrt(S) of R_i = U S V', per node
-        u, s, _ = np.linalg.svd(model.sensor_arrays.r)
-        z = rng.standard_normal((model.n_nodes, n_steps, u.shape[-1]))
-        noise = z @ np.swapaxes(u * np.sqrt(s)[:, None], -1, -2)
-        measurements += np.swapaxes(noise, 0, 1)
+    if not noise_free:  # v_{i,t} = chol(R_{i,t}) z_{i,t}, z standard normal
+        z = rng.standard_normal((model.n_nodes, n_steps, h.shape[2], 1)).swapaxes(0, 1)
+        measurements += (spd_cholesky(np.array([s.r for s in specs])) @ z)[..., 0]
     states.setflags(write=False)
     measurements.setflags(write=False)
     return Trajectory(states=states, measurements=measurements)
 
 
 def information_rate_target(model: StateSpaceModel) -> np.ndarray:
-    """Sum over nodes of H_i' R_i^-1 H_i, the covariance-consensus target."""
+    """Sum over nodes of H_i' R_i^-1 H_i, the static covariance-consensus target."""
+    if model.coordinate_table is not None:
+        raise ConfigRejected(f"{model.assignment_mode} sensors have no fixed information rate")
     return sym(model.sensor_arrays.info.sum(axis=0))

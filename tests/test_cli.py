@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from dkf_admm import cli, harness
+from dkf_admm import cli, exceptions, harness
 from dkf_admm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dkf_admm.filtering import DkfParams
 from dkf_admm.harness import build_scenario
@@ -157,6 +159,70 @@ def test_precise_redrawn_sensors_exit_3_or_write_finite_csvs(tmp_path, capsys):
                  "consensus_error.csv"):
         values = np.loadtxt(out / name, delimiter=",", skiprows=1)
         assert np.isfinite(values).all(), name
+
+
+PRECISE_REDRAWN_INI = (
+    "[graph]\ntopology = ring\nn_nodes = 6\n[run]\nhorizon_steps = 30\nn_mc_runs = 1\n"
+    "[model]\nsensor_assignment = per_step_random\nr_var = 1e-307\n"
+)
+
+
+@pytest.mark.parametrize("q_intensity, message", [
+    # the covariance rounds overflowed in the Laplacian product (RuntimeWarnings)
+    (1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=5\)"),
+    # the reference's information matrix overflowed in sym (a RuntimeWarning)
+    (0, "posterior information matrix not finite at t=22"),
+], ids=["covariance_rounds", "reference"])
+def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, q_intensity, message):
+    cfg = _write(tmp_path, PRECISE_REDRAWN_INI + f"q_intensity = {q_intensity}\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_NUMERICAL
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r_var", ["1e-300", "1e-303", "1e-305", "1e-306", "1e-307", "1e-308",
+                                   "5e-309"])
+@pytest.mark.parametrize("q_intensity", [0, 1])
+@pytest.mark.parametrize("assignment", ["static_split", "per_step_random"])
+def test_precision_sweep_exits_cleanly(tmp_path, assignment, q_intensity, r_var):
+    # R_i down to the subnormal range: every cell exits 0 with finite CSVs,
+    # or 2 or 3 with none, and raises no RuntimeWarning (pytest makes it an error)
+    text = PRECISE_REDRAWN_INI.replace("per_step_random", assignment).replace("1e-307", r_var)
+    cfg = _write(tmp_path, text + f"q_intensity = {q_intensity}\n")
+    out = tmp_path / "o"
+    code = main(["run", cfg, "--quiet", "--output", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert not out.exists()
+        return
+    for path in out.glob("*.csv"):  # all but communication.csv's phase column
+        numeric = range(4) if path.name == "communication.csv" else None
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=numeric)
+        assert np.isfinite(values).all(), path.name
+
+
+def _library_errors():
+    excluded = (exceptions.ConfigError, exceptions.NumericalError, exceptions.WireSchemaViolation)
+    return [c for c in vars(exceptions).values()
+            if isinstance(c, type) and issubclass(c, Exception) and c not in excluded]
+
+
+@pytest.mark.parametrize("error", _library_errors(), ids=lambda c: c.__name__)
+def test_every_library_error_exits_with_its_family_code(tmp_path, monkeypatch, capsys, error):
+    # the family sets the exit code; DimensionError was in neither CLI list
+    codes = {exceptions.ConfigError: EXIT_CONFIG, exceptions.NumericalError: EXIT_NUMERICAL}
+    (family,) = [f for f in codes if issubclass(error, f)]
+    assert issubclass(error, (ValueError, RuntimeError))  # the builtin base stays
+
+    def fail(config):
+        raise error("raised in the run")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    cfg = _write(tmp_path, SMOKE_INI)
+    assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == codes[family]
+    prefix = "config rejected" if family is exceptions.ConfigError else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: raised in the run\n"
 
 
 def test_overflowing_dt_exits_3(tmp_path, capsys):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import sensor_oracle
 
-from dkf_admm.exceptions import DimensionError, NotPositiveDefinite, ObservabilityError
+from dkf_admm.exceptions import (
+    ConfigRejected, DimensionError, NotPositiveDefinite, ObservabilityError,
+)
 from dkf_admm.linalg import unvech, vech
 from dkf_admm.models import (
     POSITION,
@@ -331,7 +333,12 @@ def test_sensor_rows_match_per_node_oracle(n_nodes, assignment, assignment_seed,
             sensor_oracle(h, [[r_var]]),
         ):
             assert np.array_equal(got, want)
-    # the information rate sums the model's own sensors, node by node
+    # the information rate sums a static model's sensors, node by node; a
+    # redrawn model's moves with the draw, and its placeholder sum is no target
+    if assignment != "static_split":
+        with pytest.raises(ConfigRejected, match="per_step_random sensors have no fixed"):
+            information_rate_target(model)
+        return
     total = np.zeros((4, 4))
     for s in model.sensors:
         total += sensor_oracle(s.h, s.r)[3]
@@ -348,12 +355,26 @@ def _reference_states(model, n_steps, rng):
     return states
 
 
-def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch):
-    import dkf_admm.models as models
-
-    model = build_constant_velocity_model(
+def _two_precision_model():
+    """Redrawn candidates with R = 0.01 (x1) and R = 100 (x2), unlike the
+    placeholder R = 0.5 of the builder's sensors."""
+    cv = build_constant_velocity_model(
         dt=0.1, n_nodes=6, sensor_assignment="per_step_random", assignment_seed=9
     )
+    candidates = (SensorSpec(np.eye(1, 4, 0), [[0.01]]), SensorSpec(np.eye(1, 4, 1), [[100.0]]))
+    return StateSpaceModel(f=cv.f, q=cv.q, sensors=cv.sensors, x0_mean=cv.x0_mean, p0=cv.p0,
+                           redraw_from=candidates, assignment_seed=9)
+
+
+@pytest.mark.parametrize("make_model", [
+    lambda: build_constant_velocity_model(
+        dt=0.1, n_nodes=6, sensor_assignment="per_step_random", assignment_seed=9),
+    _two_precision_model,
+], ids=["builder", "two_precisions"])
+def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch, make_model):
+    import dkf_admm.models as models
+
+    model = make_model()
     n_steps, calls = 12, []
 
     def counting(m, t):
