@@ -366,15 +366,19 @@ def _two_precision_model():
                            redraw_from=candidates, assignment_seed=9)
 
 
-@pytest.mark.parametrize("make_model", [
-    lambda: build_constant_velocity_model(
-        dt=0.1, n_nodes=6, sensor_assignment="per_step_random", assignment_seed=9),
-    _two_precision_model,
-], ids=["builder", "two_precisions"])
-def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch, make_model):
+def test_per_step_random_trajectory_builds_specs_once_per_step(monkeypatch):
+    model = build_constant_velocity_model(
+        dt=0.1, n_nodes=6, sensor_assignment="per_step_random", assignment_seed=9)
+    _check_trajectory_against_per_step_reference(monkeypatch, model)
+
+
+def test_per_step_random_noise_uses_the_drawn_sensors_r(monkeypatch):
+    _check_trajectory_against_per_step_reference(monkeypatch, _two_precision_model())
+
+
+def _check_trajectory_against_per_step_reference(monkeypatch, model):
     import dkf_admm.models as models
 
-    model = make_model()
     n_steps, calls = 12, []
 
     def counting(m, t):
