@@ -25,7 +25,6 @@ from dkf_admm.graphs import (
     SpectralSummary,
     build_graph,
     is_connected,
-    load_edge_list,
     spectral_summary,
 )
 from dkf_admm.linalg import (
@@ -68,6 +67,7 @@ from dkf_admm.harness import (
     ScenarioConfig,
     export_csv,
     load_config,
+    load_edge_list,
     run_scenario,
     steady_state_prior,
     validate_params,

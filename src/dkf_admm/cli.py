@@ -64,7 +64,7 @@ def main(argv=None) -> int:
         config = _load(args)
         if args.command == "run":
             out = Path(config.output_dir)  # checked before the run; nothing is created
-            base = next(p for p in (out, *out.parents) if p.exists())
+            base = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
             if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
                 raise ConfigRejected(f"output_dir {out}: {base} is not a writable directory")
             metrics = run_scenario(config)

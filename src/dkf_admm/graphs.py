@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dkf_admm.exceptions import (
-    ConfigRejected,
     DimensionError,
     GraphGenerationFailed,
     GraphNotConnected,
@@ -195,34 +194,6 @@ def _geometric_edges(pts, radius):
         i = i[d2 <= radius * radius]
         pairs.append(np.column_stack([order[i], order[i + k]]))
     return np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
-
-
-def load_edge_list(path, n_nodes):
-    """Build an explicit graph from a plain-text edge-list file.
-
-    One ``i j`` pair per line, 0-indexed, whitespace-separated; lines
-    starting with ``#`` are comments. An unreadable file, or a line that is
-    not two distinct indices in 0..n_nodes-1, raises ConfigRejected.
-    """
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigRejected(f"cannot read edge list {path}: {exc}") from exc
-    edges = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            i, j = map(int, line.split())
-            if not (0 <= i < n_nodes and 0 <= j < n_nodes) or i == j:
-                raise ValueError
-        except ValueError:
-            raise ConfigRejected(f"{path}, line {lineno}: {line!r} is not an edge "
-                                 f"between two distinct nodes 0..{n_nodes - 1}") from None
-        edges.append((i, j))
-    return build_graph("explicit", n_nodes, edges=edges)
 
 
 def is_connected(g: SensorGraph) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected
 from dkf_admm.filtering import CommLedger, auto_params, dkf_time_step, init_state
-from dkf_admm.graphs import TOPOLOGIES, build_graph, load_edge_list, spectral_summary
+from dkf_admm.graphs import TOPOLOGIES, build_graph, spectral_summary
 from dkf_admm.linalg import dare_solve
 from dkf_admm.models import (
     POSITION,
@@ -110,20 +110,27 @@ _OPTIONAL = {f.name for f in dataclasses.fields(ScenarioConfig) if f.default is 
 _PARSE = {"float": float, "int": int, "str": str}
 
 
+def _read_text(path, what) -> str:
+    """An input file decoded as UTF-8; unreadable or undecodable: ConfigRejected."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigRejected(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path) -> ScenarioConfig:
-    """Parse a `key = value` config with [model]/[graph]/[params]/[run]
+    """Parse a UTF-8 `key = value` config with [model]/[graph]/[params]/[run]
     sections. Missing keys take their defaults; `auto`, `none` or an empty
     value is accepted only on the keys whose default is None (automatic
-    step sizes, no edge list). Unreadable or malformed files, unknown
-    sections and keys, and booleans other than 1/0, true/false, yes/no,
-    on/off, are rejected. Values are taken literally (no % interpolation)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    step sizes, no edge list). Unreadable, undecodable or malformed files,
+    unknown sections ([DEFAULT] too) and keys, and booleans other than 1/0,
+    true/false, yes/no, on/off, are rejected; values are literal (no % interpolation)."""
+    text = _read_text(path, "config file")
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        read = parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:  # no section header, a duplicated key
         raise ConfigRejected(f"malformed config file {path}: {exc}") from exc
-    if not read:
-        raise ConfigRejected(f"cannot read config file {path}")
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigRejected(f"unknown section [{section}]")
@@ -147,6 +154,29 @@ def load_config(path) -> ScenarioConfig:
             except ValueError as exc:
                 raise ConfigRejected(f"bad value for {key}: {raw!r}") from exc
     return ScenarioConfig(**kwargs)
+
+
+def load_edge_list(path, n_nodes):
+    """Build an explicit graph from a plain-text edge-list file.
+
+    One ``i j`` pair per line, 0-indexed, whitespace-separated; lines
+    starting with ``#`` are comments. An unreadable or non-UTF-8 file, or a
+    line that is not two distinct indices in 0..n_nodes-1, raises ConfigRejected.
+    """
+    edges = []
+    for lineno, line in enumerate(_read_text(path, "edge list").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            i, j = map(int, line.split())
+            if not (0 <= i < n_nodes and 0 <= j < n_nodes) or i == j:
+                raise ValueError
+        except ValueError:
+            raise ConfigRejected(f"{path}, line {lineno}: {line!r} is not an edge "
+                                 f"between two distinct nodes 0..{n_nodes - 1}") from None
+        edges.append((i, j))
+    return build_graph("explicit", n_nodes, edges=edges)
 
 
 @dataclass(eq=False)
@@ -200,13 +230,10 @@ def steady_state_prior(model) -> np.ndarray:
     its N x N noise covariance. Only static models with a nonzero Q have a
     steady state (Q = 0 gives P* = 0): any other raises ConfigRejected.
     """
-    if model.assignment_mode != "static":
-        raise ConfigRejected(
-            f"{model.assignment_mode} sensors have no steady-state prior covariance"
-        )
+    target = information_rate_target(model)  # rejects redrawn sensors first
     if not model.q.any():
         raise ConfigRejected("q_intensity = 0 has no steady-state prior covariance (P* = 0)")
-    w, v = np.linalg.eigh(information_rate_target(model))
+    w, v = np.linalg.eigh(target)
     h_tilde = np.sqrt(np.clip(w, 0.0, None))[:, None] * v.T
     return dare_solve(model.f, h_tilde, model.q, np.eye(model.n))
 
@@ -323,7 +350,8 @@ def export_csv(metrics: RunMetrics, output_dir) -> list:
         ]),
     }
     for name, (header, fmt, columns) in tables.items():
-        with open(out / name, "w") as fh:  # a path costs np.savetxt a DataSource lookup
+        # a handle, as a path costs np.savetxt a DataSource lookup
+        with open(out / name, "w", encoding="utf-8") as fh:
             np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",", header=header,
                        comments="")
     # Per-step traffic is constant by construction, so the cumulative ledger
@@ -334,7 +362,7 @@ def export_csv(metrics: RunMetrics, output_dir) -> list:
                                 comm.cov_scalars]) // (len(times) * metrics.n_mc_runs)
     step_rows = "".join(f"{{0}},{i},{sm},{ss},state\n{{0}},{i},{cm},{cs},covariance\n"
                         for i, (sm, ss, cm, cs) in enumerate(per_step.tolist()))
-    with open(out / "communication.csv", "w") as fh:
+    with open(out / "communication.csv", "w", encoding="utf-8") as fh:
         fh.write("t,node,messages,scalars,phase\n")
         for t in times:
             fh.write(step_rows.format(t))

@@ -59,7 +59,7 @@ class SensorArrays:
             arr.setflags(write=False)
 
     @classmethod
-    def stack(cls, sensors, n_nodes=1) -> SensorArrays:
+    def stack(cls, sensors, n_nodes) -> SensorArrays:
         """Stack `SensorSpec`s; R^-1 H and H' R^-1 H come from one batched
         Cholesky solve. NotPositiveDefinite unless every R_i is positive
         definite and R^-1 H and N H' R^-1 H, a node's covariance-consensus
@@ -232,5 +232,6 @@ def simulate_trajectory(
 def information_rate_target(model: StateSpaceModel) -> np.ndarray:
     """Sum over nodes of H_i' R_i^-1 H_i, the static covariance-consensus target."""
     if model.coordinate_table is not None:
-        raise ConfigRejected(f"{model.assignment_mode} sensors have no fixed information rate")
+        raise ConfigRejected(f"{model.assignment_mode} sensors have no fixed information rate "
+                             "and no steady-state prior covariance")
     return sym(model.sensor_arrays.info.sum(axis=0))

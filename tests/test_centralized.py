@@ -94,7 +94,7 @@ def test_fixed_point_identical_nodes():
     # single-node posterior
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     spec = model.sensors[0]
-    sensors = SensorArrays.stack((spec, SensorSpec(spec.h, spec.r)))
+    sensors = SensorArrays.stack((spec, SensorSpec(spec.h, spec.r)), 2)
     x0 = np.array([0.3, -0.2, 1.0, 0.9])
     p0 = np.eye(4)
     y = np.array([0.5])

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dkf_admm
 from dkf_admm import cli, exceptions, harness
 from dkf_admm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dkf_admm.filtering import DkfParams
@@ -16,8 +21,9 @@ SMOKE_INI = (
 
 
 def _write(tmp_path, text, name="scenario.ini"):
+    """Write `text` (str as UTF-8, or raw bytes) and return the path."""
     p = tmp_path / name
-    p.write_text(text)
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(p)
 
 
@@ -92,12 +98,14 @@ def test_per_step_random_runs_without_an_observable_first_draw(tmp_path):
 
 
 def test_dare_rejects_per_step_random(tmp_path, capsys):
-    # redrawn sensors have no steady state, whichever draw comes first
-    for seed in (0, 4):
-        cfg = _write(tmp_path, _random_sensors_ini(seed), name=f"s{seed}.ini")
-        assert main(["dare", cfg]) == EXIT_CONFIG, seed
+    # redrawn sensors have no steady state, whichever draw comes first, and
+    # that is the reason given when q_intensity = 0 would be one too
+    for seed, extra in ((0, ""), (4, ""), (0, "q_intensity = 0\n")):
+        cfg = _write(tmp_path, _random_sensors_ini(seed) + extra, name=f"s{seed}.ini")
+        assert main(["dare", cfg]) == EXIT_CONFIG, (seed, extra)
         captured = capsys.readouterr()
-        assert "no steady-state" in captured.err and captured.out == "", seed
+        assert "no steady-state" in captured.err and captured.out == "", (seed, extra)
+        assert "per_step_random sensors" in captured.err, (seed, extra)
 
 
 def test_flags_that_act_on_nothing_are_rejected(tmp_path, capsys):
@@ -308,11 +316,15 @@ def test_unusable_output_location_exits_2_before_the_run(tmp_path, capsys, monke
     cfg = _write(tmp_path, SMOKE_INI)
     blocker = tmp_path / "a_file"
     blocker.write_text("")
-    for out in (blocker / "sub", blocker):
+    # a dangling link used to pass as absent, and export_csv then died with a
+    # FileExistsError traceback (exit 1) after the run
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing")
+    for out, base in ((blocker / "sub", blocker), (blocker, blocker), (link / "sub", link)):
         assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_CONFIG, out
-        assert f"{blocker} is not a writable directory" in capsys.readouterr().err, out
+        assert f"{base} is not a writable directory" in capsys.readouterr().err, out
     # nothing was created
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "scenario.ini"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "link", "scenario.ini"]
 
 
 def test_config_flag_is_gone(tmp_path, capsys):
@@ -356,6 +368,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "[run]\nworkers = 2\n",
         "[run]\nsub_iterated_covariance = true\n",
         "[model]\nsensor_assignment = per_step_random\n[run]\nsub_iterated_covariance = false\n",
+        "[DEFAULT]\n",
+        "[DEFAULT]\nl_sub = 3\n[params]\nalpha_nu = 0.01\n",
+        b"\xff[run]\nhorizon_steps = 5\n",
     )
     for k, text in enumerate(cases):
         cfg = _write(tmp_path, text, name=f"bad{k}.ini")
@@ -454,15 +469,35 @@ def test_disconnected_edge_list_exits_2(tmp_path):
 
 
 def test_bad_edge_list_exits_2(tmp_path, capsys):
-    # a missing file, a line that is not two integers, a self-loop and an
-    # out-of-range index: each names the file and exits 2, not 1
+    # a missing file, a line that is not two integers, a self-loop, an
+    # out-of-range index and a file that is not UTF-8: each names the file
+    # and exits 2, not 1
     cases = {"missing.txt": None, "three.txt": "0 1\n0 1 2\n",
-             "loop.txt": "0 1\n2 2\n", "range.txt": "0 1\n1 4\n"}
+             "loop.txt": "0 1\n2 2\n", "range.txt": "0 1\n1 4\n",
+             "latin1.txt": b"0 1\n\xff 2\n"}
     for name, text in cases.items():
         edges = tmp_path / name
         if text is not None:
-            edges.write_text(text)
+            _write(tmp_path, text, name=name)
         cfg = _write(tmp_path, "[graph]\ntopology = explicit\nn_nodes = 4\n"
                      f"edge_list_path = {edges}\n[run]\nhorizon_steps = 2\n")
         assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
         assert name in capsys.readouterr().err, name
+
+
+def test_run_reads_and_writes_files_as_utf8(tmp_path):
+    # under -X warn_default_encoding every open that falls back on the
+    # locale's encoding warns, here as an error (exit 1); the config, the
+    # edge list and the CSV opens all did
+    edges = _write(tmp_path, "0 1\n1 2\n2 3\n3 0\n", name="edges.txt")
+    cfg = _write(tmp_path, "[graph]\ntopology = explicit\nn_nodes = 4\n"
+                 f"edge_list_path = {edges}\n[run]\nhorizon_steps = 3\nn_mc_runs = 1\n")
+    src = str(Path(dkf_admm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "dkf_admm.cli", "run", cfg, "--quiet", "--output", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert len(list((tmp_path / "o").iterdir())) == 5

@@ -12,9 +12,9 @@ from dkf_admm.graphs import (
     SensorGraph,
     build_graph,
     is_connected,
-    load_edge_list,
     spectral_summary,
 )
+from dkf_admm.harness import load_edge_list
 
 
 def _from_adjacency(a):
@@ -176,6 +176,14 @@ def test_edge_list_malformed_line_rejected(tmp_path):
         p.write_text(text)
         with pytest.raises(ConfigRejected, match=r"graph.txt, line 2: .* is not an edge"):
             load_edge_list(p, 3)
+
+
+def test_edge_list_undecodable_file_rejected(tmp_path):
+    # a raw UnicodeDecodeError before
+    p = tmp_path / "graph.txt"
+    p.write_bytes(b"0 1\n\xff 2\n")
+    with pytest.raises(ConfigRejected, match="cannot read edge list .*graph.txt"):
+        load_edge_list(p, 3)
 
 
 def test_edge_list_invalid_edge_rejected(tmp_path):

@@ -82,11 +82,17 @@ def test_config_rejections(tmp_path):
         "n_nodes = 5\n",  # no section header
         "[graph]\nn_nodes = 5\nn_nodes = 6\n",  # a duplicated key
         "[graph]\n[graph]\n",  # a duplicated section
+        "[DEFAULT]\n",  # would run with every default
+        "[DEFAULT]\nl_sub = 3\n[params]\nalpha_nu = 0.01\n",  # would run with l_sub = 3
     )):
         bad = tmp_path / f"bad{k}.ini"
         bad.write_text(text)
         with pytest.raises(ConfigRejected):
             load_config(bad)
+    not_utf8 = tmp_path / "latin1.ini"  # a raw UnicodeDecodeError before
+    not_utf8.write_bytes(b"\xff[run]\nhorizon_steps = 5\n")
+    with pytest.raises(ConfigRejected, match="cannot read config file .*latin1.ini"):
+        load_config(not_utf8)
     ok = tmp_path / "auto.ini"
     ok.write_text("[params]\nmu = none\nalpha_lambda =\n[graph]\nedge_list_path = none\n")
     cfg = load_config(ok)
