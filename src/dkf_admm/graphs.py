@@ -13,11 +13,12 @@ product on small graphs and, transiently, inside `spectral_summary`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from dkf_admm.exceptions import (
+    ConfigRejected,
     DimensionError,
     GraphGenerationFailed,
     GraphNotConnected,
@@ -25,7 +26,6 @@ from dkf_admm.exceptions import (
 )
 
 _GEOMETRIC_RETRIES = 50
-TOPOLOGIES = ("ring", "complete", "path", "random_geometric", "explicit")
 # Graphs with fewer nodes take one dense L @ v GEMM in `disagreement`: it
 # beats the edge gather while the N x N Laplacian stays in cache (measured
 # crossover at N = 300-400 for 4 to 10 columns).
@@ -42,59 +42,44 @@ def _laplacian(n_nodes, indptr, indices):
 
 @dataclass(frozen=True, eq=False)
 class SensorGraph:
-    """An undirected communication graph on N sensor nodes, as CSR edge
-    arrays: the neighbors of node i are indices[indptr[i]:indptr[i + 1]],
-    sorted ascending, and every edge appears once from each end (2E
-    entries). Immutable after construction (the arrays are read-only).
-    Nodes of degree 0 are allowed; `is_connected` tells them apart.
+    """An undirected communication graph on N sensor nodes, built from
+    `edges`, (i, j) pairs with i != j (repeats and reversed pairs collapse),
+    as read-only CSR edge arrays: the neighbors of node i are
+    indices[indptr[i]:indptr[i + 1]], sorted ascending, and every edge
+    appears once from each end (2E entries). Nodes of degree 0 are allowed;
+    `is_connected` tells them apart.
     """
 
     n_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    edges: InitVar
+    indptr: np.ndarray = field(init=False)
+    indices: np.ndarray = field(init=False)
     degree: np.ndarray = field(init=False)
     _dense: np.ndarray | None = field(init=False, repr=False)
     _segments: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         n = self.n_nodes
-        indptr = np.asarray(self.indptr, dtype=np.intp)
-        indices = np.asarray(self.indices, dtype=np.intp)
-        if indptr.shape != (n + 1,) or indices.shape != (indptr[-1],) or indptr[0] != 0:
-            raise DimensionError(f"need indptr of shape ({n + 1},) rising from 0 to len(indices)")
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        if np.any((pairs < 0) | (pairs >= n)):  # would alias another (i, j) key
+            raise ConfigRejected(f"edges must join nodes in 0..{n - 1}")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ConfigRejected("an edge must join two distinct nodes, not a self-loop")
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        keys = np.unique(rows * n + cols)
+        indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        indices = keys % n
         counts = np.diff(indptr)
-        rows = np.repeat(np.arange(n), counts)  # ValueError if indptr falls
-        keys = rows * n + indices
-        if (np.any((indices < 0) | (indices >= n) | (indices == rows))
-                or np.any(np.diff(keys) <= 0)
-                or not np.array_equal(np.sort(indices * n + rows), keys)):
-            raise ValueError("neighbor lists must be sorted, free of repeats and self-loops, "
-                             "and undirected (every (i, j) with its (j, i))")
         deg = counts.astype(float)
         dense = _laplacian(n, indptr, indices) if n < DENSE_PRODUCT_NODES else None
         # np.add.reduceat gives an empty segment the next row (and fails on a
         # trailing one), so the gather sums only the nodes with neighbors
         nonempty = slice(None) if counts.all() else np.flatnonzero(counts)
-        for arr in (indptr, indices, deg, dense):
+        for name, arr in dict(indptr=indptr, indices=indices, degree=deg, _dense=dense).items():
             if arr is not None:
                 arr.setflags(write=False)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "_dense", dense)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_segments", (nonempty, indptr[:-1][nonempty]))
-
-    @classmethod
-    def from_edges(cls, n_nodes, edges):
-        """The graph of an iterable of undirected (i, j) pairs, i != j, each
-        edge listed once or from both ends (repeats collapse)."""
-        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        if np.any((pairs < 0) | (pairs >= n_nodes)):  # would alias another (i, j) key
-            raise ValueError(f"edges must join nodes in 0..{n_nodes - 1}")
-        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
-        keys = np.unique(rows * n_nodes + cols)
-        indptr = np.searchsorted(keys // n_nodes, np.arange(n_nodes + 1))
-        return cls(n_nodes, indptr, keys % n_nodes)
 
     def disagreement(self, values) -> np.ndarray:
         """Row i is the sum of (values_i - values_j) over the neighbors j of
@@ -135,43 +120,42 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
     ----------
     topology : str
         One of ``ring``, ``complete``, ``path``, ``random_geometric``
-        (requires `radius` and `seed`), or ``explicit`` (requires `edges`,
-        an iterable of (i, j) pairs).
+        (requires `seed` and a `radius` > 0), or ``explicit`` (requires
+        `edges`, an iterable of (i, j) pairs).
     n_nodes : int
         Number of nodes, at least 2.
     """
     if n_nodes < 2:
-        raise ValueError("a sensor network needs at least 2 nodes")
+        raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n_nodes}")
     if topology == "complete":
-        return SensorGraph.from_edges(n_nodes, np.argwhere(np.tri(n_nodes, k=-1)))
+        return SensorGraph(n_nodes, np.argwhere(np.tri(n_nodes, k=-1)))
     if topology in ("ring", "path"):
         i = np.arange(n_nodes - 1)
         pairs = np.column_stack([i, i + 1])
         if topology == "ring" and n_nodes > 2:
             pairs = np.vstack([pairs, [0, n_nodes - 1]])
-        return SensorGraph.from_edges(n_nodes, pairs)
+        return SensorGraph(n_nodes, pairs)
     if topology == "explicit":
         if edges is None:
-            raise ValueError("explicit topology requires an edge list")
-        g = SensorGraph.from_edges(n_nodes, list(edges))
+            raise ConfigRejected("explicit topology requires an edge list")
+        g = SensorGraph(n_nodes, list(edges))
         if not is_connected(g):
             raise GraphNotConnected("explicit edge list is not connected")
         return g
     if topology == "random_geometric":
-        if radius is None or seed is None:
-            raise ValueError("random_geometric requires radius and seed")
+        if seed is None or radius is None or not radius > 0:
+            raise ConfigRejected("random_geometric requires radius and seed, and radius > 0, "
+                                 f"got radius={radius!r}, seed={seed!r}")
         rng = np.random.default_rng(seed)
         for _ in range(_GEOMETRIC_RETRIES):
-            g = SensorGraph.from_edges(
-                n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius)
-            )
+            g = SensorGraph(n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius))
             if is_connected(g):
                 return g
         raise GraphGenerationFailed(
             f"no connected geometric graph in {_GEOMETRIC_RETRIES} draws "
             f"(N={n_nodes}, radius={radius})"
         )
-    raise ValueError(f"unknown topology {topology!r}")
+    raise ConfigRejected(f"unknown topology {topology!r}")
 
 
 def _geometric_edges(pts, radius):

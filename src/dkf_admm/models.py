@@ -35,7 +35,7 @@ class SensorSpec:
         h = np.atleast_2d(np.asarray(self.h, dtype=float))
         r = sym(np.atleast_2d(np.asarray(self.r, dtype=float)))
         if r.shape[0] != h.shape[0]:
-            raise ValueError("R_i must match the measurement dimension of H_i")
+            raise DimensionError("R_i must match the measurement dimension of H_i")
         for name, arr in (("h", h), ("r", r)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -110,7 +110,7 @@ class StateSpaceModel:
         p0 = sym(self.p0)
         n = f.shape[0]
         if f.shape != (n, n) or q.shape != (n, n) or p0.shape != (n, n) or x0.size != n:
-            raise ValueError("inconsistent model dimensions")
+            raise DimensionError("inconsistent model dimensions")
         spd_cholesky(p0, "P0")
         if q.any():  # Q may be singular only in the deliberate noise-free limit
             spd_cholesky(q, "Q")
@@ -159,16 +159,16 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
     step. The initial state is x0 ~ N(DEFAULT_X0_MEAN, I).
     """
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ConfigRejected(f"dt must be > 0, got {dt!r}")
     if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+        raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n_nodes}")
     i2 = np.eye(2)
     f = np.block([[i2, dt * i2], [np.zeros((2, 2)), i2]])
     dt = np.float64(dt)  # a huge dt overflows to inf, which StateSpaceModel rejects
     with np.errstate(over="ignore", invalid="ignore"):
         q = q_intensity * np.block([[dt**3 / 3 * i2, dt**2 / 2 * i2], [dt**2 / 2 * i2, dt * i2]])
     if sensor_assignment not in SENSOR_ASSIGNMENTS:
-        raise ValueError(f"unknown sensor assignment {sensor_assignment!r}")
+        raise ConfigRejected(f"unknown sensor assignment {sensor_assignment!r}")
     specs = tuple(SensorSpec(np.eye(1, 4, c), [[r_var]]) for c in range(4)[POSITION])  # x1, x2
     sensors = tuple(specs[0 if i < n_nodes // 2 else 1] for i in range(n_nodes))
     redraw = specs if sensor_assignment == "per_step_random" else ()
@@ -204,7 +204,7 @@ def simulate_trajectory(
     to x_t = F^t x0_mean and exact measurements.
     """
     if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+        raise ConfigRejected("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
     n = model.n
     states = np.empty((n_steps, n))

@@ -342,7 +342,8 @@ def test_bad_config_exits_2(tmp_path, capsys):
     # otherwise escape later as a numpy or ValueError traceback (negative
     # seeds, a negative init box and non-finite floats among them), then
     # `none` on a key without an automatic value (it used to run with the
-    # default) and INI files with no section header or a duplicated key
+    # default) and INI files with no section header, a duplicated key or
+    # section, or a bare word; each prints one line naming the file once
     cases = (
         "[run]\nhorizon = 5\n",
         "[model]\ndt = 0\n",
@@ -365,6 +366,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "[graph]\nn_nodes = none\n",
         "n_nodes = 5\n",
         "[graph]\nn_nodes = 5\nn_nodes = 6\n",
+        "[graph]\n[graph]\n",
+        "[run]\nnoise_free\n",
+        "[params]\nl_sub = 0\n",
         "[run]\nworkers = 2\n",
         "[run]\nsub_iterated_covariance = true\n",
         "[model]\nsensor_assignment = per_step_random\n[run]\nsub_iterated_covariance = false\n",
@@ -376,7 +380,12 @@ def test_bad_config_exits_2(tmp_path, capsys):
         cfg = _write(tmp_path, text, name=f"bad{k}.ini")
         for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["validate", cfg]):
             assert main(args) == EXIT_CONFIG, (args[0], text)
-            assert "config rejected" in capsys.readouterr().err, (args[0], text)
+            err = capsys.readouterr().err
+            assert err.startswith("config rejected") and err.count("\n") == 1, (args[0], err)
+    cfg = _write(tmp_path, "n_nodes = 5\n", name="no_header.ini")
+    assert main(["validate", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config rejected: malformed config file {cfg}, "
+                                       "line 1: a line before the first [section] header\n")
     # a negative seed on the command line
     cfg = _write(tmp_path, SMOKE_INI)
     code = main(["run", cfg, "--seed", "-1", "--quiet", "--output", str(tmp_path / "o")])
@@ -384,6 +393,10 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "master_seed must be >= 0" in capsys.readouterr().err
     # `auto` leaves the covariance rounds to the sensor assignment
     cfg = _write(tmp_path, SMOKE_INI + "sub_iterated_covariance = auto\n", name="auto.ini")
+    assert main(["validate", cfg]) == EXIT_OK
+    # only a random geometric graph reads the radius
+    cfg = _write(tmp_path, SMOKE_INI.replace("n_nodes = 6\n", "n_nodes = 6\nradius = 0\n"),
+                 name="ring_radius.ini")
     assert main(["validate", cfg]) == EXIT_OK
 
 

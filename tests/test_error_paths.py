@@ -1,10 +1,17 @@
 """Every documented rejection of bad input or diverged numbers raises its
-library exception with its message (none of these lines ran elsewhere)."""
+library exception with its message (none of these lines ran elsewhere).
+A row may name the builtin base of the class it expects; the raised class
+must still be one of the library's own."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dkf_admm.exceptions import DimensionError, GraphGenerationFailed, NotPositiveDefinite
+import dkf_admm
+from dkf_admm.exceptions import (ConfigRejected, DimensionError, GraphGenerationFailed,
+                                 NotPositiveDefinite)
 from dkf_admm.filtering import _posterior_cov
 from dkf_admm.graphs import SensorGraph, build_graph
 from dkf_admm.linalg import vech
@@ -38,9 +45,12 @@ def _inconsistent_model():
     (lambda: build_graph("random_geometric", 5), ValueError, "requires radius and seed"),
     (lambda: build_graph("random_geometric", 30, radius=1e-3, seed=0),
      GraphGenerationFailed, "no connected geometric graph in 50 draws"),
+    # rejected before any draw (it used to spend 50 and blame the draws)
+    (lambda: build_graph("random_geometric", 30, radius=0.0, seed=0),
+     ConfigRejected, r"radius > 0, got radius=0\.0"),
     (lambda: build_graph("star", 4), ValueError, "unknown topology 'star'"),
-    (lambda: SensorGraph(3, [0, 1], [1]), DimensionError, r"need indptr of shape \(4,\)"),
-    (lambda: SensorGraph.from_edges(3, [(0, 3)]), ValueError, r"join nodes in 0\.\.2"),
+    (lambda: SensorGraph(3, [(0, 3)]), ValueError, r"join nodes in 0\.\.2"),
+    (lambda: SensorGraph(3, [(1, 1)]), ConfigRejected, "not a self-loop"),
     (lambda: vech(np.ones((2, 3))), DimensionError, "expected square matrices"),
     (lambda: SensorSpec(np.eye(2, 4), [[1.0]]), ValueError, "R_i must match"),
     (_inconsistent_model, ValueError, "inconsistent model dimensions"),
@@ -51,5 +61,40 @@ def _inconsistent_model():
      ValueError, "n_steps must be >= 1"),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as info:
         call()
+    assert type(info.value).__module__ == "dkf_admm.exceptions"
+
+
+def test_library_raises_only_its_own_errors():
+    # every `raise` in the library names a class of exceptions.py, re-raises,
+    # or is caught by an enclosing `try` of the same function; the CLI's
+    # `__main__` line may raise SystemExit
+    src = Path(dkf_admm.__file__).parent
+    library = {node.name for node in ast.walk(ast.parse((src / "exceptions.py").read_text("utf-8")))
+               if isinstance(node, ast.ClassDef)}
+    stray = []
+
+    def visit(node, caught, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            caught = set()
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if name not in library | caught and (where, name) != ("cli.py", "SystemExit"):
+                stray.append(f"{where}:{node.lineno} raises {name}")
+        if isinstance(node, ast.Try):
+            types = [h.type for h in node.handlers]
+            handled = caught | {getattr(name, "id", None) for t in types
+                                for name in (t.elts if isinstance(t, ast.Tuple) else [t])}
+            for child in node.body:
+                visit(child, handled, where)
+            for child in node.handlers + node.orelse + node.finalbody:
+                visit(child, caught, where)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, caught, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), set(), path.name)
+    assert not stray, stray

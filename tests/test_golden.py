@@ -1,0 +1,90 @@
+"""Golden outputs: a change meant to leave the numbers alone must reproduce
+`tests/data/golden.npz` exactly.
+
+The file holds the `run_scenario` arrays (RMSE, consensus and covariance
+error, per-run squared position error, the four traffic ledger arrays) of
+four small scenario shapes at seeds 1 and 2: a 6-node ring, a 7-regular
+20-node explicit graph with fixed step sizes, a 60-node geometric graph
+and a 6-node geometric graph with sensors redrawn every step. It also
+holds the five CSVs, as bytes, of one CLI `run` on the explicit graph.
+
+Regenerate it, after a change that moves the numbers on purpose, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from dkf_admm.cli import main
+from dkf_admm.harness import ScenarioConfig, run_scenario
+
+GOLDEN = Path(__file__).parent / "data" / "golden.npz"
+SEEDS = (1, 2)
+SHAPES = {
+    "ring6": dict(topology="ring", n_nodes=6, l_sub=10, horizon_steps=20, n_mc_runs=2),
+    "regular20": dict(topology="explicit", n_nodes=20, alpha_lambda=0.10, mu=0.001,
+                      alpha_nu=0.04, l_sub=20, horizon_steps=10, n_mc_runs=2),
+    "geo60": dict(topology="random_geometric", n_nodes=60, radius=0.3, l_sub=20,
+                  horizon_steps=10, n_mc_runs=1),
+    "randsensor6": dict(topology="random_geometric", n_nodes=6, radius=1.0, l_sub=20,
+                        horizon_steps=10, n_mc_runs=1, sensor_assignment="per_step_random",
+                        sub_iterated_covariance=True),
+}
+METRICS = ("rmse_pos", "rmse_vel", "consensus_error", "cov_error", "sq_pos_runs")
+LEDGER = ("state_messages", "state_scalars", "cov_messages", "cov_scalars")
+CSV_FILES = ("rmse_position.csv", "rmse_velocity.csv", "covariance_error.csv",
+             "consensus_error.csv", "communication.csv")
+
+
+def _regular_edges(work):
+    """A 7-regular circulant graph on 20 nodes (offsets 1, 2, 3 and 10) as
+    an edge-list file."""
+    pairs = [(i, (i + k) % 20) for i in range(20) for k in (1, 2, 3)]
+    pairs += [(i, i + 10) for i in range(10)]
+    path = work / "edges.txt"
+    path.write_text("".join(f"{i} {j}\n" for i, j in pairs))
+    return str(path)
+
+
+def golden_outputs(work) -> dict:
+    """Every golden array, keyed `<shape>.<seed>.<name>` and `cli.<csv>`;
+    `work` holds the edge list and the CLI's output directory."""
+    edges = _regular_edges(work)
+    out = {}
+    for shape, fields in SHAPES.items():
+        for seed in SEEDS:
+            cfg = ScenarioConfig(**fields, graph_seed=seed, master_seed=seed * 1000,
+                                 edge_list_path=edges if fields["topology"] == "explicit" else None)
+            metrics = run_scenario(cfg)
+            for name in METRICS:
+                out[f"{shape}.{seed}.{name}"] = getattr(metrics, name)
+            for name in LEDGER:
+                out[f"{shape}.{seed}.{name}"] = getattr(metrics.comm, name)
+    ini = work / "scenario.ini"
+    ini.write_text(
+        f"[graph]\ntopology = explicit\nn_nodes = 20\nedge_list_path = {edges}\n"
+        "[params]\nalpha_lambda = 0.1\nmu = 0.001\nalpha_nu = 0.04\nl_sub = 20\n"
+        "[run]\nhorizon_steps = 10\nn_mc_runs = 2\nmaster_seed = 1000\n"
+    )
+    assert main(["run", str(ini), "--output", str(work / "results"), "--quiet"]) == 0
+    for name in CSV_FILES:
+        out[f"cli.{name}"] = np.frombuffer((work / "results" / name).read_bytes(), np.uint8)
+    return out
+
+
+def test_outputs_match_the_golden_file(tmp_path):
+    got = golden_outputs(tmp_path)
+    with np.load(GOLDEN) as golden:
+        assert sorted(golden.files) == sorted(got)
+        for key, value in got.items():
+            assert np.array_equal(value, golden[key]), key
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        np.savez_compressed(GOLDEN, **golden_outputs(Path(tmp)))
+    print(f"wrote {GOLDEN}")
