@@ -5,14 +5,20 @@ The file holds the `run_scenario` arrays (RMSE, consensus and covariance
 error, per-run squared position error, the four traffic ledger arrays) of
 four small scenario shapes at seeds 1 and 2: a 6-node ring, a 7-regular
 20-node explicit graph with fixed step sizes, a 60-node geometric graph
-and a 6-node geometric graph with sensors redrawn every step. It also
-holds the five CSVs, as bytes, of one CLI `run` on the explicit graph.
+a 6-node geometric graph with sensors redrawn every step, and a 400-node
+ring, whose Laplacian product takes the edge gather and whose inverses take
+the sweep. It also holds the five CSVs, as bytes, of one CLI `run` on the
+explicit graph.
 
 Regenerate it, after a change that moves the numbers on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints each key's largest relative change against the
+committed file.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -32,6 +38,7 @@ SHAPES = {
     "randsensor6": dict(topology="random_geometric", n_nodes=6, radius=1.0, l_sub=20,
                         horizon_steps=10, n_mc_runs=1, sensor_assignment="per_step_random",
                         sub_iterated_covariance=True),
+    "ring400": dict(topology="ring", n_nodes=400, l_sub=3, horizon_steps=5, n_mc_runs=1),
 }
 METRICS = ("rmse_pos", "rmse_vel", "consensus_error", "cov_error", "sq_pos_runs")
 LEDGER = ("state_messages", "state_scalars", "cov_messages", "cov_scalars")
@@ -83,8 +90,34 @@ def test_outputs_match_the_golden_file(tmp_path):
             assert np.array_equal(value, golden[key]), key
 
 
+def _numbers(key, value) -> np.ndarray:
+    """The array of a key; a CSV's numeric fields below its header, in order."""
+    if not key.startswith("cli."):
+        return np.asarray(value, dtype=float)
+    lines = bytes(value).decode().splitlines()[1:]
+    fields = [f for line in lines for f in line.split(",")]
+    return np.array([float(f) for f in fields if f.lstrip("-")[:1].isdigit() or f in ("nan", "inf", "-inf")])
+
+
+def largest_relative_change(old, new) -> float:
+    """max |new - old| / max |old| (inf if the shapes differ, or for a
+    nonzero change of an all-zero array)."""
+    if old.shape != new.shape:
+        return math.inf
+    diff, scale = np.max(np.abs(new - old), initial=0.0), np.max(np.abs(old), initial=0.0)
+    return diff / scale if scale else (math.inf if diff else 0.0)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        np.savez_compressed(GOLDEN, **golden_outputs(Path(tmp)))
+        new = golden_outputs(Path(tmp))
+    old = dict(np.load(GOLDEN)) if GOLDEN.exists() else {}
+    for key in sorted(new.keys() | old.keys()):
+        if key in old and key in new:
+            change = largest_relative_change(_numbers(key, old[key]), _numbers(key, new[key]))
+            print(f"{key}: largest relative change {change:.3g}")
+        else:
+            print(f"{key}: {'added' if key in new else 'removed'}")
+    np.savez_compressed(GOLDEN, **new)
     print(f"wrote {GOLDEN}")
