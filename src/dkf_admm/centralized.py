@@ -71,7 +71,7 @@ def consensus_fixed_point(x_priors, p_priors, measurements, sensors: SensorArray
     t)`), the (N, n) x_i, the (N, n, n) P_i and the (N, m) y_i: one
     `spd_inverse` of the P_i stack, one `spd_solve`. This is the MAP point
     that acceptance criterion 3 targets. The default state correction does
-    not reach it: its rounds (`filtering._consensus_round`) keep
+    not reach it: its rounds (`filtering._consensus_rounds`) keep
     sum_i K_i lambda_tilde_i at its start value 0 and
     sum_i (xi_i + K_i lambda_tilde_i) at sum_i K_i b_i, so the node mean of
     xi is mean_i K_i b_i after every round and the nodes agree on that

@@ -8,11 +8,15 @@ Jacobi sub-iterations of the ADMM state correction (neighbors exchange
 only the primal iterate xi, the transformed dual stays local); one round
 of the covariance consensus (l_sub on per-step-random sensors) on half-
 vectorized information matrices (only theta crosses edges); the posterior
-covariance assembly. All exchanges flow through a CommLedger that counts
-messages and scalar payloads and rejects any attempt to put a dual
-variable on the wire. Independent Monte-Carlo runs can share one step:
-the estimates then carry a leading run axis and the measurement-free
-covariance half is computed once for all of them.
+covariance assembly. Both consensus loops run their first round with the
+local accumulator and every later one as the two-term recursion on the
+last two iterates whose per-mode stability `linalg` certifies: on small
+graphs, one GEMM of a stacked N x 2N operator per round. All exchanges
+flow through a CommLedger that counts messages and scalar payloads and
+rejects any attempt to put a dual variable on the wire. Independent
+Monte-Carlo runs can share one step: the estimates then carry a leading
+run axis and the measurement-free covariance half is computed once for
+all of them.
 """
 
 from __future__ import annotations
@@ -204,22 +208,71 @@ def _gains(p_prior, x_prior, sensors: SensorArrays, y, t):
     return p_prior_inv, kb
 
 
-def _consensus_round(z, acc, target, graph: SensorGraph, step, penalty):
-    """One synchronous Jacobi round of either consensus loop, on stacked
-    (N, d) rows or node-major (N, R, d) ones for R runs at once.
+# Below this many nodes, every consensus round after the first is one GEMM of
+# the stacked N x 2N operator on the last two iterates; larger graphs take the
+# Laplacian product (dense or edge gather) of their combination, then one
+# subtraction. Measured crossover at N = 64-100 for 4 to 20 columns (the GEMM
+# does twice the flops of one Laplacian product, but needs one call, not four).
+STACKED_ROUND_NODES = 80
 
-    d = (L kron I) z from the previous round's z; the local accumulator
-    integrates step * d and the new iterate is target - acc - penalty * d.
-    As sum_i d_i = 0, every round keeps sum_i acc_i, and sum_i (z_i + acc_i)
-    equals sum_i target_i. Covariance loop: z = theta, acc = nu_tilde,
-    target = N vech(H' R^-1 H), step = penalty = alpha_nu. State loop:
-    z = xi, acc = K lambda_tilde (zero at each step's start), target = K b,
-    step = alpha_lambda, penalty = mu; the dual update lambda_tilde +=
-    alpha_lambda K^-1 d, carried through K, needs neither K nor K^-1.
+
+def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=None, buf=None):
+    """All `rounds` synchronous Jacobi rounds of either consensus loop, on
+    stacked (N, d) rows or node-major (N, R, d) ones for R runs at once.
+    Returns the last iterate z_R, in z's shape, and the local accumulator
+    acc_R; `acc` is the accumulator before round 1, or None for a zero one
+    that the caller discards (then acc_R is None too).
+
+    Round 1 is the accumulator round: d = (L kron I) z_0, acc_1 = acc_0 +
+    step * d, z_1 = target - acc_1 - penalty * d. The rounds after it run
+    the companion recursion that `linalg._worst_radius` certifies,
+    z_{k+1} = z_k - (L kron I)((step + penalty) z_k - penalty z_{k-1}),
+    which follows from the accumulator round and does not carry the
+    accumulator; acc_R = target - z_R - penalty (L kron I) z_{R-1} at the
+    end. As sum_i d_i = 0, sum_i (z_i + acc_i) equals sum_i target_i after
+    every round. Covariance loop: z = theta, acc = nu_tilde, target = N
+    vech(H' R^-1 H), step = penalty = alpha_nu. State loop: z = xi, acc =
+    K lambda_tilde (zero at each step's start), target = K b, step =
+    alpha_lambda, penalty = mu; the dual update lambda_tilde += alpha_lambda
+    K^-1 d, carried through K, needs neither K nor K^-1.
+
+    Round k's iterate goes to buf[k - 1] of `buf`, a (rounds, N, R d) round
+    buffer; without one, graphs below STACKED_ROUND_NODES get such a buffer
+    of their own, and larger ones two rolling slots.
     """
-    d = graph.disagreement(z)
-    acc = acc + step * d
-    return target - acc - penalty * d, acc
+    n_nodes = graph.n_nodes
+    z0, t = z.reshape(n_nodes, -1), target.reshape(n_nodes, -1)
+    d = graph._apply(z0, np.empty(z0.shape))
+    acc_r = step * d if acc is None else acc.reshape(n_nodes, -1) + step * d  # acc_1
+    if rounds == 1 and buf is None:
+        z1 = (t - acc_r - penalty * d).reshape(z.shape)
+        return z1, None if acc is None else acc_r.reshape(z.shape)
+    stacked = n_nodes < STACKED_ROUND_NODES
+    if buf is None:
+        buf = np.empty((rounds if stacked else min(rounds, 2),) + z0.shape)
+    slots = len(buf)
+    np.subtract(t - acc_r, penalty * d, out=buf[0])
+    if stacked and rounds > 1:  # z_{k+1} = [penalty L | I - (step + penalty) L] [z_{k-1}; z_k]
+        op = np.empty((n_nodes, 2 * n_nodes))
+        np.multiply(graph._dense, penalty, out=op[:, :n_nodes])
+        np.multiply(graph._dense, -(step + penalty), out=op[:, n_nodes:])
+        op.reshape(-1)[n_nodes::2 * n_nodes + 1] += 1.0  # the diagonal of the right block
+        first = np.stack([z0, buf[0]])
+        for k in range(1, rounds):
+            pair = first if k == 1 else buf[k - 2:k]
+            np.matmul(op, pair.reshape(2 * n_nodes, -1), out=buf[k])
+    else:
+        w = np.empty(z0.shape)
+        for k in range(1, rounds):
+            prev = z0 if k == 1 else buf[(k - 2) % slots]
+            cur, nxt = buf[(k - 1) % slots], buf[k % slots]
+            np.multiply(cur, step + penalty, out=w)
+            w -= penalty * prev
+            np.subtract(cur, graph._apply(w, nxt), out=nxt)
+    z_last = buf[(rounds - 1) % slots]
+    if acc is not None and rounds > 1:
+        acc_r = t - z_last - penalty * graph._apply(buf[(rounds - 2) % slots], np.empty(z0.shape))
+    return z_last.reshape(z.shape).copy(), None if acc is None else acc_r.reshape(z.shape)
 
 
 def _posterior_cov(p_prior_inv, theta, t):
@@ -282,9 +335,11 @@ def dkf_time_step(
     and records each consensus loop once per step, with all its rounds.
     When `consensus_log` is a list, the per-sub-iteration mean consensus
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
-    (L,) array, or (R, L) for R runs; the rounds' iterates are buffered in
-    one (L, N, R, n) array of the step's own, reduced in place after the
-    loop (node means by GEMV, squared deviations, norms, node means).
+    (L,) array, or (R, L) for R runs; the rounds write their iterates
+    straight into one (L, N, R n) round buffer of the step's own, reduced
+    in place after the loop (node means by GEMV, squared deviations,
+    norms, node means). Without a log, a graph of STACKED_ROUND_NODES or
+    more keeps two rolling iterates instead, whatever L.
     Theta crosses edges once per step on static sensors and l_sub times
     on per-step-random ones, whose consensus target moves every step.
     """
@@ -302,31 +357,26 @@ def dkf_time_step(
     p_prior_inv, kb = _gains(p_prior, x_prior, sensors, y, t)
 
     # L primal-only ADMM sub-iterations (Jacobi); the accumulator
-    # K lambda_tilde stays local and restarts at zero each step. A round
-    # does only the exchange; the log and the ledger follow the loop.
-    xi, k_lam = x_prior, np.zeros_like(x_prior)
-    iterates = None if consensus_log is None else np.empty((params.l_sub,) + xi.shape)
-    for k in range(params.l_sub):
-        xi, k_lam = _consensus_round(xi, k_lam, kb, graph, params.alpha_lambda, params.mu)
-        if iterates is not None:
-            iterates[k] = xi
+    # K lambda_tilde stays local, restarts at zero each step and is not
+    # kept. The rounds do only the exchange; the log and the ledger follow.
+    rows = None if consensus_log is None else np.empty((params.l_sub, n_nodes, runs * n))
+    xi, _ = _consensus_rounds(x_prior, kb, graph, params.alpha_lambda, params.mu, params.l_sub,
+                              buf=rows)
     if ledger is not None:
         ledger.record("xi", params.l_sub * runs * graph.degree, n)
-    if iterates is not None:  # the step's own buffer, reduced in place on (L, N, R n) rows
-        rows, node_mean = iterates.reshape(params.l_sub, n_nodes, -1), np.full(n_nodes, 1 / n_nodes)
+    if rows is not None:  # the round buffer, reduced in place
+        node_mean = np.full(n_nodes, 1 / n_nodes)
         rows -= (node_mean @ rows)[:, None]
-        norms = np.square(iterates, out=iterates).reshape(-1, n) @ np.ones(n)
+        norms = np.square(rows, out=rows).reshape(-1, n) @ np.ones(n)
         spread = node_mean @ np.sqrt(norms, out=norms).reshape(params.l_sub, n_nodes, runs)
         consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
 
     # Covariance consensus on the previous step's theta, l_sub rounds if redrawn.
-    theta, nu = state.theta, state.nu_tilde
     omega_scaled = n_nodes * vech(sensors.info)
     cov_rounds = 1 if model.coordinate_table is None else params.l_sub
     with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
-        for _ in range(cov_rounds):
-            theta, nu = _consensus_round(theta, nu, omega_scaled, graph,
-                                         params.alpha_nu, params.alpha_nu)
+        theta, nu = _consensus_rounds(state.theta, omega_scaled, graph, params.alpha_nu,
+                                      params.alpha_nu, cov_rounds, acc=state.nu_tilde)
     if ledger is not None:
         ledger.record("theta", cov_rounds * runs * graph.degree, theta.shape[1])
 

@@ -46,8 +46,8 @@ class SensorGraph:
     `edges`, (i, j) pairs with i != j (repeats and reversed pairs collapse),
     as read-only CSR edge arrays: the neighbors of node i are
     indices[indptr[i]:indptr[i + 1]], sorted ascending, and every edge
-    appears once from each end (2E entries). Nodes of degree 0 are allowed;
-    `is_connected` tells them apart.
+    appears once from each end (2E entries). A network has at least 2
+    nodes; nodes of degree 0 are allowed, and `is_connected` tells them apart.
     """
 
     n_nodes: int
@@ -60,6 +60,8 @@ class SensorGraph:
 
     def __post_init__(self, edges):
         n = self.n_nodes
+        if n < 2:
+            raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n}")
         pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         if np.any((pairs < 0) | (pairs >= n)):  # would alias another (i, j) key
             raise ConfigRejected(f"edges must join nodes in 0..{n - 1}")
@@ -94,12 +96,17 @@ class SensorGraph:
                 f"need one row per node, shape ({self.n_nodes}, d), got {v.shape}"
             )
         flat = v.reshape(self.n_nodes, -1)
+        return self._apply(flat, np.empty(flat.shape)).reshape(v.shape)
+
+    def _apply(self, flat, out) -> np.ndarray:
+        """out = (L kron I) flat for (N, c) rows, without checks; returns out.
+        `out` must not overlap `flat`."""
         if self._dense is not None:
-            return (self._dense @ flat).reshape(v.shape)
-        out = self.degree[:, None] * flat
+            return np.matmul(self._dense, flat, out=out)
+        np.multiply(self.degree[:, None], flat, out=out)
         nonempty, starts = self._segments
         out[nonempty] -= np.add.reduceat(np.take(flat, self.indices, axis=0), starts, axis=0)
-        return out.reshape(v.shape)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +127,11 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
     ----------
     topology : str
         One of ``ring``, ``complete``, ``path``, ``random_geometric``
-        (requires `seed` and a `radius` > 0), or ``explicit`` (requires
+        (requires `seed` and a finite `radius` > 0), or ``explicit`` (requires
         `edges`, an iterable of (i, j) pairs).
     n_nodes : int
         Number of nodes, at least 2.
     """
-    if n_nodes < 2:
-        raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n_nodes}")
     if topology == "complete":
         return SensorGraph(n_nodes, np.argwhere(np.tri(n_nodes, k=-1)))
     if topology in ("ring", "path"):
@@ -143,9 +148,9 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
             raise GraphNotConnected("explicit edge list is not connected")
         return g
     if topology == "random_geometric":
-        if seed is None or radius is None or not radius > 0:
-            raise ConfigRejected("random_geometric requires radius and seed, and radius > 0, "
-                                 f"got radius={radius!r}, seed={seed!r}")
+        if seed is None or radius is None or not 0 < radius < np.inf:
+            raise ConfigRejected("random_geometric requires radius and seed, and a finite "
+                                 f"radius > 0, got radius={radius!r}, seed={seed!r}")
         rng = np.random.default_rng(seed)
         for _ in range(_GEOMETRIC_RETRIES):
             g = SensorGraph(n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius))

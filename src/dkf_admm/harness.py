@@ -67,7 +67,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # dt, n_nodes, radius, l_sub, topology and sensor_assignment: checked where used
         redrawn = self.sensor_assignment == "per_step_random"
-        for name in ("dt", "q_intensity", "r_var", "radius", "init_box_halfwidth"):
+        for name in ("dt", "q_intensity", "r_var", "init_box_halfwidth"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigRejected(f"{name} must be finite, got {getattr(self, name)!r}")
         for name, ok, rule in (

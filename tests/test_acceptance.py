@@ -129,7 +129,7 @@ def test_criterion_3_per_step_consensus_fixed_point():
     converges to consensus, but the consensus value is the node average of
     the local one-shot estimates K_i b_i, not the joint minimizer
     (sum K_i^-1)^-1 sum b_i. The cause is the conservation law of
-    `filtering._consensus_round`: with the accumulator K_i lambda_tilde_i
+    `filtering._consensus_rounds`: with the accumulator K_i lambda_tilde_i
     starting at 0, every round keeps sum_i K_i lambda_tilde_i = 0 and
     sum_i (xi_i + K_i lambda_tilde_i) = sum_i K_i b_i, so the node-mean of
     xi is pinned at mean_i K_i b_i from the first sub-iteration onward and

@@ -175,14 +175,16 @@ PRECISE_REDRAWN_INI = (
 )
 
 
-@pytest.mark.parametrize("q_intensity, message", [
-    # the covariance rounds overflowed in the Laplacian product (RuntimeWarnings)
-    (1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=5\)"),
+@pytest.mark.parametrize("n_nodes, q_intensity, message", [
+    # the covariance rounds overflowed in the Laplacian product (RuntimeWarnings);
+    # on the 6-node ring they stay finite and the run exits 0
+    (10, 1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=1\)"),
     # the reference's information matrix overflowed in sym (a RuntimeWarning)
-    (0, "posterior information matrix not finite at t=22"),
+    (6, 0, "posterior information matrix not finite at t=22"),
 ], ids=["covariance_rounds", "reference"])
-def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, q_intensity, message):
-    cfg = _write(tmp_path, PRECISE_REDRAWN_INI + f"q_intensity = {q_intensity}\n")
+def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, n_nodes, q_intensity, message):
+    text = PRECISE_REDRAWN_INI.replace("n_nodes = 6", f"n_nodes = {n_nodes}")
+    cfg = _write(tmp_path, text + f"q_intensity = {q_intensity}\n")
     out = tmp_path / "o"
     assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_NUMERICAL
     assert re.search(message, capsys.readouterr().err)
@@ -397,6 +399,9 @@ def test_bad_config_exits_2(tmp_path, capsys):
     # only a random geometric graph reads the radius
     cfg = _write(tmp_path, SMOKE_INI.replace("n_nodes = 6\n", "n_nodes = 6\nradius = 0\n"),
                  name="ring_radius.ini")
+    assert main(["validate", cfg]) == EXIT_OK
+    cfg = _write(tmp_path, SMOKE_INI.replace("n_nodes = 6\n", "n_nodes = 6\nradius = inf\n"),
+                 name="ring_radius_inf.ini")
     assert main(["validate", cfg]) == EXIT_OK
 
 

@@ -59,6 +59,16 @@ def _inconsistent_model():
      ValueError, "unknown sensor assignment 'rand'"),
     (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 0, seed=0),
      ValueError, "n_steps must be >= 1"),
+    # a non-finite radius, rejected where it is read (a ring ignores it)
+    (lambda: build_graph("random_geometric", 30, radius=np.inf, seed=0),
+     ConfigRejected, r"finite radius > 0, got radius=inf,"),
+    (lambda: build_graph("random_geometric", 30, radius=-np.inf, seed=0),
+     ConfigRejected, r"finite radius > 0, got radius=-inf,"),
+    (lambda: build_graph("random_geometric", 30, radius=np.nan, seed=0),
+     ConfigRejected, r"finite radius > 0, got radius=nan,"),
+    # is_connected used to meet the empty graph with a raw IndexError
+    (lambda: SensorGraph(0, []), ConfigRejected, "at least 2 nodes, got 0"),
+    (lambda: SensorGraph(1, []), ConfigRejected, "at least 2 nodes, got 1"),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

@@ -17,7 +17,8 @@ from dkf_admm.exceptions import (
 from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
-    _consensus_round,
+    STACKED_ROUND_NODES,
+    _consensus_rounds,
     _gains,
     _posterior_cov,
     _predict,
@@ -25,7 +26,7 @@ from dkf_admm.filtering import (
     dkf_time_step,
     init_state,
 )
-from dkf_admm.graphs import build_graph, spectral_summary
+from dkf_admm.graphs import DENSE_PRODUCT_NODES, build_graph, spectral_summary
 from dkf_admm.harness import ScenarioConfig, build_scenario
 from dkf_admm.linalg import SWEEP_MIN_STACK, spd_inverse, sym, unvech, vech
 from dkf_admm.models import (
@@ -161,8 +162,8 @@ def test_correction_round_matches_dense_oracle(topology, n_nodes):
     k_inv, k, b = _reference_gains(state.x_prior, state.p_prior, model.sensors, meas)
 
     # the kernel carries the dual as the accumulator K lambda_tilde
-    xi, acc = _consensus_round(
-        xi0, _kb(k, lam0), _kb(k, b), graph, params.alpha_lambda, params.mu
+    xi, acc = _consensus_rounds(
+        xi0, _kb(k, b), graph, params.alpha_lambda, params.mu, 1, acc=_kb(k, lam0)
     )
     xi_ref, lam_ref = _dense_round(
         xi0, lam0, dense_laplacian(graph), k, k_inv, b, params.alpha_lambda, params.mu
@@ -183,9 +184,8 @@ def test_correction_reaches_consensus():
     )
     local = _kb(k_ref, b_ref)
     _, kb = _one_run_gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
-    xi, acc = state.x_prior, np.zeros((6, 4))
-    for _ in range(params.l_sub):
-        xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
+    xi, _ = _consensus_rounds(state.x_prior, kb, graph, params.alpha_lambda, params.mu,
+                              params.l_sub)
     spread = np.abs(xi - xi.mean(axis=0)).max()
     assert spread < 1e-10
     assert np.allclose(xi[0], np.mean(local, axis=0), atol=1e-8)
@@ -196,13 +196,10 @@ def test_correction_consensus_error_decays_geometrically():
     meas = traj.measurements[1]
     rng = np.random.default_rng(4)
     xi = state.x_prior + rng.normal(size=(8, 4))
-    acc = np.zeros_like(xi)
     _, kb = _one_run_gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
-    errs = []
-    for _ in range(100):
-        xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
-        errs.append(np.linalg.norm(xi - xi.mean(axis=0)))
-    errs = np.array(errs)
+    rounds = np.empty((100, 8, 4))  # round k's xi lands in rounds[k - 1]
+    _consensus_rounds(xi, kb, graph, params.alpha_lambda, params.mu, 100, buf=rounds)
+    errs = np.linalg.norm(rounds - rounds.mean(axis=1, keepdims=True), axis=(1, 2))
     # average per-round contraction over a window clear of both the initial
     # transient and the floating-point floor must not beat the worst
     # disagreement-mode radius by more than a little slack
@@ -222,7 +219,7 @@ def test_covariance_step_two_nodes_closed_form():
     alpha = 0.25
     t0 = state.theta
     e = np.array([t0[0] - t0[1], t0[1] - t0[0]])
-    theta, nu = _consensus_round(t0, state.nu_tilde, 2 * omega, graph, alpha, alpha)
+    theta, nu = _consensus_rounds(t0, 2 * omega, graph, alpha, alpha, 1, acc=state.nu_tilde)
     assert np.allclose(nu, alpha * e, atol=1e-14)
     assert np.allclose(theta, 2 * omega - 2 * alpha * e, atol=1e-14)
 
@@ -234,7 +231,7 @@ def test_covariance_step_matches_dense_oracle():
     theta0, nu0 = draws[:, 0], draws[:, 1]
     alpha = 0.05
     omega_scaled = 7 * info_vectors_oracle(model)
-    theta, nu = _consensus_round(theta0, nu0, omega_scaled, graph, alpha, alpha)
+    theta, nu = _consensus_rounds(theta0, omega_scaled, graph, alpha, alpha, 1, acc=nu0)
     big_l = np.kron(dense_laplacian(graph), np.eye(theta0.shape[1]))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + alpha * e
@@ -251,11 +248,8 @@ def test_covariance_consensus_converges_to_network_sum():
     state = init_state(model, np.tile(model.x0_mean, (10, 1)))
     target = vech(information_rate_target(model))
     omega_scaled = 10 * info_vectors_oracle(model)
-    theta, nu = state.theta, state.nu_tilde
-    for _ in range(3000):
-        theta, nu = _consensus_round(
-            theta, nu, omega_scaled, graph, params.alpha_nu, params.alpha_nu
-        )
+    theta, _ = _consensus_rounds(state.theta, omega_scaled, graph, params.alpha_nu,
+                                 params.alpha_nu, 3000, acc=state.nu_tilde)
     for th in theta:
         assert np.linalg.norm(th - target) < 1e-12 * np.linalg.norm(target)
 
@@ -280,7 +274,7 @@ def _random_connected_graph(n_nodes, rng, p_extra=0.3):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_theta_plus_nu_sum_is_conserved(n_nodes, runs, loop, seed):
-    # both loops on one kernel: after every round sum_i (z_i + acc_i) equals
+    # both loops on one kernel: after the rounds sum_i (z_i + acc_i) equals
     # sum_i target_i, for (N, d) rows and node-major (N, R, d) ones, on
     # graphs below and above the dense-product size
     rng = np.random.default_rng(seed)
@@ -295,12 +289,65 @@ def test_theta_plus_nu_sum_is_conserved(n_nodes, runs, loop, seed):
     else:
         target = rng.normal(size=lead + (4,))
         z, step, penalty = rng.normal(size=lead + (4,)), params.alpha_lambda, params.mu
-    acc = np.zeros_like(z)
-    total_target = target.sum(axis=0)
-    for _ in range(50):
-        z, acc = _consensus_round(z, acc, target, graph, step, penalty)
-        total = (z + acc).sum(axis=0)
-        assert np.allclose(total, total_target, rtol=0.0, atol=1e-10 * np.abs(target).max())
+    z, acc = _consensus_rounds(z, target, graph, step, penalty, 50, acc=np.zeros_like(z))
+    total = (z + acc).sum(axis=0)
+    assert np.allclose(total, target.sum(axis=0), rtol=0.0, atol=1e-10 * np.abs(target).max())
+
+
+def _accumulator_rounds(z, acc, target, laplacian, step, penalty, rounds):
+    """Every iterate of `rounds` accumulator rounds d = (L kron I) z, acc +=
+    step * d, z = target - acc - penalty * d, the lifted product written as
+    the dense L times the (N, c) node rows; and the last accumulator."""
+    n_nodes = len(laplacian)
+    z, acc, target = (a.reshape(n_nodes, -1) for a in (z, acc, target))
+    iterates = []
+    for _ in range(rounds):
+        d = laplacian @ z
+        acc = acc + step * d
+        z = target - acc - penalty * d
+        iterates.append(z)
+    return np.array(iterates), acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_nodes=st.one_of(st.integers(2, 12),
+                      st.integers(STACKED_ROUND_NODES - 3, STACKED_ROUND_NODES + 3),
+                      st.integers(DENSE_PRODUCT_NODES - 2, DENSE_PRODUCT_NODES + 2)),
+    runs=st.sampled_from([None, 1, 3]),
+    loop=st.sampled_from(["covariance", "state"]),
+    rounds=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, rounds, seed):
+    # the companion recursion of rounds 2.. against the accumulator round of
+    # every round: each iterate (written to the round buffer) and the last
+    # accumulator, below and above STACKED_ROUND_NODES and DENSE_PRODUCT_NODES
+    rng = np.random.default_rng(seed)
+    graph = _random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
+    params = auto_params(spectral_summary(graph))
+    step, penalty = ((params.alpha_nu, params.alpha_nu) if loop == "covariance"
+                     else (params.alpha_lambda, params.mu))
+    shape = (n_nodes,) + (() if runs is None else (runs,)) + (10 if loop == "covariance" else 4,)
+    z, acc, target = rng.normal(size=(3,) + shape)
+    want, want_acc = _accumulator_rounds(z, acc, target, dense_laplacian(graph), step, penalty,
+                                         rounds)
+    buf = np.empty((rounds, n_nodes, z[0].size))
+    got, got_acc = _consensus_rounds(z, target, graph, step, penalty, rounds, acc=acc, buf=buf)
+    assert got.shape == got_acc.shape == shape
+    assert np.allclose(buf, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    assert np.array_equal(got.reshape(n_nodes, -1), buf[-1])
+    assert np.allclose(got_acc.reshape(n_nodes, -1), want_acc, rtol=0.0,
+                       atol=1e-12 * np.abs(want_acc).max())
+    # without a buffer (own buffer or rolling slots), and with a discarded accumulator
+    unbuffered, unbuffered_acc = _consensus_rounds(z, target, graph, step, penalty, rounds, acc=acc)
+    assert np.array_equal(unbuffered, got) and np.array_equal(unbuffered_acc, got_acc)
+    alone, none = _consensus_rounds(z, target, graph, step, penalty, rounds)
+    assert none is None
+    zero_start, _ = _accumulator_rounds(z, 0 * z, target, dense_laplacian(graph), step, penalty,
+                                        rounds)
+    assert np.allclose(alone.reshape(n_nodes, -1), zero_start[-1], rtol=0.0,
+                       atol=1e-12 * np.abs(zero_start).max())
 
 
 def test_posterior_nominal():
@@ -409,8 +456,8 @@ def test_time_step_traffic_formula():
 
 @pytest.mark.parametrize("runs", [None, 3])
 def test_consensus_log_matches_per_round_formula(runs):
-    # the rounds run by hand, with the mean consensus error of each round
-    # computed as it is produced; the step computes the log from its buffer
+    # the reference accumulator rounds, with the mean consensus error of each
+    # round computed from its iterate; the step computes the log from its buffer
     graph, _, params, model, traj, _ = _setup(
         n_nodes=6, topology="random_geometric", l_sub=9, radius=0.6, seed=2
     )
@@ -424,11 +471,11 @@ def test_consensus_log_matches_per_round_formula(runs):
     y = meas.reshape(-1, 6, 1).swapaxes(0, 1)
     x_prior, p_prior = _predict(x_post, state.p_post, model)
     _, kb = _gains(p_prior, x_prior, sensor_specs_at(model, 1), y, 1)
-    xi, acc, rows = x_prior, np.zeros_like(x_prior), []
-    for _ in range(params.l_sub):
-        xi, acc = _consensus_round(xi, acc, kb, graph, params.alpha_lambda, params.mu)
-        rows.append(np.linalg.norm(xi - xi.mean(axis=0), axis=-1).mean(axis=0))
-    want = np.array(rows).T.reshape(lead + (-1,))
+    iterates, _ = _accumulator_rounds(x_prior, np.zeros_like(x_prior), kb, dense_laplacian(graph),
+                                      params.alpha_lambda, params.mu, params.l_sub)
+    xis = iterates.reshape((params.l_sub,) + x_prior.shape)  # (L, N, R, n)
+    spread = np.linalg.norm(xis - xis.mean(axis=1, keepdims=True), axis=-1).mean(axis=1)
+    want = spread.T.reshape(lead + (-1,))
 
     logged = init_state(model, state.x_post, state.p_post)
     log = []
@@ -485,6 +532,26 @@ def test_consensus_log_extra_peak_memory():
     step_peak(None)  # warm the lazily built index caches
     extra = step_peak([]) - step_peak(None)
     assert extra <= 1.3 * buffer_bytes, extra / buffer_bytes
+
+
+def test_unlogged_step_peak_memory_does_not_grow_with_rounds():
+    # above STACKED_ROUND_NODES an unlogged step rolls its iterates through
+    # two slots, so its peak does not grow with L (N = 1,000 ring, R = 3)
+    graph, _, params, model, traj, _ = _setup(n_nodes=1000, topology="ring")
+    meas = np.broadcast_to(traj.measurements[1], (3, 1000, 1))
+
+    def step_peak(l_sub):
+        state = init_state(model, np.broadcast_to(model.x0_mean, (3, 1000, 4)))
+        tracemalloc.start()
+        try:
+            dkf_time_step(state, graph, model, meas, dataclasses.replace(params, l_sub=l_sub), t=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    step_peak(2)  # warm the lazily built index caches
+    short, long = step_peak(2), step_peak(20)
+    assert long <= 1.1 * short, (long, short)
 
 
 def test_time_step_matches_per_node_operations():

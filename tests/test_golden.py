@@ -91,15 +91,15 @@ def test_outputs_match_the_golden_file(tmp_path):
 
 
 def _numbers(key, value) -> np.ndarray:
-    """The array of a key; a CSV's numeric fields below its header, in order."""
+    """The array of a key; for a CSV, its fields below the header, in order,
+    without communication.csv's phase names."""
     if not key.startswith("cli."):
         return np.asarray(value, dtype=float)
-    lines = bytes(value).decode().splitlines()[1:]
-    fields = [f for line in lines for f in line.split(",")]
-    return np.array([float(f) for f in fields if f.lstrip("-")[:1].isdigit() or f in ("nan", "inf", "-inf")])
+    rows = [line.split(",") for line in bytes(value).decode().splitlines()[1:]]
+    return np.array([float(f) for row in rows for f in row if f not in ("state", "covariance")])
 
 
-def largest_relative_change(old, new) -> float:
+def _largest_relative_change(old, new) -> float:
     """max |new - old| / max |old| (inf if the shapes differ, or for a
     nonzero change of an all-zero array)."""
     if old.shape != new.shape:
@@ -115,7 +115,7 @@ if __name__ == "__main__":
     old = dict(np.load(GOLDEN)) if GOLDEN.exists() else {}
     for key in sorted(new.keys() | old.keys()):
         if key in old and key in new:
-            change = largest_relative_change(_numbers(key, old[key]), _numbers(key, new[key]))
+            change = _largest_relative_change(_numbers(key, old[key]), _numbers(key, new[key]))
             print(f"{key}: largest relative change {change:.3g}")
         else:
             print(f"{key}: {'added' if key in new else 'removed'}")

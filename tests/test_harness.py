@@ -116,7 +116,7 @@ def test_config_rejections(tmp_path):
     for key in ("master_seed", "graph_seed", "assignment_seed", "init_box_halfwidth"):
         with pytest.raises(ConfigRejected, match=f"{key} must be >= 0"):
             ScenarioConfig(**{key: -1})
-    for key in ("dt", "q_intensity", "r_var", "radius", "init_box_halfwidth"):
+    for key in ("dt", "q_intensity", "r_var", "init_box_halfwidth"):
         for value in (np.inf, -np.inf, np.nan):
             with pytest.raises(ConfigRejected, match=f"{key} must be finite"):
                 ScenarioConfig(**{key: value})
