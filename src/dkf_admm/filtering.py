@@ -10,17 +10,18 @@ of the covariance consensus (l_sub on per-step-random sensors) on half-
 vectorized information matrices (only theta crosses edges); the posterior
 covariance assembly. Both consensus loops run their first round with the
 local accumulator and every later one as the two-term recursion on the
-last two iterates whose per-mode stability `linalg` certifies: on small
-graphs, one GEMM of a stacked N x 2N operator per round. All exchanges
-flow through a CommLedger that counts messages and scalar payloads and
-rejects any attempt to put a dual variable on the wire. Independent
-Monte-Carlo runs can share one step: the estimates then carry a leading
-run axis and the measurement-free covariance half is computed once for
-all of them.
+last two iterates whose per-mode stability `linalg` certifies; on small
+graphs the simulator evaluates a whole loop as one GEMM of its cached
+all-rounds operator. All exchanges flow through a CommLedger that counts
+messages and scalar payloads and rejects any attempt to put a dual
+variable on the wire. Independent Monte-Carlo runs can share one step:
+the estimates then carry a leading run axis and the measurement-free
+covariance half is computed once for all of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -208,12 +209,32 @@ def _gains(p_prior, x_prior, sensors: SensorArrays, y, t):
     return p_prior_inv, kb
 
 
-# Below this many nodes, every consensus round after the first is one GEMM of
-# the stacked N x 2N operator on the last two iterates; larger graphs take the
-# Laplacian product (dense or edge gather) of their combination, then one
-# subtraction. Measured crossover at N = 64-100 for 4 to 20 columns (the GEMM
-# does twice the flops of one Laplacian product, but needs one call, not four).
-STACKED_ROUND_NODES = 80
+# Below this many nodes, a loop of 2 to OPERATOR_ROWS // N rounds is one GEMM of
+# its cached all-rounds operator. A logged 20-round loop ran faster that way up
+# to N = 72 on 4 columns and up to N = 48 on 20 (twice the flops of the round-
+# by-round path, in one call instead of 4 L); 64 splits the two.
+STACKED_ROUND_NODES = 64
+# An operator takes rounds N 2N 8 bytes: at most 2 MB below this row cap.
+OPERATOR_ROWS = 2000
+
+
+@functools.lru_cache(maxsize=4)
+def _round_operator(graph: SensorGraph, step, penalty, rounds):
+    """The read-only all-rounds operator of a consensus loop: ops (rounds,
+    N, 2N) with z_k = ops[k - 1] [z_0; target - acc_0], and the (N, 2N)
+    block giving acc_R - acc_0, from the loop's recursion run on the block
+    identity Op_0 = [I | 0], Op_1 = [-(step + penalty) L | I]. Keyed on the
+    graph object (hashed by identity), so each new graph pays its build."""
+    n_nodes, lap = graph.n_nodes, graph._dense
+    ops = np.empty((rounds + 1, n_nodes, 2 * n_nodes))
+    ops[0] = np.eye(n_nodes, 2 * n_nodes)
+    ops[1] = np.hstack([-(step + penalty) * lap, np.eye(n_nodes)])
+    for k in range(1, rounds):
+        ops[k + 1] = ops[k] - lap @ ((step + penalty) * ops[k] - penalty * ops[k - 1])
+    acc_op = np.eye(n_nodes, 2 * n_nodes, n_nodes) - ops[rounds] - penalty * lap @ ops[rounds - 1]
+    for arr in (ops, acc_op):
+        arr.setflags(write=False)
+    return ops[1:], acc_op
 
 
 def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=None, buf=None):
@@ -236,39 +257,41 @@ def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=
     alpha_lambda, penalty = mu; the dual update lambda_tilde += alpha_lambda
     K^-1 d, carried through K, needs neither K nor K^-1.
 
-    Round k's iterate goes to buf[k - 1] of `buf`, a (rounds, N, R d) round
-    buffer; without one, graphs below STACKED_ROUND_NODES get such a buffer
-    of their own, and larger ones two rolling slots.
+    The loop is linear in [z_0; target - acc_0], so on graphs below
+    STACKED_ROUND_NODES a loop of 2 to OPERATOR_ROWS // N rounds is one
+    GEMM of `_round_operator`'s last block, the same product with or
+    without `buf`, so a log cannot move the step; a (rounds, N, R d) round
+    buffer `buf` takes round k's iterate in buf[k - 1], the earlier rounds
+    from one more GEMM of the rest of the stack. Every other loop runs round
+    by round, its iterates in `buf` or, without one, in two rolling slots.
     """
     n_nodes = graph.n_nodes
     z0, t = z.reshape(n_nodes, -1), target.reshape(n_nodes, -1)
+    if 1 < rounds and n_nodes < STACKED_ROUND_NODES and rounds * n_nodes <= OPERATOR_ROWS:
+        ops, acc_op = _round_operator(graph, step, penalty, rounds)
+        rhs = np.concatenate([z0, t if acc is None else t - acc.reshape(n_nodes, -1)])
+        z_last = ops[-1] @ rhs
+        if buf is not None:
+            np.matmul(ops[:-1].reshape(-1, 2 * n_nodes), rhs, out=buf[:-1].reshape(-1, t.shape[1]))
+            buf[-1] = z_last
+        acc_r = None if acc is None else acc + (acc_op @ rhs).reshape(z.shape)
+        return z_last.reshape(z.shape), acc_r
     d = graph._apply(z0, np.empty(z0.shape))
     acc_r = step * d if acc is None else acc.reshape(n_nodes, -1) + step * d  # acc_1
     if rounds == 1 and buf is None:
         z1 = (t - acc_r - penalty * d).reshape(z.shape)
         return z1, None if acc is None else acc_r.reshape(z.shape)
-    stacked = n_nodes < STACKED_ROUND_NODES
     if buf is None:
-        buf = np.empty((rounds if stacked else min(rounds, 2),) + z0.shape)
+        buf = np.empty((min(rounds, 2),) + z0.shape)
     slots = len(buf)
     np.subtract(t - acc_r, penalty * d, out=buf[0])
-    if stacked and rounds > 1:  # z_{k+1} = [penalty L | I - (step + penalty) L] [z_{k-1}; z_k]
-        op = np.empty((n_nodes, 2 * n_nodes))
-        np.multiply(graph._dense, penalty, out=op[:, :n_nodes])
-        np.multiply(graph._dense, -(step + penalty), out=op[:, n_nodes:])
-        op.reshape(-1)[n_nodes::2 * n_nodes + 1] += 1.0  # the diagonal of the right block
-        first = np.stack([z0, buf[0]])
-        for k in range(1, rounds):
-            pair = first if k == 1 else buf[k - 2:k]
-            np.matmul(op, pair.reshape(2 * n_nodes, -1), out=buf[k])
-    else:
-        w = np.empty(z0.shape)
-        for k in range(1, rounds):
-            prev = z0 if k == 1 else buf[(k - 2) % slots]
-            cur, nxt = buf[(k - 1) % slots], buf[k % slots]
-            np.multiply(cur, step + penalty, out=w)
-            w -= penalty * prev
-            np.subtract(cur, graph._apply(w, nxt), out=nxt)
+    w = np.empty(z0.shape)
+    for k in range(1, rounds):
+        prev = z0 if k == 1 else buf[(k - 2) % slots]
+        cur, nxt = buf[(k - 1) % slots], buf[k % slots]
+        np.multiply(cur, step + penalty, out=w)
+        w -= penalty * prev
+        np.subtract(cur, graph._apply(w, nxt), out=nxt)
     z_last = buf[(rounds - 1) % slots]
     if acc is not None and rounds > 1:
         acc_r = t - z_last - penalty * graph._apply(buf[(rounds - 2) % slots], np.empty(z0.shape))
@@ -338,8 +361,11 @@ def dkf_time_step(
     (L,) array, or (R, L) for R runs; the rounds write their iterates
     straight into one (L, N, R n) round buffer of the step's own, reduced
     in place after the loop (node means by GEMV, squared deviations,
-    norms, node means). Without a log, a graph of STACKED_ROUND_NODES or
-    more keeps two rolling iterates instead, whatever L.
+    norms, node means); below STACKED_ROUND_NODES nodes and OPERATOR_ROWS
+    rows two GEMMs fill it. Without a log, a graph of STACKED_ROUND_NODES
+    or more keeps two rolling iterates instead, whatever L, and a smaller
+    one applies the last block of the operator, or rolls two iterates past
+    OPERATOR_ROWS.
     Theta crosses edges once per step on static sensors and l_sub times
     on per-step-random ones, whose consensus target moves every step.
     """

@@ -175,20 +175,36 @@ PRECISE_REDRAWN_INI = (
 )
 
 
-@pytest.mark.parametrize("n_nodes, q_intensity, message", [
-    # the covariance rounds overflowed in the Laplacian product (RuntimeWarnings);
-    # on the 6-node ring they stay finite and the run exits 0
-    (10, 1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=1\)"),
+@pytest.mark.parametrize("n_nodes, r_var, q_intensity, message", [
+    # the covariance rounds overflow; on the 6- and 10-node rings at 1e-307
+    # they stay finite and the run exits 0
+    (60, "5e-307", 1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=2\)"),
     # the reference's information matrix overflowed in sym (a RuntimeWarning)
-    (6, 0, "posterior information matrix not finite at t=22"),
+    (6, "1e-307", 0, "posterior information matrix not finite at t=22"),
 ], ids=["covariance_rounds", "reference"])
-def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, n_nodes, q_intensity, message):
+def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, n_nodes, r_var, q_intensity,
+                                                 message):
     text = PRECISE_REDRAWN_INI.replace("n_nodes = 6", f"n_nodes = {n_nodes}")
-    cfg = _write(tmp_path, text + f"q_intensity = {q_intensity}\n")
+    cfg = _write(tmp_path, text.replace("1e-307", r_var) + f"q_intensity = {q_intensity}\n")
     out = tmp_path / "o"
     assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_NUMERICAL
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_precise_redrawn_ten_node_ring_writes_finite_csvs(tmp_path):
+    # r_var = 1e-307: the covariance loop, one product of its all-rounds
+    # operator, stays finite (as on the 6-node ring)
+    text = PRECISE_REDRAWN_INI.replace("n_nodes = 6", "n_nodes = 10")
+    cfg = _write(tmp_path, text + "q_intensity = 1\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--quiet", "--output", str(out)]) == EXIT_OK
+    paths = sorted(out.glob("*.csv"))
+    assert len(paths) == 5
+    for path in paths:  # all but communication.csv's phase column
+        numeric = range(4) if path.name == "communication.csv" else None
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=numeric)
+        assert np.isfinite(values).all(), path.name
 
 
 @pytest.mark.parametrize("r_var", ["1e-300", "1e-303", "1e-305", "1e-306", "1e-307", "1e-308",

@@ -17,17 +17,19 @@ from dkf_admm.exceptions import (
 from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
+    OPERATOR_ROWS,
     STACKED_ROUND_NODES,
     _consensus_rounds,
     _gains,
     _posterior_cov,
     _predict,
+    _round_operator,
     auto_params,
     dkf_time_step,
     init_state,
 )
 from dkf_admm.graphs import DENSE_PRODUCT_NODES, build_graph, spectral_summary
-from dkf_admm.harness import ScenarioConfig, build_scenario
+from dkf_admm.harness import ScenarioConfig, build_scenario, run_scenario
 from dkf_admm.linalg import SWEEP_MIN_STACK, spd_inverse, sym, unvech, vech
 from dkf_admm.models import (
     SensorSpec,
@@ -316,13 +318,17 @@ def _accumulator_rounds(z, acc, target, laplacian, step, penalty, rounds):
                       st.integers(DENSE_PRODUCT_NODES - 2, DENSE_PRODUCT_NODES + 2)),
     runs=st.sampled_from([None, 1, 3]),
     loop=st.sampled_from(["covariance", "state"]),
-    rounds=st.integers(1, 20),
+    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, rounds, seed):
-    # the companion recursion of rounds 2.. against the accumulator round of
-    # every round: each iterate (written to the round buffer) and the last
-    # accumulator, below and above STACKED_ROUND_NODES and DENSE_PRODUCT_NODES
+def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data, seed):
+    # the all-rounds operator and the companion recursion of rounds 2..
+    # against the accumulator round of every round: each iterate (written to
+    # the round buffer) and the last accumulator, below and above
+    # STACKED_ROUND_NODES and DENSE_PRODUCT_NODES, and on both sides of the
+    # operator's row cap
+    cap = OPERATOR_ROWS // n_nodes
+    rounds = data.draw(st.one_of(st.integers(1, 20), st.integers(cap - 1, cap + 1)), "rounds")
     rng = np.random.default_rng(seed)
     graph = _random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
     params = auto_params(spectral_summary(graph))
@@ -332,14 +338,15 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, roun
     z, acc, target = rng.normal(size=(3,) + shape)
     want, want_acc = _accumulator_rounds(z, acc, target, dense_laplacian(graph), step, penalty,
                                          rounds)
+    tol, acc_tol = 1e-12 * np.abs(want).max(), 1e-12 * np.abs(want_acc).max()
     buf = np.empty((rounds, n_nodes, z[0].size))
     got, got_acc = _consensus_rounds(z, target, graph, step, penalty, rounds, acc=acc, buf=buf)
     assert got.shape == got_acc.shape == shape
-    assert np.allclose(buf, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    assert np.allclose(buf, want, rtol=0.0, atol=tol)
     assert np.array_equal(got.reshape(n_nodes, -1), buf[-1])
-    assert np.allclose(got_acc.reshape(n_nodes, -1), want_acc, rtol=0.0,
-                       atol=1e-12 * np.abs(want_acc).max())
-    # without a buffer (own buffer or rolling slots), and with a discarded accumulator
+    assert np.allclose(got_acc.reshape(n_nodes, -1), want_acc, rtol=0.0, atol=acc_tol)
+    # without a buffer (the operator's last block, or rolling slots), and
+    # with a discarded accumulator
     unbuffered, unbuffered_acc = _consensus_rounds(z, target, graph, step, penalty, rounds, acc=acc)
     assert np.array_equal(unbuffered, got) and np.array_equal(unbuffered_acc, got_acc)
     alone, none = _consensus_rounds(z, target, graph, step, penalty, rounds)
@@ -454,21 +461,29 @@ def test_time_step_traffic_formula():
             )
 
 
-@pytest.mark.parametrize("runs", [None, 3])
-def test_consensus_log_matches_per_round_formula(runs):
+@pytest.mark.parametrize("runs, n_nodes, radius", [
+    pytest.param(None, 6, 0.6, id="None"),
+    pytest.param(3, 6, 0.6, id="3"),
+    pytest.param(5, 61, 0.3, id="61_nodes-5"),
+])
+def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
     # the reference accumulator rounds, with the mean consensus error of each
-    # round computed from its iterate; the step computes the log from its buffer
+    # round computed from its iterate; the step computes the log from its
+    # buffer. Both graphs are below STACKED_ROUND_NODES, so the loop runs on
+    # the all-rounds operator; at 61 nodes and 20 columns a GEMM of the whole
+    # stack rounds its last block differently from a GEMM of that block alone
+    assert n_nodes < STACKED_ROUND_NODES
     graph, _, params, model, traj, _ = _setup(
-        n_nodes=6, topology="random_geometric", l_sub=9, radius=0.6, seed=2
+        n_nodes=n_nodes, topology="random_geometric", l_sub=9, radius=radius, seed=2
     )
     rng = np.random.default_rng(4)
     lead = () if runs is None else (runs,)
-    state = init_state(model, model.x0_mean + rng.normal(size=lead + (6, 4)))
+    state = init_state(model, model.x0_mean + rng.normal(size=lead + (n_nodes, 4)))
     meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
 
     # node-major (N, R, .) rows, R = 1 for an (N, n) state
-    x_post = state.x_post.reshape(-1, 6, 4).swapaxes(0, 1)
-    y = meas.reshape(-1, 6, 1).swapaxes(0, 1)
+    x_post = state.x_post.reshape(-1, n_nodes, 4).swapaxes(0, 1)
+    y = meas.reshape(-1, n_nodes, 1).swapaxes(0, 1)
     x_prior, p_prior = _predict(x_post, state.p_post, model)
     _, kb = _gains(p_prior, x_prior, sensor_specs_at(model, 1), y, 1)
     iterates, _ = _accumulator_rounds(x_prior, np.zeros_like(x_prior), kb, dense_laplacian(graph),
@@ -535,23 +550,46 @@ def test_consensus_log_extra_peak_memory():
 
 
 def test_unlogged_step_peak_memory_does_not_grow_with_rounds():
-    # above STACKED_ROUND_NODES an unlogged step rolls its iterates through
-    # two slots, so its peak does not grow with L (N = 1,000 ring, R = 3)
-    graph, _, params, model, traj, _ = _setup(n_nodes=1000, topology="ring")
-    meas = np.broadcast_to(traj.measurements[1], (3, 1000, 1))
+    # an unlogged step rolls its iterates through two slots above
+    # STACKED_ROUND_NODES (N = 1,000 ring) and past the operator's row cap
+    # (6-node ring, L = 4,000), so its peak, operator build included, does
+    # not grow with L (R = 3)
+    for n_nodes, short_l, long_l in ((1000, 2, 20), (6, 20, 4000)):
+        graph, _, params, model, traj, _ = _setup(n_nodes=n_nodes, topology="ring")
+        meas = np.broadcast_to(traj.measurements[1], (3, n_nodes, 1))
 
-    def step_peak(l_sub):
-        state = init_state(model, np.broadcast_to(model.x0_mean, (3, 1000, 4)))
-        tracemalloc.start()
-        try:
-            dkf_time_step(state, graph, model, meas, dataclasses.replace(params, l_sub=l_sub), t=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def step_peak(l_sub):
+            state = init_state(model, np.broadcast_to(model.x0_mean, (3, n_nodes, 4)))
+            step_params = dataclasses.replace(params, l_sub=l_sub)
+            _round_operator.cache_clear()
+            tracemalloc.start()
+            try:
+                dkf_time_step(state, graph, model, meas, step_params, t=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    step_peak(2)  # warm the lazily built index caches
-    short, long = step_peak(2), step_peak(20)
-    assert long <= 1.1 * short, (long, short)
+        step_peak(short_l)  # warm the lazily built index caches
+        short, long = step_peak(short_l), step_peak(long_l)
+        assert long <= 1.1 * short, (n_nodes, long, short)
+
+
+def test_run_scenario_builds_each_loop_operator_once():
+    # both loops of a small graph with redrawn sensors run on the operator:
+    # one build (a cache miss) per loop and scenario, a hit on every later
+    # step, and the cache stays within its bound over many scenarios
+    config = ScenarioConfig(topology="ring", n_nodes=6, sensor_assignment="per_step_random",
+                            horizon_steps=10, n_mc_runs=2, l_sub=5)
+    before = _round_operator.cache_info()
+    run_scenario(config)
+    after = _round_operator.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.hits - before.hits == 2 * (config.horizon_steps - 1)
+    for seed in range(20):
+        run_scenario(dataclasses.replace(config, master_seed=seed))
+    info = _round_operator.cache_info()
+    assert info.misses - after.misses == 40
+    assert info.currsize <= info.maxsize
 
 
 def test_time_step_matches_per_node_operations():
