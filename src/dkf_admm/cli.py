@@ -3,7 +3,8 @@
 Subcommands:
   run <config>       execute a scenario and export CSVs
   validate <config>  print each loop's bound and worst radius, exit 2 on a FAIL
-  spectrum <config>  print graph diagnostics (Laplacian eigenvalues)
+  spectrum <config>  print graph diagnostics (exact Laplacian eigenvalues) and
+                     the lambda_max the step sizes use
   dare <config>      print the steady-state prior covariance P* (static sensors)
 
 Exit codes: 0 success, 2 a rejected config (`ConfigError`), 3 a `NumericalError`.
@@ -83,7 +84,8 @@ def main(argv=None) -> int:
                 f"edges={graph.indices.size // 2}")
             print("eigenvalues:", " ".join(f"{v:.10g}" for v in spectrum.eigenvalues))
             print(f"lambda_2 = {spectrum.lambda_2:.10g}")
-            print(f"lambda_max = {spectrum.lambda_max:.10g}")
+            print(f"lambda_max = {spectrum.eigenvalues[-1]:.10g}")
+            print(f"step-size lambda_max = {spectrum.lambda_max!r}")
         elif args.command == "dare":
             _, model, _, _ = build_scenario(config)
             p_star = steady_state_prior(model)

@@ -6,13 +6,19 @@ filter accepts. Graphs are unweighted (a_ij in {0, 1}) and static, and are
 stored as edge arrays in CSR (compressed sparse row) form: the sorted
 neighbor list of every node, one after another, plus the offset of each
 node's list. One Laplacian product then costs O(E), as one consensus round
-does in the network. The filter uses only the node degrees and
-`SensorGraph.disagreement`; a dense Laplacian exists only inside the
-product on small graphs and, transiently, inside `spectral_summary`.
+does in the network. The filter uses only the node degrees,
+`SensorGraph.disagreement` and the spectrum's lambda_max. Below
+DENSE_PRODUCT_NODES nodes, lambda_max is exact (dense `eigvalsh`); from
+there on `spectral_summary` certifies an upper bound from Laplacian
+products and a banded Cholesky, without an N x N matrix. A dense Laplacian
+exists only inside the product on small graphs and, transiently, inside
+`eigvalsh`, which large graphs run only when their exact eigenvalues or
+lambda_2, lazy diagnostics, are read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -22,8 +28,10 @@ from dkf_admm.exceptions import (
     DimensionError,
     GraphGenerationFailed,
     GraphNotConnected,
+    NotPositiveDefinite,
     SpectralFailure,
 )
+from dkf_admm.linalg import spd_cholesky
 
 _GEOMETRIC_RETRIES = 50
 # Graphs with fewer nodes take one dense L @ v GEMM in `disagreement`: it
@@ -111,13 +119,28 @@ class SensorGraph:
 
 @dataclass(frozen=True, eq=False)
 class SpectralSummary:
-    """Sorted Laplacian eigenvalues with the two that matter pulled out:
-    lambda_2 (algebraic connectivity) and lambda_max (bounds all step sizes).
+    """The Laplacian spectrum of `graph` as the filter reads it.
+
+    lambda_max bounds every step size: the exact largest eigenvalue below
+    DENSE_PRODUCT_NODES nodes, a certified upper bound from there on (see
+    `spectral_summary`). `eigenvalues` (sorted ascending) and lambda_2
+    (algebraic connectivity) are exact diagnostics; on large graphs dense
+    `eigvalsh` computes them when one is first read.
     """
 
-    eigenvalues: np.ndarray
-    lambda_2: float
+    graph: SensorGraph = field(repr=False)
     lambda_max: float
+    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            object.__setattr__(self, "_eigenvalues", _exact_eigenvalues(self.graph))
+        return self._eigenvalues
+
+    @property
+    def lambda_2(self) -> float:
+        return float(self.eigenvalues[1])
 
 
 def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
@@ -185,6 +208,15 @@ def _geometric_edges(pts, radius):
     return np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.intp)
 
 
+def _neighbor_lists(g: SensorGraph, nodes) -> tuple:
+    """The neighbor lists of `nodes`, one after another, and their lengths."""
+    starts = g.indptr[nodes]
+    counts = g.indptr[nodes + 1] - starts
+    # positions of all the lists in `indices`
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return g.indices[offsets + np.arange(counts.sum())], counts
+
+
 def is_connected(g: SensorGraph) -> bool:
     """Breadth-first reachability of every node from node 0, one frontier
     of nodes at a time over the edge arrays."""
@@ -192,24 +224,40 @@ def is_connected(g: SensorGraph) -> bool:
     seen[0] = True
     frontier = np.array([0])
     while frontier.size:
-        starts = g.indptr[frontier]
-        counts = g.indptr[frontier + 1] - starts
-        # positions of all the frontier's neighbor lists in `indices`
-        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        reached = g.indices[offsets + np.arange(counts.sum())]
+        reached, _ = _neighbor_lists(g, frontier)
         frontier = np.unique(reached[~seen[reached]])
         seen[frontier] = True
     return bool(seen.all())
 
 
 def spectral_summary(g: SensorGraph) -> SpectralSummary:
-    """Eigenvalues of the (symmetric) Laplacian, sorted ascending: exact
-    dense `eigvalsh` of a Laplacian built from the edge arrays for this
-    call only.
+    """The Laplacian spectrum of g, with the lambda_max the step sizes use.
 
-    Tiny negative values from round-off are clamped to zero; anything
-    below -1e-10 is treated as solver failure.
+    Below DENSE_PRODUCT_NODES nodes, lambda_max is the largest eigenvalue
+    from dense `eigvalsh`. From there on it is a certified upper bound,
+    found without an N x N matrix: u = theta (1 + 1e-10) + residual from
+    `_lanczos_top`, plus the backward error of a banded Cholesky of
+    u I - L that proves it (`_certified_bound`), unless the Cholesky fails
+    or u exceeds the Anderson-Morley bound, max over edges of d_i + d_j
+    (Linear and Multilinear Algebra 1985; exact on even rings), which is
+    then used. Such a graph's eigenvalues come from `eigvalsh` when first
+    read. Eigenvalues down to -1e-10 are clamped to zero; below that,
+    SpectralFailure.
     """
+    if g.n_nodes < DENSE_PRODUCT_NODES:
+        vals = _exact_eigenvalues(g)
+        return SpectralSummary(g, float(vals[-1]), vals)
+    rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    anderson_morley = float(np.max(g.degree[rows] + g.degree[g.indices], initial=0.0))
+    theta, residual = _lanczos_top(g)
+    shift = theta * (1.0 + _RITZ_RTOL) + residual
+    bound = _certified_bound(g, shift, _rcm_order(g)) if shift < anderson_morley else None
+    return SpectralSummary(g, anderson_morley if bound is None else min(bound, anderson_morley))
+
+
+def _exact_eigenvalues(g: SensorGraph) -> np.ndarray:
+    """All Laplacian eigenvalues, sorted ascending and read-only: dense
+    `eigvalsh` of a Laplacian built for this call only."""
     try:
         vals = np.linalg.eigvalsh(_laplacian(g.n_nodes, g.indptr, g.indices))
     except np.linalg.LinAlgError as exc:
@@ -218,6 +266,120 @@ def spectral_summary(g: SensorGraph) -> SpectralSummary:
         raise SpectralFailure(f"negative Laplacian eigenvalue {vals[0]}")
     vals = np.clip(vals, 0.0, None)
     vals.setflags(write=False)
-    return SpectralSummary(
-        eigenvalues=vals, lambda_2=float(vals[1]), lambda_max=float(vals[-1])
-    )
+    return vals
+
+
+# Lanczos runs at most this many steps and stops once the top Ritz pair's
+# residual is at most _RITZ_RTOL times its value (checked every 5 steps).
+_LANCZOS_STEPS = 100
+_RITZ_RTOL = 1e-10
+
+
+def _lanczos_top(g: SensorGraph) -> tuple:
+    """(theta, residual): the largest Ritz value of L and the norm of its
+    Ritz pair's residual, after Lanczos with full reorthogonalization from a
+    fixed random start, with the ones vector (L's null vector) deflated.
+    theta never exceeds lambda_max, up to round-off."""
+    n, steps = g.n_nodes, _LANCZOS_STEPS
+    basis = np.empty((steps + 1, n))
+    basis[0] = 1.0 / math.sqrt(n)
+    start = np.random.default_rng(0).standard_normal(n)
+    start -= start.mean()
+    basis[1] = start / np.linalg.norm(start)
+    tri = np.zeros((steps, steps))
+    out = np.empty((n, 1))
+    for j in range(1, steps + 1):
+        w = g._apply(basis[j, :, None], out)[:, 0]
+        tri[j - 1, j - 1] = basis[j] @ w
+        known = basis[:j + 1]
+        for _ in range(2):  # "twice is enough" for full reorthogonalization
+            w -= known.T @ (known @ w)
+        beta = float(np.linalg.norm(w))
+        if j % 5 == 0 or j == steps or not beta > 0.0:
+            vals, vecs = np.linalg.eigh(tri[:j, :j])
+            theta, residual = float(vals[-1]), abs(beta * float(vecs[-1, -1]))
+            if residual <= _RITZ_RTOL * theta or not beta > 0.0:
+                break
+        if j < steps:
+            basis[j + 1] = w / beta
+            tri[j - 1, j] = tri[j, j - 1] = beta
+    return theta, residual
+
+
+def _cuthill_mckee_levels(g: SensorGraph, root, seen) -> list:
+    """The breadth-first levels of the unseen nodes reachable from `root`,
+    each in Cuthill-McKee order: by the position of a node's first neighbor
+    in the level before, then by degree. Marks them seen."""
+    level = np.array([root])
+    seen[root] = True
+    levels = [level]
+    while True:
+        reached, counts = _neighbor_lists(g, level)
+        parent = np.repeat(np.arange(len(level)), counts)
+        fresh = ~seen[reached]
+        if not fresh.any():
+            return levels
+        nodes, first = np.unique(reached[fresh], return_index=True)
+        level = nodes[np.lexsort((nodes, g.degree[nodes], parent[fresh][first]))]
+        seen[level] = True
+        levels.append(level)
+
+
+def _rcm_order(g: SensorGraph) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the nodes (Cuthill & McKee, ACM
+    1969), which keeps every edge near the diagonal of the reordered
+    Laplacian. Each component starts at the lowest-degree node of the last
+    level seen from its own lowest-degree node (one pseudo-peripheral
+    step); nodes of degree 0 come first after the reversal."""
+    isolated = g.degree == 0
+    seen = isolated.copy()
+    order = []
+    while not seen.all():
+        free = np.flatnonzero(~seen)
+        last = _cuthill_mckee_levels(g, free[np.argmin(g.degree[free])], seen.copy())[-1]
+        order += _cuthill_mckee_levels(g, last[np.argmin(g.degree[last])], seen)
+    order.append(np.flatnonzero(isolated))
+    return np.concatenate(order)[::-1]
+
+
+def _certified_bound(g: SensorGraph, shift, order):
+    """shift plus the backward error tau of a Cholesky of shift I - L if
+    that factors, which proves lambda_max <= shift + tau; else None.
+
+    In `order`, every edge lies within b of the diagonal, so the permuted
+    matrix is block tridiagonal in blocks of B = max(b, 64) rows (a wide
+    band is factored as it is). Block k's pivot is its diagonal block less
+    Y'Y, Y = C^-1 A_(k-1,k) with C the Cholesky factor of block k-1's pivot:
+    O(N B^2) flops, two blocks held at a time. Success makes shift I - L
+    plus a perturbation of norm <= tau = 8 (B + 1)^2 eps shift positive
+    semidefinite (Demmel's |dA| <= gamma_(2B+1) |R'||R| for Cholesky, whose
+    rows sum to at most (4B + 1) shift, with the rounding of the diagonal).
+    """
+    n = g.n_nodes
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    rows, cols = np.repeat(pos, np.diff(g.indptr)), pos[g.indices]
+    lower = np.flatnonzero(rows > cols)
+    lower = lower[np.argsort(rows[lower], kind="stable")]
+    rows, cols = rows[lower], cols[lower]
+    block = min(max(int(np.max(rows - cols, initial=0)), 64), n)
+    diag = shift - g.degree[order]
+    cuts = np.searchsorted(rows, np.arange(0, n + block, block))
+    factor = None
+    for k, lo in enumerate(range(0, n, block)):
+        size = min(block, n - lo)
+        r, c = rows[cuts[k]:cuts[k + 1]] - lo, cols[cuts[k]:cuts[k + 1]] - lo
+        inside = c >= 0
+        pivot = np.zeros((size, size))
+        pivot.flat[::size + 1] = diag[lo:lo + size]
+        pivot[r[inside], c[inside]] = pivot[c[inside], r[inside]] = 1.0  # -L at an edge
+        if factor is not None:
+            coupling = np.zeros((block, size))
+            coupling[c[~inside] + block, r[~inside]] = 1.0
+            y = np.linalg.solve(factor, coupling)
+            pivot -= y.T @ y
+        try:
+            factor = spd_cholesky(pivot)
+        except NotPositiveDefinite:
+            return None
+    return shift + 8.0 * (block + 1) ** 2 * float(np.finfo(float).eps) * shift

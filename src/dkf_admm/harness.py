@@ -196,7 +196,8 @@ class RunMetrics:
 
 def build_scenario(config: ScenarioConfig):
     """Graph, model, spectrum, and validated params for a config. The model
-    is built first, so its input errors fire before the O(N^3) spectrum."""
+    is built first, so its input errors fire before the spectrum, whose
+    lambda_max alone sets the automatic step sizes."""
     model = build_constant_velocity_model(
         dt=config.dt,
         q_intensity=config.q_intensity,

@@ -11,7 +11,7 @@ decided by the Laplacian's lambda_2 and lambda_max alone (`StabilityReport`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -191,16 +191,24 @@ def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
 class StabilityReport:
     """One consensus loop's stability certificate: the bounded step-size
     quantity and its value, the name and value of its `step_bounds` bound,
-    the worst per-mode spectral radius, and `is_schur`: positive step sizes
-    and value < (1 - SCHUR_MARGIN) bound. `line` renders it; `require`
+    and `is_schur`: positive step sizes and value < (1 - SCHUR_MARGIN)
+    bound, which read the spectrum's lambda_max alone. `modes` holds the
+    (c, m, spectrum) of the per-mode recursion, from which the worst
+    spectral radius is formed only when read. `line` renders it; `require`
     raises ConfigRejected, naming the violated bound, unless Schur stable."""
 
     quantity: str
     value: float
     bound_name: str
     bound: float
-    spectral_radius: float
     is_schur: bool
+    modes: tuple = field(repr=False, compare=False)
+
+    @property
+    def spectral_radius(self) -> float:
+        """The worst per-mode radius over the exact spectrum, a diagnostic
+        that reads the exact lambda_2 (`_worst_radius`)."""
+        return _worst_radius(*self.modes)
 
     @property
     def line(self) -> str:
@@ -215,7 +223,8 @@ class StabilityReport:
 
 
 # a value must stay below its bound by this relative margin, above the round-off
-# of eigvalsh's lambda_max (3.999999999999999 for the 4 of a 6-node ring)
+# of eigvalsh's lambda_max (3.999999999999999 for the 4 of a 6-node ring), which
+# small graphs use; the certified lambda_max of large ones is never below the exact
 SCHUR_MARGIN = 1e-10
 
 
@@ -227,9 +236,10 @@ def step_bounds(lambda_max: float) -> tuple:
 
 def _worst_radius(c: float, m: float, spectrum) -> float:
     """Largest root modulus of the per-mode recursion z^2 - (1 - c l) z - m l
-    over l in [lambda_2, lambda_max]. For 0 < m < c the roots are real, the
-    larger falls and the smaller rises with l, so an endpoint is worst."""
-    lam = np.array([spectrum.lambda_2, spectrum.lambda_max])
+    over l in [lambda_2, lambda_max], the exact eigenvalues. For 0 < m < c
+    the roots are real, the larger falls and the smaller rises with l, so an
+    endpoint is worst."""
+    lam = spectrum.eigenvalues[[1, -1]]
     b = 1.0 - c * lam
     return float(np.max(np.abs(b) + np.sqrt(b * b + 4.0 * m * lam))) / 2.0
 
@@ -238,8 +248,8 @@ def covariance_stability(alpha_nu: float, spectrum) -> StabilityReport:
     """Covariance consensus, modes [[1 - 2 a l, a l], [1, 0]] for a = alpha_nu."""
     bound = step_bounds(spectrum.lambda_max)[0]
     return StabilityReport("alpha_nu", alpha_nu, "2/(3*lambda_max)", bound,
-                           _worst_radius(2.0 * alpha_nu, alpha_nu, spectrum),
-                           0.0 < alpha_nu < bound * (1 - SCHUR_MARGIN))
+                           0.0 < alpha_nu < bound * (1 - SCHUR_MARGIN),
+                           (2.0 * alpha_nu, alpha_nu, spectrum))
 
 
 def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport:
@@ -247,5 +257,5 @@ def state_stability(alpha_lambda: float, mu: float, spectrum) -> StabilityReport
     alpha_lambda; a non-positive mu (the filter rejects it) is not Schur."""
     value, bound = alpha_lambda + 2.0 * mu, step_bounds(spectrum.lambda_max)[1]
     return StabilityReport("alpha_lambda+2*mu", value, "2/lambda_max", bound,
-                           _worst_radius(alpha_lambda + mu, mu, spectrum),
-                           alpha_lambda > 0.0 and mu > 0.0 and value < bound * (1 - SCHUR_MARGIN))
+                           alpha_lambda > 0.0 and mu > 0.0 and value < bound * (1 - SCHUR_MARGIN),
+                           (alpha_lambda + mu, mu, spectrum))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import covariance_mode_matrix, dense_laplacian, state_mode_matrix
 
 import dkf_admm
 from dkf_admm import cli, exceptions, harness
@@ -71,6 +72,38 @@ def test_spectrum_subcommand(tmp_path, capsys):
     # ring of 6: six edges, lambda_max = 4
     assert "edges=6" in out
     assert "lambda_max = 4" in out
+
+
+LARGE_INI = (
+    "[graph]\ntopology = random_geometric\nn_nodes = 450\nradius = 0.12\n"
+    "[params]\nl_sub = 5\n"
+    "[run]\nhorizon_steps = 5\nn_mc_runs = 1\n"
+)
+
+
+def test_large_graph_spectrum_and_validate(tmp_path, capsys):
+    # from DENSE_PRODUCT_NODES nodes on the step sizes use a certified bound
+    # on lambda_max; both commands print the exact spectrum, computed on demand
+    cfg = _write(tmp_path, LARGE_INI)
+    graph, _, _, params = build_scenario(harness.load_config(cfg))
+    exact = np.linalg.eigvalsh(dense_laplacian(graph))
+    assert main(["spectrum", cfg]) == EXIT_OK
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                   if " = " in line)
+    assert float(printed["lambda_2"]) == pytest.approx(exact[1], rel=1e-9)
+    assert float(printed["lambda_max"]) == pytest.approx(exact[-1], rel=1e-9)
+    assert exact[-1] <= float(printed["step-size lambda_max"]) <= exact[-1] * (1 + 1e-9)
+
+    assert main(["validate", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"lambda_2      = {exact[1]:.6g}"
+    assert float(lines[2].split(" = ")[1]) >= float(f"{exact[-1]:.6g}")
+    for line, mode in zip(lines[3:], (
+        lambda lam: covariance_mode_matrix(params.alpha_nu, lam),
+        lambda lam: state_mode_matrix(params.alpha_lambda, params.mu, lam),
+    )):
+        worst = max(max(abs(np.linalg.eigvals(mode(lam)))) for lam in exact[1:])
+        assert f"worst radius = {worst:.6g}  PASS" in line
 
 
 def test_dare_subcommand(tmp_path, capsys):

@@ -10,11 +10,13 @@ from dkf_admm.exceptions import ConfigRejected, DimensionError, GraphNotConnecte
 from dkf_admm.graphs import (
     DENSE_PRODUCT_NODES,
     SensorGraph,
+    _certified_bound,
+    _rcm_order,
     build_graph,
     is_connected,
     spectral_summary,
 )
-from dkf_admm.harness import load_edge_list
+from dkf_admm.harness import ScenarioConfig, build_scenario, load_edge_list, run_scenario
 
 
 def _from_adjacency(a):
@@ -274,3 +276,79 @@ def test_geometric_build_never_holds_an_n_by_n_matrix():
     assert is_connected(g)
     # one N x N float matrix would be 8 N^2 = 200 MB
     assert peak < 8 * n * n / 8
+
+
+def test_build_scenario_never_holds_an_n_by_n_matrix():
+    # the certified lambda_max needs Laplacian products and a banded
+    # Cholesky only; the exact eigenvalues are not computed unless read
+    n = 5000
+    config = ScenarioConfig(topology="random_geometric", n_nodes=n, radius=0.03, graph_seed=4)
+    tracemalloc.start()
+    try:
+        graph, _, spectrum, params = build_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_nodes == n and spectrum.lambda_max > 0 and params.alpha_nu > 0
+    # a quarter of one N x N float matrix (8 N^2 = 200 MB)
+    assert peak < 2 * n * n
+
+
+def test_large_run_calls_no_dense_eigensolver(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigvalsh called")
+
+    config = ScenarioConfig(topology="random_geometric", n_nodes=450, radius=0.12, graph_seed=3,
+                            l_sub=3, horizon_steps=3)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    metrics = run_scenario(config)
+    assert np.isfinite(metrics.rmse_pos).all()
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        spectral_summary(build_graph("ring", DENSE_PRODUCT_NODES)).lambda_2
+
+
+@st.composite
+def _large_graphs(draw):
+    """(kind, graph) from DENSE_PRODUCT_NODES to 700 nodes: a geometric
+    graph, a random connected explicit graph, an odd or an even ring, a hub
+    joined to every node (its band is the whole matrix), or a random graph
+    with some nodes of degree 0."""
+    kind = draw(st.sampled_from(["geometric", "explicit", "odd ring", "even ring", "hub",
+                                 "isolated"]))
+    n = draw(st.integers(DENSE_PRODUCT_NODES, 700))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "geometric":
+        return kind, build_graph("random_geometric", n, radius=draw(st.floats(0.1, 0.3)),
+                                 seed=seed)
+    if kind.endswith("ring"):
+        return kind, build_graph("ring", n | 1 if kind == "odd ring" else n & ~1)
+    rng = np.random.default_rng(seed)
+    # a random spanning tree plus random chords
+    tree = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    chords = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+    edges = tree + [(i, j) for i, j in chords.tolist() if i != j]
+    if kind == "explicit":
+        return kind, build_graph("explicit", n, edges=edges)
+    if kind == "hub":
+        return kind, SensorGraph(n, edges + [(0, i) for i in range(1, n)])
+    isolated = rng.choice(n, size=int(rng.integers(1, 20)), replace=False)
+    keep = [(i, j) for i, j in edges if i not in isolated and j not in isolated]
+    return kind, SensorGraph(n, keep)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_large_graphs())
+def test_certified_lambda_max_bounds_the_exact_one(case):
+    kind, g = case
+    a = dense_adjacency(g)
+    rows, cols = np.nonzero(a)
+    degree = a.sum(axis=1)
+    anderson_morley = (degree[rows] + degree[cols]).max()
+    exact = np.linalg.eigvalsh(dense_laplacian(g))[-1]
+    got = spectral_summary(g).lambda_max
+    # eigvalsh itself may land an ulp or two above an exact 4 (even rings)
+    assert exact * (1 - 1e-14) <= got <= anderson_morley, kind
+    if kind == "geometric":
+        assert got - exact <= 1e-9 * exact
+    # the Cholesky test proves nothing below the exact lambda_max
+    assert _certified_bound(g, exact * (1 - 1e-6), _rcm_order(g)) is None, kind
