@@ -10,16 +10,17 @@ does in the network. The filter uses only the node degrees,
 `SensorGraph.disagreement` and the spectrum's lambda_max. Below
 DENSE_PRODUCT_NODES nodes, lambda_max is exact (dense `eigvalsh`); from
 there on `spectral_summary` certifies an upper bound from Laplacian
-products and a banded Cholesky, without an N x N matrix. A dense Laplacian
-exists only inside the product on small graphs and, transiently, inside
-`eigvalsh`, which large graphs run only when their exact eigenvalues or
-lambda_2, lazy diagnostics, are read.
+products and a Cholesky in blocks of breadth-first levels, without an
+N x N matrix. A dense Laplacian exists only inside the product on small
+graphs and, transiently, inside `eigvalsh`, which large graphs run only
+when their exact eigenvalues or lambda_2, lazy diagnostics, are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,19 +125,16 @@ class SpectralSummary:
     lambda_max bounds every step size: the exact largest eigenvalue below
     DENSE_PRODUCT_NODES nodes, a certified upper bound from there on (see
     `spectral_summary`). `eigenvalues` (sorted ascending) and lambda_2
-    (algebraic connectivity) are exact diagnostics; on large graphs dense
-    `eigvalsh` computes them when one is first read.
+    (algebraic connectivity) are exact diagnostics, which dense `eigvalsh`
+    computes when one is first read.
     """
 
     graph: SensorGraph = field(repr=False)
     lambda_max: float
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        if self._eigenvalues is None:
-            object.__setattr__(self, "_eigenvalues", _exact_eigenvalues(self.graph))
-        return self._eigenvalues
+        return _exact_eigenvalues(self.graph)
 
     @property
     def lambda_2(self) -> float:
@@ -217,16 +215,25 @@ def _neighbor_lists(g: SensorGraph, nodes) -> tuple:
     return g.indices[offsets + np.arange(counts.sum())], counts
 
 
+def _bfs_levels(g: SensorGraph, root, seen) -> list:
+    """The breadth-first levels of the unseen nodes reachable from `root`,
+    one array of nodes per level, one frontier at a time over the edge
+    arrays. Marks them seen."""
+    level = np.array([root])
+    seen[root] = True
+    levels = []
+    while level.size:
+        levels.append(level)
+        reached, _ = _neighbor_lists(g, level)
+        level = np.unique(reached[~seen[reached]])
+        seen[level] = True
+    return levels
+
+
 def is_connected(g: SensorGraph) -> bool:
-    """Breadth-first reachability of every node from node 0, one frontier
-    of nodes at a time over the edge arrays."""
+    """Whether a breadth-first traversal from node 0 reaches every node."""
     seen = np.zeros(g.n_nodes, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    while frontier.size:
-        reached, _ = _neighbor_lists(g, frontier)
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
+    _bfs_levels(g, 0, seen)
     return bool(seen.all())
 
 
@@ -236,22 +243,21 @@ def spectral_summary(g: SensorGraph) -> SpectralSummary:
     Below DENSE_PRODUCT_NODES nodes, lambda_max is the largest eigenvalue
     from dense `eigvalsh`. From there on it is a certified upper bound,
     found without an N x N matrix: u = theta (1 + 1e-10) + residual from
-    `_lanczos_top`, plus the backward error of a banded Cholesky of
-    u I - L that proves it (`_certified_bound`), unless the Cholesky fails
-    or u exceeds the Anderson-Morley bound, max over edges of d_i + d_j
-    (Linear and Multilinear Algebra 1985; exact on even rings), which is
-    then used. Such a graph's eigenvalues come from `eigvalsh` when first
-    read. Eigenvalues down to -1e-10 are clamped to zero; below that,
-    SpectralFailure.
+    `_lanczos_top`, plus the backward error of a Cholesky of u I - L in
+    blocks of breadth-first levels that proves it (`_certified_bound`),
+    unless the Cholesky fails or u exceeds the Anderson-Morley bound, max
+    over edges of d_i + d_j (Linear and Multilinear Algebra 1985; exact on
+    even rings), which is then used. The eigenvalues come from `eigvalsh`
+    when first read. Eigenvalues down to -1e-10 are clamped to zero; below
+    that, SpectralFailure.
     """
     if g.n_nodes < DENSE_PRODUCT_NODES:
-        vals = _exact_eigenvalues(g)
-        return SpectralSummary(g, float(vals[-1]), vals)
+        return SpectralSummary(g, float(_exact_eigenvalues(g)[-1]))
     rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
     anderson_morley = float(np.max(g.degree[rows] + g.degree[g.indices], initial=0.0))
     theta, residual = _lanczos_top(g)
     shift = theta * (1.0 + _RITZ_RTOL) + residual
-    bound = _certified_bound(g, shift, _rcm_order(g)) if shift < anderson_morley else None
+    bound = _certified_bound(g, shift, _level_blocks(g)) if shift < anderson_morley else None
     return SpectralSummary(g, anderson_morley if bound is None else min(bound, anderson_morley))
 
 
@@ -306,80 +312,58 @@ def _lanczos_top(g: SensorGraph) -> tuple:
     return theta, residual
 
 
-def _cuthill_mckee_levels(g: SensorGraph, root, seen) -> list:
-    """The breadth-first levels of the unseen nodes reachable from `root`,
-    each in Cuthill-McKee order: by the position of a node's first neighbor
-    in the level before, then by degree. Marks them seen."""
-    level = np.array([root])
-    seen[root] = True
-    levels = [level]
-    while True:
-        reached, counts = _neighbor_lists(g, level)
-        parent = np.repeat(np.arange(len(level)), counts)
-        fresh = ~seen[reached]
-        if not fresh.any():
-            return levels
-        nodes, first = np.unique(reached[fresh], return_index=True)
-        level = nodes[np.lexsort((nodes, g.degree[nodes], parent[fresh][first]))]
-        seen[level] = True
-        levels.append(level)
-
-
-def _rcm_order(g: SensorGraph) -> np.ndarray:
-    """Reverse Cuthill-McKee order of the nodes (Cuthill & McKee, ACM
-    1969), which keeps every edge near the diagonal of the reordered
-    Laplacian. Each component starts at the lowest-degree node of the last
-    level seen from its own lowest-degree node (one pseudo-peripheral
-    step); nodes of degree 0 come first after the reversal."""
-    isolated = g.degree == 0
-    seen = isolated.copy()
-    order = []
+def _level_blocks(g: SensorGraph) -> list:
+    """The nodes in blocks of consecutive breadth-first levels, each block
+    grown until it holds at least 64 rows (the last may hold fewer). One
+    traversal per component starts at its lowest-degree node; nodes of
+    degree 0 come first. An edge joins one level or two consecutive ones,
+    so it lies within one block or joins two adjacent blocks."""
+    seen = g.degree == 0
+    levels = [np.flatnonzero(seen)]
     while not seen.all():
         free = np.flatnonzero(~seen)
-        last = _cuthill_mckee_levels(g, free[np.argmin(g.degree[free])], seen.copy())[-1]
-        order += _cuthill_mckee_levels(g, last[np.argmin(g.degree[last])], seen)
-    order.append(np.flatnonzero(isolated))
-    return np.concatenate(order)[::-1]
+        levels += _bfs_levels(g, free[np.argmin(g.degree[free])], seen)
+    blocks = []
+    for level in levels:
+        if blocks and len(blocks[-1]) < 64:
+            blocks[-1] = np.concatenate([blocks[-1], level])
+        else:
+            blocks.append(level)
+    return blocks
 
 
-def _certified_bound(g: SensorGraph, shift, order):
-    """shift plus the backward error tau of a Cholesky of shift I - L if
+def _certified_bound(g: SensorGraph, shift, blocks):
+    """shift plus the backward error tau of a Cholesky of H = shift I - L if
     that factors, which proves lambda_max <= shift + tau; else None.
 
-    In `order`, every edge lies within b of the diagonal, so the permuted
-    matrix is block tridiagonal in blocks of B = max(b, 64) rows (a wide
-    band is factored as it is). Block k's pivot is its diagonal block less
-    Y'Y, Y = C^-1 A_(k-1,k) with C the Cholesky factor of block k-1's pivot:
-    O(N B^2) flops, two blocks held at a time. Success makes shift I - L
-    plus a perturbation of norm <= tau = 8 (B + 1)^2 eps shift positive
-    semidefinite (Demmel's |dA| <= gamma_(2B+1) |R'||R| for Cholesky, whose
-    rows sum to at most (4B + 1) shift, with the rounding of the diagonal).
+    `blocks` (see `_level_blocks`) makes H block tridiagonal, with W rows in
+    the widest block. Block k's pivot is its diagonal block less Y'Y,
+    Y = C^-1 H_(k-1,k) with C the Cholesky factor of block k-1's pivot:
+    O(N W^2) flops, two blocks held at a time. If every pivot factors, the
+    computed upper factor R has R'R = H + dH with |dH| <= gamma_(2W+1)
+    |R'||R| (Demmel, LAPACK Working Note 14, 1989), as a row of R has at most
+    2W nonzeros, within its own block and the next. A column of R has squared
+    norm h_ii <= shift, and ||R||^2 = ||H|| <= shift, so a row of |R'||R|
+    sums to at most 2W shift and ||dH|| <= 2 (W + 1)^2 eps shift. With the
+    rounding of the diagonal and the block solves, tau = 8 (W + 1)^2 eps
+    shift bounds it, and H + dH positive semidefinite gives the bound.
     """
-    n = g.n_nodes
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    rows, cols = np.repeat(pos, np.diff(g.indptr)), pos[g.indices]
-    lower = np.flatnonzero(rows > cols)
-    lower = lower[np.argsort(rows[lower], kind="stable")]
-    rows, cols = rows[lower], cols[lower]
-    block = min(max(int(np.max(rows - cols, initial=0)), 64), n)
-    diag = shift - g.degree[order]
-    cuts = np.searchsorted(rows, np.arange(0, n + block, block))
-    factor = None
-    for k, lo in enumerate(range(0, n, block)):
-        size = min(block, n - lo)
-        r, c = rows[cuts[k]:cuts[k + 1]] - lo, cols[cuts[k]:cuts[k + 1]] - lo
-        inside = c >= 0
-        pivot = np.zeros((size, size))
-        pivot.flat[::size + 1] = diag[lo:lo + size]
-        pivot[r[inside], c[inside]] = pivot[c[inside], r[inside]] = 1.0  # -L at an edge
-        if factor is not None:
-            coupling = np.zeros((block, size))
-            coupling[c[~inside] + block, r[~inside]] = 1.0
-            y = np.linalg.solve(factor, coupling)
-            pivot -= y.T @ y
+    pos = np.empty(g.n_nodes, dtype=np.intp)
+    pos[np.concatenate(blocks)] = np.arange(g.n_nodes)
+    factor, first, lo = np.zeros((0, 0)), 0, 0
+    for nodes in blocks:
+        size, hi = len(nodes), lo + len(nodes)
+        reached, counts = _neighbor_lists(g, nodes)
+        cols = pos[reached] - first  # in [previous block | this block | next block]
+        keep = cols < hi - first
+        band = np.zeros((size, hi - first))
+        band[np.repeat(np.arange(size), counts)[keep], cols[keep]] = 1.0  # -L at an edge
+        pivot = band[:, lo - first:]
+        pivot[np.diag_indices(size)] = shift - g.degree[nodes]
+        y = np.linalg.solve(factor, band[:, :lo - first].T)
         try:
-            factor = spd_cholesky(pivot)
+            factor = spd_cholesky(pivot - y.T @ y)
         except NotPositiveDefinite:
             return None
-    return shift + 8.0 * (block + 1) ** 2 * float(np.finfo(float).eps) * shift
+        first, lo = lo, hi
+    return shift + 8.0 * (max(map(len, blocks)) + 1) ** 2 * float(np.finfo(float).eps) * shift

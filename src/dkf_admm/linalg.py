@@ -230,7 +230,10 @@ SCHUR_MARGIN = 1e-10
 
 def step_bounds(lambda_max: float) -> tuple:
     """The exact stability bounds (2/(3 lambda_max), 2/lambda_max) on
-    alpha_nu and on alpha_lambda + 2 mu, for positive step sizes."""
+    alpha_nu and on alpha_lambda + 2 mu, for positive step sizes;
+    ConfigRejected unless lambda_max > 0 (a graph without edges)."""
+    if not lambda_max > 0.0:
+        raise ConfigRejected(f"lambda_max must be > 0 (the graph needs an edge), got {lambda_max}")
     return 2.0 / (3.0 * lambda_max), 2.0 / lambda_max
 
 

@@ -12,8 +12,8 @@ import pytest
 import dkf_admm
 from dkf_admm.exceptions import (ConfigRejected, DimensionError, GraphGenerationFailed,
                                  NotPositiveDefinite)
-from dkf_admm.filtering import _posterior_cov
-from dkf_admm.graphs import SensorGraph, build_graph
+from dkf_admm.filtering import _posterior_cov, auto_params
+from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
 from dkf_admm.linalg import vech
 from dkf_admm.models import (
     SensorSpec,
@@ -69,6 +69,12 @@ def _inconsistent_model():
     # is_connected used to meet the empty graph with a raw IndexError
     (lambda: SensorGraph(0, []), ConfigRejected, "at least 2 nodes, got 0"),
     (lambda: SensorGraph(1, []), ConfigRejected, "at least 2 nodes, got 1"),
+    # lambda_max = 0 on a graph without edges used to raise ZeroDivisionError,
+    # below DENSE_PRODUCT_NODES (eigvalsh) and above it (Anderson-Morley)
+    (lambda: auto_params(spectral_summary(SensorGraph(5, []))),
+     ConfigRejected, r"lambda_max must be > 0 .*, got 0\.0"),
+    (lambda: auto_params(spectral_summary(SensorGraph(450, []))),
+     ConfigRejected, r"lambda_max must be > 0 .*, got 0\.0"),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

@@ -3,8 +3,8 @@
 
 The file holds the `run_scenario` arrays (RMSE, consensus and covariance
 error, per-run squared position error, the four traffic ledger arrays) of
-four small scenario shapes at seeds 1 and 2: a 6-node ring, a 7-regular
-20-node explicit graph with fixed step sizes, a 60-node geometric graph
+five scenario shapes at seeds 1 and 2: a 6-node ring, a 7-regular
+20-node explicit graph with fixed step sizes, a 60-node geometric graph,
 a 6-node geometric graph with sensors redrawn every step, and a 400-node
 ring, whose Laplacian product takes the edge gather and whose inverses take
 the sweep. It also holds the five CSVs, as bytes, of one CLI `run` on the

@@ -11,7 +11,7 @@ from dkf_admm.graphs import (
     DENSE_PRODUCT_NODES,
     SensorGraph,
     _certified_bound,
-    _rcm_order,
+    _level_blocks,
     build_graph,
     is_connected,
     spectral_summary,
@@ -279,7 +279,7 @@ def test_geometric_build_never_holds_an_n_by_n_matrix():
 
 
 def test_build_scenario_never_holds_an_n_by_n_matrix():
-    # the certified lambda_max needs Laplacian products and a banded
+    # the certified lambda_max needs Laplacian products and a block
     # Cholesky only; the exact eigenvalues are not computed unless read
     n = 5000
     config = ScenarioConfig(topology="random_geometric", n_nodes=n, radius=0.03, graph_seed=4)
@@ -309,12 +309,13 @@ def test_large_run_calls_no_dense_eigensolver(monkeypatch):
 
 @st.composite
 def _large_graphs(draw):
-    """(kind, graph) from DENSE_PRODUCT_NODES to 700 nodes: a geometric
-    graph, a random connected explicit graph, an odd or an even ring, a hub
-    joined to every node (its band is the whole matrix), or a random graph
-    with some nodes of degree 0."""
-    kind = draw(st.sampled_from(["geometric", "explicit", "odd ring", "even ring", "hub",
-                                 "isolated"]))
+    """(kind, graph) from DENSE_PRODUCT_NODES to 700 nodes (a grid up to
+    729): a geometric graph, a random connected explicit graph, an odd or an
+    even ring, a path, a grid, a hub joined to every node (one level holds
+    all the others), a random graph with some nodes of degree 0, or one of
+    two components."""
+    kind = draw(st.sampled_from(["geometric", "explicit", "odd ring", "even ring", "path",
+                                 "grid", "hub", "isolated", "two components"]))
     n = draw(st.integers(DENSE_PRODUCT_NODES, 700))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "geometric":
@@ -322,18 +323,46 @@ def _large_graphs(draw):
                                  seed=seed)
     if kind.endswith("ring"):
         return kind, build_graph("ring", n | 1 if kind == "odd ring" else n & ~1)
+    if kind == "path":
+        return kind, build_graph("path", n)
+    if kind == "grid":
+        width = draw(st.integers(2, 30))
+        ids = np.arange(width * -(-n // width)).reshape(-1, width)
+        return kind, SensorGraph(ids.size, np.vstack([
+            np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+            np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
+        ]))
     rng = np.random.default_rng(seed)
-    # a random spanning tree plus random chords
-    tree = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    # a random spanning tree plus random chords; two components root a
+    # second tree at node `split`
+    split = int(rng.integers(1, n)) if kind == "two components" else 0
+    tree = [(i, int(rng.integers(split if i > split else 0, i)))
+            for i in range(1, n) if i != split]
     chords = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
-    edges = tree + [(i, j) for i, j in chords.tolist() if i != j]
+    edges = tree + [(i, j) for i, j in chords.tolist() if i != j and (i < split) == (j < split)]
     if kind == "explicit":
         return kind, build_graph("explicit", n, edges=edges)
+    if kind == "two components":
+        return kind, SensorGraph(n, edges)
     if kind == "hub":
         return kind, SensorGraph(n, edges + [(0, i) for i in range(1, n)])
     isolated = rng.choice(n, size=int(rng.integers(1, 20)), replace=False)
     keep = [(i, j) for i, j in edges if i not in isolated and j not in isolated]
     return kind, SensorGraph(n, keep)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_large_graphs())
+def test_level_blocks_make_the_laplacian_block_tridiagonal(case):
+    kind, g = case
+    blocks = _level_blocks(g)
+    order = np.concatenate(blocks)
+    assert np.array_equal(np.sort(order), np.arange(g.n_nodes)), kind
+    block_of = np.empty(g.n_nodes, dtype=np.intp)
+    block_of[order] = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    assert np.abs(block_of[rows] - block_of[g.indices]).max(initial=0) <= 1, kind
+    assert all(len(b) >= 64 for b in blocks[:-1]), kind
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,4 +380,4 @@ def test_certified_lambda_max_bounds_the_exact_one(case):
     if kind == "geometric":
         assert got - exact <= 1e-9 * exact
     # the Cholesky test proves nothing below the exact lambda_max
-    assert _certified_bound(g, exact * (1 - 1e-6), _rcm_order(g)) is None, kind
+    assert _certified_bound(g, exact * (1 - 1e-6), _level_blocks(g)) is None, kind
