@@ -24,7 +24,6 @@ from dkf_admm.graphs import (
     SensorGraph,
     SpectralSummary,
     build_graph,
-    is_connected,
     spectral_summary,
 )
 from dkf_admm.linalg import (

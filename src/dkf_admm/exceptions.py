@@ -11,7 +11,7 @@ class NumericalError(Exception):
 
 
 class GraphNotConnected(ConfigError, ValueError):
-    """An explicit graph (or edge list) does not connect all nodes."""
+    """A graph (or edge list) does not connect all nodes."""
 
 
 class GraphGenerationFailed(ConfigError, RuntimeError):

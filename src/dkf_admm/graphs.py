@@ -6,14 +6,14 @@ filter accepts. Graphs are unweighted (a_ij in {0, 1}) and static, and are
 stored as edge arrays in CSR (compressed sparse row) form: the sorted
 neighbor list of every node, one after another, plus the offset of each
 node's list. One Laplacian product then costs O(E), as one consensus round
-does in the network. The filter uses only the node degrees,
-`SensorGraph.disagreement` and the spectrum's lambda_max. Below
-DENSE_PRODUCT_NODES nodes, lambda_max is exact (dense `eigvalsh`); from
-there on `spectral_summary` certifies an upper bound from Laplacian
-products and a Cholesky in blocks of breadth-first levels, without an
-N x N matrix. A dense Laplacian exists only inside the product on small
-graphs and, transiently, inside `eigvalsh`, which large graphs run only
-when their exact eigenvalues or lambda_2, lazy diagnostics, are read.
+does in the network. Every graph is connected, as consensus needs. The
+filter uses only the node degrees, `SensorGraph.disagreement` and the
+spectrum's lambda_max. Below DENSE_PRODUCT_NODES nodes, lambda_max is
+exact (dense `eigvalsh`); from there on `spectral_summary` certifies an
+upper bound from Laplacian products and a Cholesky in blocks of
+breadth-first levels, without an N x N matrix. A dense Laplacian exists
+only in the product on small graphs and in `eigvalsh`, which large
+graphs run only when their exact eigenvalues or lambda_2 are read.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class SensorGraph:
     as read-only CSR edge arrays: the neighbors of node i are
     indices[indptr[i]:indptr[i + 1]], sorted ascending, and every edge
     appears once from each end (2E entries). A network has at least 2
-    nodes; nodes of degree 0 are allowed, and `is_connected` tells them apart.
+    nodes and is connected (else GraphNotConnected), so no degree is 0.
     """
 
     n_nodes: int
@@ -65,32 +65,30 @@ class SensorGraph:
     indices: np.ndarray = field(init=False)
     degree: np.ndarray = field(init=False)
     _dense: np.ndarray | None = field(init=False, repr=False)
-    _segments: tuple = field(init=False, repr=False)
 
     def __post_init__(self, edges):
         n = self.n_nodes
         if n < 2:
             raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n}")
-        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+        if pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu":  # no flat list, no floats
+            raise ConfigRejected(f"edges must be (i, j) integer pairs, got {pairs.dtype} {pairs.shape}")
         if np.any((pairs < 0) | (pairs >= n)):  # would alias another (i, j) key
             raise ConfigRejected(f"edges must join nodes in 0..{n - 1}")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ConfigRejected("an edge must join two distinct nodes, not a self-loop")
-        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).astype(np.intp).T
         keys = np.unique(rows * n + cols)
         indptr = np.searchsorted(keys // n, np.arange(n + 1))
         indices = keys % n
-        counts = np.diff(indptr)
-        deg = counts.astype(float)
+        deg = np.diff(indptr).astype(float)
         dense = _laplacian(n, indptr, indices) if n < DENSE_PRODUCT_NODES else None
-        # np.add.reduceat gives an empty segment the next row (and fails on a
-        # trailing one), so the gather sums only the nodes with neighbors
-        nonempty = slice(None) if counts.all() else np.flatnonzero(counts)
         for name, arr in dict(indptr=indptr, indices=indices, degree=deg, _dense=dense).items():
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_segments", (nonempty, indptr[:-1][nonempty]))
+        if (reached := sum(map(len, _bfs_levels(self, 0)))) < n:
+            raise GraphNotConnected(f"the graph is not connected: node 0 reaches {reached} of {n}")
 
     def disagreement(self, values) -> np.ndarray:
         """Row i is the sum of (values_i - values_j) over the neighbors j of
@@ -113,8 +111,7 @@ class SensorGraph:
         if self._dense is not None:
             return np.matmul(self._dense, flat, out=out)
         np.multiply(self.degree[:, None], flat, out=out)
-        nonempty, starts = self._segments
-        out[nonempty] -= np.add.reduceat(np.take(flat, self.indices, axis=0), starts, axis=0)
+        out -= np.add.reduceat(np.take(flat, self.indices, axis=0), self.indptr[:-1], axis=0)
         return out
 
 
@@ -164,19 +161,17 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
     if topology == "explicit":
         if edges is None:
             raise ConfigRejected("explicit topology requires an edge list")
-        g = SensorGraph(n_nodes, list(edges))
-        if not is_connected(g):
-            raise GraphNotConnected("explicit edge list is not connected")
-        return g
+        return SensorGraph(n_nodes, list(edges))
     if topology == "random_geometric":
         if seed is None or radius is None or not 0 < radius < np.inf:
             raise ConfigRejected("random_geometric requires radius and seed, and a finite "
                                  f"radius > 0, got radius={radius!r}, seed={seed!r}")
         rng = np.random.default_rng(seed)
         for _ in range(_GEOMETRIC_RETRIES):
-            g = SensorGraph(n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius))
-            if is_connected(g):
-                return g
+            try:
+                return SensorGraph(n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius))
+            except GraphNotConnected:
+                pass
         raise GraphGenerationFailed(
             f"no connected geometric graph in {_GEOMETRIC_RETRIES} draws "
             f"(N={n_nodes}, radius={radius})"
@@ -215,12 +210,12 @@ def _neighbor_lists(g: SensorGraph, nodes) -> tuple:
     return g.indices[offsets + np.arange(counts.sum())], counts
 
 
-def _bfs_levels(g: SensorGraph, root, seen) -> list:
-    """The breadth-first levels of the unseen nodes reachable from `root`,
-    one array of nodes per level, one frontier at a time over the edge
-    arrays. Marks them seen."""
+def _bfs_levels(g: SensorGraph, root) -> list:
+    """The breadth-first levels of the nodes reachable from `root`, one
+    array of nodes per level, one frontier at a time over the edge arrays.
+    The constructor's connectivity check and `_level_blocks` run it."""
     level = np.array([root])
-    seen[root] = True
+    seen = np.arange(g.n_nodes) == root
     levels = []
     while level.size:
         levels.append(level)
@@ -228,13 +223,6 @@ def _bfs_levels(g: SensorGraph, root, seen) -> list:
         level = np.unique(reached[~seen[reached]])
         seen[level] = True
     return levels
-
-
-def is_connected(g: SensorGraph) -> bool:
-    """Whether a breadth-first traversal from node 0 reaches every node."""
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    _bfs_levels(g, 0, seen)
-    return bool(seen.all())
 
 
 def spectral_summary(g: SensorGraph) -> SpectralSummary:
@@ -245,16 +233,16 @@ def spectral_summary(g: SensorGraph) -> SpectralSummary:
     found without an N x N matrix: u = theta (1 + 1e-10) + residual from
     `_lanczos_top`, plus the backward error of a Cholesky of u I - L in
     blocks of breadth-first levels that proves it (`_certified_bound`),
-    unless the Cholesky fails or u exceeds the Anderson-Morley bound, max
-    over edges of d_i + d_j (Linear and Multilinear Algebra 1985; exact on
-    even rings), which is then used. The eigenvalues come from `eigvalsh`
-    when first read. Eigenvalues down to -1e-10 are clamped to zero; below
-    that, SpectralFailure.
+    unless a block holds over 1,024 rows, the Cholesky fails or u exceeds
+    the Anderson-Morley bound, max over edges of d_i + d_j (Linear and
+    Multilinear Algebra 1985; exact on even rings), which is then used. The
+    eigenvalues come from `eigvalsh` when first read. Eigenvalues down to
+    -1e-10 are clamped to zero; below that, SpectralFailure.
     """
     if g.n_nodes < DENSE_PRODUCT_NODES:
         return SpectralSummary(g, float(_exact_eigenvalues(g)[-1]))
     rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
-    anderson_morley = float(np.max(g.degree[rows] + g.degree[g.indices], initial=0.0))
+    anderson_morley = float(np.max(g.degree[rows] + g.degree[g.indices]))
     theta, residual = _lanczos_top(g)
     shift = theta * (1.0 + _RITZ_RTOL) + residual
     bound = _certified_bound(g, shift, _level_blocks(g)) if shift < anderson_morley else None
@@ -279,6 +267,7 @@ def _exact_eigenvalues(g: SensorGraph) -> np.ndarray:
 # residual is at most _RITZ_RTOL times its value (checked every 5 steps).
 _LANCZOS_STEPS = 100
 _RITZ_RTOL = 1e-10
+_CERTIFIED_ROWS = 1024  # the widest block `_certified_bound` factors: an 8 MB pivot
 
 
 def _lanczos_top(g: SensorGraph) -> tuple:
@@ -314,17 +303,12 @@ def _lanczos_top(g: SensorGraph) -> tuple:
 
 def _level_blocks(g: SensorGraph) -> list:
     """The nodes in blocks of consecutive breadth-first levels, each block
-    grown until it holds at least 64 rows (the last may hold fewer). One
-    traversal per component starts at its lowest-degree node; nodes of
-    degree 0 come first. An edge joins one level or two consecutive ones,
-    so it lies within one block or joins two adjacent blocks."""
-    seen = g.degree == 0
-    levels = [np.flatnonzero(seen)]
-    while not seen.all():
-        free = np.flatnonzero(~seen)
-        levels += _bfs_levels(g, free[np.argmin(g.degree[free])], seen)
+    grown until it holds at least 64 rows (the last may hold fewer), from
+    one traversal that starts at a lowest-degree node. An edge joins one
+    level or two consecutive ones, so it lies within one block or joins
+    two adjacent blocks."""
     blocks = []
-    for level in levels:
+    for level in _bfs_levels(g, int(np.argmin(g.degree))):
         if blocks and len(blocks[-1]) < 64:
             blocks[-1] = np.concatenate([blocks[-1], level])
         else:
@@ -334,7 +318,8 @@ def _level_blocks(g: SensorGraph) -> list:
 
 def _certified_bound(g: SensorGraph, shift, blocks):
     """shift plus the backward error tau of a Cholesky of H = shift I - L if
-    that factors, which proves lambda_max <= shift + tau; else None.
+    that factors, which proves lambda_max <= shift + tau; else None, or if
+    a block holds more than _CERTIFIED_ROWS rows.
 
     `blocks` (see `_level_blocks`) makes H block tridiagonal, with W rows in
     the widest block. Block k's pivot is its diagonal block less Y'Y,
@@ -348,6 +333,8 @@ def _certified_bound(g: SensorGraph, shift, blocks):
     rounding of the diagonal and the block solves, tau = 8 (W + 1)^2 eps
     shift bounds it, and H + dH positive semidefinite gives the bound.
     """
+    if (width := max(map(len, blocks))) > _CERTIFIED_ROWS:
+        return None
     pos = np.empty(g.n_nodes, dtype=np.intp)
     pos[np.concatenate(blocks)] = np.arange(g.n_nodes)
     factor, first, lo = np.zeros((0, 0)), 0, 0
@@ -366,4 +353,4 @@ def _certified_bound(g: SensorGraph, shift, blocks):
         except NotPositiveDefinite:
             return None
         first, lo = lo, hi
-    return shift + 8.0 * (max(map(len, blocks)) + 1) ** 2 * float(np.finfo(float).eps) * shift
+    return shift + 8.0 * (width + 1) ** 2 * float(np.finfo(float).eps) * shift

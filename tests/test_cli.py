@@ -537,7 +537,7 @@ def test_automatic_steps_with_few_rounds_are_rejected_or_converge(tmp_path):
             assert final < 1e3, (l_sub, final)
 
 
-def test_disconnected_edge_list_exits_2(tmp_path):
+def test_disconnected_edge_list_exits_2(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("0 1\n2 3\n")
     text = (
@@ -547,6 +547,7 @@ def test_disconnected_edge_list_exits_2(tmp_path):
     )
     cfg = _write(tmp_path, text)
     assert main(["run", cfg, "--quiet"]) == EXIT_CONFIG
+    assert "the graph is not connected: node 0 reaches 2 of 4" in capsys.readouterr().err
 
 
 def test_bad_edge_list_exits_2(tmp_path, capsys):

@@ -11,10 +11,10 @@ import pytest
 
 import dkf_admm
 from dkf_admm.exceptions import (ConfigRejected, DimensionError, GraphGenerationFailed,
-                                 NotPositiveDefinite)
-from dkf_admm.filtering import _posterior_cov, auto_params
-from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
-from dkf_admm.linalg import vech
+                                 GraphNotConnected, NotPositiveDefinite)
+from dkf_admm.filtering import _posterior_cov
+from dkf_admm.graphs import SensorGraph, build_graph
+from dkf_admm.linalg import step_bounds, vech
 from dkf_admm.models import (
     SensorSpec,
     StateSpaceModel,
@@ -66,15 +66,19 @@ def _inconsistent_model():
      ConfigRejected, r"finite radius > 0, got radius=-inf,"),
     (lambda: build_graph("random_geometric", 30, radius=np.nan, seed=0),
      ConfigRejected, r"finite radius > 0, got radius=nan,"),
-    # is_connected used to meet the empty graph with a raw IndexError
+    # the connectivity check used to meet the empty graph with a raw IndexError
     (lambda: SensorGraph(0, []), ConfigRejected, "at least 2 nodes, got 0"),
     (lambda: SensorGraph(1, []), ConfigRejected, "at least 2 nodes, got 1"),
-    # lambda_max = 0 on a graph without edges used to raise ZeroDivisionError,
-    # below DENSE_PRODUCT_NODES (eigvalsh) and above it (Anderson-Morley)
-    (lambda: auto_params(spectral_summary(SensorGraph(5, []))),
-     ConfigRejected, r"lambda_max must be > 0 .*, got 0\.0"),
-    (lambda: auto_params(spectral_summary(SensorGraph(450, []))),
-     ConfigRejected, r"lambda_max must be > 0 .*, got 0\.0"),
+    # a graph without edges is not connected, below DENSE_PRODUCT_NODES and
+    # above it; lambda_max = 0 used to raise ZeroDivisionError in the bounds
+    (lambda: SensorGraph(5, []), GraphNotConnected, "node 0 reaches 1 of 5"),
+    (lambda: SensorGraph(450, []), GraphNotConnected, "node 0 reaches 1 of 450"),
+    (lambda: step_bounds(0.0), ConfigRejected, r"lambda_max must be > 0 .*, got 0\.0"),
+    # malformed edges used to be truncated, read as pairs or left to numpy
+    (lambda: SensorGraph(3, [(0.5, 2), (1.9, 2)]), ConfigRejected,
+     r"integer pairs, got float64 \(2, 2\)"),
+    (lambda: SensorGraph(4, [0, 1, 2, 3]), ConfigRejected, r"integer pairs, got int\d+ \(4,\)"),
+    (lambda: SensorGraph(4, [0, 1, 2]), ConfigRejected, r"integer pairs, got int\d+ \(3,\)"),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

@@ -13,7 +13,6 @@ from dkf_admm.graphs import (
     _certified_bound,
     _level_blocks,
     build_graph,
-    is_connected,
     spectral_summary,
 )
 from dkf_admm.harness import ScenarioConfig, build_scenario, load_edge_list, run_scenario
@@ -23,6 +22,16 @@ def _from_adjacency(a):
     """A SensorGraph with the edges of a symmetric 0/1 matrix."""
     a = np.asarray(a)
     return SensorGraph(len(a), np.argwhere(a))
+
+
+def _tree_and_chords(rng, n, split=0):
+    """The edges of a random spanning tree on n nodes plus up to 4n random
+    chords. With 0 < split < n, node `split` roots a second tree over the
+    nodes from `split` on, and no chord joins the two: two components."""
+    tree = [(i, int(rng.integers(split if i > split else 0, i)))
+            for i in range(1, n) if i != split]
+    chords = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+    return tree + [(i, j) for i, j in chords.tolist() if i != j and (i < split) == (j < split)]
 
 
 def test_complete_k2():
@@ -39,7 +48,6 @@ def test_path_p3_laplacian():
 def test_ring_degrees():
     g = build_graph("ring", 5)
     assert np.all(g.degree == 2)
-    assert is_connected(g)
 
 
 def test_min_nodes():
@@ -48,22 +56,23 @@ def test_min_nodes():
 
 
 def test_connectivity():
-    assert is_connected(build_graph("complete", 2))
-    assert is_connected(build_graph("path", 3))
-    # two disjoint edges on 4 nodes
-    g = _from_adjacency([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    assert not is_connected(g)
+    assert build_graph("complete", 2).degree.tolist() == [1, 1]
+    assert build_graph("path", 3).degree.tolist() == [1, 2, 1]
+    # two disjoint edges on 4 nodes, and an isolated last node
+    with pytest.raises(GraphNotConnected, match="node 0 reaches 2 of 4"):
+        _from_adjacency([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    with pytest.raises(GraphNotConnected, match="node 0 reaches 3 of 4"):
+        SensorGraph(4, [(0, 1), (1, 2)])
 
 
 def test_explicit_disconnected_rejected():
-    with pytest.raises(GraphNotConnected):
+    with pytest.raises(GraphNotConnected, match="not connected"):
         build_graph("explicit", 4, edges=[(0, 1), (2, 3)])
 
 
 def test_random_geometric_connected_and_reproducible():
     g1 = build_graph("random_geometric", 100, radius=0.3, seed=7)
     g2 = build_graph("random_geometric", 100, radius=0.3, seed=7)
-    assert is_connected(g1)
     assert np.array_equal(dense_adjacency(g1), dense_adjacency(g2))
 
 
@@ -141,23 +150,33 @@ def test_disagreement_zero_iff_consensus():
     assert np.abs(g.disagreement(v2)).max() > 0
 
 
+def _rejected_as_disconnected(a):
+    """Whether the constructor raises GraphNotConnected on adjacency `a`."""
+    try:
+        _from_adjacency(a)
+    except GraphNotConnected:
+        return True
+    return False
+
+
 def test_lambda2_positive_iff_connected():
+    # the constructor rejects a graph exactly when the dense lambda_2 is 0
     rng = np.random.default_rng(42)
-    for _ in range(10):
+    verdicts = []
+    for p in [0.1, 0.2, 0.3, 0.5] * 5:
         n = int(rng.integers(5, 15))
-        a = (rng.uniform(size=(n, n)) < 0.5).astype(float)
-        a = np.triu(a, 1)
-        a = a + a.T
-        g = _from_adjacency(a)
-        vals = np.linalg.eigvalsh(dense_laplacian(g))
-        assert is_connected(g) == (vals[1] > 1e-9)
+        a = np.triu(rng.uniform(size=(n, n)) < p, 1)
+        a = (a | a.T).astype(float)
+        lambda_2 = np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)[1]
+        verdicts.append(_rejected_as_disconnected(a))
+        assert verdicts[-1] == (lambda_2 <= 1e-9)
+    assert any(verdicts) and not all(verdicts)
     # deliberately split graph
     a = np.zeros((6, 6))
     for i, j in [(0, 1), (1, 2), (3, 4), (4, 5)]:
         a[i, j] = a[j, i] = 1
-    g = _from_adjacency(a)
-    assert not is_connected(g)
-    assert np.linalg.eigvalsh(dense_laplacian(g))[1] < 1e-9
+    assert np.linalg.eigvalsh(np.diag(a.sum(axis=1)) - a)[1] < 1e-9
+    assert _rejected_as_disconnected(a)
 
 
 def test_edge_list_file(tmp_path):
@@ -207,26 +226,19 @@ def test_graph_validation():
 
 
 @st.composite
-def _graphs_with_isolated_nodes(draw):
-    """Random graphs on both sides of the dense/gather switch in
-    `disagreement`, some with nodes of degree 0 (first, last or inside)."""
+def _connected_graphs(draw):
+    """Random connected graphs (a spanning tree plus chords) on both sides
+    of the dense/gather switch in `disagreement`."""
     n = draw(st.one_of(
         st.integers(2, 40),
         st.integers(DENSE_PRODUCT_NODES, DENSE_PRODUCT_NODES + 40),
     ))
-    mean_degree = draw(st.floats(0.0, 8.0))
-    isolated = draw(st.lists(st.sampled_from(["first", "last", "inside"]), unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = np.triu(rng.uniform(size=(n, n)) < mean_degree / (n - 1), 1)
-    a = a | a.T
-    for where in isolated:
-        node = {"first": 0, "last": n - 1, "inside": n // 2}[where]
-        a[node, :] = a[:, node] = False
-    return _from_adjacency(a)
+    return SensorGraph(n, _tree_and_chords(rng, n))
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=_graphs_with_isolated_nodes(), runs=st.integers(0, 2), d=st.integers(1, 3),
+@given(g=_connected_graphs(), runs=st.integers(0, 2), d=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_disagreement_property_matches_dense_kronecker(g, runs, d, seed):
     # (N, d) rows when runs == 0, node-major (N, R, d) rows otherwise
@@ -239,20 +251,6 @@ def test_disagreement_property_matches_dense_kronecker(g, runs, d, seed):
     want = [(big_l @ v.ravel()).reshape(g.n_nodes, d) for v in per_run]
     want = want[0] if runs == 0 else np.stack(want, axis=1)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-
-
-def test_disagreement_isolated_nodes_on_the_gather_path():
-    # a path over the middle nodes; the first two and the last two have no
-    # neighbors, so their rows must be exactly zero
-    n = DENSE_PRODUCT_NODES + 4
-    i = np.arange(2, n - 3)
-    g = SensorGraph(n, np.column_stack([i, i + 1]))
-    assert np.array_equal(np.flatnonzero(g.degree == 0), [0, 1, n - 2, n - 1])
-    values = np.random.default_rng(3).normal(size=(n, 2))
-    got = g.disagreement(values)
-    assert np.array_equal(got[[0, 1, n - 2, n - 1]], np.zeros((4, 2)))
-    want = dense_laplacian(g) @ values
-    assert np.abs(got - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,radius", [
@@ -273,7 +271,7 @@ def test_geometric_build_never_holds_an_n_by_n_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert is_connected(g)
+    assert g.n_nodes == n
     # one N x N float matrix would be 8 N^2 = 200 MB
     assert peak < 8 * n * n / 8
 
@@ -311,11 +309,10 @@ def test_large_run_calls_no_dense_eigensolver(monkeypatch):
 def _large_graphs(draw):
     """(kind, graph) from DENSE_PRODUCT_NODES to 700 nodes (a grid up to
     729): a geometric graph, a random connected explicit graph, an odd or an
-    even ring, a path, a grid, a hub joined to every node (one level holds
-    all the others), a random graph with some nodes of degree 0, or one of
-    two components."""
+    even ring, a path, a grid, or a hub joined to every node (one level
+    holds all the others)."""
     kind = draw(st.sampled_from(["geometric", "explicit", "odd ring", "even ring", "path",
-                                 "grid", "hub", "isolated", "two components"]))
+                                 "grid", "hub"]))
     n = draw(st.integers(DENSE_PRODUCT_NODES, 700))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "geometric":
@@ -332,23 +329,27 @@ def _large_graphs(draw):
             np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
             np.column_stack([ids[:-1].ravel(), ids[1:].ravel()]),
         ]))
-    rng = np.random.default_rng(seed)
-    # a random spanning tree plus random chords; two components root a
-    # second tree at node `split`
-    split = int(rng.integers(1, n)) if kind == "two components" else 0
-    tree = [(i, int(rng.integers(split if i > split else 0, i)))
-            for i in range(1, n) if i != split]
-    chords = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
-    edges = tree + [(i, j) for i, j in chords.tolist() if i != j and (i < split) == (j < split)]
+    edges = _tree_and_chords(np.random.default_rng(seed), n)
     if kind == "explicit":
         return kind, build_graph("explicit", n, edges=edges)
+    return kind, SensorGraph(n, edges + [(0, i) for i in range(1, n)])  # hub
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["isolated", "two components"]),
+       n=st.integers(2, DENSE_PRODUCT_NODES + 40), seed=st.integers(0, 2**32 - 1))
+def test_disconnected_graphs_are_rejected(kind, n, seed):
+    # the kinds the constructor no longer admits: a connected graph with some
+    # nodes cut off (degree 0), or two components with chords inside each
+    rng = np.random.default_rng(seed)
     if kind == "two components":
-        return kind, SensorGraph(n, edges)
-    if kind == "hub":
-        return kind, SensorGraph(n, edges + [(0, i) for i in range(1, n)])
-    isolated = rng.choice(n, size=int(rng.integers(1, 20)), replace=False)
-    keep = [(i, j) for i, j in edges if i not in isolated and j not in isolated]
-    return kind, SensorGraph(n, keep)
+        edges = _tree_and_chords(rng, n, split=int(rng.integers(1, n)))
+    else:
+        isolated = rng.choice(n, size=int(rng.integers(1, min(n, 20) + 1)), replace=False)
+        edges = [(i, j) for i, j in _tree_and_chords(rng, n)
+                 if i not in isolated and j not in isolated]
+    with pytest.raises(GraphNotConnected, match="not connected"):
+        SensorGraph(n, edges)
 
 
 @settings(max_examples=30, deadline=None)
@@ -381,3 +382,22 @@ def test_certified_lambda_max_bounds_the_exact_one(case):
         assert got - exact <= 1e-9 * exact
     # the Cholesky test proves nothing below the exact lambda_max
     assert _certified_bound(g, exact * (1 - 1e-6), _level_blocks(g)) is None, kind
+
+
+def test_certificate_width_is_capped():
+    # a hub on every node puts all the others in one breadth-first level: a
+    # 1,099-row block, over the cap, so no 1,099 x 1,099 pivot is formed and
+    # lambda_max is the Anderson-Morley bound
+    n = 1100
+    g = SensorGraph(n, _tree_and_chords(np.random.default_rng(5), n) + [(0, i) for i in range(1, n)])
+    assert max(map(len, _level_blocks(g))) > 1024
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    anderson_morley = (g.degree[rows] + g.degree[g.indices]).max()
+    tracemalloc.start()
+    try:
+        got = spectral_summary(g).lambda_max
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == anderson_morley
+    assert peak < 8 * 2**20
