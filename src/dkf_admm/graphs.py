@@ -5,8 +5,11 @@ consensus subspace, and its largest eigenvalue bounds every step size the
 filter accepts. Graphs are unweighted (a_ij in {0, 1}) and static, and are
 stored as edge arrays in CSR (compressed sparse row) form: the sorted
 neighbor list of every node, one after another, plus the offset of each
-node's list. One Laplacian product then costs O(E), as one consensus round
-does in the network. Every graph is connected, as consensus needs. The
+node's list. From DENSE_PRODUCT_NODES nodes on, a graph also holds a
+padded neighbor table, with the neighbors of hubs past its width in a CSR
+remainder (the hybrid ELL + COO format of Bell & Garland, SC 2009). One
+Laplacian product then costs O(E), as one consensus round does in the
+network. Every graph is connected, as consensus needs. The
 filter uses only the node degrees, `SensorGraph.disagreement` and the
 spectrum's lambda_max. Below DENSE_PRODUCT_NODES nodes, lambda_max is
 exact (dense `eigvalsh`); from there on `spectral_summary` certifies an
@@ -36,9 +39,15 @@ from dkf_admm.linalg import spd_cholesky
 
 _GEOMETRIC_RETRIES = 50
 # Graphs with fewer nodes take one dense L @ v GEMM in `disagreement`: it
-# beats the edge gather while the N x N Laplacian stays in cache (measured
-# crossover at N = 300-400 for 4 to 10 columns).
+# beats the neighbor table while the N x N Laplacian stays in cache (one
+# 4-column product on rings and geometric graphs, dense against table:
+# 4-9 against 7-21 us at N = 200, 12 against 8-18 at 300, 18-24 against
+# 9-22 at 400, where 10 columns take 99-108 against 30-71).
 DENSE_PRODUCT_NODES = 400
+# The table product takes this many columns at a time, so it holds one
+# (width, N, 4) gather at a time; `np.take` copies 4-column rows at the
+# lowest cost per value of 1 to 5 or 8 columns.
+_SLICE_COLUMNS = 4
 
 
 def _laplacian(n_nodes, indptr, indices):
@@ -49,6 +58,28 @@ def _laplacian(n_nodes, indptr, indices):
     return lap
 
 
+def _neighbor_table(n_nodes, indptr, indices) -> tuple:
+    """(table, remainder) of CSR edge arrays. Row k of the (w, N) table
+    holds every node's k-th neighbor in CSR order, or N past the end of its
+    list; w = min(max degree, ceil(2 mean degree)), so the table holds at
+    most about twice the 2E entries. The neighbors of rank w and up, found
+    only at nodes of over twice the mean degree, make the remainder (nodes,
+    starts, neighbors): their lists in CSR order, one after another, and
+    where each node's list starts. Unlike the graph's public arrays these
+    stay writeable: `np.take` and `reduceat` copy a read-only index array
+    on every call."""
+    counts = np.diff(indptr)
+    width = min(int(counts.max()), -(-2 * len(indices) // n_nodes))
+    rows = np.repeat(np.arange(n_nodes), counts)
+    # rank * N + node: each entry's position in the flattened table
+    slot = (np.arange(len(indices)) - np.repeat(indptr[:-1], counts)) * n_nodes + rows
+    short = slot < width * n_nodes
+    table = np.full(width * n_nodes, n_nodes, dtype=np.intp)
+    table[slot[short]] = indices[short]
+    nodes, starts = np.unique(rows[~short], return_index=True)
+    return table.reshape(width, n_nodes), (nodes, starts, indices[~short])
+
+
 @dataclass(frozen=True, eq=False)
 class SensorGraph:
     """An undirected communication graph on N sensor nodes, built from
@@ -57,6 +88,9 @@ class SensorGraph:
     indices[indptr[i]:indptr[i + 1]], sorted ascending, and every edge
     appears once from each end (2E entries). A network has at least 2
     nodes and is connected (else GraphNotConnected), so no degree is 0.
+    Below DENSE_PRODUCT_NODES nodes the graph also holds its dense
+    Laplacian, from there on its neighbor table and remainder (see
+    `_neighbor_table`), for the product in `disagreement`.
     """
 
     n_nodes: int
@@ -65,12 +99,18 @@ class SensorGraph:
     indices: np.ndarray = field(init=False)
     degree: np.ndarray = field(init=False)
     _dense: np.ndarray | None = field(init=False, repr=False)
+    _table: np.ndarray | None = field(init=False, repr=False)
+    _rest: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self, edges):
         n = self.n_nodes
         if n < 2:
             raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n}")
-        pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+        try:
+            pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+        except (TypeError, ValueError) as exc:  # not sized, or ragged
+            raise ConfigRejected(f"edges must be a sized sequence of (i, j) integer pairs, "
+                                 f"got {type(edges).__name__}: {exc}") from exc
         if pairs.shape[1:] != (2,) or pairs.dtype.kind not in "iu":  # no flat list, no floats
             raise ConfigRejected(f"edges must be (i, j) integer pairs, got {pairs.dtype} {pairs.shape}")
         if np.any((pairs < 0) | (pairs >= n)):  # would alias another (i, j) key
@@ -83,10 +123,13 @@ class SensorGraph:
         indices = keys % n
         deg = np.diff(indptr).astype(float)
         dense = _laplacian(n, indptr, indices) if n < DENSE_PRODUCT_NODES else None
+        table, rest = (None, None) if dense is not None else _neighbor_table(n, indptr, indices)
         for name, arr in dict(indptr=indptr, indices=indices, degree=deg, _dense=dense).items():
             if arr is not None:
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_rest", rest)
         if (reached := sum(map(len, _bfs_levels(self, 0)))) < n:
             raise GraphNotConnected(f"the graph is not connected: node 0 reaches {reached} of {n}")
 
@@ -95,8 +138,10 @@ class SensorGraph:
         node i: the lifted Laplacian (L kron I_d) applied to the stacked
         per-node rows of `values`, shape (N, d) or (N, ...). Trailing axes
         are flattened, so R runs of (N, R, d) rows make one product. Small
-        graphs take one dense L @ v GEMM, larger ones gather the neighbor
-        rows along the edge arrays and sum each node's segment."""
+        graphs take one dense L @ v GEMM. Larger ones gather the neighbor
+        rows along the neighbor table and sum them with one GEMV, 4 columns
+        at a time, add the remainder's segment sums and subtract the total
+        from degree * values."""
         v = np.asarray(values, dtype=float)
         if v.ndim < 2 or v.shape[0] != self.n_nodes:
             raise DimensionError(
@@ -110,9 +155,23 @@ class SensorGraph:
         `out` must not overlap `flat`."""
         if self._dense is not None:
             return np.matmul(self._dense, flat, out=out)
-        np.multiply(self.degree[:, None], flat, out=out)
-        out -= np.add.reduceat(np.take(flat, self.indices, axis=0), self.indptr[:-1], axis=0)
-        return out
+        n, width = self.n_nodes, len(self._table)
+        ones = np.ones(width)
+        # `out` collects the neighbor sums, slice by slice: a copy into its
+        # strided columns costs half a subtract there (10 columns, N = 10^4)
+        for lo in range(0, flat.shape[1], _SLICE_COLUMNS):
+            part = flat[:, lo:lo + _SLICE_COLUMNS]
+            padded = np.empty((n + 1, part.shape[1]))  # row N: the padding's zero
+            padded[:n] = part
+            padded[n] = 0.0
+            # the gather dies in this line: two held at once (the next slice's
+            # and this one) made the allocator unmap and re-fault them each call
+            sums = ones @ np.take(padded, self._table, axis=0).reshape(width, -1)
+            out[:, lo:lo + _SLICE_COLUMNS] = sums.reshape(part.shape)
+        nodes, starts, rest = self._rest
+        if nodes.size:
+            out[nodes] += np.add.reduceat(np.take(flat, rest, axis=0), starts, axis=0)
+        return np.subtract(self.degree[:, None] * flat, out, out=out)
 
 
 @dataclass(frozen=True, eq=False)

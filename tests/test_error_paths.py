@@ -79,6 +79,11 @@ def _inconsistent_model():
      r"integer pairs, got float64 \(2, 2\)"),
     (lambda: SensorGraph(4, [0, 1, 2, 3]), ConfigRejected, r"integer pairs, got int\d+ \(4,\)"),
     (lambda: SensorGraph(4, [0, 1, 2]), ConfigRejected, r"integer pairs, got int\d+ \(3,\)"),
+    # ragged or unsized edges used to escape as numpy's ValueError or len's TypeError
+    (lambda: SensorGraph(3, [(0, 1), (2,)]), ConfigRejected, r"integer pairs, got list: "),
+    (lambda: SensorGraph(3, iter([(0, 1), (1, 2)])), ConfigRejected,
+     r"integer pairs, got list_iterator: "),
+    (lambda: SensorGraph(3, 5), ConfigRejected, r"integer pairs, got int: "),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

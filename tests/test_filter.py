@@ -505,7 +505,7 @@ def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
 
 @pytest.mark.parametrize("runs", [None, 3])
 def test_consensus_log_on_the_edge_gather_path(runs):
-    # N >= DENSE_PRODUCT_NODES: the rounds take the CSR edge gather. A step
+    # N >= DENSE_PRODUCT_NODES: the rounds take the neighbor table. A step
     # with l_sub = k ends at the k-th round's xi, so steps with l_sub = 1..3
     # give each logged round's spread from x_post alone
     graph, _, params, model, traj, _ = _setup(

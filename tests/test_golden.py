@@ -3,11 +3,12 @@
 
 The file holds the `run_scenario` arrays (RMSE, consensus and covariance
 error, per-run squared position error, the four traffic ledger arrays) of
-five scenario shapes at seeds 1 and 2: a 6-node ring, a 7-regular
+six scenario shapes at seeds 1 and 2: a 6-node ring, a 7-regular
 20-node explicit graph with fixed step sizes, a 60-node geometric graph,
-a 6-node geometric graph with sensors redrawn every step, and a 400-node
-ring, whose Laplacian product takes the edge gather and whose inverses take
-the sweep. It also holds the five CSVs, as bytes, of one CLI `run` on the
+a 6-node geometric graph with sensors redrawn every step, a 400-node
+ring, whose Laplacian product takes the neighbour table and whose inverses
+take the sweep, and a 450-node geometric graph, whose irregular degrees
+pin the order in which the table's products sum. It also holds the five CSVs, as bytes, of one CLI `run` on the
 explicit graph.
 
 Regenerate it, after a change that moves the numbers on purpose, with
@@ -39,6 +40,8 @@ SHAPES = {
                         horizon_steps=10, n_mc_runs=1, sensor_assignment="per_step_random",
                         sub_iterated_covariance=True),
     "ring400": dict(topology="ring", n_nodes=400, l_sub=3, horizon_steps=5, n_mc_runs=1),
+    "geo450": dict(topology="random_geometric", n_nodes=450, radius=0.12, l_sub=5,
+                   horizon_steps=5, n_mc_runs=1),
 }
 METRICS = ("rmse_pos", "rmse_vel", "consensus_error", "cov_error", "sq_pos_runs")
 LEDGER = ("state_messages", "state_scalars", "cov_messages", "cov_scalars")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -228,20 +229,23 @@ def test_graph_validation():
 @st.composite
 def _connected_graphs(draw):
     """Random connected graphs (a spanning tree plus chords) on both sides
-    of the dense/gather switch in `disagreement`."""
-    n = draw(st.one_of(
-        st.integers(2, 40),
-        st.integers(DENSE_PRODUCT_NODES, DENSE_PRODUCT_NODES + 40),
-    ))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return SensorGraph(n, _tree_and_chords(rng, n))
+    of the dense/table switch in `disagreement`, and on the table side the
+    same with a hub joined to every node: its degree, N - 1, always exceeds
+    the table's width of at most twice the mean degree, so its neighbors
+    past that width take the remainder whenever the kind is drawn."""
+    kind = draw(st.sampled_from(["dense", "table", "hub"]))
+    n = draw(st.integers(2, 40) if kind == "dense"
+             else st.integers(DENSE_PRODUCT_NODES, DENSE_PRODUCT_NODES + 40))
+    edges = _tree_and_chords(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return SensorGraph(n, edges + [(0, i) for i in range(1, n)] if kind == "hub" else edges)
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=_connected_graphs(), runs=st.integers(0, 2), d=st.integers(1, 3),
+@given(g=_connected_graphs(), runs=st.integers(0, 4), d=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_disagreement_property_matches_dense_kronecker(g, runs, d, seed):
-    # (N, d) rows when runs == 0, node-major (N, R, d) rows otherwise
+    # (N, d) rows when runs == 0, node-major (N, R, d) rows otherwise: 1 to
+    # 12 columns, so a table product takes up to three 4-column slices
     shape = (g.n_nodes, d) if runs == 0 else (g.n_nodes, runs, d)
     values = np.random.default_rng(seed).normal(size=shape)
     big_l = np.kron(dense_laplacian(g), np.eye(d))
@@ -251,6 +255,54 @@ def test_disagreement_property_matches_dense_kronecker(g, runs, d, seed):
     want = [(big_l @ v.ravel()).reshape(g.n_nodes, d) for v in per_run]
     want = want[0] if runs == 0 else np.stack(want, axis=1)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["geometric", "hub and path"])
+def test_table_product_is_its_4_column_slices_side_by_side(kind):
+    n = 450
+    g = (build_graph("random_geometric", n, radius=0.12, seed=3) if kind == "geometric" else
+         SensorGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, i) for i in range(2, n)]))
+    values = np.random.default_rng(1).normal(size=(g.n_nodes, 13))
+    for c in range(1, 14):
+        slices = [g.disagreement(values[:, lo:min(lo + 4, c)]) for lo in range(0, c, 4)]
+        assert np.array_equal(g.disagreement(values[:, :c]), np.hstack(slices)), c
+
+
+@pytest.mark.parametrize("topology", ["ring", "path"])
+def test_two_neighbor_table_product_sums_in_csr_order(topology):
+    # a width-2 table adds a node's two neighbors in CSR order, as the
+    # golden ring400 outputs were made: d_i v_i - (v_first + v_last)
+    g = build_graph(topology, DENSE_PRODUCT_NODES + 1)
+    v = np.random.default_rng(2).normal(size=(g.n_nodes, 6))
+    first, last = v[g.indices[g.indptr[:-1]]], v[g.indices[g.indptr[1:] - 1]]
+    pair_sum = np.where(g.degree[:, None] == 2, first + last, first)
+    assert np.array_equal(g.disagreement(v), g.degree[:, None] * v - pair_sum)
+
+
+def test_wide_table_product_peak_memory():
+    # 40 columns at N = 10^4: the slices hold one (width, N, 4) gather at a
+    # time, not all 40 columns' (about 140 MB at width 44)
+    g = build_graph("random_geometric", 10**4, radius=0.028, seed=1)
+    values = np.random.default_rng(3).normal(size=(g.n_nodes, 40))
+    tracemalloc.start()
+    try:
+        g.disagreement(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def test_star_table_width_is_capped():
+    # a hub on 10^4 leaves: width 4, and the hub's other 9,995 neighbors
+    # take the remainder
+    n = 10**4
+    g = SensorGraph(n, [(0, i) for i in range(1, n)])
+    assert len(g._table) <= math.ceil(2 * g.degree.mean())
+    v = np.random.default_rng(4).normal(size=(n, 5))
+    want = v - v[0]
+    want[0] = (n - 1) * v[0] - v[1:].sum(axis=0)
+    assert np.allclose(g.disagreement(v), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("n,radius", [
