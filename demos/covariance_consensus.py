@@ -22,7 +22,6 @@ from dkf_admm import (
     init_state,
     simulate_trajectory,
     spectral_summary,
-    unvech,
 )
 
 N = 10
@@ -51,7 +50,7 @@ for t in range(1, horizon + 1):
     dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
     if t in (1, 2, 5, 10, 20, 50, 100, 200, 400, 600):
         theta_err = np.linalg.norm(
-            unvech(state.theta) - target, axis=(1, 2)
+            state.theta - target, axis=(1, 2)
         ).max() / np.linalg.norm(target)
         p_err = np.linalg.norm(
             state.p_prior - p_star, axis=(1, 2)

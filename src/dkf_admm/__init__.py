@@ -3,8 +3,8 @@
 A network of local estimators tracks a linear-Gaussian system. Each node
 runs a local Kalman filter whose correction step is solved by primal-only
 ADMM sub-iterations (only state iterates cross edges, never duals), while
-the global information-rate matrix is agreed on by a consensus loop on
-half-vectorized matrices (one round per step, l_sub on redrawn sensors).
+the global information-rate matrix is agreed on by a consensus loop on the
+symmetric matrices (one round per step, l_sub on redrawn sensors).
 Centralized references (an information-form Kalman filter and a
 fixed-point Riccati solver) are included for validation.
 """
@@ -35,8 +35,6 @@ from dkf_admm.linalg import (
     spd_solve,
     sym,
     state_stability,
-    unvech,
-    vech,
 )
 from dkf_admm.models import (
     SensorArrays,

@@ -2,29 +2,31 @@
 
 The whole network's state is one `NetworkState` of arrays whose leading
 axis is the node index, so every update below is the paper's
-network-level form: the lifted Laplacian (L kron I) acting on the stacked
-iterates. One filter time step is: predict with (F, Q); L synchronous
-Jacobi sub-iterations of the ADMM state correction (neighbors exchange
-only the primal iterate xi, the transformed dual stays local); one round
-of the covariance consensus (l_sub on per-step-random sensors) on half-
-vectorized information matrices (only theta crosses edges); the posterior
-covariance assembly. Both consensus loops run their first round with the
-local accumulator and every later one as the two-term recursion on the
-last two iterates whose per-mode stability `linalg` certifies; on small
-graphs the simulator evaluates a whole loop as one GEMM of its cached
-all-rounds operator. All exchanges flow through a CommLedger that counts
-messages and scalar payloads and rejects any attempt to put a dual
-variable on the wire. Independent Monte-Carlo runs can share one step:
-the estimates then carry a leading run axis and the measurement-free
-covariance half is computed once for all of them.
+network-level form: the lifted Laplacian (L kron I) acting on the
+stacked iterates. One filter time step is: predict with (F, Q); L
+synchronous Jacobi sub-iterations of the ADMM state correction
+(neighbors exchange only the primal iterate xi, the transformed dual
+stays local); one round of the covariance consensus (l_sub on
+per-step-random sensors) on the symmetric information matrices (only
+theta crosses edges, as the n(n+1)/2 entries on and below its diagonal);
+the posterior covariance assembly. Both consensus loops run their first
+round with the local accumulator and every later one as the two-term
+recursion on the last two iterates whose per-mode stability `linalg`
+certifies; on small graphs the simulator evaluates a whole loop as one
+GEMM of its cached all-rounds operator. All exchanges flow through a
+CommLedger that counts messages and scalar payloads and rejects any
+attempt to put a dual variable on the wire. Independent Monte-Carlo runs
+can share one step: the estimates then carry a leading run axis and the
+measurement-free covariance half is computed once for all of them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,9 +35,22 @@ from dkf_admm.exceptions import (
 )
 from dkf_admm.graphs import SensorGraph
 from dkf_admm.linalg import (
-    covariance_stability, spd_inverse, state_stability, step_bounds, sym, sym_inverse, unvech, vech,
+    covariance_stability, spd_inverse, state_stability, step_bounds, sym, sym_inverse,
 )
 from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
+
+
+def _check_types(config):
+    """ConfigRejected("<name> must be <type>, got <value!r>") for the first dataclass
+    field not of its annotated type: an int field takes an Integral and a float
+    field a Real, neither a bool; None passes only where it is the default."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), f.type.removesuffix(" | None")
+        cls = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}[kind]
+        if (value is not None or f.default is not None) and (
+                not isinstance(value, cls) or isinstance(value, bool) and kind != "bool"):
+            raise ConfigRejected(f"{f.name} must be {kind}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class DkfParams:
@@ -52,6 +67,7 @@ class DkfParams:
     l_sub: int
 
     def __post_init__(self):
+        _check_types(self)
         steps = (self.alpha_lambda, self.mu, self.alpha_nu)
         if not all(math.isfinite(s) and s > 0 for s in steps):
             raise ConfigRejected("step sizes must be positive and finite")
@@ -90,8 +106,8 @@ class NetworkState:
 
     x_prior, x_post: (N, n) state estimates, or (R, N, n) for R runs
     filtered together; p_prior, p_post: (N, n, n) covariances; theta:
-    (N, n(n+1)/2) half-vectorized estimates of the network information
-    rate; nu_tilde: the matching consensus duals. The covariance half does
+    (N, n, n) symmetric estimates of the network information rate N H'R^-1H;
+    nu_tilde: the matching consensus duals. The covariance half does
     not depend on the measurements, so all runs share it. The state iterate
     xi and its local accumulator K lambda_tilde live only inside one time
     step: the accumulator restarts at zero every step and x_post is the
@@ -160,7 +176,7 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     `x0_estimates` holds one initial estimate per node, shape (N, n), or
     per run and node, (R, N, n), and `p0_nodes` one covariance per node
     (default: the model's P0); a single estimate or covariance is shared
-    by all nodes. theta starts at N * vech(H_i' R_i^-1 H_i) with a zero
+    by all nodes. theta starts at N H_i' R_i^-1 H_i with a zero
     consensus dual, which makes the network-wide sum of theta + nu exactly
     conserved from the first covariance step onward.
     """
@@ -168,7 +184,7 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     x0 = np.asarray(x0_estimates, dtype=float)
     x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
     p0 = sym(np.broadcast_to(model.p0 if p0_nodes is None else p0_nodes, (n_nodes, n, n)))
-    theta = n_nodes * vech(sensor_specs_at(model, 0).info)
+    theta = n_nodes * sensor_specs_at(model, 0).info
     return NetworkState(
         x_prior=x0.copy(),
         p_prior=p0.copy(),
@@ -252,7 +268,7 @@ def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=
     accumulator; acc_R = target - z_R - penalty (L kron I) z_{R-1} at the
     end. As sum_i d_i = 0, sum_i (z_i + acc_i) equals sum_i target_i after
     every round. Covariance loop: z = theta, acc = nu_tilde, target = N
-    vech(H' R^-1 H), step = penalty = alpha_nu. State loop: z = xi, acc =
+    H' R^-1 H, step = penalty = alpha_nu. State loop: z = xi, acc =
     K lambda_tilde (zero at each step's start), target = K b, step =
     alpha_lambda, penalty = mu; the dual update lambda_tilde += alpha_lambda
     K^-1 d, carried through K, needs neither K nor K^-1.
@@ -307,9 +323,8 @@ def _posterior_cov(p_prior_inv, theta, t):
     the sum is not finite (theta diverged, or the sum overflowed), or if
     flooring cannot fix it.
     """
-    theta_mats = unvech(theta)
     with np.errstate(over="ignore"):  # a non-finite sum is named below
-        m = p_prior_inv + theta_mats
+        m = p_prior_inv + theta
     try:
         return spd_inverse(m)
     except NotPositiveDefinite as exc:
@@ -324,7 +339,7 @@ def _posterior_cov(p_prior_inv, theta, t):
                 RuntimeWarning,
                 stacklevel=3,
             )
-            w, v = np.linalg.eigh(theta_mats[i])
+            w, v = np.linalg.eigh(theta[i])
             m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
         try:
             return spd_inverse(m)
@@ -358,16 +373,11 @@ def dkf_time_step(
     and records each consensus loop once per step, with all its rounds.
     When `consensus_log` is a list, the per-sub-iteration mean consensus
     error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
-    (L,) array, or (R, L) for R runs; the rounds write their iterates
-    straight into one (L, N, R n) round buffer of the step's own, reduced
-    in place after the loop (node means by GEMV, squared deviations,
-    norms, node means); below STACKED_ROUND_NODES nodes and OPERATOR_ROWS
-    rows two GEMMs fill it. Without a log, a graph of STACKED_ROUND_NODES
-    or more keeps two rolling iterates instead, whatever L, and a smaller
-    one applies the last block of the operator, or rolls two iterates past
-    OPERATOR_ROWS.
+    (L,) array, or (R, L) for R runs, from the (L, N, R n) round buffer
+    that `_consensus_rounds` fills, reduced in place after the loop.
     Theta crosses edges once per step on static sensors and l_sub times
-    on per-step-random ones, whose consensus target moves every step.
+    on per-step-random ones, whose consensus target moves every step; each
+    message carries the n(n+1)/2 entries on and below its diagonal.
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
@@ -398,13 +408,13 @@ def dkf_time_step(
         consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
 
     # Covariance consensus on the previous step's theta, l_sub rounds if redrawn.
-    omega_scaled = n_nodes * vech(sensors.info)
+    omega_scaled = n_nodes * sensors.info
     cov_rounds = 1 if model.coordinate_table is None else params.l_sub
     with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
         theta, nu = _consensus_rounds(state.theta, omega_scaled, graph, params.alpha_nu,
                                       params.alpha_nu, cov_rounds, acc=state.nu_tilde)
     if ledger is not None:
-        ledger.record("theta", cov_rounds * runs * graph.degree, theta.shape[1])
+        ledger.record("theta", cov_rounds * runs * graph.degree, n * (n + 1) // 2)
 
     p_post = _posterior_cov(p_prior_inv, theta, t)
     state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)

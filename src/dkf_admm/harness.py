@@ -19,7 +19,7 @@ import numpy as np
 
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected
-from dkf_admm.filtering import CommLedger, auto_params, dkf_time_step, init_state
+from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_time_step, init_state
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import dare_solve
 from dkf_admm.models import (
@@ -65,7 +65,8 @@ class ScenarioConfig:
     override_stability_guard: bool = False
 
     def __post_init__(self):
-        # dt, n_nodes, radius, l_sub, topology and sensor_assignment: checked where used
+        # types here; dt, n_nodes, radius, l_sub, topology, sensor_assignment values where used
+        _check_types(self)
         redrawn = self.sensor_assignment == "per_step_random"
         for name in ("dt", "q_intensity", "r_var", "init_box_halfwidth"):
             if not math.isfinite(getattr(self, name)):
@@ -99,7 +100,6 @@ _SECTIONS = {
 }
 # each key's type as ScenarioConfig declares it ("float", "str | None", ...)
 _TYPES = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(ScenarioConfig)}
-_OPTIONAL = {f.name for f in dataclasses.fields(ScenarioConfig) if f.default is None}
 _PARSE = {"float": float, "int": int, "str": str}
 # what each configparser error means, most specific class first
 _MALFORMED = ((configparser.MissingSectionHeaderError, "a line before the first [section] header"),
@@ -142,12 +142,10 @@ def load_config(path) -> ScenarioConfig:
             if key not in keys:
                 raise ConfigRejected(f"unknown key {key!r} in [{section}]")
             raw = raw.strip()
-            if raw.lower() in ("auto", "none", ""):
-                if key not in _OPTIONAL:
-                    raise ConfigRejected(f"{key} has no automatic value, got {raw!r}")
-                continue
             try:
-                if _TYPES[key] == "bool":
+                if raw.lower() in ("auto", "none", ""):  # None passes where it is the default
+                    kwargs[key] = None
+                elif _TYPES[key] == "bool":
                     kwargs[key] = parser.getboolean(section, key)
                 else:
                     kwargs[key] = _PARSE[_TYPES[key]](raw)

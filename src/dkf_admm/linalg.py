@@ -1,24 +1,22 @@
 """Symmetric-matrix utilities behind the filter.
 
-Half-vectorization (the consensus payload for covariance information),
-one Cholesky definiteness test behind the SPD solves and inverses, stack
-inverses by a batched sweep, a fixed-point solver for the discrete
-algebraic Riccati equation, and the exact closed-form Schur-stability
-certificate of both consensus loops, whose 2x2 per-mode recursions are
-decided by the Laplacian's lambda_2 and lambda_max alone (`StabilityReport`).
+One Cholesky definiteness test behind the SPD solves and small inverses,
+stack inverses by a batched sweep whose pivots test the large stacks, a
+fixed-point solver for the discrete algebraic Riccati equation, and the
+exact closed-form Schur-stability certificate of both consensus loops,
+whose 2x2 per-mode recursions are decided by the Laplacian's lambda_2
+and lambda_max alone (`StabilityReport`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from dkf_admm.exceptions import (
     ConfigRejected,
-    DimensionError,
     NotPositiveDefinite,
     ObservabilityError,
     RiccatiDivergence,
@@ -32,44 +30,10 @@ def sym(m) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def vech(m) -> np.ndarray:
-    """Half-vectorize a symmetric matrix, or a stack of them over leading
-    axes (shape (..., n, n) to (..., n(n+1)/2)).
-
-    Lower-triangular entries in column-major order:
-    (1,1),(2,1),...,(n,1),(2,2),... For a symmetric matrix this equals
-    the row-major upper triangle, which is how it is extracted.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {m.shape}")
-    r, c = _triu_idx(m.shape[-1])
-    return m[..., r, c]
-
-
-@lru_cache(maxsize=None)
-def _triu_idx(n):
-    return np.triu_indices(n)
-
-
-def unvech(v) -> np.ndarray:
-    """Exact inverse of vech, over leading axes: the last axis holds the
-    half-vectorization, whose length must be n(n+1)/2 (else DimensionError)."""
-    v = np.asarray(v, dtype=float)
-    n = (math.isqrt(8 * v.shape[-1] + 1) - 1) // 2
-    if n * (n + 1) // 2 != v.shape[-1]:
-        raise DimensionError(f"{v.shape[-1]} is not a triangular number")
-    out = np.zeros(v.shape[:-1] + (n, n))
-    r, c = _triu_idx(n)
-    out[..., r, c] = v
-    out[..., c, r] = v
-    return out
-
-
 def spd_cholesky(a, what="matrix") -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix or stack, the library's one
-    definiteness test; NotPositiveDefinite("<what> must be positive definite")
-    unless a is finite (numpy's Cholesky passes NaN through) and factors."""
+    """Lower Cholesky factor of an SPD matrix or stack, the definiteness test
+    of all but large `spd_inverse` stacks; NotPositiveDefinite("<what> must be
+    positive definite") unless a is finite (numpy's Cholesky passes NaN) and factors."""
     if np.isfinite(a).all():
         try:
             return np.linalg.cholesky(a)
@@ -92,40 +56,54 @@ SWEEP_MIN_STACK = 64
 
 def sym_inverse(a) -> np.ndarray:
     """Inverse of every matrix of a symmetric positive definite stack
-    (..., n, n), exactly symmetric; definiteness is not tested.
-
-    Below SWEEP_MIN_STACK matrices, one LAPACK inverse each; larger stacks
-    run the symmetric sweep operator (Goodnight, The American Statistician
-    1979) on a batch-last (n, n, K) copy: n rank-1 updates of length-K rows
-    whose products c_i c_j keep the result exactly symmetric, leaving -A^-1.
-    After either path, a zero pivot, a non-finite member or an overflow
-    raises NotPositiveDefinite("matrix is singular")."""
+    (..., n, n), exactly symmetric; definiteness is not tested. Below
+    SWEEP_MIN_STACK matrices one LAPACK inverse each, else `_sweep`; a zero
+    pivot, a non-finite member or an overflow raises NotPositiveDefinite."""
     a = np.asarray(a, dtype=float)
-    if math.prod(a.shape[:-2]) < SWEEP_MIN_STACK:
-        try:
-            inv = sym(np.linalg.inv(a))
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("matrix is singular") from exc
-    else:
-        m = np.moveaxis(a, (-2, -1), (0, 1)).copy()
-        outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for k in range(len(m)):
-                c = m[k].copy()
-                d = 1.0 / c[k]
-                np.multiply(c[:, None], c[None, :], out=outer)
-                m -= np.multiply(outer, d, out=outer)
-                m[k] = m[:, k] = c * d
-                m[k, k] = -d
-        inv = -np.moveaxis(m, (0, 1), (-2, -1))
+    if math.prod(a.shape[:-2]) >= SWEEP_MIN_STACK:
+        return _sweep(a)
+    try:
+        inv = sym(np.linalg.inv(a))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("matrix is singular") from exc
     if not np.isfinite(inv).all():
         raise NotPositiveDefinite("matrix is singular")
     return inv
 
 
+def _sweep(a, spd=False) -> np.ndarray:
+    """A^-1 of a symmetric stack by the sweep operator (Goodnight, The American
+    Statistician 1979) on a batch-last (n, n, K) copy: n rank-1 updates whose
+    products c_i c_j keep it exactly symmetric. With `spd`, the pivots (the
+    LDL' pivots, all positive iff a finite stack is PD) test definiteness."""
+    m = np.moveaxis(a, (-2, -1), (0, 1)).copy()
+    outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
+    pivots = np.empty(m.shape[1:]) if spd else None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(len(m)):
+            c = m[k].copy()
+            if spd:
+                pivots[k] = c[k]
+            d = 1.0 / c[k]
+            np.multiply(c[:, None], c[None, :], out=outer)
+            m -= np.multiply(outer, d, out=outer)
+            m[k] = m[:, k] = c * d
+            m[k, k] = -d
+    if spd and (not np.isfinite(a).all() or (pivots <= 0.0).any()):
+        raise NotPositiveDefinite("matrix must be positive definite")
+    if not np.isfinite(m).all():  # a PD member whose inverse overflows, or any non-finite one
+        raise NotPositiveDefinite("matrix is singular")
+    return -np.moveaxis(m, (0, 1), (-2, -1))
+
+
 def spd_inverse(a) -> np.ndarray:
-    """Inverse of one SPD matrix or of each of a stack (..., n, n): the
-    `spd_cholesky` test at every stack size, then `sym_inverse`."""
+    """Inverse of one SPD matrix or of each of a stack (..., n, n), tested by
+    `spd_cholesky` below SWEEP_MIN_STACK matrices and from there on by the
+    sweep's own pivots, so a large stack factors once; both tests raise
+    NotPositiveDefinite("matrix must be positive definite")."""
+    a = np.asarray(a, dtype=float)
+    if math.prod(a.shape[:-2]) >= SWEEP_MIN_STACK:
+        return _sweep(a, spd=True)
     spd_cholesky(a)
     return sym_inverse(a)
 

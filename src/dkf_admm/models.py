@@ -8,6 +8,7 @@ network.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,8 @@ def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
     node, drawn uniformly from (assignment_seed, t). Each step's N drawn
     rows are kept in a per-model memo, so the simulation, the reference
     and the filter draw them once; the gather is per call."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0:
+        raise ConfigRejected(f"t must be an integer >= 0, got {t!r}")
     table = model.coordinate_table
     if table is None:
         return model.sensor_arrays

@@ -22,14 +22,10 @@ def sensor_oracle(h, r):
     return h, r, rinv_h, 0.5 * (info + info.T)
 
 
-def info_vectors_oracle(model):
-    """vech(H_i' R_i^-1 H_i) of every node of a model, shape (N, n(n+1)/2),
-    node by node from `sensor_oracle`."""
-    rows = []
-    for s in model.sensors:
-        info = sensor_oracle(s.h, s.r)[3]
-        rows.append(info[np.triu_indices(len(info))])
-    return np.array(rows)
+def info_oracle(model):
+    """H_i' R_i^-1 H_i of every node of a model, shape (N, n, n), node by
+    node from `sensor_oracle`."""
+    return np.array([sensor_oracle(s.h, s.r)[3] for s in model.sensors])
 
 
 def covariance_mode_matrix(alpha_nu, laplacian_eigenvalue):

@@ -4,21 +4,24 @@ A row may name the builtin base of the class it expects; the raised class
 must still be one of the library's own."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dkf_admm
-from dkf_admm.exceptions import (ConfigRejected, DimensionError, GraphGenerationFailed,
+from dkf_admm.exceptions import (ConfigRejected, GraphGenerationFailed,
                                  GraphNotConnected, NotPositiveDefinite)
-from dkf_admm.filtering import _posterior_cov
-from dkf_admm.graphs import SensorGraph, build_graph
-from dkf_admm.linalg import step_bounds, vech
+from dkf_admm.filtering import DkfParams, _posterior_cov, auto_params, dkf_time_step, init_state
+from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
+from dkf_admm.harness import ScenarioConfig, run_scenario
+from dkf_admm.linalg import step_bounds
 from dkf_admm.models import (
     SensorSpec,
     StateSpaceModel,
     build_constant_velocity_model,
+    sensor_specs_at,
     simulate_trajectory,
 )
 
@@ -26,7 +29,15 @@ from dkf_admm.models import (
 def _indefinite_posterior():
     # P^-1 = -I: flooring Theta (here 0) cannot make P^-1 + Theta PD
     with pytest.warns(RuntimeWarning, match="theta floored at zero eigenvalues"):
-        _posterior_cov(-np.broadcast_to(np.eye(4), (3, 4, 4)), np.zeros((3, 10)), t=4)
+        _posterior_cov(-np.broadcast_to(np.eye(4), (3, 4, 4)), np.zeros((3, 4, 4)), t=4)
+
+
+def _redrawn_step_args():
+    # the positional arguments of one step on a 3-node ring with redrawn sensors
+    model = build_constant_velocity_model(dt=0.1, n_nodes=3, sensor_assignment="per_step_random")
+    graph = build_graph("ring", 3)
+    state = init_state(model, np.tile(model.x0_mean, (3, 1)))
+    return state, graph, model, np.zeros((3, 1)), auto_params(spectral_summary(graph))
 
 
 def _inconsistent_model():
@@ -38,7 +49,7 @@ def _inconsistent_model():
     (_indefinite_posterior, NotPositiveDefinite, "not PD even after flooring, t=4"),
     # P^-1 + Theta overflows to inf: eigvalsh used to raise a raw LinAlgError
     (lambda: _posterior_cov(np.full((2, 4, 4), 1e308) * np.eye(4),
-                            np.broadcast_to(vech(1e308 * np.eye(4)), (2, 10)), t=2),
+                            np.broadcast_to(1e308 * np.eye(4), (2, 4, 4)), t=2),
      NotPositiveDefinite, r"P\^-1 \+ Theta is not finite \(node 0, t=2\)"),
     (lambda: build_graph("ring", 1), ValueError, "at least 2 nodes"),
     (lambda: build_graph("explicit", 3), ValueError, "requires an edge list"),
@@ -51,7 +62,6 @@ def _inconsistent_model():
     (lambda: build_graph("star", 4), ValueError, "unknown topology 'star'"),
     (lambda: SensorGraph(3, [(0, 3)]), ValueError, r"join nodes in 0\.\.2"),
     (lambda: SensorGraph(3, [(1, 1)]), ConfigRejected, "not a self-loop"),
-    (lambda: vech(np.ones((2, 3))), DimensionError, "expected square matrices"),
     (lambda: SensorSpec(np.eye(2, 4), [[1.0]]), ValueError, "R_i must match"),
     (_inconsistent_model, ValueError, "inconsistent model dimensions"),
     (lambda: build_constant_velocity_model(dt=0.1, n_nodes=1), ValueError, "at least 2 nodes"),
@@ -84,6 +94,32 @@ def _inconsistent_model():
     (lambda: SensorGraph(3, iter([(0, 1), (1, 2)])), ConfigRejected,
      r"integer pairs, got list_iterator: "),
     (lambda: SensorGraph(3, 5), ConfigRejected, r"integer pairs, got int: "),
+    # wrong-typed settings used to escape as builtin TypeErrors or run silently
+    *[(lambda kw=kw: run_scenario(ScenarioConfig(
+        **{"n_nodes": 6, "horizon_steps": 3, "n_mc_runs": 1, **kw})),
+       ConfigRejected, re.escape(message)) for kw, message in (
+        ({"l_sub": 2.5}, "l_sub must be int, got 2.5"),
+        ({"l_sub": 2.0}, "l_sub must be int, got 2.0"),
+        ({"l_sub": True}, "l_sub must be int, got True"),
+        ({"l_sub": "5"}, "l_sub must be int, got '5'"),
+        ({"topology": "ring", "n_nodes": 6.0}, "n_nodes must be int, got 6.0"),
+        ({"horizon_steps": 3.5}, "horizon_steps must be int, got 3.5"),
+        ({"n_mc_runs": 1.5}, "n_mc_runs must be int, got 1.5"),
+        ({"dt": "0.1"}, "dt must be float, got '0.1'"),
+        ({"r_var": None}, "r_var must be float, got None"),
+        ({"radius": "0.4"}, "radius must be float, got '0.4'"),
+        ({"master_seed": 2.5}, "master_seed must be int, got 2.5"),
+        ({"graph_seed": 1.5}, "graph_seed must be int, got 1.5"),
+        ({"assignment_seed": 0.5}, "assignment_seed must be int, got 0.5"),
+        ({"master_seed": True}, "master_seed must be int, got True"),
+    )],
+    (lambda: DkfParams(0.1, 0.01, 0.05, 2.5), ConfigRejected, "l_sub must be int, got 2.5"),
+    (lambda: DkfParams(0.1, True, 0.05, 2), ConfigRejected, "mu must be float, got True"),
+    (lambda: sensor_specs_at(build_constant_velocity_model(
+        dt=0.1, sensor_assignment="per_step_random"), -1),
+     ConfigRejected, "t must be an integer >= 0, got -1"),
+    (lambda: dkf_time_step(*_redrawn_step_args(), t=-1), ConfigRejected,
+     "t must be an integer >= 0, got -1"),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

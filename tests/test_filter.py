@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_laplacian, info_vectors_oracle, sensor_oracle
+from oracles import dense_laplacian, info_oracle, sensor_oracle
 
 from dkf_admm.exceptions import (
     ConfigRejected,
@@ -30,7 +30,7 @@ from dkf_admm.filtering import (
 )
 from dkf_admm.graphs import DENSE_PRODUCT_NODES, build_graph, spectral_summary
 from dkf_admm.harness import ScenarioConfig, build_scenario, run_scenario
-from dkf_admm.linalg import SWEEP_MIN_STACK, spd_inverse, sym, unvech, vech
+from dkf_admm.linalg import SWEEP_MIN_STACK, spd_inverse, sym
 from dkf_admm.models import (
     SensorSpec,
     StateSpaceModel,
@@ -114,7 +114,7 @@ def test_gain_inverse_pair():
 
 def test_init_theta_scaled_info():
     _, _, _, model, _, state = _setup(n_nodes=6)
-    assert np.allclose(state.theta, 6 * info_vectors_oracle(model))
+    assert np.allclose(state.theta, 6 * info_oracle(model))
     assert np.allclose(state.nu_tilde, 0.0)
 
 
@@ -217,7 +217,7 @@ def test_covariance_step_two_nodes_closed_form():
     graph = build_graph("complete", 2)
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
     state = init_state(model, np.tile(model.x0_mean, (2, 1)))
-    omega = info_vectors_oracle(model)
+    omega = info_oracle(model)
     alpha = 0.25
     t0 = state.theta
     e = np.array([t0[0] - t0[1], t0[1] - t0[0]])
@@ -229,12 +229,12 @@ def test_covariance_step_two_nodes_closed_form():
 def test_covariance_step_matches_dense_oracle():
     graph = build_graph("random_geometric", 7, radius=0.6, seed=2)
     model = build_constant_velocity_model(dt=0.1, n_nodes=7)
-    draws = np.random.default_rng(8).normal(size=(7, 2, 10))
+    draws = sym(np.random.default_rng(8).normal(size=(7, 2, 4, 4)))
     theta0, nu0 = draws[:, 0], draws[:, 1]
     alpha = 0.05
-    omega_scaled = 7 * info_vectors_oracle(model)
+    omega_scaled = 7 * info_oracle(model)
     theta, nu = _consensus_rounds(theta0, omega_scaled, graph, alpha, alpha, 1, acc=nu0)
-    big_l = np.kron(dense_laplacian(graph), np.eye(theta0.shape[1]))
+    big_l = np.kron(dense_laplacian(graph), np.eye(16))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + alpha * e
     theta_ref = omega_scaled - nu_ref - alpha * e
@@ -248,8 +248,8 @@ def test_covariance_consensus_converges_to_network_sum():
     model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
     params = auto_params(spectrum)
     state = init_state(model, np.tile(model.x0_mean, (10, 1)))
-    target = vech(information_rate_target(model))
-    omega_scaled = 10 * info_vectors_oracle(model)
+    target = information_rate_target(model)
+    omega_scaled = 10 * info_oracle(model)
     theta, _ = _consensus_rounds(state.theta, omega_scaled, graph, params.alpha_nu,
                                  params.alpha_nu, 3000, acc=state.nu_tilde)
     for th in theta:
@@ -270,28 +270,34 @@ def _random_connected_graph(n_nodes, rng, p_extra=0.3):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n_nodes=st.one_of(st.integers(2, 12), st.integers(400, 420)),
+    n_nodes=st.one_of(st.integers(2, 12),
+                      st.integers(STACKED_ROUND_NODES, STACKED_ROUND_NODES + 2),
+                      st.integers(400, 420)),
     runs=st.sampled_from([None, 1, 3]),
     loop=st.sampled_from(["covariance", "state"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_theta_plus_nu_sum_is_conserved(n_nodes, runs, loop, seed):
     # both loops on one kernel: after the rounds sum_i (z_i + acc_i) equals
-    # sum_i target_i, for (N, d) rows and node-major (N, R, d) ones, on
-    # graphs below and above the dense-product size
+    # sum_i target_i, for (N, d) rows and node-major (N, R, d) ones, on the
+    # operator, dense-product and neighbor-table paths; the covariance
+    # loop's symmetric (N, n, n) stacks stay bitwise symmetric
     rng = np.random.default_rng(seed)
     graph = _random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
     params = auto_params(spectral_summary(graph))
     lead = (n_nodes,) if runs is None else (n_nodes, runs)
     if loop == "covariance":
         model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes)
-        omega_scaled = n_nodes * info_vectors_oracle(model)
+        omega_scaled = n_nodes * info_oracle(model)
         target = omega_scaled if runs is None else np.repeat(omega_scaled[:, None], runs, 1)
         z, step, penalty = target.copy(), params.alpha_nu, params.alpha_nu
     else:
         target = rng.normal(size=lead + (4,))
         z, step, penalty = rng.normal(size=lead + (4,)), params.alpha_lambda, params.mu
     z, acc = _consensus_rounds(z, target, graph, step, penalty, 50, acc=np.zeros_like(z))
+    if loop == "covariance":
+        for a in (z, acc):
+            assert a.shape == target.shape and np.array_equal(a, np.swapaxes(a, -1, -2))
     total = (z + acc).sum(axis=0)
     assert np.allclose(total, target.sum(axis=0), rtol=0.0, atol=1e-10 * np.abs(target).max())
 
@@ -334,7 +340,7 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data
     params = auto_params(spectral_summary(graph))
     step, penalty = ((params.alpha_nu, params.alpha_nu) if loop == "covariance"
                      else (params.alpha_lambda, params.mu))
-    shape = (n_nodes,) + (() if runs is None else (runs,)) + (10 if loop == "covariance" else 4,)
+    shape = (n_nodes,) + (() if runs is None else (runs,)) + (16 if loop == "covariance" else 4,)
     z, acc, target = rng.normal(size=(3,) + shape)
     want, want_acc = _accumulator_rounds(z, acc, target, dense_laplacian(graph), step, penalty,
                                          rounds)
@@ -359,7 +365,7 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data
 
 def test_posterior_nominal():
     _, _, _, model, _, state = _setup()
-    theta = np.tile(vech(np.eye(4) * 2.0), (4, 1))
+    theta = np.tile(np.eye(4) * 2.0, (4, 1, 1))
     p_post = _posterior_cov(sym(np.linalg.inv(state.p_prior)), theta, 1)
     for p_prior, p in zip(state.p_prior, p_post):
         expected = spd_inverse(spd_inverse(p_prior) + 2.0 * np.eye(4))
@@ -371,9 +377,9 @@ def test_posterior_floors_indefinite_theta():
         _, _, _, model, _, state = _setup(n_nodes=n_nodes)
         p_prior = state.p_prior.copy()
         p_prior[0] = 100.0 * np.eye(4)  # weak prior so a bad theta matters
-        theta = np.tile(vech(np.eye(4)), (n_nodes, 1))
+        theta = np.tile(np.eye(4), (n_nodes, 1, 1))
         # indefinite transient at node 0: one strongly negative eigenvalue
-        theta[0] = vech(np.diag([1.0, -5.0, 1.0, 1.0]))
+        theta[0] = np.diag([1.0, -5.0, 1.0, 1.0])
         with pytest.warns(RuntimeWarning, match=r"node 0, t=7") as record:
             p_post = _posterior_cov(sym(np.linalg.inv(p_prior)), theta, t=7)
         assert len(record) == 1  # the other nodes are not floored
@@ -442,7 +448,9 @@ def test_ledger_counts_and_wire_schema():
 
 def test_time_step_traffic_formula():
     # each loop is recorded once per step: its rounds times runs times degree;
-    # the covariance loop runs once on static sensors, l_sub times on redrawn
+    # the covariance loop runs once on static sensors, l_sub times on redrawn,
+    # and a theta message carries the n(n+1)/2 entries of a symmetric matrix
+    # that stays bitwise symmetric
     graph, _, params, static, traj, _ = _setup(n_nodes=5, topology="path", l_sub=7)
     redrawn = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment="per_step_random")
     n, n_cov = 4, 10
@@ -459,6 +467,8 @@ def test_time_step_traffic_formula():
             assert np.array_equal(
                 ledger.cov_scalars, runs * cov_rounds * graph.degree * n_cov
             )
+            for z in (state.theta, state.nu_tilde):
+                assert np.array_equal(z, z.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("runs, n_nodes, radius", [
@@ -619,12 +629,12 @@ def test_time_step_matches_per_node_operations():
         xi, lam = _dense_round(
             xi, lam, dense_laplacian(graph), k, k_inv, b, params.alpha_lambda, params.mu
         )
-    big_l = np.kron(dense_laplacian(graph), np.eye(theta0.shape[1]))
+    big_l = np.kron(dense_laplacian(graph), np.eye(16))
     e = (big_l @ theta0.ravel()).reshape(theta0.shape)
     nu_ref = nu0 + params.alpha_nu * e
-    theta_ref = 5 * info_vectors_oracle(model) - nu_ref - params.alpha_nu * e
+    theta_ref = 5 * info_oracle(model) - nu_ref - params.alpha_nu * e
     p_post_ref = np.array(
-        [spd_inverse(spd_inverse(p) + unvech(th)) for p, th in zip(p_prior, theta_ref)]
+        [spd_inverse(spd_inverse(p) + th) for p, th in zip(p_prior, theta_ref)]
     )
     assert np.allclose(state.x_prior, x_prior, atol=1e-10)
     assert np.allclose(state.p_prior, p_prior, atol=1e-10)
@@ -666,6 +676,7 @@ def test_symmetric_nodes_stay_symmetric():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
+    # theta and nu_tilde, shared by all runs, stay bitwise symmetric after every step
     rng = np.random.default_rng(seed)
     graph = _random_connected_graph(n_nodes, rng)
     params = auto_params(spectral_summary(graph), l_sub=l_sub)
@@ -686,6 +697,8 @@ def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
             dkf_time_step(single, graph, model, meas[t - 1, r], params,
                           ledger=single_ledger if r == 0 else None, t=t,
                           consensus_log=single_logs[r])
+        for z in (batch.theta, batch.nu_tilde):
+            assert z.shape == (n_nodes, 4, 4) and np.array_equal(z, z.transpose(0, 2, 1))
 
     assert batch.x_post.shape == (runs, n_nodes, 4)
     assert batch_log[0].shape == (runs, l_sub)
@@ -700,6 +713,7 @@ def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
         assert np.array_equal(
             getattr(batch_ledger, name), runs * getattr(single_ledger, name)
         )
+    assert np.array_equal(batch_ledger.cov_scalars, batch_ledger.cov_messages * 4 * 5 // 2)
 
 
 def test_mixed_measurement_dimensions_rejected():

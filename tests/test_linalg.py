@@ -10,7 +10,6 @@ from oracles import covariance_mode_matrix, state_mode_matrix
 
 from dkf_admm import linalg
 from dkf_admm.exceptions import (
-    DimensionError,
     NotPositiveDefinite,
     ObservabilityError,
     RiccatiDivergence,
@@ -28,45 +27,8 @@ from dkf_admm.linalg import (
     step_bounds,
     sym,
     sym_inverse,
-    unvech,
-    vech,
 )
 from dkf_admm.models import build_constant_velocity_model
-
-
-def test_vech_examples():
-    assert np.array_equal(vech(np.eye(2)), [1, 0, 1])
-    assert np.array_equal(vech(np.array([[4.0, 7.0], [7.0, 9.0]])), [4, 7, 9])
-    assert np.array_equal(vech(np.ones((3, 3))), np.ones(6))
-
-
-def test_vech_column_major_lower_order():
-    m = np.array([[11.0, 21.0, 31.0], [21.0, 22.0, 32.0], [31.0, 32.0, 33.0]])
-    assert np.array_equal(vech(m), [11, 21, 31, 22, 32, 33])
-
-
-def test_unvech_examples():
-    assert np.array_equal(unvech([1, 0, 1]), np.eye(2))
-    assert np.array_equal(unvech([5.0]), [[5.0]])
-
-
-def test_unvech_bad_length():
-    with pytest.raises(DimensionError):
-        unvech([1.0, 2.0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
-def test_vech_roundtrip(n, seed):
-    m = sym(np.random.default_rng(seed).normal(size=(n, n)))
-    assert np.array_equal(unvech(vech(m)), m)
-    v = np.random.default_rng(seed + 1).normal(size=n * (n + 1) // 2)
-    assert np.array_equal(vech(unvech(v)), v)
-    # stacks over leading axes, matrix by matrix
-    stack = sym(np.random.default_rng(seed + 2).normal(size=(3, 2, n, n)))
-    v_stack = vech(stack)
-    assert np.array_equal(v_stack[2, 1], vech(stack[2, 1]))
-    assert np.array_equal(unvech(v_stack), stack)
 
 
 def test_spd_solve_examples():
@@ -392,21 +354,26 @@ def test_sym_inverse_switches_at_sweep_min_stack():
     assert not np.array_equal(sweep, sym(np.linalg.inv(a)))
 
 
-@pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK])
+@pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK, 1000])
 def test_stack_inverses_reject_singular_and_indefinite(size):
+    # spd_inverse's verdict is Cholesky's below SWEEP_MIN_STACK and the
+    # sweep's pivots from it on, with one message on both sides
     a, _ = _spd_stack((size,), 4, seed=9, max_log_cond=3.0)
+    assert np.array_equal(spd_inverse(a), sym_inverse(a))  # a PD stack passes, same values
     zero = a.copy()
     zero[3] = 0.0
     for inverse in (sym_inverse, spd_inverse):
         with pytest.raises(NotPositiveDefinite):
             inverse(zero)
-    indefinite = a.copy()
-    indefinite[5] = np.diag([1.0, -1.0, 2.0, 0.5])
-    with pytest.raises(NotPositiveDefinite):
-        spd_inverse(indefinite)
+    for k, member in ((3, np.zeros((4, 4))), (5, np.diag([1.0, -1.0, 2.0, 0.5])),
+                      (7, np.ones((4, 4))), (size - 1, -np.eye(4))):
+        bad = a.copy()
+        bad[k] = member
+        with pytest.raises(NotPositiveDefinite, match="matrix must be positive definite"):
+            spd_inverse(bad)
 
 
-@pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK])
+@pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK, 1000])
 def test_stack_inverses_reject_non_finite_and_overflowing_members(size):
     # one finiteness rule after both paths: LAPACK used to return NaN or inf
     # below SWEEP_MIN_STACK, where the sweep raised
@@ -422,8 +389,10 @@ def test_stack_inverses_reject_non_finite_and_overflowing_members(size):
             sym_inverse(bad)
         with pytest.raises(NotPositiveDefinite, match=spd_message):
             spd_inverse(bad)
+    inf_pair = np.eye(4)
+    inf_pair[1, 2] = inf_pair[2, 1] = np.inf  # symmetric, off the diagonal
     for member in (np.diag([np.inf, 1.0, 1.0, 1.0]), np.diag([-np.inf, 1.0, 1.0, 1.0]),
-                   np.diag([1.0, -1.0, 2.0, 0.5])):
+                   np.diag([1.0, -1.0, 2.0, 0.5]), np.diag([1.0, 1.0, 1.0, np.nan]), inf_pair):
         bad = a.copy()
         bad[1] = member
         with pytest.raises(NotPositiveDefinite, match="matrix must be positive definite"):
