@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dkf_admm.exceptions import NotPositiveDefinite
+from dkf_admm.exceptions import DimensionError, NotPositiveDefinite
 from dkf_admm.linalg import spd_inverse, spd_solve, sym
 from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
 
@@ -41,16 +41,19 @@ def centralized_kf_step(
 
     Predict with (F, Q); correct by adding sum_i H_i' R_i^-1 H_i to the
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
-    vector. `measurements` holds the y_i of the first k nodes, shape (k, m)
-    (may be empty); the sensors are `sensor_specs_at(model, t)`.
+    vector. `measurements` holds the y_i of the first k <= N nodes, shape
+    (k, m) (may be empty), else DimensionError; the sensors are
+    `sensor_specs_at(model, t)`.
     """
     f, q = model.f, model.q
     x_prior = f @ state.x_hat
     p_prior = sym(f @ state.p @ f.T + q)
     omega_prior = spd_inverse(p_prior)
     sensors = sensor_specs_at(model, t)
-    k = len(measurements)
-    y = np.asarray(measurements, dtype=float).reshape(k, sensors.h.shape[1])
+    y, m = np.asarray(measurements, dtype=float), sensors.h.shape[1]
+    if len(y) > len(sensors.info) or y.size != len(y) * m:
+        raise DimensionError(f"measurements {y.shape} must be (k, {m}), k <= {len(sensors.info)}")
+    k, y = len(y), y.reshape(len(y), m)
     with np.errstate(over="ignore"):  # an overflow is named below
         omega = sym(omega_prior + sensors.info[:k].sum(axis=0))
     info_vec = omega_prior @ x_prior + np.einsum("imn,im->n", sensors.rinv_h[:k], y)

@@ -9,11 +9,10 @@ synchronous Jacobi sub-iterations of the ADMM state correction
 stays local); one round of the covariance consensus (l_sub on
 per-step-random sensors) on the symmetric information matrices (only
 theta crosses edges, as the n(n+1)/2 entries on and below its diagonal);
-the posterior covariance assembly. Both consensus loops run their first
-round with the local accumulator and every later one as the two-term
-recursion on the last two iterates whose per-mode stability `linalg`
-certifies; on small graphs the simulator evaluates a whole loop as one
-GEMM of its cached all-rounds operator. All exchanges flow through a
+the posterior covariance assembly. Every round of both consensus loops
+is the accumulator round; on small graphs the simulator evaluates a whole
+loop as one GEMM of its cached all-rounds operator, which is that same
+loop run on the block identity. All exchanges flow through a
 CommLedger that counts messages and scalar payloads and rejects any
 attempt to put a dual variable on the wire. Independent Monte-Carlo runs
 can share one step: the estimates then carry a leading run axis and the
@@ -176,14 +175,19 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     `x0_estimates` holds one initial estimate per node, shape (N, n), or
     per run and node, (R, N, n), and `p0_nodes` one covariance per node
     (default: the model's P0); a single estimate or covariance is shared
-    by all nodes. theta starts at N H_i' R_i^-1 H_i with a zero
-    consensus dual, which makes the network-wide sum of theta + nu exactly
-    conserved from the first covariance step onward.
+    by all nodes, and other shapes raise DimensionError. theta starts at N
+    H_i' R_i^-1 H_i with a zero consensus dual, which makes the network-wide
+    sum of theta + nu exactly conserved from the first covariance step on.
     """
     n_nodes, n = model.n_nodes, model.n
     x0 = np.asarray(x0_estimates, dtype=float)
-    x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
-    p0 = sym(np.broadcast_to(model.p0 if p0_nodes is None else p0_nodes, (n_nodes, n, n)))
+    p0 = model.p0 if p0_nodes is None else p0_nodes
+    try:
+        x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
+        p0 = sym(np.broadcast_to(p0, (n_nodes, n, n)))
+    except ValueError as exc:
+        raise DimensionError(f"x0_estimates {x0.shape} must broadcast to (..., {n_nodes}, {n}) "
+                             f"and p0_nodes {np.shape(p0)} to {(n_nodes, n, n)}") from exc
     theta = n_nodes * sensor_specs_at(model, 0).info
     return NetworkState(
         x_prior=x0.copy(),
@@ -227,30 +231,38 @@ def _gains(p_prior, x_prior, sensors: SensorArrays, y, t):
 
 # Below this many nodes, a loop of 2 to OPERATOR_ROWS // N rounds is one GEMM of
 # its cached all-rounds operator. A logged 20-round loop ran faster that way up
-# to N = 72 on 4 columns and up to N = 48 on 20 (twice the flops of the round-
-# by-round path, in one call instead of 4 L); 64 splits the two.
+# to N = 80 on 4 columns and up to N = 52 on 20 (twice the flops of the round-
+# by-round path, in one call instead of 5 L); 64 splits the two.
 STACKED_ROUND_NODES = 64
 # An operator takes rounds N 2N 8 bytes: at most 2 MB below this row cap.
 OPERATOR_ROWS = 2000
 
 
+def _rounds(z, u, graph: SensorGraph, step, penalty, rounds, buf=None):
+    """`rounds` accumulator rounds on (N, c) rows, carrying u = target - acc
+    (updated in place): d = (L kron I) z, u -= step * d, z = u - penalty * d.
+    Round k's iterate goes to buf[k - 1], or to one slot every round reuses
+    (d is formed before z is overwritten). Returns z_R and u_R."""
+    d, slot = np.empty(z.shape), np.empty(z.shape) if buf is None else None
+    for k in range(rounds):
+        graph._apply(z, d)
+        u -= step * d
+        z = np.subtract(u, np.multiply(d, penalty, out=d), out=slot if buf is None else buf[k])
+    return z, u
+
+
 @functools.lru_cache(maxsize=4)
 def _round_operator(graph: SensorGraph, step, penalty, rounds):
-    """The read-only all-rounds operator of a consensus loop: ops (rounds,
-    N, 2N) with z_k = ops[k - 1] [z_0; target - acc_0], and the (N, 2N)
-    block giving acc_R - acc_0, from the loop's recursion run on the block
-    identity Op_0 = [I | 0], Op_1 = [-(step + penalty) L | I]. Keyed on the
-    graph object (hashed by identity), so each new graph pays its build."""
-    n_nodes, lap = graph.n_nodes, graph._dense
-    ops = np.empty((rounds + 1, n_nodes, 2 * n_nodes))
-    ops[0] = np.eye(n_nodes, 2 * n_nodes)
-    ops[1] = np.hstack([-(step + penalty) * lap, np.eye(n_nodes)])
-    for k in range(1, rounds):
-        ops[k + 1] = ops[k] - lap @ ((step + penalty) * ops[k] - penalty * ops[k - 1])
-    acc_op = np.eye(n_nodes, 2 * n_nodes, n_nodes) - ops[rounds] - penalty * lap @ ops[rounds - 1]
-    for arr in (ops, acc_op):
-        arr.setflags(write=False)
-    return ops[1:], acc_op
+    """The read-only all-rounds operator of a consensus loop, `_rounds` run
+    on the block identity z_0 = [I | 0], u_0 = [0 | I]: ops (rounds, N, 2N)
+    with z_k = ops[k - 1] [z_0; target - acc_0], and the (N, 2N) block of
+    acc_R - acc_0. Keyed on the graph object (hashed by identity)."""
+    n_nodes = graph.n_nodes
+    ops, eye = np.empty((rounds, n_nodes, 2 * n_nodes)), np.eye(2 * n_nodes)
+    _, u = _rounds(eye[:n_nodes], eye[n_nodes:].copy(), graph, step, penalty, rounds, ops)
+    acc_op = eye[n_nodes:] - u
+    ops.flags.writeable = acc_op.flags.writeable = False
+    return ops, acc_op
 
 
 def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=None, buf=None):
@@ -260,18 +272,16 @@ def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=
     acc_R; `acc` is the accumulator before round 1, or None for a zero one
     that the caller discards (then acc_R is None too).
 
-    Round 1 is the accumulator round: d = (L kron I) z_0, acc_1 = acc_0 +
-    step * d, z_1 = target - acc_1 - penalty * d. The rounds after it run
-    the companion recursion that `linalg._worst_radius` certifies,
-    z_{k+1} = z_k - (L kron I)((step + penalty) z_k - penalty z_{k-1}),
-    which follows from the accumulator round and does not carry the
-    accumulator; acc_R = target - z_R - penalty (L kron I) z_{R-1} at the
-    end. As sum_i d_i = 0, sum_i (z_i + acc_i) equals sum_i target_i after
-    every round. Covariance loop: z = theta, acc = nu_tilde, target = N
-    H' R^-1 H, step = penalty = alpha_nu. State loop: z = xi, acc =
-    K lambda_tilde (zero at each step's start), target = K b, step =
-    alpha_lambda, penalty = mu; the dual update lambda_tilde += alpha_lambda
-    K^-1 d, carried through K, needs neither K nor K^-1.
+    Every round is the accumulator round of `_rounds`: d = (L kron I) z,
+    acc += step * d, z = target - acc - penalty * d. Its iterates obey the
+    two-term recursion z_{k+1} = z_k - (L kron I)((step + penalty) z_k -
+    penalty z_{k-1}) that `linalg._worst_radius` certifies. As sum_i d_i =
+    0, sum_i (z_i + acc_i) equals sum_i target_i after every round.
+    Covariance loop: z = theta, acc = nu_tilde, target = N H' R^-1 H, step
+    = penalty = alpha_nu. State loop: z = xi, acc = K lambda_tilde (zero at
+    each step's start), target = K b, step = alpha_lambda, penalty = mu;
+    the dual update lambda_tilde += alpha_lambda K^-1 d, carried through K,
+    needs neither K nor K^-1.
 
     The loop is linear in [z_0; target - acc_0], so on graphs below
     STACKED_ROUND_NODES a loop of 2 to OPERATOR_ROWS // N rounds is one
@@ -279,39 +289,22 @@ def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=
     without `buf`, so a log cannot move the step; a (rounds, N, R d) round
     buffer `buf` takes round k's iterate in buf[k - 1], the earlier rounds
     from one more GEMM of the rest of the stack. Every other loop runs round
-    by round, its iterates in `buf` or, without one, in two rolling slots.
+    by round, its iterates in `buf` or, without one, in one reused slot.
     """
     n_nodes = graph.n_nodes
     z0, t = z.reshape(n_nodes, -1), target.reshape(n_nodes, -1)
     if 1 < rounds and n_nodes < STACKED_ROUND_NODES and rounds * n_nodes <= OPERATOR_ROWS:
         ops, acc_op = _round_operator(graph, step, penalty, rounds)
         rhs = np.concatenate([z0, t if acc is None else t - acc.reshape(n_nodes, -1)])
-        z_last = ops[-1] @ rhs
+        z_r = ops[-1] @ rhs
         if buf is not None:
             np.matmul(ops[:-1].reshape(-1, 2 * n_nodes), rhs, out=buf[:-1].reshape(-1, t.shape[1]))
-            buf[-1] = z_last
-        acc_r = None if acc is None else acc + (acc_op @ rhs).reshape(z.shape)
-        return z_last.reshape(z.shape), acc_r
-    d = graph._apply(z0, np.empty(z0.shape))
-    acc_r = step * d if acc is None else acc.reshape(n_nodes, -1) + step * d  # acc_1
-    if rounds == 1 and buf is None:
-        z1 = (t - acc_r - penalty * d).reshape(z.shape)
-        return z1, None if acc is None else acc_r.reshape(z.shape)
-    if buf is None:
-        buf = np.empty((min(rounds, 2),) + z0.shape)
-    slots = len(buf)
-    np.subtract(t - acc_r, penalty * d, out=buf[0])
-    w = np.empty(z0.shape)
-    for k in range(1, rounds):
-        prev = z0 if k == 1 else buf[(k - 2) % slots]
-        cur, nxt = buf[(k - 1) % slots], buf[k % slots]
-        np.multiply(cur, step + penalty, out=w)
-        w -= penalty * prev
-        np.subtract(cur, graph._apply(w, nxt), out=nxt)
-    z_last = buf[(rounds - 1) % slots]
-    if acc is not None and rounds > 1:
-        acc_r = t - z_last - penalty * graph._apply(buf[(rounds - 2) % slots], np.empty(z0.shape))
-    return z_last.reshape(z.shape).copy(), None if acc is None else acc_r.reshape(z.shape)
+            buf[-1] = z_r
+        return z_r.reshape(z.shape), None if acc is None else acc + (acc_op @ rhs).reshape(z.shape)
+    u = t.copy() if acc is None else t - acc.reshape(n_nodes, -1)
+    z_r, u = _rounds(z0, u, graph, step, penalty, rounds, buf)
+    z_r = (z_r if buf is None else z_r.copy()).reshape(z.shape)
+    return z_r, None if acc is None else (t - u).reshape(z.shape)
 
 
 def _posterior_cov(p_prior_inv, theta, t):
@@ -368,7 +361,8 @@ def dkf_time_step(
     (a row of `Trajectory.measurements`), or (R, N, m) when the state
     carries a run axis; then all R runs advance in this one call, with the
     covariance half computed once from `sensor_specs_at(model, t)`. Any
-    shape other than `state.x_post.shape[:-1] + (m,)` raises DimensionError.
+    shape other than `state.x_post.shape[:-1] + (m,)` raises DimensionError,
+    as do graph, model and state node counts that differ.
     The ledger counts each run's traffic (R times the degree per exchange)
     and records each consensus loop once per step, with all its rounds.
     When `consensus_log` is a list, the per-sub-iteration mean consensus
@@ -385,6 +379,9 @@ def dkf_time_step(
     expected = shape[:-1] + (sensors.rinv_h.shape[1],)
     if np.shape(measurements_t) != expected:
         raise DimensionError(f"measurements_t has shape {np.shape(measurements_t)}, not {expected}")
+    if not graph.n_nodes == model.n_nodes == n_nodes:
+        raise DimensionError(f"node counts differ: graph {graph.n_nodes}, model {model.n_nodes}, "
+                             f"state {n_nodes}")
     # the step's one layout change: R runs (one for an (N, n) state) go node-major, (N, R, .)
     x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
     runs = x_post.shape[1]

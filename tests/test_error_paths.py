@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import dkf_admm
-from dkf_admm.exceptions import (ConfigRejected, GraphGenerationFailed,
+from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
+from dkf_admm.exceptions import (ConfigRejected, DimensionError, GraphGenerationFailed,
                                  GraphNotConnected, NotPositiveDefinite)
-from dkf_admm.filtering import DkfParams, _posterior_cov, auto_params, dkf_time_step, init_state
+from dkf_admm.filtering import (CommLedger, DkfParams, _posterior_cov, auto_params, dkf_time_step,
+                                init_state)
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
 from dkf_admm.harness import ScenarioConfig, run_scenario
 from dkf_admm.linalg import step_bounds
@@ -38,6 +40,21 @@ def _redrawn_step_args():
     graph = build_graph("ring", 3)
     state = init_state(model, np.tile(model.x0_mean, (3, 1)))
     return state, graph, model, np.zeros((3, 1)), auto_params(spectral_summary(graph))
+
+
+def _six_node_step_on_a_three_node_ring(**kwargs):
+    # a 6-node model and state stepped on a 3-node graph used to run silently
+    # (or, with a 6-node ledger, raise numpy's broadcast ValueError)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=6)
+    graph = build_graph("ring", 3)
+    state = init_state(model, np.tile(model.x0_mean, (6, 1)))
+    dkf_time_step(state, graph, model, np.zeros((6, 1)), auto_params(spectral_summary(graph)),
+                  t=1, **kwargs)
+
+
+def _centralized_step(measurements):
+    model = build_constant_velocity_model(dt=0.1, n_nodes=3)
+    centralized_kf_step(initial_centralized_state(model), model, measurements, 1)
 
 
 def _inconsistent_model():
@@ -120,6 +137,20 @@ def _inconsistent_model():
      ConfigRejected, "t must be an integer >= 0, got -1"),
     (lambda: dkf_time_step(*_redrawn_step_args(), t=-1), ConfigRejected,
      "t must be an integer >= 0, got -1"),
+    # node counts and shapes that used to reach numpy as raw ValueErrors
+    (_six_node_step_on_a_three_node_ring, DimensionError,
+     "node counts differ: graph 3, model 6, state 6"),
+    (lambda: _six_node_step_on_a_three_node_ring(ledger=CommLedger(6)), DimensionError,
+     "node counts differ: graph 3, model 6, state 6"),
+    (lambda: init_state(build_constant_velocity_model(dt=0.1, n_nodes=3), np.zeros((2, 4))),
+     DimensionError, re.escape("x0_estimates (2, 4) must broadcast to (..., 3, 4)")),
+    (lambda: init_state(build_constant_velocity_model(dt=0.1, n_nodes=3), np.zeros(4),
+                        np.eye(3)),
+     DimensionError, re.escape("p0_nodes (3, 3) to (3, 4, 4)")),
+    (lambda: _centralized_step(np.zeros((4, 1))), DimensionError,
+     re.escape("measurements (4, 1) must be (k, 1), k <= 3")),
+    (lambda: _centralized_step(np.zeros((1, 3))), DimensionError,
+     re.escape("measurements (1, 3) must be (k, 1), k <= 3")),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

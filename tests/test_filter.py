@@ -328,11 +328,11 @@ def _accumulator_rounds(z, acc, target, laplacian, step, penalty, rounds):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data, seed):
-    # the all-rounds operator and the companion recursion of rounds 2..
-    # against the accumulator round of every round: each iterate (written to
-    # the round buffer) and the last accumulator, below and above
-    # STACKED_ROUND_NODES and DENSE_PRODUCT_NODES, and on both sides of the
-    # operator's row cap
+    # the all-rounds operator and the round-by-round loop against the
+    # accumulator round of every round: each iterate (written to the round
+    # buffer) and the last accumulator, below and above STACKED_ROUND_NODES
+    # and DENSE_PRODUCT_NODES, and on both sides of the operator's row cap;
+    # the inputs are read-only, as the loop must not write to them
     cap = OPERATOR_ROWS // n_nodes
     rounds = data.draw(st.one_of(st.integers(1, 20), st.integers(cap - 1, cap + 1)), "rounds")
     rng = np.random.default_rng(seed)
@@ -342,6 +342,8 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data
                      else (params.alpha_lambda, params.mu))
     shape = (n_nodes,) + (() if runs is None else (runs,)) + (16 if loop == "covariance" else 4,)
     z, acc, target = rng.normal(size=(3,) + shape)
+    for a in (z, acc, target):
+        a.setflags(write=False)
     want, want_acc = _accumulator_rounds(z, acc, target, dense_laplacian(graph), step, penalty,
                                          rounds)
     tol, acc_tol = 1e-12 * np.abs(want).max(), 1e-12 * np.abs(want_acc).max()
@@ -351,7 +353,7 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data
     assert np.allclose(buf, want, rtol=0.0, atol=tol)
     assert np.array_equal(got.reshape(n_nodes, -1), buf[-1])
     assert np.allclose(got_acc.reshape(n_nodes, -1), want_acc, rtol=0.0, atol=acc_tol)
-    # without a buffer (the operator's last block, or rolling slots), and
+    # without a buffer (the operator's last block, or one reused slot), and
     # with a discarded accumulator
     unbuffered, unbuffered_acc = _consensus_rounds(z, target, graph, step, penalty, rounds, acc=acc)
     assert np.array_equal(unbuffered, got) and np.array_equal(unbuffered_acc, got_acc)
@@ -560,7 +562,7 @@ def test_consensus_log_extra_peak_memory():
 
 
 def test_unlogged_step_peak_memory_does_not_grow_with_rounds():
-    # an unlogged step rolls its iterates through two slots above
+    # an unlogged step keeps its iterate in one reused slot above
     # STACKED_ROUND_NODES (N = 1,000 ring) and past the operator's row cap
     # (6-node ring, L = 4,000), so its peak, operator build included, does
     # not grow with L (R = 3)
