@@ -42,16 +42,20 @@ def centralized_kf_step(
     Predict with (F, Q); correct by adding sum_i H_i' R_i^-1 H_i to the
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
     vector. `measurements` holds the y_i of the first k <= N nodes, shape
-    (k, m) (may be empty), else DimensionError; the sensors are
-    `sensor_specs_at(model, t)`.
+    (k, m) (may be empty); a scalar, ragged rows or any other shape raise
+    DimensionError; the sensors are `sensor_specs_at(model, t)`.
     """
     f, q = model.f, model.q
     x_prior = f @ state.x_hat
     p_prior = sym(f @ state.p @ f.T + q)
     omega_prior = spd_inverse(p_prior)
     sensors = sensor_specs_at(model, t)
-    y, m = np.asarray(measurements, dtype=float), sensors.h.shape[1]
-    if len(y) > len(sensors.info) or y.size != len(y) * m:
+    m = sensors.h.shape[1]
+    try:
+        y = np.asarray(measurements, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise DimensionError(f"measurements must be one (k, {m}) array: {exc}") from exc
+    if y.ndim == 0 or len(y) > len(sensors.info) or y.size != len(y) * m:
         raise DimensionError(f"measurements {y.shape} must be (k, {m}), k <= {len(sensors.info)}")
     k, y = len(y), y.reshape(len(y), m)
     with np.errstate(over="ignore"):  # an overflow is named below

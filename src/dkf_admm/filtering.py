@@ -3,20 +3,21 @@
 The whole network's state is one `NetworkState` of arrays whose leading
 axis is the node index, so every update below is the paper's
 network-level form: the lifted Laplacian (L kron I) acting on the
-stacked iterates. One filter time step is: predict with (F, Q); L
-synchronous Jacobi sub-iterations of the ADMM state correction
-(neighbors exchange only the primal iterate xi, the transformed dual
-stays local); one round of the covariance consensus (l_sub on
-per-step-random sensors) on the symmetric information matrices (only
+stacked iterates. One filter time step has two halves. The covariance
+half reads no measurement, so it runs once per step, before any per-run
+work, and all Monte-Carlo runs share it: the prior covariance F P F' + Q,
+its inverse and the gain K; one round of the covariance consensus (l_sub
+on per-step-random sensors) on the symmetric information matrices (only
 theta crosses edges, as the n(n+1)/2 entries on and below its diagonal);
-the posterior covariance assembly. Every round of both consensus loops
-is the accumulator round; on small graphs the simulator evaluates a whole
-loop as one GEMM of its cached all-rounds operator, which is that same
-loop run on the block identity. All exchanges flow through a
-CommLedger that counts messages and scalar payloads and rejects any
-attempt to put a dual variable on the wire. Independent Monte-Carlo runs
-can share one step: the estimates then carry a leading run axis and the
-measurement-free covariance half is computed once for all of them.
+the posterior covariance assembly. The state half predicts with F and
+runs L synchronous Jacobi sub-iterations of the ADMM state correction
+(neighbors exchange only the primal iterate xi, the transformed dual
+stays local), on estimates that may carry a leading run axis. Every
+round of both consensus loops is the accumulator round; on small graphs
+the simulator evaluates a whole loop as one GEMM of its cached
+all-rounds operator, which is that same loop run on the block identity.
+All exchanges flow through a CommLedger that counts messages and scalar
+payloads and rejects any attempt to put a dual variable on the wire.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ class NetworkState:
     x_prior, x_post: (N, n) state estimates, or (R, N, n) for R runs
     filtered together; p_prior, p_post: (N, n, n) covariances; theta:
     (N, n, n) symmetric estimates of the network information rate N H'R^-1H;
-    nu_tilde: the matching consensus duals. The covariance half does
-    not depend on the measurements, so all runs share it. The state iterate
-    xi and its local accumulator K lambda_tilde live only inside one time
-    step: the accumulator restarts at zero every step and x_post is the
-    final xi.
+    nu_tilde: the matching consensus duals. All runs share the covariance
+    fields (a step's covariance half); the estimates are per run (its
+    state half). The state iterate xi and its local accumulator K
+    lambda_tilde live only inside one time step: the accumulator restarts
+    at zero every step and x_post is the final xi.
     """
 
     x_prior: np.ndarray
@@ -197,36 +198,6 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
         theta=theta,
         nu_tilde=np.zeros_like(theta),
     )
-
-
-def _predict(x_post, p_post, model: StateSpaceModel):
-    """Local prediction at every node: x = F x, P = F P F' + Q (identical
-    to the centralized filter). x_post may carry extra leading axes."""
-    return x_post @ model.f.T, sym(model.f @ p_post @ model.f.T + model.q)
-
-
-def _gains(p_prior, x_prior, sensors: SensorArrays, y, t):
-    """P_prior^-1 and the state-correction target K b of every node.
-
-    K = (H' R^-1 H + P_prior^-1 / N)^-1 and b = H' R^-1 y + P_prior^-1
-    x_prior / N, each stacked over nodes; the sensor terms are the stacked
-    `sensors.info` and `sensors.rinv_h`. x_prior (N, R, n) and y (N, R, m)
-    are node-major rows, so each product is one batched matmul on row
-    vectors, y' R^-1 H, x' P^-1 and b' K (P^-1 and K are exactly
-    symmetric), and K b is (N, R, n). Both inverses are one `sym_inverse`
-    of the (N, n, n) stack; NotPositiveDefinite names step t if either fails
-    (a singular prior, or one so large that K overflows) or K b overflows."""
-    n_nodes = len(sensors.info)
-    try:
-        p_prior_inv = sym_inverse(p_prior)
-        k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        kb = (y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
-    if not np.isfinite(kb).all():
-        raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
-    return p_prior_inv, kb
 
 
 # Below this many nodes, a loop of 2 to OPERATOR_ROWS // N rounds is one GEMM of
@@ -330,7 +301,7 @@ def _posterior_cov(p_prior_inv, theta, t):
                 f"posterior information of node {i}, t={t} is indefinite; "
                 "theta floored at zero eigenvalues",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             w, v = np.linalg.eigh(theta[i])
             m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
@@ -341,6 +312,28 @@ def _posterior_cov(p_prior_inv, theta, t):
                 f"posterior information matrix not PD even after flooring, t={t}; "
                 "the covariance consensus has diverged"
             ) from exc
+
+
+def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceModel,
+                     sensors: SensorArrays, alpha_nu, rounds, t):
+    """The measurement-free half of step t, once for all runs: P_prior =
+    F P_post F' + Q; P_prior^-1 and the gain K = (H' R^-1 H + P_prior^-1 /
+    N)^-1, each an exactly symmetric `sym_inverse` of the (N, n, n) stack
+    (NotPositiveDefinite names t if either fails: a singular prior, or one
+    so large that K overflows); `rounds` covariance consensus rounds from
+    the last theta towards N H' R^-1 H; P_post from `_posterior_cov`.
+    Returns (P_prior, P_prior^-1, K, theta, nu_tilde, P_post)."""
+    n_nodes = len(sensors.info)
+    p_prior = sym(model.f @ state.p_post @ model.f.T + model.q)
+    try:
+        p_prior_inv = sym_inverse(p_prior)
+        k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
+        theta, nu = _consensus_rounds(state.theta, n_nodes * sensors.info, graph, alpha_nu,
+                                      alpha_nu, rounds, acc=state.nu_tilde)
+    return p_prior, p_prior_inv, k, theta, nu, _posterior_cov(p_prior_inv, theta, t)
 
 
 def dkf_time_step(
@@ -359,19 +352,19 @@ def dkf_time_step(
 
     `measurements_t` holds one y_i per node for this step, shape (N, m)
     (a row of `Trajectory.measurements`), or (R, N, m) when the state
-    carries a run axis; then all R runs advance in this one call, with the
-    covariance half computed once from `sensor_specs_at(model, t)`. Any
+    carries a run axis; then all R runs advance in this one call. Any
     shape other than `state.x_post.shape[:-1] + (m,)` raises DimensionError,
     as do graph, model and state node counts that differ.
-    The ledger counts each run's traffic (R times the degree per exchange)
-    and records each consensus loop once per step, with all its rounds.
-    When `consensus_log` is a list, the per-sub-iteration mean consensus
-    error (mean over nodes of ||xi_i - mean(xi)||) is appended as one
-    (L,) array, or (R, L) for R runs, from the (L, N, R n) round buffer
-    that `_consensus_rounds` fills, reduced in place after the loop.
-    Theta crosses edges once per step on static sensors and l_sub times
-    on per-step-random ones, whose consensus target moves every step; each
-    message carries the n(n+1)/2 entries on and below its diagonal.
+    `_covariance_half` runs once, on `sensor_specs_at(model, t)`, then the
+    state half of every run: L state rounds from x_prior = F x_post towards
+    K b = K (H' R^-1 y + P_prior^-1 x_prior / N), whose overflow raises
+    NotPositiveDefinite naming t. The ledger counts each run's traffic (R
+    times the degree per exchange) and records each consensus loop once
+    per step, with all its rounds. When `consensus_log` is a list, the
+    per-sub-iteration mean consensus error (mean over nodes of ||xi_i -
+    mean(xi)||) is appended as one (L,) array, or (R, L) for R runs, from
+    the (L, N, R n) round buffer that `_consensus_rounds` fills, reduced
+    in place after the loop.
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
@@ -382,38 +375,35 @@ def dkf_time_step(
     if not graph.n_nodes == model.n_nodes == n_nodes:
         raise DimensionError(f"node counts differ: graph {graph.n_nodes}, model {model.n_nodes}, "
                              f"state {n_nodes}")
-    # the step's one layout change: R runs (one for an (N, n) state) go node-major, (N, R, .)
-    x_post = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1)
-    runs = x_post.shape[1]
-    y = np.asarray(measurements_t, dtype=float).reshape(runs, n_nodes, -1).swapaxes(0, 1)
-    x_prior, p_prior = _predict(x_post, state.p_post, model)
-    p_prior_inv, kb = _gains(p_prior, x_prior, sensors, y, t)
+    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
+    p_prior, p_prior_inv, k, theta, nu, p_post = _covariance_half(
+        state, graph, model, sensors, params.alpha_nu, cov_rounds, t)
 
+    # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
+    # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
+    x_prior = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1) @ model.f.T
+    runs = x_prior.shape[1]
+    y = np.asarray(measurements_t, dtype=float).reshape(runs, n_nodes, -1).swapaxes(0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        kb = (y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
+    if not np.isfinite(kb).all():
+        raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
     # L primal-only ADMM sub-iterations (Jacobi); the accumulator
     # K lambda_tilde stays local, restarts at zero each step and is not
     # kept. The rounds do only the exchange; the log and the ledger follow.
     rows = None if consensus_log is None else np.empty((params.l_sub, n_nodes, runs * n))
     xi, _ = _consensus_rounds(x_prior, kb, graph, params.alpha_lambda, params.mu, params.l_sub,
                               buf=rows)
-    if ledger is not None:
-        ledger.record("xi", params.l_sub * runs * graph.degree, n)
     if rows is not None:  # the round buffer, reduced in place
         node_mean = np.full(n_nodes, 1 / n_nodes)
         rows -= (node_mean @ rows)[:, None]
         norms = np.square(rows, out=rows).reshape(-1, n) @ np.ones(n)
         spread = node_mean @ np.sqrt(norms, out=norms).reshape(params.l_sub, n_nodes, runs)
         consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
-
-    # Covariance consensus on the previous step's theta, l_sub rounds if redrawn.
-    omega_scaled = n_nodes * sensors.info
-    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
-    with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
-        theta, nu = _consensus_rounds(state.theta, omega_scaled, graph, params.alpha_nu,
-                                      params.alpha_nu, cov_rounds, acc=state.nu_tilde)
     if ledger is not None:
+        ledger.record("xi", params.l_sub * runs * graph.degree, n)
         ledger.record("theta", cov_rounds * runs * graph.degree, n * (n + 1) // 2)
 
-    p_post = _posterior_cov(p_prior_inv, theta, t)
     state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)
     state.x_post = xi.swapaxes(0, 1).reshape(shape)
     state.p_prior, state.p_post, state.theta, state.nu_tilde = p_prior, p_post, theta, nu

@@ -75,7 +75,8 @@ def _sweep(a, spd=False) -> np.ndarray:
     """A^-1 of a symmetric stack by the sweep operator (Goodnight, The American
     Statistician 1979) on a batch-last (n, n, K) copy: n rank-1 updates whose
     products c_i c_j keep it exactly symmetric. With `spd`, the pivots (the
-    LDL' pivots, all positive iff a finite stack is PD) test definiteness."""
+    LDL' pivots, all positive iff a finite stack is PD) test definiteness,
+    and a failure takes `spd_cholesky`'s verdict, as below SWEEP_MIN_STACK."""
     m = np.moveaxis(a, (-2, -1), (0, 1)).copy()
     outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
     pivots = np.empty(m.shape[1:]) if spd else None
@@ -89,10 +90,11 @@ def _sweep(a, spd=False) -> np.ndarray:
             m -= np.multiply(outer, d, out=outer)
             m[k] = m[:, k] = c * d
             m[k, k] = -d
-    if spd and (not np.isfinite(a).all() or (pivots <= 0.0).any()):
-        raise NotPositiveDefinite("matrix must be positive definite")
-    if not np.isfinite(m).all():  # a PD member whose inverse overflows, or any non-finite one
-        raise NotPositiveDefinite("matrix is singular")
+    # a row k written over column k drops a non-finite entry below the diagonal, so test a too
+    if not (np.isfinite(a).all() and np.isfinite(m).all()) or spd and (pivots <= 0.0).any():
+        if spd:
+            spd_cholesky(a)  # a non-PD member, even one whose first pivot's reciprocal overflowed
+        raise NotPositiveDefinite("matrix is singular")  # a PD member whose inverse overflows
     return -np.moveaxis(m, (0, 1), (-2, -1))
 
 

@@ -1,13 +1,17 @@
 """Reference computations the tests compare the library against: per-node
 sensor arrays, the dense per-mode iteration matrices of both consensus
 loops, dense graph matrices read off the edge arrays, and the brute-force
-N x N random geometric graph.
+N x N random geometric graph; and the random connected graphs and random
+linear-Gaussian models that property tests draw.
 
 Imported by the test modules, which pytest runs with this directory on
 the import path.
 """
 
 import numpy as np
+
+from dkf_admm.graphs import build_graph
+from dkf_admm.models import SensorSpec, StateSpaceModel
 
 
 def sensor_oracle(h, r):
@@ -80,3 +84,37 @@ def geometric_adjacency_bruteforce(n_nodes, radius, seed, retries=50):
         if len(seen) == n_nodes:
             return a
     raise RuntimeError("no connected draw")
+
+
+def random_connected_graph(n_nodes, rng, p_extra=0.3):
+    """A random spanning tree plus each other node pair with probability
+    p_extra."""
+    order = rng.permutation(n_nodes)
+    edges = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n_nodes)]
+    edges += [
+        (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)
+        if rng.random() < p_extra
+    ]
+    return build_graph("explicit", n_nodes, edges=edges)
+
+
+def random_model(rng, n_nodes, redrawn=False):
+    """A random observable model of N = `n_nodes` nodes: n in 2..5 states,
+    one m in {1, 2} for all nodes, a Gaussian F scaled to a spectral radius
+    drawn from [0.5, 1.2], Gaussian H_i, and SPD Q, P0 and R_i of the form
+    G G' + I. With `redrawn`, every node draws its sensor at every step
+    from three such candidates."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+
+    def spd(k):
+        g = rng.normal(size=(k, k))
+        return g @ g.T + np.eye(k)
+
+    def sensors(count):
+        return tuple(SensorSpec(rng.normal(size=(m, n)), spd(m)) for _ in range(count))
+
+    f = rng.normal(size=(n, n))
+    f *= rng.uniform(0.5, 1.2) / np.abs(np.linalg.eigvals(f)).max()
+    return StateSpaceModel(f=f, q=spd(n), sensors=sensors(n_nodes), x0_mean=rng.normal(size=n),
+                           p0=spd(n), redraw_from=sensors(3) if redrawn else (),
+                           assignment_seed=int(rng.integers(2**31)))

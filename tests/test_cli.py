@@ -12,6 +12,7 @@ import dkf_admm
 from dkf_admm import cli, exceptions, harness
 from dkf_admm.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from dkf_admm.filtering import DkfParams
+from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.harness import build_scenario
 
 SMOKE_INI = (
@@ -72,6 +73,25 @@ def test_spectrum_subcommand(tmp_path, capsys):
     # ring of 6: six edges, lambda_max = 4
     assert "edges=6" in out
     assert "lambda_max = 4" in out
+
+
+def _no_convergence(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("eigvalsh, message", [
+    (_no_convergence, "Eigenvalues did not converge"),
+    (lambda a: np.linspace(-1e-9, 4.0, len(a)), "negative Laplacian eigenvalue -1e-09"),
+], ids=["raises", "negative"])
+def test_spectral_failure_exits_3(tmp_path, capsys, monkeypatch, eigvalsh, message):
+    # numpy documents that eigvalsh raises LinAlgError when it does not
+    # converge; that and an eigenvalue below -1e-10 are both SpectralFailure.
+    # No real Laplacian here meets either, so a stand-in eigvalsh makes each
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(exceptions.SpectralFailure, match=message):
+        spectral_summary(build_graph("ring", 6))
+    assert main(["spectrum", _write(tmp_path, SMOKE_INI)]) == EXIT_NUMERICAL
+    assert f"numerical failure: {message}" in capsys.readouterr().err
 
 
 LARGE_INI = (

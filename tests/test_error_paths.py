@@ -151,6 +151,11 @@ def _inconsistent_model():
      re.escape("measurements (4, 1) must be (k, 1), k <= 3")),
     (lambda: _centralized_step(np.zeros((1, 3))), DimensionError,
      re.escape("measurements (1, 3) must be (k, 1), k <= 3")),
+    # a scalar and ragged rows, which used to escape as TypeError and numpy's ValueError
+    (lambda: _centralized_step(1.0), DimensionError,
+     re.escape("measurements () must be (k, 1), k <= 3")),
+    (lambda: _centralized_step([[1.0], [2.0, 3.0]]), DimensionError,
+     re.escape("measurements must be one (k, 1) array")),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:

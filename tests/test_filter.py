@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_laplacian, info_oracle, sensor_oracle
+from oracles import dense_laplacian, info_oracle, random_connected_graph, sensor_oracle
 
+from dkf_admm import filtering
 from dkf_admm.exceptions import (
     ConfigRejected,
     DimensionError,
@@ -20,9 +21,8 @@ from dkf_admm.filtering import (
     OPERATOR_ROWS,
     STACKED_ROUND_NODES,
     _consensus_rounds,
-    _gains,
+    _covariance_half,
     _posterior_cov,
-    _predict,
     _round_operator,
     auto_params,
     dkf_time_step,
@@ -76,32 +76,36 @@ def test_auto_params_inside_bounds():
         assert cov_rep.is_schur and state_rep.is_schur
 
 
+def _half(state, graph, model, params, t=1):
+    """`_covariance_half` of static-sensor step t, one covariance round:
+    (P_prior, P_prior^-1, K, theta, nu_tilde, P_post)."""
+    return _covariance_half(state, graph, model, sensor_specs_at(model, t), params.alpha_nu, 1, t)
+
+
 def test_predict_matches_formula():
-    _, _, _, model, _, state = _setup()
+    graph, _, params, model, traj, state = _setup()
     state.x_post[0] = [1.0, -1.0, 0.5, 0.2]
     state.p_post[0] = np.diag([1.0, 2.0, 3.0, 4.0])
-    x_prior, p_prior = _predict(state.x_post, state.p_post, model)
-    for x, p, xp, pp in zip(state.x_post, state.p_post, x_prior, p_prior):
+    x_post, p_post = state.x_post.copy(), state.p_post.copy()
+    p_prior, *_ = _half(state, graph, model, params)
+    dkf_time_step(state, graph, model, traj.measurements[1], params, t=1)
+    assert np.array_equal(state.p_prior, p_prior)
+    for x, p, xp, pp in zip(x_post, p_post, state.x_prior, p_prior):
         assert np.allclose(xp, model.f @ x)
         assert np.allclose(pp, model.f @ p @ model.f.T + model.q, atol=1e-14)
 
 
-def _one_run_gains(p_prior, x_prior, sensors, meas, t):
-    """`_gains` on one run: (N, n) estimates and (N, m) measurements, as
-    the node-major (N, 1, .) rows it takes; K b comes back as (N, n)."""
-    p_inv, kb = _gains(p_prior, x_prior[:, None], sensors, meas[:, None], t)
-    return p_inv, kb[:, 0]
-
-
 def test_gain_inverse_pair():
     # below the stack-inverse switch (LAPACK) and at it (the sweep), with a
-    # distinct, non-diagonal prior at every node
+    # distinct, non-diagonal prior at every node. Every node holds the same
+    # estimate, so one state round exchanges nothing and x_post is K b
     for n_nodes in (4, SWEEP_MIN_STACK):
-        _, _, _, model, traj, state = _setup(n_nodes=n_nodes)
-        scale = 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
-        _, p_prior = _predict(state.x_post, scale * state.p_post, model)
+        graph, _, params, model, traj, state = _setup(n_nodes=n_nodes, l_sub=1)
+        state.x_post[:] = [1.0, -1.0, 0.5, 0.2]
+        state.p_post *= 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
         meas = traj.measurements[1]
-        p_inv, kb = _one_run_gains(p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
+        p_prior, p_inv, k, *_ = _half(state, graph, model, params)
+        dkf_time_step(state, graph, model, meas, params, t=1)
         for i, spec in enumerate(model.sensors):
             _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
             p_inv_ref = spd_inverse(p_prior[i])
@@ -109,7 +113,27 @@ def test_gain_inverse_pair():
             assert np.allclose(p_inv[i], p_inv_ref, atol=1e-14)
             b_ref = rinv_h.T @ meas[i] + p_inv_ref @ state.x_prior[i] / n_nodes
             k_ref = np.linalg.inv(info + p_inv_ref / n_nodes)
-            assert np.allclose(kb[i], k_ref @ b_ref, atol=1e-12)
+            assert np.allclose(k[i], k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
+            assert np.allclose(state.x_post[i], k_ref @ b_ref, atol=1e-12)
+
+
+def test_step_runs_one_covariance_half_before_the_state_rounds(monkeypatch):
+    # R = 3 runs on redrawn sensors: each step calls the covariance half
+    # once, whose theta loop comes before the state loop
+    graph, _, params, _, _, _ = _setup(n_nodes=5, topology="path", l_sub=4)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment="per_step_random")
+    calls = []
+
+    def spy(name):
+        inner = getattr(filtering, name)
+        monkeypatch.setattr(filtering, name, lambda *a, **kw: calls.append(name) or inner(*a, **kw))
+
+    spy("_covariance_half")
+    spy("_consensus_rounds")
+    state = init_state(model, np.broadcast_to(model.x0_mean, (3, 5, 4)))
+    for t in (1, 2):
+        dkf_time_step(state, graph, model, np.zeros((3, 5, 1)), params, t=t)
+    assert calls == ["_covariance_half", "_consensus_rounds", "_consensus_rounds"] * 2
 
 
 def test_init_theta_scaled_info():
@@ -181,13 +205,12 @@ def test_correction_reaches_consensus():
         n_nodes=6, topology="ring", l_sub=4000
     )
     meas = traj.measurements[1]
+    dkf_time_step(state, graph, model, meas, params, t=1)
     k_inv_ref, k_ref, b_ref = _reference_gains(
         state.x_prior, state.p_prior, model.sensors, meas
     )
     local = _kb(k_ref, b_ref)
-    _, kb = _one_run_gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
-    xi, _ = _consensus_rounds(state.x_prior, kb, graph, params.alpha_lambda, params.mu,
-                              params.l_sub)
+    xi = state.x_post
     spread = np.abs(xi - xi.mean(axis=0)).max()
     assert spread < 1e-10
     assert np.allclose(xi[0], np.mean(local, axis=0), atol=1e-8)
@@ -195,13 +218,11 @@ def test_correction_reaches_consensus():
 
 def test_correction_consensus_error_decays_geometrically():
     graph, spectrum, params, model, traj, state = _setup(n_nodes=8, topology="ring")
-    meas = traj.measurements[1]
-    rng = np.random.default_rng(4)
-    xi = state.x_prior + rng.normal(size=(8, 4))
-    _, kb = _one_run_gains(state.p_prior, state.x_prior, sensor_specs_at(model, 1), meas, 1)
-    rounds = np.empty((100, 8, 4))  # round k's xi lands in rounds[k - 1]
-    _consensus_rounds(xi, kb, graph, params.alpha_lambda, params.mu, 100, buf=rounds)
-    errs = np.linalg.norm(rounds - rounds.mean(axis=1, keepdims=True), axis=(1, 2))
+    state.x_post += np.random.default_rng(4).normal(size=(8, 4))
+    log = []
+    dkf_time_step(state, graph, model, traj.measurements[1], dataclasses.replace(params, l_sub=100),
+                  t=1, consensus_log=log)
+    errs = log[0]  # round k's mean consensus error lands in errs[k - 1]
     # average per-round contraction over a window clear of both the initial
     # transient and the floating-point floor must not beat the worst
     # disagreement-mode radius by more than a little slack
@@ -256,18 +277,6 @@ def test_covariance_consensus_converges_to_network_sum():
         assert np.linalg.norm(th - target) < 1e-12 * np.linalg.norm(target)
 
 
-def _random_connected_graph(n_nodes, rng, p_extra=0.3):
-    """A random spanning tree plus each other node pair with probability
-    p_extra."""
-    order = rng.permutation(n_nodes)
-    edges = [(int(order[k]), int(order[rng.integers(k)])) for k in range(1, n_nodes)]
-    edges += [
-        (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)
-        if rng.random() < p_extra
-    ]
-    return build_graph("explicit", n_nodes, edges=edges)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n_nodes=st.one_of(st.integers(2, 12),
@@ -283,7 +292,7 @@ def test_theta_plus_nu_sum_is_conserved(n_nodes, runs, loop, seed):
     # operator, dense-product and neighbor-table paths; the covariance
     # loop's symmetric (N, n, n) stacks stay bitwise symmetric
     rng = np.random.default_rng(seed)
-    graph = _random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
+    graph = random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
     params = auto_params(spectral_summary(graph))
     lead = (n_nodes,) if runs is None else (n_nodes, runs)
     if loop == "covariance":
@@ -336,7 +345,7 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data
     cap = OPERATOR_ROWS // n_nodes
     rounds = data.draw(st.one_of(st.integers(1, 20), st.integers(cap - 1, cap + 1)), "rounds")
     rng = np.random.default_rng(seed)
-    graph = _random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
+    graph = random_connected_graph(n_nodes, rng, p_extra=min(0.3, 4.0 / n_nodes))
     params = auto_params(spectral_summary(graph))
     step, penalty = ((params.alpha_nu, params.alpha_nu) if loop == "covariance"
                      else (params.alpha_lambda, params.mu))
@@ -494,10 +503,12 @@ def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
     meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
 
     # node-major (N, R, .) rows, R = 1 for an (N, n) state
-    x_post = state.x_post.reshape(-1, n_nodes, 4).swapaxes(0, 1)
+    x_prior = state.x_post.reshape(-1, n_nodes, 4).swapaxes(0, 1) @ model.f.T
     y = meas.reshape(-1, n_nodes, 1).swapaxes(0, 1)
-    x_prior, p_prior = _predict(x_post, state.p_post, model)
-    _, kb = _gains(p_prior, x_prior, sensor_specs_at(model, 1), y, 1)
+    _, p_inv, k, *_ = _half(state, graph, model, params)
+    rinv_h = sensor_specs_at(model, 1).rinv_h
+    b = np.einsum("imn,irm->irn", rinv_h, y) + np.einsum("inm,irm->irn", p_inv, x_prior) / n_nodes
+    kb = np.einsum("inm,irm->irn", k, b)
     iterates, _ = _accumulator_rounds(x_prior, np.zeros_like(x_prior), kb, dense_laplacian(graph),
                                       params.alpha_lambda, params.mu, params.l_sub)
     xis = iterates.reshape((params.l_sub,) + x_prior.shape)  # (L, N, R, n)
@@ -680,7 +691,7 @@ def test_symmetric_nodes_stay_symmetric():
 def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
     # theta and nu_tilde, shared by all runs, stay bitwise symmetric after every step
     rng = np.random.default_rng(seed)
-    graph = _random_connected_graph(n_nodes, rng)
+    graph = random_connected_graph(n_nodes, rng)
     params = auto_params(spectral_summary(graph), l_sub=l_sub)
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
     x0 = model.x0_mean + rng.normal(size=(runs, n_nodes, 4))

@@ -16,7 +16,7 @@ Regenerate it, after a change that moves the numbers on purpose, with
     PYTHONPATH=src python tests/test_golden.py
 
 which first prints each key's largest relative change against the
-committed file.
+committed file. A failing test lists that line for every key that moved.
 """
 
 import math
@@ -89,8 +89,9 @@ def test_outputs_match_the_golden_file(tmp_path):
     got = golden_outputs(tmp_path)
     with np.load(GOLDEN) as golden:
         assert sorted(golden.files) == sorted(got)
-        for key, value in got.items():
-            assert np.array_equal(value, golden[key]), key
+        changed = [_change(key, golden[key], value) for key, value in got.items()
+                   if not np.array_equal(value, golden[key])]
+    assert not changed, "\n".join(changed)
 
 
 def _numbers(key, value) -> np.ndarray:
@@ -111,6 +112,12 @@ def _largest_relative_change(old, new) -> float:
     return diff / scale if scale else (math.inf if diff else 0.0)
 
 
+def _change(key, old, new) -> str:
+    """The report line of one key: its largest relative change."""
+    change = _largest_relative_change(_numbers(key, old), _numbers(key, new))
+    return f"{key}: largest relative change {change:.3g}"
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -118,8 +125,7 @@ if __name__ == "__main__":
     old = dict(np.load(GOLDEN)) if GOLDEN.exists() else {}
     for key in sorted(new.keys() | old.keys()):
         if key in old and key in new:
-            change = _largest_relative_change(_numbers(key, old[key]), _numbers(key, new[key]))
-            print(f"{key}: largest relative change {change:.3g}")
+            print(_change(key, old[key], new[key]))
         else:
             print(f"{key}: {'added' if key in new else 'removed'}")
     np.savez_compressed(GOLDEN, **new)

@@ -382,6 +382,12 @@ def test_stack_inverses_reject_non_finite_and_overflowing_members(size):
         (2, np.full((4, 4), np.nan), "must be positive definite"),
         (4, np.diag([1.0, 1.0, 1.0, 0.0]), "must be positive definite"),
         (6, 1e-310 * np.eye(4), "is singular"),  # PD, but the inverse overflows
+        # not PD, but the sweep's first pivot overflows its reciprocal and
+        # leaves NaN pivots, which used to read "singular" from 64 matrices on
+        (8, np.diag([1e-310, -1.0, 1.0, 1.0]), "must be positive definite"),
+        # NaN only below the diagonal, which the sweep used to drop
+        (0, np.where(np.arange(16).reshape(4, 4) == 14, np.nan, np.eye(4)),
+         "must be positive definite"),
     ):
         bad = a.copy()
         bad[k] = member
