@@ -29,7 +29,6 @@ from dkf_admm.graphs import (
 from dkf_admm.linalg import (
     StabilityReport,
     covariance_stability,
-    dare_residual,
     dare_solve,
     spd_inverse,
     spd_solve,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dkf_admm.exceptions import DimensionError, NotPositiveDefinite
+from dkf_admm.exceptions import ConfigRejected, DimensionError, NotPositiveDefinite
 from dkf_admm.linalg import spd_inverse, spd_solve, sym
-from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
+from dkf_admm.models import SensorArrays, StateSpaceModel, _real_array, sensor_specs_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,8 @@ def centralized_kf_step(
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
     vector. `measurements` holds the y_i of the first k <= N nodes, shape
     (k, m) (may be empty); a scalar, ragged rows or any other shape raise
-    DimensionError; the sensors are `sensor_specs_at(model, t)`.
+    DimensionError, non-finite or non-real entries ConfigRejected; the
+    sensors are `sensor_specs_at(model, t)`.
     """
     f, q = model.f, model.q
     x_prior = f @ state.x_hat
@@ -51,12 +52,11 @@ def centralized_kf_step(
     omega_prior = spd_inverse(p_prior)
     sensors = sensor_specs_at(model, t)
     m = sensors.h.shape[1]
-    try:
-        y = np.asarray(measurements, dtype=float)
-    except ValueError as exc:  # ragged rows
-        raise DimensionError(f"measurements must be one (k, {m}) array: {exc}") from exc
+    y = _real_array(measurements, "measurements", f"(k, {m})")
     if y.ndim == 0 or len(y) > len(sensors.info) or y.size != len(y) * m:
         raise DimensionError(f"measurements {y.shape} must be (k, {m}), k <= {len(sensors.info)}")
+    if not np.isfinite(y).all():
+        raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
     k, y = len(y), y.reshape(len(y), m)
     with np.errstate(over="ignore"):  # an overflow is named below
         omega = sym(omega_prior + sensors.info[:k].sum(axis=0))

@@ -39,8 +39,8 @@ class ObservabilityError(NumericalError, ValueError):
 
 
 class ConfigRejected(ConfigError, ValueError):
-    """A scenario configuration failed validation (bad value or an
-    unsatisfied stability bound without the override flag)."""
+    """A scenario configuration failed validation (a bad value or an
+    unsatisfied stability bound)."""
 
 
 class WireSchemaViolation(AssertionError):

@@ -37,7 +37,7 @@ from dkf_admm.graphs import SensorGraph
 from dkf_admm.linalg import (
     covariance_stability, spd_inverse, state_stability, step_bounds, sym, sym_inverse,
 )
-from dkf_admm.models import SensorArrays, StateSpaceModel, sensor_specs_at
+from dkf_admm.models import SensorArrays, StateSpaceModel, _real_array, sensor_specs_at
 
 
 def _check_types(config):
@@ -80,12 +80,6 @@ class DkfParams:
             covariance_stability(self.alpha_nu, spectrum),
             state_stability(self.alpha_lambda, self.mu, spectrum),
         )
-
-    def validate_for(self, spectrum):
-        """Raise the ConfigRejected of the first `check` report that fails;
-        `run_scenario` skips this guard if `override_stability_guard` is set."""
-        for report in self.check(spectrum):
-            report.require()
 
 
 def auto_params(spectrum, l_sub=20) -> DkfParams:
@@ -138,10 +132,8 @@ class CommLedger:
     cov_scalars: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.state_messages = np.zeros(self.n_nodes, dtype=np.int64)
-        self.state_scalars = np.zeros(self.n_nodes, dtype=np.int64)
-        self.cov_messages = np.zeros(self.n_nodes, dtype=np.int64)
-        self.cov_scalars = np.zeros(self.n_nodes, dtype=np.int64)
+        for name in ("state_messages", "state_scalars", "cov_messages", "cov_scalars"):
+            setattr(self, name, np.zeros(self.n_nodes, dtype=np.int64))
 
     def record(self, payload_kind, degrees, payload_len):
         """Add `degrees[i]` messages of `payload_len` scalars each at node i,
@@ -176,28 +168,27 @@ def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkSt
     `x0_estimates` holds one initial estimate per node, shape (N, n), or
     per run and node, (R, N, n), and `p0_nodes` one covariance per node
     (default: the model's P0); a single estimate or covariance is shared
-    by all nodes, and other shapes raise DimensionError. theta starts at N
+    by all nodes; other shapes, or no run at all, raise DimensionError, and
+    entries other than finite real numbers ConfigRejected. theta starts at N
     H_i' R_i^-1 H_i with a zero consensus dual, which makes the network-wide
     sum of theta + nu exactly conserved from the first covariance step on.
     """
     n_nodes, n = model.n_nodes, model.n
-    x0 = np.asarray(x0_estimates, dtype=float)
-    p0 = model.p0 if p0_nodes is None else p0_nodes
+    x0 = _real_array(x0_estimates, "x0_estimates", f"(..., {n_nodes}, {n})")
+    p0 = _real_array(model.p0 if p0_nodes is None else p0_nodes, "p0_nodes", (n_nodes, n, n))
+    if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
+        raise ConfigRejected("x0_estimates and p0_nodes must be finite")
     try:
         x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
         p0 = sym(np.broadcast_to(p0, (n_nodes, n, n)))
     except ValueError as exc:
         raise DimensionError(f"x0_estimates {x0.shape} must broadcast to (..., {n_nodes}, {n}) "
-                             f"and p0_nodes {np.shape(p0)} to {(n_nodes, n, n)}") from exc
+                             f"and p0_nodes {p0.shape} to {(n_nodes, n, n)}") from exc
+    if not x0.size:
+        raise DimensionError(f"x0_estimates {x0.shape} hold no run")
     theta = n_nodes * sensor_specs_at(model, 0).info
-    return NetworkState(
-        x_prior=x0.copy(),
-        p_prior=p0.copy(),
-        x_post=x0,
-        p_post=p0,
-        theta=theta,
-        nu_tilde=np.zeros_like(theta),
-    )
+    return NetworkState(x_prior=x0.copy(), p_prior=p0.copy(), x_post=x0, p_post=p0, theta=theta,
+                        nu_tilde=np.zeros_like(theta))
 
 
 # Below this many nodes, a loop of 2 to OPERATOR_ROWS // N rounds is one GEMM of
@@ -347,14 +338,14 @@ def dkf_time_step(
     ledger: CommLedger | None = None,
     consensus_log=None,
 ):
-    """Run one full filter time step for every node; updates and returns
-    `state`.
+    """Run one full filter time step for every node; returns `state`, updated.
 
     `measurements_t` holds one y_i per node for this step, shape (N, m)
     (a row of `Trajectory.measurements`), or (R, N, m) when the state
     carries a run axis; then all R runs advance in this one call. Any
-    shape other than `state.x_post.shape[:-1] + (m,)` raises DimensionError,
-    as do graph, model and state node counts that differ.
+    shape other than `state.x_post.shape[:-1] + (m,)`, a state of no run
+    and node counts (graph, model, state, ledger) that differ raise
+    DimensionError; a measurement that is not a finite real ConfigRejected.
     `_covariance_half` runs once, on `sensor_specs_at(model, t)`, then the
     state half of every run: L state rounds from x_prior = F x_post towards
     K b = K (H' R^-1 y + P_prior^-1 x_prior / N), whose overflow raises
@@ -370,23 +361,28 @@ def dkf_time_step(
     shape = state.x_post.shape
     sensors = sensor_specs_at(model, t)
     expected = shape[:-1] + (sensors.rinv_h.shape[1],)
-    if np.shape(measurements_t) != expected:
-        raise DimensionError(f"measurements_t has shape {np.shape(measurements_t)}, not {expected}")
-    if not graph.n_nodes == model.n_nodes == n_nodes:
-        raise DimensionError(f"node counts differ: graph {graph.n_nodes}, model {model.n_nodes}, "
-                             f"state {n_nodes}")
+    y = _real_array(measurements_t, "measurements_t", expected)
+    if not state.x_post.size:
+        raise DimensionError(f"the state holds no run: x_post has shape {shape}")
+    if y.shape != expected:
+        raise DimensionError(f"measurements_t has shape {y.shape}, not {expected}")
+    counts = graph.n_nodes, model.n_nodes, n_nodes, n_nodes if ledger is None else ledger.n_nodes
+    if len(set(counts)) > 1:
+        raise DimensionError("node counts differ: graph %s, model %s, state %s, ledger %s" % counts)
     cov_rounds = 1 if model.coordinate_table is None else params.l_sub
     p_prior, p_prior_inv, k, theta, nu, p_post = _covariance_half(
         state, graph, model, sensors, params.alpha_nu, cov_rounds, t)
 
     # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
     # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
-    x_prior = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1) @ model.f.T
-    runs = x_prior.shape[1]
-    y = np.asarray(measurements_t, dtype=float).reshape(runs, n_nodes, -1).swapaxes(0, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x_prior = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1) @ model.f.T
+        runs = x_prior.shape[1]
+        y = y.reshape(runs, n_nodes, -1).swapaxes(0, 1)
         kb = (y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
     if not np.isfinite(kb).all():
+        if not np.isfinite(y).all():
+            raise ConfigRejected(f"measurements_t holds a non-finite value at t={t}")
         raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
     # L primal-only ADMM sub-iterations (Jacobi); the accumulator
     # K lambda_tilde stays local, restarts at zero each step and is not

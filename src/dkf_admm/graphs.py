@@ -9,9 +9,9 @@ node's list. From DENSE_PRODUCT_NODES nodes on, a graph also holds a
 padded neighbor table, with the neighbors of hubs past its width in a CSR
 remainder (the hybrid ELL + COO format of Bell & Garland, SC 2009). One
 Laplacian product then costs O(E), as one consensus round does in the
-network. Every graph is connected, as consensus needs. The
-filter uses only the node degrees, `SensorGraph.disagreement` and the
-spectrum's lambda_max. Below DENSE_PRODUCT_NODES nodes, lambda_max is
+network. Every graph is connected, as consensus needs. The filter uses
+only the node degrees, the unchecked product `SensorGraph._apply` and
+the spectrum's lambda_max. Below DENSE_PRODUCT_NODES nodes, lambda_max is
 exact (dense `eigvalsh`); from there on `spectral_summary` certifies an
 upper bound from Laplacian products and a Cholesky in blocks of
 breadth-first levels, without an N x N matrix. A dense Laplacian exists
@@ -22,6 +22,7 @@ graphs run only when their exact eigenvalues or lambda_2 are read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -48,6 +49,13 @@ DENSE_PRODUCT_NODES = 400
 # (width, N, 4) gather at a time; `np.take` copies 4-column rows at the
 # lowest cost per value of 1 to 5 or 8 columns.
 _SLICE_COLUMNS = 4
+
+
+def _check_nodes(n):
+    """ConfigRejected unless the node count n is an integer >= 2."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ConfigRejected("a sensor network needs a whole number of at least 2 nodes, "
+                             f"got {n!r}")
 
 
 def _laplacian(n_nodes, indptr, indices):
@@ -103,9 +111,7 @@ class SensorGraph:
     _rest: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self, edges):
-        n = self.n_nodes
-        if n < 2:
-            raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n}")
+        _check_nodes(n := self.n_nodes)
         try:
             pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
         except (TypeError, ValueError) as exc:  # not sized, or ragged
@@ -197,18 +203,12 @@ class SpectralSummary:
         return float(self.eigenvalues[1])
 
 
-def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
-    """Construct a SensorGraph from a named topology.
-
-    Parameters
-    ----------
-    topology : str
-        One of ``ring``, ``complete``, ``path``, ``random_geometric``
-        (requires `seed` and a finite `radius` > 0), or ``explicit`` (requires
-        `edges`, an iterable of (i, j) pairs).
-    n_nodes : int
-        Number of nodes, at least 2.
-    """
+def build_graph(topology, n_nodes, *, radius=None, seed=None):
+    """The SensorGraph of a named topology on `n_nodes` nodes, an integer
+    >= 2: ``ring``, ``complete``, ``path`` or ``random_geometric`` (requires
+    a finite `radius` > 0 and a `seed` that `np.random.default_rng` takes,
+    else ConfigRejected). An edge list goes to `SensorGraph` itself."""
+    _check_nodes(n_nodes)
     if topology == "complete":
         return SensorGraph(n_nodes, np.argwhere(np.tri(n_nodes, k=-1)))
     if topology in ("ring", "path"):
@@ -217,15 +217,14 @@ def build_graph(topology, n_nodes, *, radius=None, seed=None, edges=None):
         if topology == "ring" and n_nodes > 2:
             pairs = np.vstack([pairs, [0, n_nodes - 1]])
         return SensorGraph(n_nodes, pairs)
-    if topology == "explicit":
-        if edges is None:
-            raise ConfigRejected("explicit topology requires an edge list")
-        return SensorGraph(n_nodes, list(edges))
     if topology == "random_geometric":
-        if seed is None or radius is None or not 0 < radius < np.inf:
+        if seed is None or not isinstance(radius, numbers.Real) or not 0 < radius < np.inf:
             raise ConfigRejected("random_geometric requires radius and seed, and a finite "
                                  f"radius > 0, got radius={radius!r}, seed={seed!r}")
-        rng = np.random.default_rng(seed)
+        try:
+            rng = np.random.default_rng(seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigRejected(f"unusable seed {seed!r}: {exc}") from exc
         for _ in range(_GEOMETRIC_RETRIES):
             try:
                 return SensorGraph(n_nodes, _geometric_edges(rng.uniform(size=(n_nodes, 2)), radius))

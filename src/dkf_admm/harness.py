@@ -20,7 +20,7 @@ import numpy as np
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected
 from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_time_step, init_state
-from dkf_admm.graphs import build_graph, spectral_summary
+from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
 from dkf_admm.linalg import dare_solve
 from dkf_admm.models import (
     POSITION,
@@ -62,7 +62,6 @@ class ScenarioConfig:
     # scenario flags
     noise_free: bool = False
     sub_iterated_covariance: bool | None = None  # set by sensor_assignment
-    override_stability_guard: bool = False
 
     def __post_init__(self):
         # types here; dt, n_nodes, radius, l_sub, topology, sensor_assignment values where used
@@ -95,8 +94,7 @@ _SECTIONS = {
     "graph": ("topology", "n_nodes", "radius", "graph_seed", "edge_list_path"),
     "params": ("alpha_lambda", "mu", "alpha_nu", "l_sub"),
     "run": ("horizon_steps", "n_mc_runs", "master_seed", "output_dir", "workers",
-            "init_box_halfwidth", "noise_free", "sub_iterated_covariance",
-            "override_stability_guard"),
+            "init_box_halfwidth", "noise_free", "sub_iterated_covariance"),
 }
 # each key's type as ScenarioConfig declares it ("float", "str | None", ...)
 _TYPES = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(ScenarioConfig)}
@@ -174,7 +172,7 @@ def load_edge_list(path, n_nodes):
             raise ConfigRejected(f"{path}, line {lineno}: {line!r} is not an edge "
                                  f"between two distinct nodes 0..{n_nodes - 1}") from None
         edges.append((i, j))
-    return build_graph("explicit", n_nodes, edges=edges)
+    return SensorGraph(n_nodes, edges)
 
 
 @dataclass(eq=False)
@@ -207,12 +205,8 @@ def build_scenario(config: ScenarioConfig):
     if config.topology == "explicit":
         graph = load_edge_list(config.edge_list_path, config.n_nodes)
     else:
-        graph = build_graph(
-            config.topology,
-            config.n_nodes,
-            radius=config.radius,
-            seed=config.graph_seed,
-        )
+        graph = build_graph(config.topology, config.n_nodes, radius=config.radius,
+                            seed=config.graph_seed)
     spectrum = spectral_summary(graph)
     params = dataclasses.replace(auto_params(spectrum, config.l_sub), **{
         key: getattr(config, key) for key in ("alpha_lambda", "mu", "alpha_nu")
@@ -266,8 +260,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     from master_seed and the run index, and runs are ordered by run index.
     """
     graph, model, spectrum, params = build_scenario(config)
-    if not config.override_stability_guard:
-        params.validate_for(spectrum)
+    for report in params.check(spectrum):
+        report.require()
     p_refs = reference_priors(model, config.horizon_steps)
     # cov_error on P, P_ref times a power of 2 (exact) so P_ref's norm cannot underflow
     scale = np.ldexp(1.0, -np.frexp(np.abs(p_refs).max(axis=(1, 2), keepdims=True))[1])

@@ -129,11 +129,6 @@ def _riccati_step(p, f, h, q, r_bar) -> np.ndarray:
     return sym(f @ p @ f.T - f @ p @ h.T @ gain + q)
 
 
-def dare_residual(p, f, h, q, r_bar) -> float:
-    """Frobenius norm of P minus one Riccati step from P."""
-    return float(np.linalg.norm(p - _riccati_step(p, f, h, q, r_bar)))
-
-
 def dare_solve(f, h, q, r_bar, tol=1e-12) -> np.ndarray:
     """Fixed-point iteration for the discrete algebraic Riccati equation.
 
@@ -211,7 +206,7 @@ SCHUR_MARGIN = 1e-10
 def step_bounds(lambda_max: float) -> tuple:
     """The exact stability bounds (2/(3 lambda_max), 2/lambda_max) on
     alpha_nu and on alpha_lambda + 2 mu, for positive step sizes;
-    ConfigRejected unless lambda_max > 0 (a graph without edges)."""
+    ConfigRejected unless lambda_max > 0, as on every connected graph."""
     if not lambda_max > 0.0:
         raise ConfigRejected(f"lambda_max must be > 0 (the graph needs an edge), got {lambda_max}")
     return 2.0 / (3.0 * lambda_max), 2.0 / lambda_max

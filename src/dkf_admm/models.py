@@ -23,6 +23,18 @@ POSITION, VELOCITY = slice(0, 2), slice(2, 4)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
 
 
+def _real_array(value, name, shape) -> np.ndarray:
+    """`value` as a float array: DimensionError ("<name> must be one <shape>
+    array") if it is ragged, ConfigRejected unless it holds real numbers."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise DimensionError(f"{name} must be one {shape} array: {exc}") from exc
+    if arr.dtype.kind not in "biuf":  # a complex cast would warn and drop the imaginary part
+        raise ConfigRejected(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class SensorSpec:
     """One node's measurement model y_i = H_i x + v_i, v_i ~ N(0, R_i): a
@@ -204,11 +216,15 @@ def simulate_trajectory(
     H_t, R_t from `sensor_specs_at(model, t)`. Draw order: x_0, the process
     noise, then one (n_steps, m) standard-normal block per node, row t times
     the Cholesky factor of R_{i,t}. With `noise_free` the draw collapses
-    to x_t = F^t x0_mean and exact measurements.
+    to x_t = F^t x0_mean and exact measurements. An n_steps < 1 or not an
+    integer, or a seed `np.random.default_rng` refuses: ConfigRejected.
     """
-    if n_steps < 1:
-        raise ConfigRejected("n_steps must be >= 1")
-    rng = np.random.default_rng(seed)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ConfigRejected(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigRejected(f"unusable seed {seed!r}: {exc}") from exc
     n = model.n
     states = np.empty((n_steps, n))
     if noise_free:

@@ -10,7 +10,7 @@ the import path.
 
 import numpy as np
 
-from dkf_admm.graphs import build_graph
+from dkf_admm.graphs import SensorGraph
 from dkf_admm.models import SensorSpec, StateSpaceModel
 
 
@@ -95,7 +95,7 @@ def random_connected_graph(n_nodes, rng, p_extra=0.3):
         (i, j) for i in range(n_nodes) for j in range(i + 1, n_nodes)
         if rng.random() < p_extra
     ]
-    return build_graph("explicit", n_nodes, edges=edges)
+    return SensorGraph(n_nodes, edges)
 
 
 def random_model(rng, n_nodes, redrawn=False):

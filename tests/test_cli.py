@@ -337,8 +337,9 @@ def test_overflowing_q_dare_exits_3(tmp_path, capsys):
 
 def test_validate_exits_2_on_a_failed_bound(tmp_path, capsys):
     # validate printed FAIL and exited 0 where run exited 2; it now prints
-    # its report and then rejects the config, also with the guard
-    # overridden, which lets only run go ahead. Ring of 6, lambda_max = 4.
+    # its report and then rejects the config, as run does. A config that
+    # still sets the removed guard override is rejected before either
+    # reads a bound. Ring of 6, lambda_max = 4.
     for params, message in (
         ("alpha_nu = 5.0\n", "alpha_nu=5.0 violates the bound"),
         ("alpha_lambda = 0.6\nmu = 0.1\n",
@@ -354,15 +355,20 @@ def test_validate_exits_2_on_a_failed_bound(tmp_path, capsys):
          "alpha_lambda+2*mu=0.5 violates the bound 2/lambda_max=0.5"),
     ):
         text = SMOKE_INI.replace("[params]\n", f"[params]\n{params}")
-        for k, extra in enumerate(("", "override_stability_guard = true\n")):
-            cfg = _write(tmp_path, text + extra, name=f"unstable{k}.ini")
-            assert main(["validate", cfg]) == EXIT_CONFIG, (params, extra)
-            captured = capsys.readouterr()
-            assert captured.out.count("FAIL") == 1, (params, extra)
-            assert f"config rejected: {message}" in captured.err, (params, extra)
         cfg = _write(tmp_path, text)
+        assert main(["validate", cfg]) == EXIT_CONFIG, params
+        captured = capsys.readouterr()
+        assert captured.out.count("FAIL") == 1, params
+        assert f"config rejected: {message}" in captured.err, params
         assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err, params
+        cfg = _write(tmp_path, text + "override_stability_guard = true\n", name="override.ini")
+        for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["validate", cfg]):
+            assert main(args) == EXIT_CONFIG, (args[0], params)
+            captured = capsys.readouterr()
+            assert captured.out == "", (args[0], params)
+            assert captured.err == ("config rejected: unknown key 'override_stability_guard' "
+                                    "in [run]\n"), (args[0], params)
 
 
 def test_stray_edge_list_exits_2(tmp_path, capsys):
@@ -507,40 +513,16 @@ def test_validate_builds_the_scenario_once(tmp_path, monkeypatch, capsys):
 
 
 def test_non_positive_step_sizes_exit_2(tmp_path, capsys):
-    # NaN and inf also with the stability guard overridden, which used to
-    # run and write all-NaN CSVs
-    override = "override_stability_guard = true\n"
-    for k, (line, run) in enumerate((
-        ("mu = -0.01", ""), ("alpha_nu = 0", ""), ("alpha_lambda = -1", ""),
-        ("alpha_lambda = nan", override), ("mu = inf", override),
-    )):
-        text = SMOKE_INI.replace("[params]\n", f"[params]\n{line}\n") + run
+    # NaN and inf used to run, with the stability guard overridden, and
+    # write all-NaN CSVs
+    for k, line in enumerate(("mu = -0.01", "alpha_nu = 0", "alpha_lambda = -1",
+                              "alpha_lambda = nan", "mu = inf")):
+        text = SMOKE_INI.replace("[params]\n", f"[params]\n{line}\n")
         cfg = _write(tmp_path, text, name=f"steps{k}.ini")
         for args in (["run", cfg, "--quiet", "--output", str(tmp_path / "o")], ["validate", cfg]):
             assert main(args) == EXIT_CONFIG, (args[0], line)
             err = capsys.readouterr().err
             assert "step sizes must be positive and finite" in err, (args[0], line)
-
-
-def test_divergent_override_exits_3(tmp_path, capsys):
-    # deliberately unstable covariance step, guard overridden: the posterior
-    # information matrix eventually fails to be positive definite
-    text = (
-        "[graph]\ntopology = ring\nn_nodes = 6\n"
-        "[params]\nalpha_nu = 50.0\nl_sub = 1\n"
-        "[run]\nhorizon_steps = 250\nn_mc_runs = 1\n"
-        "override_stability_guard = true\n"
-    )
-    cfg = _write(tmp_path, text)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.warns(
-        RuntimeWarning, match="theta floored"
-    ):
-        code = main(["run", cfg, "--quiet", "--output", str(tmp_path / "o")])
-    assert code == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "numerical failure" in err
-    # the step that failed is named once, not once per layer it passed
-    assert err.count("t=") == 1, err
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -5,15 +5,19 @@ must still be one of the library's own."""
 
 import ast
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dkf_admm
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
-from dkf_admm.exceptions import (ConfigRejected, DimensionError, GraphGenerationFailed,
-                                 GraphNotConnected, NotPositiveDefinite)
+from dkf_admm.exceptions import (ConfigError, ConfigRejected, DimensionError,
+                                 GraphGenerationFailed, GraphNotConnected, NotPositiveDefinite,
+                                 NumericalError)
 from dkf_admm.filtering import (CommLedger, DkfParams, _posterior_cov, auto_params, dkf_time_step,
                                 init_state)
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
@@ -52,6 +56,21 @@ def _six_node_step_on_a_three_node_ring(**kwargs):
                   t=1, **kwargs)
 
 
+_MODEL = build_constant_velocity_model(dt=0.1, n_nodes=6)
+_GRAPH = build_graph("ring", 6)
+_PARAMS = auto_params(spectral_summary(_GRAPH))
+
+
+def _six_node_ring_step(x0=None, p0=None, y=None, x_post=None, **kwargs):
+    # one step on a 6-node ring from init_state(model, x0, p0), with all-zero
+    # measurements unless `y` is given; `x_post` replaces the state's estimates
+    state = init_state(_MODEL, np.tile(_MODEL.x0_mean, (6, 1)) if x0 is None else x0, p0)
+    if x_post is not None:
+        state.x_post = x_post
+    y = np.zeros(state.x_post.shape[:-1] + (1,)) if y is None else y
+    dkf_time_step(state, _GRAPH, _MODEL, y, _PARAMS, t=1, **kwargs)
+
+
 def _centralized_step(measurements):
     model = build_constant_velocity_model(dt=0.1, n_nodes=3)
     centralized_kf_step(initial_centralized_state(model), model, measurements, 1)
@@ -69,7 +88,8 @@ def _inconsistent_model():
                             np.broadcast_to(1e308 * np.eye(4), (2, 4, 4)), t=2),
      NotPositiveDefinite, r"P\^-1 \+ Theta is not finite \(node 0, t=2\)"),
     (lambda: build_graph("ring", 1), ValueError, "at least 2 nodes"),
-    (lambda: build_graph("explicit", 3), ValueError, "requires an edge list"),
+    # edge lists go to SensorGraph itself
+    (lambda: build_graph("explicit", 3), ConfigRejected, "unknown topology 'explicit'"),
     (lambda: build_graph("random_geometric", 5), ValueError, "requires radius and seed"),
     (lambda: build_graph("random_geometric", 30, radius=1e-3, seed=0),
      GraphGenerationFailed, "no connected geometric graph in 50 draws"),
@@ -85,7 +105,7 @@ def _inconsistent_model():
     (lambda: build_constant_velocity_model(dt=0.1, sensor_assignment="rand"),
      ValueError, "unknown sensor assignment 'rand'"),
     (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 0, seed=0),
-     ValueError, "n_steps must be >= 1"),
+     ValueError, "n_steps must be an integer >= 1, got 0"),
     # a non-finite radius, rejected where it is read (a ring ignores it)
     (lambda: build_graph("random_geometric", 30, radius=np.inf, seed=0),
      ConfigRejected, r"finite radius > 0, got radius=inf,"),
@@ -156,6 +176,49 @@ def _inconsistent_model():
      re.escape("measurements () must be (k, 1), k <= 3")),
     (lambda: _centralized_step([[1.0], [2.0, 3.0]]), DimensionError,
      re.escape("measurements must be one (k, 1) array")),
+    # a ledger of another node count used to fail in numpy's broadcast,
+    # after the rounds had run
+    (lambda: _six_node_ring_step(ledger=CommLedger(3)), DimensionError,
+     "node counts differ: graph 6, model 6, state 6, ledger 3"),
+    # an empty run axis used to pass init_state and fail in numpy's reshape
+    (lambda: init_state(_MODEL, np.zeros((0, 6, 4))), DimensionError, re.escape("x0_estimates (0, 6, 4) hold no run")),
+    (lambda: _six_node_ring_step(x_post=np.zeros((0, 6, 4))), DimensionError,
+     re.escape("the state holds no run: x_post has shape (0, 6, 4)")),
+    # non-finite inputs used to read as a non-finite K b or a singular prior
+    # (exit 3), an inf estimate with numpy's RuntimeWarning first
+    (lambda: _six_node_ring_step(x0=np.full((6, 4), np.nan)), ConfigRejected,
+     "x0_estimates and p0_nodes must be finite"),
+    (lambda: _six_node_ring_step(x0=np.full((6, 4), np.inf)), ConfigRejected,
+     "x0_estimates and p0_nodes must be finite"),
+    (lambda: _six_node_ring_step(y=np.full((6, 1), np.nan)), ConfigRejected,
+     "measurements_t holds a non-finite value at t=1"),
+    (lambda: _six_node_ring_step(p0=np.full((4, 4), np.nan)), ConfigRejected,
+     "x0_estimates and p0_nodes must be finite"),
+    # strings used to fail in numpy's float conversion; complex entries
+    # warned and lost their imaginary parts
+    (lambda: _six_node_ring_step(x0=np.full((6, 4), "1")), ConfigRejected,
+     "x0_estimates must hold real numbers, got dtype <U1"),
+    (lambda: _six_node_ring_step(p0=np.full((4, 4), "1")), ConfigRejected,
+     "p0_nodes must hold real numbers, got dtype <U1"),
+    (lambda: _six_node_ring_step(y=np.full((6, 1), "1")), ConfigRejected,
+     "measurements_t must hold real numbers, got dtype <U1"),
+    (lambda: _six_node_ring_step(x0=np.ones((6, 4), complex)), ConfigRejected,
+     "x0_estimates must hold real numbers, got dtype complex128"),
+    (lambda: _six_node_ring_step(y=np.ones((6, 1), complex)), ConfigRejected,
+     "measurements_t must hold real numbers, got dtype complex128"),
+    (lambda: _centralized_step(np.ones((3, 1), complex)), ConfigRejected,
+     "measurements must hold real numbers, got dtype complex128"),
+    # sizes that are not integers and seeds numpy refuses used to escape as
+    # TypeError or ValueError, or blame the edges
+    (lambda: build_graph("random_geometric", 10.5, radius=0.5, seed=1), ConfigRejected,
+     "a sensor network needs a whole number of at least 2 nodes, got 10.5"),
+    (lambda: build_graph("random_geometric", 10, radius=0.5, seed=-1), ConfigRejected,
+     "unusable seed -1: "),
+    (lambda: build_graph("ring", 6.0), ConfigRejected, "whole number of at least 2 nodes, got 6.0"),
+    (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5.5, 1), ConfigRejected,
+     "n_steps must be an integer >= 1, got 5.5"),
+    (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5, "abc"),
+     ConfigRejected, "unusable seed 'abc': "),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:
@@ -195,3 +258,73 @@ def test_library_raises_only_its_own_errors():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text("utf-8")), set(), path.name)
     assert not stray, stray
+
+
+_BAD_ENTRIES = [np.nan, np.inf, -np.inf, "1", 1j, None]
+_BAD_SIZES = [1, 0, -3, 2.5, 6.0, np.float64(6), np.nan, "6", None, True]
+_BAD_SEEDS = [-1, 1.5, np.nan, "abc", [-1, 2], {}]
+
+
+@st.composite
+def _bad_arrays(draw, shape):
+    """A (nested list or ndarray) input meant to be of `shape`: one bad entry,
+    an empty leading axis, a ragged row or a wrong last axis."""
+    kind = draw(st.sampled_from(["entry", "empty", "ragged", "last axis"]))
+    if kind == "empty":
+        return np.zeros((0, *shape))
+    if kind == "last axis":
+        return np.zeros(shape[:-1] + (shape[-1] + draw(st.integers(1, 2)),))
+    rows = np.zeros(shape).tolist()
+    row = draw(st.integers(0, shape[0] - 1))
+    if kind == "ragged":
+        rows[row] = rows[row] * 2
+    else:
+        rows[row][draw(st.integers(0, shape[1] - 1))] = draw(st.sampled_from(_BAD_ENTRIES))
+    return np.array(rows) if kind == "entry" and draw(st.booleans()) else rows
+
+
+def _fresh_state():
+    return init_state(_MODEL, np.tile(_MODEL.x0_mean, (6, 1)))
+
+
+_BAD_CALLS = {
+    "init_state x0": lambda d: init_state(_MODEL, d.draw(_bad_arrays((6, 4)))),
+    "init_state p0": lambda d: init_state(_MODEL, _MODEL.x0_mean, d.draw(_bad_arrays((4, 4)))),
+    "dkf_time_step y": lambda d: dkf_time_step(_fresh_state(), _GRAPH, _MODEL,
+                                               d.draw(_bad_arrays((6, 1))), _PARAMS, t=1),
+    "dkf_time_step ledger": lambda d: dkf_time_step(
+        _fresh_state(), _GRAPH, _MODEL, np.zeros((6, 1)), _PARAMS, t=1,
+        ledger=CommLedger(d.draw(st.sampled_from([1, 2, 5, 7])))),
+    "SensorGraph n": lambda d: SensorGraph(d.draw(st.sampled_from(_BAD_SIZES)), [(0, 1)]),
+    "SensorGraph edges": lambda d: SensorGraph(6, d.draw(_bad_arrays((5, 2)))),
+    "build_graph n": lambda d: build_graph(
+        d.draw(st.sampled_from(["ring", "path", "complete", "random_geometric"])),
+        d.draw(st.sampled_from(_BAD_SIZES)), radius=0.5, seed=1),
+    "build_graph seed": lambda d: build_graph("random_geometric", 6, radius=0.5,
+                                              seed=d.draw(st.sampled_from(_BAD_SEEDS))),
+    "build_graph radius": lambda d: build_graph(
+        "random_geometric", 6, radius=d.draw(st.sampled_from(["0.5", [0.5], np.nan, -1.0])),
+        seed=1),
+    "simulate_trajectory n_steps": lambda d: simulate_trajectory(
+        _MODEL, d.draw(st.sampled_from(_BAD_SIZES)), 1),
+    "simulate_trajectory seed": lambda d: simulate_trajectory(
+        _MODEL, 3, d.draw(st.sampled_from(_BAD_SEEDS))),
+    "centralized_kf_step": lambda d: centralized_kf_step(
+        initial_centralized_state(_MODEL), _MODEL, d.draw(_bad_arrays((6, 1))), 1),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_BAD_CALLS)), data=st.data())
+def test_bad_input_raises_only_library_errors(name, data):
+    # bad values, shapes, sizes and seeds at the library's entry points: a
+    # call may pass (a NaN measurement of the centralized reference yields
+    # NaN), but what escapes is a ConfigError or a NumericalError, and no
+    # RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _BAD_CALLS[name](data)
+        except (ConfigError, NumericalError):
+            pass
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught

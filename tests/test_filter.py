@@ -53,14 +53,16 @@ def _setup(n_nodes=4, topology="ring", l_sub=20, traj_seed=3, **graph_kwargs):
 
 def test_params_validation():
     k2 = spectral_summary(build_graph("complete", 2))
-    DkfParams(0.5, 0.05, 0.2, 10).validate_for(k2)
+    for report in DkfParams(0.5, 0.05, 0.2, 10).check(k2):
+        report.require()
     # K2: lambda_max = 2, bounds 1/3 on alpha_nu and 1 on alpha_lambda + 2 mu
     for params, message in (
         (DkfParams(0.5, 0.05, 0.5, 10), "alpha_nu=0.5 violates the bound 2/(3*lambda_max)=0.3"),
         (DkfParams(1.0, 0.05, 0.2, 10), "alpha_lambda+2*mu=1.1 violates the bound 2/lambda_max=1"),
     ):
         with pytest.raises(ConfigRejected, match=re.escape(message)):
-            params.validate_for(k2)
+            for report in params.check(k2):
+                report.require()
     with pytest.raises(ValueError):
         DkfParams(-0.1, 0.05, 0.2, 10)
     with pytest.raises(ValueError):
@@ -71,8 +73,9 @@ def test_auto_params_inside_bounds():
     for topology, n in (("ring", 8), ("complete", 12), ("path", 5)):
         spectrum = spectral_summary(build_graph(topology, n))
         params = auto_params(spectrum)
-        params.validate_for(spectrum)
         cov_rep, state_rep = params.check(spectrum)
+        cov_rep.require()
+        state_rep.require()
         assert cov_rep.is_schur and state_rep.is_schur
 
 
@@ -422,6 +425,24 @@ def test_overflowing_gain_names_the_step():
         NotPositiveDefinite, match=r"a prior covariance became singular at t=1$"
     ):
         dkf_time_step(state, graph, model, np.zeros((model.n_nodes, 1)), params, t=1)
+
+
+def test_divergent_covariance_step_names_the_step_once():
+    # alpha_nu = 50 on the 6-node ring, far past its bound 1/6, which only a
+    # library caller can run (every harness run is certified): theta
+    # diverges, the posterior floors it with warnings, and at last the
+    # posterior information is not positive definite
+    graph, model, spectrum, params = build_scenario(
+        ScenarioConfig(topology="ring", n_nodes=6, alpha_nu=50.0, l_sub=1))
+    assert not params.check(spectrum)[0].is_schur
+    traj = simulate_trajectory(model, 251, seed=0)
+    state = init_state(model, np.tile(model.x0_mean, (6, 1)))
+    with pytest.warns(RuntimeWarning, match="theta floored"), pytest.raises(
+            NotPositiveDefinite) as exc:
+        for t in range(1, 251):
+            dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
+    # the step that failed is named once, not once per layer it passed
+    assert str(exc.value).count("t=") == 1, exc.value
 
 
 def test_time_step_rejects_misshaped_measurements():

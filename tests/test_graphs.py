@@ -68,7 +68,7 @@ def test_connectivity():
 
 def test_explicit_disconnected_rejected():
     with pytest.raises(GraphNotConnected, match="not connected"):
-        build_graph("explicit", 4, edges=[(0, 1), (2, 3)])
+        SensorGraph(4, [(0, 1), (2, 3)])
 
 
 def test_random_geometric_connected_and_reproducible():
@@ -383,7 +383,7 @@ def _large_graphs(draw):
         ]))
     edges = _tree_and_chords(np.random.default_rng(seed), n)
     if kind == "explicit":
-        return kind, build_graph("explicit", n, edges=edges)
+        return kind, SensorGraph(n, edges)
     return kind, SensorGraph(n, edges + [(0, i) for i in range(1, n)])  # hub
 
 

@@ -125,7 +125,8 @@ def test_config_rejections(tmp_path):
 def test_build_scenario_auto_params_pass_guard():
     graph, model, spectrum, params = build_scenario(SMOKE)
     assert graph.n_nodes == 6 and model.n_nodes == 6
-    params.validate_for(spectrum)
+    for report in params.check(spectrum):
+        report.require()
 
 
 def test_explicit_params_override_auto():

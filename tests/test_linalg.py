@@ -18,7 +18,6 @@ from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import (
     SWEEP_MIN_STACK,
     covariance_stability,
-    dare_residual,
     dare_solve,
     spd_cholesky,
     spd_inverse,
@@ -125,6 +124,11 @@ def _plain_step(p, f, h, q, r):
     return sym(f @ p @ f.T - f @ p @ h.T @ np.linalg.solve(s, h @ p @ f.T) + q)
 
 
+def _residual(p, f, h, q, r):
+    # Frobenius norm of P minus one Riccati step from P
+    return float(np.linalg.norm(p - _plain_step(p, f, h, q, r)))
+
+
 def _riccati_oracle(f, h, q, r, n_iter=10_000):
     # long plain recursion, independent of the solver's stopping logic
     p = q.copy()
@@ -152,7 +156,7 @@ def test_dare_constant_velocity_golden():
     r = np.diag([float(s.r[0, 0]) for s in model.sensors])
     p_star = dare_solve(model.f, h, model.q, r, tol=1e-12)
     oracle = _riccati_oracle(model.f, h, model.q, r)
-    assert dare_residual(oracle, model.f, h, model.q, r) < 1e-12
+    assert _residual(oracle, model.f, h, model.q, r) < 1e-12
     assert np.linalg.norm(p_star - oracle) < 1e-10
     np.linalg.cholesky(p_star)  # positive definite
 
@@ -172,7 +176,7 @@ def test_dare_random_observable_systems():
         except ObservabilityError:
             continue
         count += 1
-        assert dare_residual(p, f, h, q, r) <= 1e-10 * np.linalg.norm(p)
+        assert _residual(p, f, h, q, r) <= 1e-10 * np.linalg.norm(p)
 
 
 def test_dare_singular_innovation_covariance_is_divergence():
@@ -195,8 +199,7 @@ def test_dare_overflow_is_divergence():
 
 
 def test_one_riccati_update_in_the_library():
-    # dare_solve and dare_residual share one step function, so the solver's
-    # convergence test and the residual cannot drift apart
+    # the Riccati update is written once, in the step function of dare_solve
     src = Path(inspect.getfile(dare_solve)).parent
     update = "np.linalg.solve(s, h @ p @ f.T)"
     calls = {p.name: p.read_text().count(update) for p in src.glob("*.py")}
