@@ -43,6 +43,7 @@ from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
     sensor_specs_at,
+    simulate_runs,
     simulate_trajectory,
 )
 from dkf_admm.centralized import (

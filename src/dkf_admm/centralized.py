@@ -46,10 +46,6 @@ def centralized_kf_step(
     DimensionError, non-finite or non-real entries ConfigRejected; the
     sensors are `sensor_specs_at(model, t)`.
     """
-    f, q = model.f, model.q
-    x_prior = f @ state.x_hat
-    p_prior = sym(f @ state.p @ f.T + q)
-    omega_prior = spd_inverse(p_prior)
     sensors = sensor_specs_at(model, t)
     m = sensors.h.shape[1]
     y = _real_array(measurements, "measurements", f"(k, {m})")
@@ -58,15 +54,24 @@ def centralized_kf_step(
     if not np.isfinite(y).all():
         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
     k, y = len(y), y.reshape(len(y), m)
+    p_prior, omega_prior, p = _covariance_update(state.p, model, sensors.info[:k], t)
+    info_vec = omega_prior @ (model.f @ state.x_hat) + np.einsum("imn,im->n", sensors.rinv_h[:k], y)
+    return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
+
+
+def _covariance_update(p, model: StateSpaceModel, info, t: int) -> tuple:
+    """(P_prior, P_prior^-1, P_post) of one centralized step from P_post of
+    the last: P_prior = sym(F P F' + Q), P_post = sym(P_prior^-1 + sum of
+    the (k, n, n) `info` stack)^-1. It reads no measurement."""
+    p_prior = sym(model.f @ p @ model.f.T + model.q)
+    omega_prior = spd_inverse(p_prior)
     with np.errstate(over="ignore"):  # an overflow is named below
-        omega = sym(omega_prior + sensors.info[:k].sum(axis=0))
-    info_vec = omega_prior @ x_prior + np.einsum("imn,im->n", sensors.rinv_h[:k], y)
+        omega = sym(omega_prior + info.sum(axis=0))
     try:
-        p = spd_inverse(omega)
+        return p_prior, omega_prior, spd_inverse(omega)
     except NotPositiveDefinite as exc:
         what = "PD" if np.isfinite(omega).all() else "finite"
         raise NotPositiveDefinite(f"posterior information matrix not {what} at t={t}") from exc
-    return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 
 def consensus_fixed_point(x_priors, p_priors, measurements, sensors: SensorArrays) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
+from dkf_admm.centralized import _covariance_update, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected
 from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_time_step, init_state
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
@@ -27,7 +27,8 @@ from dkf_admm.models import (
     VELOCITY,
     build_constant_velocity_model,
     information_rate_target,
-    simulate_trajectory,
+    sensor_specs_at,
+    simulate_runs,
 )
 
 
@@ -238,26 +239,25 @@ def reference_priors(model, n_steps) -> np.ndarray:
 
     Static sensors: the steady-state P* of `steady_state_prior` at every
     step. Per-step-random sensors have no steady state, so the reference is
-    the time-varying centralized recursion from P0: `centralized_kf_step`
-    with zero measurements, which its covariance does not depend on.
+    the time-varying centralized covariance recursion from P0, the
+    covariance half of `centralized_kf_step` with all N sensors.
     """
     if model.assignment_mode == "static":
         return np.broadcast_to(steady_state_prior(model), (n_steps, model.n, model.n))
-    state = initial_centralized_state(model)
-    zeros = np.zeros(model.sensor_arrays.h.shape[:2])
-    priors = []
+    p, priors = initial_centralized_state(model).p, []
     for t in range(1, n_steps + 1):
-        state = centralized_kf_step(state, model, zeros, t)
-        priors.append(state.p_prior)
+        p_prior, _, p = _covariance_update(p, model, sensor_specs_at(model, t).info, t)
+        priors.append(p_prior)
     return np.array(priors)
 
 
 def run_scenario(config: ScenarioConfig) -> RunMetrics:
     """Execute all Monte-Carlo runs and aggregate metrics.
 
-    The runs are filtered as one batch, one `dkf_time_step` call per time
-    step for all of them. Deterministic given the config: run seeds derive
-    from master_seed and the run index, and runs are ordered by run index.
+    The runs are drawn by one `simulate_runs` call and filtered as one
+    batch, one `dkf_time_step` call per time step for all of them.
+    Deterministic given the config: run seeds derive from master_seed and
+    the run index, and runs are ordered by run index.
     """
     graph, model, spectrum, params = build_scenario(config)
     for report in params.check(spectrum):
@@ -267,47 +267,42 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     scale = np.ldexp(1.0, -np.frexp(np.abs(p_refs).max(axis=(1, 2), keepdims=True))[1])
     p_refs = p_refs * scale
 
-    trajs, x0_est = [], []
-    for run_idx in range(config.n_mc_runs):
-        run_seed = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(run_idx,))
-        traj_seed, init_seed = run_seed.spawn(2)
-        trajs.append(simulate_trajectory(
-            model, config.horizon_steps + 1, traj_seed, noise_free=config.noise_free
-        ))
-        box = 0.0 if config.noise_free else config.init_box_halfwidth
-        x0_est.append(model.x0_mean + np.random.default_rng(init_seed).uniform(
-            -box, box, size=(model.n_nodes, model.n)
-        ))
-    states = np.array([tr.states for tr in trajs])  # (R, T + 1, n)
-    meas = np.array([tr.measurements for tr in trajs])  # (R, T + 1, N, m)
-    state = init_state(model, np.array(x0_est))
+    seeds = [np.random.SeedSequence(entropy=config.master_seed, spawn_key=(run,)).spawn(2)
+             for run in range(config.n_mc_runs)]  # (trajectory, initial estimate) per run
+    traj = simulate_runs(model, config.horizon_steps + 1, [s[0] for s in seeds],
+                         noise_free=config.noise_free)  # states (R, T + 1, n)
+    box = 0.0 if config.noise_free else config.init_box_halfwidth
+    state = init_state(model, model.x0_mean + np.array([np.random.default_rng(s[1]).uniform(
+        -box, box, size=(model.n_nodes, model.n)) for s in seeds]))
     ledger = CommLedger(model.n_nodes)
     steps = range(1, config.horizon_steps + 1)
-    sq_pos = np.empty((config.n_mc_runs, len(steps), model.n_nodes))
-    sq_vel = np.empty_like(sq_pos)
-    cov_err = np.empty(sq_pos.shape[1:])  # the covariance recursion is shared by all runs
+    # each step scores into these: squared (position, velocity) errors, covariance error
+    sq = np.empty((config.n_mc_runs, len(steps), model.n_nodes, 2))
+    cov_sq = np.empty((len(steps), model.n_nodes))
+    diff, dev = np.empty(state.x_post.shape), np.empty(state.p_prior.shape)
     consensus_log = []
     split = np.zeros((model.n, 2))  # sums the squared errors of (position, velocity)
     split[POSITION, 0] = split[VELOCITY, 1] = 1.0
     for row, t in enumerate(steps):
         dkf_time_step(
-            state, graph, model, meas[:, t], params, ledger=ledger, t=t,
+            state, graph, model, traj.measurements[:, t], params, ledger=ledger, t=t,
             consensus_log=consensus_log,
         )
-        err = states[:, t, None] - state.x_post
-        sq = np.square(err, out=err) @ split
-        sq_pos[:, row], sq_vel[:, row] = sq[..., 0], sq[..., 1]
-        dev = state.p_prior * scale[row] - p_refs[row]
-        cov_err[row] = np.sqrt(np.einsum("nij,nij->n", dev, dev)) / np.linalg.norm(p_refs[row])
+        np.subtract(traj.states[:, t, None], state.x_post, out=diff)
+        np.matmul(np.square(diff, out=diff), split, out=sq[:, row])
+        np.subtract(np.multiply(state.p_prior, scale[row], out=dev), p_refs[row], out=dev)
+        np.einsum("nij,nij->n", dev, dev, out=cov_sq[row])
+    flat = p_refs.reshape(len(steps), 1, -1)
+    ref_norms = np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0]  # (T, 1), np.linalg.norm's own dot
     return RunMetrics(
         times=np.array(steps),
-        rmse_pos=np.sqrt(sq_pos.mean(axis=0)),
-        rmse_vel=np.sqrt(sq_vel.mean(axis=0)),
+        rmse_pos=np.sqrt(sq[..., 0].mean(axis=0)),
+        rmse_vel=np.sqrt(sq[..., 1].mean(axis=0)),
         consensus_error=np.array(consensus_log).mean(axis=1),  # (T, R, L) -> (T, L)
-        cov_error=cov_err,
+        cov_error=np.sqrt(cov_sq) / ref_norms,
         comm=ledger,
         n_mc_runs=config.n_mc_runs,
-        sq_pos_runs=sq_pos,
+        sq_pos_runs=sq[..., 0],
     )
 
 

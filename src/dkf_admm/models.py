@@ -15,12 +15,19 @@ import numpy as np
 
 from dkf_admm.exceptions import (ConfigRejected, DimensionError, NotPositiveDefinite,
                                  ObservabilityError)
+from dkf_admm.graphs import _check_nodes
 from dkf_admm.linalg import is_observable, spd_cholesky, spd_solve, sym
 
 DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
 # the constant-velocity state layout x = (x1, x2, dx1/dt, dx2/dt)
 POSITION, VELOCITY = slice(0, 2), slice(2, 4)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
+
+
+def _check_int(value, name, least):
+    """ConfigRejected unless `value` is an integer (not a bool) >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigRejected(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _real_array(value, name, shape) -> np.ndarray:
@@ -98,11 +105,12 @@ class StateSpaceModel:
 
     `sensors` holds one `SensorSpec` per node. If `redraw_from` holds
     candidate sensors, every node draws one of them at every time step,
-    seeded by `assignment_seed`, and `sensors` sets only N and m (filter
-    and noise use the drawn R_i). `sensor_arrays` stacks `sensors` and
-    `coordinate_table` the candidates (None if fixed), which must match
-    them in m and n; (F, H) must be observable on the fixed sensors or on
-    all candidates. P0, and Q unless exactly zero, must pass `spd_cholesky`."""
+    seeded by `assignment_seed` (an integer >= 0), and `sensors` sets only
+    N and m (filter and noise use the drawn R_i). `sensor_arrays` stacks
+    `sensors` and `coordinate_table` the candidates (None if fixed), which
+    must match them in m and n; (F, H) must be observable on the fixed
+    sensors or on all candidates. P0, and Q unless exactly zero, must pass
+    `spd_cholesky`."""
 
     f: np.ndarray
     q: np.ndarray
@@ -117,6 +125,7 @@ class StateSpaceModel:
     _drawn_rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        _check_int(self.assignment_seed, "assignment_seed", 0)
         f = np.asarray(self.f, dtype=float)
         q = sym(self.q)
         x0 = np.asarray(self.x0_mean, dtype=float).ravel()
@@ -153,9 +162,9 @@ class StateSpaceModel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A seeded draw, read-only: states (n_steps, n) with states[t] = x_t,
-    and measurements (n_steps, N, m), whose row t holds every node's y_{i,t}
-    in the layout `dkf_time_step` takes."""
+    """A seeded draw, read-only: states (..., n_steps, n), row t x_t, and
+    measurements (..., n_steps, N, m), row t every node's y_{i,t} in the layout
+    `dkf_time_step` takes; a `simulate_runs` draw has a leading run axis R."""
 
     states: np.ndarray
     measurements: np.ndarray
@@ -171,10 +180,9 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
     observes x2; ``per_step_random`` re-draws each node's coordinate every
     step. The initial state is x0 ~ N(DEFAULT_X0_MEAN, I).
     """
-    if dt <= 0:
-        raise ConfigRejected(f"dt must be > 0, got {dt!r}")
-    if n_nodes < 2:
-        raise ConfigRejected(f"a sensor network needs at least 2 nodes, got {n_nodes}")
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or dt <= 0:
+        raise ConfigRejected(f"dt must be a real number > 0, got {dt!r}")
+    _check_nodes(n_nodes)
     i2 = np.eye(2)
     f = np.block([[i2, dt * i2], [np.zeros((2, 2)), i2]])
     dt = np.float64(dt)  # a huge dt overflows to inf, which StateSpaceModel rejects
@@ -195,8 +203,7 @@ def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
     node, drawn uniformly from (assignment_seed, t). Each step's N drawn
     rows are kept in a per-model memo, so the simulation, the reference
     and the filter draw them once; the gather is per call."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0:
-        raise ConfigRejected(f"t must be an integer >= 0, got {t!r}")
+    _check_int(t, "t", 0)
     table = model.coordinate_table
     if table is None:
         return model.sensor_arrays
@@ -207,45 +214,52 @@ def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
     return SensorArrays(table.h[rows], table.r[rows], table.rinv_h[rows], table.info[rows])
 
 
-def simulate_trajectory(
-    model: StateSpaceModel, n_steps: int, seed: int, noise_free: bool = False
-) -> Trajectory:
-    """Draw one trajectory and the measurements of every node, seeded.
-
-    x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t + w_t, y_t = H_t x_t + v_t with
-    H_t, R_t from `sensor_specs_at(model, t)`. Draw order: x_0, the process
-    noise, then one (n_steps, m) standard-normal block per node, row t times
-    the Cholesky factor of R_{i,t}. With `noise_free` the draw collapses
-    to x_t = F^t x0_mean and exact measurements. An n_steps < 1 or not an
-    integer, or a seed `np.random.default_rng` refuses: ConfigRejected.
-    """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise ConfigRejected(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigRejected(f"unusable seed {seed!r}: {exc}") from exc
-    n = model.n
-    states = np.empty((n_steps, n))
-    if noise_free:
-        states[0] = model.x0_mean
-    else:
-        states[0] = rng.multivariate_normal(model.x0_mean, model.p0)
-    if noise_free or not model.q.any():
-        w = np.zeros((n_steps - 1, n))
-    else:
-        w = rng.multivariate_normal(np.zeros(n), model.q, size=n_steps - 1)
-    for t in range(n_steps - 1):
-        states[t + 1] = model.f @ states[t] + w[t]
+def simulate_runs(model: StateSpaceModel, n_steps: int, seeds, noise_free: bool = False
+                  ) -> Trajectory:
+    """One trajectory per seed, states (R, n_steps, n), and every node's
+    measurements (R, n_steps, N, m): x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t +
+    w_t, y_t = H_t x_t + v_t with H_t, R_t from `sensor_specs_at(model, t)`,
+    stacked once for all runs. Run r draws from `default_rng(seeds[r])`: x_0,
+    the process noise, then one (n_steps, m) standard-normal block per node,
+    row t times the Cholesky factor of R_{i,t}. With `noise_free` the draw
+    collapses to x_t = F^t x0_mean and exact measurements. An n_steps < 1 or
+    not an integer, or a seed `default_rng` refuses: ConfigRejected."""
+    _check_int(n_steps, "n_steps", 1)
+    rngs = []
+    for seed in seeds:
+        try:
+            rngs.append(np.random.default_rng(seed))
+        except (TypeError, ValueError) as exc:
+            raise ConfigRejected(f"unusable seed {seed!r}: {exc}") from exc
     specs = [sensor_specs_at(model, t) for t in range(n_steps)]
     h = np.array([s.h for s in specs])  # (T, N, m, n)
-    measurements = (h @ states[:, None, :, None])[..., 0]
-    if not noise_free:  # v_{i,t} = chol(R_{i,t}) z_{i,t}, z standard normal
-        z = rng.standard_normal((model.n_nodes, n_steps, h.shape[2], 1)).swapaxes(0, 1)
-        measurements += (spd_cholesky(np.array([s.r for s in specs])) @ z)[..., 0]
+    states = np.empty((len(rngs), n_steps, model.n))
+    states[:, 0] = model.x0_mean
+    w = np.zeros((len(rngs), n_steps - 1, model.n))
+    if not noise_free:  # each run's own stream draws x_0, then w, then (below) z
+        for r, rng in enumerate(rngs):
+            states[r, 0] = rng.multivariate_normal(model.x0_mean, model.p0)
+            if model.q.any():
+                w[r] = rng.multivariate_normal(np.zeros(model.n), model.q, size=n_steps - 1)
+    for t in range(n_steps - 1):  # the stacked matvec is bitwise each run's F @ x
+        states[:, t + 1] = np.matmul(model.f, states[:, t, :, None])[..., 0] + w[:, t]
+    measurements = (h @ states[:, :, None, :, None])[..., 0]
+    if not noise_free:  # v_{i,t} = chol(R_{i,t}) z_{i,t}, one run at a time
+        chol = spd_cholesky(np.array([s.r for s in specs]))
+        for y, rng in zip(measurements, rngs):
+            z = rng.standard_normal((model.n_nodes, n_steps, h.shape[2], 1)).swapaxes(0, 1)
+            y += (chol @ z)[..., 0]
     states.setflags(write=False)
     measurements.setflags(write=False)
     return Trajectory(states=states, measurements=measurements)
+
+
+def simulate_trajectory(model: StateSpaceModel, n_steps: int, seed: int,
+                        noise_free: bool = False) -> Trajectory:
+    """One seeded trajectory, states (n_steps, n) and measurements
+    (n_steps, N, m): the one-seed case of `simulate_runs`, same draws."""
+    runs = simulate_runs(model, n_steps, [seed], noise_free)
+    return Trajectory(states=runs.states[0], measurements=runs.measurements[0])
 
 
 def information_rate_target(model: StateSpaceModel) -> np.ndarray:

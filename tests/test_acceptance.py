@@ -36,6 +36,7 @@ from dkf_admm.linalg import dare_solve
 from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
+    simulate_runs,
     simulate_trajectory,
 )
 
@@ -297,20 +298,18 @@ def unbiasedness_run():
     n_runs, horizon = 200, 300
     conserved_target = 6 * info_oracle(model).sum(axis=0)
     t0 = time.time()
-    trajs, x0_est = [], []
-    for run in range(n_runs):
-        seq = np.random.SeedSequence(entropy=2024, spawn_key=(run,))
-        traj_seed, init_seed = seq.spawn(2)
-        trajs.append(simulate_trajectory(model, horizon + 1, traj_seed))
-        rng = np.random.default_rng(init_seed)
-        # symmetric (zero-mean) initialization error, so priors are unbiased
-        x0_est.append(model.x0_mean + rng.normal(scale=1.0, size=(6, 4)))
-    meas = np.array([tr.measurements for tr in trajs])
+    # (trajectory, initial estimate) seeds per run; all trajectories in one draw
+    seqs = [np.random.SeedSequence(entropy=2024, spawn_key=(run,)).spawn(2)
+            for run in range(n_runs)]
+    traj = simulate_runs(model, horizon + 1, [seq[0] for seq in seqs])
+    # symmetric (zero-mean) initialization error, so priors are unbiased
+    x0_est = [model.x0_mean + np.random.default_rng(seq[1]).normal(scale=1.0, size=(6, 4))
+              for seq in seqs]
     state = init_state(model, np.array(x0_est))
     for t in range(1, horizon + 1):
-        dkf_time_step(state, graph, model, meas[:, t], params, t=t)
+        dkf_time_step(state, graph, model, traj.measurements[:, t], params, t=t)
     total = (state.theta + state.nu_tilde).sum(axis=0)
-    truth = np.array([tr.states[horizon] for tr in trajs])
+    truth = traj.states[:, horizon]
     return {
         "errs": truth[:, None, :] - state.x_post,
         "elapsed": time.time() - t0,

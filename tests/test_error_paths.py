@@ -219,6 +219,15 @@ def _inconsistent_model():
      "n_steps must be an integer >= 1, got 5.5"),
     (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5, "abc"),
      ConfigRejected, "unusable seed 'abc': "),
+    # a float node count or dt used to escape as TypeError, a negative
+    # assignment seed as numpy's ValueError at the first redrawn step
+    (lambda: build_constant_velocity_model(dt=0.1, n_nodes=6.0), ConfigRejected,
+     "whole number of at least 2 nodes, got 6.0"),
+    (lambda: build_constant_velocity_model(dt="0.1"), ConfigRejected,
+     "dt must be a real number > 0, got '0.1'"),
+    (lambda: build_constant_velocity_model(dt=0.1, sensor_assignment="per_step_random",
+                                           assignment_seed=-1),
+     ConfigRejected, "assignment_seed must be an integer >= 0, got -1"),
 ])
 def test_error_path_raises_its_library_error(call, error, message):
     with pytest.raises(error, match=message) as info:
@@ -309,6 +318,8 @@ _BAD_CALLS = {
         _MODEL, d.draw(st.sampled_from(_BAD_SIZES)), 1),
     "simulate_trajectory seed": lambda d: simulate_trajectory(
         _MODEL, 3, d.draw(st.sampled_from(_BAD_SEEDS))),
+    "build_constant_velocity_model n": lambda d: build_constant_velocity_model(
+        dt=0.1, n_nodes=d.draw(st.sampled_from(_BAD_SIZES))),
     "centralized_kf_step": lambda d: centralized_kf_step(
         initial_centralized_state(_MODEL), _MODEL, d.draw(_bad_arrays((6, 1))), 1),
 }

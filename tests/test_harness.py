@@ -11,6 +11,7 @@ from oracles import sensor_oracle
 
 import dkf_admm
 from dkf_admm import harness, models
+from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected
 from dkf_admm.filtering import CommLedger, dkf_time_step, init_state
 from dkf_admm.harness import (
@@ -283,6 +284,31 @@ def test_run_scenario_reads_the_state_layout(monkeypatch):
     assert np.array_equal(swapped.rmse_vel, m.rmse_pos)
 
 
+def test_run_scenario_simulates_all_runs_at_once(monkeypatch):
+    # one simulate_runs call per scenario, which builds the sensors once per
+    # step for all runs, not once per run and step
+    calls, specs = [], []
+
+    def counting_specs(model, t):
+        specs.append(t)
+        return sensor_specs_at(model, t)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        monkeypatch.setattr(models, "sensor_specs_at", counting_specs)
+        try:
+            return models.simulate_runs(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(models, "sensor_specs_at", sensor_specs_at)
+
+    monkeypatch.setattr(harness, "simulate_runs", spy)
+    cfg = dataclasses.replace(SMOKE, n_mc_runs=3, sensor_assignment="per_step_random",
+                              sub_iterated_covariance=True)
+    run_scenario(cfg)
+    assert len(calls) == 1 and len(calls[0][2]) == 3
+    assert sorted(specs) == list(range(cfg.horizon_steps + 1))
+
+
 def test_runs_depend_only_on_their_index():
     # run r draws from (master_seed, r) alone, so the first two runs of a
     # three-run scenario are a two-run scenario's runs; the batch width
@@ -372,6 +398,18 @@ def test_per_step_random_cov_error_tracks_the_time_varying_reference():
     p_star = steady_state_prior(dataclasses.replace(model, redraw_from=()))
     p_prior_1 = model.f @ model.p0 @ model.f.T + model.q
     assert np.linalg.norm(p_prior_1 - p_star) / np.linalg.norm(p_star) > 0.5
+
+
+def test_reference_priors_are_the_centralized_step_priors():
+    # the reference runs the covariance half of centralized_kf_step alone:
+    # the same priors, bit for bit, as whole steps on zero measurements
+    model = build_constant_velocity_model(dt=0.1, n_nodes=6, sensor_assignment="per_step_random",
+                                          assignment_seed=5)
+    refs = harness.reference_priors(model, 15)
+    state = initial_centralized_state(model)
+    for t in range(1, 16):
+        state = centralized_kf_step(state, model, np.zeros((6, 1)), t)
+        assert np.array_equal(refs[t - 1], state.p_prior)
 
 
 def test_per_step_random_covariances_stay_consistent():

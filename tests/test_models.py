@@ -16,6 +16,7 @@ from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
     sensor_specs_at,
+    simulate_runs,
     simulate_trajectory,
 )
 
@@ -164,6 +165,32 @@ def test_noise_free_trajectory_is_deterministic_power():
         assert np.allclose(
             traj.measurements[:, i], traj.states @ spec.h.T, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("kind", ["static", "redrawn", "noise_free", "q_zero"])
+def test_simulate_runs_equals_each_seeds_trajectory(kind):
+    # one batched draw for all runs: run r is seed r's own trajectory, bit for bit
+    model = build_constant_velocity_model(
+        dt=0.1, n_nodes=5, q_intensity=0.0 if kind == "q_zero" else 1.0,
+        sensor_assignment="per_step_random" if kind == "redrawn" else "static_split",
+        assignment_seed=4)
+    seeds = [3, np.random.SeedSequence(entropy=9, spawn_key=(1,)), 0, 12345]
+    runs = simulate_runs(model, 30, seeds, noise_free=kind == "noise_free")
+    assert runs.states.shape == (4, 30, 4)
+    assert runs.measurements.shape == (4, 30, 5, 1)
+    assert not runs.states.flags.writeable and not runs.measurements.flags.writeable
+    for r, seed in enumerate(seeds):
+        one = simulate_trajectory(model, 30, seed, noise_free=kind == "noise_free")
+        assert np.array_equal(runs.states[r], one.states)
+        assert np.array_equal(runs.measurements[r], one.measurements)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_simulate_runs_names_an_unusable_seed(position):
+    seeds = [1, 2, 3]
+    seeds[position] = -1
+    with pytest.raises(ConfigRejected, match="unusable seed -1: "):
+        simulate_runs(build_constant_velocity_model(dt=0.1), 5, seeds)
 
 
 def test_process_noise_sample_variance():
