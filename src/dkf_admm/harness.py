@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from dkf_admm.centralized import _covariance_update, initial_centralized_state
-from dkf_admm.exceptions import ConfigRejected
+from dkf_admm.exceptions import ConfigRejected, DimensionError
 from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_time_step, init_state
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
 from dkf_admm.linalg import dare_solve
@@ -105,6 +105,7 @@ _MALFORMED = ((configparser.MissingSectionHeaderError, "a line before the first 
               (configparser.DuplicateSectionError, "a repeated section"),
               (configparser.DuplicateOptionError, "a repeated key"),
               (configparser.ParsingError, "neither a [section] header nor a key = value line"))
+_BLOCK_VALUES = 2 ** 16  # values per % operation of export_csv: a few MB of text at most
 
 
 def _read_text(path, what) -> str:
@@ -320,39 +321,38 @@ def validate_params(config: ScenarioConfig) -> tuple:
 
 
 def export_csv(metrics: RunMetrics, output_dir) -> list:
-    """Write the five result CSVs from the metric arrays, each value as
-    %.12g; returns the written paths."""
+    """Write the five result CSVs from the metric arrays, each value as %.12g,
+    a block of steps (`_BLOCK_VALUES` values, or one step) per % operation;
+    returns the paths. Traffic not divisible by steps x runs: DimensionError."""
+    comm, times = metrics.comm, np.asarray(metrics.times)
+    per_step, rest = np.divmod(np.column_stack([comm.state_messages, comm.state_scalars,
+                                                comm.cov_messages, comm.cov_scalars]),
+                               len(times) * metrics.n_mc_runs)
+    if rest.any():
+        node, column = np.argwhere(rest)[0]
+        raise DimensionError(f"node {node}'s {('state', 'covariance')[column // 2]} traffic does "
+                             f"not divide over {len(times)} steps x {metrics.n_mc_runs} runs")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    times = metrics.times
-    n_nodes = metrics.rmse_pos.shape[1]
-    n_rounds = metrics.consensus_error.shape[1]
-    node_header = "t," + ",".join(f"node_{i}" for i in range(n_nodes))
-    node_fmt = ["%d"] + ["%.12g"] * n_nodes
-    tables = {
-        "rmse_position.csv": (node_header, node_fmt, [times, metrics.rmse_pos]),
-        "rmse_velocity.csv": (node_header, node_fmt, [times, metrics.rmse_vel]),
-        "covariance_error.csv": (node_header, node_fmt, [times, metrics.cov_error]),
-        "consensus_error.csv": ("t,l,error", ["%d", "%d", "%.12g"], [
-            np.repeat(times, n_rounds), np.tile(np.arange(n_rounds), len(times)),
-            metrics.consensus_error.ravel(),
-        ]),
-    }
+    node_header = "t," + ",".join(f"node_{i}" for i in range(metrics.rmse_pos.shape[1]))
+    node_fmt = "%d" + ",%.12g" * metrics.rmse_pos.shape[1] + "\n"
+    tables = {name: (node_header, node_fmt, [times[:, None], values]) for name, values in (
+        ("rmse_position.csv", metrics.rmse_pos), ("rmse_velocity.csv", metrics.rmse_vel),
+        ("covariance_error.csv", metrics.cov_error))}
+    tables["consensus_error.csv"] = ("t,l,error", "%d,%d,%.12g\n", np.broadcast_arrays(
+        times[:, None, None], np.arange(metrics.consensus_error.shape[1])[:, None],
+        metrics.consensus_error[..., None]))  # (T, L, 1) each: a step's L rows of (t, l, error)
     for name, (header, fmt, columns) in tables.items():
-        # a handle, as a path costs np.savetxt a DataSource lookup
+        steps = max(1, _BLOCK_VALUES // max(1, sum(c[:1].size for c in columns)))
+        blocks = (np.concatenate([c[lo:lo + steps] for c in columns], axis=-1).ravel()
+                  for lo in range(0, max(map(len, columns)), steps))  # unequal lengths: ValueError
         with open(out / name, "w", encoding="utf-8") as fh:
-            np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=",", header=header,
-                       comments="")
-    # Per-step traffic is constant by construction, so the cumulative ledger
-    # divides exactly over steps and runs: one step's 2N rows are formatted
-    # once and written per step, never all 2TN rows at once.
-    comm = metrics.comm
-    per_step = np.column_stack([comm.state_messages, comm.state_scalars, comm.cov_messages,
-                                comm.cov_scalars]) // (len(times) * metrics.n_mc_runs)
-    step_rows = "".join(f"{{0}},{i},{sm},{ss},state\n{{0}},{i},{cm},{cs},covariance\n"
-                        for i, (sm, ss, cm, cs) in enumerate(per_step.tolist()))
+            fh.write(header + "\n")
+            fh.writelines((fmt * (b.size // fmt.count("%"))) % tuple(b.tolist()) for b in blocks)
+    pieces = "".join(f"{{0}},{i},{sm},{ss},state\n{{0}},{i},{cm},{cs},covariance\n"
+                     for i, (sm, ss, cm, cs) in enumerate(per_step.tolist())).split("{0}")
     with open(out / "communication.csv", "w", encoding="utf-8") as fh:
         fh.write("t,node,messages,scalars,phase\n")
-        for t in times:
-            fh.write(step_rows.format(t))
+        for t in times:  # one step's 2N rows, formatted once, joined by each step's t
+            fh.write(str(t).join(pieces))
     return [out / name for name in (*tables, "communication.csv")]

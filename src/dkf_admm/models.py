@@ -223,8 +223,15 @@ def simulate_runs(model: StateSpaceModel, n_steps: int, seeds, noise_free: bool 
     the process noise, then one (n_steps, m) standard-normal block per node,
     row t times the Cholesky factor of R_{i,t}. With `noise_free` the draw
     collapses to x_t = F^t x0_mean and exact measurements. An n_steps < 1 or
-    not an integer, or a seed `default_rng` refuses: ConfigRejected."""
+    not an integer, seeds that are not iterable or empty, or a seed
+    `default_rng` refuses: ConfigRejected."""
     _check_int(n_steps, "n_steps", 1)
+    try:
+        seeds = list(seeds)
+    except TypeError as exc:
+        raise ConfigRejected(f"seeds must be an iterable of seeds, got {seeds!r}") from exc
+    if not seeds:
+        raise ConfigRejected("seeds must hold one seed per run, got none")
     rngs = []
     for seed in seeds:
         try:

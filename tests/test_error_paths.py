@@ -28,6 +28,7 @@ from dkf_admm.models import (
     StateSpaceModel,
     build_constant_velocity_model,
     sensor_specs_at,
+    simulate_runs,
     simulate_trajectory,
 )
 
@@ -219,6 +220,12 @@ def _inconsistent_model():
      "n_steps must be an integer >= 1, got 5.5"),
     (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5, "abc"),
      ConfigRejected, "unusable seed 'abc': "),
+    # seeds that are not iterable used to escape as TypeError; no seeds gave an
+    # empty trajectory that init_state rejected later
+    (lambda: simulate_runs(build_constant_velocity_model(dt=0.1), 5, 3), ConfigRejected,
+     "seeds must be an iterable of seeds, got 3"),
+    (lambda: simulate_runs(build_constant_velocity_model(dt=0.1), 5, []), ConfigRejected,
+     "seeds must hold one seed per run, got none"),
     # a float node count or dt used to escape as TypeError, a negative
     # assignment seed as numpy's ValueError at the first redrawn step
     (lambda: build_constant_velocity_model(dt=0.1, n_nodes=6.0), ConfigRejected,

@@ -1,8 +1,10 @@
 import dataclasses
 import filecmp
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from oracles import sensor_oracle
 import dkf_admm
 from dkf_admm import harness, models
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
-from dkf_admm.exceptions import ConfigRejected
+from dkf_admm.exceptions import ConfigRejected, DimensionError
 from dkf_admm.filtering import CommLedger, dkf_time_step, init_state
 from dkf_admm.harness import (
     RunMetrics,
@@ -271,6 +273,88 @@ def test_csv_bytes_from_hand_built_metrics(tmp_path):
     assert [p.name for p in paths] == list(expected)
     for path in paths:
         assert path.read_bytes() == expected[path.name].encode(), path.name
+
+
+def test_export_csv_rejects_traffic_that_does_not_divide(tmp_path):
+    # 5 and 7 state messages over 2 steps used to be floored to 2 and 3 per
+    # step, a file that sums to 10 messages, not 12
+    ledger = CommLedger(2)
+    ledger.record("xi", np.array([5, 7]), 4)
+    table = np.ones((2, 2))
+    metrics = RunMetrics(times=np.array([1, 2]), rmse_pos=table, rmse_vel=table,
+                         consensus_error=table, cov_error=table, comm=ledger)
+    with pytest.raises(DimensionError, match="node 0's state traffic does not divide over "
+                                             "2 steps x 1 runs"):
+        export_csv(metrics, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def _hand_built_metrics(n_steps, n_nodes, n_rounds, rng, runs=3):
+    """Random metric tables over steps 1..n_steps, and a ledger whose node i
+    sends i + 1 state and i + 2 covariance messages per step."""
+    ledger = CommLedger(n_nodes)
+    ledger.record("xi", runs * n_steps * np.arange(1, n_nodes + 1), 4)
+    ledger.record("theta", runs * n_steps * np.arange(2, n_nodes + 2), 10)
+
+    def table(width):
+        return rng.standard_normal((n_steps, width)) * 10.0 ** rng.integers(-30, 30, (n_steps, 1))
+    return RunMetrics(times=np.arange(1, n_steps + 1), rmse_pos=table(n_nodes),
+                      rmse_vel=table(n_nodes), consensus_error=table(n_rounds),
+                      cov_error=table(n_nodes), comm=ledger, n_mc_runs=runs)
+
+
+@pytest.mark.parametrize("block_values, n_steps", [(harness._BLOCK_VALUES, 2000), (7, 12)])
+def test_csv_writer_matches_savetxt(tmp_path, monkeypatch, block_values, n_steps):
+    # np.savetxt, the writer before the block formatter, is the reference for
+    # the four array files: tables of several blocks (7 values is less than a
+    # step, so a block is one step), with edge values in every table
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", block_values)
+    n_nodes, n_rounds = 40, 20
+    assert min(n_steps * (n_nodes + 1), n_steps * n_rounds * 3) > harness._BLOCK_VALUES
+    metrics = _hand_built_metrics(n_steps, n_nodes, n_rounds, np.random.default_rng(5))
+    edges = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 0.0]
+    for table in (metrics.rmse_pos, metrics.rmse_vel, metrics.consensus_error, metrics.cov_error):
+        rows = np.random.default_rng(table.shape[1]).choice(n_steps, len(edges), replace=False)
+        table[rows, rows % table.shape[1]] = edges
+    export_csv(metrics, tmp_path)
+    times, node_fmt = metrics.times, ["%d"] + ["%.12g"] * n_nodes
+    node_header = "t," + ",".join(f"node_{i}" for i in range(n_nodes))
+    references = {
+        "rmse_position.csv": (node_header, node_fmt, [times, metrics.rmse_pos]),
+        "rmse_velocity.csv": (node_header, node_fmt, [times, metrics.rmse_vel]),
+        "covariance_error.csv": (node_header, node_fmt, [times, metrics.cov_error]),
+        "consensus_error.csv": ("t,l,error", ["%d", "%d", "%.12g"], [
+            np.repeat(times, n_rounds), np.tile(np.arange(n_rounds), n_steps),
+            metrics.consensus_error.ravel()]),
+    }
+    for name, (header, fmt, columns) in references.items():
+        expected = io.StringIO()
+        np.savetxt(expected, np.column_stack(columns), fmt=fmt, delimiter=",", header=header,
+                   comments="")
+        assert (tmp_path / name).read_bytes() == expected.getvalue().encode(), name
+    # t runs past one digit; every step repeats the per-step traffic
+    expected = "t,node,messages,scalars,phase\n" + "".join(
+        f"{t},{i},{i + 1},{4 * (i + 1)},state\n{t},{i},{i + 2},{10 * (i + 2)},covariance\n"
+        for t in range(1, n_steps + 1) for i in range(n_nodes))
+    assert (tmp_path / "communication.csv").read_bytes() == expected.encode()
+
+
+def test_export_csv_memory_does_not_grow_with_steps(tmp_path, monkeypatch):
+    # the writer holds one block of rows at a time, so its peak is the same at
+    # 4x the steps; a one-shot np.column_stack of each table peaked at 153 kB
+    # and 494 kB here. Blocks of 2**10 values keep the tables small enough to
+    # trace every allocation quickly.
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 2 ** 10)
+    peaks = []
+    for n_steps in (250, 1000):
+        metrics = _hand_built_metrics(n_steps, 50, 3, np.random.default_rng(n_steps))
+        tracemalloc.start()
+        try:
+            export_csv(metrics, tmp_path / str(n_steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.05 * peaks[0], peaks
 
 
 def test_run_scenario_reads_the_state_layout(monkeypatch):
