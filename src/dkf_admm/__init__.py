@@ -56,6 +56,7 @@ from dkf_admm.filtering import (
     DkfParams,
     NetworkState,
     auto_params,
+    dkf_steps,
     dkf_time_step,
     init_state,
 )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -288,12 +289,13 @@ def _posterior_cov(p_prior_inv, theta, t):
             raise NotPositiveDefinite(f"posterior information P^-1 + Theta is not finite "
                                       f"(node {np.argmin(finite)}, t={t})") from exc
         for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
-            warnings.warn(
-                f"posterior information of node {i}, t={t} is indefinite; "
-                "theta floored at zero eigenvalues",
-                RuntimeWarning,
-                stacklevel=4,
-            )
+            # attributed to the first caller outside this module, through a
+            # window or its one-step call alike
+            frame, level = sys._getframe(), 1
+            while frame.f_globals is globals():
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"posterior information of node {i}, t={t} is indefinite; "
+                          "theta floored at zero eigenvalues", RuntimeWarning, stacklevel=level)
             w, v = np.linalg.eigh(theta[i])
             m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
         try:
@@ -327,6 +329,106 @@ def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceM
     return p_prior, p_prior_inv, k, theta, nu, _posterior_cov(p_prior_inv, theta, t)
 
 
+# A window writes its steps' state round iterates into one (steps, L, N, R n)
+# block buffer of at most this many values, or of one step if a step holds
+# more; the consensus log is reduced and the ledger booked once per block.
+_BLOCK_VALUES = 2 ** 16
+
+
+def dkf_steps(
+    state: NetworkState,
+    graph: SensorGraph,
+    model: StateSpaceModel,
+    measurements,
+    params: DkfParams,
+    *,
+    t0: int,
+    ledger: CommLedger | None = None,
+    consensus_log=None,
+):
+    """Filter a window of time steps t0, t0 + 1, ...: a generator that
+    advances `state` one full step per iteration and yields its t, with
+    `state` current (and for reading only: the window carries its own
+    node-major estimates) at each yield.
+
+    `measurements` holds one y_i per step and node, (T, N, m), or (R, T,
+    N, m) when the state carries R runs. When iteration starts the window
+    is checked once: a bad t0 or non-real entries raise ConfigRejected;
+    another shape, a state of no run or node counts (graph, model, state,
+    ledger) that differ DimensionError. Each step runs `_covariance_half`
+    on `sensor_specs_at(model, t)`, then every run's L state rounds from
+    x_prior = F x_post towards K b = K (H' R^-1 y + P_prior^-1 x_prior /
+    N); a non-finite measurement raises ConfigRejected and an overflowing
+    K b NotPositiveDefinite, both naming t. The rounds write their
+    iterates to a block buffer of `_BLOCK_VALUES`; once per block, the
+    ledger books each run's traffic (R times the degree per exchange, all
+    rounds of both loops) and, when `consensus_log` is a list, the buffer
+    is reduced in place, the op order of one step at a time, to one (L,)
+    or (R, L) array per step: each sub-iteration's mean over nodes of
+    ||xi_i - mean(xi)||. When the window ends, raises or is closed
+    (`close()`, or a `break` out of the only loop holding it), both hold
+    exactly the completed steps.
+    """
+    n_nodes, n = state.p_post.shape[:2]
+    shape = state.x_post.shape
+    step = shape[:-1] + (sensor_specs_at(model, t0).rinv_h.shape[1],)
+    y = _real_array(measurements, "measurements", "(T, N, m) or (R, T, N, m)")
+    if not state.x_post.size:
+        raise DimensionError(f"the state holds no run: x_post has shape {shape}")
+    if y.ndim != len(step) + 1 or y.shape[:-3] + y.shape[-2:] != step:
+        window = ", ".join(map(str, step[:-2] + ("T",) + step[-2:]))
+        raise DimensionError(f"measurements has shape {y.shape}, not ({window})")
+    counts = graph.n_nodes, model.n_nodes, n_nodes, n_nodes if ledger is None else ledger.n_nodes
+    if len(set(counts)) > 1:
+        raise DimensionError("node counts differ: graph %s, model %s, state %s, ledger %s" % counts)
+    runs, n_steps = math.prod(shape[:-2]), y.shape[-3]
+    y = y.reshape(runs, n_steps, n_nodes, step[-1])
+    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
+    per_block = max(1, _BLOCK_VALUES // (params.l_sub * n_nodes * runs * n))
+    block = None if consensus_log is None else np.empty(
+        (min(per_block, n_steps), params.l_sub, n_nodes, runs * n))
+    # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
+    # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
+    x_post = state.x_post.reshape(runs, n_nodes, n).swapaxes(0, 1)
+    for lo in range(0, n_steps, per_block):
+        done = 0  # completed steps of this block
+        try:
+            for i in range(lo, min(lo + per_block, n_steps)):
+                t = t0 + i
+                sensors = sensor_specs_at(model, t)
+                p_prior, p_prior_inv, k, theta, nu, p_post = _covariance_half(
+                    state, graph, model, sensors, params.alpha_nu, cov_rounds, t)
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    x_prior = x_post @ model.f.T
+                    y_t = y[:, i].swapaxes(0, 1)
+                    kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
+                if not np.isfinite(kb).all():
+                    if not np.isfinite(y_t).all():
+                        raise ConfigRejected(f"measurements_t holds a non-finite value at t={t}")
+                    raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
+                # L primal-only ADMM sub-iterations (Jacobi); the accumulator
+                # K lambda_tilde stays local, restarts at zero each step and is
+                # not kept. The rounds do only the exchange; the log and the
+                # ledger follow once per block.
+                x_post, _ = _consensus_rounds(x_prior, kb, graph, params.alpha_lambda, params.mu,
+                                              params.l_sub, buf=None if block is None else block[i - lo])
+                state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)
+                state.x_post = x_post.swapaxes(0, 1).reshape(shape)
+                state.p_prior, state.p_post, state.theta, state.nu_tilde = p_prior, p_post, theta, nu
+                done += 1
+                yield t
+        finally:
+            if done and block is not None:  # the round buffers, reduced in place
+                rows, node_mean = block[:done], np.full(n_nodes, 1 / n_nodes)
+                rows -= (node_mean @ rows)[..., None, :]
+                norms = np.square(rows, out=rows).reshape(-1, n) @ np.ones(n)
+                spread = node_mean @ np.sqrt(norms, out=norms).reshape(rows.shape[:3] + (runs,))
+                consensus_log.extend(s.T.reshape(shape[:-2] + (-1,)) for s in spread)
+            if done and ledger is not None:
+                ledger.record("xi", done * params.l_sub * runs * graph.degree, n)
+                ledger.record("theta", done * cov_rounds * runs * graph.degree, n * (n + 1) // 2)
+
+
 def dkf_time_step(
     state: NetworkState,
     graph: SensorGraph,
@@ -340,67 +442,17 @@ def dkf_time_step(
 ):
     """Run one full filter time step for every node; returns `state`, updated.
 
-    `measurements_t` holds one y_i per node for this step, shape (N, m)
-    (a row of `Trajectory.measurements`), or (R, N, m) when the state
-    carries a run axis; then all R runs advance in this one call. Any
-    shape other than `state.x_post.shape[:-1] + (m,)`, a state of no run
-    and node counts (graph, model, state, ledger) that differ raise
-    DimensionError; a measurement that is not a finite real ConfigRejected.
-    `_covariance_half` runs once, on `sensor_specs_at(model, t)`, then the
-    state half of every run: L state rounds from x_prior = F x_post towards
-    K b = K (H' R^-1 y + P_prior^-1 x_prior / N), whose overflow raises
-    NotPositiveDefinite naming t. The ledger counts each run's traffic (R
-    times the degree per exchange) and records each consensus loop once
-    per step, with all its rounds. When `consensus_log` is a list, the
-    per-sub-iteration mean consensus error (mean over nodes of ||xi_i -
-    mean(xi)||) is appended as one (L,) array, or (R, L) for R runs, from
-    the (L, N, R n) round buffer that `_consensus_rounds` fills, reduced
-    in place after the loop.
+    The one-step window of `dkf_steps`, which holds the step's contract,
+    for `measurements_t` of shape (N, m) (a row of
+    `Trajectory.measurements`) or (R, N, m): any other than
+    `state.x_post.shape[:-1] + (m,)` raises DimensionError. The ledger and
+    the log hold the step's traffic and log entry on return.
     """
-    n_nodes, n = state.p_post.shape[:2]
-    shape = state.x_post.shape
-    sensors = sensor_specs_at(model, t)
-    expected = shape[:-1] + (sensors.rinv_h.shape[1],)
+    expected = state.x_post.shape[:-1] + (model.sensor_arrays.rinv_h.shape[1],)  # m of every t
     y = _real_array(measurements_t, "measurements_t", expected)
-    if not state.x_post.size:
-        raise DimensionError(f"the state holds no run: x_post has shape {shape}")
     if y.shape != expected:
         raise DimensionError(f"measurements_t has shape {y.shape}, not {expected}")
-    counts = graph.n_nodes, model.n_nodes, n_nodes, n_nodes if ledger is None else ledger.n_nodes
-    if len(set(counts)) > 1:
-        raise DimensionError("node counts differ: graph %s, model %s, state %s, ledger %s" % counts)
-    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
-    p_prior, p_prior_inv, k, theta, nu, p_post = _covariance_half(
-        state, graph, model, sensors, params.alpha_nu, cov_rounds, t)
-
-    # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
-    # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        x_prior = state.x_post.reshape(-1, n_nodes, n).swapaxes(0, 1) @ model.f.T
-        runs = x_prior.shape[1]
-        y = y.reshape(runs, n_nodes, -1).swapaxes(0, 1)
-        kb = (y @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
-    if not np.isfinite(kb).all():
-        if not np.isfinite(y).all():
-            raise ConfigRejected(f"measurements_t holds a non-finite value at t={t}")
-        raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
-    # L primal-only ADMM sub-iterations (Jacobi); the accumulator
-    # K lambda_tilde stays local, restarts at zero each step and is not
-    # kept. The rounds do only the exchange; the log and the ledger follow.
-    rows = None if consensus_log is None else np.empty((params.l_sub, n_nodes, runs * n))
-    xi, _ = _consensus_rounds(x_prior, kb, graph, params.alpha_lambda, params.mu, params.l_sub,
-                              buf=rows)
-    if rows is not None:  # the round buffer, reduced in place
-        node_mean = np.full(n_nodes, 1 / n_nodes)
-        rows -= (node_mean @ rows)[:, None]
-        norms = np.square(rows, out=rows).reshape(-1, n) @ np.ones(n)
-        spread = node_mean @ np.sqrt(norms, out=norms).reshape(params.l_sub, n_nodes, runs)
-        consensus_log.append(spread.T.reshape(shape[:-2] + (-1,)))
-    if ledger is not None:
-        ledger.record("xi", params.l_sub * runs * graph.degree, n)
-        ledger.record("theta", cov_rounds * runs * graph.degree, n * (n + 1) // 2)
-
-    state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)
-    state.x_post = xi.swapaxes(0, 1).reshape(shape)
-    state.p_prior, state.p_post, state.theta, state.nu_tilde = p_prior, p_post, theta, nu
+    for _ in dkf_steps(state, graph, model, y[..., None, :, :], params, t0=t, ledger=ledger,
+                       consensus_log=consensus_log):
+        pass
     return state

@@ -51,11 +51,18 @@ DENSE_PRODUCT_NODES = 400
 _SLICE_COLUMNS = 4
 
 
+# A graph's CSR edge keys i * N + j are index integers, so N^2 must fit in one.
+_MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
+
+
 def _check_nodes(n):
-    """ConfigRejected unless the node count n is an integer >= 2."""
+    """ConfigRejected unless the node count n is an integer in 2.._MAX_NODES."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigRejected("a sensor network needs a whole number of at least 2 nodes, "
                              f"got {n!r}")
+    if n > _MAX_NODES:
+        raise ConfigRejected(f"a sensor network has at most {_MAX_NODES} nodes (its edge keys "
+                             f"i N + j must fit in an index), got {n!r}")
 
 
 def _laplacian(n_nodes, indptr, indices):
@@ -109,6 +116,8 @@ class SensorGraph:
     _dense: np.ndarray | None = field(init=False, repr=False)
     _table: np.ndarray | None = field(init=False, repr=False)
     _rest: tuple | None = field(init=False, repr=False)
+    # the table product's degrees, each repeated per column, by column count
+    _degree_rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, edges):
         _check_nodes(n := self.n_nodes)
@@ -158,26 +167,34 @@ class SensorGraph:
 
     def _apply(self, flat, out) -> np.ndarray:
         """out = (L kron I) flat for (N, c) rows, without checks; returns out.
-        `out` must not overlap `flat`."""
+        `out` must be C-contiguous and must not overlap `flat`."""
         if self._dense is not None:
             return np.matmul(self._dense, flat, out=out)
-        n, width = self.n_nodes, len(self._table)
+        n, width, cols = self.n_nodes, len(self._table), flat.shape[1]
         ones = np.ones(width)
         # `out` collects the neighbor sums, slice by slice: a copy into its
-        # strided columns costs half a subtract there (10 columns, N = 10^4)
-        for lo in range(0, flat.shape[1], _SLICE_COLUMNS):
+        # strided columns costs half a subtract there (10 columns, N = 10^4);
+        # the GEMV of a one-slice product writes into `out` itself
+        for lo in range(0, cols, _SLICE_COLUMNS):
             part = flat[:, lo:lo + _SLICE_COLUMNS]
             padded = np.empty((n + 1, part.shape[1]))  # row N: the padding's zero
             padded[:n] = part
             padded[n] = 0.0
             # the gather dies in this line: two held at once (the next slice's
             # and this one) made the allocator unmap and re-fault them each call
-            sums = ones @ np.take(padded, self._table, axis=0).reshape(width, -1)
-            out[:, lo:lo + _SLICE_COLUMNS] = sums.reshape(part.shape)
+            sums = np.matmul(ones, np.take(padded, self._table, axis=0).reshape(width, -1),
+                             out=out.reshape(-1) if cols <= _SLICE_COLUMNS else None)
+            if cols > _SLICE_COLUMNS:
+                out[:, lo:lo + _SLICE_COLUMNS] = sums.reshape(part.shape)
         nodes, starts, rest = self._rest
         if nodes.size:
             out[nodes] += np.add.reduceat(np.take(flat, rest, axis=0), starts, axis=0)
-        return np.subtract(self.degree[:, None] * flat, out, out=out)
+        # the degree term on the flattened rows: a broadcast of (N, 1) degrees
+        # runs its inner loop over only `cols` values
+        degree = self._degree_rows.get(cols)
+        if degree is None:
+            degree = self._degree_rows[cols] = np.repeat(self.degree, cols)
+        return np.subtract((degree * flat.reshape(-1)).reshape(flat.shape), out, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +222,20 @@ class SpectralSummary:
 
 def build_graph(topology, n_nodes, *, radius=None, seed=None):
     """The SensorGraph of a named topology on `n_nodes` nodes, an integer
-    >= 2: ``ring``, ``complete``, ``path`` or ``random_geometric`` (requires
-    a finite `radius` > 0 and a `seed` that `np.random.default_rng` takes,
-    else ConfigRejected). An edge list goes to `SensorGraph` itself."""
+    in 2.._MAX_NODES: ``ring``, ``complete``, ``path`` or ``random_geometric``
+    (requires a finite `radius` > 0 and a `seed` that `np.random.default_rng`
+    takes, else ConfigRejected). A graph whose arrays do not fit in memory
+    raises ConfigRejected too. An edge list goes to `SensorGraph` itself."""
     _check_nodes(n_nodes)
+    try:
+        return _named_graph(topology, n_nodes, radius, seed)
+    except MemoryError as exc:
+        raise ConfigRejected(f"a {topology} graph of {n_nodes} nodes does not fit in memory: "
+                             f"{exc}") from exc
+
+
+def _named_graph(topology, n_nodes, radius, seed):
+    """`build_graph` on a checked node count."""
     if topology == "complete":
         return SensorGraph(n_nodes, np.argwhere(np.tri(n_nodes, k=-1)))
     if topology in ("ring", "path"):

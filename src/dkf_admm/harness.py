@@ -2,8 +2,8 @@
 
 A scenario is one INI-style config file (every key has a default). Running
 it simulates `n_mc_runs` independent trajectories, filters them with the
-distributed network as one batch (one step call per time step for all
-runs), and aggregates per-node RMSE, consensus error, covariance
+distributed network as one batch (one `dkf_steps` window over all time
+steps and runs), and aggregates per-node RMSE, consensus error, covariance
 convergence error, and communication totals.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from dkf_admm.centralized import _covariance_update, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected, DimensionError
-from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_time_step, init_state
+from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_steps, init_state
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
 from dkf_admm.linalg import dare_solve
 from dkf_admm.models import (
@@ -256,7 +256,10 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     """Execute all Monte-Carlo runs and aggregate metrics.
 
     The runs are drawn by one `simulate_runs` call and filtered as one
-    batch, one `dkf_time_step` call per time step for all of them.
+    batch, by one `dkf_steps` window over the horizon for all of them;
+    each step it yields is scored from the state before the next runs.
+    The window books the ledger and the consensus log a block of steps at
+    a time, and the log is averaged over runs once, after the last step.
     Deterministic given the config: run seeds derive from master_seed and
     the run index, and runs are ordered by run index.
     """
@@ -284,11 +287,8 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
     consensus_log = []
     split = np.zeros((model.n, 2))  # sums the squared errors of (position, velocity)
     split[POSITION, 0] = split[VELOCITY, 1] = 1.0
-    for row, t in enumerate(steps):
-        dkf_time_step(
-            state, graph, model, traj.measurements[:, t], params, ledger=ledger, t=t,
-            consensus_log=consensus_log,
-        )
+    for row, t in enumerate(dkf_steps(state, graph, model, traj.measurements[:, 1:], params, t0=1,
+                                      ledger=ledger, consensus_log=consensus_log)):
         np.subtract(traj.states[:, t, None], state.x_post, out=diff)
         np.matmul(np.square(diff, out=diff), split, out=sq[:, row])
         np.subtract(np.multiply(state.p_prior, scale[row], out=dev), p_refs[row], out=dev)

@@ -77,7 +77,7 @@ def _sweep(a, spd=False) -> np.ndarray:
     products c_i c_j keep it exactly symmetric. With `spd`, the pivots (the
     LDL' pivots, all positive iff a finite stack is PD) test definiteness,
     and a failure takes `spd_cholesky`'s verdict, as below SWEEP_MIN_STACK."""
-    m = np.moveaxis(a, (-2, -1), (0, 1)).copy()
+    m = a.transpose(-2, -1, *range(a.ndim - 2)).copy()
     outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
     pivots = np.empty(m.shape[1:]) if spd else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -95,7 +95,7 @@ def _sweep(a, spd=False) -> np.ndarray:
         if spd:
             spd_cholesky(a)  # a non-PD member, even one whose first pivot's reciprocal overflowed
         raise NotPositiveDefinite("matrix is singular")  # a PD member whose inverse overflows
-    return -np.moveaxis(m, (0, 1), (-2, -1))
+    return -m.transpose(*range(2, m.ndim), 0, 1)
 
 
 def spd_inverse(a) -> np.ndarray:

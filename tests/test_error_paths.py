@@ -216,6 +216,12 @@ def _inconsistent_model():
     (lambda: build_graph("random_geometric", 10, radius=0.5, seed=-1), ConfigRejected,
      "unusable seed -1: "),
     (lambda: build_graph("ring", 6.0), ConfigRejected, "whole number of at least 2 nodes, got 6.0"),
+    # node counts whose edge keys i N + j overflow an index: 2**70 used to
+    # raise numpy's "Maximum allowed size exceeded", 2**40 a MemoryError
+    # (both fail here before any array is made)
+    (lambda: build_graph("ring", 2**70), ConfigRejected,
+     f"at most 3037000499 nodes .*, got {2**70}"),
+    (lambda: SensorGraph(2**40, [(0, 1)]), ConfigRejected, f"at most 3037000499 nodes .*, got {2**40}"),
     (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5.5, 1), ConfigRejected,
      "n_steps must be an integer >= 1, got 5.5"),
     (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5, "abc"),

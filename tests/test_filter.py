@@ -25,6 +25,7 @@ from dkf_admm.filtering import (
     _posterior_cov,
     _round_operator,
     auto_params,
+    dkf_steps,
     dkf_time_step,
     init_state,
 )
@@ -37,6 +38,7 @@ from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
     sensor_specs_at,
+    simulate_runs,
     simulate_trajectory,
 )
 
@@ -437,12 +439,19 @@ def test_divergent_covariance_step_names_the_step_once():
     assert not params.check(spectrum)[0].is_schur
     traj = simulate_trajectory(model, 251, seed=0)
     state = init_state(model, np.tile(model.x0_mean, (6, 1)))
-    with pytest.warns(RuntimeWarning, match="theta floored"), pytest.raises(
+    with pytest.warns(RuntimeWarning, match="theta floored") as floored, pytest.raises(
             NotPositiveDefinite) as exc:
         for t in range(1, 251):
             dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
     # the step that failed is named once, not once per layer it passed
     assert str(exc.value).count("t=") == 1, exc.value
+    # each flooring warning points at the caller, here as through a window
+    state = init_state(model, np.tile(model.x0_mean, (6, 1)))
+    with pytest.warns(RuntimeWarning, match="theta floored") as windowed, pytest.raises(
+            NotPositiveDefinite, match=re.escape(str(exc.value))):
+        for _ in dkf_steps(state, graph, model, traj.measurements[1:], params, t0=1):
+            pass
+    assert {w.filename for w in floored} == {w.filename for w in windowed} == {__file__}
 
 
 def test_time_step_rejects_misshaped_measurements():
@@ -760,3 +769,115 @@ def test_mixed_measurement_dimensions_rejected():
             f=model.f, q=model.q, x0_mean=model.x0_mean, p0=model.p0,
             sensors=(SensorSpec(h2[:1], [[0.5]]), SensorSpec(h2, 0.5 * np.eye(2))),
         )
+
+
+def _window_case(sensors, runs, n_steps=7):
+    """A 5-node ring with L = 3, its params, model, x0 and an (R, T, N, 1)
+    or (T, N, 1) window of measurements (R = runs, or no run axis)."""
+    graph = build_graph("ring", 5)
+    params = auto_params(spectral_summary(graph), l_sub=3)
+    model = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment=sensors)
+    traj = simulate_runs(model, n_steps + 1, range(runs or 1))
+    x0 = model.x0_mean + np.random.default_rng(5).normal(size=(runs or 1, 5, 4))
+    lead = slice(None) if runs else 0
+    return graph, params, model, x0[lead], traj.measurements[lead, 1:]
+
+
+def _stepped(graph, params, model, x0, window, n_steps):
+    """State, ledger and log after `n_steps` one-step calls from t = 1."""
+    state, ledger, log = init_state(model, x0), CommLedger(model.n_nodes), []
+    for i in range(n_steps):
+        dkf_time_step(state, graph, model, window[..., i, :, :], params, t=i + 1,
+                      ledger=ledger, consensus_log=log)
+    return state, ledger, log
+
+
+def _assert_same_run(got, want):
+    (state, ledger, log), (ref_state, ref_ledger, ref_log) = got, want
+    for f in dataclasses.fields(state):
+        assert np.array_equal(getattr(state, f.name), getattr(ref_state, f.name)), f.name
+    for name in ("state_messages", "state_scalars", "cov_messages", "cov_scalars"):
+        assert np.array_equal(getattr(ledger, name), getattr(ref_ledger, name)), name
+    assert len(log) == len(ref_log)
+    assert all(np.array_equal(row, ref_row) for row, ref_row in zip(log, ref_log))
+
+
+def _steps_per_block(params, model, runs, steps):
+    """A block cap of `steps` whole steps of this window (5 nodes, n = 4)."""
+    return steps * params.l_sub * model.n_nodes * (runs or 1) * 4
+
+
+@pytest.mark.parametrize("block_steps", [None, 3, 1])
+@pytest.mark.parametrize("runs", [None, 3])
+@pytest.mark.parametrize("sensors", ["static_split", "per_step_random"])
+def test_window_equals_one_step_calls(monkeypatch, sensors, runs, block_steps):
+    # 7 steps in one block, in blocks of 3, 3 and 1, and one step per block
+    # (a cap below one step's values): bitwise the 7 one-step calls
+    graph, params, model, x0, window = _window_case(sensors, runs)
+    want = _stepped(graph, params, model, x0, window, 7)
+    if block_steps is not None:
+        monkeypatch.setattr(filtering, "_BLOCK_VALUES",
+                            _steps_per_block(params, model, runs, block_steps) - (block_steps == 1))
+    state, ledger, log = init_state(model, x0), CommLedger(5), []
+    steps = dkf_steps(state, graph, model, window, params, t0=1, ledger=ledger,
+                      consensus_log=log)
+    assert list(steps) == list(range(1, 8))
+    assert log[0].shape == ((runs, 3) if runs else (3,))
+    _assert_same_run((state, ledger, log), want)
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_window_failure_at_step_k_keeps_the_steps_before_it(monkeypatch, runs):
+    # a NaN measurement at t = 5 raises the one-step error naming t = 5, with
+    # the state, ledger and log at exactly steps 1..4 (one full block of 3
+    # steps and one step of the next)
+    graph, params, model, x0, window = _window_case("static_split", runs)
+    window = window.copy()
+    window[..., 4, 2, :] = np.nan
+    monkeypatch.setattr(filtering, "_BLOCK_VALUES", _steps_per_block(params, model, runs, 3))
+    state, ledger, log = init_state(model, x0), CommLedger(5), []
+    with pytest.raises(ConfigRejected) as failed:
+        for _ in dkf_steps(state, graph, model, window, params, t0=1, ledger=ledger,
+                           consensus_log=log):
+            pass
+    assert str(failed.value) == "measurements_t holds a non-finite value at t=5"
+    want = _stepped(graph, params, model, x0, window, 4)
+    _assert_same_run((state, ledger, log), want)
+    with pytest.raises(ConfigRejected) as one_step:
+        dkf_time_step(want[0], graph, model, window[..., 4, :, :], params, t=5)
+    assert str(one_step.value) == str(failed.value)
+
+
+def test_window_break_books_the_completed_steps(monkeypatch):
+    # a break after t = 4 of 7 (blocks of 3): the ledger and log catch up on
+    # close(), or when a for loop drops the only reference to the window
+    graph, params, model, x0, window = _window_case("static_split", 2)
+    monkeypatch.setattr(filtering, "_BLOCK_VALUES", _steps_per_block(params, model, 2, 3))
+    want = _stepped(graph, params, model, x0, window, 4)
+    state, ledger, log = init_state(model, x0), CommLedger(5), []
+    steps = dkf_steps(state, graph, model, window, params, t0=1, ledger=ledger,
+                      consensus_log=log)
+    for t in steps:
+        if t == 4:
+            break
+    assert len(log) == 3  # the first block; step 4 waits in the second
+    steps.close()
+    _assert_same_run((state, ledger, log), want)
+
+    state, ledger, log = init_state(model, x0), CommLedger(5), []
+    for t in dkf_steps(state, graph, model, window, params, t0=1, ledger=ledger,
+                       consensus_log=log):
+        if t == 4:
+            break
+    _assert_same_run((state, ledger, log), want)
+
+
+def test_window_checks_its_shape_once():
+    graph, params, model, x0, window = _window_case("static_split", 3)
+    state = init_state(model, x0)
+    with pytest.raises(DimensionError, match=re.escape(
+            "measurements has shape (7, 5, 1), not (3, T, 5, 1)")):
+        next(dkf_steps(state, graph, model, window[0], params, t0=1))
+    with pytest.raises(ConfigRejected, match="measurements must hold real numbers"):
+        next(dkf_steps(state, graph, model, window.astype(complex), params, t0=1))
+    assert list(dkf_steps(state, graph, model, window[:, :0], params, t0=1)) == []

@@ -453,3 +453,16 @@ def test_certificate_width_is_capped():
         tracemalloc.stop()
     assert got == anderson_morley
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("topology", ["ring", "path", "complete"])
+def test_graph_arrays_out_of_memory_are_config_rejected(monkeypatch, topology):
+    # a stand-in np.arange fails as a real allocation too large for memory
+    # would, without one being made
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (2**40,)")
+
+    monkeypatch.setattr(np, "arange", out_of_memory)
+    with pytest.raises(ConfigRejected, match=f"a {topology} graph of 10 nodes does not fit "
+                                             "in memory: Unable to allocate 8.00 TiB"):
+        build_graph(topology, 10)
