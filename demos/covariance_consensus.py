@@ -17,10 +17,10 @@ from dkf_admm import (
     build_constant_velocity_model,
     build_graph,
     dare_solve,
-    dkf_time_step,
+    dkf_steps,
     information_rate_target,
     init_state,
-    simulate_trajectory,
+    simulate_runs,
     spectral_summary,
 )
 
@@ -41,13 +41,12 @@ r = np.diag([float(s.r[0, 0]) for s in model.sensors])
 p_star = dare_solve(model.f, h, model.q, r)
 
 horizon = 600
-traj = simulate_trajectory(model, horizon + 1, seed=11)
+traj = simulate_runs(model, horizon + 1, [11])
 rng = np.random.default_rng(12)
 state = init_state(model, model.x0_mean + rng.normal(size=(N, 4)))
 
 print(f"{'t':>5}  {'max rel theta error':>20}  {'max rel P error':>16}")
-for t in range(1, horizon + 1):
-    dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
+for t in dkf_steps(state, graph, model, traj.measurements[0, 1:], params, t0=1):
     if t in (1, 2, 5, 10, 20, 50, 100, 200, 400, 600):
         theta_err = np.linalg.norm(
             state.theta - target, axis=(1, 2)

@@ -26,10 +26,10 @@ from dkf_admm import (
     build_constant_velocity_model,
     build_graph,
     consensus_fixed_point,
-    dkf_time_step,
+    dkf_steps,
     init_state,
     sensor_specs_at,
-    simulate_trajectory,
+    simulate_runs,
     spd_inverse,
     spd_solve,
     spectral_summary,
@@ -40,18 +40,19 @@ graph = build_graph("path", N)
 spectrum = spectral_summary(graph)
 params = auto_params(spectrum, l_sub=1)
 model = build_constant_velocity_model(dt=0.1, n_nodes=N, r_var=0.5)
-traj = simulate_trajectory(model, 2, seed=77)
+traj = simulate_runs(model, 2, [77])
 rng = np.random.default_rng(5)
 state0 = init_state(model, model.x0_mean + rng.normal(size=(N, 4)))
-meas = traj.measurements[1]
+meas = traj.measurements[0, 1]
 
 
 def first_step(l_sub):
-    """Time step t = 1 from the initial state with l_sub sub-iterations."""
-    return dkf_time_step(
-        copy.deepcopy(state0), graph, model, meas,
-        dataclasses.replace(params, l_sub=l_sub), t=1,
-    )
+    """Time step t = 1 from the initial state with l_sub sub-iterations:
+    the one-step window of measurements[0, 1:2]."""
+    state = copy.deepcopy(state0)
+    list(dkf_steps(state, graph, model, traj.measurements[0, 1:2],
+                   dataclasses.replace(params, l_sub=l_sub), t0=1))
+    return state
 
 
 # the prediction does not depend on l_sub, so any run gives the priors

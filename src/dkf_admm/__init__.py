@@ -44,7 +44,6 @@ from dkf_admm.models import (
     information_rate_target,
     sensor_specs_at,
     simulate_runs,
-    simulate_trajectory,
 )
 from dkf_admm.centralized import (
     CentralizedState,
@@ -57,7 +56,6 @@ from dkf_admm.filtering import (
     NetworkState,
     auto_params,
     dkf_steps,
-    dkf_time_step,
     init_state,
 )
 from dkf_admm.harness import (

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -275,9 +274,10 @@ def _posterior_cov(p_prior_inv, theta, t):
 
     At a node where that sum is not positive definite (a transiently
     indefinite Theta), Theta is floored at zero eigenvalues, with a
-    RuntimeWarning naming the node and t. NotPositiveDefinite is raised if
-    the sum is not finite (theta diverged, or the sum overflowed), or if
-    flooring cannot fix it.
+    RuntimeWarning naming the node and t, attributed (stacklevel 4) to the
+    line that advances the `dkf_steps` window. NotPositiveDefinite is
+    raised if the sum is not finite (theta diverged, or the sum
+    overflowed), or if flooring cannot fix it.
     """
     with np.errstate(over="ignore"):  # a non-finite sum is named below
         m = p_prior_inv + theta
@@ -289,13 +289,8 @@ def _posterior_cov(p_prior_inv, theta, t):
             raise NotPositiveDefinite(f"posterior information P^-1 + Theta is not finite "
                                       f"(node {np.argmin(finite)}, t={t})") from exc
         for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
-            # attributed to the first caller outside this module, through a
-            # window or its one-step call alike
-            frame, level = sys._getframe(), 1
-            while frame.f_globals is globals():
-                frame, level = frame.f_back, level + 1
             warnings.warn(f"posterior information of node {i}, t={t} is indefinite; "
-                          "theta floored at zero eigenvalues", RuntimeWarning, stacklevel=level)
+                          "theta floored at zero eigenvalues", RuntimeWarning, stacklevel=4)
             w, v = np.linalg.eigh(theta[i])
             m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
         try:
@@ -352,7 +347,8 @@ def dkf_steps(
     node-major estimates) at each yield.
 
     `measurements` holds one y_i per step and node, (T, N, m), or (R, T,
-    N, m) when the state carries R runs. When iteration starts the window
+    N, m) when the state carries R runs; one step's y is the one-step
+    window y[..., None, :, :]. When iteration starts the window
     is checked once: a bad t0 or non-real entries raise ConfigRejected;
     another shape, a state of no run or node counts (graph, model, state,
     ledger) that differ DimensionError. Each step runs `_covariance_half`
@@ -427,32 +423,3 @@ def dkf_steps(
             if done and ledger is not None:
                 ledger.record("xi", done * params.l_sub * runs * graph.degree, n)
                 ledger.record("theta", done * cov_rounds * runs * graph.degree, n * (n + 1) // 2)
-
-
-def dkf_time_step(
-    state: NetworkState,
-    graph: SensorGraph,
-    model: StateSpaceModel,
-    measurements_t,
-    params: DkfParams,
-    *,
-    t: int,
-    ledger: CommLedger | None = None,
-    consensus_log=None,
-):
-    """Run one full filter time step for every node; returns `state`, updated.
-
-    The one-step window of `dkf_steps`, which holds the step's contract,
-    for `measurements_t` of shape (N, m) (a row of
-    `Trajectory.measurements`) or (R, N, m): any other than
-    `state.x_post.shape[:-1] + (m,)` raises DimensionError. The ledger and
-    the log hold the step's traffic and log entry on return.
-    """
-    expected = state.x_post.shape[:-1] + (model.sensor_arrays.rinv_h.shape[1],)  # m of every t
-    y = _real_array(measurements_t, "measurements_t", expected)
-    if y.shape != expected:
-        raise DimensionError(f"measurements_t has shape {y.shape}, not {expected}")
-    for _ in dkf_steps(state, graph, model, y[..., None, :, :], params, t0=t, ledger=ledger,
-                       consensus_log=consensus_log):
-        pass
-    return state

@@ -109,9 +109,10 @@ _BLOCK_VALUES = 2 ** 16  # values per % operation of export_csv: a few MB of tex
 
 
 def _read_text(path, what) -> str:
-    """An input file decoded as UTF-8; unreadable or undecodable: ConfigRejected."""
+    """An input file decoded as UTF-8, a leading byte-order mark dropped;
+    unreadable or undecodable: ConfigRejected."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigRejected(f"cannot read {what} {path}: {exc}") from exc
 

@@ -22,6 +22,8 @@ DEFAULT_X0_MEAN = (0.0, 0.0, 1.0, 1.0)
 # the constant-velocity state layout x = (x1, x2, dx1/dt, dx2/dt)
 POSITION, VELOCITY = slice(0, 2), slice(2, 4)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
+# a redrawn model memoizes at most this many drawn row indices (N per step), or one step
+_MEMO_ROWS = 2 ** 18
 
 
 def _check_int(value, name, least):
@@ -162,9 +164,9 @@ class StateSpaceModel:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A seeded draw, read-only: states (..., n_steps, n), row t x_t, and
-    measurements (..., n_steps, N, m), row t every node's y_{i,t} in the layout
-    `dkf_time_step` takes; a `simulate_runs` draw has a leading run axis R."""
+    """A `simulate_runs` draw, read-only: states (R, n_steps, n), row t of run
+    r x_t, and measurements (R, n_steps, N, m), row t every node's y_{i,t}, a
+    window `dkf_steps` takes whole or sliced on its step axis."""
 
     states: np.ndarray
     measurements: np.ndarray
@@ -201,16 +203,19 @@ def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
     """The stacked sensors in effect at time step t: `model.sensor_arrays`
     for static models; redrawn ones gather one `coordinate_table` row per
     node, drawn uniformly from (assignment_seed, t). Each step's N drawn
-    rows are kept in a per-model memo, so the simulation, the reference
-    and the filter draw them once; the gather is per call."""
+    rows are kept in a per-model memo of `_MEMO_ROWS` row indices, the
+    oldest step out first, so the simulation, the reference and the filter
+    draw them once; the gather is per call."""
     _check_int(t, "t", 0)
-    table = model.coordinate_table
+    table, memo = model.coordinate_table, model._drawn_rows
     if table is None:
         return model.sensor_arrays
-    rows = model._drawn_rows.get(t)
+    rows = memo.get(t)
     if rows is None:
         rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
-        rows = model._drawn_rows[t] = rng.integers(0, len(table.h), size=model.n_nodes)
+        if len(memo) >= max(1, _MEMO_ROWS // model.n_nodes):
+            del memo[next(iter(memo))]
+        rows = memo[t] = rng.integers(0, len(table.h), size=model.n_nodes)
     return SensorArrays(table.h[rows], table.r[rows], table.rinv_h[rows], table.info[rows])
 
 
@@ -259,14 +264,6 @@ def simulate_runs(model: StateSpaceModel, n_steps: int, seeds, noise_free: bool 
     states.setflags(write=False)
     measurements.setflags(write=False)
     return Trajectory(states=states, measurements=measurements)
-
-
-def simulate_trajectory(model: StateSpaceModel, n_steps: int, seed: int,
-                        noise_free: bool = False) -> Trajectory:
-    """One seeded trajectory, states (n_steps, n) and measurements
-    (n_steps, N, m): the one-seed case of `simulate_runs`, same draws."""
-    runs = simulate_runs(model, n_steps, [seed], noise_free)
-    return Trajectory(states=runs.states[0], measurements=runs.measurements[0])
 
 
 def information_rate_target(model: StateSpaceModel) -> np.ndarray:

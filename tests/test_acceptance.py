@@ -27,7 +27,7 @@ from dkf_admm.filtering import (
     CommLedger,
     DkfParams,
     auto_params,
-    dkf_time_step,
+    dkf_steps,
     init_state,
 )
 from dkf_admm.graphs import build_graph, spectral_summary
@@ -37,7 +37,6 @@ from dkf_admm.models import (
     build_constant_velocity_model,
     information_rate_target,
     simulate_runs,
-    simulate_trajectory,
 )
 
 
@@ -64,16 +63,14 @@ def long_run():
     )
     model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
     horizon = 2000
-    traj = simulate_trajectory(model, horizon + 1, seed=11)
+    traj = simulate_runs(model, horizon + 1, [11])
     rng = np.random.default_rng(12)
     state = init_state(model, model.x0_mean + rng.normal(size=(10, 4)))
     ledger = CommLedger(10)
     conserved_target = 10 * info_oracle(model).sum(axis=0)
     conservation_dev = 0.0
     t0 = time.time()
-    for t in range(1, horizon + 1):
-        meas = traj.measurements[t]
-        dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=t)
+    for _ in dkf_steps(state, graph, model, traj.measurements[0, 1:], params, t0=1, ledger=ledger):
         total = (state.theta + state.nu_tilde).sum(axis=0)
         conservation_dev = max(
             conservation_dev, float(np.abs(total - conserved_target).max())
@@ -143,15 +140,14 @@ def test_criterion_3_per_step_consensus_fixed_point():
     spectrum = spectral_summary(graph)
     params = auto_params(spectrum, l_sub=500)
     model = build_constant_velocity_model(dt=0.1, n_nodes=5, r_var=0.5)
-    traj = simulate_trajectory(model, 11, seed=77)
+    traj = simulate_runs(model, 11, [77])
     rng = np.random.default_rng(5)
     state = init_state(model, model.x0_mean + rng.normal(size=(5, 4)))
     t0 = time.time()
     worst = 0.0
     spreads = []
-    for t in range(1, 11):
-        meas = traj.measurements[t]
-        dkf_time_step(state, graph, model, meas, params, t=t)
+    for t in dkf_steps(state, graph, model, traj.measurements[0, 1:], params, t0=1):
+        meas = traj.measurements[0, t]
         star = consensus_fixed_point(state.x_prior, state.p_prior, meas, model.sensor_arrays)
         xi = state.x_post  # the final sub-iterate
         worst = max(worst, max(np.linalg.norm(x - star) for x in xi))
@@ -250,15 +246,15 @@ def test_criterion_5_dense_equivalence(n_nodes, topology):
     spectrum = spectral_summary(graph)
     params = auto_params(spectrum, l_sub=12)
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
-    traj = simulate_trajectory(model, 3, seed=31)
+    traj = simulate_runs(model, 3, [31])
     rng = np.random.default_rng(6)
     state = init_state(model, model.x0_mean + rng.normal(size=(n_nodes, 4)))
     snapshot = list(zip(state.x_post.copy(), state.p_post.copy()))
     theta0 = state.theta.copy()
     nu0 = state.nu_tilde.copy()
-    meas = traj.measurements[1]
+    meas = traj.measurements[0, 1]
 
-    dkf_time_step(state, graph, model, meas, params, t=1)
+    list(dkf_steps(state, graph, model, meas[None], params, t0=1))
 
     xi_ref, p_prior_ref = _monolithic_time_step(snapshot, graph, model, meas, params)
     # dense covariance consensus on the Kronecker-lifted Laplacian
@@ -306,8 +302,7 @@ def unbiasedness_run():
     x0_est = [model.x0_mean + np.random.default_rng(seq[1]).normal(scale=1.0, size=(6, 4))
               for seq in seqs]
     state = init_state(model, np.array(x0_est))
-    for t in range(1, horizon + 1):
-        dkf_time_step(state, graph, model, traj.measurements[:, t], params, t=t)
+    list(dkf_steps(state, graph, model, traj.measurements[:, 1:], params, t0=1))
     total = (state.theta + state.nu_tilde).sum(axis=0)
     truth = traj.states[:, horizon]
     return {

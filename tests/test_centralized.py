@@ -13,7 +13,7 @@ from dkf_admm.centralized import (
     initial_centralized_state,
 )
 from dkf_admm.exceptions import NotPositiveDefinite
-from dkf_admm.filtering import auto_params, dkf_time_step, init_state
+from dkf_admm.filtering import auto_params, dkf_steps, init_state
 from dkf_admm.graphs import spectral_summary
 from dkf_admm.linalg import dare_solve, spd_inverse, spd_solve
 from dkf_admm.models import (
@@ -22,21 +22,22 @@ from dkf_admm.models import (
     StateSpaceModel,
     build_constant_velocity_model,
     sensor_specs_at,
-    simulate_trajectory,
+    simulate_runs,
 )
 
 
-def _gain_form_kf(model, traj):
-    """Independent textbook gain-form Kalman filter over a trajectory."""
+def _gain_form_kf(model, measurements):
+    """Independent textbook gain-form Kalman filter over one run's (T, N, 1)
+    measurements."""
     h = np.vstack([s.h for s in model.sensors])
     r = np.diag([float(s.r[0, 0]) for s in model.sensors])
     x = np.array(model.x0_mean, dtype=float)
     p = np.array(model.p0, dtype=float)
     xs, ps = [x.copy()], [p.copy()]
-    for t in range(1, traj.states.shape[0]):
+    for t in range(1, len(measurements)):
         x = model.f @ x
         p = model.f @ p @ model.f.T + model.q
-        y = traj.measurements[t, :, 0]
+        y = measurements[t, :, 0]
         s = h @ p @ h.T + r
         gain = p @ h.T @ np.linalg.inv(s)
         x = x + gain @ (y - h @ x)
@@ -73,11 +74,11 @@ def test_empty_correction_is_pure_prediction():
 
 def test_information_form_matches_gain_form():
     model = build_constant_velocity_model(dt=0.1, n_nodes=8, r_var=0.5)
-    traj = simulate_trajectory(model, 40, seed=21)
-    xs, ps = _gain_form_kf(model, traj)
+    measurements = simulate_runs(model, 40, [21]).measurements[0]
+    xs, ps = _gain_form_kf(model, measurements)
     state = initial_centralized_state(model)
     for t in range(1, 40):
-        meas = traj.measurements[t]
+        meas = measurements[t]
         state = centralized_kf_step(state, model, meas, t)
         assert np.allclose(state.x_hat, xs[t], atol=1e-10)
         assert np.allclose(state.p, ps[t], atol=1e-10)
@@ -162,10 +163,10 @@ def test_fixed_point_matches_centralized_posterior():
     # when every node carries the centralized prior, the network fixed point
     # is exactly the centralized posterior mean
     model = build_constant_velocity_model(dt=0.1, n_nodes=6, r_var=0.5)
-    traj = simulate_trajectory(model, 5, seed=2)
+    measurements = simulate_runs(model, 5, [2]).measurements[0]
     state = initial_centralized_state(model)
     for t in range(1, 5):
-        meas = traj.measurements[t]
+        meas = measurements[t]
         prior_x = model.f @ state.x_hat
         prior_p = model.f @ state.p @ model.f.T + model.q
         state = centralized_kf_step(state, model, meas, t)
@@ -221,16 +222,15 @@ def _consensus_limit_errors(n_nodes, redrawn, seed, steps=10):
     spectrum = spectral_summary(graph)
     radius = max(report.spectral_radius for report in auto_params(spectrum).check(spectrum))
     params = auto_params(spectrum, l_sub=math.ceil(math.log(1e-12) / math.log(radius)))
-    traj = simulate_trajectory(model, steps + 1, seed=seed)
+    measurements = simulate_runs(model, steps + 1, [seed]).measurements[0]
     state = init_state(model, np.broadcast_to(model.x0_mean, (n_nodes, model.n)))
     info = sensor_specs_at(model, 0).info
     state.theta = np.broadcast_to(info.sum(axis=0), info.shape).copy()
     state.nu_tilde = n_nodes * info - state.theta
     central = initial_centralized_state(model)
     x_err = p_err = 0.0
-    for t in range(1, steps + 1):
-        dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
-        central = centralized_kf_step(central, model, traj.measurements[t], t)
+    for t in dkf_steps(state, graph, model, measurements[1:], params, t0=1):
+        central = centralized_kf_step(central, model, measurements[t], t)
         x_err = max(x_err, np.abs(state.x_post - central.x_hat).max() / np.abs(central.x_hat).max())
         p_err = max(p_err, np.abs(state.p_post - central.p).max() / np.abs(central.p).max())
     return x_err, p_err

@@ -18,7 +18,7 @@ from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import (ConfigError, ConfigRejected, DimensionError,
                                  GraphGenerationFailed, GraphNotConnected, NotPositiveDefinite,
                                  NumericalError)
-from dkf_admm.filtering import (CommLedger, DkfParams, _posterior_cov, auto_params, dkf_time_step,
+from dkf_admm.filtering import (CommLedger, DkfParams, _posterior_cov, auto_params, dkf_steps,
                                 init_state)
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
 from dkf_admm.harness import ScenarioConfig, run_scenario
@@ -29,7 +29,6 @@ from dkf_admm.models import (
     build_constant_velocity_model,
     sensor_specs_at,
     simulate_runs,
-    simulate_trajectory,
 )
 
 
@@ -40,11 +39,11 @@ def _indefinite_posterior():
 
 
 def _redrawn_step_args():
-    # the positional arguments of one step on a 3-node ring with redrawn sensors
+    # the positional arguments of a one-step window on a 3-node ring with redrawn sensors
     model = build_constant_velocity_model(dt=0.1, n_nodes=3, sensor_assignment="per_step_random")
     graph = build_graph("ring", 3)
     state = init_state(model, np.tile(model.x0_mean, (3, 1)))
-    return state, graph, model, np.zeros((3, 1)), auto_params(spectral_summary(graph))
+    return state, graph, model, np.zeros((1, 3, 1)), auto_params(spectral_summary(graph))
 
 
 def _six_node_step_on_a_three_node_ring(**kwargs):
@@ -53,8 +52,8 @@ def _six_node_step_on_a_three_node_ring(**kwargs):
     model = build_constant_velocity_model(dt=0.1, n_nodes=6)
     graph = build_graph("ring", 3)
     state = init_state(model, np.tile(model.x0_mean, (6, 1)))
-    dkf_time_step(state, graph, model, np.zeros((6, 1)), auto_params(spectral_summary(graph)),
-                  t=1, **kwargs)
+    list(dkf_steps(state, graph, model, np.zeros((1, 6, 1)), auto_params(spectral_summary(graph)),
+                   t0=1, **kwargs))
 
 
 _MODEL = build_constant_velocity_model(dt=0.1, n_nodes=6)
@@ -63,13 +62,14 @@ _PARAMS = auto_params(spectral_summary(_GRAPH))
 
 
 def _six_node_ring_step(x0=None, p0=None, y=None, x_post=None, **kwargs):
-    # one step on a 6-node ring from init_state(model, x0, p0), with all-zero
-    # measurements unless `y` is given; `x_post` replaces the state's estimates
+    # a one-step window on a 6-node ring from init_state(model, x0, p0), with
+    # all-zero measurements unless the step's `y` is given; `x_post` replaces
+    # the state's estimates
     state = init_state(_MODEL, np.tile(_MODEL.x0_mean, (6, 1)) if x0 is None else x0, p0)
     if x_post is not None:
         state.x_post = x_post
     y = np.zeros(state.x_post.shape[:-1] + (1,)) if y is None else y
-    dkf_time_step(state, _GRAPH, _MODEL, y, _PARAMS, t=1, **kwargs)
+    list(dkf_steps(state, _GRAPH, _MODEL, y[..., None, :, :], _PARAMS, t0=1, **kwargs))
 
 
 def _centralized_step(measurements):
@@ -105,7 +105,7 @@ def _inconsistent_model():
     (lambda: build_constant_velocity_model(dt=0.1, n_nodes=1), ValueError, "at least 2 nodes"),
     (lambda: build_constant_velocity_model(dt=0.1, sensor_assignment="rand"),
      ValueError, "unknown sensor assignment 'rand'"),
-    (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 0, seed=0),
+    (lambda: simulate_runs(build_constant_velocity_model(dt=0.1), 0, [0]),
      ValueError, "n_steps must be an integer >= 1, got 0"),
     # a non-finite radius, rejected where it is read (a ring ignores it)
     (lambda: build_graph("random_geometric", 30, radius=np.inf, seed=0),
@@ -156,7 +156,7 @@ def _inconsistent_model():
     (lambda: sensor_specs_at(build_constant_velocity_model(
         dt=0.1, sensor_assignment="per_step_random"), -1),
      ConfigRejected, "t must be an integer >= 0, got -1"),
-    (lambda: dkf_time_step(*_redrawn_step_args(), t=-1), ConfigRejected,
+    (lambda: list(dkf_steps(*_redrawn_step_args(), t0=-1)), ConfigRejected,
      "t must be an integer >= 0, got -1"),
     # node counts and shapes that used to reach numpy as raw ValueErrors
     (_six_node_step_on_a_three_node_ring, DimensionError,
@@ -202,11 +202,11 @@ def _inconsistent_model():
     (lambda: _six_node_ring_step(p0=np.full((4, 4), "1")), ConfigRejected,
      "p0_nodes must hold real numbers, got dtype <U1"),
     (lambda: _six_node_ring_step(y=np.full((6, 1), "1")), ConfigRejected,
-     "measurements_t must hold real numbers, got dtype <U1"),
+     "measurements must hold real numbers, got dtype <U1"),
     (lambda: _six_node_ring_step(x0=np.ones((6, 4), complex)), ConfigRejected,
      "x0_estimates must hold real numbers, got dtype complex128"),
     (lambda: _six_node_ring_step(y=np.ones((6, 1), complex)), ConfigRejected,
-     "measurements_t must hold real numbers, got dtype complex128"),
+     "measurements must hold real numbers, got dtype complex128"),
     (lambda: _centralized_step(np.ones((3, 1), complex)), ConfigRejected,
      "measurements must hold real numbers, got dtype complex128"),
     # sizes that are not integers and seeds numpy refuses used to escape as
@@ -222,9 +222,9 @@ def _inconsistent_model():
     (lambda: build_graph("ring", 2**70), ConfigRejected,
      f"at most 3037000499 nodes .*, got {2**70}"),
     (lambda: SensorGraph(2**40, [(0, 1)]), ConfigRejected, f"at most 3037000499 nodes .*, got {2**40}"),
-    (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5.5, 1), ConfigRejected,
+    (lambda: simulate_runs(build_constant_velocity_model(dt=0.1), 5.5, [1]), ConfigRejected,
      "n_steps must be an integer >= 1, got 5.5"),
-    (lambda: simulate_trajectory(build_constant_velocity_model(dt=0.1), 5, "abc"),
+    (lambda: simulate_runs(build_constant_velocity_model(dt=0.1), 5, ["abc"]),
      ConfigRejected, "unusable seed 'abc': "),
     # seeds that are not iterable used to escape as TypeError; no seeds gave an
     # empty trajectory that init_state rejected later
@@ -312,11 +312,11 @@ def _fresh_state():
 _BAD_CALLS = {
     "init_state x0": lambda d: init_state(_MODEL, d.draw(_bad_arrays((6, 4)))),
     "init_state p0": lambda d: init_state(_MODEL, _MODEL.x0_mean, d.draw(_bad_arrays((4, 4)))),
-    "dkf_time_step y": lambda d: dkf_time_step(_fresh_state(), _GRAPH, _MODEL,
-                                               d.draw(_bad_arrays((6, 1))), _PARAMS, t=1),
-    "dkf_time_step ledger": lambda d: dkf_time_step(
-        _fresh_state(), _GRAPH, _MODEL, np.zeros((6, 1)), _PARAMS, t=1,
-        ledger=CommLedger(d.draw(st.sampled_from([1, 2, 5, 7])))),
+    "dkf_steps y": lambda d: list(dkf_steps(_fresh_state(), _GRAPH, _MODEL,
+                                            [d.draw(_bad_arrays((6, 1)))], _PARAMS, t0=1)),
+    "dkf_steps ledger": lambda d: list(dkf_steps(
+        _fresh_state(), _GRAPH, _MODEL, np.zeros((1, 6, 1)), _PARAMS, t0=1,
+        ledger=CommLedger(d.draw(st.sampled_from([1, 2, 5, 7]))))),
     "SensorGraph n": lambda d: SensorGraph(d.draw(st.sampled_from(_BAD_SIZES)), [(0, 1)]),
     "SensorGraph edges": lambda d: SensorGraph(6, d.draw(_bad_arrays((5, 2)))),
     "build_graph n": lambda d: build_graph(
@@ -327,10 +327,10 @@ _BAD_CALLS = {
     "build_graph radius": lambda d: build_graph(
         "random_geometric", 6, radius=d.draw(st.sampled_from(["0.5", [0.5], np.nan, -1.0])),
         seed=1),
-    "simulate_trajectory n_steps": lambda d: simulate_trajectory(
-        _MODEL, d.draw(st.sampled_from(_BAD_SIZES)), 1),
-    "simulate_trajectory seed": lambda d: simulate_trajectory(
-        _MODEL, 3, d.draw(st.sampled_from(_BAD_SEEDS))),
+    "simulate_runs n_steps": lambda d: simulate_runs(
+        _MODEL, d.draw(st.sampled_from(_BAD_SIZES)), [1]),
+    "simulate_runs seed": lambda d: simulate_runs(
+        _MODEL, 3, [d.draw(st.sampled_from(_BAD_SEEDS))]),
     "build_constant_velocity_model n": lambda d: build_constant_velocity_model(
         dt=0.1, n_nodes=d.draw(st.sampled_from(_BAD_SIZES))),
     "centralized_kf_step": lambda d: centralized_kf_step(

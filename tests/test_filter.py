@@ -26,7 +26,6 @@ from dkf_admm.filtering import (
     _round_operator,
     auto_params,
     dkf_steps,
-    dkf_time_step,
     init_state,
 )
 from dkf_admm.graphs import DENSE_PRODUCT_NODES, build_graph, spectral_summary
@@ -39,7 +38,6 @@ from dkf_admm.models import (
     information_rate_target,
     sensor_specs_at,
     simulate_runs,
-    simulate_trajectory,
 )
 
 
@@ -48,7 +46,7 @@ def _setup(n_nodes=4, topology="ring", l_sub=20, traj_seed=3, **graph_kwargs):
     spectrum = spectral_summary(graph)
     params = auto_params(spectrum, l_sub=l_sub)
     model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, r_var=0.5)
-    traj = simulate_trajectory(model, 3, seed=traj_seed)
+    traj = simulate_runs(model, 3, [traj_seed])
     state = init_state(model, np.tile(model.x0_mean, (n_nodes, 1)))
     return graph, spectrum, params, model, traj, state
 
@@ -93,7 +91,7 @@ def test_predict_matches_formula():
     state.p_post[0] = np.diag([1.0, 2.0, 3.0, 4.0])
     x_post, p_post = state.x_post.copy(), state.p_post.copy()
     p_prior, *_ = _half(state, graph, model, params)
-    dkf_time_step(state, graph, model, traj.measurements[1], params, t=1)
+    list(dkf_steps(state, graph, model, traj.measurements[0, 1:2], params, t0=1))
     assert np.array_equal(state.p_prior, p_prior)
     for x, p, xp, pp in zip(x_post, p_post, state.x_prior, p_prior):
         assert np.allclose(xp, model.f @ x)
@@ -108,9 +106,9 @@ def test_gain_inverse_pair():
         graph, _, params, model, traj, state = _setup(n_nodes=n_nodes, l_sub=1)
         state.x_post[:] = [1.0, -1.0, 0.5, 0.2]
         state.p_post *= 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
-        meas = traj.measurements[1]
+        meas = traj.measurements[0, 1]
         p_prior, p_inv, k, *_ = _half(state, graph, model, params)
-        dkf_time_step(state, graph, model, meas, params, t=1)
+        list(dkf_steps(state, graph, model, meas[None], params, t0=1))
         for i, spec in enumerate(model.sensors):
             _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
             p_inv_ref = spd_inverse(p_prior[i])
@@ -136,8 +134,7 @@ def test_step_runs_one_covariance_half_before_the_state_rounds(monkeypatch):
     spy("_covariance_half")
     spy("_consensus_rounds")
     state = init_state(model, np.broadcast_to(model.x0_mean, (3, 5, 4)))
-    for t in (1, 2):
-        dkf_time_step(state, graph, model, np.zeros((3, 5, 1)), params, t=t)
+    list(dkf_steps(state, graph, model, np.zeros((3, 2, 5, 1)), params, t0=1))
     assert calls == ["_covariance_half", "_consensus_rounds", "_consensus_rounds"] * 2
 
 
@@ -186,7 +183,7 @@ def _kb(k, b):
 @pytest.mark.parametrize("topology,n_nodes", [("ring", 3), ("path", 5)])
 def test_correction_round_matches_dense_oracle(topology, n_nodes):
     graph, _, params, model, traj, state = _setup(n_nodes=n_nodes, topology=topology)
-    meas = traj.measurements[1]
+    meas = traj.measurements[0, 1]
     # distinct iterates and duals so the disagreement term is active
     draws = np.random.default_rng(0).normal(size=(n_nodes, 2, 4))
     xi0, lam0 = draws[:, 0], draws[:, 1]
@@ -209,8 +206,8 @@ def test_correction_reaches_consensus():
     graph, _, params, model, traj, state = _setup(
         n_nodes=6, topology="ring", l_sub=4000
     )
-    meas = traj.measurements[1]
-    dkf_time_step(state, graph, model, meas, params, t=1)
+    meas = traj.measurements[0, 1]
+    list(dkf_steps(state, graph, model, meas[None], params, t0=1))
     k_inv_ref, k_ref, b_ref = _reference_gains(
         state.x_prior, state.p_prior, model.sensors, meas
     )
@@ -225,8 +222,8 @@ def test_correction_consensus_error_decays_geometrically():
     graph, spectrum, params, model, traj, state = _setup(n_nodes=8, topology="ring")
     state.x_post += np.random.default_rng(4).normal(size=(8, 4))
     log = []
-    dkf_time_step(state, graph, model, traj.measurements[1], dataclasses.replace(params, l_sub=100),
-                  t=1, consensus_log=log)
+    list(dkf_steps(state, graph, model, traj.measurements[0, 1:2],
+                   dataclasses.replace(params, l_sub=100), t0=1, consensus_log=log))
     errs = log[0]  # round k's mean consensus error lands in errs[k - 1]
     # average per-round contraction over a window clear of both the initial
     # transient and the floating-point floor must not beat the worst
@@ -414,7 +411,7 @@ def test_singular_prior_names_the_step():
         model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, q_intensity=0.0)
         state = init_state(model, np.tile(model.x0_mean, (n_nodes, 1)), np.zeros((4, 4)))
         with pytest.raises(NotPositiveDefinite, match=r"singular at t=4$"):
-            dkf_time_step(state, graph, model, np.zeros((n_nodes, 1)), params, t=4)
+            list(dkf_steps(state, graph, model, np.zeros((1, n_nodes, 1)), params, t0=4))
 
 
 def test_overflowing_gain_names_the_step():
@@ -426,7 +423,7 @@ def test_overflowing_gain_names_the_step():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NotPositiveDefinite, match=r"a prior covariance became singular at t=1$"
     ):
-        dkf_time_step(state, graph, model, np.zeros((model.n_nodes, 1)), params, t=1)
+        list(dkf_steps(state, graph, model, np.zeros((1, model.n_nodes, 1)), params, t0=1))
 
 
 def test_divergent_covariance_step_names_the_step_once():
@@ -437,37 +434,41 @@ def test_divergent_covariance_step_names_the_step_once():
     graph, model, spectrum, params = build_scenario(
         ScenarioConfig(topology="ring", n_nodes=6, alpha_nu=50.0, l_sub=1))
     assert not params.check(spectrum)[0].is_schur
-    traj = simulate_trajectory(model, 251, seed=0)
+    window = simulate_runs(model, 251, [0]).measurements[0, 1:]
     state = init_state(model, np.tile(model.x0_mean, (6, 1)))
     with pytest.warns(RuntimeWarning, match="theta floored") as floored, pytest.raises(
             NotPositiveDefinite) as exc:
         for t in range(1, 251):
-            dkf_time_step(state, graph, model, traj.measurements[t], params, t=t)
+            list(dkf_steps(state, graph, model, window[t - 1:t], params, t0=t))
     # the step that failed is named once, not once per layer it passed
     assert str(exc.value).count("t=") == 1, exc.value
-    # each flooring warning points at the caller, here as through a window
-    state = init_state(model, np.tile(model.x0_mean, (6, 1)))
-    with pytest.warns(RuntimeWarning, match="theta floored") as windowed, pytest.raises(
-            NotPositiveDefinite, match=re.escape(str(exc.value))):
-        for _ in dkf_steps(state, graph, model, traj.measurements[1:], params, t0=1):
-            pass
-    assert {w.filename for w in floored} == {w.filename for w in windowed} == {__file__}
+    # each flooring warning points at the line that advances the window: a
+    # one-step window's list() above, a for loop and a list() of the whole window
+    filenames = [{w.filename for w in floored}]
+    for consume in (lambda steps: [t for t in steps], list):
+        state = init_state(model, np.tile(model.x0_mean, (6, 1)))
+        with pytest.warns(RuntimeWarning, match="theta floored") as windowed, pytest.raises(
+                NotPositiveDefinite, match=re.escape(str(exc.value))):
+            consume(dkf_steps(state, graph, model, window, params, t0=1))
+        filenames.append({w.filename for w in windowed})
+    assert filenames == [{__file__}] * 3
 
 
 def test_time_step_rejects_misshaped_measurements():
-    # one y_i per node (and run), of the model's m = 1: a (2, 3, 1) array
-    # must not pass as six nodes' measurements of a one-run, six-node state
+    # one y_i per step and node (and run), of the model's m = 1: a (2, 3, 1)
+    # window must not pass as six nodes' measurements of a one-run, six-node
+    # state; nor may a window wrong in m, in its rank or in its run count
     graph, _, params, model, _, _ = _setup(n_nodes=6)
     for lead, meas_shape in (
         ((), (2, 3, 1)),
-        ((), (6, 2)),
-        ((), (1, 6, 1)),
-        ((3,), (6, 1)),
-        ((3,), (2, 6, 1)),
+        ((), (1, 6, 2)),
+        ((), (1, 1, 6, 1)),
+        ((3,), (1, 6, 1)),
+        ((3,), (2, 1, 6, 1)),
     ):
         state = init_state(model, np.broadcast_to(model.x0_mean, lead + (6, 4)))
-        with pytest.raises(DimensionError, match=r"measurements_t has shape"):
-            dkf_time_step(state, graph, model, np.zeros(meas_shape), params, t=1)
+        with pytest.raises(DimensionError, match=r"measurements has shape"):
+            list(dkf_steps(state, graph, model, np.zeros(meas_shape), params, t0=1))
 
 
 def test_ledger_counts_and_wire_schema():
@@ -500,8 +501,8 @@ def test_time_step_traffic_formula():
         for model, cov_rounds in ((static, 1), (redrawn, 7)):
             state = init_state(model, np.broadcast_to(model.x0_mean, lead + (5, 4)))
             ledger = CommLedger(5)
-            meas = np.broadcast_to(traj.measurements[1], lead + (5, 1))
-            dkf_time_step(state, graph, model, meas, params, ledger=ledger, t=1)
+            meas = np.broadcast_to(traj.measurements[0, 1:2], lead + (1, 5, 1))
+            list(dkf_steps(state, graph, model, meas, params, t0=1, ledger=ledger))
             assert np.array_equal(ledger.state_messages, runs * 7 * graph.degree)
             assert np.array_equal(ledger.state_scalars, runs * 7 * graph.degree * n)
             assert np.array_equal(ledger.cov_messages, runs * cov_rounds * graph.degree)
@@ -530,7 +531,7 @@ def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
     rng = np.random.default_rng(4)
     lead = () if runs is None else (runs,)
     state = init_state(model, model.x0_mean + rng.normal(size=lead + (n_nodes, 4)))
-    meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
+    meas = traj.measurements[0, 1] + rng.normal(size=lead + traj.measurements[0, 1].shape)
 
     # node-major (N, R, .) rows, R = 1 for an (N, n) state
     x_prior = state.x_post.reshape(-1, n_nodes, 4).swapaxes(0, 1) @ model.f.T
@@ -547,11 +548,11 @@ def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
 
     logged = init_state(model, state.x_post, state.p_post)
     log = []
-    dkf_time_step(logged, graph, model, meas, params, t=1, consensus_log=log)
+    list(dkf_steps(logged, graph, model, meas[..., None, :, :], params, t0=1, consensus_log=log))
     assert len(log) == 1 and log[0].shape == lead + (params.l_sub,)
     assert np.allclose(log[0], want, rtol=1e-12, atol=1e-12)
     # the log observes the step and does not change it
-    dkf_time_step(state, graph, model, meas, params, t=1)
+    list(dkf_steps(state, graph, model, meas[..., None, :, :], params, t0=1))
     for name in ("x_post", "p_post", "theta"):
         assert np.array_equal(getattr(logged, name), getattr(state, name))
 
@@ -568,13 +569,13 @@ def test_consensus_log_on_the_edge_gather_path(runs):
     rng = np.random.default_rng(5)
     lead = () if runs is None else (runs,)
     x0 = model.x0_mean + rng.normal(size=lead + (500, 4))
-    meas = traj.measurements[1] + rng.normal(size=lead + traj.measurements[1].shape)
+    meas = traj.measurements[0, 1:2] + rng.normal(size=lead + traj.measurements[0, 1:2].shape)
     log = []
-    dkf_time_step(init_state(model, x0), graph, model, meas, params, t=1, consensus_log=log)
+    list(dkf_steps(init_state(model, x0), graph, model, meas, params, t0=1, consensus_log=log))
     assert len(log) == 1 and log[0].shape == lead + (3,)
     for k in range(1, 4):
         state = init_state(model, x0)
-        dkf_time_step(state, graph, model, meas, dataclasses.replace(params, l_sub=k), t=1)
+        list(dkf_steps(state, graph, model, meas, dataclasses.replace(params, l_sub=k), t0=1))
         xi = state.x_post
         want = np.linalg.norm(xi - xi.mean(axis=-2, keepdims=True), axis=-1).mean(axis=-1)
         assert np.allclose(log[0][..., k - 1], want, rtol=1e-12, atol=1e-12)
@@ -585,14 +586,14 @@ def test_consensus_log_extra_peak_memory():
     # reduction runs in place, so its extra peak over an unlogged step stays
     # within 1.3 buffers (N = 1,000, R = 3, L = 20)
     graph, _, params, model, traj, _ = _setup(n_nodes=1000, topology="ring", l_sub=20)
-    meas = np.broadcast_to(traj.measurements[1], (3, 1000, 1))
+    meas = np.broadcast_to(traj.measurements[0, 1:2], (3, 1, 1000, 1))
     buffer_bytes = params.l_sub * 1000 * 3 * 4 * 8
 
     def step_peak(log):
         state = init_state(model, np.broadcast_to(model.x0_mean, (3, 1000, 4)))
         tracemalloc.start()
         try:
-            dkf_time_step(state, graph, model, meas, params, t=1, consensus_log=log)
+            list(dkf_steps(state, graph, model, meas, params, t0=1, consensus_log=log))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -609,7 +610,7 @@ def test_unlogged_step_peak_memory_does_not_grow_with_rounds():
     # not grow with L (R = 3)
     for n_nodes, short_l, long_l in ((1000, 2, 20), (6, 20, 4000)):
         graph, _, params, model, traj, _ = _setup(n_nodes=n_nodes, topology="ring")
-        meas = np.broadcast_to(traj.measurements[1], (3, n_nodes, 1))
+        meas = np.broadcast_to(traj.measurements[0, 1:2], (3, 1, n_nodes, 1))
 
         def step_peak(l_sub):
             state = init_state(model, np.broadcast_to(model.x0_mean, (3, n_nodes, 4)))
@@ -617,7 +618,7 @@ def test_unlogged_step_peak_memory_does_not_grow_with_rounds():
             _round_operator.cache_clear()
             tracemalloc.start()
             try:
-                dkf_time_step(state, graph, model, meas, step_params, t=1)
+                list(dkf_steps(state, graph, model, meas, step_params, t0=1))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -660,9 +661,9 @@ def test_time_step_matches_per_node_operations():
         state.p_post[i] = g @ g.T + np.eye(4)
     x_post0, p_post0 = state.x_post.copy(), state.p_post.copy()
     theta0, nu0 = state.theta.copy(), state.nu_tilde.copy()
-    meas = traj.measurements[1]
+    meas = traj.measurements[0, 1]
 
-    dkf_time_step(state, graph, model, meas, params, t=1)
+    list(dkf_steps(state, graph, model, meas[None], params, t0=1))
 
     x_prior = np.array([model.f @ x for x in x_post0])
     p_prior = np.array([model.f @ p @ model.f.T + model.q for p in p_post0])
@@ -703,10 +704,9 @@ def test_symmetric_nodes_stay_symmetric():
     graph2 = build_graph("complete", 2)
     params2 = auto_params(spectral_summary(graph2), l_sub=8)
     state2 = init_state(model2, np.tile(model2.x0_mean, (2, 1)))
-    traj2 = simulate_trajectory(model2, 8, seed=10)
-    for t in range(1, 8):
-        y = traj2.measurements[t, 0]
-        dkf_time_step(state2, graph2, model2, [y, y], params2, t=t)
+    # both nodes measure node 0's y at every step
+    window = np.repeat(simulate_runs(model2, 8, [10]).measurements[0, 1:, :1], 2, axis=1)
+    for _ in dkf_steps(state2, graph2, model2, window, params2, t0=1):
         assert np.allclose(state2.x_post[0], state2.x_post[1], atol=1e-12)
         assert np.allclose(state2.p_post[0], state2.p_post[1], atol=1e-12)
 
@@ -733,15 +733,13 @@ def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
     singles = [init_state(model, x0[r], p0) for r in range(runs)]
     batch_ledger, single_ledger = CommLedger(n_nodes), CommLedger(n_nodes)
     batch_log, single_logs = [], [[] for _ in range(runs)]
-    for t in (1, 2):
-        dkf_time_step(batch, graph, model, meas[t - 1], params, ledger=batch_ledger,
-                      t=t, consensus_log=batch_log)
-        for r, single in enumerate(singles):
-            dkf_time_step(single, graph, model, meas[t - 1, r], params,
-                          ledger=single_ledger if r == 0 else None, t=t,
-                          consensus_log=single_logs[r])
+    for _ in dkf_steps(batch, graph, model, meas.swapaxes(0, 1), params, t0=1,
+                       ledger=batch_ledger, consensus_log=batch_log):
         for z in (batch.theta, batch.nu_tilde):
             assert z.shape == (n_nodes, 4, 4) and np.array_equal(z, z.transpose(0, 2, 1))
+    for r, single in enumerate(singles):
+        list(dkf_steps(single, graph, model, meas[:, r], params, t0=1,
+                       ledger=single_ledger if r == 0 else None, consensus_log=single_logs[r]))
 
     assert batch.x_post.shape == (runs, n_nodes, 4)
     assert batch_log[0].shape == (runs, l_sub)
@@ -784,11 +782,11 @@ def _window_case(sensors, runs, n_steps=7):
 
 
 def _stepped(graph, params, model, x0, window, n_steps):
-    """State, ledger and log after `n_steps` one-step calls from t = 1."""
+    """State, ledger and log after `n_steps` one-step windows from t = 1."""
     state, ledger, log = init_state(model, x0), CommLedger(model.n_nodes), []
     for i in range(n_steps):
-        dkf_time_step(state, graph, model, window[..., i, :, :], params, t=i + 1,
-                      ledger=ledger, consensus_log=log)
+        list(dkf_steps(state, graph, model, window[..., i:i + 1, :, :], params, t0=i + 1,
+                       ledger=ledger, consensus_log=log))
     return state, ledger, log
 
 
@@ -844,7 +842,7 @@ def test_window_failure_at_step_k_keeps_the_steps_before_it(monkeypatch, runs):
     want = _stepped(graph, params, model, x0, window, 4)
     _assert_same_run((state, ledger, log), want)
     with pytest.raises(ConfigRejected) as one_step:
-        dkf_time_step(want[0], graph, model, window[..., 4, :, :], params, t=5)
+        list(dkf_steps(want[0], graph, model, window[..., 4:5, :, :], params, t0=5))
     assert str(one_step.value) == str(failed.value)
 
 

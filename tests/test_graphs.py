@@ -181,10 +181,13 @@ def test_lambda2_positive_iff_connected():
 
 
 def test_edge_list_file(tmp_path):
+    # also behind a UTF-8 byte-order mark, as Windows editors write: its
+    # first line used to be rejected as "'\ufeff# a triangle' is not an edge"
     p = tmp_path / "graph.txt"
-    p.write_text("# a triangle\n0 1\n1 2\n2 0\n")
-    g = load_edge_list(p, 3)
-    assert np.array_equal(dense_adjacency(g), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    for encoding in ("utf-8", "utf-8-sig"):
+        p.write_text("# a triangle\n0 1\n1 2\n2 0\n", encoding=encoding)
+        g = load_edge_list(p, 3)
+        assert np.array_equal(dense_adjacency(g), [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
 
 def test_edge_list_missing_file_rejected(tmp_path):

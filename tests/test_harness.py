@@ -15,7 +15,7 @@ import dkf_admm
 from dkf_admm import harness, models
 from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected, DimensionError
-from dkf_admm.filtering import CommLedger, dkf_time_step, init_state
+from dkf_admm.filtering import CommLedger, dkf_steps, init_state
 from dkf_admm.harness import (
     RunMetrics,
     ScenarioConfig,
@@ -96,6 +96,14 @@ def test_config_rejections(tmp_path):
     not_utf8.write_bytes(b"\xff[run]\nhorizon_steps = 5\n")
     with pytest.raises(ConfigRejected, match="cannot read config file .*latin1.ini"):
         load_config(not_utf8)
+    # a UTF-8 byte-order mark, as Windows editors write, used to read as "a
+    # line before the first [section] header"
+    text = "[graph]\nn_nodes = 6\n[run]\nhorizon_steps = 5\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf[graph]")
+    assert load_config(marked) == load_config(plain) != ScenarioConfig()
     ok = tmp_path / "auto.ini"
     ok.write_text("[params]\nmu = none\nalpha_lambda =\n[graph]\nedge_list_path = none\n")
     cfg = load_config(ok)
@@ -466,11 +474,10 @@ def test_per_step_random_cov_error_tracks_the_time_varying_reference():
     graph, model, _, params = build_scenario(cfg)
     # the distributed prior covariances do not depend on the measurements
     state = init_state(model, model.x0_mean)
-    zeros = np.zeros((model.n_nodes, model.sensors[0].h.shape[0]))
+    zeros = np.zeros((cfg.horizon_steps, model.n_nodes, model.sensors[0].h.shape[0]))
     p_post = model.p0
-    for t in range(1, cfg.horizon_steps + 1):
+    for t in dkf_steps(state, graph, model, zeros, params, t0=1):
         p_prior = model.f @ p_post @ model.f.T + model.q
-        dkf_time_step(state, graph, model, zeros, params, t=t)
         want = np.linalg.norm(state.p_prior - p_prior, axis=(1, 2)) / np.linalg.norm(p_prior)
         assert np.allclose(m.cov_error[t - 1], want, rtol=1e-9, atol=1e-12)
         specs = sensor_specs_at(model, t)
@@ -526,7 +533,7 @@ def test_library_runs_on_numpy_alone():
 def _records():
     """A fresh instance of every array-holding record, each built the same way."""
     model = build_constant_velocity_model(dt=0.1, n_nodes=4)
-    traj = dkf_admm.simulate_trajectory(model, 3, seed=1)
+    traj = dkf_admm.simulate_runs(model, 3, [1])
     return {
         "StateSpaceModel": model,
         "SensorSpec": model.sensors[0],

@@ -17,7 +17,6 @@ from dkf_admm.models import (
     information_rate_target,
     sensor_specs_at,
     simulate_runs,
-    simulate_trajectory,
 )
 
 
@@ -147,29 +146,28 @@ def test_model_rejects_non_finite_covariances():
 
 def test_trajectory_determinism():
     model = build_constant_velocity_model(dt=0.1, n_nodes=6)
-    t1 = simulate_trajectory(model, 50, seed=123)
-    t2 = simulate_trajectory(model, 50, seed=123)
+    t1 = simulate_runs(model, 50, [123])
+    t2 = simulate_runs(model, 50, [123])
     assert np.array_equal(t1.states, t2.states)
-    assert t1.measurements.shape == (50, 6, 1)
+    assert t1.measurements.shape == (1, 50, 6, 1)
     assert np.array_equal(t1.measurements, t2.measurements)
 
 
 def test_noise_free_trajectory_is_deterministic_power():
     model = build_constant_velocity_model(dt=0.1, n_nodes=4)
-    traj = simulate_trajectory(model, 10, seed=0, noise_free=True)
+    traj = simulate_runs(model, 10, [0], noise_free=True)
+    states, measurements = traj.states[0], traj.measurements[0]
     x = np.array(model.x0_mean)
     for t in range(10):
-        assert np.allclose(traj.states[t], x, atol=1e-12)
+        assert np.allclose(states[t], x, atol=1e-12)
         x = model.f @ x
     for i, spec in enumerate(model.sensors):
-        assert np.allclose(
-            traj.measurements[:, i], traj.states @ spec.h.T, atol=1e-12
-        )
+        assert np.allclose(measurements[:, i], states @ spec.h.T, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["static", "redrawn", "noise_free", "q_zero"])
 def test_simulate_runs_equals_each_seeds_trajectory(kind):
-    # one batched draw for all runs: run r is seed r's own trajectory, bit for bit
+    # one batched draw for all runs: run r is seed r's own one-seed draw, bit for bit
     model = build_constant_velocity_model(
         dt=0.1, n_nodes=5, q_intensity=0.0 if kind == "q_zero" else 1.0,
         sensor_assignment="per_step_random" if kind == "redrawn" else "static_split",
@@ -180,9 +178,9 @@ def test_simulate_runs_equals_each_seeds_trajectory(kind):
     assert runs.measurements.shape == (4, 30, 5, 1)
     assert not runs.states.flags.writeable and not runs.measurements.flags.writeable
     for r, seed in enumerate(seeds):
-        one = simulate_trajectory(model, 30, seed, noise_free=kind == "noise_free")
-        assert np.array_equal(runs.states[r], one.states)
-        assert np.array_equal(runs.measurements[r], one.measurements)
+        one = simulate_runs(model, 30, [seed], noise_free=kind == "noise_free")
+        assert np.array_equal(runs.states[r], one.states[0])
+        assert np.array_equal(runs.measurements[r], one.measurements[0])
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -195,16 +193,16 @@ def test_simulate_runs_names_an_unusable_seed(position):
 
 def test_process_noise_sample_variance():
     model = scalar_model(f=0.9, q=2.0)
-    traj = simulate_trajectory(model, 100_000, seed=7)
-    resid = traj.states[1:, 0] - 0.9 * traj.states[:-1, 0]
+    states = simulate_runs(model, 100_000, [7]).states[0]
+    resid = states[1:, 0] - 0.9 * states[:-1, 0]
     assert np.var(resid) == pytest.approx(2.0, rel=0.03)
 
 
 def test_process_noise_whiteness():
     model = scalar_model(f=0.5, q=1.0)
     n = 100_000
-    traj = simulate_trajectory(model, n, seed=11)
-    resid = traj.states[1:, 0] - 0.5 * traj.states[:-1, 0]
+    states = simulate_runs(model, n, [11]).states[0]
+    resid = states[1:, 0] - 0.5 * states[:-1, 0]
     resid = resid - resid.mean()
     denom = np.dot(resid, resid)
     for lag in (1, 2, 5):
@@ -217,10 +215,10 @@ def test_tiny_process_noise_is_drawn():
     # count as zero, so no process noise was drawn while the filter
     # predicted with Q
     model = build_constant_velocity_model(dt=0.1, q_intensity=1e-8, n_nodes=2)
-    traj = simulate_trajectory(model, 50, seed=0)
-    x = traj.states[0]
+    states = simulate_runs(model, 50, [0]).states[0]
+    x = states[0]
     powers = [x := model.f @ x for _ in range(49)]
-    assert not np.array_equal(traj.states[1:], np.array(powers))
+    assert not np.array_equal(states[1:], np.array(powers))
 
 
 def test_redraw_candidates_need_no_position_layout():
@@ -330,6 +328,29 @@ def test_per_step_random_rows_are_drawn_once_per_model():
                for t in range(5))
 
 
+@pytest.mark.parametrize("cap_steps", [3, 0])
+def test_redrawn_row_memo_stays_within_its_cap(monkeypatch, cap_steps):
+    # the memo holds at most _MEMO_ROWS row indices (patched to 3 steps of 40
+    # nodes, and to less than one step, which keeps one), the oldest step out
+    # first; an evicted step draws the rows a fresh model draws
+    import dkf_admm.models as models
+
+    cap = max(1, cap_steps) * 40
+    monkeypatch.setattr(models, "_MEMO_ROWS", cap + 39 if cap_steps else 10)
+    model, fresh = (build_constant_velocity_model(dt=0.1, n_nodes=40, assignment_seed=3,
+                                                  sensor_assignment="per_step_random")
+                    for _ in range(2))
+    first = sensor_specs_at(model, 0).h
+    for t in range(1, 10):
+        sensor_specs_at(model, t)
+        assert sum(map(len, model._drawn_rows.values())) <= cap
+    assert list(model._drawn_rows) == list(range(10 - cap // 40, 10))
+    assert np.array_equal(sensor_specs_at(model, 0).h, first)
+    assert list(model._drawn_rows)[-1] == 0 and len(model._drawn_rows) == cap // 40
+    sensor_specs_at(fresh, 0)
+    assert np.array_equal(model._drawn_rows[0], fresh._drawn_rows[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_nodes=st.integers(2, 12),
@@ -372,7 +393,7 @@ def test_sensor_rows_match_per_node_oracle(n_nodes, assignment, assignment_seed,
 
 
 def _reference_states(model, n_steps, rng):
-    """x_0 and the process noise drawn first, as `simulate_trajectory` does."""
+    """x_0 and the process noise drawn first, as `simulate_runs` does per run."""
     states = np.empty((n_steps, 4))
     states[0] = rng.multivariate_normal(model.x0_mean, model.p0)
     w = rng.multivariate_normal(np.zeros(4), model.q, size=n_steps - 1)
@@ -412,32 +433,32 @@ def _check_trajectory_against_per_step_reference(monkeypatch, model):
         return sensor_specs_at(m, t)
 
     monkeypatch.setattr(models, "sensor_specs_at", counting)
-    traj = simulate_trajectory(model, n_steps, seed=21)
+    traj = simulate_runs(model, n_steps, [21])
     assert sorted(calls) == list(range(n_steps))
 
     # inline reference: one draw per (node, step), node by node, with the
     # drawn sensor of that step
     rng = np.random.default_rng(21)
     states = _reference_states(model, n_steps, rng)
-    assert np.array_equal(traj.states, states)
-    assert traj.measurements.shape == (n_steps, 6, 1)
+    assert np.array_equal(traj.states[0], states)
+    assert traj.measurements.shape == (1, n_steps, 6, 1)
     for i in range(6):
         for t in range(n_steps):
             arrays = sensor_specs_at(model, t)
             y = arrays.h[i] @ states[t] + rng.multivariate_normal(np.zeros(1), arrays.r[i])
-            assert np.array_equal(traj.measurements[t, i], y)
+            assert np.array_equal(traj.measurements[0, t, i], y)
 
 
 def test_static_trajectory_matches_per_node_reference():
     model = build_constant_velocity_model(dt=0.1, n_nodes=5, r_var=0.3)
     n_steps = 15
-    traj = simulate_trajectory(model, n_steps, seed=4)
+    traj = simulate_runs(model, n_steps, [4])
     # inline reference: one (n_steps, m) noise block per node, node by node
     rng = np.random.default_rng(4)
     states = _reference_states(model, n_steps, rng)
-    assert np.array_equal(traj.states, states)
-    assert traj.measurements.shape == (n_steps, 5, 1)
+    assert np.array_equal(traj.states[0], states)
+    assert traj.measurements.shape == (1, n_steps, 5, 1)
     for i, spec in enumerate(model.sensors):
         ys = states @ spec.h.T + rng.multivariate_normal(np.zeros(1), spec.r, size=n_steps)
-        assert np.array_equal(traj.measurements[:, i], ys)
+        assert np.array_equal(traj.measurements[0, :, i], ys)
     assert not traj.measurements.flags.writeable
