@@ -328,25 +328,24 @@ def test_per_step_random_rows_are_drawn_once_per_model():
                for t in range(5))
 
 
-@pytest.mark.parametrize("cap_steps", [3, 0])
-def test_redrawn_row_memo_stays_within_its_cap(monkeypatch, cap_steps):
+@pytest.mark.parametrize("cap, kept", [(3 * 40 + 39, 3), (10, 1)])
+def test_redrawn_row_memo_stays_within_its_cap(monkeypatch, cap, kept):
     # the memo holds at most _MEMO_ROWS row indices (patched to 3 steps of 40
     # nodes, and to less than one step, which keeps one), the oldest step out
     # first; an evicted step draws the rows a fresh model draws
     import dkf_admm.models as models
 
-    cap = max(1, cap_steps) * 40
-    monkeypatch.setattr(models, "_MEMO_ROWS", cap + 39 if cap_steps else 10)
+    monkeypatch.setattr(models, "_MEMO_ROWS", cap)
     model, fresh = (build_constant_velocity_model(dt=0.1, n_nodes=40, assignment_seed=3,
                                                   sensor_assignment="per_step_random")
                     for _ in range(2))
     first = sensor_specs_at(model, 0).h
     for t in range(1, 10):
         sensor_specs_at(model, t)
-        assert sum(map(len, model._drawn_rows.values())) <= cap
-    assert list(model._drawn_rows) == list(range(10 - cap // 40, 10))
+        assert sum(map(len, model._drawn_rows.values())) <= max(cap, 40)
+    assert list(model._drawn_rows) == list(range(10 - kept, 10))
     assert np.array_equal(sensor_specs_at(model, 0).h, first)
-    assert list(model._drawn_rows)[-1] == 0 and len(model._drawn_rows) == cap // 40
+    assert list(model._drawn_rows)[-1] == 0 and len(model._drawn_rows) == kept
     sensor_specs_at(fresh, 0)
     assert np.array_equal(model._drawn_rows[0], fresh._drawn_rows[0])
 
