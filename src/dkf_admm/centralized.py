@@ -26,12 +26,7 @@ class CentralizedState:
 
 
 def initial_centralized_state(model: StateSpaceModel) -> CentralizedState:
-    p0 = sym(model.p0)
-    return CentralizedState(
-        x_hat=np.array(model.x0_mean, dtype=float),
-        p=p0,
-        p_prior=p0,
-    )
+    return CentralizedState(x_hat=model.x0_mean.copy(), p=model.p0, p_prior=model.p0)
 
 
 def centralized_kf_step(
@@ -41,28 +36,26 @@ def centralized_kf_step(
 
     Predict with (F, Q); correct by adding sum_i H_i' R_i^-1 H_i to the
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
-    vector. `measurements` holds the y_i of the first k <= N nodes, shape
-    (k, m) (may be empty); a scalar, ragged rows or any other shape raise
-    DimensionError, non-finite or non-real entries ConfigRejected; the
-    sensors are `sensor_specs_at(model, t)`.
+    vector. `measurements` holds the y_i of all N nodes, shape (N, m); any
+    other shape raises DimensionError, non-finite or non-real entries
+    ConfigRejected; the sensors are `sensor_specs_at(model, t)`.
     """
     sensors = sensor_specs_at(model, t)
-    m = sensors.h.shape[1]
-    y = _real_array(measurements, "measurements", f"(k, {m})")
-    if y.ndim == 0 or len(y) > len(sensors.info) or y.size != len(y) * m:
-        raise DimensionError(f"measurements {y.shape} must be (k, {m}), k <= {len(sensors.info)}")
+    shape = sensors.h.shape[:2]
+    y = _real_array(measurements, "measurements", shape)
+    if y.shape != shape:
+        raise DimensionError(f"measurements {y.shape} must be {shape}")
     if not np.isfinite(y).all():
         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
-    k, y = len(y), y.reshape(len(y), m)
-    p_prior, omega_prior, p = _covariance_update(state.p, model, sensors.info[:k], t)
-    info_vec = omega_prior @ (model.f @ state.x_hat) + np.einsum("imn,im->n", sensors.rinv_h[:k], y)
+    p_prior, omega_prior, p = _covariance_update(state.p, model, sensors.info, t)
+    info_vec = omega_prior @ (model.f @ state.x_hat) + np.einsum("imn,im->n", sensors.rinv_h, y)
     return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 
 def _covariance_update(p, model: StateSpaceModel, info, t: int) -> tuple:
     """(P_prior, P_prior^-1, P_post) of one centralized step from P_post of
     the last: P_prior = sym(F P F' + Q), P_post = sym(P_prior^-1 + sum of
-    the (k, n, n) `info` stack)^-1. It reads no measurement."""
+    the (N, n, n) `info` stack)^-1. It reads no measurement."""
     p_prior = sym(model.f @ p @ model.f.T + model.q)
     omega_prior = spd_inverse(p_prior)
     with np.errstate(over="ignore"):  # an overflow is named below

@@ -162,33 +162,26 @@ class CommLedger:
         return self.state_scalars + self.cov_scalars
 
 
-def init_state(model: StateSpaceModel, x0_estimates, p0_nodes=None) -> NetworkState:
-    """Network filter state at t = 0.
+def init_state(model: StateSpaceModel, x0_estimates) -> NetworkState:
+    """Network filter state at t = 0, every node from the model's P0.
 
     `x0_estimates` holds one initial estimate per node, shape (N, n), or
-    per run and node, (R, N, n), and `p0_nodes` one covariance per node
-    (default: the model's P0); a single estimate or covariance is shared
-    by all nodes; other shapes, or no run at all, raise DimensionError, and
-    entries other than finite real numbers ConfigRejected. theta starts at N
-    H_i' R_i^-1 H_i with a zero consensus dual, which makes the network-wide
-    sum of theta + nu exactly conserved from the first covariance step on.
+    per run and node, (R, N, n) with R >= 1; another shape raises
+    DimensionError, and entries other than finite real numbers
+    ConfigRejected. theta starts at N H_i' R_i^-1 H_i with a zero consensus
+    dual, which makes the network-wide sum of theta + nu exactly conserved
+    from the first covariance step on.
     """
     n_nodes, n = model.n_nodes, model.n
-    x0 = _real_array(x0_estimates, "x0_estimates", f"(..., {n_nodes}, {n})")
-    p0 = _real_array(model.p0 if p0_nodes is None else p0_nodes, "p0_nodes", (n_nodes, n, n))
-    if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
-        raise ConfigRejected("x0_estimates and p0_nodes must be finite")
-    try:
-        x0 = np.array(np.broadcast_to(x0, x0.shape[:-2] + (n_nodes, n)))
-        p0 = sym(np.broadcast_to(p0, (n_nodes, n, n)))
-    except ValueError as exc:
-        raise DimensionError(f"x0_estimates {x0.shape} must broadcast to (..., {n_nodes}, {n}) "
-                             f"and p0_nodes {p0.shape} to {(n_nodes, n, n)}") from exc
-    if not x0.size:
-        raise DimensionError(f"x0_estimates {x0.shape} hold no run")
-    theta = n_nodes * sensor_specs_at(model, 0).info
-    return NetworkState(x_prior=x0.copy(), p_prior=p0.copy(), x_post=x0, p_post=p0, theta=theta,
-                        nu_tilde=np.zeros_like(theta))
+    x0 = _real_array(x0_estimates, "x0_estimates", f"(R, {n_nodes}, {n})")
+    if x0.ndim not in (2, 3) or x0.shape[-2:] != (n_nodes, n) or not x0.size:
+        raise DimensionError(f"x0_estimates {x0.shape} must be ({n_nodes}, {n}) "
+                             f"or (R, {n_nodes}, {n}), R >= 1")
+    if not np.isfinite(x0).all():
+        raise ConfigRejected("x0_estimates must be finite")
+    p0, theta = np.tile(model.p0, (n_nodes, 1, 1)), n_nodes * sensor_specs_at(model, 0).info
+    return NetworkState(x_prior=x0.copy(), p_prior=p0.copy(), x_post=x0.copy(), p_post=p0,
+                        theta=theta, nu_tilde=np.zeros_like(theta))
 
 
 # Below this many nodes, a loop of 2 to OPERATOR_ROWS // N rounds is one GEMM of
@@ -400,7 +393,7 @@ def dkf_steps(
                     kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
                 if not np.isfinite(kb).all():
                     if not np.isfinite(y_t).all():
-                        raise ConfigRejected(f"measurements_t holds a non-finite value at t={t}")
+                        raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
                     raise NotPositiveDefinite(f"the state-correction target K b is not finite at t={t}")
                 # L primal-only ADMM sub-iterations (Jacobi); the accumulator
                 # K lambda_tilde stays local, restarts at zero each step and is

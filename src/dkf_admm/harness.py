@@ -324,7 +324,8 @@ def validate_params(config: ScenarioConfig) -> tuple:
 def export_csv(metrics: RunMetrics, output_dir) -> list:
     """Write the five result CSVs from the metric arrays, each value as %.12g,
     a block of steps (`_BLOCK_VALUES` values, or one step) per % operation;
-    returns the paths. Traffic not divisible by steps x runs: DimensionError."""
+    returns the paths. Traffic not divisible by steps x runs: DimensionError;
+    a directory or file that cannot be written: ConfigRejected."""
     comm, times = metrics.comm, np.asarray(metrics.times)
     per_step, rest = np.divmod(np.column_stack([comm.state_messages, comm.state_scalars,
                                                 comm.cov_messages, comm.cov_scalars]),
@@ -333,8 +334,7 @@ def export_csv(metrics: RunMetrics, output_dir) -> list:
         node, column = np.argwhere(rest)[0]
         raise DimensionError(f"node {node}'s {('state', 'covariance')[column // 2]} traffic does "
                              f"not divide over {len(times)} steps x {metrics.n_mc_runs} runs")
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = path = Path(output_dir)
     node_header = "t," + ",".join(f"node_{i}" for i in range(metrics.rmse_pos.shape[1]))
     node_fmt = "%d" + ",%.12g" * metrics.rmse_pos.shape[1] + "\n"
     tables = {name: (node_header, node_fmt, [times[:, None], values]) for name, values in (
@@ -343,17 +343,21 @@ def export_csv(metrics: RunMetrics, output_dir) -> list:
     tables["consensus_error.csv"] = ("t,l,error", "%d,%d,%.12g\n", np.broadcast_arrays(
         times[:, None, None], np.arange(metrics.consensus_error.shape[1])[:, None],
         metrics.consensus_error[..., None]))  # (T, L, 1) each: a step's L rows of (t, l, error)
-    for name, (header, fmt, columns) in tables.items():
-        steps = max(1, _BLOCK_VALUES // max(1, sum(c[:1].size for c in columns)))
-        blocks = (np.concatenate([c[lo:lo + steps] for c in columns], axis=-1).ravel()
-                  for lo in range(0, max(map(len, columns)), steps))  # unequal lengths: ValueError
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.writelines((fmt * (b.size // fmt.count("%"))) % tuple(b.tolist()) for b in blocks)
     pieces = "".join(f"{{0}},{i},{sm},{ss},state\n{{0}},{i},{cm},{cs},covariance\n"
                      for i, (sm, ss, cm, cs) in enumerate(per_step.tolist())).split("{0}")
-    with open(out / "communication.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,node,messages,scalars,phase\n")
-        for t in times:  # one step's 2N rows, formatted once, joined by each step's t
-            fh.write(str(t).join(pieces))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, fmt, columns) in tables.items():
+            steps = max(1, _BLOCK_VALUES // max(1, sum(c[:1].size for c in columns)))
+            blocks = (np.concatenate([c[lo:lo + steps] for c in columns], axis=-1).ravel()
+                      for lo in range(0, max(map(len, columns)), steps))  # unequal lengths: ValueError
+            with open(path := out / name, "w", encoding="utf-8") as fh:
+                fh.write(header + "\n")
+                fh.writelines((fmt * (b.size // fmt.count("%"))) % tuple(b.tolist()) for b in blocks)
+        with open(path := out / "communication.csv", "w", encoding="utf-8") as fh:
+            fh.write("t,node,messages,scalars,phase\n")
+            for t in times:  # one step's 2N rows, formatted once, joined by each step's t
+                fh.write(str(t).join(pieces))
+    except OSError as exc:  # the directory or the file being written
+        raise ConfigRejected(f"cannot write {path}: {exc}") from exc
     return [out / name for name in (*tables, "communication.csv")]

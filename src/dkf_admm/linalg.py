@@ -17,6 +17,7 @@ import numpy as np
 
 from dkf_admm.exceptions import (
     ConfigRejected,
+    DimensionError,
     NotPositiveDefinite,
     ObservabilityError,
     RiccatiDivergence,
@@ -24,9 +25,11 @@ from dkf_admm.exceptions import (
 
 
 def sym(m) -> np.ndarray:
-    """Symmetrize: (m + m^T) / 2 over the last two axes. Absorbs
-    floating-point drift."""
+    """Symmetrize: (m + m^T) / 2 over the last two axes, which must be
+    square (DimensionError). Absorbs floating-point drift."""
     m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"a matrix must be square, got shape {m.shape}")
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 

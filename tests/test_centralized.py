@@ -64,14 +64,6 @@ def test_scalar_textbook_update():
     assert new.p[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_empty_correction_is_pure_prediction():
-    model = build_constant_velocity_model(dt=0.1, n_nodes=2)
-    state = initial_centralized_state(model)
-    new = centralized_kf_step(state, model, [], 1)
-    assert np.allclose(new.x_hat, model.f @ state.x_hat)
-    assert np.allclose(new.p, model.f @ state.p @ model.f.T + model.q, atol=1e-12)
-
-
 def test_information_form_matches_gain_form():
     model = build_constant_velocity_model(dt=0.1, n_nodes=8, r_var=0.5)
     measurements = simulate_runs(model, 40, [21]).measurements[0]

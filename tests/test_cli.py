@@ -404,6 +404,38 @@ def test_unusable_output_location_exits_2_before_the_run(tmp_path, capsys, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "link", "scenario.ini"]
 
 
+def test_unwritable_csv_exits_2_and_names_the_file(tmp_path, capsys):
+    # a directory in the place of a CSV passes the output_dir check; the
+    # write used to die with an IsADirectoryError traceback (exit 1)
+    cfg = _write(tmp_path, SMOKE_INI)
+    target = tmp_path / "out" / "rmse_position.csv"
+    target.mkdir(parents=True)
+    assert main(["run", cfg, "--quiet", "--output", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"config rejected: cannot write {target}: " in capsys.readouterr().err
+    # export_csv's own mkdir under a regular file, which the CLI checks first
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    metrics = harness.run_scenario(harness.load_config(cfg))
+    with pytest.raises(exceptions.ConfigRejected, match=re.escape(f"cannot write {blocker / 'sub'}: ")):
+        harness.export_csv(metrics, blocker / "sub")
+
+
+def test_readme_quotes_the_library_rejections(tmp_path, capsys):
+    # each rejection the README quotes for `validate` is the text it prints
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text("utf-8").split())
+    for edit, quoted in (
+        (("[graph]\n", "[model]\ndt = 0\n[graph]\n"), "dt must be a real number > 0, got 0.0"),
+        (("n_nodes = 6", "n_nodes = 1"),
+         "a sensor network needs a whole number of at least 2 nodes, got 1"),
+        (("topology = ring", "topology = rign"), "unknown topology 'rign'"),
+        (("[params]\n", "[params]\nalpha_nu = 5.0\n"),
+         "alpha_nu=5.0 violates the bound 2/(3*lambda_max)=0.166667"),
+    ):
+        assert quoted in readme, quoted
+        assert main(["validate", _write(tmp_path, SMOKE_INI.replace(*edit))]) == EXIT_CONFIG, quoted
+        assert quoted in capsys.readouterr().err, quoted
+
+
 def test_config_flag_is_gone(tmp_path, capsys):
     # the config file is positional only; a second way to name it used to
     # drop the positional file silently

@@ -409,7 +409,8 @@ def test_singular_prior_names_the_step():
         graph = build_graph("ring", n_nodes)
         params = auto_params(spectral_summary(graph), l_sub=2)
         model = build_constant_velocity_model(dt=0.1, n_nodes=n_nodes, q_intensity=0.0)
-        state = init_state(model, np.tile(model.x0_mean, (n_nodes, 1)), np.zeros((4, 4)))
+        state = init_state(model, np.tile(model.x0_mean, (n_nodes, 1)))
+        state.p_post = np.zeros((n_nodes, 4, 4))
         with pytest.raises(NotPositiveDefinite, match=r"singular at t=4$"):
             list(dkf_steps(state, graph, model, np.zeros((1, n_nodes, 1)), params, t0=4))
 
@@ -546,7 +547,7 @@ def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
     spread = np.linalg.norm(xis - xis.mean(axis=1, keepdims=True), axis=-1).mean(axis=1)
     want = spread.T.reshape(lead + (-1,))
 
-    logged = init_state(model, state.x_post, state.p_post)
+    logged = init_state(model, state.x_post)
     log = []
     list(dkf_steps(logged, graph, model, meas[..., None, :, :], params, t0=1, consensus_log=log))
     assert len(log) == 1 and log[0].shape == lead + (params.l_sub,)
@@ -729,8 +730,10 @@ def test_batched_step_equals_per_run_steps(n_nodes, runs, l_sub, seed):
     p0 = g @ g.transpose(0, 2, 1) + np.eye(4)
     meas = rng.normal(size=(2, runs, n_nodes, 1))
 
-    batch = init_state(model, x0, p0)
-    singles = [init_state(model, x0[r], p0) for r in range(runs)]
+    batch = init_state(model, x0)
+    singles = [init_state(model, x0[r]) for r in range(runs)]
+    for state in (batch, *singles):
+        state.p_post = p0
     batch_ledger, single_ledger = CommLedger(n_nodes), CommLedger(n_nodes)
     batch_log, single_logs = [], [[] for _ in range(runs)]
     for _ in dkf_steps(batch, graph, model, meas.swapaxes(0, 1), params, t0=1,
@@ -838,7 +841,7 @@ def test_window_failure_at_step_k_keeps_the_steps_before_it(monkeypatch, runs):
         for _ in dkf_steps(state, graph, model, window, params, t0=1, ledger=ledger,
                            consensus_log=log):
             pass
-    assert str(failed.value) == "measurements_t holds a non-finite value at t=5"
+    assert str(failed.value) == "measurements hold a non-finite value at t=5"
     want = _stepped(graph, params, model, x0, window, 4)
     _assert_same_run((state, ledger, log), want)
     with pytest.raises(ConfigRejected) as one_step:

@@ -473,7 +473,7 @@ def test_per_step_random_cov_error_tracks_the_time_varying_reference():
     m = run_scenario(cfg)
     graph, model, _, params = build_scenario(cfg)
     # the distributed prior covariances do not depend on the measurements
-    state = init_state(model, model.x0_mean)
+    state = init_state(model, np.tile(model.x0_mean, (model.n_nodes, 1)))
     zeros = np.zeros((cfg.horizon_steps, model.n_nodes, model.sensors[0].h.shape[0]))
     p_post = model.p0
     for t in dkf_steps(state, graph, model, zeros, params, t0=1):
