@@ -9,7 +9,8 @@ work, and all Monte-Carlo runs share it: the prior covariance F P F' + Q,
 its inverse and the gain K; one round of the covariance consensus (l_sub
 on per-step-random sensors) on the symmetric information matrices (only
 theta crosses edges, as the n(n+1)/2 entries on and below its diagonal);
-the posterior covariance assembly. The state half predicts with F and
+the posterior covariance assembly; on static sensors a window reuses the
+half once it has settled (`_SETTLE_TOL`). The state half predicts with F and
 runs L synchronous Jacobi sub-iterations of the ADMM state correction
 (neighbors exchange only the primal iterate xi, the transformed dual
 stays local), on estimates that may carry a leading run axis. Every
@@ -103,7 +104,8 @@ class NetworkState:
     (N, n, n) symmetric estimates of the network information rate N H'R^-1H;
     nu_tilde: the matching consensus duals. All runs share the covariance
     fields (a step's covariance half); the estimates are per run (its
-    state half). The state iterate xi and its local accumulator K
+    state half); once a static half settles, the window's later steps hold
+    the same arrays. The state iterate xi and its local accumulator K
     lambda_tilde live only inside one time step: the accumulator restarts
     at zero every step and x_post is the final xi.
     """
@@ -263,7 +265,7 @@ def _consensus_rounds(z, target, graph: SensorGraph, step, penalty, rounds, acc=
 
 
 def _posterior_cov(p_prior_inv, theta, t):
-    """(P_prior^-1 + Theta)^-1 at every node, one `spd_inverse` of the stack.
+    """((P_prior^-1 + Theta)^-1 at every node by one `spd_inverse`, whether Theta was floored).
 
     At a node where that sum is not positive definite (a transiently
     indefinite Theta), Theta is floored at zero eigenvalues, with a
@@ -275,7 +277,7 @@ def _posterior_cov(p_prior_inv, theta, t):
     with np.errstate(over="ignore"):  # a non-finite sum is named below
         m = p_prior_inv + theta
     try:
-        return spd_inverse(m)
+        return spd_inverse(m), False
     except NotPositiveDefinite as exc:
         finite = np.isfinite(m).all(axis=(1, 2))
         if not finite.all():
@@ -287,7 +289,7 @@ def _posterior_cov(p_prior_inv, theta, t):
             w, v = np.linalg.eigh(theta[i])
             m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
         try:
-            return spd_inverse(m)
+            return spd_inverse(m), True
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 f"posterior information matrix not PD even after flooring, t={t}; "
@@ -303,7 +305,7 @@ def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceM
     (NotPositiveDefinite names t if either fails: a singular prior, or one
     so large that K overflows); `rounds` covariance consensus rounds from
     the last theta towards N H' R^-1 H; P_post from `_posterior_cov`.
-    Returns (P_prior, P_prior^-1, K, theta, nu_tilde, P_post)."""
+    Returns (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, floored)."""
     n_nodes = len(sensors.info)
     p_prior = sym(model.f @ state.p_post @ model.f.T + model.q)
     try:
@@ -314,13 +316,17 @@ def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceM
     with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
         theta, nu = _consensus_rounds(state.theta, n_nodes * sensors.info, graph, alpha_nu,
                                       alpha_nu, rounds, acc=state.nu_tilde)
-    return p_prior, p_prior_inv, k, theta, nu, _posterior_cov(p_prior_inv, theta, t)
+    return p_prior, p_prior_inv, k, theta, nu, *_posterior_cov(p_prior_inv, theta, t)
 
 
 # A window writes its steps' state round iterates into one (steps, L, N, R n)
 # block buffer of at most this many values, or of one step if a step holds
 # more; the consensus log is reduced and the ledger booked once per block.
 _BLOCK_VALUES = 2 ** 16
+# The relative per-step change below which a static covariance half has settled:
+# a reused half then stays about _SETTLE_TOL rho / (1 - rho) from the recursion,
+# rho its contraction (1e-10 moved a limit covariance 1.7e-12, past a 1e-12 test).
+_SETTLE_TOL = 1e-12
 
 
 def dkf_steps(
@@ -339,24 +345,26 @@ def dkf_steps(
     `state` current (and for reading only: the window carries its own
     node-major estimates) at each yield.
 
-    `measurements` holds one y_i per step and node, (T, N, m), or (R, T,
-    N, m) when the state carries R runs; one step's y is the one-step
-    window y[..., None, :, :]. When iteration starts the window
-    is checked once: a bad t0 or non-real entries raise ConfigRejected;
-    another shape, a state of no run or node counts (graph, model, state,
-    ledger) that differ DimensionError. Each step runs `_covariance_half`
-    on `sensor_specs_at(model, t)`, then every run's L state rounds from
-    x_prior = F x_post towards K b = K (H' R^-1 y + P_prior^-1 x_prior /
-    N); a non-finite measurement raises ConfigRejected and an overflowing
-    K b NotPositiveDefinite, both naming t. The rounds write their
-    iterates to a block buffer of `_BLOCK_VALUES`; once per block, the
-    ledger books each run's traffic (R times the degree per exchange, all
-    rounds of both loops) and, when `consensus_log` is a list, the buffer
-    is reduced in place, the op order of one step at a time, to one (L,)
-    or (R, L) array per step: each sub-iteration's mean over nodes of
-    ||xi_i - mean(xi)||. When the window ends, raises or is closed
-    (`close()`, or a `break` out of the only loop holding it), both hold
-    exactly the completed steps.
+    `measurements` holds one y_i per step and node, (T, N, m), or (R, T, N,
+    m) when the state carries R runs; one step's y is the one-step window
+    y[..., None, :, :]. When iteration starts the window is checked once: a
+    bad t0 or non-real entries raise ConfigRejected; another shape, a state
+    of no run or node counts (graph, model, state, ledger) that differ
+    DimensionError. Each step runs `_covariance_half` on
+    `sensor_specs_at(model, t)` until, on static sensors, a step floors
+    nothing and moves P_prior, then theta, by less than `_SETTLE_TOL`
+    relative to the step before: the window reuses that step's half from
+    then on and books its traffic as before. Then every run's L state rounds
+    from x_prior = F x_post towards K b = K (H' R^-1 y + P_prior^-1 x_prior
+    / N); a non-finite measurement raises ConfigRejected and an overflowing
+    K b NotPositiveDefinite, both naming t. The rounds write their iterates
+    to a block buffer of `_BLOCK_VALUES`; once per block, the ledger books
+    each run's traffic (R times the degree per exchange, all rounds of both
+    loops) and, when `consensus_log` is a list, the buffer is reduced in
+    place, the op order of one step at a time, to one (L,) or (R, L) array
+    per step: each sub-iteration's mean over nodes of ||xi_i - mean(xi)||.
+    When the window ends, raises or is closed (`close()`, or a `break` out
+    of the only loop holding it), both hold exactly the completed steps.
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
@@ -379,18 +387,24 @@ def dkf_steps(
     # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
     # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
     x_post = state.x_post.reshape(runs, n_nodes, n).swapaxes(0, 1)
+    settled = None  # the settled covariance half, once it has settled
     for lo in range(0, n_steps, per_block):
         done = 0  # completed steps of this block
         try:
             for i in range(lo, min(lo + per_block, n_steps)):
                 t = t0 + i
                 sensors = sensor_specs_at(model, t)
-                p_prior, p_prior_inv, k, theta, nu, p_post = _covariance_half(
-                    state, graph, model, sensors, params.alpha_nu, cov_rounds, t)
-                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                half = settled or _covariance_half(state, graph, model, sensors, params.alpha_nu,
+                                                   cov_rounds, t)
+                p_prior, p_prior_inv, k, theta, nu, p_post, floored = half
+                with np.errstate(over="ignore", invalid="ignore"):  # non-finite: never settled
+                    if settled is None and model.coordinate_table is None and not floored and all(
+                            np.abs(a - b).max() < _SETTLE_TOL * np.abs(a).max()
+                            for a, b in ((p_prior, state.p_prior), (theta, state.theta))):
+                        settled = half
                     x_prior = x_post @ model.f.T
                     y_t = y[:, i].swapaxes(0, 1)
-                    kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k
+                    kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k  # checked below
                 if not np.isfinite(kb).all():
                     if not np.isfinite(y_t).all():
                         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_auto_params_inside_bounds():
 
 def _half(state, graph, model, params, t=1):
     """`_covariance_half` of static-sensor step t, one covariance round:
-    (P_prior, P_prior^-1, K, theta, nu_tilde, P_post)."""
+    (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, floored)."""
     return _covariance_half(state, graph, model, sensor_specs_at(model, t), params.alpha_nu, 1, t)
 
 
@@ -379,7 +380,8 @@ def test_consensus_rounds_match_the_accumulator_rounds(n_nodes, runs, loop, data
 def test_posterior_nominal():
     _, _, _, model, _, state = _setup()
     theta = np.tile(np.eye(4) * 2.0, (4, 1, 1))
-    p_post = _posterior_cov(sym(np.linalg.inv(state.p_prior)), theta, 1)
+    p_post, floored = _posterior_cov(sym(np.linalg.inv(state.p_prior)), theta, 1)
+    assert not floored
     for p_prior, p in zip(state.p_prior, p_post):
         expected = spd_inverse(spd_inverse(p_prior) + 2.0 * np.eye(4))
         assert np.allclose(p, expected, atol=1e-12)
@@ -394,8 +396,8 @@ def test_posterior_floors_indefinite_theta():
         # indefinite transient at node 0: one strongly negative eigenvalue
         theta[0] = np.diag([1.0, -5.0, 1.0, 1.0])
         with pytest.warns(RuntimeWarning, match=r"node 0, t=7") as record:
-            p_post = _posterior_cov(sym(np.linalg.inv(p_prior)), theta, t=7)
-        assert len(record) == 1  # the other nodes are not floored
+            p_post, floored = _posterior_cov(sym(np.linalg.inv(p_prior)), theta, t=7)
+        assert len(record) == 1 and floored  # the other nodes are not floored
         floored = np.diag([1.0, 0.0, 1.0, 1.0])
         expected = spd_inverse(spd_inverse(p_prior[0]) + floored)
         assert np.allclose(p_post[0], expected, atol=1e-12)
@@ -882,3 +884,123 @@ def test_window_checks_its_shape_once():
     with pytest.raises(ConfigRejected, match="measurements must hold real numbers"):
         next(dkf_steps(state, graph, model, window.astype(complex), params, t0=1))
     assert list(dkf_steps(state, graph, model, window[:, :0], params, t0=1)) == []
+
+
+# The static 6-ring's covariance recursion contracts by about 0.89 per step
+# (the ratio of its successive changes), so a half reused once its relative
+# change is below the settle tolerance 1e-12 stays within 1e-12 rho / (1 - rho)
+# of the unreused recursion; rho = 0.9 leaves room for the recursion's round-off.
+_REUSE_BOUND = 1e-12 * 0.9 / (1 - 0.9)
+
+
+def _ring6_window(sensors, n_steps, runs=2):
+    """The 6-ring of `ring6-mc` (L = 10), its model and params, x0 and an
+    (R, T, N, 1) window of measurements."""
+    graph, model, _, params = build_scenario(ScenarioConfig(
+        topology="ring", n_nodes=6, l_sub=10, sensor_assignment=sensors))
+    x0 = model.x0_mean + np.random.default_rng(5).normal(size=(runs, 6, 4))
+    return graph, model, params, x0, simulate_runs(model, n_steps + 1, range(runs)).measurements[:, 1:]
+
+
+def _direct_halves(graph, model, params, x0, n_steps):
+    """Every step's (P_prior, P_prior^-1, K, theta, nu_tilde, P_post) from
+    `_covariance_half` on a state of its own, recomputed at every step."""
+    state, halves = init_state(model, x0), []
+    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
+    for t in range(1, n_steps + 1):
+        half = _covariance_half(state, graph, model, sensor_specs_at(model, t), params.alpha_nu,
+                                cov_rounds, t)[:6]
+        state.p_prior, _, _, state.theta, state.nu_tilde, state.p_post = half
+        halves.append(half)
+    return halves
+
+
+def _spied_window(monkeypatch, state, graph, model, window, params, t0=1):
+    """Run a window; returns the halves it computed, as `_direct_halves`
+    does, and each step's state (p_prior, theta, p_post)."""
+    computed, seen, inner = [], [], filtering._covariance_half
+
+    def spy(*args):
+        half = inner(*args)
+        computed.append(half[:6])
+        return half
+
+    monkeypatch.setattr(filtering, "_covariance_half", spy)
+    for _ in dkf_steps(state, graph, model, window, params, t0=t0):
+        seen.append((state.p_prior, state.theta, state.p_post))
+    monkeypatch.setattr(filtering, "_covariance_half", inner)
+    return computed, seen
+
+
+def _assert_within_reuse_bound(seen, want):
+    """Each (p_prior, theta, p_post) within _REUSE_BOUND of want's, relative
+    to want's largest entry."""
+    for got, ref in zip(seen, want):
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= _REUSE_BOUND * np.abs(b).max()
+
+
+def test_settled_half_is_reused_within_its_bound(monkeypatch):
+    graph, model, params, x0, window = _ring6_window("static_split", 400)
+    want = _direct_halves(graph, model, params, x0, 400)
+    computed, seen = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
+    settle = len(computed)  # the last step that computed its half
+    assert 150 < settle < 300
+    for got, ref in zip(computed, want):  # bitwise up to the settle step
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert all(s[0] is c[0] and s[1] is c[3] and s[2] is c[5] for s, c in zip(seen, computed))
+    _assert_within_reuse_bound(seen[settle:], [(h[0], h[3], h[5]) for h in want[settle:]])
+    assert seen[-1][0] is seen[-2][0] is computed[-1][0]  # reused, not recomputed
+
+
+def test_redrawn_or_floored_halves_never_settle(monkeypatch):
+    graph, model, params, x0, window = _ring6_window("per_step_random", 300)
+    want = _direct_halves(graph, model, params, x0, 300)
+    computed, _ = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
+    assert len(computed) == 300
+    for got, ref in zip(computed, want):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    # one redraw candidate: the sensors never change, yet no half is reused
+    spec = SensorSpec(np.eye(2, 4), 0.5 * np.eye(2))
+    model = StateSpaceModel(f=model.f, q=model.q, x0_mean=model.x0_mean, p0=model.p0,
+                            sensors=(spec,) * 6, redraw_from=(spec,))
+    window = simulate_runs(model, 301, range(2)).measurements[:, 1:]
+    computed, _ = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
+    assert len(computed) == 300
+
+    # a static window whose every posterior floors (and warns): no step settles
+    graph, model, params, x0, window = _ring6_window("static_split", 300)
+    calls, inner = [], filtering._posterior_cov
+
+    def floors(p_prior_inv, theta, t):
+        calls.append(t)
+        warnings.warn(f"theta floored at t={t}", RuntimeWarning)
+        return inner(p_prior_inv, theta, t)[0], True
+
+    monkeypatch.setattr(filtering, "_posterior_cov", floors)
+    with pytest.warns(RuntimeWarning, match="theta floored") as record:
+        list(dkf_steps(init_state(model, x0), graph, model, window, params, t0=1))
+    assert calls == list(range(1, 301)) and len(record) == 300
+
+
+def test_ledger_and_conservation_hold_across_the_settle_step(monkeypatch):
+    graph, model, params, x0, window = _ring6_window("static_split", 300)
+    runs, n, ledger = len(x0), model.n, CommLedger(6)
+    target = 6 * info_oracle(model).sum(axis=0)
+    state, drift = init_state(model, x0), 0.0
+    for t in dkf_steps(state, graph, model, window, params, t0=1, ledger=ledger):
+        drift = max(drift, np.abs((state.theta + state.nu_tilde).sum(axis=0) - target).max())
+    assert drift < 1e-10
+    per_run = t * (params.l_sub * graph.degree * n + graph.degree * n * (n + 1) // 2)
+    assert t == 300 and np.array_equal(ledger.scalars_sent, runs * per_run)
+
+    # split at t = 250, after the settle step: the second window recomputes
+    # t = 251 and settles again there
+    whole, seen = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
+    state, settle = init_state(model, x0), len(whole)
+    first, split = _spied_window(monkeypatch, state, graph, model, window[:, :250], params)
+    second, rest = _spied_window(monkeypatch, state, graph, model, window[:, 250:], params, t0=251)
+    assert len(first) == settle < 250 and len(second) == 1
+    for got, ref in zip(split[:settle], seen[:settle]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    _assert_within_reuse_bound(split[settle:] + rest, seen[settle:])
