@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dkf_admm.exceptions import ConfigRejected, DimensionError, NotPositiveDefinite
-from dkf_admm.linalg import spd_inverse, spd_solve, sym
+from dkf_admm.linalg import spd_cholesky, spd_inverse, spd_solve, sym, sym_inverse
 from dkf_admm.models import SensorArrays, StateSpaceModel, _real_array, sensor_specs_at
 
 
@@ -38,7 +38,8 @@ def centralized_kf_step(
     prior information matrix and sum_i H_i' R_i^-1 y_i to the information
     vector. `measurements` holds the y_i of all N nodes, shape (N, m); any
     other shape raises DimensionError, non-finite or non-real entries
-    ConfigRejected; the sensors are `sensor_specs_at(model, t)`.
+    ConfigRejected; the sensors are `sensor_specs_at(model, t)`, and the
+    covariances come from a one-step `covariance_window`.
     """
     sensors = sensor_specs_at(model, t)
     shape = sensors.h.shape[:2]
@@ -47,24 +48,39 @@ def centralized_kf_step(
         raise DimensionError(f"measurements {y.shape} must be {shape}")
     if not np.isfinite(y).all():
         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
-    p_prior, omega_prior, p = _covariance_update(state.p, model, sensors.info, t)
+    (p_prior,), (omega_prior,), (p,) = covariance_window(state.p, model, sensors.info.sum(0)[None], t)
     info_vec = omega_prior @ (model.f @ state.x_hat) + np.einsum("imn,im->n", sensors.rinv_h, y)
     return CentralizedState(x_hat=p @ info_vec, p=p, p_prior=p_prior)
 
 
-def _covariance_update(p, model: StateSpaceModel, info, t: int) -> tuple:
-    """(P_prior, P_prior^-1, P_post) of one centralized step from P_post of
-    the last: P_prior = sym(F P F' + Q), P_post = sym(P_prior^-1 + sum of
-    the (N, n, n) `info` stack)^-1. It reads no measurement."""
-    p_prior = sym(model.f @ p @ model.f.T + model.q)
-    omega_prior = spd_inverse(p_prior)
-    with np.errstate(over="ignore"):  # an overflow is named below
-        omega = sym(omega_prior + info.sum(axis=0))
+def covariance_window(p, model: StateSpaceModel, info_sums, t0: int) -> tuple:
+    """The centralized covariance recursion from the P_post before step t0,
+    one step per network information sum sum_i H_i' R_i^-1 H_i in
+    `info_sums`: (T, n, n) stacks of P_prior = sym(F P F' + Q), P_prior^-1
+    and P_post = sym(P_prior^-1 + info)^-1. The stacks are tested after the
+    loop, one `spd_cholesky` each; a failure reruns it with a `spd_inverse`
+    per matrix, to raise at the first failing step ("posterior information
+    matrix not PD|finite at t=..." for P_post). It reads no measurement."""
     try:
-        return p_prior, omega_prior, spd_inverse(omega)
-    except NotPositiveDefinite as exc:
-        what = "PD" if np.isfinite(omega).all() else "finite"
-        raise NotPositiveDefinite(f"posterior information matrix not {what} at t={t}") from exc
+        return _recursion(p, model, info_sums, t0, sym_inverse)
+    except NotPositiveDefinite:
+        return _recursion(p, model, info_sums, t0, spd_inverse)
+
+
+def _recursion(p, model: StateSpaceModel, info_sums, t0: int, inverse) -> tuple:
+    priors, inv_priors, omegas, posts = np.empty((4, len(info_sums), model.n, model.n))
+    with np.errstate(over="ignore", invalid="ignore"):  # a failure is named below
+        for i, info in enumerate(info_sums):
+            priors[i] = sym(model.f @ p @ model.f.T + model.q)
+            inv_priors[i] = inverse(priors[i])
+            omegas[i] = sym(inv_priors[i] + info)
+            try:
+                posts[i] = p = inverse(omegas[i])
+            except NotPositiveDefinite as exc:
+                what = "PD" if np.isfinite(omegas[i]).all() else "finite"
+                raise NotPositiveDefinite(f"posterior information matrix not {what} at t={t0 + i}") from exc
+        spd_cholesky(priors), spd_cholesky(omegas)
+    return priors, inv_priors, posts
 
 
 def consensus_fixed_point(x_priors, p_priors, measurements, sensors: SensorArrays) -> np.ndarray:

@@ -38,7 +38,7 @@ from dkf_admm.graphs import SensorGraph
 from dkf_admm.linalg import (
     covariance_stability, spd_inverse, state_stability, step_bounds, sym, sym_inverse,
 )
-from dkf_admm.models import SensorArrays, StateSpaceModel, _real_array, sensor_specs_at
+from dkf_admm.models import _BLOCK_VALUES, StateSpaceModel, _real_array, sensor_blocks, sensor_specs_at
 
 
 def _check_types(config):
@@ -287,7 +287,8 @@ def _posterior_cov(p_prior_inv, theta, t):
             warnings.warn(f"posterior information of node {i}, t={t} is indefinite; "
                           "theta floored at zero eigenvalues", RuntimeWarning, stacklevel=4)
             w, v = np.linalg.eigh(theta[i])
-            m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m is named below
+                m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
         try:
             return spd_inverse(m), True
         except NotPositiveDefinite as exc:
@@ -297,32 +298,28 @@ def _posterior_cov(p_prior_inv, theta, t):
             ) from exc
 
 
-def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceModel,
-                     sensors: SensorArrays, alpha_nu, rounds, t):
+def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceModel, info,
+                     alpha_nu, rounds, t):
     """The measurement-free half of step t, once for all runs: P_prior =
-    F P_post F' + Q; P_prior^-1 and the gain K = (H' R^-1 H + P_prior^-1 /
-    N)^-1, each an exactly symmetric `sym_inverse` of the (N, n, n) stack
-    (NotPositiveDefinite names t if either fails: a singular prior, or one
-    so large that K overflows); `rounds` covariance consensus rounds from
-    the last theta towards N H' R^-1 H; P_post from `_posterior_cov`.
+    F P_post F' + Q; P_prior^-1 and the gain K = (`info` + P_prior^-1 / N)^-1,
+    `info` the step's (N, n, n) H' R^-1 H, each an exactly symmetric
+    `sym_inverse` (NotPositiveDefinite names t if either fails: a singular
+    prior, or one so large that K overflows); `rounds` covariance consensus
+    rounds from the last theta towards N H' R^-1 H; P_post from `_posterior_cov`.
     Returns (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, floored)."""
-    n_nodes = len(sensors.info)
+    n_nodes = len(info)
     p_prior = sym(model.f @ state.p_post @ model.f.T + model.q)
     try:
         p_prior_inv = sym_inverse(p_prior)
-        k = sym_inverse(sensors.info + p_prior_inv / n_nodes)
+        k = sym_inverse(info + p_prior_inv / n_nodes)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
-        theta, nu = _consensus_rounds(state.theta, n_nodes * sensors.info, graph, alpha_nu,
+        theta, nu = _consensus_rounds(state.theta, n_nodes * info, graph, alpha_nu,
                                       alpha_nu, rounds, acc=state.nu_tilde)
     return p_prior, p_prior_inv, k, theta, nu, *_posterior_cov(p_prior_inv, theta, t)
 
 
-# A window writes its steps' state round iterates into one (steps, L, N, R n)
-# block buffer of at most this many values, or of one step if a step holds
-# more; the consensus log is reduced and the ledger booked once per block.
-_BLOCK_VALUES = 2 ** 16
 # The relative per-step change below which a static covariance half has settled:
 # a reused half then stays about _SETTLE_TOL rho / (1 - rho) from the recursion,
 # rho its contraction (1e-10 moved a limit covariance 1.7e-12, past a 1e-12 test).
@@ -350,25 +347,26 @@ def dkf_steps(
     y[..., None, :, :]. When iteration starts the window is checked once: a
     bad t0 or non-real entries raise ConfigRejected; another shape, a state
     of no run or node counts (graph, model, state, ledger) that differ
-    DimensionError. Each step runs `_covariance_half` on
-    `sensor_specs_at(model, t)` until, on static sensors, a step floors
+    DimensionError. Each step runs `_covariance_half` on the sensors of a
+    `sensor_blocks` gather per block until, on static sensors, a step floors
     nothing and moves P_prior, then theta, by less than `_SETTLE_TOL`
     relative to the step before: the window reuses that step's half from
     then on and books its traffic as before. Then every run's L state rounds
     from x_prior = F x_post towards K b = K (H' R^-1 y + P_prior^-1 x_prior
     / N); a non-finite measurement raises ConfigRejected and an overflowing
     K b NotPositiveDefinite, both naming t. The rounds write their iterates
-    to a block buffer of `_BLOCK_VALUES`; once per block, the ledger books
-    each run's traffic (R times the degree per exchange, all rounds of both
-    loops) and, when `consensus_log` is a list, the buffer is reduced in
-    place, the op order of one step at a time, to one (L,) or (R, L) array
-    per step: each sub-iteration's mean over nodes of ||xi_i - mean(xi)||.
+    to a (steps, L, N, R n) block buffer of at most `_BLOCK_VALUES` values
+    (or one step); once per block, the ledger books each run's traffic (R
+    times the degree per exchange, all rounds of both loops) and, when
+    `consensus_log` is a list, the buffer is reduced in place, the op order
+    of one step at a time, to one (L,) or (R, L) array per step: each
+    sub-iteration's mean over nodes of ||xi_i - mean(xi)||.
     When the window ends, raises or is closed (`close()`, or a `break` out
     of the only loop holding it), both hold exactly the completed steps.
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
-    step = shape[:-1] + (sensor_specs_at(model, t0).rinv_h.shape[1],)
+    step = shape[:-1] + (model.sensor_arrays.rinv_h.shape[1],)
     y = _real_array(measurements, "measurements", "(T, N, m) or (R, T, N, m)")
     if not state.x_post.size:
         raise DimensionError(f"the state holds no run: x_post has shape {shape}")
@@ -388,14 +386,15 @@ def dkf_steps(
     # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
     x_post = state.x_post.reshape(runs, n_nodes, n).swapaxes(0, 1)
     settled = None  # the settled covariance half, once it has settled
-    for lo in range(0, n_steps, per_block):
-        done = 0  # completed steps of this block
+    for steps, sensors in sensor_blocks(model, t0, n_steps, per_block):
+        lo, done = steps.start, 0  # completed steps of this block
+        rinv_h, info = (np.broadcast_to(a, (steps.stop - lo, *a.shape[-3:]))  # static: one step's
+                        for a in (sensors.rinv_h, sensors.info))
         try:
-            for i in range(lo, min(lo + per_block, n_steps)):
+            for i in range(lo, steps.stop):
                 t = t0 + i
-                sensors = sensor_specs_at(model, t)
-                half = settled or _covariance_half(state, graph, model, sensors, params.alpha_nu,
-                                                   cov_rounds, t)
+                half = settled or _covariance_half(state, graph, model, info[i - lo],
+                                                   params.alpha_nu, cov_rounds, t)
                 p_prior, p_prior_inv, k, theta, nu, p_post, floored = half
                 with np.errstate(over="ignore", invalid="ignore"):  # non-finite: never settled
                     if settled is None and model.coordinate_table is None and not floored and all(
@@ -404,7 +403,7 @@ def dkf_steps(
                         settled = half
                     x_prior = x_post @ model.f.T
                     y_t = y[:, i].swapaxes(0, 1)
-                    kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k  # checked below
+                    kb = (y_t @ rinv_h[i - lo] + x_prior @ p_prior_inv / n_nodes) @ k  # checked below
                 if not np.isfinite(kb).all():
                     if not np.isfinite(y_t).all():
                         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dkf_admm.centralized import _covariance_update, initial_centralized_state
+from dkf_admm.centralized import covariance_window
 from dkf_admm.exceptions import ConfigRejected, DimensionError
 from dkf_admm.filtering import CommLedger, _check_types, auto_params, dkf_steps, init_state
 from dkf_admm.graphs import SensorGraph, build_graph, spectral_summary
@@ -27,7 +27,7 @@ from dkf_admm.models import (
     VELOCITY,
     build_constant_velocity_model,
     information_rate_target,
-    sensor_specs_at,
+    sensor_blocks,
     simulate_runs,
 )
 
@@ -241,16 +241,13 @@ def reference_priors(model, n_steps) -> np.ndarray:
 
     Static sensors: the steady-state P* of `steady_state_prior` at every
     step. Per-step-random sensors have no steady state, so the reference is
-    the time-varying centralized covariance recursion from P0, the
-    covariance half of `centralized_kf_step` with all N sensors.
+    the time-varying centralized covariance recursion from P0: the
+    `covariance_window` of `centralized_kf_step`, once over all steps.
     """
     if model.assignment_mode == "static":
         return np.broadcast_to(steady_state_prior(model), (n_steps, model.n, model.n))
-    p, priors = initial_centralized_state(model).p, []
-    for t in range(1, n_steps + 1):
-        p_prior, _, p = _covariance_update(p, model, sensor_specs_at(model, t).info, t)
-        priors.append(p_prior)
-    return np.array(priors)
+    sums = [s.info.sum(axis=1) for _, s in sensor_blocks(model, 1, n_steps)]
+    return covariance_window(model.p0, model, np.concatenate(sums), 1)[0]
 
 
 def run_scenario(config: ScenarioConfig) -> RunMetrics:

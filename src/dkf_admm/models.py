@@ -24,6 +24,8 @@ POSITION, VELOCITY = slice(0, 2), slice(2, 4)
 SENSOR_ASSIGNMENTS = ("static_split", "per_step_random")
 # a redrawn model memoizes at most this many drawn row indices (N per step), or one step
 _MEMO_ROWS = 2 ** 18
+# values per block of steps (or one step): a `sensor_blocks` H' R^-1 H stack, `dkf_steps` rounds
+_BLOCK_VALUES = 2 ** 16
 
 
 def _check_int(value, name, least):
@@ -99,6 +101,10 @@ class SensorArrays:
             bad = np.argmin(finite)
             raise NotPositiveDefinite(f"R^-1 H or N H' R^-1 H of node {bad} is not finite")
         return cls(h, r, rinv_h, info)
+
+    def take(self, rows) -> SensorArrays:
+        """The stacks at the (N,) or (B, N) integer indices `rows`."""
+        return SensorArrays(self.h[rows], self.r[rows], self.rinv_h[rows], self.info[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,35 +205,52 @@ def build_constant_velocity_model(dt, q_intensity=1.0, n_nodes=2, sensor_assignm
                            redraw_from=redraw, assignment_seed=assignment_seed)
 
 
-def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
-    """The stacked sensors in effect at time step t: `model.sensor_arrays`
-    for static models; redrawn ones gather one `coordinate_table` row per
-    node, drawn uniformly from (assignment_seed, t). Each step's N drawn
-    rows are kept in a per-model memo of `_MEMO_ROWS` row indices, the
-    oldest step out first, so the simulation, the reference and the filter
-    draw them once; the gather is per call."""
-    _check_int(t, "t", 0)
-    table, memo = model.coordinate_table, model._drawn_rows
-    if table is None:
-        return model.sensor_arrays
-    rows = memo.get(t)
-    if rows is None:
-        rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
+def _rows_at(model: StateSpaceModel, t: int) -> np.ndarray:
+    """Step t's N `coordinate_table` rows, drawn uniformly from (assignment_seed,
+    t) and kept in a per-model memo of `_MEMO_ROWS` row indices, the oldest step
+    out first: the simulation, the reference and the filter draw them once."""
+    memo = model._drawn_rows
+    if t not in memo:
         if len(memo) >= max(1, _MEMO_ROWS // model.n_nodes):
             del memo[next(iter(memo))]
-        rows = memo[t] = rng.integers(0, len(table.h), size=model.n_nodes)
-    return SensorArrays(table.h[rows], table.r[rows], table.rinv_h[rows], table.info[rows])
+        rng = np.random.default_rng(np.random.SeedSequence((model.assignment_seed, t)))
+        memo[t] = rng.integers(0, len(model.coordinate_table.h), size=model.n_nodes)
+    return memo[t]
+
+
+def sensor_specs_at(model: StateSpaceModel, t: int) -> SensorArrays:
+    """The stacked sensors in effect at time step t, the one-step case of
+    `sensor_blocks`: `model.sensor_arrays`, or a new gather of `_rows_at`."""
+    _check_int(t, "t", 0)
+    table = model.coordinate_table
+    return model.sensor_arrays if table is None else table.take(_rows_at(model, t))
+
+
+def sensor_blocks(model: StateSpaceModel, t0: int, n_steps: int, per_block: int | None = None):
+    """(steps, sensors) per block of steps t0 .. t0 + n_steps - 1, `steps`
+    the block's slice of the window: `model.sensor_arrays` on static models
+    (it broadcasts over the steps; one block by default), else one gather
+    of the block's (B, N, ...) stacks from the `_rows_at` rows it holds as
+    drawn, so an evicted step is not drawn again (by default at most
+    `_BLOCK_VALUES` H' R^-1 H values a block)."""
+    _check_int(t0, "t", 0)
+    table, n_nodes, n = model.coordinate_table, model.n_nodes, model.n
+    per_block = per_block or max(1, n_steps if table is None else _BLOCK_VALUES // (n_nodes * n * n))
+    for lo in range(0, n_steps, per_block):
+        steps = slice(lo, min(lo + per_block, n_steps))
+        yield steps, model.sensor_arrays if table is None else table.take(
+            np.array([_rows_at(model, t0 + i) for i in range(steps.start, steps.stop)]))
 
 
 def simulate_runs(model: StateSpaceModel, n_steps: int, seeds, noise_free: bool = False
                   ) -> Trajectory:
     """One trajectory per seed, states (R, n_steps, n), and every node's
     measurements (R, n_steps, N, m): x_0 ~ N(x0_mean, P0), x_{t+1} = F x_t +
-    w_t, y_t = H_t x_t + v_t with H_t, R_t from `sensor_specs_at(model, t)`,
-    stacked once for all runs. Run r draws from `default_rng(seeds[r])`: x_0,
-    the process noise, then one (n_steps, m) standard-normal block per node,
-    row t times the Cholesky factor of R_{i,t}. With `noise_free` the draw
-    collapses to x_t = F^t x0_mean and exact measurements. An n_steps < 1 or
+    w_t, y_t = H_t x_t + v_t with H_t, R_t from `sensor_blocks` (static R
+    factored once). Run r draws from `default_rng(seeds[r])`: x_0, the process
+    noise, then one (n_steps, m) standard-normal block per node, row t times
+    the Cholesky factor of R_{i,t}. With `noise_free` the draw collapses to
+    x_t = F^t x0_mean and exact measurements. An n_steps < 1 or
     not an integer, seeds that are not iterable or empty, or a seed
     `default_rng` refuses: ConfigRejected."""
     _check_int(n_steps, "n_steps", 1)
@@ -243,8 +266,6 @@ def simulate_runs(model: StateSpaceModel, n_steps: int, seeds, noise_free: bool 
             rngs.append(np.random.default_rng(seed))
         except (TypeError, ValueError) as exc:
             raise ConfigRejected(f"unusable seed {seed!r}: {exc}") from exc
-    specs = [sensor_specs_at(model, t) for t in range(n_steps)]
-    h = np.array([s.h for s in specs])  # (T, N, m, n)
     states = np.empty((len(rngs), n_steps, model.n))
     states[:, 0] = model.x0_mean
     w = np.zeros((len(rngs), n_steps - 1, model.n))
@@ -255,12 +276,15 @@ def simulate_runs(model: StateSpaceModel, n_steps: int, seeds, noise_free: bool 
                 w[r] = rng.multivariate_normal(np.zeros(model.n), model.q, size=n_steps - 1)
     for t in range(n_steps - 1):  # the stacked matvec is bitwise each run's F @ x
         states[:, t + 1] = np.matmul(model.f, states[:, t, :, None])[..., 0] + w[:, t]
-    measurements = (h @ states[:, :, None, :, None])[..., 0]
-    if not noise_free:  # v_{i,t} = chol(R_{i,t}) z_{i,t}, one run at a time
-        chol = spd_cholesky(np.array([s.r for s in specs]))
-        for y, rng in zip(measurements, rngs):
-            z = rng.standard_normal((model.n_nodes, n_steps, h.shape[2], 1)).swapaxes(0, 1)
-            y += (chol @ z)[..., 0]
+    n_nodes, m = model.sensor_arrays.h.shape[:2]
+    measurements, chols = np.empty((len(rngs), n_steps, n_nodes, m)), []
+    for steps, sensors in sensor_blocks(model, 0, n_steps):
+        measurements[:, steps] = (sensors.h @ states[:, steps, None, :, None])[..., 0]
+        chols.append((steps, None if noise_free else spd_cholesky(sensors.r)))
+    for y, rng in zip(measurements, [] if noise_free else rngs):  # v_{i,t} = chol(R_{i,t}) z_{i,t}
+        z = rng.standard_normal((n_nodes, n_steps, m, 1)).swapaxes(0, 1)
+        for steps, chol in chols:
+            y[steps] += (chol @ z[steps])[..., 0]
     states.setflags(write=False)
     measurements.setflags(write=False)
     return Trajectory(states=states, measurements=measurements)

@@ -1,8 +1,9 @@
 """Reference computations the tests compare the library against: per-node
-sensor arrays, the dense per-mode iteration matrices of both consensus
-loops, dense graph matrices read off the edge arrays, and the brute-force
-N x N random geometric graph; and the random connected graphs and random
-linear-Gaussian models that property tests draw.
+sensor arrays, the per-step centralized covariance recursion, the dense
+per-mode iteration matrices of both consensus loops, dense graph matrices
+read off the edge arrays, and the brute-force N x N random geometric graph;
+the random connected graphs and random linear-Gaussian models that
+property tests draw; and a spy on the draws of redrawn sensor rows.
 
 Imported by the test modules, which pytest runs with this directory on
 the import path.
@@ -10,8 +11,11 @@ the import path.
 
 import numpy as np
 
+from dkf_admm import models
+from dkf_admm.exceptions import NotPositiveDefinite
 from dkf_admm.graphs import SensorGraph
-from dkf_admm.models import SensorSpec, StateSpaceModel
+from dkf_admm.linalg import spd_inverse, sym
+from dkf_admm.models import SensorSpec, StateSpaceModel, sensor_specs_at
 
 
 def sensor_oracle(h, r):
@@ -30,6 +34,27 @@ def info_oracle(model):
     """H_i' R_i^-1 H_i of every node of a model, shape (N, n, n), node by
     node from `sensor_oracle`."""
     return np.array([sensor_oracle(s.h, s.r)[3] for s in model.sensors])
+
+
+def centralized_priors_oracle(model, n_steps, p=None, t0=1):
+    """The centralized prior covariances of steps t0 .. t0 + n_steps - 1 from
+    the posterior p (default P0), one step at a time: P_prior = sym(F P F' +
+    Q), then P = spd_inverse(sym(spd_inverse(P_prior) + sum_i H_i' R_i^-1
+    H_i)) with the step's `sensor_specs_at` stack. A failed posterior
+    inverse raises "posterior information matrix not PD|finite at t=...";
+    a failed prior inverse raises `spd_inverse`'s own error."""
+    p, priors = model.p0 if p is None else p, []
+    for t in range(t0, t0 + n_steps):
+        p_prior = sym(model.f @ p @ model.f.T + model.q)
+        with np.errstate(over="ignore"):
+            omega = sym(spd_inverse(p_prior) + sensor_specs_at(model, t).info.sum(axis=0))
+        try:
+            p = spd_inverse(omega)
+        except NotPositiveDefinite as exc:
+            what = "PD" if np.isfinite(omega).all() else "finite"
+            raise NotPositiveDefinite(f"posterior information matrix not {what} at t={t}") from exc
+        priors.append(p_prior)
+    return np.array(priors)
 
 
 def covariance_mode_matrix(alpha_nu, laplacian_eigenvalue):
@@ -118,3 +143,17 @@ def random_model(rng, n_nodes, redrawn=False):
     return StateSpaceModel(f=f, q=spd(n), sensors=sensors(n_nodes), x0_mean=rng.normal(size=n),
                            p0=spd(n), redraw_from=sensors(3) if redrawn else (),
                            assignment_seed=int(rng.integers(2**31)))
+
+
+def count_row_draws(monkeypatch):
+    """Patch `models._rows_at` to record every step t whose rows it draws,
+    a memo miss, in the list it returns, in call order."""
+    draws, rows_at = [], models._rows_at
+
+    def counting(model, t):
+        if t not in model._drawn_rows:
+            draws.append(t)
+        return rows_at(model, t)
+
+    monkeypatch.setattr(models, "_rows_at", counting)
+    return draws

@@ -10,6 +10,7 @@ from dkf_admm import centralized
 from dkf_admm.centralized import (
     centralized_kf_step,
     consensus_fixed_point,
+    covariance_window,
     initial_centralized_state,
 )
 from dkf_admm.exceptions import NotPositiveDefinite
@@ -183,21 +184,44 @@ def test_prior_covariance_reaches_riccati_limit():
 
 
 def test_singular_posterior_names_the_step(monkeypatch):
-    # the failed inverse is the cause, not an exception raised while handling it
+    # the failed inverse is the cause, not an exception raised while handling it;
+    # the second inverse of the window, untested and in its tested rerun, fails
     model = build_constant_velocity_model(dt=0.1, n_nodes=2)
-    calls = []
 
-    def second_call_fails(a):
-        calls.append(a)
-        if len(calls) == 2:
-            raise NotPositiveDefinite("matrix must be positive definite")
-        return spd_inverse(a)
+    def second_call_fails(inverse):
+        calls = []
 
-    monkeypatch.setattr(centralized, "spd_inverse", second_call_fails)
+        def patched(a):
+            calls.append(a)
+            if len(calls) == 2:
+                raise NotPositiveDefinite("matrix must be positive definite")
+            return inverse(a)
+        return patched
+
+    for name in ("sym_inverse", "spd_inverse"):
+        monkeypatch.setattr(centralized, name, second_call_fails(getattr(centralized, name)))
     with pytest.raises(NotPositiveDefinite, match="not PD at t=7") as info:
         centralized_kf_step(initial_centralized_state(model), model, np.zeros((2, 1)), t=7)
     assert isinstance(info.value.__cause__, NotPositiveDefinite)
     assert info.value.__suppress_context__
+
+
+@pytest.mark.parametrize("case, message", [
+    ("prior", "^matrix must be positive definite$"),
+    ("posterior", "^posterior information matrix not PD at t=5$"),
+], ids=["prior", "posterior"])
+def test_window_tests_its_stacks_after_the_loop(case, message):
+    # an indefinite but invertible matrix passes the loop's sym_inverse and
+    # fails a batched test after it; the tested rerun raises at the first such
+    # step: the first prior (from an indefinite P, every later one PD), or the
+    # information matrix of the fourth step, t=5
+    model = build_constant_velocity_model(dt=0.1, n_nodes=2)
+    info = np.tile(1e12 * np.eye(4), (6, 1, 1))
+    p = -1e-3 * np.eye(4) if case == "prior" else model.p0
+    if case == "posterior":
+        info[3:] = -1e12 * np.eye(4)
+    with pytest.raises(NotPositiveDefinite, match=message):
+        covariance_window(p, model, info, 2)
 
 
 def _consensus_limit_errors(n_nodes, redrawn, seed, steps=10):

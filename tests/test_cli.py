@@ -234,7 +234,9 @@ PRECISE_REDRAWN_INI = (
     (60, "5e-307", 1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=2\)"),
     # the reference's information matrix overflowed in sym (a RuntimeWarning)
     (6, "1e-307", 0, "posterior information matrix not finite at t=22"),
-], ids=["covariance_rounds", "reference"])
+    # on the 3-ring the reference's prior fails first: its inverse
+    (3, "1e-300", 0, "^numerical failure: matrix is singular$"),
+], ids=["covariance_rounds", "reference", "reference_prior"])
 def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, n_nodes, r_var, q_intensity,
                                                  message):
     text = PRECISE_REDRAWN_INI.replace("n_nodes = 6", f"n_nodes = {n_nodes}")

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_laplacian, info_oracle, random_connected_graph, sensor_oracle
+from oracles import (count_row_draws, dense_laplacian, info_oracle, random_connected_graph,
+                     sensor_oracle)
 
-from dkf_admm import filtering
+from dkf_admm import filtering, models
 from dkf_admm.exceptions import (
     ConfigRejected,
     DimensionError,
@@ -83,7 +84,8 @@ def test_auto_params_inside_bounds():
 def _half(state, graph, model, params, t=1):
     """`_covariance_half` of static-sensor step t, one covariance round:
     (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, floored)."""
-    return _covariance_half(state, graph, model, sensor_specs_at(model, t), params.alpha_nu, 1, t)
+    return _covariance_half(state, graph, model, sensor_specs_at(model, t).info, params.alpha_nu,
+                            1, t)
 
 
 def test_predict_matches_formula():
@@ -403,6 +405,21 @@ def test_posterior_floors_indefinite_theta():
         assert np.allclose(p_post[0], expected, atol=1e-12)
         np.linalg.cholesky(p_post[0])
         assert np.allclose(p_post[1:], 0.5 * np.eye(4), atol=1e-12)
+
+
+def test_flooring_that_overflows_raises_without_a_numpy_warning():
+    # theta indefinite with an eigenvalue near 1e308: the floored sum
+    # overflows when it is symmetrized; the library error names t, and the
+    # only warning is the flooring's own (numpy's overflow warning, from
+    # linalg.py, used to come first)
+    theta = np.diag([1.5e308, -2.0, 0.0, 0.0])[None]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotPositiveDefinite, match=r"not PD even after flooring, t=9;"):
+            _posterior_cov(np.eye(4)[None], theta, 9)
+    assert not [w for w in caught if w.filename.endswith("linalg.py")]
+    assert [str(w.message) for w in caught] == [
+        "posterior information of node 0, t=9 is indefinite; theta floored at zero eigenvalues"]
 
 
 def test_singular_prior_names_the_step():
@@ -829,6 +846,23 @@ def test_window_equals_one_step_calls(monkeypatch, sensors, runs, block_steps):
     _assert_same_run((state, ledger, log), want)
 
 
+def test_redrawn_window_outlasting_the_row_memo_equals_one_step_calls(monkeypatch):
+    # a row memo of one step (5 nodes) and blocks of 3 steps: each block
+    # holds the rows it drew, so the window is bitwise the 7 one-step calls
+    # and draws each step's rows once, though the memo keeps only the last
+    graph, params, model, x0, window = _window_case("per_step_random", 3)
+    want = _stepped(graph, params, model, x0, window, 7)
+    monkeypatch.setattr(models, "_MEMO_ROWS", 5)
+    monkeypatch.setattr(filtering, "_BLOCK_VALUES", _steps_per_block(params, model, 3, 3))
+    draws = count_row_draws(monkeypatch)
+    fresh = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment="per_step_random")
+    state, ledger, log = init_state(fresh, x0), CommLedger(5), []
+    assert list(dkf_steps(state, graph, fresh, window, params, t0=1, ledger=ledger,
+                          consensus_log=log)) == list(range(1, 8))
+    assert draws == list(range(8)) and list(fresh._drawn_rows) == [7]  # step 0: init_state
+    _assert_same_run((state, ledger, log), want)
+
+
 @pytest.mark.parametrize("runs", [None, 3])
 def test_window_failure_at_step_k_keeps_the_steps_before_it(monkeypatch, runs):
     # a NaN measurement at t = 5 raises the one-step error naming t = 5, with
@@ -908,8 +942,8 @@ def _direct_halves(graph, model, params, x0, n_steps):
     state, halves = init_state(model, x0), []
     cov_rounds = 1 if model.coordinate_table is None else params.l_sub
     for t in range(1, n_steps + 1):
-        half = _covariance_half(state, graph, model, sensor_specs_at(model, t), params.alpha_nu,
-                                cov_rounds, t)[:6]
+        half = _covariance_half(state, graph, model, sensor_specs_at(model, t).info,
+                                params.alpha_nu, cov_rounds, t)[:6]
         state.p_prior, _, _, state.theta, state.nu_tilde, state.p_post = half
         halves.append(half)
     return halves

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import sensor_oracle
+from oracles import centralized_priors_oracle, count_row_draws, sensor_oracle
 
 import dkf_admm
 from dkf_admm import harness, models
-from dkf_admm.centralized import centralized_kf_step, initial_centralized_state
-from dkf_admm.exceptions import ConfigRejected, DimensionError
+from dkf_admm.centralized import centralized_kf_step, covariance_window, initial_centralized_state
+from dkf_admm.exceptions import ConfigRejected, DimensionError, NotPositiveDefinite
 from dkf_admm.filtering import CommLedger, dkf_steps, init_state
 from dkf_admm.harness import (
     RunMetrics,
@@ -377,28 +377,21 @@ def test_run_scenario_reads_the_state_layout(monkeypatch):
 
 
 def test_run_scenario_simulates_all_runs_at_once(monkeypatch):
-    # one simulate_runs call per scenario, which builds the sensors once per
-    # step for all runs, not once per run and step
-    calls, specs = [], []
-
-    def counting_specs(model, t):
-        specs.append(t)
-        return sensor_specs_at(model, t)
+    # one simulate_runs call per scenario, which gathers the sensors for all
+    # runs at once; over the whole scenario (reference, simulation, filter)
+    # each step's rows are drawn once, not once per run, consumer and step
+    calls, draws = [], count_row_draws(monkeypatch)
 
     def spy(*args, **kwargs):
         calls.append(args)
-        monkeypatch.setattr(models, "sensor_specs_at", counting_specs)
-        try:
-            return models.simulate_runs(*args, **kwargs)
-        finally:
-            monkeypatch.setattr(models, "sensor_specs_at", sensor_specs_at)
+        return models.simulate_runs(*args, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_runs", spy)
     cfg = dataclasses.replace(SMOKE, n_mc_runs=3, sensor_assignment="per_step_random",
                               sub_iterated_covariance=True)
     run_scenario(cfg)
     assert len(calls) == 1 and len(calls[0][2]) == 3
-    assert sorted(specs) == list(range(cfg.horizon_steps + 1))
+    assert sorted(draws) == list(range(cfg.horizon_steps + 1))
 
 
 def test_runs_depend_only_on_their_index():
@@ -501,6 +494,48 @@ def test_reference_priors_are_the_centralized_step_priors():
     for t in range(1, 16):
         state = centralized_kf_step(state, model, np.zeros((6, 1)), t)
         assert np.array_equal(refs[t - 1], state.p_prior)
+
+
+@pytest.mark.parametrize("case", ["static", "redrawn", "outlasting_the_memo", "gather_blocks"])
+def test_reference_recursion_equals_the_per_step_oracle(monkeypatch, case):
+    # the window recursion bit for bit against the per-step sym + spd_inverse
+    # recursion of tests/oracles.py (on a fresh model of the same draw): on
+    # static sensors through covariance_window (reference_priors returns P*
+    # there), on redrawn ones through reference_priors, also with a row memo
+    # of 3 steps and with gather blocks of 7 steps, each step drawn once
+    model, fresh = (build_constant_velocity_model(
+        dt=0.1, n_nodes=6, assignment_seed=5,
+        sensor_assignment="static_split" if case == "static" else "per_step_random")
+        for _ in range(2))
+    want = centralized_priors_oracle(fresh, 40)
+    if case == "static":
+        info = np.broadcast_to(model.sensor_arrays.info.sum(axis=0), (40, 4, 4))
+        assert np.array_equal(covariance_window(model.p0, model, info, 1)[0], want)
+        return
+    if case == "outlasting_the_memo":
+        monkeypatch.setattr(models, "_MEMO_ROWS", 3 * 6)
+    if case == "gather_blocks":
+        monkeypatch.setattr(models, "_BLOCK_VALUES", 7 * 6 * 16)
+    draws = count_row_draws(monkeypatch)
+    assert np.array_equal(harness.reference_priors(model, 40), want)
+    assert draws == list(range(1, 41))
+
+
+@pytest.mark.parametrize("n_nodes, r_var", [(6, 1e-307), (3, 1e-300)], ids=["posterior", "prior"])
+def test_reference_failure_is_the_per_step_oracles(n_nodes, r_var):
+    # q = 0 and precise redrawn sensors: on the 6-ring the posterior
+    # information overflows at t=22; on the 3-ring the prior's inverse fails
+    # first. The window raises the per-step recursion's error and cause
+    cfg = ScenarioConfig(topology="ring", n_nodes=n_nodes, sensor_assignment="per_step_random",
+                         r_var=r_var, q_intensity=0.0, horizon_steps=30)
+    errors = []
+    for reference in (harness.reference_priors, centralized_priors_oracle):
+        with pytest.raises(NotPositiveDefinite) as info:
+            reference(build_scenario(cfg)[1], cfg.horizon_steps)
+        errors.append((str(info.value), type(info.value.__cause__)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == ("posterior information matrix not finite at t=22" if n_nodes == 6
+                            else "matrix is singular")
 
 
 def test_per_step_random_covariances_stay_consistent():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sensor_oracle
+from oracles import count_row_draws, sensor_oracle
 
 from dkf_admm.exceptions import (
     ConfigRejected, DimensionError, NotPositiveDefinite, ObservabilityError,
@@ -423,17 +423,9 @@ def test_per_step_random_noise_uses_the_drawn_sensors_r(monkeypatch):
 
 
 def _check_trajectory_against_per_step_reference(monkeypatch, model):
-    import dkf_admm.models as models
-
-    n_steps, calls = 12, []
-
-    def counting(m, t):
-        calls.append(t)
-        return sensor_specs_at(m, t)
-
-    monkeypatch.setattr(models, "sensor_specs_at", counting)
+    n_steps, draws = 12, count_row_draws(monkeypatch)
     traj = simulate_runs(model, n_steps, [21])
-    assert sorted(calls) == list(range(n_steps))
+    assert sorted(draws) == list(range(n_steps))
 
     # inline reference: one draw per (node, step), node by node, with the
     # drawn sensor of that step
