@@ -386,14 +386,13 @@ def dkf_steps(
     # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
     x_post = state.x_post.reshape(runs, n_nodes, n).swapaxes(0, 1)
     settled = None  # the settled covariance half, once it has settled
-    for steps, sensors in sensor_blocks(model, t0, n_steps, per_block):
+    for steps, gathered in sensor_blocks(model, t0, n_steps, per_block):
         lo, done = steps.start, 0  # completed steps of this block
-        rinv_h, info = (np.broadcast_to(a, (steps.stop - lo, *a.shape[-3:]))  # static: one step's
-                        for a in (sensors.rinv_h, sensors.info))
         try:
             for i in range(lo, steps.stop):
                 t = t0 + i
-                half = settled or _covariance_half(state, graph, model, info[i - lo],
+                sensors = gathered if model.coordinate_table is None else gathered.take(i - lo)
+                half = settled or _covariance_half(state, graph, model, sensors.info,
                                                    params.alpha_nu, cov_rounds, t)
                 p_prior, p_prior_inv, k, theta, nu, p_post, floored = half
                 with np.errstate(over="ignore", invalid="ignore"):  # non-finite: never settled
@@ -403,7 +402,7 @@ def dkf_steps(
                         settled = half
                     x_prior = x_post @ model.f.T
                     y_t = y[:, i].swapaxes(0, 1)
-                    kb = (y_t @ rinv_h[i - lo] + x_prior @ p_prior_inv / n_nodes) @ k  # checked below
+                    kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k  # checked below
                 if not np.isfinite(kb).all():
                     if not np.isfinite(y_t).all():
                         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
