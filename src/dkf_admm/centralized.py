@@ -59,8 +59,9 @@ def covariance_window(p, model: StateSpaceModel, info_sums, t0: int) -> tuple:
     `info_sums`: (T, n, n) stacks of P_prior = sym(F P F' + Q), P_prior^-1
     and P_post = sym(P_prior^-1 + info)^-1. The stacks are tested after the
     loop, one `spd_cholesky` each; a failure reruns it with a `spd_inverse`
-    per matrix, to raise at the first failing step ("posterior information
-    matrix not PD|finite at t=..." for P_post). It reads no measurement."""
+    per matrix, to raise at the first failing step ("a prior covariance became
+    singular at t=...", or "posterior information matrix not PD|finite at
+    t=..." for P_post). It reads no measurement."""
     try:
         return _recursion(p, model, info_sums, t0, sym_inverse)
     except NotPositiveDefinite:
@@ -72,7 +73,10 @@ def _recursion(p, model: StateSpaceModel, info_sums, t0: int, inverse) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):  # a failure is named below
         for i, info in enumerate(info_sums):
             priors[i] = sym(model.f @ p @ model.f.T + model.q)
-            inv_priors[i] = inverse(priors[i])
+            try:
+                inv_priors[i] = inverse(priors[i])
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(f"a prior covariance became singular at t={t0 + i}") from exc
             omegas[i] = sym(inv_priors[i] + info)
             try:
                 posts[i] = p = inverse(omegas[i])

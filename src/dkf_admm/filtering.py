@@ -1,24 +1,26 @@
 """The distributed Kalman filter engine, on stacked network arrays.
 
 The whole network's state is one `NetworkState` of arrays whose leading
-axis is the node index, so every update below is the paper's
-network-level form: the lifted Laplacian (L kron I) acting on the
-stacked iterates. One filter time step has two halves. The covariance
-half reads no measurement, so it runs once per step, before any per-run
-work, and all Monte-Carlo runs share it: the prior covariance F P F' + Q,
-its inverse and the gain K; one round of the covariance consensus (l_sub
-on per-step-random sensors) on the symmetric information matrices (only
-theta crosses edges, as the n(n+1)/2 entries on and below its diagonal);
-the posterior covariance assembly; on static sensors a window reuses the
-half once it has settled (`_SETTLE_TOL`). The state half predicts with F and
-runs L synchronous Jacobi sub-iterations of the ADMM state correction
-(neighbors exchange only the primal iterate xi, the transformed dual
-stays local), on estimates that may carry a leading run axis. Every
-round of both consensus loops is the accumulator round; on small graphs
-the simulator evaluates a whole loop as one GEMM of its cached
-all-rounds operator, which is that same loop run on the block identity.
-All exchanges flow through a CommLedger that counts messages and scalar
-payloads and rejects any attempt to put a dual variable on the wire.
+axis is the node index, so every update below is the paper's network-level
+form: the lifted Laplacian (L kron I) acting on the stacked iterates. One
+filter time step has two halves. The covariance half reads no measurement,
+so it runs once per step, before any per-run work, and all Monte-Carlo
+runs share it: the prior covariance F P F' + Q, its inverse and the gain
+K; one round of the covariance consensus (l_sub on per-step-random
+sensors) on the symmetric information matrices (only theta crosses edges,
+as the n(n+1)/2 entries on and below its diagonal); the posterior
+covariance assembly. A window computes a block's halves ahead of its state
+halves, untested, with one test per block; a failed test reruns the block
+one tested half per step. On static sensors a window reuses the half once
+it has settled (`_SETTLE_TOL`). The state half predicts with F and runs L
+synchronous Jacobi sub-iterations of the ADMM state correction (neighbors
+exchange only the primal iterate xi, the transformed dual stays local), on
+estimates that may carry a leading run axis. Every round of both consensus
+loops is the accumulator round; on small graphs the simulator evaluates a
+whole loop as one GEMM of its cached all-rounds operator, which is that
+same loop run on the block identity. All exchanges flow through a
+CommLedger that counts messages and scalar payloads and rejects any
+attempt to put a dual variable on the wire.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +38,8 @@ from dkf_admm.exceptions import (
 )
 from dkf_admm.graphs import SensorGraph
 from dkf_admm.linalg import (
-    covariance_stability, spd_inverse, state_stability, step_bounds, sym, sym_inverse,
+    SWEEP_MIN_STACK, covariance_stability, spd_cholesky, spd_inverse, state_stability, step_bounds,
+    sym, sym_inverse,
 )
 from dkf_admm.models import _BLOCK_VALUES, StateSpaceModel, _real_array, sensor_blocks, sensor_specs_at
 
@@ -299,31 +302,50 @@ def _posterior_cov(p_prior_inv, theta, t):
 
 
 def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceModel, info,
-                     alpha_nu, rounds, t):
-    """The measurement-free half of step t, once for all runs: P_prior =
-    F P_post F' + Q; P_prior^-1 and the gain K = (`info` + P_prior^-1 / N)^-1,
-    `info` the step's (N, n, n) H' R^-1 H, each an exactly symmetric
+                     alpha_nu, rounds, t, tested=True):
+    """The measurement-free half of step t, once for all runs: P_prior = F
+    P_post F' + Q; `rounds` covariance consensus rounds from the last theta
+    towards N H' R^-1 H, `info` the step's (N, n, n) H' R^-1 H; P_prior^-1
+    and the gain K = (`info` + P_prior^-1 / N)^-1, each an exactly symmetric
     `sym_inverse` (NotPositiveDefinite names t if either fails: a singular
-    prior, or one so large that K overflows); `rounds` covariance consensus
-    rounds from the last theta towards N H' R^-1 H; P_post from `_posterior_cov`.
-    Returns (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, floored)."""
+    prior, or one so large that K overflows); P_post from `_posterior_cov`.
+    Untested (a block pass of `dkf_steps`), K and (P_prior^-1 + theta)^-1 are
+    one stacked inverse, its method chosen from N, and nothing floors. Returns
+    (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, whether it settles: on
+    static sensors, nothing floored and `_still` P_prior, then theta)."""
     n_nodes = len(info)
     p_prior = sym(model.f @ state.p_post @ model.f.T + model.q)
-    try:
-        p_prior_inv = sym_inverse(p_prior)
-        k = sym_inverse(info + p_prior_inv / n_nodes)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):  # _posterior_cov names a non-finite theta
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: named below, never still
         theta, nu = _consensus_rounds(state.theta, n_nodes * info, graph, alpha_nu,
                                       alpha_nu, rounds, acc=state.nu_tilde)
-    return p_prior, p_prior_inv, k, theta, nu, *_posterior_cov(p_prior_inv, theta, t)
+        still = model.coordinate_table is None and _still(p_prior, state.p_prior) and _still(
+            theta, state.theta)
+    try:
+        p_prior_inv = sym_inverse(p_prior)
+        k = sym_inverse(info + p_prior_inv / n_nodes) if tested else None
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
+    if tested:
+        p_post, floored = _posterior_cov(p_prior_inv, theta, t)
+        return p_prior, p_prior_inv, k, theta, nu, p_post, still and not floored
+    # untested: K and P_post, one stack of 2 N matrices, by the method of N
+    pair = np.empty((2, *info.shape))
+    np.add(info, p_prior_inv / n_nodes, out=pair[0])
+    np.add(p_prior_inv, theta, out=pair[1])
+    k, p_post = (sym_inverse if n_nodes < SWEEP_MIN_STACK else spd_inverse)(pair)
+    return p_prior, p_prior_inv, k, theta, nu, p_post, still
 
 
 # The relative per-step change below which a static covariance half has settled:
 # a reused half then stays about _SETTLE_TOL rho / (1 - rho) from the recursion,
 # rho its contraction (1e-10 moved a limit covariance 1.7e-12, past a 1e-12 test).
 _SETTLE_TOL = 1e-12
+
+
+def _still(a, b):
+    """np.abs(a - b).max() < _SETTLE_TOL * np.abs(a).max(), one entry first."""
+    bound = _SETTLE_TOL * max(a.max(), -a.min())
+    return abs(a.flat[0] - b.flat[0]) < bound and np.abs(a - b).max() < bound
 
 
 def dkf_steps(
@@ -347,17 +369,21 @@ def dkf_steps(
     y[..., None, :, :]. When iteration starts the window is checked once: a
     bad t0 or non-real entries raise ConfigRejected; another shape, a state
     of no run or node counts (graph, model, state, ledger) that differ
-    DimensionError. Each step runs `_covariance_half` on the sensors of a
-    `sensor_blocks` gather per block until, on static sensors, a step floors
-    nothing and moves P_prior, then theta, by less than `_SETTLE_TOL`
-    relative to the step before: the window reuses that step's half from
-    then on and books its traffic as before. Then every run's L state rounds
-    from x_prior = F x_post towards K b = K (H' R^-1 y + P_prior^-1 x_prior
-    / N); a non-finite measurement raises ConfigRejected and an overflowing
-    K b NotPositiveDefinite, both naming t. The rounds write their iterates
-    to a (steps, L, N, R n) block buffer of at most `_BLOCK_VALUES` values
-    (or one step); once per block, the ledger books each run's traffic (R
-    times the degree per exchange, all rounds of both loops) and, when
+    DimensionError. Each block of steps (a `sensor_blocks` gather) first
+    runs an untested `_covariance_half` per step and tests them once: one
+    `spd_cholesky` of the posterior-information stack below SWEEP_MIN_STACK
+    nodes, the sweep's pivots from there on. If that fails or raises, each
+    step runs a tested half, which floors, warns and raises at its own step.
+    On static sensors, once a step floors nothing and moves P_prior, then
+    theta, by less than `_SETTLE_TOL` relative to the step before, the
+    window reuses its half from then on and books its traffic as before.
+    Then every run's L state rounds from x_prior = F x_post towards K b = K
+    (H' R^-1 y + P_prior^-1 x_prior / N); a non-finite measurement raises
+    ConfigRejected and an overflowing K b NotPositiveDefinite, both naming
+    t. A block's halves (6 N n n values a step) and its (steps, L, N, R n)
+    buffer of round iterates each hold at most `_BLOCK_VALUES` values (or
+    one step); once per block, the ledger books each run's traffic (R times
+    the degree per exchange, all rounds of both loops) and, when
     `consensus_log` is a list, the buffer is reduced in place, the op order
     of one step at a time, to one (L,) or (R, L) array per step: each
     sub-iteration's mean over nodes of ||xi_i - mean(xi)||.
@@ -378,8 +404,9 @@ def dkf_steps(
         raise DimensionError("node counts differ: graph %s, model %s, state %s, ledger %s" % counts)
     runs, n_steps = math.prod(shape[:-2]), y.shape[-3]
     y = y.reshape(runs, n_steps, n_nodes, step[-1])
-    cov_rounds = 1 if model.coordinate_table is None else params.l_sub
-    per_block = max(1, _BLOCK_VALUES // (params.l_sub * n_nodes * runs * n))
+    static = model.coordinate_table is None
+    cov_rounds = 1 if static else params.l_sub
+    per_block = max(1, _BLOCK_VALUES // (n_nodes * n * max(params.l_sub * runs, 6 * n)))
     block = None if consensus_log is None else np.empty(
         (min(per_block, n_steps), params.l_sub, n_nodes, runs * n))
     # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
@@ -388,18 +415,34 @@ def dkf_steps(
     settled = None  # the settled covariance half, once it has settled
     for steps, gathered in sensor_blocks(model, t0, n_steps, per_block):
         lo, done = steps.start, 0  # completed steps of this block
+        # the block's covariance halves, ahead of its state halves: untested, up to
+        # the one that settles, and tested once; a failure reruns them tested below
+        halves, ahead = [], replace(state)
+        try:
+            with np.errstate(all="ignore"):  # no warning: the tested rerun warns
+                for i in range(lo, steps.stop) if settled is None else ():
+                    halves.append(_covariance_half(ahead, graph, model, gathered.info if static
+                                                   else gathered.info[i - lo], params.alpha_nu,
+                                                   cov_rounds, t0 + i, False))
+                    if halves[-1][-1]:
+                        break
+                    ahead.p_prior, _, _, ahead.theta, ahead.nu_tilde, ahead.p_post, _ = halves[-1]
+                if halves and n_nodes < SWEEP_MIN_STACK:  # from there on, the sweep's pivots test
+                    spd_cholesky(np.concatenate([h[1] for h in halves])
+                                 + np.concatenate([h[3] for h in halves]))
+            halves += halves[-1:] * (steps.stop - lo - len(halves))  # the settled one, reused
+        except Exception:  # the tested rerun raises it at its own step
+            halves = None
         try:
             for i in range(lo, steps.stop):
                 t = t0 + i
-                sensors = gathered if model.coordinate_table is None else gathered.take(i - lo)
-                half = settled or _covariance_half(state, graph, model, sensors.info,
-                                                   params.alpha_nu, cov_rounds, t)
-                p_prior, p_prior_inv, k, theta, nu, p_post, floored = half
-                with np.errstate(over="ignore", invalid="ignore"):  # non-finite: never settled
-                    if settled is None and model.coordinate_table is None and not floored and all(
-                            np.abs(a - b).max() < _SETTLE_TOL * np.abs(a).max()
-                            for a, b in ((p_prior, state.p_prior), (theta, state.theta))):
-                        settled = half
+                sensors = gathered if static else gathered.take(i - lo)
+                # once settled or after a failed pass, one tested half per step
+                half = halves[i - lo] if halves else settled or (
+                    _covariance_half(state, graph, model, sensors.info, params.alpha_nu, cov_rounds, t))
+                settled = half if half[-1] else settled
+                p_prior, p_prior_inv, k, theta, nu, p_post, _ = half
+                with np.errstate(over="ignore", invalid="ignore"):
                     x_prior = x_post @ model.f.T
                     y_t = y[:, i].swapaxes(0, 1)
                     kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k  # checked below

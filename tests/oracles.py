@@ -41,13 +41,17 @@ def centralized_priors_oracle(model, n_steps, p=None, t0=1):
     the posterior p (default P0), one step at a time: P_prior = sym(F P F' +
     Q), then P = spd_inverse(sym(spd_inverse(P_prior) + sum_i H_i' R_i^-1
     H_i)) with the step's `sensor_specs_at` stack. A failed posterior
-    inverse raises "posterior information matrix not PD|finite at t=...";
-    a failed prior inverse raises `spd_inverse`'s own error."""
+    inverse raises "posterior information matrix not PD|finite at t=...",
+    a failed prior inverse "a prior covariance became singular at t=..."."""
     p, priors = model.p0 if p is None else p, []
     for t in range(t0, t0 + n_steps):
         p_prior = sym(model.f @ p @ model.f.T + model.q)
+        try:
+            p_prior_inv = spd_inverse(p_prior)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
         with np.errstate(over="ignore"):
-            omega = sym(spd_inverse(p_prior) + sensor_specs_at(model, t).info.sum(axis=0))
+            omega = sym(p_prior_inv + sensor_specs_at(model, t).info.sum(axis=0))
         try:
             p = spd_inverse(omega)
         except NotPositiveDefinite as exc:

@@ -207,7 +207,7 @@ def test_singular_posterior_names_the_step(monkeypatch):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("prior", "^matrix must be positive definite$"),
+    ("prior", "^a prior covariance became singular at t=2$"),
     ("posterior", "^posterior information matrix not PD at t=5$"),
 ], ids=["prior", "posterior"])
 def test_window_tests_its_stacks_after_the_loop(case, message):

@@ -234,8 +234,8 @@ PRECISE_REDRAWN_INI = (
     (60, "5e-307", 1, r"posterior information P\^-1 \+ Theta is not finite \(node 0, t=2\)"),
     # the reference's information matrix overflowed in sym (a RuntimeWarning)
     (6, "1e-307", 0, "posterior information matrix not finite at t=22"),
-    # on the 3-ring the reference's prior fails first: its inverse
-    (3, "1e-300", 0, "^numerical failure: matrix is singular$"),
+    # on the 3-ring the reference's prior fails first: its inverse, at t=3
+    (3, "1e-300", 0, "^numerical failure: a prior covariance became singular at t=3$"),
 ], ids=["covariance_rounds", "reference", "reference_prior"])
 def test_overflowing_redrawn_information_exits_3(tmp_path, capsys, n_nodes, r_var, q_intensity,
                                                  message):

@@ -124,21 +124,101 @@ def test_gain_inverse_pair():
 
 
 def test_step_runs_one_covariance_half_before_the_state_rounds(monkeypatch):
-    # R = 3 runs on redrawn sensors: each step calls the covariance half
-    # once, whose theta loop comes before the state loop
+    # R = 3 runs on redrawn sensors, both steps in one block: each step calls
+    # the covariance half once, untested, whose theta loop runs inside it,
+    # and the block's halves come before its state loops
     graph, _, params, _, _, _ = _setup(n_nodes=5, topology="path", l_sub=4)
     model = build_constant_velocity_model(dt=0.1, n_nodes=5, sensor_assignment="per_step_random")
     calls = []
 
     def spy(name):
         inner = getattr(filtering, name)
-        monkeypatch.setattr(filtering, name, lambda *a, **kw: calls.append(name) or inner(*a, **kw))
+        monkeypatch.setattr(filtering, name, lambda *a, **kw: calls.append((name, a[7:])) or inner(*a, **kw))
 
     spy("_covariance_half")
     spy("_consensus_rounds")
     state = init_state(model, np.broadcast_to(model.x0_mean, (3, 5, 4)))
     list(dkf_steps(state, graph, model, np.zeros((3, 2, 5, 1)), params, t0=1))
-    assert calls == ["_covariance_half", "_consensus_rounds", "_consensus_rounds"] * 2
+    half, rounds = ("_covariance_half", (False,)), ("_consensus_rounds", ())
+    assert calls == [half, rounds] * 2 + [rounds] * 2
+
+
+def _spied_halves(monkeypatch):
+    """A list that collects (t, tested) of every `_covariance_half` call."""
+    calls, inner = [], filtering._covariance_half
+
+    def spy(*args):
+        calls.append((args[6], args[7:] != (False,)))
+        return inner(*args)
+
+    monkeypatch.setattr(filtering, "_covariance_half", spy)
+    return calls
+
+
+def _failing_window(case):
+    """A 6-ring window whose block passes fail: `flooring` (alpha_nu = 50,
+    far past its bound 1/6: every step floors theta, and t=119 raises) or
+    `singular_prior` (q = 0 and precise sensors from t=3: the prior of the
+    third step, t=5, is singular). Returns graph, model, params, x0, window, t0."""
+    if case == "flooring":
+        graph, model, _, params = build_scenario(
+            ScenarioConfig(topology="ring", n_nodes=6, alpha_nu=50.0, l_sub=1))
+        window, t0 = simulate_runs(model, 121, [0]).measurements[0, 1:], 1
+    else:
+        graph = build_graph("ring", 6)
+        params = auto_params(spectral_summary(graph), l_sub=3)
+        model = build_constant_velocity_model(dt=0.1, n_nodes=6, q_intensity=0.0, r_var=1e-20)
+        window, t0 = np.zeros((6, 6, 1)), 3
+    return graph, model, params, np.tile(model.x0_mean, (6, 1)), window, t0
+
+
+@pytest.mark.parametrize("case, error", [
+    ("flooring", "posterior information P^-1 + Theta is not finite (node 0, t=119)"),
+    ("singular_prior", "a prior covariance became singular at t=5"),
+])
+def test_failed_block_pass_equals_one_step_windows(monkeypatch, case, error):
+    # blocks of 3 steps whose pass fails (the error's step is mid-block: t=119
+    # of 118..120, t=5 of 3..5) rerun one tested half per step, so the window
+    # is bitwise its one-step windows: state, ledger, log, the error and every
+    # warning, message and file (the line that advances the window)
+    graph, model, params, x0, window, t0 = _failing_window(case)
+    monkeypatch.setattr(filtering, "_BLOCK_VALUES", 3 * 6 * 4 * max(params.l_sub, 6 * 4))
+
+    def run(windows):
+        state, ledger, log = init_state(model, x0), CommLedger(6), []
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(
+                NotPositiveDefinite) as failed:
+            warnings.simplefilter("always")
+            for start, steps in windows:
+                for _ in dkf_steps(state, graph, model, steps, params, t0=start, ledger=ledger,
+                                   consensus_log=log):
+                    pass
+        return (state, ledger, log), str(failed.value), [(str(w.message), w.filename)
+                                                          for w in caught]
+
+    got = run([(t0, window)])
+    want = run([(t0 + i, window[i:i + 1]) for i in range(len(window))])
+    _assert_same_run(got[0], want[0])
+    assert got[1:] == want[1:] and got[1] == error
+    assert len(got[2]) > 100 if case == "flooring" else not got[2]
+    assert {file for _, file in got[2]} <= {__file__}
+
+
+def test_block_pass_computes_each_half_once(monkeypatch):
+    # blocks of 3 steps: a passing block computes each step's half once,
+    # untested; a failing one (the prior of t=5) reruns its steps tested
+    graph, params, model, x0, window = _window_case("static_split", None)
+    monkeypatch.setattr(filtering, "_BLOCK_VALUES", _steps_per_block(params, model, None, 3))
+    calls = _spied_halves(monkeypatch)
+    list(dkf_steps(init_state(model, x0), graph, model, window, params, t0=1))
+    assert calls == [(t, False) for t in range(1, 8)]
+
+    graph, model, params, x0, window, t0 = _failing_window("singular_prior")
+    monkeypatch.setattr(filtering, "_BLOCK_VALUES", 3 * 6 * 4 * 6 * 4)
+    calls.clear()
+    with pytest.raises(NotPositiveDefinite, match="singular at t=5"):
+        list(dkf_steps(init_state(model, x0), graph, model, window, params, t0=t0))
+    assert calls == [(3, False), (4, False), (5, False), (3, True), (4, True), (5, True)]
 
 
 def test_init_theta_scaled_info():
@@ -823,8 +903,9 @@ def _assert_same_run(got, want):
 
 
 def _steps_per_block(params, model, runs, steps):
-    """A block cap of `steps` whole steps of this window (5 nodes, n = 4)."""
-    return steps * params.l_sub * model.n_nodes * (runs or 1) * 4
+    """A block cap of `steps` whole steps of this window (5 nodes, n = 4): its
+    round buffer or its six (N, n, n) covariance arrays, whichever is larger."""
+    return steps * model.n_nodes * 4 * max(params.l_sub * (runs or 1), 6 * 4)
 
 
 @pytest.mark.parametrize("block_steps", [None, 3, 1])
@@ -951,10 +1032,12 @@ def _direct_halves(graph, model, params, x0, n_steps):
 
 def _spied_window(monkeypatch, state, graph, model, window, params, t0=1):
     """Run a window; returns the halves it computed, as `_direct_halves`
-    does, and each step's state (p_prior, theta, p_post)."""
+    does, and each step's state (p_prior, theta, p_post). Each half comes
+    from a block's pass, untested."""
     computed, seen, inner = [], [], filtering._covariance_half
 
     def spy(*args):
+        assert args[7:] == (False,)
         half = inner(*args)
         computed.append(half[:6])
         return half
@@ -972,6 +1055,29 @@ def _assert_within_reuse_bound(seen, want):
     for got, ref in zip(seen, want):
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= _REUSE_BOUND * np.abs(b).max()
+
+
+def test_settle_rule_is_the_relative_max_formula():
+    # _still decides as np.abs(a - b).max() < 1e-12 * np.abs(a).max(): on
+    # random, equal, near, zero, NaN and inf pairs, with the first entry
+    # alike or not
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 4, 4))
+    near, first_off, rest_off = a * (1 + 1e-13), a.copy(), a.copy()
+    first_off.flat[0] += 1.0
+    rest_off.flat[-1] += 1e-3
+    pairs = [(a, a), (a, near), (near, a), (a, first_off), (a, rest_off), (rest_off, a),
+             (a, rng.normal(size=a.shape)), (np.zeros_like(a), np.zeros_like(a)), (-a, -near),
+             (-np.abs(a) - 1, (-np.abs(a) - 1) * (1 + 1e-13))]  # its largest |entry| negative
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (0, -1):
+            spoiled = a.copy()
+            spoiled.flat[k] = bad
+            pairs += [(spoiled, a), (a, spoiled), (spoiled, spoiled)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [bool(filtering._still(x, y)) for x, y in pairs]
+        want = [bool(np.abs(x - y).max() < 1e-12 * np.abs(x).max()) for x, y in pairs]
+    assert got == want and True in got and False in got
 
 
 def test_settled_half_is_reused_within_its_bound(monkeypatch):
@@ -1002,9 +1108,14 @@ def test_redrawn_or_floored_halves_never_settle(monkeypatch):
     computed, _ = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
     assert len(computed) == 300
 
-    # a static window whose every posterior floors (and warns): no step settles
+    # a static window whose every posterior floors (and warns): no step
+    # settles. Every block's test fails, so each step computes a tested half
     graph, model, params, x0, window = _ring6_window("static_split", 300)
     calls, inner = [], filtering._posterior_cov
+
+    def fails(a):
+        raise NotPositiveDefinite("matrix must be positive definite")
+    monkeypatch.setattr(filtering, "spd_cholesky", fails)
 
     def floors(p_prior_inv, theta, t):
         calls.append(t)

@@ -16,6 +16,7 @@ from dkf_admm.exceptions import (
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import (
+    SWEEP_MAX_STACK,
     SWEEP_MIN_STACK,
     covariance_stability,
     dare_solve,
@@ -89,6 +90,15 @@ def test_one_definiteness_test_in_the_library():
     calls = {p.name: p.read_text().count("np.linalg.cholesky(") for p in src.glob("*.py")}
     assert sum(calls.values()) == 1, calls
     assert "np.linalg.cholesky(" in inspect.getsource(spd_cholesky)
+
+
+def test_one_unchecked_inverse_in_the_library():
+    # every inverse goes through sym_inverse, whose finiteness rule a fused
+    # stack of inverses cannot leave out
+    src = Path(inspect.getfile(sym_inverse)).parent
+    calls = {p.name: p.read_text().count("np.linalg.inv(") for p in src.glob("*.py")}
+    assert sum(calls.values()) == 1, calls
+    assert "np.linalg.inv(" in inspect.getsource(sym_inverse)
 
 
 def test_dare_scalar_golden_ratio():
@@ -355,6 +365,18 @@ def test_sym_inverse_switches_at_sweep_min_stack():
     sweep = sym_inverse(a)
     assert np.array_equal(sweep, sym_inverse(np.concatenate([a, a]))[:SWEEP_MIN_STACK])
     assert not np.array_equal(sweep, sym(np.linalg.inv(a)))
+
+
+@pytest.mark.parametrize("nodes", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK, SWEEP_MAX_STACK // 2 + 1])
+def test_stack_of_stacks_inverts_each_stack_as_alone(nodes):
+    # a (2, N, 4, 4) stack takes the method of N matrices (LAPACK below
+    # SWEEP_MIN_STACK, though 2 N is above it), and past SWEEP_MAX_STACK
+    # matrices sweeps one stack at a time: bitwise each stack's own inverse
+    a, _ = _spd_stack((2, nodes), 4, seed=11, max_log_cond=3.0)
+    for inverse in (sym_inverse, spd_inverse):
+        assert np.array_equal(inverse(a), np.stack([inverse(a[0]), inverse(a[1])]))
+    if nodes < SWEEP_MIN_STACK:
+        assert np.array_equal(sym_inverse(a), sym(np.linalg.inv(a)))
 
 
 @pytest.mark.parametrize("size", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK, 1000])
