@@ -75,19 +75,12 @@ def sym_inverse(a) -> np.ndarray:
     return inv
 
 
-# A stack of stacks of more matrices sweeps one stack at a time: one sweep of 2,000
-# 4 x 4 matrices took 20 % longer than two of 1,000 (2-core host, 2 MB L2 a core).
-SWEEP_MAX_STACK = 1024
-
-
 def _sweep(a, spd=False) -> np.ndarray:
     """A^-1 of a symmetric stack by the sweep operator (Goodnight, The American
     Statistician 1979) on a batch-last (n, n, K) copy: n rank-1 updates whose
     products c_i c_j keep it exactly symmetric. With `spd`, the pivots (the
     LDL' pivots, all positive iff a finite stack is PD) test definiteness,
     and a failure takes `spd_cholesky`'s verdict, as below SWEEP_MIN_STACK."""
-    if a.ndim > 3 and math.prod(a.shape[:-2]) > SWEEP_MAX_STACK:
-        return np.stack([_sweep(s, spd) for s in a])
     m = a.transpose(-2, -1, *range(a.ndim - 2)).copy()
     outer = np.empty_like(m)  # reused: fresh (n, n, K) temporaries cost 2x at K = 10^4
     pivots = np.empty(m.shape[1:]) if spd else None

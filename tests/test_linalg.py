@@ -16,7 +16,6 @@ from dkf_admm.exceptions import (
 )
 from dkf_admm.graphs import build_graph, spectral_summary
 from dkf_admm.linalg import (
-    SWEEP_MAX_STACK,
     SWEEP_MIN_STACK,
     covariance_stability,
     dare_solve,
@@ -367,11 +366,10 @@ def test_sym_inverse_switches_at_sweep_min_stack():
     assert not np.array_equal(sweep, sym(np.linalg.inv(a)))
 
 
-@pytest.mark.parametrize("nodes", [SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK, SWEEP_MAX_STACK // 2 + 1])
+@pytest.mark.parametrize("nodes", [SWEEP_MIN_STACK // 2, SWEEP_MIN_STACK - 1, SWEEP_MIN_STACK])
 def test_stack_of_stacks_inverts_each_stack_as_alone(nodes):
     # a (2, N, 4, 4) stack takes the method of N matrices (LAPACK below
-    # SWEEP_MIN_STACK, though 2 N is above it), and past SWEEP_MAX_STACK
-    # matrices sweeps one stack at a time: bitwise each stack's own inverse
+    # SWEEP_MIN_STACK, though 2 N is not): bitwise each stack's own inverse
     a, _ = _spd_stack((2, nodes), 4, seed=11, max_log_cond=3.0)
     for inverse in (sym_inverse, spd_inverse):
         assert np.array_equal(inverse(a), np.stack([inverse(a[0]), inverse(a[1])]))
