@@ -525,7 +525,7 @@ def test_reference_recursion_equals_the_per_step_oracle(monkeypatch, case):
 def test_reference_failure_is_the_per_step_oracles(n_nodes, r_var):
     # q = 0 and precise redrawn sensors: on the 6-ring the posterior
     # information overflows at t=22; on the 3-ring the prior's inverse fails
-    # first. The window raises the per-step recursion's error and cause
+    # first, at t=3. The window raises the per-step recursion's error and cause
     cfg = ScenarioConfig(topology="ring", n_nodes=n_nodes, sensor_assignment="per_step_random",
                          r_var=r_var, q_intensity=0.0, horizon_steps=30)
     errors = []
