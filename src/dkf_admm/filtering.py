@@ -4,32 +4,34 @@ The whole network's state is one `NetworkState` of arrays whose leading
 axis is the node index, so every update below is the paper's network-level
 form: the lifted Laplacian (L kron I) acting on the stacked iterates. One
 filter time step has two halves. The covariance half reads no measurement,
-so it runs once per step, before any per-run work, and all Monte-Carlo
-runs share it: the prior covariance F P F' + Q, its inverse and the gain
-K; one round of the covariance consensus (l_sub on per-step-random
-sensors) on the symmetric information matrices (only theta crosses edges,
-as the n(n+1)/2 entries on and below its diagonal); the posterior
-covariance assembly. A window computes a block's halves ahead of its state
-halves, untested, with one test per block; a failed test reruns the block
-one tested half per step. On static sensors a window reuses the half once
-it has settled (`_SETTLE_TOL`). The state half predicts with F and runs L
+so it runs once per step, before any per-run work, and all Monte-Carlo runs
+share it: the prior covariance F P F' + Q, its inverse and the gain K; one
+round of the covariance consensus (l_sub on per-step-random sensors) on the
+symmetric information matrices (only theta crosses edges, as the n(n+1)/2
+entries on and below its diagonal); the posterior covariance assembly. One
+walk (`_walk`) computes each half from the last: a block's halves ahead of
+its state halves, untested, with one test per block, and again tested, one
+per step, if that fails. A settled static half (`_SETTLE_TOL`) is carried
+across blocks, not recomputed. The state half predicts with F and runs L
 synchronous Jacobi sub-iterations of the ADMM state correction (neighbors
 exchange only the primal iterate xi, the transformed dual stays local), on
 estimates that may carry a leading run axis. Every round of both consensus
 loops is the accumulator round; on small graphs the simulator evaluates a
 whole loop as one GEMM of its cached all-rounds operator, which is that
 same loop run on the block identity. All exchanges flow through a
-CommLedger that counts messages and scalar payloads and rejects any
-attempt to put a dual variable on the wire.
+CommLedger that counts messages and scalar payloads and rejects any attempt
+to put a dual variable on the wire.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,8 +274,8 @@ def _posterior_cov(p_prior_inv, theta, t):
 
     At a node where that sum is not positive definite (a transiently
     indefinite Theta), Theta is floored at zero eigenvalues, with a
-    RuntimeWarning naming the node and t, attributed (stacklevel 4) to the
-    line that advances the `dkf_steps` window. NotPositiveDefinite is
+    RuntimeWarning naming the node and t, attributed (stacklevel 5, through
+    `_walk`) to the line that advances the `dkf_steps` window. NotPositiveDefinite is
     raised if the sum is not finite (theta diverged, or the sum
     overflowed), or if flooring cannot fix it.
     """
@@ -288,7 +290,7 @@ def _posterior_cov(p_prior_inv, theta, t):
                                       f"(node {np.argmin(finite)}, t={t})") from exc
         for i in np.flatnonzero(np.linalg.eigvalsh(m)[:, 0] <= 0.0):
             warnings.warn(f"posterior information of node {i}, t={t} is indefinite; "
-                          "theta floored at zero eigenvalues", RuntimeWarning, stacklevel=4)
+                          "theta floored at zero eigenvalues", RuntimeWarning, stacklevel=5)
             w, v = np.linalg.eigh(theta[i])
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite m is named below
                 m[i] = sym(p_prior_inv[i] + (v * np.clip(w, 0.0, None)) @ v.T)
@@ -301,25 +303,37 @@ def _posterior_cov(p_prior_inv, theta, t):
             ) from exc
 
 
-def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceModel, info,
-                     alpha_nu, rounds, t, tested=True):
-    """The measurement-free half of step t, once for all runs: P_prior = F
-    P_post F' + Q; `rounds` covariance consensus rounds from the last theta
-    towards N H' R^-1 H, `info` the step's (N, n, n) H' R^-1 H; P_prior^-1
-    and the gain K = (`info` + P_prior^-1 / N)^-1, each an exactly symmetric
+class CovarianceHalf(NamedTuple):
+    """One step's covariance half; `still`: static sensors, nothing floored, `_still` P_prior, theta."""
+
+    p_prior: np.ndarray
+    p_prior_inv: np.ndarray | None
+    k: np.ndarray | None
+    theta: np.ndarray
+    nu_tilde: np.ndarray
+    p_post: np.ndarray
+    still: bool = False
+
+
+def _covariance_half(prev, graph: SensorGraph, model: StateSpaceModel, info, alpha_nu, rounds, t,
+                     tested=True) -> CovarianceHalf:
+    """The measurement-free half of step t after `prev` (a NetworkState or
+    step t - 1's half), once for all runs: P_prior = F P_post F' + Q;
+    `rounds` covariance consensus rounds from the last theta towards N H'
+    R^-1 H, `info` the step's (N, n, n) H' R^-1 H; P_prior^-1 and the gain
+    K = (`info` + P_prior^-1 / N)^-1, each an exactly symmetric
     `sym_inverse` (NotPositiveDefinite names t if either fails: a singular
     prior, or one so large that K overflows); P_post from `_posterior_cov`.
-    Untested (a block pass of `dkf_steps`), K and (P_prior^-1 + theta)^-1 are
-    one stacked inverse, its method chosen from N, and nothing floors. Returns
-    (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, whether it settles: on
-    static sensors, nothing floored and `_still` P_prior, then theta)."""
+    Untested (a block pass), K and (P_prior^-1 + theta)^-1 are one stacked
+    inverse, its method chosen from N, and nothing floors."""
     n_nodes = len(info)
-    p_prior = sym(model.f @ state.p_post @ model.f.T + model.q)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: named below, never still
-        theta, nu = _consensus_rounds(state.theta, n_nodes * info, graph, alpha_nu,
-                                      alpha_nu, rounds, acc=state.nu_tilde)
-        still = model.coordinate_table is None and _still(p_prior, state.p_prior) and _still(
-            theta, state.theta)
+    p_prior = sym(model.f @ prev.p_post @ model.f.T + model.q)
+    # non-finite: named below, never still; an untested half runs under the pass's errstate
+    with np.errstate(over="ignore", invalid="ignore") if tested else contextlib.nullcontext():
+        theta, nu = _consensus_rounds(prev.theta, n_nodes * info, graph, alpha_nu,
+                                      alpha_nu, rounds, acc=prev.nu_tilde)
+        still = model.coordinate_table is None and _still(p_prior, prev.p_prior) and _still(
+            theta, prev.theta)
     try:
         p_prior_inv = sym_inverse(p_prior)
         k = sym_inverse(info + p_prior_inv / n_nodes) if tested else None
@@ -327,13 +341,22 @@ def _covariance_half(state: NetworkState, graph: SensorGraph, model: StateSpaceM
         raise NotPositiveDefinite(f"a prior covariance became singular at t={t}") from exc
     if tested:
         p_post, floored = _posterior_cov(p_prior_inv, theta, t)
-        return p_prior, p_prior_inv, k, theta, nu, p_post, still and not floored
+        return CovarianceHalf(p_prior, p_prior_inv, k, theta, nu, p_post, still and not floored)
     # untested: K and P_post, one stack of 2 N matrices, by the method of N
     pair = np.empty((2, *info.shape))
     np.add(info, p_prior_inv / n_nodes, out=pair[0])
     np.add(p_prior_inv, theta, out=pair[1])
     k, p_post = (sym_inverse if n_nodes < SWEEP_MIN_STACK else spd_inverse)(pair)
-    return p_prior, p_prior_inv, k, theta, nu, p_post, still
+    return CovarianceHalf(p_prior, p_prior_inv, k, theta, nu, p_post, still)
+
+
+def _walk(half, graph, model, infos, alpha_nu, rounds, t0, tested):
+    """The halves of steps t0, t0 + 1, ..., one per `infos` entry, from the
+    `half` before t0: a still half again, else the next `_covariance_half`."""
+    for t, info in enumerate(infos, t0):
+        half = half if half.still else _covariance_half(half, graph, model, info, alpha_nu, rounds,
+                                                        t, tested)
+        yield half
 
 
 # The relative per-step change below which a static covariance half has settled:
@@ -370,25 +393,25 @@ def dkf_steps(
     bad t0 or non-real entries raise ConfigRejected; another shape, a state
     of no run or node counts (graph, model, state, ledger) that differ
     DimensionError. Each block of steps (a `sensor_blocks` gather) first
-    runs an untested `_covariance_half` per step and tests them once: one
+    walks its covariance halves untested (`_walk`) and tests them once: one
     `spd_cholesky` of the posterior-information stack below SWEEP_MIN_STACK
-    nodes, the sweep's pivots from there on. If that fails or raises, each
-    step runs a tested half, which floors, warns and raises at its own step.
-    On static sensors, once a step floors nothing and moves P_prior, then
-    theta, by less than `_SETTLE_TOL` relative to the step before, the
-    window reuses its half from then on and books its traffic as before.
-    Then every run's L state rounds from x_prior = F x_post towards K b = K
-    (H' R^-1 y + P_prior^-1 x_prior / N); a non-finite measurement raises
-    ConfigRejected and an overflowing K b NotPositiveDefinite, both naming
-    t. A block's halves (6 N n n values a step) and its (steps, L, N, R n)
-    buffer of round iterates each hold at most `_BLOCK_VALUES` values (or
-    one step); once per block, the ledger books each run's traffic (R times
-    the degree per exchange, all rounds of both loops) and, when
+    nodes, the sweep's pivots from there on. If that fails or raises, the
+    block walks them again tested, one per state half, flooring, warning and
+    raising at its own step. The walk starts each window from `state` and
+    each block from the last half; a still half (static sensors,
+    `CovarianceHalf`) is carried to the window's end, its traffic booked as
+    before. Then every run's L state rounds from x_prior = F x_post towards
+    K b = K (H' R^-1 y + P_prior^-1 x_prior / N); a non-finite measurement
+    raises ConfigRejected and an overflowing K b NotPositiveDefinite, both
+    naming t. A block's halves (6 N n n values a step) and its (steps, L, N,
+    R n) buffer of round iterates each hold at most `_BLOCK_VALUES` values
+    (or one step); once per block, the ledger books each run's traffic (R
+    times the degree per exchange, all rounds of both loops) and, when
     `consensus_log` is a list, the buffer is reduced in place, the op order
     of one step at a time, to one (L,) or (R, L) array per step: each
-    sub-iteration's mean over nodes of ||xi_i - mean(xi)||.
-    When the window ends, raises or is closed (`close()`, or a `break` out
-    of the only loop holding it), both hold exactly the completed steps.
+    sub-iteration's mean over nodes of ||xi_i - mean(xi)||. When the window
+    ends, raises or is closed (`close()`, or a `break` out of the only loop
+    holding it), both hold exactly the completed steps.
     """
     n_nodes, n = state.p_post.shape[:2]
     shape = state.x_post.shape
@@ -412,40 +435,28 @@ def dkf_steps(
     # the state half goes node-major, (N, R, .) for R runs (one for an (N, n)
     # state): y' R^-1 H, x' P^-1 and b' K are batched row-vector matmuls
     x_post = state.x_post.reshape(runs, n_nodes, n).swapaxes(0, 1)
-    settled = None  # the settled covariance half, once it has settled
+    half = CovarianceHalf(state.p_prior, None, None, state.theta, state.nu_tilde, state.p_post)
     for steps, gathered in sensor_blocks(model, t0, n_steps, per_block):
         lo, done = steps.start, 0  # completed steps of this block
-        # the block's covariance halves, ahead of its state halves: untested, up to
-        # the one that settles, and tested once; a failure reruns them tested below
-        halves, ahead = [], replace(state)
+        infos = [gathered.info] * (steps.stop - lo) if static else gathered.info
+        walk = functools.partial(_walk, half, graph, model, infos, params.alpha_nu, cov_rounds, t0 + lo)
+        # a block's halves ahead of its state halves, untested, tested once; a failure walks them tested
         try:
             with np.errstate(all="ignore"):  # no warning: the tested rerun warns
-                for i in range(lo, steps.stop) if settled is None else ():
-                    halves.append(_covariance_half(ahead, graph, model, gathered.info if static
-                                                   else gathered.info[i - lo], params.alpha_nu,
-                                                   cov_rounds, t0 + i, False))
-                    if halves[-1][-1]:
-                        break
-                    ahead.p_prior, _, _, ahead.theta, ahead.nu_tilde, ahead.p_post, _ = halves[-1]
-                if halves and n_nodes < SWEEP_MIN_STACK:  # from there on, the sweep's pivots test
-                    spd_cholesky(np.concatenate([h[1] for h in halves])
-                                 + np.concatenate([h[3] for h in halves]))
-            halves += halves[-1:] * (steps.stop - lo - len(halves))  # the settled one, reused
+                halves = list(walk(False))
+                if not half.still and n_nodes < SWEEP_MIN_STACK:  # at larger N, the sweep's pivots test
+                    spd_cholesky(np.concatenate([h.p_prior_inv for h in halves])
+                                 + np.concatenate([h.theta for h in halves]))
         except Exception:  # the tested rerun raises it at its own step
-            halves = None
+            halves = walk(True)
         try:
-            for i in range(lo, steps.stop):
+            for i, half in zip(range(lo, steps.stop), halves):
                 t = t0 + i
                 sensors = gathered if static else gathered.take(i - lo)
-                # once settled or after a failed pass, one tested half per step
-                half = halves[i - lo] if halves else settled or (
-                    _covariance_half(state, graph, model, sensors.info, params.alpha_nu, cov_rounds, t))
-                settled = half if half[-1] else settled
-                p_prior, p_prior_inv, k, theta, nu, p_post, _ = half
                 with np.errstate(over="ignore", invalid="ignore"):
                     x_prior = x_post @ model.f.T
                     y_t = y[:, i].swapaxes(0, 1)
-                    kb = (y_t @ sensors.rinv_h + x_prior @ p_prior_inv / n_nodes) @ k  # checked below
+                    kb = (y_t @ sensors.rinv_h + x_prior @ half.p_prior_inv / n_nodes) @ half.k
                 if not np.isfinite(kb).all():
                     if not np.isfinite(y_t).all():
                         raise ConfigRejected(f"measurements hold a non-finite value at t={t}")
@@ -458,7 +469,8 @@ def dkf_steps(
                                               params.l_sub, buf=None if block is None else block[i - lo])
                 state.x_prior = x_prior.swapaxes(0, 1).reshape(shape)
                 state.x_post = x_post.swapaxes(0, 1).reshape(shape)
-                state.p_prior, state.p_post, state.theta, state.nu_tilde = p_prior, p_post, theta, nu
+                state.p_prior, state.p_post, state.theta, state.nu_tilde = (
+                    half.p_prior, half.p_post, half.theta, half.nu_tilde)
                 done += 1
                 yield t
         finally:

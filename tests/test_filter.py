@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 import tracemalloc
 import warnings
@@ -22,6 +23,7 @@ from dkf_admm.filtering import (
     DkfParams,
     OPERATOR_ROWS,
     STACKED_ROUND_NODES,
+    CovarianceHalf,
     _consensus_rounds,
     _covariance_half,
     _posterior_cov,
@@ -82,10 +84,17 @@ def test_auto_params_inside_bounds():
 
 
 def _half(state, graph, model, params, t=1):
-    """`_covariance_half` of static-sensor step t, one covariance round:
-    (P_prior, P_prior^-1, K, theta, nu_tilde, P_post, floored)."""
+    """The tested `_covariance_half` of static-sensor step t, one covariance
+    round: a CovarianceHalf."""
     return _covariance_half(state, graph, model, sensor_specs_at(model, t).info, params.alpha_nu,
                             1, t)
+
+
+def _arguments(func, args, kwargs):
+    """The arguments of a call of `func`, by name, defaults included."""
+    bound = inspect.signature(func).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def test_predict_matches_formula():
@@ -93,7 +102,7 @@ def test_predict_matches_formula():
     state.x_post[0] = [1.0, -1.0, 0.5, 0.2]
     state.p_post[0] = np.diag([1.0, 2.0, 3.0, 4.0])
     x_post, p_post = state.x_post.copy(), state.p_post.copy()
-    p_prior, *_ = _half(state, graph, model, params)
+    p_prior = _half(state, graph, model, params).p_prior
     list(dkf_steps(state, graph, model, traj.measurements[0, 1:2], params, t0=1))
     assert np.array_equal(state.p_prior, p_prior)
     for x, p, xp, pp in zip(x_post, p_post, state.x_prior, p_prior):
@@ -110,7 +119,8 @@ def test_gain_inverse_pair():
         state.x_post[:] = [1.0, -1.0, 0.5, 0.2]
         state.p_post *= 1.0 + np.arange(n_nodes)[:, None, None] / n_nodes
         meas = traj.measurements[0, 1]
-        p_prior, p_inv, k, *_ = _half(state, graph, model, params)
+        half = _half(state, graph, model, params)
+        p_prior, p_inv, k = half.p_prior, half.p_prior_inv, half.k
         list(dkf_steps(state, graph, model, meas[None], params, t0=1))
         for i, spec in enumerate(model.sensors):
             _, _, rinv_h, info = sensor_oracle(spec.h, spec.r)
@@ -133,13 +143,14 @@ def test_step_runs_one_covariance_half_before_the_state_rounds(monkeypatch):
 
     def spy(name):
         inner = getattr(filtering, name)
-        monkeypatch.setattr(filtering, name, lambda *a, **kw: calls.append((name, a[7:])) or inner(*a, **kw))
+        monkeypatch.setattr(filtering, name, lambda *a, **kw: calls.append(
+            (name, _arguments(inner, a, kw).get("tested"))) or inner(*a, **kw))
 
     spy("_covariance_half")
     spy("_consensus_rounds")
     state = init_state(model, np.broadcast_to(model.x0_mean, (3, 5, 4)))
     list(dkf_steps(state, graph, model, np.zeros((3, 2, 5, 1)), params, t0=1))
-    half, rounds = ("_covariance_half", (False,)), ("_consensus_rounds", ())
+    half, rounds = ("_covariance_half", False), ("_consensus_rounds", None)
     assert calls == [half, rounds] * 2 + [rounds] * 2
 
 
@@ -147,9 +158,10 @@ def _spied_halves(monkeypatch):
     """A list that collects (t, tested) of every `_covariance_half` call."""
     calls, inner = [], filtering._covariance_half
 
-    def spy(*args):
-        calls.append((args[6], args[7:] != (False,)))
-        return inner(*args)
+    def spy(*args, **kwargs):
+        arguments = _arguments(inner, args, kwargs)
+        calls.append((arguments["t"], arguments["tested"]))
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(filtering, "_covariance_half", spy)
     return calls
@@ -636,7 +648,8 @@ def test_consensus_log_matches_per_round_formula(runs, n_nodes, radius):
     # node-major (N, R, .) rows, R = 1 for an (N, n) state
     x_prior = state.x_post.reshape(-1, n_nodes, 4).swapaxes(0, 1) @ model.f.T
     y = meas.reshape(-1, n_nodes, 1).swapaxes(0, 1)
-    _, p_inv, k, *_ = _half(state, graph, model, params)
+    half = _half(state, graph, model, params)
+    p_inv, k = half.p_prior_inv, half.k
     rinv_h = sensor_specs_at(model, 1).rinv_h
     b = np.einsum("imn,irm->irn", rinv_h, y) + np.einsum("inm,irm->irn", p_inv, x_prior) / n_nodes
     kb = np.einsum("inm,irm->irn", k, b)
@@ -1008,26 +1021,32 @@ def test_window_checks_its_shape_once():
 _REUSE_BOUND = 1e-12 * 0.9 / (1 - 0.9)
 
 
-def _ring6_window(sensors, n_steps, runs=2):
-    """The 6-ring of `ring6-mc` (L = 10), its model and params, x0 and an
-    (R, T, N, 1) window of measurements."""
+def _ring_window(sensors, n_steps, runs=2, n_nodes=6):
+    """The ring of `ring6-mc` (L = 10) on `n_nodes` nodes, its model and
+    params, x0 and an (R, T, N, 1) window of measurements."""
     graph, model, _, params = build_scenario(ScenarioConfig(
-        topology="ring", n_nodes=6, l_sub=10, sensor_assignment=sensors))
-    x0 = model.x0_mean + np.random.default_rng(5).normal(size=(runs, 6, 4))
+        topology="ring", n_nodes=n_nodes, l_sub=10, sensor_assignment=sensors))
+    x0 = model.x0_mean + np.random.default_rng(5).normal(size=(runs, n_nodes, 4))
     return graph, model, params, x0, simulate_runs(model, n_steps + 1, range(runs)).measurements[:, 1:]
 
 
 def _direct_halves(graph, model, params, x0, n_steps):
-    """Every step's (P_prior, P_prior^-1, K, theta, nu_tilde, P_post) from
-    `_covariance_half` on a state of its own, recomputed at every step."""
-    state, halves = init_state(model, x0), []
+    """Every step's CovarianceHalf from a tested `_covariance_half` of the
+    step before's, recomputed at every step."""
+    half, halves = init_state(model, x0), []
     cov_rounds = 1 if model.coordinate_table is None else params.l_sub
     for t in range(1, n_steps + 1):
-        half = _covariance_half(state, graph, model, sensor_specs_at(model, t).info,
-                                params.alpha_nu, cov_rounds, t)[:6]
-        state.p_prior, _, _, state.theta, state.nu_tilde, state.p_post = half
+        half = _covariance_half(half, graph, model, sensor_specs_at(model, t).info,
+                                params.alpha_nu, cov_rounds, t)
         halves.append(half)
     return halves
+
+
+def _same_halves(got, want):
+    """Whether two lists of CovarianceHalf are bitwise equal, field by field."""
+    return len(got) == len(want) and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for a, b in zip(got, want) for name in CovarianceHalf._fields)
 
 
 def _spied_window(monkeypatch, state, graph, model, window, params, t0=1):
@@ -1036,10 +1055,10 @@ def _spied_window(monkeypatch, state, graph, model, window, params, t0=1):
     from a block's pass, untested."""
     computed, seen, inner = [], [], filtering._covariance_half
 
-    def spy(*args):
-        assert args[7:] == (False,)
-        half = inner(*args)
-        computed.append(half[:6])
+    def spy(*args, **kwargs):
+        assert _arguments(inner, args, kwargs)["tested"] is False
+        half = inner(*args, **kwargs)
+        computed.append(half)
         return half
 
     monkeypatch.setattr(filtering, "_covariance_half", spy)
@@ -1081,25 +1100,30 @@ def test_settle_rule_is_the_relative_max_formula():
 
 
 def test_settled_half_is_reused_within_its_bound(monkeypatch):
-    graph, model, params, x0, window = _ring6_window("static_split", 400)
+    graph, model, params, x0, window = _ring_window("static_split", 400)
     want = _direct_halves(graph, model, params, x0, 400)
     computed, seen = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
     settle = len(computed)  # the last step that computed its half
     assert 150 < settle < 300
-    for got, ref in zip(computed, want):  # bitwise up to the settle step
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-    assert all(s[0] is c[0] and s[1] is c[3] and s[2] is c[5] for s, c in zip(seen, computed))
-    _assert_within_reuse_bound(seen[settle:], [(h[0], h[3], h[5]) for h in want[settle:]])
-    assert seen[-1][0] is seen[-2][0] is computed[-1][0]  # reused, not recomputed
+    assert _same_halves(computed, want[:settle])  # bitwise up to the settle step
+    assert all(s[0] is c.p_prior and s[1] is c.theta and s[2] is c.p_post
+               for s, c in zip(seen, computed))
+    _assert_within_reuse_bound(seen[settle:], [(h.p_prior, h.theta, h.p_post) for h in want[settle:]])
+    assert seen[-1][0] is seen[-2][0] is computed[-1].p_prior  # reused, not recomputed
 
 
 def test_redrawn_or_floored_halves_never_settle(monkeypatch):
-    graph, model, params, x0, window = _ring6_window("per_step_random", 300)
+    graph, model, params, x0, window = _ring_window("per_step_random", 300)
     want = _direct_halves(graph, model, params, x0, 300)
     computed, _ = _spied_window(monkeypatch, init_state(model, x0), graph, model, window, params)
-    assert len(computed) == 300
-    for got, ref in zip(computed, want):
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    assert len(computed) == 300 and _same_halves(computed, want)
+    # 64 nodes, where every inverse is the sweep, in blocks of 10 steps: the
+    # untested pass equals the tested recursion on static and redrawn sensors
+    for sensors in ("static_split", "per_step_random"):
+        graph64, model64, params64, x0_64, window64 = _ring_window(sensors, 30, n_nodes=SWEEP_MIN_STACK)
+        computed, _ = _spied_window(monkeypatch, init_state(model64, x0_64), graph64, model64,
+                                    window64, params64)
+        assert _same_halves(computed, _direct_halves(graph64, model64, params64, x0_64, 30))
     # one redraw candidate: the sensors never change, yet no half is reused
     spec = SensorSpec(np.eye(2, 4), 0.5 * np.eye(2))
     model = StateSpaceModel(f=model.f, q=model.q, x0_mean=model.x0_mean, p0=model.p0,
@@ -1110,7 +1134,7 @@ def test_redrawn_or_floored_halves_never_settle(monkeypatch):
 
     # a static window whose every posterior floors (and warns): no step
     # settles. Every block's test fails, so each step computes a tested half
-    graph, model, params, x0, window = _ring6_window("static_split", 300)
+    graph, model, params, x0, window = _ring_window("static_split", 300)
     calls, inner = [], filtering._posterior_cov
 
     def fails(a):
@@ -1129,7 +1153,7 @@ def test_redrawn_or_floored_halves_never_settle(monkeypatch):
 
 
 def test_ledger_and_conservation_hold_across_the_settle_step(monkeypatch):
-    graph, model, params, x0, window = _ring6_window("static_split", 300)
+    graph, model, params, x0, window = _ring_window("static_split", 300)
     runs, n, ledger = len(x0), model.n, CommLedger(6)
     target = 6 * info_oracle(model).sum(axis=0)
     state, drift = init_state(model, x0), 0.0

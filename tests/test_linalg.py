@@ -1,4 +1,5 @@
 import inspect
+import re
 import time
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import covariance_mode_matrix, state_mode_matrix
 
-from dkf_admm import linalg
+from dkf_admm import filtering, linalg
 from dkf_admm.exceptions import (
     NotPositiveDefinite,
     ObservabilityError,
@@ -98,6 +99,16 @@ def test_one_unchecked_inverse_in_the_library():
     calls = {p.name: p.read_text().count("np.linalg.inv(") for p in src.glob("*.py")}
     assert sum(calls.values()) == 1, calls
     assert "np.linalg.inv(" in inspect.getsource(sym_inverse)
+
+
+def test_one_covariance_recursion_in_the_library():
+    # every covariance half comes from the one walk, so the reuse of a still
+    # half and the tested rerun of a failed block pass have one home
+    src = Path(inspect.getfile(filtering)).parent
+    call = re.compile(r"(?<!def )_covariance_half\(")
+    calls = {p.name: len(call.findall(p.read_text())) for p in src.glob("*.py")}
+    assert sum(calls.values()) == 1, calls
+    assert "_covariance_half(" in inspect.getsource(filtering._walk)
 
 
 def test_dare_scalar_golden_ratio():
