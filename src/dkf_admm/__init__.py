@@ -6,7 +6,7 @@ ADMM sub-iterations (only state iterates cross edges, never duals), while
 the global information-rate matrix is agreed on by a consensus loop on the
 symmetric matrices (one round per step, l_sub on redrawn sensors).
 Centralized references (an information-form Kalman filter and a
-fixed-point Riccati solver) are included for validation.
+doubling Riccati solver) are included for validation.
 """
 
 from dkf_admm.exceptions import (

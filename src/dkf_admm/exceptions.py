@@ -31,7 +31,7 @@ class NotPositiveDefinite(NumericalError, ValueError):
 
 
 class RiccatiDivergence(NumericalError, RuntimeError):
-    """The fixed-point Riccati iteration did not meet tolerance."""
+    """The Riccati doubling did not meet tolerance or its one-step check."""
 
 
 class ObservabilityError(NumericalError, ValueError):

@@ -221,11 +221,11 @@ def build_scenario(config: ScenarioConfig):
 def steady_state_prior(model) -> np.ndarray:
     """The centralized steady-state prior covariance P* from `dare_solve`.
 
-    The Riccati recursion depends on the sensors only through
-    sum_i H_i' R_i^-1 H_i, so the solver gets an n-row factor H~ with
-    H~' H~ equal to that sum and R = I, instead of the stacked N-row H and
-    its N x N noise covariance. Only static models with a nonzero Q have a
-    steady state (Q = 0 gives P* = 0): any other raises ConfigRejected.
+    Its doubling k is Riccati step 2^k, checked by one plain step; both see
+    the sensors only through sum_i H_i' R_i^-1 H_i, so the solver gets an
+    n-row factor H~ (H~' H~ = that sum) and R = I, not the stacked N-row H
+    and its N x N noise covariance. Only static models with a nonzero Q have
+    a steady state (Q = 0 gives P* = 0): any other raises ConfigRejected.
     """
     target = information_rate_target(model)  # rejects redrawn sensors first
     if not model.q.any():

@@ -12,7 +12,7 @@ import pytest
 from oracles import centralized_priors_oracle, count_row_draws, sensor_oracle
 
 import dkf_admm
-from dkf_admm import harness, models
+from dkf_admm import harness, linalg, models
 from dkf_admm.centralized import centralized_kf_step, covariance_window, initial_centralized_state
 from dkf_admm.exceptions import ConfigRejected, DimensionError, NotPositiveDefinite
 from dkf_admm.filtering import CommLedger, dkf_steps, init_state
@@ -455,6 +455,20 @@ def test_steady_state_prior_matches_stacked_dare():
     p_ref = dare_solve(model.f, h_stack, model.q, r_bar)
     p_star = steady_state_prior(model)
     assert np.linalg.norm(p_star - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
+def test_steady_state_prior_doubles(monkeypatch):
+    # the solver doubles to P* and takes one plain Riccati step, its
+    # certificate; a plain fixed-point loop makes 73 on the 6-ring
+    calls = []
+    step = linalg._riccati_step
+    monkeypatch.setattr(linalg, "_riccati_step", lambda *a: calls.append(1) or step(*a))
+    ring = build_scenario(SMOKE)[1]
+    steady_state_prior(ring)
+    assert len(calls) == 1
+    model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
+    dare_solve(model.f, np.vstack([s.h for s in model.sensors]), model.q, 0.5 * np.eye(10))
+    assert len(calls) == 2
 
 
 def test_per_step_random_cov_error_tracks_the_time_varying_reference():

@@ -157,17 +157,20 @@ def _riccati_oracle(f, h, q, r, n_iter=10_000):
     return p
 
 
-def test_dare_stops_by_the_two_step_rule():
-    # the first iterate P whose incoming step is <= 0.1 tol ||P|| and whose
-    # outgoing step is <= tol ||P||, exactly (each step evaluated once)
+def test_dare_doubling_k_is_the_2k_th_riccati_iterate():
+    # doubling k is the plain recursion's iterate 2^k from X_0 = 0 (Q is
+    # iterate 1); the solver returns the first whose step from iterate
+    # 2^(k-1) is <= tol ||X||
     model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
     f, q = model.f, model.q
     h, r, tol = np.vstack([s.h for s in model.sensors]), 0.5 * np.eye(10), 1e-12
-    prev, p = q, _plain_step(q, f, h, q, r)
-    while not (np.linalg.norm(p - prev) <= 0.1 * tol * np.linalg.norm(p)
-               and np.linalg.norm(_plain_step(p, f, h, q, r) - p) <= tol * np.linalg.norm(p)):
-        prev, p = p, _plain_step(p, f, h, q, r)
-    assert np.array_equal(dare_solve(f, h, q, r, tol), p)
+    xs = [np.zeros_like(q)]
+    for _ in range(2**9):
+        xs.append(_plain_step(xs[-1], f, h, q, r))
+    k = next(k for k in range(1, 10)
+             if np.linalg.norm(xs[2**k] - xs[2**(k - 1)]) <= tol * np.linalg.norm(xs[2**k]))
+    p = dare_solve(f, h, q, r, tol)
+    assert np.linalg.norm(p - xs[2**k]) <= 1e-14 * np.linalg.norm(xs[2**k])
 
 
 def test_dare_constant_velocity_golden():
@@ -177,8 +180,17 @@ def test_dare_constant_velocity_golden():
     p_star = dare_solve(model.f, h, model.q, r, tol=1e-12)
     oracle = _riccati_oracle(model.f, h, model.q, r)
     assert _residual(oracle, model.f, h, model.q, r) < 1e-12
-    assert np.linalg.norm(p_star - oracle) < 1e-10
+    assert np.linalg.norm(p_star - oracle) <= 1e-14 * np.linalg.norm(oracle)
     np.linalg.cholesky(p_star)  # positive definite
+
+
+def test_dare_stops_at_the_doubling_cap(monkeypatch):
+    # this model needs about 7 doublings; the cap's exit raises, warning-free
+    model = build_constant_velocity_model(dt=0.1, n_nodes=10, r_var=0.5)
+    h = np.vstack([s.h for s in model.sensors])
+    monkeypatch.setattr(linalg, "MAX_DOUBLINGS", 2)
+    with pytest.raises(RiccatiDivergence, match="^no convergence within 2 doublings$"):
+        dare_solve(model.f, h, model.q, 0.5 * np.eye(10))
 
 
 def test_dare_random_observable_systems():
@@ -201,12 +213,34 @@ def test_dare_random_observable_systems():
 
 def test_dare_singular_innovation_covariance_is_divergence():
     # ten identical stacked rows (x1, x2 five times each): R = 0.5 I is lost
-    # against entries near 3e304, so H P H' + R is singular; numpy's raw
-    # LinAlgError("Singular matrix") used to escape
-    model = build_constant_velocity_model(dt=0.1, q_intensity=1e308)
+    # against P, so H P H' + R is singular; numpy's raw LinAlgError("Singular
+    # matrix") used to escape. At q_intensity = 1e308 ||Q|| itself overflows,
+    # so the doubling stops before any solve could fail; at 1e20 it
+    # converges and the certificate step meets the singular matrix
     h = np.tile(np.eye(2, 4), (5, 1))
-    with pytest.raises(RiccatiDivergence, match="H P H' \\+ R became singular"):
-        dare_solve(model.f, h, model.q, 0.5 * np.eye(10))
+    for q_intensity, message in ((1e308, "the Riccati iteration overflowed"),
+                                 (1e20, "H P H' \\+ R became singular")):
+        model = build_constant_velocity_model(dt=0.1, q_intensity=q_intensity)
+        with pytest.raises(RiccatiDivergence, match=message):
+            dare_solve(model.f, h, model.q, 0.5 * np.eye(10))
+
+
+def test_dare_singular_doubling_matrix_is_divergence():
+    # G = h' h is rank one and Q = 1e17 I, so the 1 of I + G P is lost
+    # against G P = 1e17 [[1, 1], [1, 1]]: an exactly singular LU pivot
+    f, h = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])
+    with pytest.raises(RiccatiDivergence, match="I \\+ G P became singular") as info:
+        dare_solve(f, h, 1e17 * np.eye(2), np.eye(1))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_dare_uncertified_doubling_is_divergence():
+    # with Q = 1e10 I, I + G P has condition number 2e10 and the doubling's P
+    # is about 3e-10 relative off the fixed point: the one plain step from it
+    # moves it by that much, so the solver raises instead of returning it
+    f, h = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 1.0]])
+    with pytest.raises(RiccatiDivergence, match="P fails its one-step check"):
+        dare_solve(f, h, 1e10 * np.eye(2), np.eye(1))
 
 
 def test_dare_overflow_is_divergence():
